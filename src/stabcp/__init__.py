@@ -22,7 +22,6 @@ from .conformal import (
     MethodReport,
     PiBounds,
     anchor_bounds,
-    anchored_upper_interval,
     batch_pi_bounds,
     default_anchor,
     gap_profile,

@@ -4,10 +4,17 @@ One model fit at an anchor candidate, together with per-point stability
 bounds, traps the exact conformity function between two computable envelopes.
 The upper envelope's superlevel set is a prediction region that contains the
 exact conformal set, costs a single fit, and keeps the coverage guarantee.
-This module provides that construction in closed form (absolute-residual
-score) and by bisection (any score with convex level sets), the batch and
-interpolated refinements, and the split/oracle/root-finding baselines used
-for benchmarking.
+
+That envelope depends on the candidate only through the query score
+``S(z, mu)``, so the single-fit set is ``{z : S(z, mu) <= T}`` for one order
+statistic T.  The split and oracle baselines have the same form, with the
+calibration scores or the scores at the true response in place of the
+inflated ones.  All four sets (``stab_cp_interval``, ``stab_cp_bisection``,
+``oracle_cp``, ``split_cp``) therefore go through one threshold rule
+(``_score_threshold``) and one extraction routine (``sublevel_set``): a
+closed form for the absolute residual, outward bracketing plus bisection for
+custom scores.  The module also holds the batch and interpolated refinements
+and the root-finding and grid baselines used for benchmarking.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from .core import (
     TabularDataset,
     _as_finite_array,
     _ceil_tol,
-    _floor_tol,
+    _kept_intervals,
+    _level_threshold,
     check_alpha,
     conformity_scores,
     pi_from_scores,
@@ -173,39 +181,102 @@ def batch_pi_bounds(z: float, anchors, tau: StabilityBounds,
     return PiBounds(best_lo.lo, best_up.up, best_lo.n_lo, best_up.n_up)
 
 
-def anchored_upper_interval(mu_test: float, upper_scores, tau_test: float, alpha: float,
-                            candidate_range, method: str) -> PredictionSet:
-    """Closed-form superlevel set of the upper envelope, absolute-residual score.
+_EPS_R = 1e-6       # bisection tolerance of the sets whose functions take no eps_r
+_MAX_DOUBLINGS = 64  # outward steps before a custom-score set counts as unbounded
+_ROOT_PROBES = 20    # coarse probes root_cp spends locating a point inside its set
 
-    ``upper_scores`` are the inflated observed scores at the anchor.  With a
-    strictly positive query-point bound the region is the centered interval
-    whose half-width is the ceil((1-alpha)(n+1))-th order statistic plus that
-    bound; with a zero bound the query point's own indicator fires, which
-    shifts the order-statistic index down by one (the zero-stability limit
-    shared with the oracle construction).
+
+def _score_threshold(sorted_scores: np.ndarray, tau_test: float, alpha: float) -> float:
+    """Largest query score a single-fit set admits: ``T = U_(k) + tau_test``.
+
+    ``U`` are the m scores the query is ranked against, in ascending order:
+
+    - stabcp: the observed scores at the anchor, inflated by their bounds;
+    - oracle: the observed scores of the fit at the true response, tau_test = 0;
+    - split: the calibration scores, tau_test = 0.
+
+    The index is ``k = ceil((1-alpha)(m+1))`` when ``tau_test > 0`` and
+    ``k = floor((1-alpha)(m+1))`` when ``tau_test = 0``: with a zero bound the
+    query point's own indicator fires in the upper-envelope count, which moves
+    the index down to the floor (the zero-stability limit the oracle shares).
+    Returns ``+inf`` when ``k > m`` (the set is the whole range) and ``-inf``
+    when ``k < 1`` (the set is empty).
     """
-    alpha = check_alpha(alpha)
-    upper = np.sort(_as_finite_array(np.ravel(np.asarray(upper_scores, dtype=float)),
-                                     "upper_scores", 1))
-    n = upper.size
-    tau_test = float(tau_test)
-    if tau_test < 0:
-        raise InvalidInputError("tau_test must be nonnegative")
-    v = (1.0 - alpha) * (n + 1)
+    m = sorted_scores.size
     if tau_test > 0:
-        k = _ceil_tol(v)
-        if k > n:
-            return PredictionSet.whole_range(method, alpha, candidate_range)
-        half = float(upper[k - 1]) + tau_test
+        k = _ceil_tol((1.0 - alpha) * (m + 1))
     else:
-        j = _floor_tol(v - 1.0) + 1
-        if j > n:
+        k = _level_threshold(m, alpha)
+    if k > m:
+        return math.inf
+    if k < 1:
+        return -math.inf
+    return float(sorted_scores[k - 1]) + tau_test
+
+
+def _outer_boundary(score: ScoreFunction, mu: float, threshold: float, step: float,
+                    eps_r: float) -> float | None:
+    """A point just outside ``{z : S(z, mu) <= T}`` on the side ``step`` points to.
+
+    Steps outward from ``mu`` by ``step``, doubling it until the score exceeds
+    the threshold, then bisects the last bracket down to ``eps_r`` (or to
+    adjacent floats) and returns its outer end.  None when the score is still
+    at most the threshold after ``_MAX_DOUBLINGS`` doublings.
+    """
+    inside, outside = mu, mu + step
+    for _ in range(_MAX_DOUBLINGS):
+        if score.evaluate(outside, mu) > threshold:
+            break
+        step *= 2.0
+        inside, outside = outside, mu + step
+    else:
+        return None
+    while abs(outside - inside) > eps_r:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            break
+        if score.evaluate(mid, mu) <= threshold:
+            inside = mid
+        else:
+            outside = mid
+    return outside
+
+
+def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float,
+                 candidate_range, method: str, eps_r: float) -> PredictionSet:
+    """The candidates whose query score stays within the threshold: ``{z : S(z, mu) <= T}``.
+
+    - ``T = +inf`` gives the whole candidate range, flagged as truncated, and
+      ``S(mu, mu) > T`` (in particular ``T = -inf``) the empty set.
+    - The absolute residual gives ``[mu - T, mu + T]`` exactly.
+    - A custom score must honor the contract of ``ScoreFunction.custom``
+      (minimized at ``q = m``, nondecreasing in ``|q - m|`` on each side), so
+      the set is one interval around ``mu``.  Each endpoint is bracketed by
+      stepping outward from ``mu``, the first step being the width of the
+      candidate range (at least ``eps_r``) and each next step twice the last,
+      until the score exceeds T; bisection then shrinks the bracket to
+      ``eps_r`` and its outer end is returned, so the set always contains the
+      exact sublevel set.  A score still at most T after ``_MAX_DOUBLINGS``
+      doublings gives the whole range, flagged as truncated.
+
+    The set is never clamped to ``candidate_range``, which is only recorded as
+    metadata: clamping could drop a true response outside the observed range.
+    """
+    mu, threshold = float(mu), float(threshold)
+    if threshold == math.inf:
+        return PredictionSet.whole_range(method, alpha, candidate_range)
+    if not score.evaluate(mu, mu) <= threshold:
+        return PredictionSet.empty_set(method, alpha, candidate_range)
+    if score.kind == "absolute-residual":
+        ends = (mu - threshold, mu + threshold)
+    else:
+        step = max(float(candidate_range[1]) - float(candidate_range[0]), eps_r)
+        ends = (_outer_boundary(score, mu, threshold, -step, eps_r),
+                _outer_boundary(score, mu, threshold, step, eps_r))
+        if None in ends:
             return PredictionSet.whole_range(method, alpha, candidate_range)
-        if j < 1:
-            return PredictionSet.empty_set(method, alpha, candidate_range)
-        half = float(upper[j - 1])
-    return PredictionSet.from_intervals([(mu_test - half, mu_test + half)],
-                                        method, alpha, candidate_range=candidate_range)
+    return PredictionSet.from_intervals([ends], method, alpha,
+                                        candidate_range=candidate_range)
 
 
 def _report(prediction_set: PredictionSet, dataset: TabularDataset, fit_count: int,
@@ -223,68 +294,52 @@ def _report(prediction_set: PredictionSet, dataset: TabularDataset, fit_count: i
     )
 
 
-def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
-                     score: ScoreFunction, tau: StabilityBounds, alpha: float) -> MethodReport:
-    """Single-fit stable conformal interval (absolute-residual score).
-
-    Fits once at the anchor, inflates the observed scores by their stability
-    bounds, and returns the interval centered at the anchor prediction with
-    half-width ``Q + tau_test`` where Q is the ceil((1-alpha)(n+1))-th order
-    statistic of the inflated scores.  When that index exceeds n the whole
-    candidate range is returned.
-    """
+def _stab_cp(dataset: TabularDataset, anchor: float, model_spec, score: ScoreFunction,
+             tau: StabilityBounds, alpha: float, candidate_range, method: str,
+             eps_r: float) -> MethodReport:
+    """Body shared by the two single-fit entry points: one fit, one threshold."""
     started = time.perf_counter()
-    alpha = check_alpha(alpha)
-    if score.kind != "absolute-residual":
-        raise InvalidInputError("closed form requires the absolute-residual score; "
-                                "use stab_cp_bisection for other scores")
-    if tau.tau_test <= 0:
-        raise InvalidInputError("the closed form requires tau[-1] > 0")
     bounds, _ = anchor_bounds(dataset, anchor, model_spec, score, tau)
-    candidate_range = tau.candidate_range or dataset.target_range()
-    prediction_set = anchored_upper_interval(bounds.mu_test, bounds.upper, bounds.tau_test,
-                                             alpha, candidate_range, method="stabcp")
+    threshold = _score_threshold(bounds.upper_sorted, bounds.tau_test, alpha)
+    prediction_set = sublevel_set(score, bounds.mu_test, threshold, alpha,
+                                  candidate_range, method, eps_r)
     return _report(prediction_set, dataset, 1, started,
                    anchor=float(anchor), tau_provenance=tau.provenance,
                    tau_coverage_safe=tau.coverage_safe)
 
 
-def _level_threshold(n: int, alpha: float) -> int:
-    """Largest indicator sum compatible with the superlevel set at alpha."""
-    return _floor_tol((1.0 - alpha) * (n + 1))
+def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
+                     score: ScoreFunction, tau: StabilityBounds, alpha: float) -> MethodReport:
+    """Single-fit stable conformal set, any score, any ``tau_test >= 0``.
 
-
-def _bisect_boundary(selected, lo: float, hi: float, eps_r: float,
-                     select_hi: bool) -> tuple[float, int]:
-    """Midpoint of the final bracket around the selection boundary.
-
-    ``select_hi`` says which end of the bracket is inside the region (the
-    region is a single interval, so exactly one end is).  Returns the number
-    of evaluations used along with the point.
+    Fits once at the anchor, inflates the observed scores by their stability
+    bounds, and returns ``{z : S(z, mu) <= T}`` with ``T`` from
+    ``_score_threshold``.  For the absolute residual this is the interval
+    centered at the anchor prediction with half-width ``Q + tau_test``, Q the
+    ceil((1-alpha)(n+1))-th order statistic of the inflated scores (the
+    floor when ``tau_test = 0``).  When that index exceeds n the whole
+    candidate range is returned.  Custom scores are extracted by
+    ``sublevel_set`` to within ``1e-6``.
     """
-    evals = 0
-    while hi - lo > eps_r:
-        mid = 0.5 * (lo + hi)
-        evals += 1
-        if selected(mid) == select_hi:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), evals
+    alpha = check_alpha(alpha)
+    candidate_range = tau.candidate_range or dataset.target_range()
+    return _stab_cp(dataset, anchor, model_spec, score, tau, alpha, candidate_range,
+                    "stabcp", _EPS_R)
 
 
 def stab_cp_bisection(dataset: TabularDataset, anchor: float, model_spec,
                       score: ScoreFunction, tau: StabilityBounds, alpha: float,
                       z_min: float | None = None, z_max: float | None = None,
-                      eps_r: float = 1e-4, probe_points: int = 20) -> MethodReport:
-    """Stable conformal set by bisection on the upper envelope, no refits.
+                      eps_r: float = 1e-4) -> MethodReport:
+    """Single-fit stable conformal set with a given candidate range and tolerance.
 
-    Works for any score whose level sets in the candidate are intervals.  A
-    coarse probe of the range locates a point inside the region; two
-    bisections then pin each endpoint to within ``eps_r``.  Endpoints falling
-    outside the range are clamped and flagged as truncated.
+    The same set as ``stab_cp_interval``: the closed form for the absolute
+    residual, bisection to ``eps_r`` for custom scores, which must be
+    minimized at ``q = m`` (see ``ScoreFunction.custom``).  ``(z_min, z_max)``
+    (default: the observed target range) is recorded as the candidate range
+    and sets the first bracketing step; the set is never clamped to it (see
+    ``sublevel_set`` for the truncation rule).
     """
-    started = time.perf_counter()
     alpha = check_alpha(alpha)
     eps_r = float(eps_r)
     if eps_r <= 0:
@@ -295,55 +350,8 @@ def stab_cp_bisection(dataset: TabularDataset, anchor: float, model_spec,
         z_max = hi_range if z_max is None else float(z_max)
     if not z_min < z_max:
         raise InvalidInputError("need z_min < z_max")
-    bounds, _ = anchor_bounds(dataset, anchor, model_spec, score, tau)
-    threshold = _level_threshold(dataset.n, alpha)
-    eval_count = 0
-
-    def selected(z: float) -> bool:
-        nonlocal eval_count
-        eval_count += 1
-        _, n_up = bounds.counts_at(z)
-        return int(n_up) <= threshold
-
-    probes = np.linspace(z_min, z_max, int(probe_points))
-    probe_selected = np.array([selected(z) for z in probes])
-    if not probe_selected.any():
-        prediction_set = PredictionSet.empty_set("stabcp-bisection", alpha,
-                                                 candidate_range=(z_min, z_max))
-        return _report(prediction_set, dataset, 1, started,
-                       anchor=float(anchor), pi_up_evaluations=eval_count,
-                       tau_provenance=tau.provenance,
-                       tau_coverage_safe=tau.coverage_safe)
-    z0 = float(probes[int(np.argmax(probe_selected))])
-
-    truncated = False
-    bisections = 0
-    if probe_selected[0]:
-        left = float(z_min)
-        truncated = True
-    else:
-        left, used = _bisect_boundary(selected, float(z_min), z0, eps_r, select_hi=True)
-        bisections += used
-    if probe_selected[-1]:
-        right = float(z_max)
-        truncated = True
-    else:
-        right, used = _bisect_boundary(selected, z0, float(z_max), eps_r, select_hi=False)
-        bisections += used
-
-    if probe_selected[0] and probe_selected[-1]:
-        prediction_set = PredictionSet.whole_range("stabcp-bisection", alpha,
-                                                   (float(z_min), float(z_max)))
-    else:
-        prediction_set = PredictionSet.from_intervals(
-            [(left, right)], "stabcp-bisection", alpha,
-            truncated=truncated, candidate_range=(float(z_min), float(z_max)),
-        )
-    return _report(prediction_set, dataset, 1, started,
-                   anchor=float(anchor), z0=z0,
-                   pi_up_evaluations=eval_count, bisection_evaluations=bisections,
-                   tau_provenance=tau.provenance,
-                   tau_coverage_safe=tau.coverage_safe)
+    return _stab_cp(dataset, anchor, model_spec, score, tau, alpha,
+                    (float(z_min), float(z_max)), "stabcp-bisection", eps_r)
 
 
 def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityBounds,
@@ -376,18 +384,8 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
         lower_test = scores[-1] - tau_arr[-1]
         n_up = int(np.count_nonzero(upper <= lower_test))
         kept[j] = n_up <= threshold
-    intervals = []
-    start = None
-    for j, flag in enumerate(kept):
-        if flag and start is None:
-            start = j
-        elif not flag and start is not None:
-            intervals.append((grid[start], grid[j - 1]))
-            start = None
-    if start is not None:
-        intervals.append((grid[start], grid[-1]))
     prediction_set = PredictionSet.from_intervals(
-        intervals, "interpcp", alpha,
+        _kept_intervals(grid, kept), "interpcp", alpha,
         candidate_range=(float(grid[0]), float(grid[-1])),
     )
     return _report(prediction_set, dataset, interpolated.fit_count, started,
@@ -395,53 +393,9 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
                    tau_coverage_safe=tau_tilde.coverage_safe)
 
 
-def split_cp(dataset: TabularDataset, split_index: int, model_spec,
-             score: ScoreFunction, alpha: float) -> MethodReport:
-    """Split conformal set: fit on the first rows, calibrate on the rest.
-
-    The model is fitted on rows ``1..m`` only; the remaining rows provide
-    calibration scores.  For the absolute-residual score the set is the
-    interval around the trained prediction whose half-width is the
-    ceil((1-alpha)(n-m+1))-th calibration order statistic; other scores with
-    interval level sets go through the bisection extraction.
-    """
-    started = time.perf_counter()
-    alpha = check_alpha(alpha)
-    m = int(split_index)
-    n = dataset.n
-    if not 1 <= m < n:
-        raise InvalidInputError(f"split index must satisfy 1 <= m < n, got m={m}, n={n}")
-    trained = model_spec.fit_rows(dataset.features[:m], dataset.targets[:m])
-    cal_predictions = trained.predict_rows(dataset.features[m:])
-    cal_scores = np.asarray(score.evaluate(dataset.targets[m:], cal_predictions), dtype=float)
-    mu_test = trained.predict(dataset.test_point)
-    n_cal = n - m
-    candidate_range = dataset.target_range()
-    if score.kind == "absolute-residual":
-        k = _ceil_tol((1.0 - alpha) * (n_cal + 1))
-        if k > n_cal:
-            prediction_set = PredictionSet.whole_range("splitcp", alpha, candidate_range)
-        else:
-            half = float(np.sort(cal_scores)[k - 1])
-            prediction_set = PredictionSet.from_intervals(
-                [(mu_test - half, mu_test + half)], "splitcp", alpha,
-                candidate_range=candidate_range,
-            )
-    else:
-        # same indicator arithmetic, denominator n_cal + 1, self term included
-        bounds = ConformityBounds(
-            anchor=math.nan, lower=cal_scores, upper=cal_scores,
-            mu_test=float(mu_test), tau_test=0.0, score=score, n=n_cal,
-        )
-        prediction_set = _superlevel_by_bisection(bounds, n_cal, alpha,
-                                                  candidate_range, "splitcp")
-    return _report(prediction_set, dataset, 1, started,
-                   split_index=m, calibration_size=n_cal)
-
-
-def split_pi(dataset: TabularDataset, split_index: int, model_spec,
-             score: ScoreFunction):
-    """Split conformity function ``z -> pi_split(z)`` (one fit, reusable)."""
+def _split_fit(dataset: TabularDataset, split_index: int, model_spec,
+               score: ScoreFunction) -> tuple[float, np.ndarray]:
+    """Fit on rows ``1..m``; return the query prediction and the sorted calibration scores."""
     m = int(split_index)
     n = dataset.n
     if not 1 <= m < n:
@@ -450,8 +404,35 @@ def split_pi(dataset: TabularDataset, split_index: int, model_spec,
     cal_predictions = trained.predict_rows(dataset.features[m:])
     cal_scores = np.sort(np.asarray(
         score.evaluate(dataset.targets[m:], cal_predictions), dtype=float))
-    mu_test = trained.predict(dataset.test_point)
-    n_cal = n - m
+    return float(trained.predict(dataset.test_point)), cal_scores
+
+
+def split_cp(dataset: TabularDataset, split_index: int, model_spec,
+             score: ScoreFunction, alpha: float) -> MethodReport:
+    """Split conformal set: fit on the first rows, calibrate on the rest.
+
+    The model is fitted on rows ``1..m`` only; the remaining ``n - m`` rows
+    provide calibration scores.  The set is ``{z : S(z, mu) <= T}`` around the
+    trained prediction, T the floor((1-alpha)(n-m+1))-th calibration order
+    statistic (the index ``split_pi`` and the grid sets use); when that index
+    is 0 the set is empty.  Custom scores are extracted by ``sublevel_set``
+    to within ``1e-6``.
+    """
+    started = time.perf_counter()
+    alpha = check_alpha(alpha)
+    mu_test, cal_scores = _split_fit(dataset, split_index, model_spec, score)
+    threshold = _score_threshold(cal_scores, 0.0, alpha)
+    prediction_set = sublevel_set(score, mu_test, threshold, alpha,
+                                  dataset.target_range(), "splitcp", _EPS_R)
+    return _report(prediction_set, dataset, 1, started,
+                   split_index=int(split_index), calibration_size=cal_scores.size)
+
+
+def split_pi(dataset: TabularDataset, split_index: int, model_spec,
+             score: ScoreFunction):
+    """Split conformity function ``z -> pi_split(z)`` (one fit, reusable)."""
+    mu_test, cal_scores = _split_fit(dataset, split_index, model_spec, score)
+    n_cal = cal_scores.size
 
     def pi(z):
         test_score = score.evaluate(np.asarray(z, dtype=float), mu_test)
@@ -467,7 +448,9 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
 
     One fit at the true response; the set keeps the candidates whose score
     against that fit ranks low enough among the fixed scores.  This is the
-    zero-stability limit of the single-fit construction anchored at the truth.
+    zero-stability limit of the single-fit construction anchored at the
+    truth: ``stab_cp_interval`` with all bounds zero, anchored at the true
+    response, returns the same set.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -476,58 +459,37 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
         raise InvalidInputError("true_target must be finite")
     fitted = model_spec.fit(dataset, true_target)
     scores = conformity_scores(dataset, true_target, fitted, score)
-    candidate_range = dataset.target_range()
-    if score.kind == "absolute-residual":
-        prediction_set = anchored_upper_interval(fitted.mu_test, scores[:-1], 0.0, alpha,
-                                                 candidate_range, method="oraclecp")
-    else:
-        bounds = ConformityBounds(
-            anchor=true_target, lower=scores[:-1], upper=scores[:-1],
-            mu_test=float(fitted.mu_test), tau_test=0.0, score=score, n=dataset.n,
-        )
-        prediction_set = _superlevel_by_bisection(bounds, dataset.n, alpha,
-                                                  candidate_range, "oraclecp")
+    threshold = _score_threshold(np.sort(scores[:-1]), 0.0, alpha)
+    prediction_set = sublevel_set(score, fitted.mu_test, threshold, alpha,
+                                  dataset.target_range(), "oraclecp", _EPS_R)
     return _report(prediction_set, dataset, 1, started, anchor=true_target)
 
 
-def _superlevel_by_bisection(bounds: ConformityBounds, n: int,
-                             alpha: float, candidate_range, method: str,
-                             eps_r: float = 1e-6, probe_points: int = 64) -> PredictionSet:
-    """Level-set extraction shared by the non-closed-form single-fit paths."""
-    threshold = _level_threshold(n, alpha)
-    z_min, z_max = candidate_range
+def _bisect_boundary(selected, lo: float, hi: float, eps_r: float,
+                     select_hi: bool) -> float:
+    """Midpoint of the final bracket around the selection boundary.
 
-    def selected(z: float) -> bool:
-        _, n_up = bounds.counts_at(z)
-        return int(n_up) <= threshold
-
-    probes = np.linspace(z_min, z_max, probe_points)
-    flags = np.array([selected(z) for z in probes])
-    if not flags.any():
-        return PredictionSet.empty_set(method, alpha, candidate_range)
-    z0 = float(probes[int(np.argmax(flags))])
-    truncated = False
-    if flags[0]:
-        left = float(z_min)
-        truncated = True
-    else:
-        left, _ = _bisect_boundary(selected, float(z_min), z0, eps_r, select_hi=True)
-    if flags[-1]:
-        right = float(z_max)
-        truncated = True
-    else:
-        right, _ = _bisect_boundary(selected, z0, float(z_max), eps_r, select_hi=False)
-    return PredictionSet.from_intervals([(left, right)], method, alpha,
-                                        truncated=truncated, candidate_range=candidate_range)
+    ``select_hi`` says which end of the bracket is inside the region (the
+    region is a single interval, so exactly one end is).
+    """
+    while hi - lo > eps_r:
+        mid = 0.5 * (lo + hi)
+        if selected(mid) == select_hi:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
-            z_range=None, eps_r: float = 1e-4, probe_points: int = 20) -> MethodReport:
+            z_range=None, eps_r: float = 1e-4) -> MethodReport:
     """Endpoints of the exact conformal set by bisection, one refit per probe.
 
     Assumes the exact set is a bounded interval inside the candidate range.
     Every conformity evaluation refits the model, so the fit counter grows
-    with both the coarse probe and the two bisections.
+    with both the coarse probe (``_ROOT_PROBES`` evenly spaced candidates)
+    and the two bisections.  Endpoints at the range ends are clamped and the
+    set is flagged as truncated.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -550,7 +512,7 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
         scores = conformity_scores(dataset, z, fitted, score)
         return rank(scores, n + 1) <= threshold
 
-    probes = np.linspace(z_min, z_max, int(probe_points))
+    probes = np.linspace(z_min, z_max, _ROOT_PROBES)
     flags = np.array([selected(z) for z in probes])
     if not flags.any():
         prediction_set = PredictionSet.empty_set("rootcp", alpha, (z_min, z_max))
@@ -561,12 +523,12 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
         left = z_min
         truncated = True
     else:
-        left, _ = _bisect_boundary(selected, z_min, z0, eps_r, select_hi=True)
+        left = _bisect_boundary(selected, z_min, z0, eps_r, select_hi=True)
     if flags[-1]:
         right = z_max
         truncated = True
     else:
-        right, _ = _bisect_boundary(selected, z0, z_max, eps_r, select_hi=False)
+        right = _bisect_boundary(selected, z0, z_max, eps_r, select_hi=False)
     prediction_set = PredictionSet.from_intervals([(left, right)], "rootcp", alpha,
                                                   truncated=truncated,
                                                   candidate_range=(z_min, z_max))

@@ -30,6 +30,11 @@ def _floor_tol(x: float) -> int:
     return math.floor(x + _TOL)
 
 
+def _level_threshold(n: int, alpha: float) -> int:
+    """Largest rank (out of n+1) a candidate may have and stay in the set at alpha."""
+    return _floor_tol((1.0 - alpha) * (n + 1))
+
+
 def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
@@ -151,6 +156,14 @@ class ScoreFunction:
 
     @classmethod
     def custom(cls, fn, gamma: float) -> "ScoreFunction":
+        """A user score ``fn(q, m)``, vectorized like numpy, with constant ``gamma``.
+
+        Contract: for every prediction m, ``fn(., m)`` is minimized at
+        ``q = m`` and nondecreasing in ``|q - m|`` on each side of m (it may
+        be asymmetric, e.g. Huber or linex of ``q - m``).  Every single-fit set
+        is then one interval around the prediction, which the set extraction
+        of :mod:`stabcp.conformal` relies on.
+        """
         gamma = float(gamma)
         if not (math.isfinite(gamma) and gamma >= 0):
             raise InvalidInputError("gamma must be a finite nonnegative real")
@@ -232,7 +245,10 @@ class PredictionSet:
 
     ``intervals`` is an ascending list of disjoint closed ``(lo, hi)`` pairs in
     target units.  ``whole-range`` sets carry the active candidate range, and
-    ``truncated`` flags endpoints clamped to that range.
+    ``truncated`` flags a set that reaches beyond what it stores: a
+    whole-range set, or a root-finding set clamped to its search range.  The
+    single-fit sets are never clamped, so their intervals may leave the
+    candidate range.
     """
 
     shape: str
@@ -304,6 +320,14 @@ def default_candidate_grid(dataset: TabularDataset, num: int = 200) -> np.ndarra
     return np.linspace(lo, hi, int(num))
 
 
+def _kept_intervals(grid: np.ndarray, kept: np.ndarray) -> list:
+    """Closed intervals spanned by the runs of consecutive kept grid points."""
+    edges = np.diff(np.concatenate([[0], np.asarray(kept, dtype=np.int8), [0]]))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1) - 1
+    return [(grid[a], grid[b]) for a, b in zip(starts, stops)]
+
+
 def conformal_set_grid(dataset: TabularDataset, model_spec, score: ScoreFunction,
                        alpha: float, grid) -> PredictionSet:
     """Exact conformal set evaluated on a candidate grid, one refit per point.
@@ -319,23 +343,13 @@ def conformal_set_grid(dataset: TabularDataset, model_spec, score: ScoreFunction
     if np.any(np.diff(grid) < 0):
         raise InvalidInputError("grid must be sorted ascending")
     n = dataset.n
-    threshold = _floor_tol((1.0 - alpha) * (n + 1))
+    threshold = _level_threshold(n, alpha)
     kept = np.zeros(grid.size, dtype=bool)
     for j, z in enumerate(grid):
         fitted = model_spec.fit(dataset, z)
         scores = conformity_scores(dataset, z, fitted, score)
         kept[j] = rank(scores, n + 1) <= threshold
-    intervals = []
-    start = None
-    for j, flag in enumerate(kept):
-        if flag and start is None:
-            start = j
-        elif not flag and start is not None:
-            intervals.append((grid[start], grid[j - 1]))
-            start = None
-    if start is not None:
-        intervals.append((grid[start], grid[-1]))
     return PredictionSet.from_intervals(
-        intervals, method="gridcp", alpha=alpha,
+        _kept_intervals(grid, kept), method="gridcp", alpha=alpha,
         candidate_range=(float(grid[0]), float(grid[-1])),
     )

@@ -287,14 +287,6 @@ def split(dataset: TabularDataset, train_fraction: float, seed: int) -> tuple[np
     return order[:m], order[m:]
 
 
-def reordered_for_split(dataset: TabularDataset, train_idx, cal_idx) -> tuple[TabularDataset, int]:
-    """Dataset with rows arranged train-first, plus the split index."""
-    train_idx = np.asarray(train_idx, dtype=int)
-    cal_idx = np.asarray(cal_idx, dtype=int)
-    order = np.concatenate([train_idx, cal_idx])
-    return dataset.permuted(order), int(train_idx.size)
-
-
 def dataset_from_rows(X, y, test_index: int, meta=None) -> TabularDataset:
     """Build a dataset from a pooled table by holding one row out."""
     X = _as_finite_array(X, "X", 2)

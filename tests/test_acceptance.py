@@ -20,7 +20,6 @@ from stabcp import (
     ScoreFunction,
     TabularDataset,
     anchor_bounds,
-    anchored_upper_interval,
     build_interpolated_model,
     conformal_set_grid,
     conformity_scores,
@@ -119,8 +118,12 @@ def test_criterion_03_grid_set_contained_in_single_fit_set():
 
 
 def test_criterion_04_interval_and_bisection_agree():
+    # the bisection extraction runs on the absolute residual given as a custom
+    # score; the built-in one takes the closed form in both entry points
+    custom_abs = ScoreFunction.custom(lambda q, m: np.abs(q - m), 1.0)
     instances, eps_r = 50, 1e-4
     worst = 0.0
+    outer = True
     for seed in range(100, 100 + instances):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, seed))
         spec = RidgeModel(0.5)
@@ -129,14 +132,17 @@ def test_criterion_04_interval_and_bisection_agree():
         interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
         (ilo, ihi), = interval.set.intervals
         width = ihi - ilo
-        bisect = stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1,
+        bisect = stab_cp_bisection(ds, anchor, spec, custom_abs, tau, 0.1,
                                    z_min=ilo - width, z_max=ihi + width,
                                    eps_r=eps_r)
         (blo, bhi), = bisect.set.intervals
         worst = max(worst, abs(blo - ilo), abs(bhi - ihi))
-    ok = worst <= eps_r
+        outer &= blo <= ilo and ihi <= bhi
+        closed = stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1)
+        outer &= closed.set.intervals == interval.set.intervals
+    ok = worst <= eps_r and outer
     _line(4, ok, f"{instances} instances, max endpoint difference "
-                 f"{worst:.2e} (<= {eps_r:.0e})")
+                 f"{worst:.2e} (<= {eps_r:.0e}), bisection never inside {outer}")
 
 
 def test_criterion_05_zero_stability_collapse():
@@ -160,11 +166,8 @@ def test_criterion_05_zero_stability_collapse():
     # definitional equality: the oracle set is the zero-stability limit of
     # the single-fit construction anchored at the true target
     oracle = oracle_cp(ds, ds.test_target, frozen, ABS, 0.1)
-    anchor_fit = frozen.fit(ds, ds.test_target)
-    scores = conformity_scores(ds, ds.test_target, anchor_fit, ABS)
-    limit_form = anchored_upper_interval(anchor_fit.mu_test, scores[:-1], 0.0, 0.1,
-                                         ds.target_range(), "stabcp")
-    oracle_ok = oracle.set.intervals == limit_form.intervals
+    limit_form = stab_cp_interval(ds, ds.test_target, frozen, ABS, zero_tau, 0.1)
+    oracle_ok = oracle.set.intervals == limit_form.set.intervals
     ok = collapse_ok and oracle_ok
     _line(5, ok, f"envelope collapse {collapse_ok}, oracle == zero-tau stab set "
                  f"{oracle_ok} (exact equality)")

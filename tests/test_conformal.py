@@ -14,7 +14,6 @@ from stabcp import (
     StabilityBounds,
     TabularDataset,
     anchor_bounds,
-    anchored_upper_interval,
     batch_pi_bounds,
     build_interpolated_model,
     conformal_set_grid,
@@ -39,6 +38,8 @@ from stabcp import (
 )
 
 ABS = ScoreFunction.absolute_residual()
+# the absolute residual as a custom score: same sets, extracted by bisection
+CUSTOM_ABS = ScoreFunction.custom(lambda q, m: np.abs(q - m), 1.0)
 
 
 def make_dataset(n=50, p=5, seed=0, noise=1.0):
@@ -133,10 +134,20 @@ def test_stab_interval_quantile_overflow_whole_range():
     assert report.set.candidate_range == ds.target_range()
 
 
-def test_stab_interval_rejects_zero_query_bound(small_dataset):
-    tau = tau_user_supplied(np.zeros(small_dataset.n + 1))
-    with pytest.raises(InvalidInputError):
-        stab_cp_interval(small_dataset, 0.0, RidgeModel(0.5), ABS, tau, 0.1)
+def test_stab_interval_zero_query_bound_equals_oracle():
+    # a zero query-point bound is allowed: anchored at the truth with a
+    # frozen model and all bounds zero, the single-fit set is the oracle set
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((30, 2))
+    coef = np.array([1.0, -0.5])
+    y = X @ coef + rng.standard_normal(30)
+    ds = TabularDataset(X[:-1], y[:-1], X[-1], test_target=float(y[-1]))
+    frozen = PretrainedLinearModel(coef)
+    zero = tau_user_supplied(np.zeros(ds.n + 1))
+    for alpha in (0.1, 0.25):
+        stab = stab_cp_interval(ds, ds.test_target, frozen, ABS, zero, alpha)
+        oracle = oracle_cp(ds, ds.test_target, frozen, ABS, alpha)
+        assert stab.set.intervals == oracle.set.intervals
 
 
 def test_stab_interval_contains_grid_oracle_at_scale():
@@ -165,17 +176,39 @@ def test_bisection_agrees_with_closed_form():
     width = ihi - ilo
     report = stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1,
                                z_min=ilo - width, z_max=ihi + width, eps_r=1e-4)
+    assert report.set.intervals == interval.set.intervals
+    assert report.fit_count == 1
+    # the bisection extraction of the same score lands just outside
+    report = stab_cp_bisection(ds, anchor, spec, CUSTOM_ABS, tau, 0.1,
+                               z_min=ilo - width, z_max=ihi + width, eps_r=1e-4)
     (blo, bhi), = report.set.intervals
-    assert abs(blo - ilo) <= 1e-4
-    assert abs(bhi - ihi) <= 1e-4
+    assert ilo - 1e-4 <= blo <= ilo
+    assert ihi <= bhi <= ihi + 1e-4
     assert report.fit_count == 1
 
 
 def test_bisection_constant_above_alpha_whole_range(small_dataset):
+    # huge bounds: the set is a (finite) interval swallowing the whole range
+    spec = RidgeModel(0.5)
+    lo, hi = small_dataset.target_range()
     tau = tau_user_supplied(np.full(small_dataset.n + 1, 1e9))
-    report = stab_cp_bisection(small_dataset, 0.0, RidgeModel(0.5), ABS, tau, 0.1)
-    assert report.set.shape == "whole-range"
-    assert report.set.truncated
+    for score in (ABS, CUSTOM_ABS):
+        report = stab_cp_bisection(small_dataset, 0.0, spec, score, tau, 0.1)
+        assert report.set.shape == "interval"
+        (blo, bhi), = report.set.intervals
+        assert blo < lo - 1e8 and bhi > hi + 1e8
+        assert not report.set.truncated
+    # alpha < 1/(n+1): the order-statistic index exceeds n, whole range
+    alpha = 0.5 / (small_dataset.n + 1)
+    for score in (ABS, CUSTOM_ABS):
+        report = stab_cp_bisection(small_dataset, 0.0, spec, score, tau, alpha)
+        assert report.set.shape == "whole-range"
+        assert report.set.truncated
+        assert report.set.candidate_range == (lo, hi)
+    # a custom score that never exceeds the threshold is unbounded: whole range
+    flat = ScoreFunction.custom(lambda q, m: np.minimum(np.abs(q - m), 1.0), 1.0)
+    report = stab_cp_bisection(small_dataset, 0.0, spec, flat, tau, 0.1)
+    assert report.set.shape == "whole-range" and report.set.truncated
 
 
 def test_bisection_empty_when_nothing_selected():
@@ -217,6 +250,83 @@ def test_bisection_general_score_matches_dense_scan():
     spacing = zs[1] - zs[0]
     assert abs(blo - scan_lo) <= 1e-4 + spacing
     assert abs(bhi - scan_hi) <= 1e-4 + spacing
+
+
+def outlier_dataset(values):
+    """n=300, p=20 draw with its first targets set to outliers, plus its clean range."""
+    base = make_dataset(n=300, p=20, seed=0)
+    targets = base.targets.copy()
+    targets[:len(values)] = values
+    ds = TabularDataset(base.features, targets, base.test_point, base.test_target)
+    return ds, base.target_range()
+
+
+def test_bisection_finds_set_between_two_outliers():
+    # the set is ~37 wide inside a 2000-wide range; a coarse probe of the
+    # range used to miss it and return an empty set
+    ds, clean = outlier_dataset([1000.0, -1000.0])
+    spec = RidgeModel(0.5)
+    anchor = default_anchor(ds, spec)
+    tau = tau_linear_exact(spec.fit(ds, anchor), ds, z_range=clean)
+    interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
+    bisect = stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1)
+    assert bisect.set.intervals == interval.set.intervals
+    assert interval.length < 50
+    assert bisect.covered and interval.covered
+
+
+def test_bisection_never_clamps_to_the_candidate_range():
+    # one outlier: the set reaches below the smallest observed target, and
+    # is returned whole, not clamped and not flagged as truncated
+    ds, clean = outlier_dataset([1000.0])
+    spec = RidgeModel(0.5)
+    anchor = default_anchor(ds, spec)
+    tau = tau_linear_exact(spec.fit(ds, anchor), ds, z_range=clean)
+    for score, slack in ((ABS, 0.0), (CUSTOM_ABS, 1e-4)):
+        report = stab_cp_bisection(ds, anchor, spec, score, tau, 0.1, eps_r=1e-4)
+        (lo, hi), = report.set.intervals
+        assert lo == pytest.approx(-19.4062, abs=1e-4 + slack)
+        assert hi == pytest.approx(10.1586, abs=1e-4 + slack)
+        assert lo < ds.target_range()[0]
+        assert not report.set.truncated
+        assert report.set.candidate_range == ds.target_range()
+
+
+@pytest.mark.parametrize("n", [9, 99])
+def test_bisection_uses_closed_form_index_at_integer_level(n):
+    # (1 - alpha)(n + 1) is an integer: both entry points take the ceil index
+    alpha = 0.1
+    ds = make_dataset(n=n, p=3, seed=0)
+    spec = RidgeModel(0.5)
+    anchor = default_anchor(ds, spec)
+    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+    interval = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
+    (ilo, ihi), = interval.set.intervals
+    width = ihi - ilo
+    bisect = stab_cp_bisection(ds, anchor, spec, ABS, tau, alpha,
+                               z_min=ilo - width, z_max=ihi + width)
+    assert bisect.set.intervals == interval.set.intervals
+    custom = stab_cp_bisection(ds, anchor, spec, CUSTOM_ABS, tau, alpha,
+                               z_min=ilo - width, z_max=ihi + width, eps_r=1e-4)
+    (clo, chi), = custom.set.intervals
+    assert ilo - 1e-4 <= clo <= ilo and ihi <= chi <= ihi + 1e-4
+    exact = conformal_set_grid(ds, spec, ABS, alpha, stabcp.default_candidate_grid(ds, 200))
+    assert exact.intervals
+    for glo, ghi in exact.intervals:
+        assert bisect.set.contains(glo) and bisect.set.contains(ghi)
+
+
+def test_split_and_oracle_custom_score_match_builtin():
+    # one index rule for both paths; custom endpoints within 1e-6, outside
+    ds = make_dataset(n=50, p=5, seed=0)
+    spec = RidgeModel(0.5)
+    pairs = [(split_cp(ds, 25, spec, score, 0.1),
+              oracle_cp(ds, ds.test_target, spec, score, 0.1)) for score in (ABS, CUSTOM_ABS)]
+    for builtin, custom in zip(*pairs):
+        (lo, hi), = builtin.set.intervals
+        (clo, chi), = custom.set.intervals
+        assert lo - 1e-6 <= clo <= lo
+        assert hi <= chi <= hi + 1e-6
 
 
 # ----------------------------------------------------------------- batch
@@ -318,8 +428,8 @@ def test_interpolated_single_anchor_at_anchor_matches_inflated_bounds():
 # ----------------------------------------------------------------- split
 
 def test_split_matches_direct_indicator_evaluation():
-    # trained prediction 0, calibration scores 1..9, alpha=0.1:
-    # ceil(0.9 * 10) = 9 -> half-width 9.
+    # trained prediction 0, calibration scores 1..9: the half-width is the
+    # floor((1 - alpha) * 10)-th score, 9 at alpha=0.1 and 8 at alpha=0.15
     m = 5
     train_targets = np.zeros(m)
     cal_targets = np.arange(1.0, 10.0)
@@ -327,15 +437,16 @@ def test_split_matches_direct_indicator_evaluation():
     n = targets.size
     ds = TabularDataset(np.ones((n, 1)), targets, np.ones(1), test_target=0.0)
     spec = PretrainedLinearModel(np.zeros(1))
-    report = split_cp(ds, m, spec, ABS, alpha=0.1)
-    assert report.set.intervals == [(-9.0, 9.0)]
-    assert report.fit_count == 1
-    # direct indicator oracle: closure of {z: pi_split(z) >= alpha}
     pi = split_pi(ds, m, spec, ABS)
     zs = np.linspace(-12, 12, 4801)
-    kept = np.array([pi(z) >= 0.1 - 1e-12 for z in zs])
-    assert zs[kept].min() == pytest.approx(-9.0, abs=zs[1] - zs[0])
-    assert zs[kept].max() == pytest.approx(9.0, abs=zs[1] - zs[0])
+    for alpha, half in ((0.1, 9.0), (0.15, 8.0)):
+        report = split_cp(ds, m, spec, ABS, alpha=alpha)
+        assert report.set.intervals == [(-half, half)]
+        assert report.fit_count == 1
+        # direct indicator oracle: closure of {z: pi_split(z) >= alpha}
+        kept = np.array([pi(z) >= alpha - 1e-12 for z in zs])
+        assert zs[kept].min() == pytest.approx(-half, abs=zs[1] - zs[0])
+        assert zs[kept].max() == pytest.approx(half, abs=zs[1] - zs[0])
 
 
 def test_split_all_ties_give_constant_halfwidth():
@@ -398,11 +509,10 @@ def test_split_rejects_bad_index(small_dataset):
 def test_oracle_equals_zero_tau_limit_form(small_dataset):
     spec = RidgeModel(0.5)
     report = oracle_cp(small_dataset, small_dataset.test_target, spec, ABS, 0.1)
-    fitted = spec.fit(small_dataset, small_dataset.test_target)
-    scores = conformity_scores(small_dataset, small_dataset.test_target, fitted, ABS)
-    expected = anchored_upper_interval(fitted.mu_test, scores[:-1], 0.0, 0.1,
-                                       small_dataset.target_range(), "oraclecp")
-    assert report.set.intervals == expected.intervals
+    zero = tau_user_supplied(np.zeros(small_dataset.n + 1))
+    expected = stab_cp_interval(small_dataset, small_dataset.test_target, spec, ABS,
+                                zero, 0.1)
+    assert report.set.intervals == expected.set.intervals
     assert report.fit_count == 1
 
 

@@ -1,0 +1,96 @@
+"""Property tests of the single-fit set extraction on adversarial data.
+
+The absolute residual given as a custom score goes through the outward
+bracketing and bisection of ``sublevel_set``; the built-in one takes the
+closed form.  For stabcp, oracle and split the two must agree to within the
+bisection tolerance with the bisected endpoints never inside, and the stabcp
+set must contain the grid-evaluated exact conformal set.  The data mix in
+outliers, tied targets, ``n`` close to ``p``, a constant column and a
+zero-norm query row.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from stabcp import (
+    RidgeModel,
+    ScoreFunction,
+    TabularDataset,
+    conformal_set_grid,
+    default_anchor,
+    default_candidate_grid,
+    oracle_cp,
+    split_cp,
+    stab_cp_interval,
+    tau_linear_exact,
+)
+
+ABS = ScoreFunction.absolute_residual()
+CUSTOM_ABS = ScoreFunction.custom(lambda q, m: np.abs(q - m), 1.0)
+EPS_R = 1e-6  # bisection tolerance of stab_cp_interval, oracle_cp and split_cp
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def adversarial_datasets(draw):
+    n = draw(st.integers(3, 25))
+    p = draw(st.sampled_from([1, 3, n - 1, n, n + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n + 1, p))
+    y = X @ rng.standard_normal(p) + rng.standard_normal(n + 1)
+    targets = draw(st.sampled_from(["plain", "outliers", "rounded", "all-tied"]))
+    if targets == "outliers":
+        count = draw(st.integers(1, 2))
+        y[:count] = draw(st.sampled_from([1e3, -1e3, 1e6])) * np.array([1.0, -1.0])[:count]
+    elif targets == "rounded":
+        y = np.round(y)
+    elif targets == "all-tied":
+        y[:] = 2.0
+    if draw(st.booleans()):
+        X[:, 0] = draw(st.sampled_from([0.0, 1.0]))
+    if draw(st.booleans()):
+        X[-1] = 0.0
+    return TabularDataset(X[:-1], y[:-1], X[-1], test_target=float(y[-1]))
+
+
+def assert_outer_match(closed, bisected):
+    """Same shape; bisected endpoints within EPS_R of the closed form, never inside."""
+    assert bisected.set.shape == closed.set.shape
+    if closed.set.shape == "interval":
+        (lo, hi), = closed.set.intervals
+        (blo, bhi), = bisected.set.intervals
+        assert lo - EPS_R <= blo <= lo
+        assert hi <= bhi <= hi + EPS_R
+
+
+@SETTINGS
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.01, 0.5]),
+       alpha=st.sampled_from([0.05, 0.1, 0.2, 0.5]))
+def test_stabcp_bisection_matches_closed_form_and_contains_exact_set(ds, lam, alpha):
+    spec = RidgeModel(lam)
+    anchor = default_anchor(ds, spec)
+    # the bound covers every candidate's distance to the anchor only on a
+    # range holding both, and the anchor may lie outside the target range
+    lo, hi = ds.target_range()
+    z_range = (min(lo, anchor), max(hi, anchor))
+    tau = tau_linear_exact(spec.fit(ds, anchor), ds, z_range=z_range)
+    closed = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
+    assert_outer_match(closed, stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, alpha))
+    exact = conformal_set_grid(ds, spec, ABS, alpha, default_candidate_grid(ds, 40))
+    for lo, hi in exact.intervals:
+        assert closed.set.contains(lo) and closed.set.contains(hi)
+
+
+@SETTINGS
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.01, 0.5]),
+       alpha=st.sampled_from([0.05, 0.1, 0.2, 0.5]), split_share=st.floats(0.1, 0.9))
+def test_oracle_and_split_bisection_match_closed_form(ds, lam, alpha, split_share):
+    spec = RidgeModel(lam)
+    assert_outer_match(oracle_cp(ds, ds.test_target, spec, ABS, alpha),
+                       oracle_cp(ds, ds.test_target, spec, CUSTOM_ABS, alpha))
+    m = min(ds.n - 1, max(1, round(split_share * ds.n)))
+    assert_outer_match(split_cp(ds, m, spec, ABS, alpha),
+                       split_cp(ds, m, spec, CUSTOM_ABS, alpha))
