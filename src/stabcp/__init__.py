@@ -55,8 +55,6 @@ from .models import (
     RegularityConstants,
     RidgeModel,
     build_interpolated_model,
-    fit_lad_ridge,
-    fit_ridge,
     predict,
     ridge_coefficients,
 )

@@ -31,12 +31,14 @@ from .core import (
     TabularDataset,
     _as_finite_array,
     _ceil_tol,
+    _check_grid,
+    _exact_rank,
     _kept_intervals,
     _level_threshold,
     check_alpha,
+    conformal_set_grid,
     conformity_scores,
-    pi_from_scores,
-    rank,
+    pi_exact,
 )
 from .errors import InvalidInputError
 from .stability import StabilityBounds
@@ -95,6 +97,24 @@ class ConformityBounds:
         self.lower_sorted = np.sort(self.lower)
         self.upper_sorted = np.sort(self.upper)
 
+    @classmethod
+    def from_scores(cls, anchor: float, observed: np.ndarray, mu_test: float,
+                    tau: StabilityBounds, score: ScoreFunction) -> "ConformityBounds":
+        """Envelopes ``observed -/+ tau`` of the observed-row scores of one anchor fit."""
+        tau_arr = tau.tau
+        n = observed.size
+        if tau_arr.size != n + 1:
+            raise InvalidInputError(f"tau has {tau_arr.size} entries, expected {n + 1}")
+        return cls(
+            anchor=float(anchor),
+            lower=observed - tau_arr[:-1],
+            upper=observed + tau_arr[:-1],
+            mu_test=float(mu_test),
+            tau_test=float(tau_arr[-1]),
+            score=score,
+            n=n,
+        )
+
     def test_bounds(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Lower/upper envelope of the query-point score at candidate(s) z."""
         s = self.score.evaluate(np.asarray(z, dtype=float), self.mu_test)
@@ -117,23 +137,9 @@ class ConformityBounds:
 def anchor_bounds(dataset: TabularDataset, anchor: float, model_spec,
                   score: ScoreFunction, tau: StabilityBounds) -> tuple[ConformityBounds, object]:
     """Fit once at the anchor and build the score envelopes (one fit total)."""
-    tau_arr = tau.tau
-    if tau_arr.size != dataset.n + 1:
-        raise InvalidInputError(
-            f"tau has {tau_arr.size} entries, expected {dataset.n + 1}"
-        )
     fitted = model_spec.fit(dataset, anchor)
     scores = conformity_scores(dataset, anchor, fitted, score)
-    observed = scores[:-1]
-    bounds = ConformityBounds(
-        anchor=float(anchor),
-        lower=observed - tau_arr[:-1],
-        upper=observed + tau_arr[:-1],
-        mu_test=float(fitted.mu_test),
-        tau_test=float(tau_arr[-1]),
-        score=score,
-        n=dataset.n,
-    )
+    bounds = ConformityBounds.from_scores(anchor, scores[:-1], fitted.mu_test, tau, score)
     return bounds, fitted
 
 
@@ -148,19 +154,8 @@ def pi_bounds(z: float, anchor_fit, scores_at_anchor, tau: StabilityBounds,
     """
     observed = _as_finite_array(np.ravel(np.asarray(scores_at_anchor, dtype=float)),
                                 "scores_at_anchor", 1)
-    n = observed.size
-    tau_arr = tau.tau
-    if tau_arr.size != n + 1:
-        raise InvalidInputError(f"tau has {tau_arr.size} entries, expected {n + 1}")
-    bounds = ConformityBounds(
-        anchor=float(getattr(anchor_fit, "candidate", math.nan)),
-        lower=observed - tau_arr[:-1],
-        upper=observed + tau_arr[:-1],
-        mu_test=float(anchor_fit.mu_test),
-        tau_test=float(tau_arr[-1]),
-        score=score,
-        n=n,
-    )
+    bounds = ConformityBounds.from_scores(getattr(anchor_fit, "candidate", math.nan),
+                                          observed, anchor_fit.mu_test, tau, score)
     return bounds.pi_bounds_at(z)
 
 
@@ -183,7 +178,7 @@ def batch_pi_bounds(z: float, anchors, tau: StabilityBounds,
 
 _EPS_R = 1e-6       # bisection tolerance of the sets whose functions take no eps_r
 _MAX_DOUBLINGS = 64  # outward steps before a custom-score set counts as unbounded
-_ROOT_PROBES = 20    # coarse probes root_cp spends locating a point inside its set
+_ROOT_PROBES = 20    # grid points root_cp probes before bisecting its endpoints
 
 
 def _score_threshold(sorted_scores: np.ndarray, tau_test: float, alpha: float) -> float:
@@ -214,14 +209,32 @@ def _score_threshold(sorted_scores: np.ndarray, tau_test: float, alpha: float) -
     return float(sorted_scores[k - 1]) + tau_test
 
 
+def _bisect(is_inside, inside: float, outside: float, eps_r: float) -> tuple[float, float]:
+    """Shrink the bracket ``(inside, outside)`` of a set boundary to ``eps_r``.
+
+    ``is_inside`` holds at ``inside`` and fails at ``outside``; every step
+    keeps the half whose ends still disagree.  The loop also stops at
+    adjacent floats, so an ``eps_r`` below the float spacing cannot stall it.
+    """
+    while abs(outside - inside) > eps_r:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            break
+        if is_inside(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside, outside
+
+
 def _outer_boundary(score: ScoreFunction, mu: float, threshold: float, step: float,
                     eps_r: float) -> float | None:
     """A point just outside ``{z : S(z, mu) <= T}`` on the side ``step`` points to.
 
     Steps outward from ``mu`` by ``step``, doubling it until the score exceeds
-    the threshold, then bisects the last bracket down to ``eps_r`` (or to
-    adjacent floats) and returns its outer end.  None when the score is still
-    at most the threshold after ``_MAX_DOUBLINGS`` doublings.
+    the threshold, then bisects the last bracket (``_bisect``) and returns its
+    outer end.  None when the score is still at most the threshold after
+    ``_MAX_DOUBLINGS`` doublings.
     """
     inside, outside = mu, mu + step
     for _ in range(_MAX_DOUBLINGS):
@@ -231,15 +244,7 @@ def _outer_boundary(score: ScoreFunction, mu: float, threshold: float, step: flo
         inside, outside = outside, mu + step
     else:
         return None
-    while abs(outside - inside) > eps_r:
-        mid = 0.5 * (inside + outside)
-        if mid in (inside, outside):
-            break
-        if score.evaluate(mid, mu) <= threshold:
-            inside = mid
-        else:
-            outside = mid
-    return outside
+    return _bisect(lambda z: score.evaluate(z, mu) <= threshold, inside, outside, eps_r)[1]
 
 
 def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float,
@@ -297,15 +302,22 @@ def _report(prediction_set: PredictionSet, dataset: TabularDataset, fit_count: i
 def _stab_cp(dataset: TabularDataset, anchor: float, model_spec, score: ScoreFunction,
              tau: StabilityBounds, alpha: float, candidate_range, method: str,
              eps_r: float) -> MethodReport:
-    """Body shared by the two single-fit entry points: one fit, one threshold."""
+    """Body shared by the two single-fit entry points: one fit, one threshold.
+
+    Every bound recipe bounds the score deviation between a candidate and the
+    anchor assuming both lie in ``tau.candidate_range``, so an anchor outside
+    that range reports ``tau_coverage_safe=False``; the set is unchanged.
+    """
     started = time.perf_counter()
     bounds, _ = anchor_bounds(dataset, anchor, model_spec, score, tau)
     threshold = _score_threshold(bounds.upper_sorted, bounds.tau_test, alpha)
     prediction_set = sublevel_set(score, bounds.mu_test, threshold, alpha,
                                   candidate_range, method, eps_r)
+    anchor_in_range = (tau.candidate_range is None
+                       or tau.candidate_range[0] <= anchor <= tau.candidate_range[1])
     return _report(prediction_set, dataset, 1, started,
                    anchor=float(anchor), tau_provenance=tau.provenance,
-                   tau_coverage_safe=tau.coverage_safe)
+                   tau_coverage_safe=tau.coverage_safe and anchor_in_range)
 
 
 def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
@@ -365,11 +377,7 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
-    grid = _as_finite_array(np.ravel(np.asarray(grid, dtype=float)), "grid", 1)
-    if grid.size == 0:
-        raise InvalidInputError("grid must be nonempty")
-    if np.any(np.diff(grid) < 0):
-        raise InvalidInputError("grid must be sorted ascending")
+    grid = _check_grid(grid)
     n = dataset.n
     tau_arr = tau_tilde.tau
     if tau_arr.size != n + 1:
@@ -465,31 +473,18 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
     return _report(prediction_set, dataset, 1, started, anchor=true_target)
 
 
-def _bisect_boundary(selected, lo: float, hi: float, eps_r: float,
-                     select_hi: bool) -> float:
-    """Midpoint of the final bracket around the selection boundary.
-
-    ``select_hi`` says which end of the bracket is inside the region (the
-    region is a single interval, so exactly one end is).
-    """
-    while hi - lo > eps_r:
-        mid = 0.5 * (lo + hi)
-        if selected(mid) == select_hi:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
             z_range=None, eps_r: float = 1e-4) -> MethodReport:
     """Endpoints of the exact conformal set by bisection, one refit per probe.
 
-    Assumes the exact set is a bounded interval inside the candidate range.
-    Every conformity evaluation refits the model, so the fit counter grows
-    with both the coarse probe (``_ROOT_PROBES`` evenly spaced candidates)
-    and the two bisections.  Endpoints at the range ends are clamped and the
-    set is flagged as truncated.
+    Assumes the exact set is one interval.  ``conformal_set_grid`` first
+    probes ``_ROOT_PROBES`` evenly spaced candidates of the range; each
+    endpoint is then bisected between the outermost kept probe and its unkept
+    neighbour, and the midpoint of the final bracket is returned.  The set is
+    empty when no probe is kept; when an end probe is kept, that endpoint is
+    clamped to the range end and the set is flagged as truncated.  Every
+    conformity evaluation refits the model, so ``fit_count`` is the probes
+    plus the bisection steps.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -501,45 +496,39 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     z_min, z_max = float(z_range[0]), float(z_range[1])
     if not z_min < z_max:
         raise InvalidInputError("need z_min < z_max")
-    n = dataset.n
-    threshold = _level_threshold(n, alpha)
-    fit_count = 0
-
-    def selected(z: float) -> bool:
-        nonlocal fit_count
-        fit_count += 1
-        fitted = model_spec.fit(dataset, z)
-        scores = conformity_scores(dataset, z, fitted, score)
-        return rank(scores, n + 1) <= threshold
-
     probes = np.linspace(z_min, z_max, _ROOT_PROBES)
-    flags = np.array([selected(z) for z in probes])
-    if not flags.any():
+    probed = conformal_set_grid(dataset, model_spec, score, alpha, probes)
+    if probed.shape == "empty":
         prediction_set = PredictionSet.empty_set("rootcp", alpha, (z_min, z_max))
-        return _report(prediction_set, dataset, fit_count, started)
-    z0 = float(probes[int(np.argmax(flags))])
-    truncated = False
-    if flags[0]:
-        left = z_min
-        truncated = True
-    else:
-        left = _bisect_boundary(selected, z_min, z0, eps_r, select_hi=True)
-    if flags[-1]:
-        right = z_max
-        truncated = True
-    else:
-        right = _bisect_boundary(selected, z0, z_max, eps_r, select_hi=False)
+        return _report(prediction_set, dataset, _ROOT_PROBES, started)
+    threshold = _level_threshold(dataset.n, alpha)
+    refits = 0
+
+    def is_inside(z: float) -> bool:
+        nonlocal refits
+        refits += 1
+        return _exact_rank(dataset, z, model_spec, score) <= threshold
+
+    def endpoint(kept: int, unkept: int) -> float:
+        if not 0 <= unkept < _ROOT_PROBES:
+            return float(probes[kept])
+        inside, outside = _bisect(is_inside, probes[kept], probes[unkept], eps_r)
+        return 0.5 * (inside + outside)
+
+    first = int(np.searchsorted(probes, probed.intervals[0][0], side="left"))
+    last = int(np.searchsorted(probes, probed.intervals[-1][1], side="right")) - 1
+    left, right = endpoint(first, first - 1), endpoint(last, last + 1)
+    truncated = first == 0 or last == _ROOT_PROBES - 1
     prediction_set = PredictionSet.from_intervals([(left, right)], "rootcp", alpha,
                                                   truncated=truncated,
                                                   candidate_range=(z_min, z_max))
-    return _report(prediction_set, dataset, fit_count, started, z0=z0)
+    return _report(prediction_set, dataset, _ROOT_PROBES + refits, started,
+                   z0=float(probes[first]))
 
 
 def grid_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
             grid) -> MethodReport:
     """The grid-evaluated exact set wrapped with timing and fit bookkeeping."""
-    from .core import conformal_set_grid
-
     started = time.perf_counter()
     grid = np.asarray(grid, dtype=float)
     prediction_set = conformal_set_grid(dataset, model_spec, score, alpha, grid)
@@ -553,16 +542,12 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
     The envelope values reuse the single anchor fit; the exact conformity
     refits at every grid point, so this is for plots and verification only.
     """
-    grid = _as_finite_array(np.ravel(np.asarray(grid, dtype=float)), "grid", 1)
-    if grid.size == 0:
-        raise InvalidInputError("grid must be nonempty")
+    grid = _check_grid(grid)
     bounds, _ = anchor_bounds(dataset, anchor, model_spec, score, tau)
     rows = []
     for z in grid:
         pb = bounds.pi_bounds_at(z)
-        fitted = model_spec.fit(dataset, z)
-        exact = pi_from_scores(conformity_scores(dataset, z, fitted, score))
-        rows.append((float(z), pb.lo, pb.up, exact))
+        rows.append((float(z), pb.lo, pb.up, pi_exact(dataset, z, model_spec, score)))
     return rows
 
 

@@ -230,13 +230,23 @@ def pi_from_scores(scores) -> float:
     return 1.0 - rank(arr, m) / m
 
 
+def _exact_rank(dataset: TabularDataset, candidate: float, model_spec,
+                score: ScoreFunction) -> int:
+    """Rank of the query's score among all n+1 under a refit at ``candidate`` (one fit).
+
+    The candidate lies in the exact conformal set at level alpha when this
+    rank is at most ``_level_threshold(n, alpha)``.
+    """
+    fitted = model_spec.fit(dataset, candidate)
+    return rank(conformity_scores(dataset, candidate, fitted, score), dataset.n + 1)
+
+
 def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction) -> float:
     """Exact conformity of ``candidate``: fit on the augmented data, then rank.
 
     Always a multiple of ``1/(n+1)``; equals 0 when every score ties.
     """
-    fitted = model_spec.fit(dataset, candidate)
-    return pi_from_scores(conformity_scores(dataset, candidate, fitted, score))
+    return 1.0 - _exact_rank(dataset, candidate, model_spec, score) / (dataset.n + 1)
 
 
 @dataclass
@@ -320,6 +330,16 @@ def default_candidate_grid(dataset: TabularDataset, num: int = 200) -> np.ndarra
     return np.linspace(lo, hi, int(num))
 
 
+def _check_grid(grid) -> np.ndarray:
+    """A candidate grid as a finite, nonempty, ascending 1-d array."""
+    grid = _as_finite_array(np.ravel(np.asarray(grid, dtype=float)), "grid", 1)
+    if grid.size == 0:
+        raise InvalidInputError("grid must be nonempty")
+    if np.any(np.diff(grid) < 0):
+        raise InvalidInputError("grid must be sorted ascending")
+    return grid
+
+
 def _kept_intervals(grid: np.ndarray, kept: np.ndarray) -> list:
     """Closed intervals spanned by the runs of consecutive kept grid points."""
     edges = np.diff(np.concatenate([[0], np.asarray(kept, dtype=np.int8), [0]]))
@@ -337,18 +357,9 @@ def conformal_set_grid(dataset: TabularDataset, model_spec, score: ScoreFunction
     oracle for the single-fit constructions; it costs ``len(grid)`` fits.
     """
     alpha = check_alpha(alpha)
-    grid = _as_finite_array(np.ravel(np.asarray(grid, dtype=float)), "grid", 1)
-    if grid.size == 0:
-        raise InvalidInputError("grid must be nonempty")
-    if np.any(np.diff(grid) < 0):
-        raise InvalidInputError("grid must be sorted ascending")
-    n = dataset.n
-    threshold = _level_threshold(n, alpha)
-    kept = np.zeros(grid.size, dtype=bool)
-    for j, z in enumerate(grid):
-        fitted = model_spec.fit(dataset, z)
-        scores = conformity_scores(dataset, z, fitted, score)
-        kept[j] = rank(scores, n + 1) <= threshold
+    grid = _check_grid(grid)
+    threshold = _level_threshold(dataset.n, alpha)
+    kept = [_exact_rank(dataset, z, model_spec, score) <= threshold for z in grid]
     return PredictionSet.from_intervals(
         _kept_intervals(grid, kept), method="gridcp", alpha=alpha,
         candidate_range=(float(grid[0]), float(grid[-1])),

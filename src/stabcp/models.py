@@ -188,7 +188,7 @@ class LadRidgeModel:
     ``converged``/``duality_gap``, not raised.
     """
 
-    def __init__(self, lambda_reg: float, solver_tol: float = 1e-8, max_iter: int = 20_000):
+    def __init__(self, lambda_reg: float, solver_tol: float = 1e-8, max_iter: int = 50_000):
         lambda_reg = float(lambda_reg)
         if not (math.isfinite(lambda_reg) and lambda_reg > 0):
             raise InvalidInputError("lambda_reg must be positive (strong convexity)")
@@ -435,17 +435,6 @@ class InterpolatedModel:
     def predict(self, x, z: float) -> float:
         t, w = self._segment(z)
         return w * self.knot_models[t].predict(x) + (1.0 - w) * self.knot_models[t + 1].predict(x)
-
-
-def fit_ridge(dataset: TabularDataset, candidate: float, lambda_reg: float) -> RidgeModel:
-    """Closed-form ridge fit on the augmented data."""
-    return RidgeModel(lambda_reg).fit(dataset, candidate)
-
-
-def fit_lad_ridge(dataset: TabularDataset, candidate: float, lambda_reg: float,
-                  solver_tol: float = 1e-8, max_iter: int = 50_000) -> LadRidgeModel:
-    """LAD-ridge fit on the augmented data with a duality-gap certificate."""
-    return LadRidgeModel(lambda_reg, solver_tol, max_iter).fit(dataset, candidate)
 
 
 def build_interpolated_model(dataset: TabularDataset, anchors, z_min: float, z_max: float,

@@ -164,6 +164,29 @@ def test_stab_interval_contains_grid_oracle_at_scale():
     assert report.set.length() <= 1.15 * oracle.length()
 
 
+def test_anchor_outside_bound_range_is_not_coverage_safe():
+    # the query row extrapolates far beyond the observed rows, so the default
+    # anchor lies above the target range that tau_linear_exact bounds over
+    ds = TabularDataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.1, 2.9]),
+                        np.array([10.0]))
+    spec = RidgeModel(0.01)
+    anchor = default_anchor(ds, spec)
+    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+    lo, hi = tau.candidate_range
+    assert anchor > hi
+    stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
+    bisect = stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1)
+    assert stab.details["tau_coverage_safe"] is False
+    assert bisect.details["tau_coverage_safe"] is False
+    # the flag leaves the set alone: an unflagged copy of the bound gives the same set
+    unranged = tau_user_supplied(tau.tau)
+    same = stab_cp_interval(ds, anchor, spec, ABS, unranged, 0.1)
+    assert same.details["tau_coverage_safe"] is True
+    assert stab.set.intervals == same.set.intervals
+    inside = stab_cp_interval(ds, 0.5 * (lo + hi), spec, ABS, tau, 0.1)
+    assert inside.details["tau_coverage_safe"] is True
+
+
 # ------------------------------------------------------------- bisection
 
 def test_bisection_agrees_with_closed_form():
@@ -561,6 +584,37 @@ def test_root_counts_every_refit(small_dataset):
     assert report.fit_count >= 2 * math.log2((hi - lo) / 1e-4)
     # every conformity probe is one refit: probes plus both bisections
     assert report.fit_count > 20
+
+
+class FitBudget:
+    """Model spec that fails loudly instead of refitting without end."""
+
+    def __init__(self, spec, limit):
+        self.spec, self.limit, self.fits = spec, limit, 0
+
+    def fit(self, dataset, candidate):
+        self.fits += 1
+        if self.fits > self.limit:
+            raise RuntimeError(f"more than {self.limit} refits")
+        return self.spec.fit(dataset, candidate)
+
+
+def test_root_returns_when_eps_r_is_below_the_float_spacing():
+    # targets near 1e12 are 1.2e-4 apart as floats, so no bracket there can
+    # shrink to eps_r = 1e-4: the bisection must stop at adjacent floats
+    rng = np.random.default_rng(0)
+    n = 40
+    X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    ds = TabularDataset(X, 1e12 + X[:, 1] + rng.standard_normal(n), np.array([1.0, 0.3]))
+    z_range, eps_r = (1e12 - 20, 1e12 + 20), 1e-4
+    spec = FitBudget(RidgeModel(0.0), 1000)
+    report = root_cp(ds, spec, ABS, 0.1, z_range=z_range, eps_r=eps_r)
+    assert report.fit_count == spec.fits
+    (rlo, rhi), = report.set.intervals
+    assert math.isfinite(rlo) and math.isfinite(rhi)
+    grid = conformal_set_grid(ds, RidgeModel(0.0), ABS, 0.1, np.linspace(*z_range, 401))
+    (glo, ghi), = grid.intervals
+    assert rlo <= glo + eps_r and ghi - eps_r <= rhi
 
 
 # ----------------------------------------------------------- gap profile

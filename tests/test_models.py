@@ -12,12 +12,11 @@ from stabcp import (
     RidgeModel,
     TabularDataset,
     build_interpolated_model,
-    fit_lad_ridge,
-    fit_ridge,
     gen_linear_gaussian,
     predict,
     ridge_coefficients,
 )
+from stabcp.harness import RunConfig
 
 
 def fig2_like_dataset(n, p=100, seed=0):
@@ -34,7 +33,7 @@ def test_ridge_unregularized_mean_of_responses():
 def test_ridge_norm_shrinks_with_regularization(small_dataset):
     norms = []
     for lam in (0.01, 0.1, 1.0, 10.0, 100.0):
-        fitted = fit_ridge(small_dataset, 0.0, lam)
+        fitted = RidgeModel(lam).fit(small_dataset, 0.0)
         norms.append(np.linalg.norm(fitted.coefficients))
     assert all(a >= b for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 1e-2 * norms[0]
@@ -51,8 +50,8 @@ def test_ridge_candidate_slope_matches_two_refits():
     ds = TabularDataset(rng.standard_normal((10, 3)), rng.standard_normal(10),
                         rng.standard_normal(3))
     lam = 0.4
-    fitted0 = fit_ridge(ds, 0.0, lam)
-    fitted1 = fit_ridge(ds, 1.0, lam)
+    fitted0 = RidgeModel(lam).fit(ds, 0.0)
+    fitted1 = RidgeModel(lam).fit(ds, 1.0)
     _, b = fitted0.linear_response(ds.test_point)
     assert b == pytest.approx(fitted1.mu_test - fitted0.mu_test, abs=1e-10)
 
@@ -60,12 +59,12 @@ def test_ridge_candidate_slope_matches_two_refits():
 def test_ridge_affine_in_candidate(small_dataset):
     lam = 0.3
     rng = np.random.default_rng(8)
-    fitted = fit_ridge(small_dataset, 0.0, lam)
+    fitted = RidgeModel(lam).fit(small_dataset, 0.0)
     a, b = fitted.linear_response(small_dataset.test_point)
     for _ in range(100):
         z1, z2 = rng.uniform(-5, 5, size=2)
-        m1 = fit_ridge(small_dataset, z1, lam).mu_test
-        m2 = fit_ridge(small_dataset, z2, lam).mu_test
+        m1 = RidgeModel(lam).fit(small_dataset, z1).mu_test
+        m2 = RidgeModel(lam).fit(small_dataset, z2).mu_test
         diff = m1 - m2
         expected = b * (z1 - z2)
         assert diff == pytest.approx(expected, rel=1e-8, abs=1e-12)
@@ -74,8 +73,8 @@ def test_ridge_affine_in_candidate(small_dataset):
 
 def test_ridge_permutation_symmetry(small_dataset):
     order = np.random.default_rng(0).permutation(small_dataset.n)
-    f1 = fit_ridge(small_dataset, 0.7, 0.5)
-    f2 = fit_ridge(small_dataset.permuted(order), 0.7, 0.5)
+    f1 = RidgeModel(0.5).fit(small_dataset, 0.7)
+    f2 = RidgeModel(0.5).fit(small_dataset.permuted(order), 0.7)
     assert f1.mu_test == pytest.approx(f2.mu_test, abs=1e-10)
 
 
@@ -84,14 +83,14 @@ def test_ridge_permutation_symmetry(small_dataset):
 def test_lad_one_dimensional_sign_consistency():
     for c in (2.0, -3.0):
         ds = TabularDataset(np.ones((4, 1)), np.full(4, c), np.ones(1))
-        fitted = fit_lad_ridge(ds, c, lambda_reg=0.2)
+        fitted = LadRidgeModel(0.2).fit(ds, c)
         beta = fitted.coefficients[0]
         assert np.sign(beta) == np.sign(c)
         assert abs(beta) <= abs(c) + 1e-8
 
 
 def test_lad_objective_no_worse_than_zero(small_dataset):
-    fitted = fit_lad_ridge(small_dataset, 0.5, lambda_reg=0.5)
+    fitted = LadRidgeModel(0.5).fit(small_dataset, 0.5)
     X = small_dataset.augmented_design()
     y = small_dataset.augmented_targets(0.5)
     zero_obj = np.abs(y).mean()
@@ -106,13 +105,13 @@ def test_lad_matches_hundredfold_longer_reference_run():
 
 
 def test_lad_incumbent_objectives_monotone(small_dataset):
-    fitted = fit_lad_ridge(small_dataset, 0.0, lambda_reg=0.5)
+    fitted = LadRidgeModel(0.5).fit(small_dataset, 0.0)
     trace = fitted.accepted_objectives
     assert all(a >= b for a, b in zip(trace, trace[1:]))
 
 
 def test_lad_certificate_and_convergence_flag(small_dataset):
-    fitted = fit_lad_ridge(small_dataset, 0.0, lambda_reg=0.5, solver_tol=1e-8)
+    fitted = LadRidgeModel(0.5, solver_tol=1e-8).fit(small_dataset, 0.0)
     assert fitted.converged
     assert fitted.duality_gap <= 1e-8
     starved = LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5).fit(small_dataset, 0.0)
@@ -125,6 +124,10 @@ def test_lad_permutation_symmetry_within_tolerance():
     f1 = LadRidgeModel(0.5, solver_tol=1e-10).fit(ds, 0.3)
     f2 = LadRidgeModel(0.5, solver_tol=1e-10).fit(ds.permuted(order), 0.3)
     assert f1.mu_test == pytest.approx(f2.mu_test, abs=1e-4)
+
+
+def test_lad_default_iteration_cap_matches_run_config():
+    assert LadRidgeModel(0.5).max_iter == RunConfig().max_iter == 50_000
 
 
 def test_lad_rejects_bad_settings():
@@ -150,13 +153,13 @@ def test_predict_basis_vector_picks_coordinate(tiny_dataset):
 
 def test_predict_matches_linear_response(small_dataset):
     z = 1.3
-    fitted = fit_ridge(small_dataset, z, 0.2)
+    fitted = RidgeModel(0.2).fit(small_dataset, z)
     a, b = fitted.linear_response(small_dataset.test_point)
     assert predict(fitted, small_dataset.test_point) == pytest.approx(a + b * z, abs=1e-10)
 
 
 def test_predict_dimension_mismatch(small_dataset):
-    fitted = fit_ridge(small_dataset, 0.0, 0.2)
+    fitted = RidgeModel(0.2).fit(small_dataset, 0.0)
     with pytest.raises(InvalidInputError):
         predict(fitted, np.ones(small_dataset.p + 1))
 
