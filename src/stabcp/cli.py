@@ -20,6 +20,7 @@ from .errors import DataError, InvalidInputError, NotFittedError, NumericalError
 from .harness import (
     METHOD_NAMES,
     MODEL_NAMES,
+    ROW_FIELDS,
     TAU_SOURCES,
     RunConfig,
     build_tau,
@@ -56,34 +57,34 @@ def _load_dataset(data_path: str, target_column, sidecar, trust_holdout: bool = 
 
 
 def _config_from_flags(**kw) -> RunConfig:
-    return RunConfig(
-        model=kw["model"], lambda_reg=kw["lambda_reg"], solver_tol=kw["solver_tol"],
-        max_iter=kw["max_iter"], alpha=kw["alpha"], tau_source=kw["tau"],
-        tau_file=kw.get("tau_file"), allow_unsafe_tau=kw["allow_unsafe_tau"],
-        anchor=kw["anchor"], eps_r=kw["eps_r"], grid_size=kw["grid_size"],
-        n_anchors=kw["n_anchors"], split_fraction=kw["split_fraction"],
-    )
+    try:
+        return RunConfig(**kw)
+    except InvalidInputError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
-_model_opts = [
-    click.option("--model", type=click.Choice(MODEL_NAMES), default="ridge", show_default=True),
-    click.option("--lambda-reg", type=float, default=0.5, show_default=True,
+_DEFAULTS = RunConfig()
+_model_opts = [  # value types follow the RunConfig defaults
+    click.option("--model", type=click.Choice(MODEL_NAMES), default=_DEFAULTS.model,
+                 show_default=True),
+    click.option("--lambda-reg", default=_DEFAULTS.lambda_reg, show_default=True,
                  help="Penalty weight of the squared-norm regularizer."),
-    click.option("--solver-tol", type=float, default=1e-8, show_default=True),
-    click.option("--max-iter", type=int, default=50_000, show_default=True),
-    click.option("--alpha", type=float, default=0.1, show_default=True),
-    click.option("--tau", type=click.Choice(TAU_SOURCES), default="auto", show_default=True,
+    click.option("--solver-tol", default=_DEFAULTS.solver_tol, show_default=True),
+    click.option("--max-iter", default=_DEFAULTS.max_iter, show_default=True),
+    click.option("--alpha", default=_DEFAULTS.alpha, show_default=True),
+    click.option("--tau", "tau_source", type=click.Choice(TAU_SOURCES),
+                 default=_DEFAULTS.tau_source, show_default=True,
                  help="Source of the stability bounds."),
-    click.option("--tau-file", type=click.Path(), default=None,
+    click.option("--tau-file", type=click.Path(), default=_DEFAULTS.tau_file,
                  help="CSV of user-supplied bounds (one per row, query row last)."),
-    click.option("--allow-unsafe-tau", is_flag=True, default=False,
+    click.option("--allow-unsafe-tau", is_flag=True, default=_DEFAULTS.allow_unsafe_tau,
                  help="Permit heuristic bounds that carry no coverage guarantee."),
-    click.option("--anchor", default="auto", show_default=True,
+    click.option("--anchor", default=_DEFAULTS.anchor, show_default=True,
                  help="'auto' (fit on observed rows), 'zero', or a number."),
-    click.option("--eps-r", type=float, default=1e-4, show_default=True),
-    click.option("--grid-size", type=int, default=200, show_default=True),
-    click.option("--n-anchors", type=int, default=3, show_default=True),
-    click.option("--split-fraction", type=float, default=0.5, show_default=True),
+    click.option("--eps-r", default=_DEFAULTS.eps_r, show_default=True),
+    click.option("--grid-size", default=_DEFAULTS.grid_size, show_default=True),
+    click.option("--n-anchors", default=_DEFAULTS.n_anchors, show_default=True),
+    click.option("--split-fraction", default=_DEFAULTS.split_fraction, show_default=True),
 ]
 
 
@@ -136,8 +137,6 @@ def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **k
                                 test_target=float(true_target), meta=dataset.meta)
     if method == "oraclecp" and dataset.test_target is None:
         raise click.UsageError("oraclecp needs --true-target (or a dataset with a held-out target)")
-    if kw["tau"] == "sgd-heuristic" and not kw["allow_unsafe_tau"]:
-        raise click.UsageError("refusing heuristic stability bounds without --allow-unsafe-tau")
     config = _config_from_flags(**kw)
     report = run_method(method, dataset, config)
     payload = {
@@ -149,6 +148,7 @@ def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **k
         "length": report.length,
         "fit_count": report.fit_count,
         "tau_provenance": report.details.get("tau_provenance"),
+        "tau_coverage_safe": report.details.get("tau_coverage_safe"),
         "truncated_to_range": report.set.truncated,
         "covered": report.covered,
         "wall_time_s": report.wall_time,
@@ -174,8 +174,8 @@ def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **k
               help="Comma-separated method list.")
 @click.option("--reps", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=None,
-              help="Concurrent repetitions; defaults to STABCP_JOBS or 1.")
+@click.option("--jobs", type=int, default=1, show_default=True, envvar="STABCP_JOBS",
+              help="Concurrent repetitions (environment: STABCP_JOBS).")
 @click.option("--out-json", type=click.Path(), default=None)
 @click.option("--out-csv", type=click.Path(), default=None)
 @_add_options(_model_opts)
@@ -188,10 +188,6 @@ def cmd_benchmark(data_path, target_column, kind, n, p, noise, methods, reps, se
     for name in method_list:
         if name not in METHOD_NAMES:
             raise click.UsageError(f"unknown method {name!r}")
-    if kw["tau"] == "sgd-heuristic" and not kw["allow_unsafe_tau"]:
-        raise click.UsageError("refusing heuristic stability bounds without --allow-unsafe-tau")
-    if jobs is None:
-        jobs = int(os.environ.get("STABCP_JOBS", "1"))
     config = _config_from_flags(**kw)
     if data_path:
         dataset = _load_dataset(data_path, target_column, None, trust_holdout=True)
@@ -211,11 +207,8 @@ def cmd_benchmark(data_path, target_column, kind, n, p, noise, methods, reps, se
         click.echo(text)
     if out_csv:
         import csv as _csv
-        fields = ["rep", "method", "covered", "length", "fit_count", "wall_time",
-                  "lo", "hi", "truncated", "tau_provenance", "tau_coverage_safe",
-                  "error"]
         with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=fields)
+            writer = _csv.DictWriter(fh, fieldnames=ROW_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
 
@@ -231,18 +224,15 @@ def cmd_curve(data_path, target_column, sidecar, out, **kw):
 
     Diagnostic mode: the exact curve refits at every grid point.
     """
-    if kw["tau"] == "sgd-heuristic" and not kw["allow_unsafe_tau"]:
-        raise click.UsageError("refusing heuristic stability bounds without --allow-unsafe-tau")
-    dataset = _load_dataset(data_path, target_column, sidecar)
     config = _config_from_flags(**kw)
+    dataset = _load_dataset(data_path, target_column, sidecar)
     score = ScoreFunction.absolute_residual()
     spec = config.model_spec()
     anchor, _ = resolve_anchor(config, dataset)
     tau, _ = build_tau(config, dataset, score)
     grid = default_candidate_grid(dataset, config.grid_size)
     rows = gap_profile(dataset, anchor, spec, score, tau, grid)
-    m = max(1, min(dataset.n - 1, int(round(dataset.n * config.split_fraction))))
-    pi_split_fn = split_pi(dataset, m, spec, score)
+    pi_split_fn = split_pi(dataset, config.split_index(dataset.n), spec, score)
 
     import csv as _csv
     crossings = {"pi_lo": [], "pi_up": [], "pi_exact": [], "pi_split": []}

@@ -36,9 +36,17 @@ MODEL_NAMES = ("ridge", "ladridge")
 TAU_SOURCES = ("auto", "linear-exact", "sgd-heuristic", "file")
 
 
-@dataclass
+ROW_FIELDS = ("rep", "method", "covered", "length", "fit_count", "wall_time", "lo", "hi",
+              "truncated", "tau_provenance", "tau_coverage_safe", "error")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Method settings shared across benchmark repetitions."""
+    """Method settings shared across benchmark repetitions; the CLI's defaults.
+
+    ``anchor`` is ``"auto"`` (fit on the observed rows) or a number;
+    ``"zero"`` is stored as ``0.0``.
+    """
 
     model: str = "ridge"
     lambda_reg: float = 0.5
@@ -53,18 +61,31 @@ class RunConfig:
     grid_size: int = 200
     n_anchors: int = 3
     split_fraction: float = 0.5
-    sgd_iters: int | None = None
 
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise InvalidInputError(f"unknown model {self.model!r}")
         if self.tau_source not in TAU_SOURCES:
             raise InvalidInputError(f"unknown tau source {self.tau_source!r}")
+        if self.tau_source == "sgd-heuristic" and not self.allow_unsafe_tau:
+            raise InvalidInputError("refusing heuristic stability bounds, which are not "
+                                    "coverage-safe, without allow_unsafe_tau (--allow-unsafe-tau)")
+        if self.anchor != "auto":
+            try:
+                anchor = 0.0 if self.anchor == "zero" else float(self.anchor)
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    f"anchor must be 'auto', 'zero' or a number, got {self.anchor!r}") from None
+            object.__setattr__(self, "anchor", anchor)
 
     def model_spec(self):
         if self.model == "ridge":
             return RidgeModel(self.lambda_reg)
         return LadRidgeModel(self.lambda_reg, self.solver_tol, self.max_iter)
+
+    def split_index(self, n: int) -> int:
+        """Rows of ``n`` that fit the split model; at least one on each side."""
+        return max(1, min(n - 1, int(round(n * self.split_fraction))))
 
 
 def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
@@ -79,12 +100,7 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
         fitted = spec.fit(dataset, 0.0)
         return tau_linear_exact(fitted, dataset, z_range=z_range, gamma=score.gamma), 1
     if config.tau_source == "sgd-heuristic":
-        if not config.allow_unsafe_tau:
-            raise InvalidInputError(
-                "heuristic stability bounds are not coverage-safe; "
-                "pass allow_unsafe_tau to use them anyway"
-            )
-        n_iter = config.sgd_iters if config.sgd_iters is not None else max(1, dataset.n // 10)
+        n_iter = max(1, dataset.n // 10)
         return tau_sgd_heuristic(n_iter, augmented_row_norms(dataset), dataset.n), 0
     if config.tau_file is None:
         raise InvalidInputError("tau source 'file' needs a tau file path")
@@ -95,9 +111,7 @@ def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, i
     """Anchor value and the number of auxiliary fits spent choosing it."""
     if config.anchor == "auto":
         return default_anchor(dataset, config.model_spec()), 1
-    if config.anchor == "zero":
-        return 0.0, 0
-    return float(config.anchor), 0
+    return config.anchor, 0
 
 
 def run_method(method: str, dataset: TabularDataset, config: RunConfig,
@@ -115,8 +129,7 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
         report = stab_cp_interval(dataset, anchor, spec, score, tau, config.alpha)
         report.details["aux_fits"] = aux + tau_aux
     elif method == "splitcp":
-        m = max(1, min(dataset.n - 1, int(round(dataset.n * config.split_fraction))))
-        report = split_cp(dataset, m, spec, score, config.alpha)
+        report = split_cp(dataset, config.split_index(dataset.n), spec, score, config.alpha)
     elif method == "oraclecp":
         if dataset.test_target is None:
             raise InvalidInputError("oracle method needs the true target")
@@ -167,27 +180,30 @@ def _one_repetition(rep: int, rep_seed: int, source, methods, config: RunConfig)
     dataset = source(rep_seed)
     rows = []
     for method in methods:
+        row = dict.fromkeys(ROW_FIELDS)
+        row.update(rep=rep, method=method)
         try:
             report = run_method(method, dataset, config)
-            rows.append({
-                "rep": rep, "method": method,
-                "covered": report.covered, "length": report.length,
-                "fit_count": report.fit_count, "wall_time": report.wall_time,
-                "lo": report.set.intervals[0][0] if report.set.intervals else None,
-                "hi": report.set.intervals[-1][1] if report.set.intervals else None,
-                "truncated": report.set.truncated,
-                "tau_provenance": report.details.get("tau_provenance"),
-                "tau_coverage_safe": report.details.get("tau_coverage_safe"),
-                "error": None,
-            })
         except Exception as exc:  # failures are recorded per repetition, not fatal
-            rows.append({
-                "rep": rep, "method": method, "covered": None, "length": None,
-                "fit_count": None, "wall_time": None, "lo": None, "hi": None,
-                "truncated": None, "tau_provenance": None,
-                "tau_coverage_safe": None, "error": str(exc),
-            })
+            row["error"] = str(exc)
+        else:
+            intervals = report.set.intervals
+            row.update(
+                covered=report.covered, length=report.length,
+                fit_count=report.fit_count, wall_time=report.wall_time,
+                lo=intervals[0][0] if intervals else None,
+                hi=intervals[-1][1] if intervals else None,
+                truncated=report.set.truncated,
+                tau_provenance=report.details.get("tau_provenance"),
+                tau_coverage_safe=report.details.get("tau_coverage_safe"),
+            )
+        rows.append(row)
     return rows
+
+
+def _coverage(rows):
+    covered = [bool(row["covered"]) for row in rows if row["covered"] is not None]
+    return float(np.mean(covered)) if covered else None
 
 
 def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfig,
@@ -195,8 +211,9 @@ def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfi
     """Full protocol: returns (report dict, per-repetition rows).
 
     The oracle method is always included so times can be normalized by its
-    mean.  Methods backed by non-coverage-safe bounds have their coverage
-    reported under a separate key so safe aggregates stay clean.
+    mean.  ``coverage`` averages only the repetitions whose bound is
+    coverage-safe; ``coverage_unvalidated`` averages the flagged ones and is
+    present only when some repetition is flagged.
     """
     repetitions = int(repetitions)
     if repetitions < 1:
@@ -211,17 +228,10 @@ def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfi
         methods.append("oraclecp")
 
     rep_seeds = np.random.default_rng(int(seed)).integers(0, 2**63 - 1, size=repetitions)
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        nested = [_one_repetition(r, rep_seeds[r], source, methods, config)
-                  for r in range(repetitions)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(
-                lambda r: _one_repetition(r, rep_seeds[r], source, methods, config),
-                range(repetitions),
-            ))
-    rows = [row for rep_rows in sorted(nested, key=lambda rr: rr[0]["rep"]) for row in rep_rows]
+    with ThreadPoolExecutor(max_workers=max(1, int(jobs))) as pool:
+        nested = pool.map(lambda r: _one_repetition(r, rep_seeds[r], source, methods, config),
+                          range(repetitions))
+        rows = [row for rep_rows in nested for row in rep_rows]
 
     per_method = {}
     for method in methods:
@@ -233,9 +243,7 @@ def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfi
         lengths = np.array([row["length"] for row in ok], dtype=float)
         times = np.array([row["wall_time"] for row in ok], dtype=float)
         fits = np.array([row["fit_count"] for row in ok], dtype=int)
-        covered = np.array([bool(row["covered"]) for row in ok if row["covered"] is not None])
-        coverage = float(covered.mean()) if covered.size else None
-        unsafe = any(row["tau_coverage_safe"] is False for row in ok)
+        flagged = [row for row in ok if row["tau_coverage_safe"] is False]
         entry = {
             "repetitions": len(ok),
             "failures": failures,
@@ -246,13 +254,11 @@ def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfi
             "time_mean_s": float(times.mean()),
             "fit_count_total": int(fits.sum()),
             "fit_count_mean": float(fits.mean()),
-            "tau_unsafe": unsafe,
+            "tau_unsafe": bool(flagged),
+            "coverage": _coverage([row for row in ok if row["tau_coverage_safe"] is not False]),
         }
-        if unsafe:
-            entry["coverage"] = None
-            entry["coverage_unvalidated"] = coverage
-        else:
-            entry["coverage"] = coverage
+        if flagged:
+            entry["coverage_unvalidated"] = _coverage(flagged)
         per_method[method] = entry
 
     oracle_mean = per_method.get("oraclecp", {}).get("time_mean_s")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from stabcp.cli import main
+from stabcp.errors import InvalidInputError
 from stabcp.harness import RunConfig, run_benchmark, run_method, synthetic_source
 from stabcp import GeneratorSpec, gen_linear_gaussian
 
@@ -125,6 +127,33 @@ def test_predict_refuses_unsafe_tau_without_flag(generated, capsys):
     assert json.loads(out)["tau_provenance"] == "sgd-heuristic"
 
 
+def test_predict_reports_tau_coverage_safe(generated, capsys):
+    cases = [(("--tau", "linear-exact", "--anchor", "100"), False),
+             (("--tau", "linear-exact"), True),
+             (("--method", "oraclecp"), None)]
+    for flags, expected in cases:
+        code, out, err = run_cli(capsys, "predict", "--data", str(generated), *flags)
+        assert code == 0, err
+        assert json.loads(out)["tau_coverage_safe"] is expected
+
+
+@pytest.mark.parametrize("anchor", ["abc", ""])
+def test_predict_rejects_unparsable_anchor(generated, capsys, anchor):
+    code, _, err = run_cli(capsys, "predict", "--data", str(generated), "--anchor", anchor)
+    assert code == 1
+    assert "usage error" in err and "anchor" in err
+
+
+def test_run_config_refuses_heuristic_bounds_without_opt_in():
+    with pytest.raises(InvalidInputError, match="allow-unsafe-tau"):
+        RunConfig(tau_source="sgd-heuristic")
+    config = RunConfig(tau_source="sgd-heuristic", allow_unsafe_tau=True)
+    with pytest.raises(InvalidInputError, match="allow-unsafe-tau"):
+        dataclasses.replace(config, allow_unsafe_tau=False)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.allow_unsafe_tau = False
+
+
 def test_predict_with_user_supplied_tau_file(generated, tmp_path, capsys):
     tau_path = tmp_path / "tau.csv"
     tau_path.write_text("tau\n" + "\n".join(["0.05"] * 31) + "\n", encoding="utf-8")
@@ -198,6 +227,22 @@ def test_benchmark_marks_unsafe_tau_coverage(capsys):
     assert "coverage_unvalidated" in entry
 
 
+def test_benchmark_coverage_averages_only_safe_repetitions():
+    # anchor 2.0 lies outside the target range of 8 of these 20 draws
+    config = RunConfig(model="ridge", tau_source="linear-exact", anchor=2.0, alpha=0.1)
+    source = synthetic_source(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 0))
+    report, rows = run_benchmark(source, ["stabcp"], 20, seed=0, config=config)
+    entry = report["methods"]["stabcp"]
+    stab = [row for row in rows if row["method"] == "stabcp"]
+    safe = [row["covered"] for row in stab if row["tau_coverage_safe"] is True]
+    flagged = [row["covered"] for row in stab if row["tau_coverage_safe"] is False]
+    assert (len(safe), len(flagged)) == (12, 8)
+    assert entry["tau_unsafe"] is True
+    assert entry["coverage"] == pytest.approx(np.mean(safe))
+    assert entry["coverage_unvalidated"] == pytest.approx(np.mean(flagged))
+    assert "coverage_unvalidated" not in report["methods"]["oraclecp"]
+
+
 def test_benchmark_is_deterministic(capsys):
     config = RunConfig(model="ridge", tau_source="linear-exact", alpha=0.1)
     source = synthetic_source(GeneratorSpec("linear-gaussian", 25, 3, 1.0, 0))
@@ -212,7 +257,7 @@ def test_benchmark_parallel_matches_serial(capsys):
     source = synthetic_source(GeneratorSpec("linear-gaussian", 25, 3, 1.0, 0))
     _, rows1 = run_benchmark(source, ["stabcp"], 6, seed=3, config=config, jobs=1)
     _, rows2 = run_benchmark(source, ["stabcp"], 6, seed=3, config=config, jobs=3)
-    key = lambda rows: [(r["rep"], r["method"], r["length"]) for r in rows]
+    key = lambda rows: [{k: v for k, v in r.items() if k != "wall_time"} for r in rows]
     assert key(rows1) == key(rows2)
 
 
@@ -285,6 +330,15 @@ def test_benchmark_jobs_env_fallback(tmp_path, capsys, monkeypatch):
                            "--tau", "linear-exact")
     assert code == 0
     assert json.loads(out)["repetitions"] == 2
+
+
+def test_benchmark_jobs_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("STABCP_JOBS", "abc")
+    code, _, err = run_cli(capsys, "benchmark", "--n", "20", "--p", "3",
+                           "--methods", "stabcp", "--reps", "2", "--seed", "0",
+                           "--tau", "linear-exact")
+    assert code == 1
+    assert "--jobs" in err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
