@@ -15,7 +15,6 @@ from stabcp import (
     augmented_row_norms,
     bound_loss_C,
     gen_linear_gaussian,
-    scaled_squared_loss,
     tau_linear_exact,
     tau_regularized_lipschitz,
     tau_regularized_smooth,
@@ -46,7 +45,7 @@ print(f"dataset: n={dataset.n}, p={dataset.p}, candidate range "
 # ridge: exact affine bound and the smooth-loss bound
 ridge_fit = ridge.fit(dataset, 0.0)
 exact = tau_linear_exact(ridge_fit, dataset, z_range=z_range)
-C = bound_loss_C(dataset, scaled_squared_loss, z_range=z_range)
+C = bound_loss_C(dataset, z_range=z_range)
 smooth = tau_regularized_smooth(score.gamma, 2.0 / m, C, 1.0, 2.0 * lam, norms)
 ridge_dev = measured_deviation(ridge)
 

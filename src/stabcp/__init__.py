@@ -14,7 +14,6 @@ from .core import (
     conformity_scores,
     default_candidate_grid,
     pi_exact,
-    pi_from_scores,
     rank,
 )
 from .conformal import (
@@ -22,13 +21,11 @@ from .conformal import (
     MethodReport,
     PiBounds,
     anchor_bounds,
-    batch_pi_bounds,
     default_anchor,
     gap_profile,
     grid_cp,
     interpolated_cp,
     oracle_cp,
-    pi_bounds,
     root_cp,
     split_cp,
     split_pi,
@@ -37,15 +34,12 @@ from .conformal import (
 )
 from .data import (
     GeneratorSpec,
-    StandardizeTransform,
     gen_friedman1,
     gen_linear_gaussian,
     generate,
     load_csv,
     read_csv_columns,
     save_csv,
-    split,
-    standardize,
 )
 from .errors import DataError, InvalidInputError, NotFittedError, NumericalError
 from .models import (
@@ -55,7 +49,6 @@ from .models import (
     RegularityConstants,
     RidgeModel,
     build_interpolated_model,
-    predict,
     ridge_coefficients,
 )
 from .stability import (
@@ -63,7 +56,6 @@ from .stability import (
     augmented_row_norms,
     bound_loss_C,
     load_tau_csv,
-    scaled_absolute_loss,
     scaled_squared_loss,
     tau_auto,
     tau_interpolated,

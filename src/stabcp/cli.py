@@ -56,9 +56,10 @@ def _load_dataset(data_path: str, target_column, sidecar, trust_holdout: bool = 
     return dataset
 
 
-def _config_from_flags(**kw) -> RunConfig:
+def _usage_checked(fn, *args, **kw):
+    """Call ``fn``, reporting its ``InvalidInputError`` as a usage error (exit 1)."""
     try:
-        return RunConfig(**kw)
+        return fn(*args, **kw)
     except InvalidInputError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -88,6 +89,12 @@ _model_opts = [  # value types follow the RunConfig defaults
 ]
 
 
+_kind_option = click.option(
+    "--kind", type=click.Choice(["linear", "friedman1"]), default="linear", show_default=True,
+    callback=lambda _ctx, _param, kind: "linear-gaussian" if kind == "linear" else kind,
+    help="Generator; 'linear' is linear-gaussian.")
+
+
 def _add_options(options):
     def wrap(fn):
         for option in reversed(options):
@@ -97,8 +104,7 @@ def _add_options(options):
 
 
 @cli.command("gen")
-@click.option("--kind", type=click.Choice(["linear", "friedman1"]), default="linear",
-              show_default=True)
+@_kind_option
 @click.option("--n", type=int, required=True, help="Observed sample size.")
 @click.option("--p", type=int, required=True, help="Feature count.")
 @click.option("--noise", type=float, default=1.0, show_default=True)
@@ -106,12 +112,11 @@ def _add_options(options):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen(kind, n, p, noise, seed, out):
     """Generate a synthetic dataset CSV (query row last) plus a sidecar JSON."""
-    spec_kind = "linear-gaussian" if kind == "linear" else "friedman1"
-    dataset = generate(GeneratorSpec(spec_kind, n, p, noise, seed))
+    dataset = generate(GeneratorSpec(kind, n, p, noise, seed))
     save_csv(dataset, out)
     sidecar = {
         "schema": "stabcp/dataset/1",
-        "kind": spec_kind, "n": n, "p": p, "noise_sd": noise, "seed": seed,
+        "kind": kind, "n": n, "p": p, "noise_sd": noise, "seed": seed,
         "target_column": "y", "holdout_row": "last",
         "test_target": dataset.test_target,
     }
@@ -131,13 +136,13 @@ def cmd_gen(kind, n, p, noise, seed, out):
 @_add_options(_model_opts)
 def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **kw):
     """Compute one prediction interval and emit it as JSON."""
+    config = _usage_checked(RunConfig, **kw)
     dataset = _load_dataset(data_path, target_column, sidecar)
     if true_target is not None:
         dataset = type(dataset)(dataset.features, dataset.targets, dataset.test_point,
                                 test_target=float(true_target), meta=dataset.meta)
     if method == "oraclecp" and dataset.test_target is None:
         raise click.UsageError("oraclecp needs --true-target (or a dataset with a held-out target)")
-    config = _config_from_flags(**kw)
     report = run_method(method, dataset, config)
     payload = {
         "schema": "stabcp/predict/1",
@@ -165,8 +170,7 @@ def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **k
 @click.option("--data", "data_path", type=click.Path(exists=True), default=None,
               help="CSV table to permute per repetition; omit to redraw synthetic data.")
 @click.option("--target-column", default=None)
-@click.option("--kind", type=click.Choice(["linear", "friedman1"]), default="linear",
-              show_default=True)
+@_kind_option
 @click.option("--n", type=int, default=300, show_default=True)
 @click.option("--p", type=int, default=20, show_default=True)
 @click.option("--noise", type=float, default=1.0, show_default=True)
@@ -183,21 +187,16 @@ def cmd_benchmark(data_path, target_column, kind, n, p, noise, methods, reps, se
                   jobs, out_json, out_csv, **kw):
     """Run the coverage/length/time protocol and emit the aggregate report."""
     method_list = [name.strip() for name in methods.split(",") if name.strip()]
-    if not method_list:
-        raise click.UsageError("--methods must name at least one method")
-    for name in method_list:
-        if name not in METHOD_NAMES:
-            raise click.UsageError(f"unknown method {name!r}")
-    config = _config_from_flags(**kw)
+    config = _usage_checked(RunConfig, **kw)
     if data_path:
         dataset = _load_dataset(data_path, target_column, None, trust_holdout=True)
         source = permutation_source(dataset)
         source_echo = {"data": data_path, "mode": "permutation"}
     else:
-        spec_kind = "linear-gaussian" if kind == "linear" else "friedman1"
-        source = synthetic_source(GeneratorSpec(spec_kind, n, p, noise, seed))
-        source_echo = {"kind": spec_kind, "n": n, "p": p, "noise_sd": noise, "mode": "redraw"}
-    report, rows = run_benchmark(source, method_list, reps, seed, config, jobs=jobs)
+        source = synthetic_source(GeneratorSpec(kind, n, p, noise, seed))
+        source_echo = {"kind": kind, "n": n, "p": p, "noise_sd": noise, "mode": "redraw"}
+    report, rows = _usage_checked(run_benchmark, source, method_list, reps, seed, config,
+                                  jobs=jobs)
     report["source"] = source_echo
     text = json.dumps(report, indent=2)
     if out_json:
@@ -224,7 +223,7 @@ def cmd_curve(data_path, target_column, sidecar, out, **kw):
 
     Diagnostic mode: the exact curve refits at every grid point.
     """
-    config = _config_from_flags(**kw)
+    config = _usage_checked(RunConfig, **kw)
     dataset = _load_dataset(data_path, target_column, sidecar)
     score = ScoreFunction.absolute_residual()
     spec = config.model_spec()

@@ -13,8 +13,8 @@ inflated ones.  All four sets (``stab_cp_interval``, ``stab_cp_bisection``,
 ``oracle_cp``, ``split_cp``) therefore go through one threshold rule
 (``_score_threshold``) and one extraction routine (``sublevel_set``): a
 closed form for the absolute residual, outward bracketing plus bisection for
-custom scores.  The module also holds the batch and interpolated refinements
-and the root-finding and grid baselines used for benchmarking.
+custom scores.  The module also holds the interpolated refinement and the
+root-finding and grid baselines used for benchmarking.
 """
 
 from __future__ import annotations
@@ -98,9 +98,10 @@ class ConformityBounds:
         self.upper_sorted = np.sort(self.upper)
 
     @classmethod
-    def from_scores(cls, anchor: float, observed: np.ndarray, mu_test: float,
+    def from_scores(cls, anchor: float, observed, mu_test: float,
                     tau: StabilityBounds, score: ScoreFunction) -> "ConformityBounds":
         """Envelopes ``observed -/+ tau`` of the observed-row scores of one anchor fit."""
+        observed = _as_finite_array(np.ravel(np.asarray(observed, dtype=float)), "observed", 1)
         tau_arr = tau.tau
         n = observed.size
         if tau_arr.size != n + 1:
@@ -141,39 +142,6 @@ def anchor_bounds(dataset: TabularDataset, anchor: float, model_spec,
     scores = conformity_scores(dataset, anchor, fitted, score)
     bounds = ConformityBounds.from_scores(anchor, scores[:-1], fitted.mu_test, tau, score)
     return bounds, fitted
-
-
-def pi_bounds(z: float, anchor_fit, scores_at_anchor, tau: StabilityBounds,
-              score: ScoreFunction) -> PiBounds:
-    """Envelope values of the conformity function at candidate ``z``.
-
-    ``scores_at_anchor`` holds the observed rows' scores under the anchor fit;
-    the query-point term is recomputed from the anchor prediction.  With all
-    bounds zero and tie-free scores the two envelopes collapse onto the
-    conformity computed from the anchor scores.
-    """
-    observed = _as_finite_array(np.ravel(np.asarray(scores_at_anchor, dtype=float)),
-                                "scores_at_anchor", 1)
-    bounds = ConformityBounds.from_scores(getattr(anchor_fit, "candidate", math.nan),
-                                          observed, anchor_fit.mu_test, tau, score)
-    return bounds.pi_bounds_at(z)
-
-
-def batch_pi_bounds(z: float, anchors, tau: StabilityBounds,
-                    score: ScoreFunction) -> PiBounds:
-    """Tightest envelopes over a batch of anchor fits.
-
-    ``anchors`` is a sequence of ``(fitted_model, scores_at_anchor)`` pairs.
-    The lower envelope is the best (largest) lower value over the batch and
-    the upper envelope the best (smallest) upper value.
-    """
-    anchors = list(anchors)
-    if not anchors:
-        raise InvalidInputError("need at least one anchor")
-    per_anchor = [pi_bounds(z, fitted, scores, tau, score) for fitted, scores in anchors]
-    best_lo = max(per_anchor, key=lambda pb: pb.lo)
-    best_up = min(per_anchor, key=lambda pb: pb.up)
-    return PiBounds(best_lo.lo, best_up.up, best_lo.n_lo, best_up.n_up)
 
 
 _EPS_R = 1e-6       # bisection tolerance of the sets whose functions take no eps_r

@@ -223,13 +223,6 @@ def conformity_scores(dataset: TabularDataset, candidate: float, model, score: S
     return scores
 
 
-def pi_from_scores(scores) -> float:
-    """Conformity of the last entry: 1 - rank/(m) over the given scores."""
-    arr = _as_finite_array(np.ravel(np.asarray(scores, dtype=float)), "scores", 1)
-    m = arr.size
-    return 1.0 - rank(arr, m) / m
-
-
 def _exact_rank(dataset: TabularDataset, candidate: float, model_spec,
                 score: ScoreFunction) -> int:
     """Rank of the query's score among all n+1 under a refit at ``candidate`` (one fit).

@@ -1,4 +1,4 @@
-"""Dataset ingestion, synthetic generators, standardization, and splitting.
+"""Dataset ingestion (CSV read/write) and synthetic generators.
 
 Generators are pure functions of their spec (seed included): the same spec
 produces bit-identical arrays.  The held-out row is drawn from the same law as
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class GeneratorSpec:
             raise InvalidInputError("n must be at least 2")
         if int(self.p) < 1:
             raise InvalidInputError("p must be at least 1")
+        if self.kind == "friedman1" and int(self.p) < 5:
+            raise InvalidInputError("friedman1 needs p >= 5")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise InvalidInputError("noise_sd must be a finite nonnegative real")
         object.__setattr__(self, "n", int(self.n))
@@ -78,8 +80,6 @@ def gen_friedman1(spec: GeneratorSpec) -> TabularDataset:
     """
     if spec.kind != "friedman1":
         raise InvalidInputError(f"spec kind is {spec.kind!r}, expected 'friedman1'")
-    if spec.p < 5:
-        raise InvalidInputError("friedman1 needs p >= 5")
     rng = np.random.default_rng(spec.seed)
     total = spec.n + 1
     X = rng.uniform(0.0, 1.0, size=(total, spec.p))
@@ -184,107 +184,6 @@ def save_csv(dataset: TabularDataset, path, target_name: str = "y") -> None:
             writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
         writer.writerow([repr(float(v)) for v in dataset.test_point]
                         + [repr(float(dataset.test_target))])
-
-
-@dataclass(frozen=True)
-class StandardizeTransform:
-    """Per-column statistics used to standardize, kept for inversion.
-
-    Intervals produced in standardized target units map back to original
-    units through ``invert_value``/``invert_interval`` (a monotone affine
-    map, so interval endpoints transform directly).
-    """
-
-    feature_offset: np.ndarray
-    feature_scale: np.ndarray
-    target_offset: float
-    target_scale: float
-    constant_columns: np.ndarray = field(default=None)
-
-    def apply_features(self, X) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.feature_offset) / self.feature_scale
-
-    def apply_target(self, value):
-        return (np.asarray(value, dtype=float) - self.target_offset) / self.target_scale
-
-    def invert_value(self, value):
-        return self.target_offset + self.target_scale * np.asarray(value, dtype=float)
-
-    def invert_interval(self, interval) -> tuple[float, float]:
-        lo, hi = interval
-        return float(self.invert_value(lo)), float(self.invert_value(hi))
-
-
-def standardize(dataset: TabularDataset, allow_constant: bool = False,
-                transform_targets: bool = True, center_targets: bool = True,
-                scale_targets: bool = True) -> tuple[TabularDataset, StandardizeTransform]:
-    """Column-wise mean-0/variance-1 scaling fitted on the observed rows.
-
-    The query point is transformed with the same statistics.  Constant
-    feature columns are rejected unless ``allow_constant``, in which case
-    they are left untouched and recorded.  Target standardization is optional
-    and split into centering and scaling so pipelines that need an exactly
-    invertible model (no intercept) can scale without centering.
-    """
-    X = dataset.features
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    constant = std == 0.0
-    if constant.any() and not allow_constant:
-        bad = int(np.argmax(constant))
-        raise InvalidInputError(
-            f"feature column {bad} has zero variance; pass allow_constant=True to keep it"
-        )
-    offset = np.where(constant, 0.0, mean)
-    scale = np.where(constant, 1.0, std)
-
-    t_offset, t_scale = 0.0, 1.0
-    if transform_targets:
-        if center_targets:
-            t_offset = float(dataset.targets.mean())
-        if scale_targets:
-            t_scale = float(dataset.targets.std())
-            if t_scale == 0.0:
-                raise InvalidInputError("targets have zero variance; cannot scale")
-    transform = StandardizeTransform(offset, scale, t_offset, t_scale,
-                                     constant_columns=constant)
-    new_meta = dict(dataset.meta)
-    new_meta["standardized"] = {
-        "features": True, "targets": bool(transform_targets),
-        "center_targets": bool(center_targets and transform_targets),
-        "scale_targets": bool(scale_targets and transform_targets),
-        "constant_columns": np.flatnonzero(constant).tolist(),
-    }
-    new_target = dataset.test_target
-    if new_target is not None:
-        new_target = float(transform.apply_target(new_target))
-    out = TabularDataset(
-        transform.apply_features(X),
-        np.asarray(transform.apply_target(dataset.targets), dtype=float),
-        transform.apply_features(dataset.test_point[None, :])[0],
-        test_target=new_target,
-        meta=new_meta,
-    )
-    return out, transform
-
-
-def split(dataset: TabularDataset, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic shuffled split of the observed row indices.
-
-    Returns ``(train_idx, calibration_idx)``; both parts are nonempty and
-    together cover every observed row exactly once.
-    """
-    train_fraction = float(train_fraction)
-    if not 0.0 < train_fraction < 1.0:
-        raise InvalidInputError("train_fraction must lie strictly between 0 and 1")
-    n = dataset.n
-    m = int(round(n * train_fraction))
-    if m < 1 or n - m < 1:
-        raise InvalidInputError(
-            f"split of {n} rows at fraction {train_fraction} leaves an empty part"
-        )
-    order = np.random.default_rng(int(seed)).permutation(n)
-    return order[:m], order[m:]
 
 
 def dataset_from_rows(X, y, test_index: int, meta=None) -> TabularDataset:

@@ -70,6 +70,10 @@ class RunConfig:
         if self.tau_source == "sgd-heuristic" and not self.allow_unsafe_tau:
             raise InvalidInputError("refusing heuristic stability bounds, which are not "
                                     "coverage-safe, without allow_unsafe_tau (--allow-unsafe-tau)")
+        if self.tau_source == "file" and self.tau_file is None:
+            raise InvalidInputError("tau source 'file' needs a tau file path (--tau-file)")
+        if self.tau_source == "linear-exact" and self.model != "ridge":
+            raise InvalidInputError("linear-exact bounds need the ridge model")
         if self.anchor != "auto":
             try:
                 anchor = 0.0 if self.anchor == "zero" else float(self.anchor)
@@ -95,15 +99,11 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
     if config.tau_source == "auto":
         return tau_auto(spec, dataset, score, z_range=z_range), 0
     if config.tau_source == "linear-exact":
-        if config.model != "ridge":
-            raise InvalidInputError("linear-exact bounds need the ridge model")
         fitted = spec.fit(dataset, 0.0)
         return tau_linear_exact(fitted, dataset, z_range=z_range, gamma=score.gamma), 1
     if config.tau_source == "sgd-heuristic":
         n_iter = max(1, dataset.n // 10)
         return tau_sgd_heuristic(n_iter, augmented_row_norms(dataset), dataset.n), 0
-    if config.tau_file is None:
-        raise InvalidInputError("tau source 'file' needs a tau file path")
     return load_tau_csv(config.tau_file), 0
 
 
@@ -143,7 +143,7 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
         tau, tau_aux = build_tau(config, dataset, score)
         z_min, z_max = dataset.target_range()
         anchors = np.linspace(z_min, z_max, config.n_anchors + 2)[1:-1]
-        interp = build_interpolated_model(dataset, anchors, z_min, z_max, spec, base_tau=tau)
+        interp = build_interpolated_model(dataset, anchors, z_min, z_max, spec)
         tau_tilde = tau_interpolated(tau, score.gamma)
         grid = default_candidate_grid(dataset, config.grid_size)
         report = interpolated_cp(dataset, interp, tau_tilde, score, config.alpha, grid)

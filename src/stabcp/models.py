@@ -83,14 +83,38 @@ def ridge_coefficients(X, y, lambda_reg: float) -> np.ndarray:
         raise NumericalError(f"normal equations are singular: {exc}") from exc
 
 
-class RidgeModel:
+class LinearModel:
+    """Prediction ``x @ coefficients`` shared by the linear models.
+
+    Subclasses set ``coefficients``; None means the model is not fitted yet.
+    """
+
+    def predict(self, x) -> float:
+        if self.coefficients is None:
+            raise NotFittedError(f"{type(self).__name__}.predict called before fit")
+        x = _as_finite_array(x, "x", 1)
+        if x.shape[0] != self.coefficients.shape[0]:
+            raise InvalidInputError(
+                f"x has {x.shape[0]} entries, expected {self.coefficients.shape[0]}"
+            )
+        return float(x @ self.coefficients)
+
+    def predict_rows(self, X) -> np.ndarray:
+        if self.coefficients is None:
+            raise NotFittedError(f"{type(self).__name__}.predict_rows called before fit")
+        return np.asarray(X, dtype=float) @ self.coefficients
+
+
+class RidgeModel(LinearModel):
     """Ridge regression with a closed-form solve and a linear response in z.
 
     Objective on ``m`` rows: ``||y - X beta||^2 / m + lambda_reg * ||beta||^2``.
     When fitted on the augmented data, the prediction at any point is affine
     in the candidate value: ``mu_z(x) = a(x) + b(x) * z``.  The two components
     come from solving the normal equations once with the observed responses
-    (and 0 in the query slot) and once with the query-slot indicator.
+    (and 0 in the query slot) and once with the query-slot indicator; the fit
+    keeps them as ``beta_base`` and ``beta_candidate``, and ``row_b`` holds
+    ``b`` at every augmented row.
     """
 
     def __init__(self, lambda_reg: float = 1.0):
@@ -140,28 +164,6 @@ class RidgeModel:
         model.fitted = True
         return model
 
-    def predict(self, x) -> float:
-        if not self.fitted:
-            raise NotFittedError("RidgeModel.predict called before fit")
-        x = _as_finite_array(x, "x", 1)
-        if x.shape[0] != self.coefficients.shape[0]:
-            raise InvalidInputError(
-                f"x has {x.shape[0]} entries, expected {self.coefficients.shape[0]}"
-            )
-        return float(x @ self.coefficients)
-
-    def predict_rows(self, X) -> np.ndarray:
-        if not self.fitted:
-            raise NotFittedError("RidgeModel.predict_rows called before fit")
-        return np.asarray(X, dtype=float) @ self.coefficients
-
-    def linear_response(self, x) -> tuple[float, float]:
-        """Coefficients ``(a, b)`` of ``mu_z(x) = a + b * z`` at this design."""
-        if self.beta_candidate is None:
-            raise NotFittedError("linear response requires a fit on augmented data")
-        x = _as_finite_array(x, "x", 1)
-        return float(x @ self.beta_base), float(x @ self.beta_candidate)
-
     def regularity(self, dataset: TabularDataset) -> RegularityConstants:
         """Smooth-loss constants: the scaled squared loss is 2/m-smooth."""
         m = dataset.n + 1
@@ -174,7 +176,7 @@ class RidgeModel:
         )
 
 
-class LadRidgeModel:
+class LadRidgeModel(LinearModel):
     """Least absolute deviation with a ridge penalty, solved to a certificate.
 
     Objective on ``m`` rows: ``||y - X beta||_1 / m + lambda_reg * ||beta||^2``.
@@ -302,21 +304,6 @@ class LadRidgeModel:
         model.candidate = float(candidate)
         return model
 
-    def predict(self, x) -> float:
-        if not self.fitted:
-            raise NotFittedError("LadRidgeModel.predict called before fit")
-        x = _as_finite_array(x, "x", 1)
-        if x.shape[0] != self.coefficients.shape[0]:
-            raise InvalidInputError(
-                f"x has {x.shape[0]} entries, expected {self.coefficients.shape[0]}"
-            )
-        return float(x @ self.coefficients)
-
-    def predict_rows(self, X) -> np.ndarray:
-        if not self.fitted:
-            raise NotFittedError("LadRidgeModel.predict_rows called before fit")
-        return np.asarray(X, dtype=float) @ self.coefficients
-
     def regularity(self, dataset: TabularDataset) -> RegularityConstants:
         """Lipschitz-loss constant for candidate changes.
 
@@ -337,7 +324,7 @@ class LadRidgeModel:
         )
 
 
-class PretrainedLinearModel:
+class PretrainedLinearModel(LinearModel):
     """Fixed linear coefficients; fitting only caches predictions.
 
     The predictions do not depend on the candidate value, so the zero vector
@@ -366,15 +353,6 @@ class PretrainedLinearModel:
         model.fitted = True
         return model
 
-    def predict(self, x) -> float:
-        x = _as_finite_array(x, "x", 1)
-        if x.shape[0] != self.coefficients.shape[0]:
-            raise InvalidInputError("dimension mismatch")
-        return float(x @ self.coefficients)
-
-    def predict_rows(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.coefficients
-
 
 class InterpolatedModel:
     """Piecewise-linear interpolation of a per-candidate model family.
@@ -386,7 +364,7 @@ class InterpolatedModel:
     is used unclamped, which yields exactly that extension.
     """
 
-    def __init__(self, knots, knot_models, base_tau=None):
+    def __init__(self, knots, knot_models):
         knots = _as_finite_array(knots, "knots", 1)
         if knots.size < 3:
             raise InvalidInputError("need at least three knots (two endpoints, one anchor)")
@@ -395,25 +373,11 @@ class InterpolatedModel:
         if len(knot_models) != knots.size:
             raise InvalidInputError("one fitted model per knot required")
         self.knots = knots
-        self.knot_models = list(knot_models)
-        self.base_tau = base_tau
         self.knot_row_predictions = np.vstack(
-            [np.asarray(m.row_predictions, dtype=float) for m in self.knot_models]
+            [np.asarray(m.row_predictions, dtype=float) for m in knot_models]
         )
         self.fit_count = knots.size
         self.fitted = True
-
-    @property
-    def anchors(self) -> np.ndarray:
-        return self.knots[1:-1]
-
-    @property
-    def z_min(self) -> float:
-        return float(self.knots[0])
-
-    @property
-    def z_max(self) -> float:
-        return float(self.knots[-1])
 
     def _segment(self, z: float) -> tuple[int, float]:
         """Segment index and left-knot weight; weights leave [0,1] outside the range."""
@@ -429,16 +393,9 @@ class InterpolatedModel:
         t, w = self._segment(z)
         return w * self.knot_row_predictions[t] + (1.0 - w) * self.knot_row_predictions[t + 1]
 
-    def mu_test_at(self, z: float) -> float:
-        return float(self.row_predictions_at(z)[-1])
-
-    def predict(self, x, z: float) -> float:
-        t, w = self._segment(z)
-        return w * self.knot_models[t].predict(x) + (1.0 - w) * self.knot_models[t + 1].predict(x)
-
 
 def build_interpolated_model(dataset: TabularDataset, anchors, z_min: float, z_max: float,
-                             base_model_spec, base_tau=None) -> InterpolatedModel:
+                             base_model_spec) -> InterpolatedModel:
     """Fit the base model at every anchor and both endpoints (d + 2 fits)."""
     anchors = _as_finite_array(np.ravel(np.asarray(anchors, dtype=float)), "anchors", 1)
     if anchors.size < 1:
@@ -450,16 +407,5 @@ def build_interpolated_model(dataset: TabularDataset, anchors, z_min: float, z_m
         raise InvalidInputError("anchors must lie strictly inside (z_min, z_max)")
     knots = np.concatenate([[z_min], anchors, [z_max]])
     models = [base_model_spec.fit(dataset, z) for z in knots]
-    return InterpolatedModel(knots, models, base_tau=base_tau)
+    return InterpolatedModel(knots, models)
 
-
-def predict(model, x, candidate: float | None = None) -> float:
-    """Prediction of a fitted model at ``x``.
-
-    Interpolated models need the candidate value; plain models ignore it.
-    """
-    if isinstance(model, InterpolatedModel):
-        if candidate is None:
-            raise InvalidInputError("interpolated models need the candidate value")
-        return model.predict(x, candidate)
-    return model.predict(x)

@@ -33,8 +33,8 @@ class StabilityBounds:
     """Vector of per-point score-variation bounds.
 
     ``tau[i]`` bounds ``|S(q, mu_z(x_i)) - S(q, mu_z0(x_i))|`` over the
-    candidate range; ``tau[-1]`` is the query point's bound.  The single-fit
-    closed form requires ``tau[-1] > 0``.
+    candidate range; ``tau[-1]`` is the query point's bound.  Every entry may
+    be zero.
     """
 
     tau: np.ndarray
@@ -152,21 +152,13 @@ def scaled_squared_loss(y, predictions) -> float:
     return float(np.mean((y - u) ** 2))
 
 
-def scaled_absolute_loss(y, predictions) -> float:
-    """``||y - u||_1 / m`` for ``m = len(y)``."""
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(predictions, dtype=float)
-    return float(np.mean(np.abs(y - u)))
-
-
-def bound_loss_C(dataset: TabularDataset, loss, z_range=None, convex_in_z: bool = True,
-                 grid_points: int = 1000) -> float:
-    """Bound on the optimal loss: the loss of the zero prediction over the range.
+def bound_loss_C(dataset: TabularDataset, z_range=None) -> float:
+    """Bound on the optimal scaled squared loss: its value at the zero prediction.
 
     The optimal fit can only improve on predicting zero, so
-    ``sup_z loss(y(z), 0)`` over the candidate range bounds the optimal loss.
-    For a loss convex in the candidate the supremum sits at an endpoint;
-    otherwise a dense grid maximum is taken.
+    ``sup_z scaled_squared_loss(y(z), 0)`` over the candidate range bounds
+    the optimal loss.  That loss is convex in the candidate, so the supremum
+    sits at an endpoint of the range.
     """
     if z_range is None:
         z_range = dataset.target_range()
@@ -174,11 +166,7 @@ def bound_loss_C(dataset: TabularDataset, loss, z_range=None, convex_in_z: bool 
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise InvalidInputError("z_range must be a finite (lo, hi) pair")
     zeros = np.zeros(dataset.n + 1)
-    if convex_in_z:
-        candidates = (lo, hi)
-    else:
-        candidates = np.linspace(lo, hi, int(grid_points))
-    return max(float(loss(dataset.augmented_targets(z), zeros)) for z in candidates)
+    return max(scaled_squared_loss(dataset.augmented_targets(z), zeros) for z in (lo, hi))
 
 
 def tau_sgd_heuristic(n_iter: int, row_norms, n: int) -> StabilityBounds:
@@ -280,7 +268,7 @@ def tau_auto(model_spec, dataset: TabularDataset, score, z_range=None) -> Stabil
     if constants.nu is not None and constants.nu > 0:
         C = constants.loss_bound_C
         if C is None:
-            C = bound_loss_C(dataset, scaled_squared_loss, z_range=z_range)
+            C = bound_loss_C(dataset, z_range=z_range)
         return tau_regularized_smooth(score.gamma, constants.nu, C, constants.l_phi,
                                       constants.lambda_sc, norms,
                                       candidate_range=z_range)

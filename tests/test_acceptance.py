@@ -29,7 +29,6 @@ from stabcp import (
     grid_cp,
     oracle_cp,
     pi_exact,
-    pi_from_scores,
     rank,
     root_cp,
     split_cp,
@@ -44,7 +43,7 @@ from stabcp import (
     tau_user_supplied,
 )
 from stabcp.harness import RunConfig, run_benchmark, run_method, synthetic_source
-from stabcp.stability import augmented_row_norms, bound_loss_C, scaled_squared_loss
+from stabcp.stability import augmented_row_norms, bound_loss_C
 
 from conftest import ClipModel
 
@@ -221,7 +220,7 @@ def test_criterion_07_stability_bounds_sound_everywhere():
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 3, 1.0, 12))
     spec = RidgeModel(0.5)
     constants = spec.regularity(ds)
-    C = bound_loss_C(ds, scaled_squared_loss)
+    C = bound_loss_C(ds)
     tau = tau_regularized_smooth(ABS.gamma, constants.nu, C, constants.l_phi,
                                  constants.lambda_sc, augmented_row_norms(ds))
     check("regularized-smooth/ridge", ds, spec, tau)
@@ -264,7 +263,7 @@ def test_criterion_09_interpolation_exactness_and_stability():
     lo, hi = ds.target_range()
     anchors = np.linspace(lo, hi, 5)[1:-1]
     base = tau_linear_exact(spec.fit(ds, 0.0), ds, z_range=(lo, hi))
-    interp = build_interpolated_model(ds, anchors, lo, hi, spec, base_tau=base)
+    interp = build_interpolated_model(ds, anchors, lo, hi, spec)
 
     # affine base: interpolation equals direct refits at 100 probes
     probe_err = 0.0

@@ -55,6 +55,10 @@ def test_gen_friedman_needs_five_features(tmp_path, capsys):
                            "--out", str(tmp_path / "f.csv"))
     assert code == 2
     assert "p >= 5" in err
+    code, _, err = run_cli(capsys, "benchmark", "--kind", "friedman1", "--n", "20", "--p", "4",
+                           "--reps", "2", "--methods", "stabcp", "--tau", "linear-exact")
+    assert code == 2
+    assert "p >= 5" in err
 
 
 # ---------------------------------------------------------------- predict
@@ -154,6 +158,27 @@ def test_run_config_refuses_heuristic_bounds_without_opt_in():
         config.allow_unsafe_tau = False
 
 
+# settings that no dataset can turn into a bound: (RunConfig fields, CLI flags)
+UNBUILDABLE_TAU = {
+    "file-without-path": (dict(tau_source="file"), ("--tau", "file")),
+    "linear-exact-on-lad": (dict(model="ladridge", tau_source="linear-exact"),
+                            ("--model", "ladridge", "--tau", "linear-exact")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE_TAU))
+def test_unbuildable_tau_is_refused_with_the_config(generated, capsys, case):
+    fields, flags = UNBUILDABLE_TAU[case]
+    with pytest.raises(InvalidInputError):
+        RunConfig(**fields)
+    code, out, err = run_cli(capsys, "benchmark", "--n", "20", "--p", "3", "--reps", "3",
+                             "--methods", "stabcp", *flags)
+    assert (code, out) == (1, ""), err
+    assert "usage error" in err
+    code, out, err = run_cli(capsys, "predict", "--data", str(generated), *flags)
+    assert (code, out) == (1, ""), err
+
+
 def test_predict_with_user_supplied_tau_file(generated, tmp_path, capsys):
     tau_path = tmp_path / "tau.csv"
     tau_path.write_text("tau\n" + "\n".join(["0.05"] * 31) + "\n", encoding="utf-8")
@@ -214,6 +239,14 @@ def test_benchmark_from_csv_permutes_rows(generated, tmp_path, capsys):
     assert report["methods"]["stabcp"]["repetitions"] == 4
     # a different held-out row each repetition: lengths vary across reps
     assert report["methods"]["oraclecp"]["time_normalized"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("methods", ["magic", ",", "stabcp,magic"])
+def test_benchmark_rejects_bad_method_list(capsys, methods):
+    code, out, err = run_cli(capsys, "benchmark", "--n", "20", "--p", "3", "--reps", "2",
+                             "--methods", methods, "--tau", "linear-exact")
+    assert (code, out) == (1, ""), err
+    assert "usage error" in err
 
 
 def test_benchmark_marks_unsafe_tau_coverage(capsys):

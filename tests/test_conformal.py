@@ -5,6 +5,7 @@ import pytest
 
 import stabcp
 from stabcp import (
+    ConformityBounds,
     GeneratorSpec,
     InvalidInputError,
     LadRidgeModel,
@@ -14,7 +15,6 @@ from stabcp import (
     StabilityBounds,
     TabularDataset,
     anchor_bounds,
-    batch_pi_bounds,
     build_interpolated_model,
     conformal_set_grid,
     conformity_scores,
@@ -24,9 +24,7 @@ from stabcp import (
     grid_cp,
     interpolated_cp,
     oracle_cp,
-    pi_bounds,
     pi_exact,
-    pi_from_scores,
     root_cp,
     split_cp,
     split_pi,
@@ -54,6 +52,12 @@ def zero_model_dataset(targets, test_value=0.3):
 
 # ------------------------------------------------------------- pi_bounds
 
+def envelope_at(z, anchor, fitted, observed_scores, tau):
+    """Envelope values at z of the anchor fit's observed scores."""
+    bounds = ConformityBounds.from_scores(anchor, observed_scores, fitted.mu_test, tau, ABS)
+    return bounds.pi_bounds_at(z)
+
+
 def test_pi_bounds_matches_hand_evaluation():
     # n=2, tau=(0.1, 0.1, 0.1), anchor scores (1.0, 2.0), query score 1.5:
     # envelopes L=(0.9, 1.9), U=(1.1, 2.1), L_3=1.4, U_3=1.6.
@@ -62,11 +66,14 @@ def test_pi_bounds_matches_hand_evaluation():
     ds = zero_model_dataset([1.0, -2.0])
     fitted = PretrainedLinearModel(np.zeros(1)).fit(ds, 0.0)
     tau = tau_user_supplied([0.1, 0.1, 0.1])
-    pb = pi_bounds(1.5, fitted, np.array([1.0, 2.0]), tau, ABS)
-    assert pb.lo == pytest.approx(1 / 3)
-    assert pb.up == pytest.approx(2 / 3)
-    assert pb.gap == pytest.approx(1 / 3)
-    assert (pb.n_lo, pb.n_up) == (2, 1)
+    for observed in (np.array([1.0, 2.0]), [1.0, 2.0]):
+        pb = envelope_at(1.5, 0.0, fitted, observed, tau)
+        assert pb.lo == pytest.approx(1 / 3)
+        assert pb.up == pytest.approx(2 / 3)
+        assert pb.gap == pytest.approx(1 / 3)
+        assert (pb.n_lo, pb.n_up) == (2, 1)
+    with pytest.raises(InvalidInputError):
+        envelope_at(1.5, 0.0, fitted, np.array([1.0, np.nan]), tau)
 
 
 def test_pi_bounds_zero_tau_collapses_to_anchor_conformity():
@@ -75,7 +82,7 @@ def test_pi_bounds_zero_tau_collapses_to_anchor_conformity():
     scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
     tau = tau_user_supplied(np.zeros(ds.n + 1))
     for z in (-1.3, 0.2, 3.0):
-        pb = pi_bounds(z, fitted, scores, tau, ABS)
+        pb = envelope_at(z, 0.0, fitted, scores, tau)
         exact = pi_exact(ds, z, PretrainedLinearModel(np.zeros(1)), ABS)
         assert pb.lo == pytest.approx(exact)
         assert pb.up == pytest.approx(exact)
@@ -86,7 +93,7 @@ def test_pi_bounds_saturate_with_huge_tau():
     fitted = PretrainedLinearModel(np.zeros(1)).fit(ds, 0.0)
     scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
     tau = tau_user_supplied(np.full(ds.n + 1, 1e12))
-    pb = pi_bounds(0.5, fitted, scores, tau, ABS)
+    pb = envelope_at(0.5, 0.0, fitted, scores, tau)
     assert pb.lo == 0.0
     assert pb.up == 1.0
 
@@ -103,7 +110,7 @@ def test_pi_bounds_selection_matches_observed_row_sum():
     upper = np.sort(scores + tau.tau[:-1])
     v = (1 - 0.1) * (ds.n + 1)
     for z in np.linspace(*ds.target_range(), 40):
-        pb = pi_bounds(z, fitted, scores, tau, ABS)
+        pb = envelope_at(z, 0.0, fitted, scores, tau)
         test_low = ABS.evaluate(z, fitted.mu_test) - tau.tau_test
         observed_sum = int(np.count_nonzero(upper <= test_low))
         assert pb.n_up == observed_sum  # query-row indicator contributes 0
@@ -353,26 +360,28 @@ def test_split_and_oracle_custom_score_match_builtin():
 
 
 # ----------------------------------------------------------------- batch
+# A valid multi-anchor set is the intersection of the single-fit sets.
+
+def intersect(reports):
+    """Intersection of single-interval stabcp sets, as a (lo, hi) pair."""
+    assert all(r.set.shape == "interval" for r in reports)
+    return (max(r.set.intervals[0][0] for r in reports),
+            min(r.set.intervals[0][1] for r in reports))
+
 
 def test_batch_single_anchor_is_plain_bounds(small_dataset):
     spec = RidgeModel(0.5)
-    fitted = spec.fit(small_dataset, 0.0)
-    scores = conformity_scores(small_dataset, 0.0, fitted, ABS)[:-1]
-    tau = tau_linear_exact(fitted, small_dataset)
-    for z in (-1.0, 0.5, 2.0):
-        single = pi_bounds(z, fitted, scores, tau, ABS)
-        batched = batch_pi_bounds(z, [(fitted, scores)], tau, ABS)
-        assert (batched.lo, batched.up) == (single.lo, single.up)
+    tau = tau_linear_exact(spec.fit(small_dataset, 0.0), small_dataset)
+    report = stab_cp_interval(small_dataset, 0.0, spec, ABS, tau, 0.1)
+    assert intersect([report]) == report.set.intervals[0]
 
 
 def test_batch_duplicate_anchor_idempotent(small_dataset):
     spec = RidgeModel(0.5)
-    fitted = spec.fit(small_dataset, 0.0)
-    scores = conformity_scores(small_dataset, 0.0, fitted, ABS)[:-1]
-    tau = tau_linear_exact(fitted, small_dataset)
-    one = batch_pi_bounds(0.4, [(fitted, scores)], tau, ABS)
-    two = batch_pi_bounds(0.4, [(fitted, scores)] * 2, tau, ABS)
-    assert (one.lo, one.up) == (two.lo, two.up)
+    tau = tau_linear_exact(spec.fit(small_dataset, 0.0), small_dataset)
+    one = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
+    two = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
+    assert intersect([one, two]) == intersect([one])
 
 
 def test_batch_never_widens_the_gap():
@@ -380,22 +389,15 @@ def test_batch_never_widens_the_gap():
     spec = RidgeModel(0.5)
     lo, hi = ds.target_range()
     tau = tau_linear_exact(spec.fit(ds, 0.0), ds)
-    anchors = []
-    for z_hat in (lo + 0.25 * (hi - lo), 0.0, lo + 0.75 * (hi - lo)):
-        fitted = spec.fit(ds, z_hat)
-        anchors.append((fitted, conformity_scores(ds, z_hat, fitted, ABS)[:-1]))
-    mid = anchors[1]
-    for z in np.linspace(lo, hi, 50):
-        single = pi_bounds(z, mid[0], mid[1], tau, ABS)
-        batched = batch_pi_bounds(z, anchors, tau, ABS)
-        assert batched.gap <= single.gap + 1e-12
-        assert batched.lo >= single.lo - 1e-12
-        assert batched.up <= single.up + 1e-12
-
-
-def test_batch_rejects_empty_anchor_list():
-    with pytest.raises(InvalidInputError):
-        batch_pi_bounds(0.0, [], tau_user_supplied([0.1, 0.1]), ABS)
+    reports = [stab_cp_interval(ds, z_hat, spec, ABS, tau, 0.1)
+               for z_hat in (lo + 0.25 * (hi - lo), 0.0, lo + 0.75 * (hi - lo))]
+    both_lo, both_hi = intersect(reports)
+    for report in reports:
+        assert both_hi - both_lo <= report.length + 1e-12
+    grid = conformal_set_grid(ds, spec, ABS, 0.1, np.linspace(lo, hi, 200))
+    assert grid.intervals
+    for glo, ghi in grid.intervals:
+        assert both_lo <= glo and ghi <= both_hi
 
 
 # ---------------------------------------------------------- interpolated
@@ -418,8 +420,7 @@ def test_interpolated_set_contains_grid_oracle():
     spec = RidgeModel(0.5)
     lo, hi = ds.target_range()
     base = tau_linear_exact(spec.fit(ds, 0.0), ds)
-    interp = build_interpolated_model(ds, np.linspace(lo, hi, 6)[1:-1], lo, hi, spec,
-                                      base_tau=base)
+    interp = build_interpolated_model(ds, np.linspace(lo, hi, 6)[1:-1], lo, hi, spec)
     tilde = tau_interpolated(base, ABS.gamma)
     grid = stabcp.default_candidate_grid(ds, 150)
     report = interpolated_cp(ds, interp, tilde, ABS, 0.1, grid)
@@ -442,7 +443,7 @@ def test_interpolated_single_anchor_at_anchor_matches_inflated_bounds():
     preds = interp.row_predictions_at(anchor)
     assert np.allclose(preds, fitted.row_predictions, atol=1e-12)
     # so the interpolated upper count equals the plain count under 3*gamma*tau
-    pb = pi_bounds(anchor, fitted, scores[:-1], tilde, ABS)
+    pb = envelope_at(anchor, anchor, fitted, scores[:-1], tilde)
     upper = scores + tilde.tau
     n_up = int(np.count_nonzero(upper <= scores[-1] - tilde.tau[-1]))
     assert pb.n_up == n_up

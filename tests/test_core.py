@@ -17,7 +17,6 @@ from stabcp import (
     conformal_set_grid,
     conformity_scores,
     pi_exact,
-    pi_from_scores,
     rank,
 )
 
@@ -171,12 +170,20 @@ def test_scores_require_fitted_model(tiny_dataset):
 
 # ------------------------------------------------------------ pi_exact
 
+def zero_model_pi(targets, candidate):
+    """pi_exact under the zero model, whose scores are |targets| then |candidate|."""
+    targets = np.asarray(targets, dtype=float)
+    ds = TabularDataset(np.ones((targets.size, 1)), targets, np.ones(1))
+    return pi_exact(ds, candidate, PretrainedLinearModel(np.zeros(1)), ABS)
+
+
 def test_pi_from_scores_rank_one():
-    assert pi_from_scores([4.0, 3.0, 2.0, 1.0]) == pytest.approx(0.75)
+    # scores (4, 3, 2, 1): the query's score is the smallest, rank 1 of 4
+    assert zero_model_pi([4.0, 3.0, 2.0], 1.0) == pytest.approx(0.75)
 
 
 def test_pi_from_scores_all_ties_is_zero():
-    assert pi_from_scores([1.0, 1.0, 1.0]) == 0.0
+    assert zero_model_pi([1.0, -1.0], 1.0) == 0.0
 
 
 def test_pi_exact_multiple_of_inverse_sample_size(small_dataset):

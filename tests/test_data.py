@@ -14,11 +14,11 @@ from stabcp import (
     load_csv,
     read_csv_columns,
     save_csv,
-    split,
-    standardize,
+    split_cp,
     stab_cp_interval,
     tau_linear_exact,
 )
+from stabcp.harness import RunConfig
 
 ABS = ScoreFunction.absolute_residual()
 
@@ -131,47 +131,12 @@ def test_load_csv_holds_out_requested_row(tmp_path):
     assert ds.targets.tolist() == [2.0, 6.0, 8.0]
 
 
-# -------------------------------------------------------------- standardize
-
-def test_standardize_centers_and_scales(small_dataset):
-    out, transform = standardize(small_dataset)
-    assert np.allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(out.features.std(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(out.targets.mean(), 0.0, atol=1e-12)
-    # round trip on the targets
-    back = transform.invert_value(out.targets)
-    assert np.allclose(back, small_dataset.targets)
-
-
-def test_standardize_already_standardized_near_identity():
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((400, 3))
-    y = rng.standard_normal(400)
-    # standardize exactly on the rows that become the observed set
-    Xo = (X[:-1] - X[:-1].mean(axis=0)) / X[:-1].std(axis=0)
-    yo = (y[:-1] - y[:-1].mean()) / y[:-1].std()
-    ds = TabularDataset(Xo, yo, X[-1])
-    out, transform = standardize(ds)
-    assert np.allclose(transform.feature_offset, 0.0, atol=1e-12)
-    assert np.allclose(transform.feature_scale, 1.0, atol=1e-12)
-    assert np.allclose(out.features, ds.features, atol=1e-10)
-
-
-def test_standardize_constant_column_needs_flag():
-    X = np.column_stack([np.ones(5), np.arange(5.0)])
-    ds = TabularDataset(X, np.arange(5.0), np.array([1.0, 2.0]))
-    with pytest.raises(InvalidInputError):
-        standardize(ds)
-    out, transform = standardize(ds, allow_constant=True)
-    assert np.allclose(out.features[:, 0], 1.0)  # left untouched
-    assert transform.constant_columns.tolist() == [True, False]
-    assert out.meta["standardized"]["constant_columns"] == [0]
-
+# ---------------------------------------------------------- target scaling
 
 def test_target_scaling_pipeline_matches_direct_intervals():
-    # Scale-only target standardization: the ridge objective's 1/m scaling
-    # makes the same penalty optimal in both pipelines, so the interval in
-    # scaled units maps back exactly.
+    # Dividing the targets by their standard deviation: the ridge objective's
+    # 1/m scaling makes the same penalty optimal in both pipelines, so the
+    # interval in scaled units maps back exactly.
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 40, 4, 1.0, seed=31))
     lam, alpha = 0.5, 0.1
     spec = RidgeModel(lam)
@@ -179,41 +144,54 @@ def test_target_scaling_pipeline_matches_direct_intervals():
     direct_tau = tau_linear_exact(spec.fit(ds, 0.0), ds)
     direct = stab_cp_interval(ds, 0.0, spec, ABS, direct_tau, alpha)
 
-    scaled, transform = standardize(ds, transform_targets=True,
-                                    center_targets=False, scale_targets=True)
-    # features untouched in this pipeline: rebuild with original features
-    scaled = TabularDataset(ds.features, scaled.targets, ds.test_point,
-                            scaled.test_target)
+    scale = float(ds.targets.std())
+    scaled = TabularDataset(ds.features, ds.targets / scale, ds.test_point,
+                            ds.test_target / scale)
     scaled_tau = tau_linear_exact(spec.fit(scaled, 0.0), scaled)
     scaled_report = stab_cp_interval(scaled, 0.0, spec, ABS, scaled_tau, alpha)
 
-    mapped = transform.invert_interval(scaled_report.set.intervals[0])
+    mapped = [scale * end for end in scaled_report.set.intervals[0]]
     (dlo, dhi), = direct.set.intervals
     assert mapped[0] == pytest.approx(dlo, abs=1e-10)
     assert mapped[1] == pytest.approx(dhi, abs=1e-10)
 
 
 # -------------------------------------------------------------------- split
+# Rows are split by index: RunConfig.split_index picks m, and split_cp fits
+# rows 1..m and calibrates on the other n - m.
 
 def test_split_even_sizes(small_dataset):
-    train, cal = split(small_dataset, 0.5, seed=0)
-    assert len(train) == 5 and len(cal) == 5
+    m = RunConfig(split_fraction=0.5).split_index(small_dataset.n)
+    report = split_cp(small_dataset, m, RidgeModel(0.5), ABS, 0.1)
+    assert m == 5 and report.details["calibration_size"] == 5
 
 
 def test_split_parts_partition_rows(small_dataset):
-    train, cal = split(small_dataset, 0.3, seed=1)
-    union = sorted(np.concatenate([train, cal]).tolist())
-    assert union == list(range(small_dataset.n))
+    m = RunConfig(split_fraction=0.3).split_index(small_dataset.n)
+    X, y = small_dataset.features, small_dataset.targets
+    report = split_cp(small_dataset, m, RidgeModel(0.5), ABS, 0.25)
+    assert m + report.details["calibration_size"] == small_dataset.n
+    # by hand: fit on the first m rows, rank the query among the other n - m;
+    # (1 - 0.25) * (7 + 1) = 6 calibration scores lie within the half-width
+    trained = RidgeModel(0.5).fit_rows(X[:m], y[:m])
+    half = np.sort(np.abs(y[m:] - X[m:] @ trained.coefficients))[5]
+    mu = small_dataset.test_point @ trained.coefficients
+    (lo, hi), = report.set.intervals
+    assert lo == pytest.approx(mu - half, abs=1e-12)
+    assert hi == pytest.approx(mu + half, abs=1e-12)
 
 
 def test_split_deterministic(small_dataset):
-    a = split(small_dataset, 0.5, seed=7)
-    b = split(small_dataset, 0.5, seed=7)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    a = split_cp(small_dataset, 5, RidgeModel(0.5), ABS, 0.1)
+    b = split_cp(small_dataset, 5, RidgeModel(0.5), ABS, 0.1)
+    assert a.set.intervals == b.set.intervals
 
 
 def test_split_rejects_degenerate(small_dataset):
-    with pytest.raises(InvalidInputError):
-        split(small_dataset, 0.01, seed=0)
-    with pytest.raises(InvalidInputError):
-        split(small_dataset, 0.999, seed=0)
+    # the configured fraction is clamped so both parts keep a row ...
+    assert RunConfig(split_fraction=0.01).split_index(small_dataset.n) == 1
+    assert RunConfig(split_fraction=0.999).split_index(small_dataset.n) == small_dataset.n - 1
+    # ... and an explicit index that empties a part is refused
+    for m in (0, small_dataset.n):
+        with pytest.raises(InvalidInputError):
+            split_cp(small_dataset, m, RidgeModel(0.5), ABS, 0.1)

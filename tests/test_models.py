@@ -13,7 +13,6 @@ from stabcp import (
     TabularDataset,
     build_interpolated_model,
     gen_linear_gaussian,
-    predict,
     ridge_coefficients,
 )
 from stabcp.harness import RunConfig
@@ -52,7 +51,7 @@ def test_ridge_candidate_slope_matches_two_refits():
     lam = 0.4
     fitted0 = RidgeModel(lam).fit(ds, 0.0)
     fitted1 = RidgeModel(lam).fit(ds, 1.0)
-    _, b = fitted0.linear_response(ds.test_point)
+    b = ds.test_point @ fitted0.beta_candidate
     assert b == pytest.approx(fitted1.mu_test - fitted0.mu_test, abs=1e-10)
 
 
@@ -60,7 +59,8 @@ def test_ridge_affine_in_candidate(small_dataset):
     lam = 0.3
     rng = np.random.default_rng(8)
     fitted = RidgeModel(lam).fit(small_dataset, 0.0)
-    a, b = fitted.linear_response(small_dataset.test_point)
+    x = small_dataset.test_point
+    a, b = x @ fitted.beta_base, x @ fitted.beta_candidate
     for _ in range(100):
         z1, z2 = rng.uniform(-5, 5, size=2)
         m1 = RidgeModel(lam).fit(small_dataset, z1).mu_test
@@ -143,30 +143,43 @@ def test_lad_rejects_bad_settings():
 
 def test_predict_zero_coefficients(tiny_dataset):
     fitted = PretrainedLinearModel(np.zeros(2)).fit(tiny_dataset, 0.0)
-    assert predict(fitted, np.array([3.0, -4.0])) == 0.0
+    assert fitted.predict(np.array([3.0, -4.0])) == 0.0
+    assert fitted.predict_rows(tiny_dataset.features).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_predict_basis_vector_picks_coordinate(tiny_dataset):
-    fitted = PretrainedLinearModel(np.array([1.0, 0.0])).fit(tiny_dataset, 0.0)
-    assert predict(fitted, np.array([2.5, 9.0])) == 2.5
+    spec = PretrainedLinearModel(np.array([1.0, 0.0]))
+    # frozen coefficients: the unfitted model predicts, and fitting changes nothing
+    for model in (spec, spec.fit(tiny_dataset, 0.0), spec.fit_rows(None, None)):
+        assert model.predict(np.array([2.5, 9.0])) == 2.5
+        assert model.predict_rows(tiny_dataset.features).tolist() == [1.0, 0.0, 1.0]
 
 
 def test_predict_matches_linear_response(small_dataset):
     z = 1.3
     fitted = RidgeModel(0.2).fit(small_dataset, z)
-    a, b = fitted.linear_response(small_dataset.test_point)
-    assert predict(fitted, small_dataset.test_point) == pytest.approx(a + b * z, abs=1e-10)
+    x = small_dataset.test_point
+    a, b = x @ fitted.beta_base, x @ fitted.beta_candidate
+    assert fitted.predict(x) == pytest.approx(a + b * z, abs=1e-10)
+    assert fitted.predict_rows(small_dataset.augmented_design()) == pytest.approx(
+        fitted.row_predictions, abs=1e-12)
 
 
 def test_predict_dimension_mismatch(small_dataset):
-    fitted = RidgeModel(0.2).fit(small_dataset, 0.0)
-    with pytest.raises(InvalidInputError):
-        predict(fitted, np.ones(small_dataset.p + 1))
+    for fitted in (RidgeModel(0.2).fit(small_dataset, 0.0),
+                   LadRidgeModel(0.2).fit_rows(small_dataset.features, small_dataset.targets),
+                   PretrainedLinearModel(np.zeros(small_dataset.p))):
+        for x in (np.ones(small_dataset.p + 1), np.ones(small_dataset.p - 1)):
+            with pytest.raises(InvalidInputError):
+                fitted.predict(x)
 
 
 def test_predict_before_fit_raises(small_dataset):
-    with pytest.raises(NotFittedError):
-        RidgeModel(0.1).predict(np.ones(small_dataset.p))
+    for spec in (RidgeModel(0.1), LadRidgeModel(0.1)):
+        with pytest.raises(NotFittedError):
+            spec.predict(np.ones(small_dataset.p))
+        with pytest.raises(NotFittedError):
+            spec.predict_rows(small_dataset.features)
 
 
 # --------------------------------------------------- interpolated model
@@ -175,7 +188,7 @@ def test_interpolated_exact_at_anchor(small_dataset):
     spec = RidgeModel(0.5)
     interp = build_interpolated_model(small_dataset, [-1.0, 0.0, 1.0], -3.0, 3.0, spec)
     direct = spec.fit(small_dataset, 0.0)
-    assert interp.mu_test_at(0.0) == pytest.approx(direct.mu_test, abs=1e-12)
+    assert interp.row_predictions_at(0.0)[-1] == pytest.approx(direct.mu_test, abs=1e-12)
     assert np.allclose(interp.row_predictions_at(-1.0),
                        spec.fit(small_dataset, -1.0).row_predictions, atol=1e-12)
 
@@ -185,7 +198,8 @@ def test_interpolated_midpoint_averages_anchors(small_dataset):
     interp = build_interpolated_model(small_dataset, [-1.0, 1.0], -3.0, 3.0, spec)
     left = spec.fit(small_dataset, -1.0).mu_test
     right = spec.fit(small_dataset, 1.0).mu_test
-    assert interp.mu_test_at(0.0) == pytest.approx(0.5 * (left + right), abs=1e-12)
+    assert interp.row_predictions_at(0.0)[-1] == pytest.approx(0.5 * (left + right),
+                                                               abs=1e-12)
 
 
 def test_interpolated_matches_refit_for_affine_base(small_dataset):
@@ -201,9 +215,9 @@ def test_interpolated_continuous_across_knots(small_dataset):
     spec = RidgeModel(0.5)
     interp = build_interpolated_model(small_dataset, [-1.0, 0.0, 1.5], -3.0, 3.0, spec)
     for knot in interp.knots:
-        below = interp.mu_test_at(knot - 1e-10)
-        above = interp.mu_test_at(knot + 1e-10)
-        assert abs(above - below) < 1e-9
+        below = interp.row_predictions_at(knot - 1e-10)
+        above = interp.row_predictions_at(knot + 1e-10)
+        assert np.max(np.abs(above - below)) < 1e-9
 
 
 def test_interpolated_rejects_unsorted_anchors(small_dataset):
@@ -218,10 +232,6 @@ def test_interpolated_fit_count_is_anchors_plus_two(small_dataset):
     spec = RidgeModel(0.5)
     interp = build_interpolated_model(small_dataset, [-1.0, 0.0, 1.0], -3.0, 3.0, spec)
     assert interp.fit_count == 5
-    assert predict(interp, small_dataset.test_point, candidate=0.25) == pytest.approx(
-        interp.mu_test_at(0.25), abs=1e-12)
-    with pytest.raises(InvalidInputError):
-        predict(interp, small_dataset.test_point)
 
 
 def test_interpolated_model_requires_enough_knots(small_dataset):

@@ -19,7 +19,6 @@ from stabcp import (
     conformity_scores,
     gen_linear_gaussian,
     load_tau_csv,
-    scaled_absolute_loss,
     scaled_squared_loss,
     tau_auto,
     tau_interpolated,
@@ -133,7 +132,7 @@ def test_ridge_deviations_within_smooth_bound():
     spec = RidgeModel(lam)
     m = ds.n + 1
     z_range = ds.target_range()
-    C = bound_loss_C(ds, scaled_squared_loss, z_range=z_range)
+    C = bound_loss_C(ds, z_range=z_range)
     bounds = tau_regularized_smooth(ABS.gamma, 2.0 / m, C, 1.0, 2.0 * lam,
                                     augmented_row_norms(ds), candidate_range=z_range)
     # exact deviations via the affine-in-candidate decomposition
@@ -146,20 +145,23 @@ def test_ridge_deviations_within_smooth_bound():
 
 def test_loss_bound_endpoint_evaluation():
     ds = TabularDataset(np.ones((2, 1)), np.array([1.0, -1.0]), np.ones(1))
-    C = bound_loss_C(ds, scaled_squared_loss, z_range=(-1.0, 1.0))
+    C = bound_loss_C(ds, z_range=(-1.0, 1.0))
     assert C == pytest.approx(1.0)
 
 
 def test_loss_bound_degenerate_zero():
     ds = TabularDataset(np.ones((2, 1)), np.zeros(2), np.ones(1))
-    assert bound_loss_C(ds, scaled_squared_loss, z_range=(0.0, 0.0)) == 0.0
+    assert bound_loss_C(ds, z_range=(0.0, 0.0)) == 0.0
 
 
 def test_loss_bound_grid_matches_endpoints_for_convex_loss():
+    # the scaled squared loss is convex in the candidate: a dense grid finds
+    # no larger value than the endpoints that bound_loss_C evaluates
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 30, 100, 1.0, 3))
-    endpoint = bound_loss_C(ds, scaled_absolute_loss, convex_in_z=True)
-    grid = bound_loss_C(ds, scaled_absolute_loss, convex_in_z=False, grid_points=1000)
-    assert grid == pytest.approx(endpoint, rel=1e-12)
+    zeros = np.zeros(ds.n + 1)
+    grid = max(scaled_squared_loss(ds.augmented_targets(z), zeros)
+               for z in np.linspace(*ds.target_range(), 1000))
+    assert grid == pytest.approx(bound_loss_C(ds), rel=1e-12)
 
 
 # ------------------------------------------------------------- heuristic
