@@ -1,6 +1,7 @@
 """Where the stability bounds come from, and how tight each recipe is.
 
-Builds every bound the package knows for one dataset and checks them against
+Builds every bound the package knows for one dataset (the two regularized
+bounds through each model's ``stability_bound``) and checks them against
 the measured worst-case score deviations, illustrating which are sound
 guarantees and which are order-of-magnitude heuristics.
 """
@@ -13,11 +14,8 @@ from stabcp import (
     RidgeModel,
     ScoreFunction,
     augmented_row_norms,
-    bound_loss_C,
     gen_linear_gaussian,
     tau_linear_exact,
-    tau_regularized_lipschitz,
-    tau_regularized_smooth,
     tau_sgd_heuristic,
 )
 
@@ -26,7 +24,6 @@ dataset = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 60, 5, 1.0, seed=
 lam = 0.5
 z_range = dataset.target_range()
 norms = augmented_row_norms(dataset)
-m = dataset.n + 1
 
 ridge = RidgeModel(lam)
 lad = LadRidgeModel(lam, solver_tol=1e-10)
@@ -42,17 +39,14 @@ def measured_deviation(spec):
 print(f"dataset: n={dataset.n}, p={dataset.p}, candidate range "
       f"[{z_range[0]:+.2f}, {z_range[1]:+.2f}]\n")
 
-# ridge: exact affine bound and the smooth-loss bound
+# ridge: exact affine bound, and the smooth-loss bound the model builds itself
 ridge_fit = ridge.fit(dataset, 0.0)
 exact = tau_linear_exact(ridge_fit, dataset, z_range=z_range)
-C = bound_loss_C(dataset, z_range=z_range)
-smooth = tau_regularized_smooth(score.gamma, 2.0 / m, C, 1.0, 2.0 * lam, norms)
+smooth = ridge.stability_bound(dataset, score, z_range)
 ridge_dev = measured_deviation(ridge)
 
-# L1 model: the Lipschitz-loss bound with the replace-one constant
-constants = lad.regularity(dataset)
-lipschitz = tau_regularized_lipschitz(score.gamma, constants.rho, constants.l_phi,
-                                      constants.lambda_sc, norms)
+# L1 model: its own Lipschitz-loss bound, with the replace-one constant
+lipschitz = lad.stability_bound(dataset, score, z_range)
 lad_dev = measured_deviation(lad)
 
 # the iteration-count heuristic, marked unsafe

@@ -46,7 +46,6 @@ from .models import (
     InterpolatedModel,
     LadRidgeModel,
     PretrainedLinearModel,
-    RegularityConstants,
     RidgeModel,
     build_interpolated_model,
     ridge_coefficients,
@@ -57,7 +56,6 @@ from .stability import (
     bound_loss_C,
     load_tau_csv,
     scaled_squared_loss,
-    tau_auto,
     tau_interpolated,
     tau_linear_exact,
     tau_regularized_lipschitz,

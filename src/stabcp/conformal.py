@@ -78,24 +78,18 @@ class MethodReport:
 class ConformityBounds:
     """Score envelopes around one anchor fit.
 
-    The envelopes of the observed rows do not depend on the probed candidate;
-    only the query-point envelope does, and it is materialized on demand from
-    the anchor prediction.  ``upper - lower == 2 * tau`` rowwise.
+    The envelopes of the observed rows do not depend on the probed candidate
+    and are kept sorted; only the query-point envelope depends on it, and it
+    is materialized on demand from the anchor prediction.
     """
 
     anchor: float
-    lower: np.ndarray
-    upper: np.ndarray
+    lower_sorted: np.ndarray
+    upper_sorted: np.ndarray
     mu_test: float
     tau_test: float
     score: ScoreFunction
     n: int
-    lower_sorted: np.ndarray = None
-    upper_sorted: np.ndarray = None
-
-    def __post_init__(self):
-        self.lower_sorted = np.sort(self.lower)
-        self.upper_sorted = np.sort(self.upper)
 
     @classmethod
     def from_scores(cls, anchor: float, observed, mu_test: float,
@@ -108,8 +102,8 @@ class ConformityBounds:
             raise InvalidInputError(f"tau has {tau_arr.size} entries, expected {n + 1}")
         return cls(
             anchor=float(anchor),
-            lower=observed - tau_arr[:-1],
-            upper=observed + tau_arr[:-1],
+            lower_sorted=np.sort(observed - tau_arr[:-1]),
+            upper_sorted=np.sort(observed + tau_arr[:-1]),
             mu_test=float(mu_test),
             tau_test=float(tau_arr[-1]),
             score=score,
@@ -140,7 +134,8 @@ def anchor_bounds(dataset: TabularDataset, anchor: float, model_spec,
     """Fit once at the anchor and build the score envelopes (one fit total)."""
     fitted = model_spec.fit(dataset, anchor)
     scores = conformity_scores(dataset, anchor, fitted, score)
-    bounds = ConformityBounds.from_scores(anchor, scores[:-1], fitted.mu_test, tau, score)
+    bounds = ConformityBounds.from_scores(anchor, scores[:-1], fitted.row_predictions[-1],
+                                          tau, score)
     return bounds, fitted
 
 
@@ -436,7 +431,7 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
     fitted = model_spec.fit(dataset, true_target)
     scores = conformity_scores(dataset, true_target, fitted, score)
     threshold = _score_threshold(np.sort(scores[:-1]), 0.0, alpha)
-    prediction_set = sublevel_set(score, fitted.mu_test, threshold, alpha,
+    prediction_set = sublevel_set(score, fitted.row_predictions[-1], threshold, alpha,
                                   dataset.target_range(), "oraclecp", _EPS_R)
     return _report(prediction_set, dataset, 1, started, anchor=true_target)
 

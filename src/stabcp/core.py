@@ -207,7 +207,7 @@ def conformity_scores(dataset: TabularDataset, candidate: float, model, score: S
     Entry ``i < n`` is ``S(y_i, mu(x_i))``; the last entry scores the
     candidate against the model's prediction at the query point.
     """
-    if not getattr(model, "fitted", False):
+    if getattr(model, "row_predictions", None) is None:
         raise NotFittedError("model must be fitted on the augmented data first")
     preds = np.asarray(model.row_predictions, dtype=float)
     if preds.shape != (dataset.n + 1,):

@@ -24,11 +24,11 @@ from .conformal import (
     split_cp,
     stab_cp_interval,
 )
-from .core import ScoreFunction, TabularDataset, default_candidate_grid
+from .core import ScoreFunction, TabularDataset, check_alpha, default_candidate_grid
 from .data import GeneratorSpec, dataset_from_rows, generate
 from .errors import InvalidInputError
 from .models import LadRidgeModel, RidgeModel, build_interpolated_model
-from .stability import tau_auto, tau_interpolated, tau_linear_exact, tau_sgd_heuristic
+from .stability import tau_interpolated, tau_linear_exact, tau_sgd_heuristic
 from .stability import augmented_row_norms, load_tau_csv
 
 METHOD_NAMES = ("stabcp", "splitcp", "oraclecp", "rootcp", "gridcp", "interpcp")
@@ -65,6 +65,15 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise InvalidInputError(f"unknown model {self.model!r}")
+        self.model_spec()  # checks lambda_reg, solver_tol and max_iter
+        check_alpha(self.alpha)
+        if not self.eps_r > 0:
+            raise InvalidInputError(f"eps_r must be positive, got {self.eps_r}")
+        if self.grid_size < 1 or self.n_anchors < 1:
+            raise InvalidInputError("grid_size and n_anchors must be at least 1")
+        if not 0 < self.split_fraction < 1:
+            raise InvalidInputError(
+                f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         if self.tau_source not in TAU_SOURCES:
             raise InvalidInputError(f"unknown tau source {self.tau_source!r}")
         if self.tau_source == "sgd-heuristic" and not self.allow_unsafe_tau:
@@ -78,8 +87,10 @@ class RunConfig:
             try:
                 anchor = 0.0 if self.anchor == "zero" else float(self.anchor)
             except (TypeError, ValueError):
+                anchor = np.nan
+            if not np.isfinite(anchor):
                 raise InvalidInputError(
-                    f"anchor must be 'auto', 'zero' or a number, got {self.anchor!r}") from None
+                    f"anchor must be 'auto', 'zero' or a finite number, got {self.anchor!r}")
             object.__setattr__(self, "anchor", anchor)
 
     def model_spec(self):
@@ -97,7 +108,7 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
     spec = config.model_spec()
     z_range = dataset.target_range()
     if config.tau_source == "auto":
-        return tau_auto(spec, dataset, score, z_range=z_range), 0
+        return spec.stability_bound(dataset, score, z_range), 0
     if config.tau_source == "linear-exact":
         fitted = spec.fit(dataset, 0.0)
         return tau_linear_exact(fitted, dataset, z_range=z_range, gamma=score.gamma), 1

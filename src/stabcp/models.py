@@ -1,10 +1,21 @@
-"""Symmetric regression fitters with declared regularity constants.
+"""Symmetric regression fitters and the stability bounds they support.
+
+Every model follows one protocol:
+
+- ``fit(dataset, candidate)`` fits on the n+1 augmented rows and returns a
+  model whose ``row_predictions`` hold the predictions at those rows, query
+  row last;
+- ``fit_rows(X, y)`` fits on the given rows only and returns a model whose
+  ``coefficients`` serve ``predict``/``predict_rows``;
+- ``stability_bound(dataset, score, z_range)`` returns the per-row
+  :class:`~stabcp.stability.StabilityBounds` the model's loss and penalty
+  give over the candidate range.
 
 All fitters treat the rows exchangeably: the objective is a sum over rows, so
 permuting the observed pairs leaves the fit unchanged (up to solver tolerance
 for the iterative one).  Losses carry the explicit ``1/m`` scaling, with
-``m`` the number of rows entering the fit; the constants declared through
-:class:`RegularityConstants` assume that convention.
+``m`` the number of rows entering the fit; the stability bounds assume that
+convention.
 
 No intercept is added implicitly: append a constant feature column if one is
 wanted.  This keeps the row norms entering the stability bounds honest.
@@ -13,53 +24,28 @@ wanted.  This keeps the row norms entering the stability bounds honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TabularDataset, _as_finite_array
 from .errors import InvalidInputError, NotFittedError, NumericalError
+from .stability import (
+    StabilityBounds,
+    augmented_row_norms,
+    bound_loss_C,
+    tau_regularized_lipschitz,
+    tau_regularized_smooth,
+)
 
 
-@dataclass(frozen=True)
-class RegularityConstants:
-    """Regularity constants a model declares for the stability bounds.
-
-    ``None`` marks a constant the model does not provide (e.g. the squared
-    loss has no global Lipschitz constant).
-
-    Attributes
-    ----------
-    rho : float or None
-        Lipschitz constant of the total loss in the prediction vector
-        (Euclidean norm).
-    lambda_sc : float
-        Strong-convexity modulus of the regularizer (``c * ||b||^2`` is
-        ``2c``-strongly convex).
-    nu : float or None
-        Smoothness constant of the loss; ``None``/0 means not smooth.
-    loss_bound_C : float or None
-        Uniform bound on the optimal loss over the candidate range.
-    l_phi : float
-        Lipschitz factor of the feature map relative to ``x^T beta``
-        (1 for linear models).
-    """
-
-    rho: float | None = None
-    lambda_sc: float = 0.0
-    nu: float | None = None
-    loss_bound_C: float | None = None
-    l_phi: float = 1.0
-
-    def __post_init__(self):
-        for name in ("rho", "nu", "loss_bound_C"):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value < 0):
-                raise InvalidInputError(f"{name} must be a finite nonnegative real")
-        if not math.isfinite(self.lambda_sc) or self.lambda_sc < 0:
-            raise InvalidInputError("lambda_sc must be a finite nonnegative real")
-        if not math.isfinite(self.l_phi) or self.l_phi <= 0:
-            raise InvalidInputError("l_phi must be a finite positive real")
+def _solve_normal_equations(X: np.ndarray, rhs: np.ndarray, lambda_reg: float) -> np.ndarray:
+    """Solve ``(X^T X + m * lambda_reg * I) beta = rhs`` for ``m = len(X)``."""
+    m, p = X.shape
+    gram = X.T @ X + m * lambda_reg * np.eye(p)
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"normal equations are singular: {exc}") from exc
 
 
 def ridge_coefficients(X, y, lambda_reg: float) -> np.ndarray:
@@ -75,12 +61,7 @@ def ridge_coefficients(X, y, lambda_reg: float) -> np.ndarray:
     lambda_reg = float(lambda_reg)
     if lambda_reg < 0:
         raise InvalidInputError("lambda_reg must be nonnegative")
-    m, p = X.shape
-    gram = X.T @ X + m * lambda_reg * np.eye(p)
-    try:
-        return np.linalg.solve(gram, X.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"normal equations are singular: {exc}") from exc
+    return _solve_normal_equations(X, X.T @ y, lambda_reg)
 
 
 class LinearModel:
@@ -122,58 +103,36 @@ class RidgeModel(LinearModel):
         if lambda_reg < 0 or not math.isfinite(lambda_reg):
             raise InvalidInputError("lambda_reg must be a finite nonnegative real")
         self.lambda_reg = lambda_reg
-        self.fitted = False
         self.coefficients = None
-        self.beta_base = None
-        self.beta_candidate = None
-        self.row_predictions = None
-        self.row_b = None
-        self.mu_test = None
-        self.candidate = None
-
-    def _new(self) -> "RidgeModel":
-        return RidgeModel(self.lambda_reg)
 
     def fit_rows(self, X, y) -> "RidgeModel":
         """Plain fit on the given rows, no augmentation."""
-        model = self._new()
+        model = RidgeModel(self.lambda_reg)
         model.coefficients = ridge_coefficients(X, y, self.lambda_reg)
-        model.fitted = True
         return model
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "RidgeModel":
         """Fit on the augmented data and cache the affine-in-z decomposition."""
         X = dataset.augmented_design()
         y0 = np.append(dataset.targets, 0.0)
-        m, p = X.shape
-        gram = X.T @ X + m * self.lambda_reg * np.eye(p)
         rhs = np.column_stack([X.T @ y0, dataset.test_point])
-        try:
-            solved = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"normal equations are singular: {exc}") from exc
-        model = self._new()
-        candidate = float(candidate)
+        solved = _solve_normal_equations(X, rhs, self.lambda_reg)
+        model = RidgeModel(self.lambda_reg)
         model.beta_base = solved[:, 0]
         model.beta_candidate = solved[:, 1]
-        model.coefficients = model.beta_base + candidate * model.beta_candidate
+        model.coefficients = model.beta_base + float(candidate) * model.beta_candidate
         model.row_predictions = X @ model.coefficients
         model.row_b = X @ model.beta_candidate
-        model.mu_test = float(model.row_predictions[-1])
-        model.candidate = candidate
-        model.fitted = True
         return model
 
-    def regularity(self, dataset: TabularDataset) -> RegularityConstants:
-        """Smooth-loss constants: the scaled squared loss is 2/m-smooth."""
-        m = dataset.n + 1
-        return RegularityConstants(
-            rho=None,
-            lambda_sc=2.0 * self.lambda_reg,
-            nu=2.0 / m,
-            loss_bound_C=None,
-            l_phi=1.0,
-        )
+    def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
+        """The smooth-loss bound: the scaled squared loss is ``2/m``-smooth, the
+        penalty ``2*lambda_reg``-strongly convex, and ``bound_loss_C`` bounds
+        the optimal loss over ``z_range``."""
+        return tau_regularized_smooth(score.gamma, 2.0 / (dataset.n + 1),
+                                      bound_loss_C(dataset, z_range=z_range), 1.0,
+                                      2.0 * self.lambda_reg, augmented_row_norms(dataset),
+                                      candidate_range=z_range)
 
 
 class LadRidgeModel(LinearModel):
@@ -202,19 +161,7 @@ class LadRidgeModel(LinearModel):
         self.lambda_reg = lambda_reg
         self.solver_tol = solver_tol
         self.max_iter = int(max_iter)
-        self.fitted = False
         self.coefficients = None
-        self.row_predictions = None
-        self.mu_test = None
-        self.candidate = None
-        self.objective = None
-        self.duality_gap = None
-        self.converged = None
-        self.iterations = None
-        self.accepted_objectives = None
-
-    def _new(self) -> "LadRidgeModel":
-        return LadRidgeModel(self.lambda_reg, self.solver_tol, self.max_iter)
 
     def _objective(self, X, y, beta) -> float:
         m = y.shape[0]
@@ -230,7 +177,7 @@ class LadRidgeModel(LinearModel):
         if X.shape[0] != y.shape[0]:
             raise InvalidInputError("X and y row counts differ")
         m, p = X.shape
-        model = self._new()
+        model = LadRidgeModel(self.lambda_reg, self.solver_tol, self.max_iter)
 
         beta = np.zeros(p)
         best_beta = beta.copy()
@@ -292,7 +239,6 @@ class LadRidgeModel(LinearModel):
         model.converged = best_gap <= self.solver_tol
         model.iterations = iterations
         model.accepted_objectives = accepted
-        model.fitted = True
         return model
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "LadRidgeModel":
@@ -300,28 +246,22 @@ class LadRidgeModel(LinearModel):
         y = dataset.augmented_targets(candidate)
         model = self.fit_rows(X, y)
         model.row_predictions = X @ model.coefficients
-        model.mu_test = float(model.row_predictions[-1])
-        model.candidate = float(candidate)
         return model
 
-    def regularity(self, dataset: TabularDataset) -> RegularityConstants:
-        """Lipschitz-loss constant for candidate changes.
+    def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
+        """The Lipschitz-loss bound for candidate changes.
 
         Only the query row's term of the scaled L1 loss moves with the
         candidate, and that term is ``||x_query|| / m``-Lipschitz in the
-        coefficients.  (The naive whole-loss constant ``1/sqrt(m)`` is NOT
-        sound here: the query row's leverage can exceed it, and measured
-        deviations do cross that smaller bound.)
+        coefficients; the penalty is ``2*lambda_reg``-strongly convex.  (The
+        naive whole-loss constant ``1/sqrt(m)`` is NOT sound here: the query
+        row's leverage can exceed it, and measured deviations do cross that
+        smaller bound.)
         """
-        m = dataset.n + 1
-        query_norm = float(np.linalg.norm(dataset.test_point))
-        return RegularityConstants(
-            rho=query_norm / m,
-            lambda_sc=2.0 * self.lambda_reg,
-            nu=0.0,
-            loss_bound_C=None,
-            l_phi=1.0,
-        )
+        rho = float(np.linalg.norm(dataset.test_point)) / (dataset.n + 1)
+        return tau_regularized_lipschitz(score.gamma, rho, 1.0, 2.0 * self.lambda_reg,
+                                         augmented_row_norms(dataset),
+                                         candidate_range=z_range)
 
 
 class PretrainedLinearModel(LinearModel):
@@ -334,23 +274,13 @@ class PretrainedLinearModel(LinearModel):
 
     def __init__(self, coefficients):
         self.coefficients = _as_finite_array(coefficients, "coefficients", 1)
-        self.fitted = False
-        self.row_predictions = None
-        self.mu_test = None
-        self.candidate = None
 
     def fit_rows(self, X, y) -> "PretrainedLinearModel":
-        model = PretrainedLinearModel(self.coefficients)
-        model.fitted = True
-        return model
+        return self
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "PretrainedLinearModel":
         model = PretrainedLinearModel(self.coefficients)
-        X = dataset.augmented_design()
-        model.row_predictions = X @ model.coefficients
-        model.mu_test = float(model.row_predictions[-1])
-        model.candidate = float(candidate)
-        model.fitted = True
+        model.row_predictions = dataset.augmented_design() @ self.coefficients
         return model
 
 
@@ -377,7 +307,6 @@ class InterpolatedModel:
             [np.asarray(m.row_predictions, dtype=float) for m in knot_models]
         )
         self.fit_count = knots.size
-        self.fitted = True
 
     def _segment(self, z: float) -> tuple[int, float]:
         """Segment index and left-knot weight; weights leave [0,1] outside the range."""

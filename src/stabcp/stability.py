@@ -2,8 +2,12 @@
 
 Each constructor returns a :class:`StabilityBounds` holding one bound per
 augmented row (the last entry belongs to the query point) together with its
-provenance.  Bounds derived from regularity constants are coverage-safe; the
-iteration-count heuristic is not and is flagged so reports can quarantine it.
+provenance.  The constructors take the regularity constants of a loss and a
+penalty as plain numbers; each model in :mod:`stabcp.models` picks its own
+recipe and constants in ``stability_bound`` (ridge: the smooth-loss bound,
+LAD-ridge: the Lipschitz-loss bound).  Bounds derived from regularity
+constants are coverage-safe; the iteration-count heuristic is not and is
+flagged so reports can quarantine it.
 """
 
 from __future__ import annotations
@@ -249,27 +253,3 @@ def load_tau_csv(path) -> StabilityBounds:
         raise DataError(f"{path}: need at least two tau values")
     return tau_user_supplied(values)
 
-
-def tau_auto(model_spec, dataset: TabularDataset, score, z_range=None) -> StabilityBounds:
-    """Bounds from the constants the model declares.
-
-    Lipschitz-loss models get the per-row Lipschitz bound; smooth-loss models
-    get the smooth bound with the loss bound taken at the zero prediction over
-    the candidate range.
-    """
-    if z_range is None:
-        z_range = dataset.target_range()
-    constants = model_spec.regularity(dataset)
-    norms = augmented_row_norms(dataset)
-    if constants.rho is not None and constants.rho > 0:
-        return tau_regularized_lipschitz(score.gamma, constants.rho, constants.l_phi,
-                                         constants.lambda_sc, norms,
-                                         candidate_range=z_range)
-    if constants.nu is not None and constants.nu > 0:
-        C = constants.loss_bound_C
-        if C is None:
-            C = bound_loss_C(dataset, z_range=z_range)
-        return tau_regularized_smooth(score.gamma, constants.nu, C, constants.l_phi,
-                                      constants.lambda_sc, norms,
-                                      candidate_range=z_range)
-    raise InvalidInputError("model declares neither a Lipschitz nor a smooth loss constant")

@@ -32,18 +32,9 @@ class ClipModel:
 
     def __init__(self, lam_pred=0.05):
         self.lam_pred = lam_pred
-        self.fitted = False
-        self.row_predictions = None
-        self.mu_test = None
-        self.candidate = None
 
     def fit(self, dataset, candidate):
         model = ClipModel(self.lam_pred)
-        m = dataset.n + 1
-        bound = 1.0 / (m * self.lam_pred)
-        q = dataset.augmented_targets(candidate)
-        model.row_predictions = np.clip(q, -bound, bound)
-        model.mu_test = float(model.row_predictions[-1])
-        model.candidate = float(candidate)
-        model.fitted = True
+        bound = 1.0 / ((dataset.n + 1) * self.lam_pred)
+        model.row_predictions = np.clip(dataset.augmented_targets(candidate), -bound, bound)
         return model

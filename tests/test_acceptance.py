@@ -34,16 +34,12 @@ from stabcp import (
     split_cp,
     stab_cp_bisection,
     stab_cp_interval,
-    tau_auto,
     tau_interpolated,
     tau_linear_exact,
-    tau_regularized_lipschitz,
-    tau_regularized_smooth,
     tau_strongly_convex,
     tau_user_supplied,
 )
 from stabcp.harness import RunConfig, run_benchmark, run_method, synthetic_source
-from stabcp.stability import augmented_row_norms, bound_loss_C
 
 from conftest import ClipModel
 
@@ -179,7 +175,7 @@ def test_criterion_06_gap_shrinks_with_sample_size():
         for seed in seeds:
             ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, 100, 1.0, seed))
             spec = LadRidgeModel(0.5)
-            tau = tau_auto(spec, ds, ABS)
+            tau = spec.stability_bound(ds, ABS, ds.target_range())
             bounds, _ = anchor_bounds(ds, 0.0, spec, ABS, tau)
             grid = default_candidate_grid(ds, 200)
             gaps = [bounds.pi_bounds_at(z).gap for z in grid]
@@ -211,18 +207,13 @@ def test_criterion_07_stability_bounds_sound_everywhere():
     # Lipschitz-loss bound with the L1 model
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 40, 30, 1.0, 11))
     spec = LadRidgeModel(0.5, solver_tol=1e-10)
-    constants = spec.regularity(ds)
-    tau = tau_regularized_lipschitz(ABS.gamma, constants.rho, constants.l_phi,
-                                    constants.lambda_sc, augmented_row_norms(ds))
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     check("regularized-lipschitz/ladridge", ds, spec, tau)
 
     # smooth-loss bound with ridge
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 3, 1.0, 12))
     spec = RidgeModel(0.5)
-    constants = spec.regularity(ds)
-    C = bound_loss_C(ds)
-    tau = tau_regularized_smooth(ABS.gamma, constants.nu, C, constants.l_phi,
-                                 constants.lambda_sc, augmented_row_norms(ds))
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     check("regularized-smooth/ridge", ds, spec, tau)
 
     # exact affine bound with ridge

@@ -141,7 +141,7 @@ def test_predict_reports_tau_coverage_safe(generated, capsys):
         assert json.loads(out)["tau_coverage_safe"] is expected
 
 
-@pytest.mark.parametrize("anchor", ["abc", ""])
+@pytest.mark.parametrize("anchor", ["abc", "", "nan", "inf"])
 def test_predict_rejects_unparsable_anchor(generated, capsys, anchor):
     code, _, err = run_cli(capsys, "predict", "--data", str(generated), "--anchor", anchor)
     assert code == 1
@@ -158,11 +158,20 @@ def test_run_config_refuses_heuristic_bounds_without_opt_in():
         config.allow_unsafe_tau = False
 
 
-# settings that no dataset can turn into a bound: (RunConfig fields, CLI flags)
+# settings that no dataset can turn into a bound or a set, out-of-range
+# numbers included: (RunConfig fields, CLI flags)
 UNBUILDABLE_TAU = {
     "file-without-path": (dict(tau_source="file"), ("--tau", "file")),
     "linear-exact-on-lad": (dict(model="ladridge", tau_source="linear-exact"),
                             ("--model", "ladridge", "--tau", "linear-exact")),
+    "alpha-above-one": (dict(alpha=1.5), ("--alpha", "1.5")),
+    "negative-eps-r": (dict(eps_r=-1.0), ("--eps-r", "-1")),
+    "no-anchors": (dict(n_anchors=0), ("--n-anchors", "0")),
+    "empty-grid": (dict(grid_size=0), ("--grid-size", "0")),
+    "split-fraction-one": (dict(split_fraction=1.0), ("--split-fraction", "1")),
+    "negative-lambda": (dict(lambda_reg=-1.0), ("--lambda-reg", "-1")),
+    "lad-without-penalty": (dict(model="ladridge", lambda_reg=0.0),
+                            ("--model", "ladridge", "--lambda-reg", "0")),
 }
 
 

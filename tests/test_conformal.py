@@ -54,7 +54,7 @@ def zero_model_dataset(targets, test_value=0.3):
 
 def envelope_at(z, anchor, fitted, observed_scores, tau):
     """Envelope values at z of the anchor fit's observed scores."""
-    bounds = ConformityBounds.from_scores(anchor, observed_scores, fitted.mu_test, tau, ABS)
+    bounds = ConformityBounds.from_scores(anchor, observed_scores, fitted.row_predictions[-1], tau, ABS)
     return bounds.pi_bounds_at(z)
 
 
@@ -111,7 +111,7 @@ def test_pi_bounds_selection_matches_observed_row_sum():
     v = (1 - 0.1) * (ds.n + 1)
     for z in np.linspace(*ds.target_range(), 40):
         pb = envelope_at(z, 0.0, fitted, scores, tau)
-        test_low = ABS.evaluate(z, fitted.mu_test) - tau.tau_test
+        test_low = ABS.evaluate(z, fitted.row_predictions[-1]) - tau.tau_test
         observed_sum = int(np.count_nonzero(upper <= test_low))
         assert pb.n_up == observed_sum  # query-row indicator contributes 0
         assert (pb.up >= 0.1 - 1e-12) == (observed_sum <= v + 1e-9)
@@ -646,7 +646,7 @@ def test_gap_shrinks_with_sample_size():
     for n in (30, 300):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, 100, 1.0, 5))
         spec = LadRidgeModel(0.5)
-        tau = stabcp.tau_auto(spec, ds, ABS)
+        tau = spec.stability_bound(ds, ABS, ds.target_range())
         bounds, _ = anchor_bounds(ds, 0.0, spec, ABS, tau)
         zs = np.linspace(*ds.target_range(), 100)
         values = [bounds.pi_bounds_at(z) for z in zs]

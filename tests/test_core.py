@@ -166,6 +166,10 @@ def test_scores_match_independent_ridge_refit():
 def test_scores_require_fitted_model(tiny_dataset):
     with pytest.raises(NotFittedError):
         conformity_scores(tiny_dataset, 0.0, RidgeModel(0.1), ABS)
+    # a fit on the observed rows alone has no augmented-row predictions
+    observed_only = RidgeModel(0.1).fit_rows(tiny_dataset.features, tiny_dataset.targets)
+    with pytest.raises(NotFittedError):
+        conformity_scores(tiny_dataset, 0.0, observed_only, ABS)
 
 
 # ------------------------------------------------------------ pi_exact

@@ -52,7 +52,7 @@ def test_ridge_candidate_slope_matches_two_refits():
     fitted0 = RidgeModel(lam).fit(ds, 0.0)
     fitted1 = RidgeModel(lam).fit(ds, 1.0)
     b = ds.test_point @ fitted0.beta_candidate
-    assert b == pytest.approx(fitted1.mu_test - fitted0.mu_test, abs=1e-10)
+    assert b == pytest.approx(fitted1.row_predictions[-1] - fitted0.row_predictions[-1], abs=1e-10)
 
 
 def test_ridge_affine_in_candidate(small_dataset):
@@ -63,8 +63,8 @@ def test_ridge_affine_in_candidate(small_dataset):
     a, b = x @ fitted.beta_base, x @ fitted.beta_candidate
     for _ in range(100):
         z1, z2 = rng.uniform(-5, 5, size=2)
-        m1 = RidgeModel(lam).fit(small_dataset, z1).mu_test
-        m2 = RidgeModel(lam).fit(small_dataset, z2).mu_test
+        m1 = RidgeModel(lam).fit(small_dataset, z1).row_predictions[-1]
+        m2 = RidgeModel(lam).fit(small_dataset, z2).row_predictions[-1]
         diff = m1 - m2
         expected = b * (z1 - z2)
         assert diff == pytest.approx(expected, rel=1e-8, abs=1e-12)
@@ -75,7 +75,7 @@ def test_ridge_permutation_symmetry(small_dataset):
     order = np.random.default_rng(0).permutation(small_dataset.n)
     f1 = RidgeModel(0.5).fit(small_dataset, 0.7)
     f2 = RidgeModel(0.5).fit(small_dataset.permuted(order), 0.7)
-    assert f1.mu_test == pytest.approx(f2.mu_test, abs=1e-10)
+    assert f1.row_predictions[-1] == pytest.approx(f2.row_predictions[-1], abs=1e-10)
 
 
 # ------------------------------------------------------------- lad-ridge
@@ -115,7 +115,7 @@ def test_lad_certificate_and_convergence_flag(small_dataset):
     assert fitted.converged
     assert fitted.duality_gap <= 1e-8
     starved = LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5).fit(small_dataset, 0.0)
-    assert starved.fitted and starved.converged is False
+    assert starved.row_predictions is not None and starved.converged is False
 
 
 def test_lad_permutation_symmetry_within_tolerance():
@@ -123,7 +123,7 @@ def test_lad_permutation_symmetry_within_tolerance():
     order = np.random.default_rng(1).permutation(ds.n)
     f1 = LadRidgeModel(0.5, solver_tol=1e-10).fit(ds, 0.3)
     f2 = LadRidgeModel(0.5, solver_tol=1e-10).fit(ds.permuted(order), 0.3)
-    assert f1.mu_test == pytest.approx(f2.mu_test, abs=1e-4)
+    assert f1.row_predictions[-1] == pytest.approx(f2.row_predictions[-1], abs=1e-4)
 
 
 def test_lad_default_iteration_cap_matches_run_config():
@@ -188,7 +188,7 @@ def test_interpolated_exact_at_anchor(small_dataset):
     spec = RidgeModel(0.5)
     interp = build_interpolated_model(small_dataset, [-1.0, 0.0, 1.0], -3.0, 3.0, spec)
     direct = spec.fit(small_dataset, 0.0)
-    assert interp.row_predictions_at(0.0)[-1] == pytest.approx(direct.mu_test, abs=1e-12)
+    assert interp.row_predictions_at(0.0)[-1] == pytest.approx(direct.row_predictions[-1], abs=1e-12)
     assert np.allclose(interp.row_predictions_at(-1.0),
                        spec.fit(small_dataset, -1.0).row_predictions, atol=1e-12)
 
@@ -196,8 +196,8 @@ def test_interpolated_exact_at_anchor(small_dataset):
 def test_interpolated_midpoint_averages_anchors(small_dataset):
     spec = RidgeModel(0.5)
     interp = build_interpolated_model(small_dataset, [-1.0, 1.0], -3.0, 3.0, spec)
-    left = spec.fit(small_dataset, -1.0).mu_test
-    right = spec.fit(small_dataset, 1.0).mu_test
+    left = spec.fit(small_dataset, -1.0).row_predictions[-1]
+    right = spec.fit(small_dataset, 1.0).row_predictions[-1]
     assert interp.row_predictions_at(0.0)[-1] == pytest.approx(0.5 * (left + right),
                                                                abs=1e-12)
 

@@ -20,7 +20,6 @@ from stabcp import (
     gen_linear_gaussian,
     load_tau_csv,
     scaled_squared_loss,
-    tau_auto,
     tau_interpolated,
     tau_linear_exact,
     tau_regularized_lipschitz,
@@ -94,10 +93,12 @@ def test_lad_score_deviations_within_lipschitz_bound():
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 30, 100, 1.0, 3))
     lam = 0.5
     spec = LadRidgeModel(lam, solver_tol=1e-10)
-    constants = spec.regularity(ds)
-    bounds = tau_regularized_lipschitz(ABS.gamma, constants.rho, constants.l_phi,
-                                       constants.lambda_sc, augmented_row_norms(ds))
     lo, hi = ds.target_range()
+    bounds = spec.stability_bound(ds, ABS, (lo, hi))
+    assert bounds.provenance == "regularized-lipschitz"
+    query_norm = float(np.linalg.norm(ds.test_point))
+    assert np.array_equal(bounds.tau, tau_regularized_lipschitz(
+        ABS.gamma, query_norm / (ds.n + 1), 1.0, 2.0 * lam, augmented_row_norms(ds)).tau)
     zs = np.linspace(lo, hi, 30)
     preds = np.vstack([spec.fit(ds, z).row_predictions for z in zs])
     deviations = preds.max(axis=0) - preds.min(axis=0)
@@ -135,6 +136,10 @@ def test_ridge_deviations_within_smooth_bound():
     C = bound_loss_C(ds, z_range=z_range)
     bounds = tau_regularized_smooth(ABS.gamma, 2.0 / m, C, 1.0, 2.0 * lam,
                                     augmented_row_norms(ds), candidate_range=z_range)
+    # the model's own bound is this one, bit for bit
+    own = spec.stability_bound(ds, ABS, z_range)
+    assert own.provenance == "regularized-smooth" and own.candidate_range == z_range
+    assert np.array_equal(own.tau, bounds.tau)
     # exact deviations via the affine-in-candidate decomposition
     fitted = spec.fit(ds, 0.0)
     exact_dev = np.abs(fitted.row_b) * (z_range[1] - z_range[0])
@@ -312,8 +317,9 @@ def test_load_tau_csv_rejects_garbage(tmp_path):
 # ----------------------------------------------------------------- auto
 
 def test_tau_auto_dispatches_by_model(small_dataset):
-    lad_bounds = tau_auto(LadRidgeModel(0.5), small_dataset, ABS)
+    z_range = small_dataset.target_range()
+    lad_bounds = LadRidgeModel(0.5).stability_bound(small_dataset, ABS, z_range)
     assert lad_bounds.provenance == "regularized-lipschitz"
-    ridge_bounds = tau_auto(RidgeModel(0.5), small_dataset, ABS)
+    ridge_bounds = RidgeModel(0.5).stability_bound(small_dataset, ABS, z_range)
     assert ridge_bounds.provenance == "regularized-smooth"
     assert lad_bounds.coverage_safe and ridge_bounds.coverage_safe
