@@ -516,5 +516,4 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
 
 def default_anchor(dataset: TabularDataset, model_spec) -> float:
     """Anchor candidate: prediction at the query point of a fit on the observed rows."""
-    trained = model_spec.fit_rows(dataset.features, dataset.targets)
-    return float(trained.predict(dataset.test_point))
+    return float(model_spec.fit_observed(dataset).predict(dataset.test_point))

@@ -51,9 +51,23 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; the caller's array keeps its own flags."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class TabularDataset:
     """Observed regression pairs plus the feature vector of the query point.
+
+    A dataset is a snapshot: it stores read-only views of its arrays (not
+    copies), and models may keep work that depends only on the dataset, such
+    as a Gram matrix, in a private per-dataset memo that lives as long as the
+    dataset.  Writing through a dataset's arrays raises; writing into the
+    arrays it was built from afterwards is not supported, since that memo
+    would then be stale.
 
     Parameters
     ----------
@@ -74,6 +88,7 @@ class TabularDataset:
     test_point: np.ndarray
     test_target: float | None = None
     meta: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = _as_finite_array(self.features, "features", 2)
@@ -96,9 +111,9 @@ class TabularDataset:
             if not math.isfinite(t):
                 raise InvalidInputError("test_target must be finite")
             object.__setattr__(self, "test_target", t)
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "targets", y)
-        object.__setattr__(self, "test_point", x_new)
+        object.__setattr__(self, "features", _read_only(X))
+        object.__setattr__(self, "targets", _read_only(y))
+        object.__setattr__(self, "test_point", _read_only(x_new))
 
     @property
     def n(self) -> int:
@@ -214,7 +229,11 @@ def conformity_scores(dataset: TabularDataset, candidate: float, model, score: S
         raise InvalidInputError(
             f"model caches {preds.shape} row predictions, expected ({dataset.n + 1},)"
         )
-    q = dataset.augmented_targets(candidate)
+    return _checked_scores(score, dataset.augmented_targets(candidate), preds)
+
+
+def _checked_scores(score: ScoreFunction, q: np.ndarray, preds: np.ndarray) -> np.ndarray:
+    """Scores ``S(q_i, preds_i)``, rejected unless finite and nonnegative."""
     scores = np.asarray(score.evaluate(q, preds), dtype=float)
     if not np.all(np.isfinite(scores)):
         raise InvalidInputError("score function produced non-finite values")
@@ -227,11 +246,16 @@ def _exact_rank(dataset: TabularDataset, candidate: float, model_spec,
                 score: ScoreFunction) -> int:
     """Rank of the query's score among all n+1 under a refit at ``candidate`` (one fit).
 
-    The candidate lies in the exact conformal set at level alpha when this
-    rank is at most ``_level_threshold(n, alpha)``.
+    The refit is ``fit_rows`` on the augmented rows, from scratch: it never
+    goes through ``fit``, which may reuse per-dataset work, so the refit
+    baselines stay an independent check of the single-fit sets.  The
+    candidate lies in the exact conformal set at level alpha when this rank
+    is at most ``_level_threshold(n, alpha)``.
     """
-    fitted = model_spec.fit(dataset, candidate)
-    return rank(conformity_scores(dataset, candidate, fitted, score), dataset.n + 1)
+    X = dataset.augmented_design()
+    y = dataset.augmented_targets(candidate)
+    preds = model_spec.fit_rows(X, y).predict_rows(X)
+    return rank(_checked_scores(score, y, preds), dataset.n + 1)
 
 
 def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction) -> float:

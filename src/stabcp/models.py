@@ -4,9 +4,14 @@ Every model follows one protocol:
 
 - ``fit(dataset, candidate)`` fits on the n+1 augmented rows and returns a
   model whose ``row_predictions`` hold the predictions at those rows, query
-  row last;
-- ``fit_rows(X, y)`` fits on the given rows only and returns a model whose
-  ``coefficients`` serve ``predict``/``predict_rows``;
+  row last; it may reuse work that depends only on the dataset, which is a
+  snapshot (ridge keeps one Gram matrix and one augmented solve per dataset
+  and penalty, so every further ``fit`` on it costs O(n));
+- ``fit_rows(X, y)`` fits on the given rows only, always from scratch, and
+  returns a model whose ``coefficients`` serve ``predict``/``predict_rows``;
+  the refit baselines use it, so they stay an independent check of ``fit``;
+- ``fit_observed(dataset)`` is ``fit_rows`` on the n observed rows, and may
+  reuse the dataset's work as ``fit`` does;
 - ``stability_bound(dataset, score, z_range)`` returns the per-row
   :class:`~stabcp.stability.StabilityBounds` the model's loss and penalty
   give over the candidate range.
@@ -27,7 +32,7 @@ import math
 
 import numpy as np
 
-from .core import TabularDataset, _as_finite_array
+from .core import TabularDataset, _as_finite_array, _read_only
 from .errors import InvalidInputError, NotFittedError, NumericalError
 from .stability import (
     StabilityBounds,
@@ -38,12 +43,12 @@ from .stability import (
 )
 
 
-def _solve_normal_equations(X: np.ndarray, rhs: np.ndarray, lambda_reg: float) -> np.ndarray:
-    """Solve ``(X^T X + m * lambda_reg * I) beta = rhs`` for ``m = len(X)``."""
-    m, p = X.shape
-    gram = X.T @ X + m * lambda_reg * np.eye(p)
+def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, m: int,
+                            lambda_reg: float) -> np.ndarray:
+    """Solve ``(gram + m * lambda_reg * I) beta = rhs`` for a fit on ``m`` rows."""
+    system = gram + m * lambda_reg * np.eye(gram.shape[0])
     try:
-        return np.linalg.solve(gram, rhs)
+        return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"normal equations are singular: {exc}") from exc
 
@@ -61,7 +66,16 @@ def ridge_coefficients(X, y, lambda_reg: float) -> np.ndarray:
     lambda_reg = float(lambda_reg)
     if lambda_reg < 0:
         raise InvalidInputError("lambda_reg must be nonnegative")
-    return _solve_normal_equations(X, X.T @ y, lambda_reg)
+    return _solve_normal_equations(X.T @ X, X.T @ y, X.shape[0], lambda_reg)
+
+
+def _observed_gram(dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray]:
+    """``(X^T X, X^T y)`` of the observed rows, formed once per dataset."""
+    memo = dataset._memo
+    if "gram" not in memo:
+        X = dataset.features
+        memo["gram"] = (X.T @ X, X.T @ dataset.targets)
+    return memo["gram"]
 
 
 class LinearModel:
@@ -69,6 +83,10 @@ class LinearModel:
 
     Subclasses set ``coefficients``; None means the model is not fitted yet.
     """
+
+    def fit_observed(self, dataset: TabularDataset) -> "LinearModel":
+        """Fit on the n observed rows (the query row left out)."""
+        return self.fit_rows(dataset.features, dataset.targets)
 
     def predict(self, x) -> float:
         if self.coefficients is None:
@@ -91,11 +109,17 @@ class RidgeModel(LinearModel):
 
     Objective on ``m`` rows: ``||y - X beta||^2 / m + lambda_reg * ||beta||^2``.
     When fitted on the augmented data, the prediction at any point is affine
-    in the candidate value: ``mu_z(x) = a(x) + b(x) * z``.  The two components
-    come from solving the normal equations once with the observed responses
-    (and 0 in the query slot) and once with the query-slot indicator; the fit
-    keeps them as ``beta_base`` and ``beta_candidate``, and ``row_b`` holds
-    ``b`` at every augmented row.
+    in the candidate value: ``mu_z(x) = a(x) + b(x) * z`` (Nouretdinov,
+    Melluish & Vovk, *Ridge regression confidence machine*, 2001).  The two
+    components come from one two-column solve of the augmented normal
+    equations, with the observed responses (and 0 in the query slot) and with
+    the query-slot indicator; the fit keeps them as ``beta_base`` and
+    ``beta_candidate``, and ``row_b`` holds ``b`` at every augmented row.
+
+    The observed rows' Gram matrix is formed once per dataset and the
+    augmented solve made once per dataset and penalty, both kept in the
+    dataset's memo; ``fit`` at any candidate then costs O(n).  ``fit_rows``
+    never reads the memo.
     """
 
     def __init__(self, lambda_reg: float = 1.0):
@@ -111,18 +135,48 @@ class RidgeModel(LinearModel):
         model.coefficients = ridge_coefficients(X, y, self.lambda_reg)
         return model
 
+    def _affine(self, dataset: TabularDataset) -> tuple[np.ndarray, ...]:
+        """``(beta_base, beta_candidate, a, b)`` on the augmented rows, solved once.
+
+        The arrays are read-only: every fit on the dataset shares them.
+        """
+        key = ("ridge-affine", self.lambda_reg)
+        memo = dataset._memo
+        if key not in memo:
+            gram, xty = _observed_gram(dataset)
+            x = dataset.test_point
+            solved = _solve_normal_equations(gram + np.outer(x, x), np.column_stack([xty, x]),
+                                             dataset.n + 1, self.lambda_reg)
+            rows = np.vstack([dataset.features @ solved, x @ solved])
+            memo[key] = tuple(_read_only(v) for v in (*solved.T, *rows.T))
+        return memo[key]
+
     def fit(self, dataset: TabularDataset, candidate: float) -> "RidgeModel":
-        """Fit on the augmented data and cache the affine-in-z decomposition."""
-        X = dataset.augmented_design()
-        y0 = np.append(dataset.targets, 0.0)
-        rhs = np.column_stack([X.T @ y0, dataset.test_point])
-        solved = _solve_normal_equations(X, rhs, self.lambda_reg)
+        """Fit on the augmented data as ``a + b * candidate`` from the dataset's solve."""
+        candidate = float(candidate)
+        beta_base, beta_candidate, a, b = self._affine(dataset)
         model = RidgeModel(self.lambda_reg)
-        model.beta_base = solved[:, 0]
-        model.beta_candidate = solved[:, 1]
-        model.coefficients = model.beta_base + float(candidate) * model.beta_candidate
-        model.row_predictions = X @ model.coefficients
-        model.row_b = X @ model.beta_candidate
+        model.beta_base = beta_base
+        model.beta_candidate = beta_candidate
+        model.coefficients = beta_base + candidate * beta_candidate
+        model.row_predictions = a + b * candidate
+        model.row_b = b
+        return model
+
+    def fit_observed(self, dataset: TabularDataset) -> "RidgeModel":
+        """Fit on the observed rows from the dataset's Gram matrix.
+
+        Solved on first use only: with ``lambda_reg = 0`` this system may be
+        singular while the augmented one of ``fit`` is not.
+        """
+        key = ("ridge-observed", self.lambda_reg)
+        memo = dataset._memo
+        if key not in memo:
+            gram, xty = _observed_gram(dataset)
+            memo[key] = _read_only(_solve_normal_equations(gram, xty, dataset.n,
+                                                           self.lambda_reg))
+        model = RidgeModel(self.lambda_reg)
+        model.coefficients = memo[key]
         return model
 
     def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:

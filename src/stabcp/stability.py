@@ -72,7 +72,8 @@ class StabilityBounds:
 
 def augmented_row_norms(dataset: TabularDataset) -> np.ndarray:
     """Euclidean norms of all n+1 feature rows, query row last."""
-    return np.linalg.norm(dataset.augmented_design(), axis=1)
+    return np.append(np.linalg.norm(dataset.features, axis=1),
+                     np.linalg.norm(dataset.test_point[None, :], axis=1))
 
 
 def _check_positive(value: float, name: str) -> float:

@@ -588,16 +588,34 @@ def test_root_counts_every_refit(small_dataset):
 
 
 class FitBudget:
-    """Model spec that fails loudly instead of refitting without end."""
+    """Model spec that counts every refit and fails loudly past a limit.
+
+    The refit baselines refit through ``fit_rows`` alone; ``fit``, which may
+    reuse per-dataset work, raises, so a baseline that reaches it fails.
+    """
 
     def __init__(self, spec, limit):
         self.spec, self.limit, self.fits = spec, limit, 0
 
-    def fit(self, dataset, candidate):
+    def fit_rows(self, X, y):
         self.fits += 1
         if self.fits > self.limit:
             raise RuntimeError(f"more than {self.limit} refits")
-        return self.spec.fit(dataset, candidate)
+        return self.spec.fit_rows(X, y)
+
+    def fit(self, dataset, candidate):
+        raise AssertionError("a refit baseline reached the memoized fit")
+
+
+def test_refit_baselines_never_use_the_memoized_fit(small_dataset):
+    spec = RidgeModel(0.5)
+    double = FitBudget(spec, 10_000)
+    grid = stabcp.default_candidate_grid(small_dataset, 30)
+    assert root_cp(small_dataset, double, ABS, 0.1).set == root_cp(small_dataset, spec, ABS, 0.1).set
+    assert (conformal_set_grid(small_dataset, double, ABS, 0.1, grid)
+            == conformal_set_grid(small_dataset, spec, ABS, 0.1, grid))
+    for z in grid[::5]:
+        assert pi_exact(small_dataset, z, double, ABS) == pi_exact(small_dataset, z, spec, ABS)
 
 
 def test_root_returns_when_eps_r_is_below_the_float_spacing():

@@ -125,6 +125,21 @@ def test_dataset_augmentation(tiny_dataset):
     assert y[-1] == 7.0 and len(y) == 4
 
 
+def test_dataset_is_a_read_only_snapshot_without_copies():
+    X, y, x_new = np.ones((3, 2)), np.arange(3.0), np.ones(2)
+    ds = TabularDataset(X, y, x_new)
+    with pytest.raises(ValueError):
+        ds.features[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ds.targets[0] = 1.0
+    with pytest.raises(ValueError):
+        ds.test_point[0] = 1.0
+    for stored, given in ((ds.features, X), (ds.targets, y), (ds.test_point, x_new)):
+        assert np.shares_memory(stored, given)
+        assert given.flags.writeable
+    X[0, 0] = 2.0  # the caller's own array stays writable
+
+
 # --------------------------------------------------- conformity scores
 
 def test_scores_constant_model_direct_substitution():

@@ -10,12 +10,18 @@ from stabcp import (
     NumericalError,
     PretrainedLinearModel,
     RidgeModel,
+    ScoreFunction,
     TabularDataset,
     build_interpolated_model,
+    default_anchor,
     gen_linear_gaussian,
+    oracle_cp,
     ridge_coefficients,
 )
 from stabcp.harness import RunConfig
+
+
+ABS = ScoreFunction.absolute_residual()
 
 
 def fig2_like_dataset(n, p=100, seed=0):
@@ -69,6 +75,38 @@ def test_ridge_affine_in_candidate(small_dataset):
         expected = b * (z1 - z2)
         assert diff == pytest.approx(expected, rel=1e-8, abs=1e-12)
         assert m1 == pytest.approx(a + b * z1, rel=1e-8, abs=1e-10)
+
+
+def test_ridge_fits_at_two_penalties_on_one_dataset_solve_separately(small_dataset):
+    ds = small_dataset
+    X = ds.augmented_design()
+    # the first penalty again after the second: each keeps its own solve
+    for lam, z in ((0.1, 0.0), (2.0, 0.0), (0.1, 1.5), (2.0, 1.5)):
+        refit = RidgeModel(lam).fit_rows(X, ds.augmented_targets(z)).predict_rows(X)
+        assert np.allclose(RidgeModel(lam).fit(ds, z).row_predictions, refit,
+                           rtol=1e-12, atol=1e-12)
+        observed = RidgeModel(lam).fit_rows(ds.features, ds.targets)
+        assert default_anchor(ds, RidgeModel(lam)) == pytest.approx(
+            observed.predict(ds.test_point), abs=1e-12)
+    assert not np.allclose(RidgeModel(0.1).fit(ds, 0.0).row_predictions,
+                           RidgeModel(2.0).fit(ds, 0.0).row_predictions)
+
+
+def test_ridge_singular_observed_rows_fail_only_the_anchor():
+    # lambda = 0, four observed rows, five features and a zero first column:
+    # the observed-row system is singular, the augmented one is not
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((4, 5))
+    X[:, 0] = 0.0
+    for anchor_first in (True, False):
+        ds = TabularDataset(X, rng.standard_normal(4), rng.standard_normal(5), test_target=0.3)
+        if anchor_first:
+            with pytest.raises(NumericalError):
+                default_anchor(ds, RidgeModel(0.0))
+        assert oracle_cp(ds, 0.3, RidgeModel(0.0), ABS, 0.2).set.shape == "interval"
+        assert np.all(np.isfinite(RidgeModel(0.0).fit(ds, 0.0).row_predictions))
+        with pytest.raises(NumericalError):
+            default_anchor(ds, RidgeModel(0.0))
 
 
 def test_ridge_permutation_symmetry(small_dataset):

@@ -4,7 +4,9 @@ The absolute residual given as a custom score goes through the outward
 bracketing and bisection of ``sublevel_set``; the built-in one takes the
 closed form.  For stabcp, oracle and split the two must agree to within the
 bisection tolerance with the bisected endpoints never inside, and the stabcp
-set must contain the grid-evaluated exact conformal set.  The data mix in
+set must contain the grid-evaluated exact conformal set.  The ridge fit that
+reuses the dataset's Gram matrix and augmented solve must match a refit from
+scratch on the augmented rows.  The data mix in
 outliers, tied targets, ``n`` close to ``p``, a constant column and a
 zero-norm query row.
 """
@@ -82,6 +84,18 @@ def test_stabcp_bisection_matches_closed_form_and_contains_exact_set(ds, lam, al
     exact = conformal_set_grid(ds, spec, ABS, alpha, default_candidate_grid(ds, 40))
     for lo, hi in exact.intervals:
         assert closed.set.contains(lo) and closed.set.contains(hi)
+
+
+@SETTINGS
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.01, 0.5]),
+       candidates=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_memoized_ridge_fit_matches_refit_from_scratch(ds, lam, candidates):
+    spec = RidgeModel(lam)
+    X = ds.augmented_design()
+    for z in candidates:
+        refit = spec.fit_rows(X, ds.augmented_targets(z)).predict_rows(X)
+        memoized = spec.fit(ds, z).row_predictions
+        assert np.max(np.abs(memoized - refit)) <= 1e-9 * max(1.0, np.max(np.abs(refit)))
 
 
 @SETTINGS
