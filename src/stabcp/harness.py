@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,7 +194,9 @@ def _one_repetition(rep: int, rep_seed: int, source, methods, config: RunConfig)
         row = dict.fromkeys(ROW_FIELDS)
         row.update(rep=rep, method=method)
         try:
-            report = run_method(method, dataset, config)
+            # A fresh dataset (same arrays, empty memo) per method, so no method
+            # is timed on work another one left in the memo.
+            report = run_method(method, replace(dataset), config)
         except Exception as exc:  # failures are recorded per repetition, not fatal
             row["error"] = str(exc)
         else:

@@ -166,17 +166,12 @@ class RidgeModel(LinearModel):
     def fit_observed(self, dataset: TabularDataset) -> "RidgeModel":
         """Fit on the observed rows from the dataset's Gram matrix.
 
-        Solved on first use only: with ``lambda_reg = 0`` this system may be
-        singular while the augmented one of ``fit`` is not.
+        Solved on each call and never by ``fit``: with ``lambda_reg = 0`` this
+        system may be singular while the augmented one of ``fit`` is not.
         """
-        key = ("ridge-observed", self.lambda_reg)
-        memo = dataset._memo
-        if key not in memo:
-            gram, xty = _observed_gram(dataset)
-            memo[key] = _read_only(_solve_normal_equations(gram, xty, dataset.n,
-                                                           self.lambda_reg))
+        gram, xty = _observed_gram(dataset)
         model = RidgeModel(self.lambda_reg)
-        model.coefficients = memo[key]
+        model.coefficients = _solve_normal_equations(gram, xty, dataset.n, self.lambda_reg)
         return model
 
     def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:

@@ -303,6 +303,25 @@ def test_benchmark_parallel_matches_serial(capsys):
     assert key(rows1) == key(rows2)
 
 
+def test_benchmark_times_each_method_on_an_empty_memo(monkeypatch):
+    # the oracle runs last; on the same dataset object it would reuse the ridge
+    # Gram matrix and solve that stabcp left, and every normalized time with it
+    import stabcp.harness as harness
+    memo_sizes = []
+
+    def recording_oracle(dataset, *args, **kwargs):
+        memo_sizes.append(len(dataset._memo))
+        return oracle_cp(dataset, *args, **kwargs)
+
+    oracle_cp = harness.oracle_cp
+    monkeypatch.setattr(harness, "oracle_cp", recording_oracle)
+    config = RunConfig(model="ridge", tau_source="linear-exact", alpha=0.1)
+    source = synthetic_source(GeneratorSpec("linear-gaussian", 25, 3, 1.0, 0))
+    report, _ = run_benchmark(source, ["stabcp", "gridcp"], 2, seed=3, config=config)
+    assert memo_sizes == [0, 0]
+    assert report["methods"]["oraclecp"]["failures"] == 0
+
+
 def test_benchmark_records_method_failures(capsys):
     # the oracle cannot run when the source strips the true target
     config = RunConfig(model="ridge", tau_source="linear-exact", alpha=0.1)
