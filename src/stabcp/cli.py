@@ -154,6 +154,10 @@ def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **k
         "fit_count": report.fit_count,
         "tau_provenance": report.details.get("tau_provenance"),
         "tau_coverage_safe": report.details.get("tau_coverage_safe"),
+        # the single fit's solver certificate; null for closed-form fits
+        "iterations": report.details.get("iterations"),
+        "duality_gap": report.details.get("duality_gap"),
+        "converged": report.details.get("converged"),
         "truncated_to_range": report.set.truncated,
         "covered": report.covered,
         "wall_time_s": report.wall_time,

@@ -262,25 +262,37 @@ def _report(prediction_set: PredictionSet, dataset: TabularDataset, fit_count: i
     )
 
 
+def _certificate(fitted) -> dict:
+    """The solver certificate of a fit: ``iterations``, ``duality_gap`` and
+    ``converged``, each None for a closed-form fit."""
+    return {key: getattr(fitted, key, None)
+            for key in ("iterations", "duality_gap", "converged")}
+
+
 def _stab_cp(dataset: TabularDataset, anchor: float, model_spec, score: ScoreFunction,
              tau: StabilityBounds, alpha: float, candidate_range, method: str,
              eps_r: float) -> MethodReport:
     """Body shared by the two single-fit entry points: one fit, one threshold.
 
     Every bound recipe bounds the score deviation between a candidate and the
-    anchor assuming both lie in ``tau.candidate_range``, so an anchor outside
-    that range reports ``tau_coverage_safe=False``; the set is unchanged.
+    anchor assuming both lie in ``tau.candidate_range`` and the anchor fit
+    being exact, so an anchor outside that range, or an envelope fit whose
+    solver stopped before its certificate reached the tolerance
+    (``converged=False``), reports ``tau_coverage_safe=False``; the set is
+    unchanged.  Closed-form fits carry no ``converged`` flag and are exact.
     """
     started = time.perf_counter()
-    bounds, _ = anchor_bounds(dataset, anchor, model_spec, score, tau)
+    bounds, fitted = anchor_bounds(dataset, anchor, model_spec, score, tau)
     threshold = _score_threshold(bounds.upper_sorted, bounds.tau_test, alpha)
     prediction_set = sublevel_set(score, bounds.mu_test, threshold, alpha,
                                   candidate_range, method, eps_r)
     anchor_in_range = (tau.candidate_range is None
                        or tau.candidate_range[0] <= anchor <= tau.candidate_range[1])
+    certified = getattr(fitted, "converged", True)
     return _report(prediction_set, dataset, 1, started,
                    anchor=float(anchor), tau_provenance=tau.provenance,
-                   tau_coverage_safe=tau.coverage_safe and anchor_in_range)
+                   tau_coverage_safe=tau.coverage_safe and anchor_in_range and certified,
+                   **_certificate(fitted))
 
 
 def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
@@ -336,7 +348,9 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
     Evaluates the upper envelope of the interpolated conformity function on
     the grid: every row's score moves with the candidate through the
     interpolated predictions, and all rows carry the inflated interpolation
-    bounds.  Returns the alpha-superlevel set merged into intervals.
+    bounds.  Returns the alpha-superlevel set merged into intervals; as for
+    the single-fit sets, an uncertified knot fit reports
+    ``tau_coverage_safe=False``.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -361,12 +375,13 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
     )
     return _report(prediction_set, dataset, interpolated.fit_count, started,
                    tau_provenance=tau_tilde.provenance,
-                   tau_coverage_safe=tau_tilde.coverage_safe)
+                   tau_coverage_safe=tau_tilde.coverage_safe and interpolated.converged)
 
 
 def _split_fit(dataset: TabularDataset, split_index: int, model_spec,
-               score: ScoreFunction) -> tuple[float, np.ndarray]:
-    """Fit on rows ``1..m``; return the query prediction and the sorted calibration scores."""
+               score: ScoreFunction) -> tuple[float, np.ndarray, object]:
+    """Fit on rows ``1..m``; return the query prediction, the sorted calibration
+    scores and the fit."""
     m = int(split_index)
     n = dataset.n
     if not 1 <= m < n:
@@ -375,7 +390,7 @@ def _split_fit(dataset: TabularDataset, split_index: int, model_spec,
     cal_predictions = trained.predict_rows(dataset.features[m:])
     cal_scores = np.sort(np.asarray(
         score.evaluate(dataset.targets[m:], cal_predictions), dtype=float))
-    return float(trained.predict(dataset.test_point)), cal_scores
+    return float(trained.predict(dataset.test_point)), cal_scores, trained
 
 
 def split_cp(dataset: TabularDataset, split_index: int, model_spec,
@@ -391,18 +406,19 @@ def split_cp(dataset: TabularDataset, split_index: int, model_spec,
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
-    mu_test, cal_scores = _split_fit(dataset, split_index, model_spec, score)
+    mu_test, cal_scores, trained = _split_fit(dataset, split_index, model_spec, score)
     threshold = _score_threshold(cal_scores, 0.0, alpha)
     prediction_set = sublevel_set(score, mu_test, threshold, alpha,
                                   dataset.target_range(), "splitcp", _EPS_R)
     return _report(prediction_set, dataset, 1, started,
-                   split_index=int(split_index), calibration_size=cal_scores.size)
+                   split_index=int(split_index), calibration_size=cal_scores.size,
+                   **_certificate(trained))
 
 
 def split_pi(dataset: TabularDataset, split_index: int, model_spec,
              score: ScoreFunction):
     """Split conformity function ``z -> pi_split(z)`` (one fit, reusable)."""
-    mu_test, cal_scores = _split_fit(dataset, split_index, model_spec, score)
+    mu_test, cal_scores, _ = _split_fit(dataset, split_index, model_spec, score)
     n_cal = cal_scores.size
 
     def pi(z):
@@ -433,7 +449,8 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
     threshold = _score_threshold(np.sort(scores[:-1]), 0.0, alpha)
     prediction_set = sublevel_set(score, fitted.row_predictions[-1], threshold, alpha,
                                   dataset.target_range(), "oraclecp", _EPS_R)
-    return _report(prediction_set, dataset, 1, started, anchor=true_target)
+    return _report(prediction_set, dataset, 1, started, anchor=true_target,
+                   **_certificate(fitted))
 
 
 def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,

@@ -189,11 +189,13 @@ class LadRidgeModel(LinearModel):
 
     Objective on ``m`` rows: ``||y - X beta||_1 / m + lambda_reg * ||beta||^2``.
     The solver is deterministic full-batch operator splitting (ADMM on the
-    residual split, with a cached Cholesky factor and residual-balanced
-    penalty).  Clipping the scaled dual variable into the feasible box gives
-    a duality gap at every check, so the returned iterate carries an explicit
-    suboptimality certificate; the incumbent is the best primal point seen,
-    whose recorded objectives decrease monotonically by construction.
+    residual split, with a residual-balanced penalty rho and one cached
+    beta-step operator per penalty value, rebuilt when rho changes, so no
+    iteration solves a linear system).  Clipping the scaled dual variable
+    into the feasible box gives a duality gap at every check, so the returned
+    iterate carries an explicit suboptimality certificate; the incumbent is
+    the best primal point seen, whose recorded objectives decrease
+    monotonically by construction.
     Hitting ``max_iter`` without reaching ``solver_tol`` is reported through
     ``converged``/``duality_gap``, not raised.
     """
@@ -236,26 +238,34 @@ class LadRidgeModel(LinearModel):
         iterations = 0
 
         gram = X.T @ X
-        eye = np.eye(p)
-        # Penalty starts at the scale of the soft threshold and is then
-        # residual-balanced; every change refactorizes the cached Cholesky.
+        # The beta step is a ridge solve with penalty 2*lambda/rho: one cached
+        # beta-step operator per penalty value, rebuilt when rho changes.  The
+        # penalty starts at the scale of the soft threshold and is then
+        # residual-balanced.
         rho = 1.0 / (m * max(float(np.std(y)), 1e-12))
-        chol = np.linalg.cholesky(2.0 * self.lambda_reg * eye + rho * gram)
+
+        def beta_step(rho: float) -> np.ndarray:
+            """``(X^T X + (2 lambda / rho) I)^-1 X^T``, a p x m matrix."""
+            return _solve_normal_equations(gram, X.T, m, 2.0 * self.lambda_reg / (rho * m))
+
+        step = beta_step(rho)
         v = np.zeros(m)
         u = np.zeros(m)
         relax = 1.7
         check_every = 10
-        refactorizations = 0
+        penalty_changes = 0
 
         for k in range(1, self.max_iter + 1):
-            rhs = rho * (X.T @ (y - v - u))
-            beta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+            q = y - v
+            beta = step @ (q - u)
             fitted_rows = X @ beta
-            relaxed = relax * fitted_rows + (1.0 - relax) * (y - v)
             v_old = v
-            residual = y - relaxed - u
-            v = np.sign(residual) * np.maximum(np.abs(residual) - 1.0 / (m * rho), 0.0)
-            u = u + relaxed + v - y
+            residual = (y - u) - (relax * fitted_rows + (1.0 - relax) * q)
+            # soft threshold at 1/(m rho) and the scaled dual update, fused:
+            # v = residual - clip(residual) and u + relaxed + v - y = -clip(residual)
+            threshold = 1.0 / (m * rho)
+            u = -np.clip(residual, -threshold, threshold)
+            v = residual + u
             iterations = k
             if k % check_every == 0 or k == self.max_iter:
                 obj = self._objective(X, y, beta)
@@ -270,17 +280,17 @@ class LadRidgeModel(LinearModel):
                     break
                 primal_res = float(np.linalg.norm(fitted_rows + v - y))
                 dual_res = rho * float(np.linalg.norm(X.T @ (v - v_old)))
-                if refactorizations < 40:
+                if penalty_changes < 40:
                     if primal_res > 10.0 * dual_res:
                         rho *= 2.0
                         u /= 2.0
-                        chol = np.linalg.cholesky(2.0 * self.lambda_reg * eye + rho * gram)
-                        refactorizations += 1
+                        step = beta_step(rho)
+                        penalty_changes += 1
                     elif dual_res > 10.0 * primal_res:
                         rho /= 2.0
                         u *= 2.0
-                        chol = np.linalg.cholesky(2.0 * self.lambda_reg * eye + rho * gram)
-                        refactorizations += 1
+                        step = beta_step(rho)
+                        penalty_changes += 1
 
         model.coefficients = best_beta
         model.objective = best_obj
@@ -340,7 +350,9 @@ class InterpolatedModel:
     interior anchors).  Inside the knot range the prediction at a candidate is
     the convex combination of the two bracketing knot models; outside it is
     the affine extension of the nearest segment.  The segment weight formula
-    is used unclamped, which yields exactly that extension.
+    is used unclamped, which yields exactly that extension.  ``converged`` is
+    False when some knot fit stopped before its solver certificate reached
+    the tolerance; closed-form knot fits count as converged.
     """
 
     def __init__(self, knots, knot_models):
@@ -356,6 +368,7 @@ class InterpolatedModel:
             [np.asarray(m.row_predictions, dtype=float) for m in knot_models]
         )
         self.fit_count = knots.size
+        self.converged = all(getattr(m, "converged", True) for m in knot_models)
 
     def _segment(self, z: float) -> tuple[int, float]:
         """Segment index and left-knot weight; weights leave [0,1] outside the range."""

@@ -141,6 +141,27 @@ def test_predict_reports_tau_coverage_safe(generated, capsys):
         assert json.loads(out)["tau_coverage_safe"] is expected
 
 
+def test_predict_reports_the_fit_certificate(generated, capsys):
+    code, out, err = run_cli(capsys, "predict", "--data", str(generated), "--method", "stabcp",
+                             "--tau", "linear-exact")
+    assert code == 0, err
+    ridge = json.loads(out)
+    assert ridge["iterations"] is None and ridge["duality_gap"] is None
+    assert ridge["converged"] is None
+    lad_flags = ("predict", "--data", str(generated), "--method", "stabcp",
+                 "--model", "ladridge", "--tau", "auto")
+    code, out, err = run_cli(capsys, *lad_flags)
+    assert code == 0, err
+    lad = json.loads(out)
+    assert lad["iterations"] >= 1 and 0.0 <= lad["duality_gap"] <= RunConfig().solver_tol
+    assert lad["converged"] is True and lad["tau_coverage_safe"] is True
+    code, out, err = run_cli(capsys, *lad_flags, "--max-iter", "5", "--solver-tol", "1e-12")
+    assert code == 0, err
+    starved = json.loads(out)
+    assert starved["iterations"] == 5 and starved["duality_gap"] > 1e-12
+    assert starved["converged"] is False and starved["tau_coverage_safe"] is False
+
+
 @pytest.mark.parametrize("anchor", ["abc", "", "nan", "inf"])
 def test_predict_rejects_unparsable_anchor(generated, capsys, anchor):
     code, _, err = run_cli(capsys, "predict", "--data", str(generated), "--anchor", anchor)

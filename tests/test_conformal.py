@@ -194,6 +194,29 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
     assert inside.details["tau_coverage_safe"] is True
 
 
+def test_uncertified_envelope_fit_is_not_coverage_safe():
+    # five ADMM iterations leave a duality gap far above the 1e-12 tolerance:
+    # the bound assumes the exact minimizer, so the set is flagged, not changed
+    ds = make_dataset(n=40, p=4, seed=3)
+    spec = LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5)
+    z_range = ds.target_range()
+    tau = spec.stability_bound(ds, ABS, z_range)
+    anchor = 0.5 * (z_range[0] + z_range[1])
+    assert tau.coverage_safe
+    for report in (stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1),
+                   stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1)):
+        assert report.details["tau_coverage_safe"] is False
+        assert report.details["converged"] is False
+        assert report.details["duality_gap"] > 1e-12
+        assert report.details["iterations"] == 5
+    certified = stab_cp_interval(ds, anchor, LadRidgeModel(0.5), ABS, tau, 0.1)
+    assert certified.details["converged"] is True
+    assert certified.details["tau_coverage_safe"] is True
+    closed_form = stab_cp_interval(ds, anchor, RidgeModel(0.5), ABS, tau, 0.1)
+    assert closed_form.details["converged"] is None
+    assert closed_form.details["tau_coverage_safe"] is True
+
+
 # ------------------------------------------------------------- bisection
 
 def test_bisection_agrees_with_closed_form():
@@ -447,6 +470,19 @@ def test_interpolated_single_anchor_at_anchor_matches_inflated_bounds():
     upper = scores + tilde.tau
     n_up = int(np.count_nonzero(upper <= scores[-1] - tilde.tau[-1]))
     assert pb.n_up == n_up
+
+
+def test_uncertified_knot_fit_is_not_coverage_safe():
+    ds = make_dataset(n=30, p=3, seed=4)
+    lo, hi = ds.target_range()
+    anchors = np.linspace(lo, hi, 5)[1:-1]
+    grid = stabcp.default_candidate_grid(ds, 50)
+    for spec, safe in ((LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5), False),
+                       (LadRidgeModel(0.5), True), (RidgeModel(0.5), True)):
+        tilde = tau_interpolated(spec.stability_bound(ds, ABS, (lo, hi)), ABS.gamma)
+        interp = build_interpolated_model(ds, anchors, lo, hi, spec)
+        report = interpolated_cp(ds, interp, tilde, ABS, 0.1, grid)
+        assert report.details["tau_coverage_safe"] is safe
 
 
 # ----------------------------------------------------------------- split

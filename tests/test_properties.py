@@ -6,7 +6,8 @@ closed form.  For stabcp, oracle and split the two must agree to within the
 bisection tolerance with the bisected endpoints never inside, and the stabcp
 set must contain the grid-evaluated exact conformal set.  The ridge fit that
 reuses the dataset's Gram matrix and augmented solve must match a refit from
-scratch on the augmented rows.  The data mix in
+scratch on the augmented rows, and the LAD-ridge duality gap must bound the
+suboptimality of the returned fit.  The data mix in
 outliers, tied targets, ``n`` close to ``p``, a constant column and a
 zero-norm query row.
 """
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stabcp import (
+    LadRidgeModel,
     RidgeModel,
     ScoreFunction,
     TabularDataset,
@@ -23,6 +25,7 @@ from stabcp import (
     default_anchor,
     default_candidate_grid,
     oracle_cp,
+    ridge_coefficients,
     split_cp,
     stab_cp_interval,
     tau_linear_exact,
@@ -108,3 +111,28 @@ def test_oracle_and_split_bisection_match_closed_form(ds, lam, alpha, split_shar
     m = min(ds.n - 1, max(1, round(split_share * ds.n)))
     assert_outer_match(split_cp(ds, m, spec, ABS, alpha),
                        split_cp(ds, m, spec, CUSTOM_ABS, alpha))
+
+
+@SETTINGS
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.01, 0.5]),
+       candidate=st.floats(-1e3, 1e3), max_iter=st.sampled_from([10, 2000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lad_certificate_bounds_suboptimality(ds, lam, candidate, max_iter, seed):
+    # ten iterations leave the gap open: the certificate must hold for any iterate
+    spec = LadRidgeModel(lam, max_iter=max_iter)
+    fit = spec.fit(ds, candidate)
+    X, y = ds.augmented_design(), ds.augmented_targets(candidate)
+
+    def objective(beta):
+        return np.abs(y - X @ beta).sum() / y.size + lam * beta @ beta
+
+    rng = np.random.default_rng(seed)
+    scale = max(1.0, float(np.max(np.abs(fit.coefficients))))
+    others = [np.zeros(X.shape[1]), ridge_coefficients(X, y, lam)]
+    others += [fit.coefficients + s * scale * rng.standard_normal(X.shape[1])
+               for s in (1e-6, 1e-3, 1.0)]
+    for beta in others:
+        assert objective(beta) >= fit.objective - fit.duality_gap - 1e-12
+    assert np.isclose(fit.objective, objective(fit.coefficients), rtol=1e-12, atol=0.0)
+    assert fit.converged == (fit.duality_gap <= spec.solver_tol)
+    assert np.array_equal(fit.row_predictions, X @ fit.coefficients)
