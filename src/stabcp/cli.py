@@ -154,7 +154,8 @@ def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **k
         "fit_count": report.fit_count,
         "tau_provenance": report.details.get("tau_provenance"),
         "tau_coverage_safe": report.details.get("tau_coverage_safe"),
-        # the single fit's solver certificate; null for closed-form fits
+        # the solver certificate of the fit (summed and worst over the refits
+        # of rootcp and gridcp); null for closed-form fits
         "iterations": report.details.get("iterations"),
         "duality_gap": report.details.get("duality_gap"),
         "converged": report.details.get("converged"),

@@ -32,13 +32,12 @@ from .core import (
     _as_finite_array,
     _ceil_tol,
     _check_grid,
-    _exact_rank,
+    _grid_set,
     _kept_intervals,
     _level_threshold,
+    _Refits,
     check_alpha,
-    conformal_set_grid,
     conformity_scores,
-    pi_exact,
 )
 from .errors import InvalidInputError
 from .stability import StabilityBounds
@@ -263,8 +262,9 @@ def _report(prediction_set: PredictionSet, dataset: TabularDataset, fit_count: i
 
 
 def _certificate(fitted) -> dict:
-    """The solver certificate of a fit: ``iterations``, ``duality_gap`` and
-    ``converged``, each None for a closed-form fit."""
+    """The solver certificate of a fit, or the totals of ``_Refits``:
+    ``iterations``, ``duality_gap`` and ``converged``, each None for a
+    closed-form fit."""
     return {key: getattr(fitted, key, None)
             for key in ("iterations", "duality_gap", "converged")}
 
@@ -457,14 +457,17 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
             z_range=None, eps_r: float = 1e-4) -> MethodReport:
     """Endpoints of the exact conformal set by bisection, one refit per probe.
 
-    Assumes the exact set is one interval.  ``conformal_set_grid`` first
-    probes ``_ROOT_PROBES`` evenly spaced candidates of the range; each
+    Assumes the exact set is one interval.  It first probes ``_ROOT_PROBES``
+    evenly spaced candidates of the range (a ``conformal_set_grid``); each
     endpoint is then bisected between the outermost kept probe and its unkept
-    neighbour, and the midpoint of the final bracket is returned.  The set is
-    empty when no probe is kept; when an end probe is kept, that endpoint is
-    clamped to the range end and the set is flagged as truncated.  Every
-    conformity evaluation refits the model, so ``fit_count`` is the probes
-    plus the bisection steps.
+    neighbour, and the midpoint of the final bracket is returned.  The set is empty when no probe is kept; when
+    an end probe is kept, that endpoint is clamped to the range end and the
+    set is flagged as truncated.  Every conformity evaluation refits the
+    model, so ``fit_count`` is the probes plus the bisection steps.  Each
+    refit is warm-started from the one before it (the probes in order, then
+    the left bisection, then the right), whose candidates lie ever closer
+    together; the details carry the refits' summed ``iterations``, largest
+    ``duality_gap`` and joint ``converged`` (None for closed-form fits).
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -477,22 +480,18 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     if not z_min < z_max:
         raise InvalidInputError("need z_min < z_max")
     probes = np.linspace(z_min, z_max, _ROOT_PROBES)
-    probed = conformal_set_grid(dataset, model_spec, score, alpha, probes)
+    refits = _Refits(dataset, model_spec, score)
+    probed = _grid_set(refits, alpha, probes)
     if probed.shape == "empty":
         prediction_set = PredictionSet.empty_set("rootcp", alpha, (z_min, z_max))
-        return _report(prediction_set, dataset, _ROOT_PROBES, started)
+        return _report(prediction_set, dataset, refits.count, started, **_certificate(refits))
     threshold = _level_threshold(dataset.n, alpha)
-    refits = 0
-
-    def is_inside(z: float) -> bool:
-        nonlocal refits
-        refits += 1
-        return _exact_rank(dataset, z, model_spec, score) <= threshold
 
     def endpoint(kept: int, unkept: int) -> float:
         if not 0 <= unkept < _ROOT_PROBES:
             return float(probes[kept])
-        inside, outside = _bisect(is_inside, probes[kept], probes[unkept], eps_r)
+        inside, outside = _bisect(lambda z: refits.rank_at(z) <= threshold,
+                                  probes[kept], probes[unkept], eps_r)
         return 0.5 * (inside + outside)
 
     first = int(np.searchsorted(probes, probed.intervals[0][0], side="left"))
@@ -502,17 +501,18 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     prediction_set = PredictionSet.from_intervals([(left, right)], "rootcp", alpha,
                                                   truncated=truncated,
                                                   candidate_range=(z_min, z_max))
-    return _report(prediction_set, dataset, _ROOT_PROBES + refits, started,
-                   z0=float(probes[first]))
+    return _report(prediction_set, dataset, refits.count, started,
+                   z0=float(probes[first]), **_certificate(refits))
 
 
 def grid_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
             grid) -> MethodReport:
-    """The grid-evaluated exact set wrapped with timing and fit bookkeeping."""
+    """The grid-evaluated exact set wrapped with timing, fit bookkeeping and
+    the refits' certificate (as ``root_cp`` reports it)."""
     started = time.perf_counter()
-    grid = np.asarray(grid, dtype=float)
-    prediction_set = conformal_set_grid(dataset, model_spec, score, alpha, grid)
-    return _report(prediction_set, dataset, int(grid.size), started)
+    refits = _Refits(dataset, model_spec, score)
+    prediction_set = _grid_set(refits, alpha, grid)
+    return _report(prediction_set, dataset, refits.count, started, **_certificate(refits))
 
 
 def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
@@ -520,14 +520,16 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
     """Diagnostic sweep: ``(z, pi_lo, pi_up, pi_exact)`` per grid point.
 
     The envelope values reuse the single anchor fit; the exact conformity
-    refits at every grid point, so this is for plots and verification only.
+    refits at every grid point (each refit warm-started from the previous
+    one), so this is for plots and verification only.
     """
     grid = _check_grid(grid)
     bounds, _ = anchor_bounds(dataset, anchor, model_spec, score, tau)
+    refits = _Refits(dataset, model_spec, score)
     rows = []
     for z in grid:
         pb = bounds.pi_bounds_at(z)
-        rows.append((float(z), pb.lo, pb.up, pi_exact(dataset, z, model_spec, score)))
+        rows.append((float(z), pb.lo, pb.up, 1.0 - refits.rank_at(z) / (dataset.n + 1)))
     return rows
 
 

@@ -242,20 +242,52 @@ def _checked_scores(score: ScoreFunction, q: np.ndarray, preds: np.ndarray) -> n
     return scores
 
 
-def _exact_rank(dataset: TabularDataset, candidate: float, model_spec,
-                score: ScoreFunction) -> int:
-    """Rank of the query's score among all n+1 under a refit at ``candidate`` (one fit).
+def _exact_rank(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction,
+                start=None, X=None) -> tuple[int, object]:
+    """Rank of the query's score among all n+1 under a refit at ``candidate``,
+    and that refit (one fit).
 
-    The refit is ``fit_rows`` on the augmented rows, from scratch: it never
-    goes through ``fit``, which may reuse per-dataset work, so the refit
-    baselines stay an independent check of the single-fit sets.  The
-    candidate lies in the exact conformal set at level alpha when this rank
+    The refit is ``fit_rows`` on the augmented rows ``X`` (built here when not
+    given): it never goes through ``fit``, which may reuse per-dataset work,
+    so the refit baselines stay an independent check of the single-fit sets.
+    ``start``, an earlier refit on the same rows, only sets where an
+    iterative solver begins; the refit still meets the solver's tolerance.
+    The candidate lies in the exact conformal set at level alpha when the rank
     is at most ``_level_threshold(n, alpha)``.
     """
-    X = dataset.augmented_design()
+    X = dataset.augmented_design() if X is None else X
     y = dataset.augmented_targets(candidate)
-    preds = model_spec.fit_rows(X, y).predict_rows(X)
-    return rank(_checked_scores(score, y, preds), dataset.n + 1)
+    fitted = model_spec.fit_rows(X, y, start=start)
+    return rank(_checked_scores(score, y, fitted.predict_rows(X)), dataset.n + 1), fitted
+
+
+class _Refits:
+    """The refits of one baseline call, each warm-started from the one before.
+
+    Builds the augmented design once and passes every refit to the next as
+    ``start``; nothing outlives the call.  Totals the solver certificates:
+    ``iterations`` summed over the refits, the largest ``duality_gap``, and
+    ``converged`` only when every refit converged, each None for closed-form
+    fits.
+    """
+
+    def __init__(self, dataset: TabularDataset, model_spec, score: ScoreFunction):
+        self.dataset, self.model_spec, self.score = dataset, model_spec, score
+        self.X = dataset.augmented_design()
+        self.last = None
+        self.count = 0
+        self.iterations, self.duality_gap, self.converged = None, None, None
+
+    def rank_at(self, candidate: float) -> int:
+        """``_exact_rank`` at ``candidate``, refitted from the last refit."""
+        rank_, self.last = _exact_rank(self.dataset, candidate, self.model_spec, self.score,
+                                       start=self.last, X=self.X)
+        self.count += 1
+        if getattr(self.last, "iterations", None) is not None:
+            self.iterations = (self.iterations or 0) + self.last.iterations
+            self.duality_gap = max(self.duality_gap or 0.0, self.last.duality_gap)
+            self.converged = self.converged is not False and self.last.converged
+        return rank_
 
 
 def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction) -> float:
@@ -263,7 +295,7 @@ def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: Score
 
     Always a multiple of ``1/(n+1)``; equals 0 when every score ties.
     """
-    return 1.0 - _exact_rank(dataset, candidate, model_spec, score) / (dataset.n + 1)
+    return 1.0 - _exact_rank(dataset, candidate, model_spec, score)[0] / (dataset.n + 1)
 
 
 @dataclass
@@ -371,12 +403,18 @@ def conformal_set_grid(dataset: TabularDataset, model_spec, score: ScoreFunction
 
     Keeps the grid points whose conformity reaches ``alpha`` and merges
     consecutive kept points into closed intervals.  This is the verification
-    oracle for the single-fit constructions; it costs ``len(grid)`` fits.
+    oracle for the single-fit constructions; it costs ``len(grid)`` fits, each
+    warm-started from the one at the previous grid point.
     """
+    return _grid_set(_Refits(dataset, model_spec, score), alpha, grid)
+
+
+def _grid_set(refits: _Refits, alpha: float, grid) -> PredictionSet:
+    """``conformal_set_grid`` through the given refit chain."""
     alpha = check_alpha(alpha)
     grid = _check_grid(grid)
-    threshold = _level_threshold(dataset.n, alpha)
-    kept = [_exact_rank(dataset, z, model_spec, score) <= threshold for z in grid]
+    threshold = _level_threshold(refits.dataset.n, alpha)
+    kept = [refits.rank_at(z) <= threshold for z in grid]
     return PredictionSet.from_intervals(
         _kept_intervals(grid, kept), method="gridcp", alpha=alpha,
         candidate_range=(float(grid[0]), float(grid[-1])),

@@ -36,8 +36,11 @@ MODEL_NAMES = ("ridge", "ladridge")
 TAU_SOURCES = ("auto", "linear-exact", "sgd-heuristic", "file")
 
 
+# the solver certificate columns (None for closed-form fits) come after the
+# original ones, so readers that index the first columns keep working
 ROW_FIELDS = ("rep", "method", "covered", "length", "fit_count", "wall_time", "lo", "hi",
-              "truncated", "tau_provenance", "tau_coverage_safe", "error")
+              "truncated", "tau_provenance", "tau_coverage_safe", "error",
+              "iterations", "duality_gap", "converged")
 
 
 @dataclass(frozen=True)
@@ -209,6 +212,8 @@ def _one_repetition(rep: int, rep_seed: int, source, methods, config: RunConfig)
                 truncated=report.set.truncated,
                 tau_provenance=report.details.get("tau_provenance"),
                 tau_coverage_safe=report.details.get("tau_coverage_safe"),
+                **{key: report.details.get(key)
+                   for key in ("iterations", "duality_gap", "converged")},
             )
         rows.append(row)
     return rows

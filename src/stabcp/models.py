@@ -7,9 +7,12 @@ Every model follows one protocol:
   row last; it may reuse work that depends only on the dataset, which is a
   snapshot (ridge keeps one Gram matrix and one augmented solve per dataset
   and penalty, so every further ``fit`` on it costs O(n));
-- ``fit_rows(X, y)`` fits on the given rows only, always from scratch, and
-  returns a model whose ``coefficients`` serve ``predict``/``predict_rows``;
-  the refit baselines use it, so they stay an independent check of ``fit``;
+- ``fit_rows(X, y, start=None)`` fits on the given rows only, from scratch,
+  or from an earlier ``fit_rows`` result on the same rows passed as
+  ``start``; never from the dataset memo.  It returns a model whose
+  ``coefficients`` serve ``predict``/``predict_rows``; the refit baselines
+  use it, so they stay an independent check of ``fit``, and pass each
+  refit to the next as ``start`` (only the iterative model uses it);
 - ``fit_observed(dataset)`` is ``fit_rows`` on the n observed rows, and may
   reuse the dataset's work as ``fit`` does;
 - ``stability_bound(dataset, score, z_range)`` returns the per-row
@@ -129,8 +132,9 @@ class RidgeModel(LinearModel):
         self.lambda_reg = lambda_reg
         self.coefficients = None
 
-    def fit_rows(self, X, y) -> "RidgeModel":
-        """Plain fit on the given rows, no augmentation."""
+    def fit_rows(self, X, y, start=None) -> "RidgeModel":
+        """Plain fit on the given rows, no augmentation; closed form, so
+        ``start`` is ignored."""
         model = RidgeModel(self.lambda_reg)
         model.coefficients = ridge_coefficients(X, y, self.lambda_reg)
         return model
@@ -198,6 +202,14 @@ class LadRidgeModel(LinearModel):
     monotonically by construction.
     Hitting ``max_iter`` without reaching ``solver_tol`` is reported through
     ``converged``/``duality_gap``, not raised.
+
+    ``fit_rows(X, y, start=fit)`` warm-starts from an earlier ``fit_rows``
+    result on as many rows (the refit baselines pass each refit to the next,
+    which differs only in the query target): ADMM begins from that fit's final
+    residual split ``v``, scaled dual ``u`` and penalty rho, and its
+    ``coefficients`` are the first incumbent.  The stopping rule, certificate
+    and penalty-change cap are those of a cold fit, so a warm fit meets the
+    same ``solver_tol``.
     """
 
     def __init__(self, lambda_reg: float, solver_tol: float = 1e-8, max_iter: int = 50_000):
@@ -222,7 +234,7 @@ class LadRidgeModel(LinearModel):
         v = X.T @ theta
         return float(-theta @ y - (v @ v) / (4.0 * self.lambda_reg))
 
-    def fit_rows(self, X, y) -> "LadRidgeModel":
+    def fit_rows(self, X, y, start=None) -> "LadRidgeModel":
         X = _as_finite_array(X, "X", 2)
         y = _as_finite_array(y, "y", 1)
         if X.shape[0] != y.shape[0]:
@@ -230,9 +242,22 @@ class LadRidgeModel(LinearModel):
         m, p = X.shape
         model = LadRidgeModel(self.lambda_reg, self.solver_tol, self.max_iter)
 
-        beta = np.zeros(p)
-        best_beta = beta.copy()
-        best_obj = self._objective(X, y, beta)
+        if start is None:
+            # the penalty starts at the scale of the soft threshold
+            best_beta = np.zeros(p)
+            v, u = np.zeros(m), np.zeros(m)
+            rho = 1.0 / (m * max(float(np.std(y)), 1e-12))
+        else:
+            state = getattr(start, "_admm_state", None)
+            if state is None:
+                raise InvalidInputError("start must be an earlier LadRidgeModel.fit_rows result")
+            v, u, rho = state
+            if v.shape != (m,) or start.coefficients.shape != (p,):
+                raise InvalidInputError(
+                    f"start was fitted on {v.shape[0]} rows and {start.coefficients.shape[0]} "
+                    f"columns, expected {m} and {p}")
+            best_beta = start.coefficients.copy()
+        best_obj = self._objective(X, y, best_beta)
         accepted = [best_obj]
         best_gap = math.inf
         iterations = 0
@@ -240,17 +265,13 @@ class LadRidgeModel(LinearModel):
         gram = X.T @ X
         # The beta step is a ridge solve with penalty 2*lambda/rho: one cached
         # beta-step operator per penalty value, rebuilt when rho changes.  The
-        # penalty starts at the scale of the soft threshold and is then
-        # residual-balanced.
-        rho = 1.0 / (m * max(float(np.std(y)), 1e-12))
+        # penalty is residual-balanced.
 
         def beta_step(rho: float) -> np.ndarray:
             """``(X^T X + (2 lambda / rho) I)^-1 X^T``, a p x m matrix."""
             return _solve_normal_equations(gram, X.T, m, 2.0 * self.lambda_reg / (rho * m))
 
         step = beta_step(rho)
-        v = np.zeros(m)
-        u = np.zeros(m)
         relax = 1.7
         check_every = 10
         penalty_changes = 0
@@ -298,6 +319,7 @@ class LadRidgeModel(LinearModel):
         model.converged = best_gap <= self.solver_tol
         model.iterations = iterations
         model.accepted_objectives = accepted
+        model._admm_state = (v, u, rho)  # where a warm start from this fit begins
         return model
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "LadRidgeModel":
@@ -334,7 +356,7 @@ class PretrainedLinearModel(LinearModel):
     def __init__(self, coefficients):
         self.coefficients = _as_finite_array(coefficients, "coefficients", 1)
 
-    def fit_rows(self, X, y) -> "PretrainedLinearModel":
+    def fit_rows(self, X, y, start=None) -> "PretrainedLinearModel":
         return self
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "PretrainedLinearModel":

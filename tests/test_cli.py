@@ -162,6 +162,21 @@ def test_predict_reports_the_fit_certificate(generated, capsys):
     assert starved["converged"] is False and starved["tau_coverage_safe"] is False
 
 
+def test_predict_rootcp_reports_the_refits_certificate(generated, capsys):
+    code, out, err = run_cli(capsys, "predict", "--data", str(generated), "--method", "rootcp")
+    assert code == 0, err
+    ridge = json.loads(out)
+    assert [ridge[k] for k in ("iterations", "duality_gap", "converged")] == [None, None, None]
+    code, out, err = run_cli(capsys, "predict", "--data", str(generated), "--method", "rootcp",
+                             "--model", "ladridge", "--tau", "auto")
+    assert code == 0, err
+    lad = json.loads(out)
+    # summed over every refit, so at least ten ADMM iterations per refit
+    assert isinstance(lad["iterations"], int) and lad["iterations"] >= 10 * lad["fit_count"]
+    assert 0.0 <= lad["duality_gap"] <= RunConfig().solver_tol
+    assert lad["converged"] is True
+
+
 @pytest.mark.parametrize("anchor", ["abc", "", "nan", "inf"])
 def test_predict_rejects_unparsable_anchor(generated, capsys, anchor):
     code, _, err = run_cli(capsys, "predict", "--data", str(generated), "--anchor", anchor)
@@ -304,6 +319,22 @@ def test_benchmark_coverage_averages_only_safe_repetitions():
     assert entry["coverage"] == pytest.approx(np.mean(safe))
     assert entry["coverage_unvalidated"] == pytest.approx(np.mean(flagged))
     assert "coverage_unvalidated" not in report["methods"]["oraclecp"]
+
+
+def test_benchmark_rows_carry_the_fit_certificate():
+    source = synthetic_source(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 0))
+    methods = ["stabcp", "rootcp"]
+    _, lad_rows = run_benchmark(source, methods, 2, seed=1,
+                                config=RunConfig(model="ladridge", lambda_reg=0.2))
+    _, ridge_rows = run_benchmark(source, methods, 2, seed=1, config=RunConfig())
+    assert len(lad_rows) == len(ridge_rows) == 6
+    for row in lad_rows:
+        assert row["error"] is None
+        assert row["iterations"] >= 10 and row["converged"] is True
+        assert 0.0 <= row["duality_gap"] <= RunConfig().solver_tol
+    for row in ridge_rows:
+        assert row["error"] is None
+        assert (row["iterations"], row["duality_gap"], row["converged"]) == (None, None, None)
 
 
 def test_benchmark_is_deterministic(capsys):

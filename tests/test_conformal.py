@@ -626,18 +626,19 @@ def test_root_counts_every_refit(small_dataset):
 class FitBudget:
     """Model spec that counts every refit and fails loudly past a limit.
 
-    The refit baselines refit through ``fit_rows`` alone; ``fit``, which may
-    reuse per-dataset work, raises, so a baseline that reaches it fails.
+    The refit baselines refit through ``fit_rows`` alone, passing the previous
+    refit as ``start``, which is forwarded; ``fit``, which may reuse
+    per-dataset work, raises, so a baseline that reaches it fails.
     """
 
     def __init__(self, spec, limit):
         self.spec, self.limit, self.fits = spec, limit, 0
 
-    def fit_rows(self, X, y):
+    def fit_rows(self, X, y, start=None):
         self.fits += 1
         if self.fits > self.limit:
             raise RuntimeError(f"more than {self.limit} refits")
-        return self.spec.fit_rows(X, y)
+        return self.spec.fit_rows(X, y, start=start)
 
     def fit(self, dataset, candidate):
         raise AssertionError("a refit baseline reached the memoized fit")
@@ -652,6 +653,44 @@ def test_refit_baselines_never_use_the_memoized_fit(small_dataset):
             == conformal_set_grid(small_dataset, spec, ABS, 0.1, grid))
     for z in grid[::5]:
         assert pi_exact(small_dataset, z, double, ABS) == pi_exact(small_dataset, z, spec, ABS)
+
+
+class ColdRefits:
+    """Model spec whose refits drop ``start``, so every refit starts cold."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def fit_rows(self, X, y, start=None):
+        return self.spec.fit_rows(X, y)
+
+
+def test_root_warm_starts_give_the_cold_set_in_fewer_iterations():
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 40, 4, 1.0, seed=3))
+    spec, eps_r = LadRidgeModel(0.2), 1e-4
+    warm = root_cp(ds, spec, ABS, 0.1, eps_r=eps_r)
+    cold = root_cp(ds, ColdRefits(spec), ABS, 0.1, eps_r=eps_r)
+    assert warm.set.shape == cold.set.shape == "interval"
+    assert (warm.fit_count, warm.set.truncated) == (cold.fit_count, cold.set.truncated)
+    assert np.allclose(warm.set.intervals, cold.set.intervals, rtol=0.0, atol=eps_r)
+    assert warm.details["converged"] is True and cold.details["converged"] is True
+    assert warm.details["duality_gap"] <= spec.solver_tol
+    assert warm.details["iterations"] < cold.details["iterations"]
+
+
+def test_refit_reports_carry_the_summed_certificate(small_dataset):
+    grid = stabcp.default_candidate_grid(small_dataset, 12)
+    for report in (root_cp(small_dataset, RidgeModel(0.5), ABS, 0.1),
+                   grid_cp(small_dataset, RidgeModel(0.5), ABS, 0.1, grid)):
+        assert [report.details[k] for k in ("iterations", "duality_gap", "converged")] == \
+            [None, None, None]
+    # ten iterations per refit cannot reach 1e-12: every refit is counted, none converged
+    starved = LadRidgeModel(0.2, solver_tol=1e-12, max_iter=10)
+    for report in (root_cp(small_dataset, starved, ABS, 0.1),
+                   grid_cp(small_dataset, starved, ABS, 0.1, grid)):
+        assert report.details["iterations"] == 10 * report.fit_count
+        assert report.details["duality_gap"] > 1e-12
+        assert report.details["converged"] is False
 
 
 def test_root_returns_when_eps_r_is_below_the_float_spacing():

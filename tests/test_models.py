@@ -164,6 +164,20 @@ def test_lad_permutation_symmetry_within_tolerance():
     assert f1.row_predictions[-1] == pytest.approx(f2.row_predictions[-1], abs=1e-4)
 
 
+def test_lad_warm_start_needs_a_fit_on_as_many_rows(small_dataset):
+    spec = LadRidgeModel(0.2)
+    X, y = small_dataset.augmented_design(), small_dataset.augmented_targets(0.0)
+    start = spec.fit_rows(X, y)
+    for bad in (spec.fit_rows(X[:-1], y[:-1]), spec.fit_rows(X[:, :-1], y), spec,
+                RidgeModel(0.2).fit_rows(X, y)):
+        with pytest.raises(InvalidInputError, match="start"):
+            spec.fit_rows(X, y, start=bad)
+    assert spec.fit_rows(X, y, start=start).converged
+    # the closed-form models ignore a start
+    assert np.array_equal(RidgeModel(0.2).fit_rows(X, y, start=start).coefficients,
+                          RidgeModel(0.2).fit_rows(X, y).coefficients)
+
+
 def test_lad_default_iteration_cap_matches_run_config():
     assert LadRidgeModel(0.5).max_iter == RunConfig().max_iter == 50_000
 

@@ -7,7 +7,7 @@ bisection tolerance with the bisected endpoints never inside, and the stabcp
 set must contain the grid-evaluated exact conformal set.  The ridge fit that
 reuses the dataset's Gram matrix and augmented solve must match a refit from
 scratch on the augmented rows, and the LAD-ridge duality gap must bound the
-suboptimality of the returned fit.  The data mix in
+suboptimality of the returned fit, warm-started or not.  The data mix in
 outliers, tied targets, ``n`` close to ``p``, a constant column and a
 zero-norm query row.
 """
@@ -136,3 +136,23 @@ def test_lad_certificate_bounds_suboptimality(ds, lam, candidate, max_iter, seed
     assert np.isclose(fit.objective, objective(fit.coefficients), rtol=1e-12, atol=0.0)
     assert fit.converged == (fit.duality_gap <= spec.solver_tol)
     assert np.array_equal(fit.row_predictions, X @ fit.coefficients)
+
+
+@SETTINGS
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.01, 0.5]),
+       first=st.floats(-1e3, 1e3), second=st.floats(-1e3, 1e3),
+       max_iter=st.sampled_from([10, 2000]))
+def test_lad_warm_start_keeps_the_certificate(ds, lam, first, second, max_iter):
+    # the two fits differ only in the query target, as two refits of root_cp
+    # do; ten iterations leave some warm fits uncertified, and they must say so
+    spec = LadRidgeModel(lam, max_iter=max_iter)
+    X = ds.augmented_design()
+    y = ds.augmented_targets(second)
+    warm = spec.fit_rows(X, y, start=spec.fit_rows(X, ds.augmented_targets(first)))
+    cold = spec.fit_rows(X, y)
+    assert warm.converged == (warm.duality_gap <= spec.solver_tol)
+    # both objectives lie in [optimum, optimum + own gap]; a gap computed as 0
+    # still leaves the rounding of two sums over at most 26 rows, each term up
+    # to 1e6 (objectives near 4e4 differed by one unit in the last place)
+    slack = 1e-12 + 64 * np.spacing(cold.objective)
+    assert abs(warm.objective - cold.objective) <= warm.duality_gap + cold.duality_gap + slack
