@@ -50,7 +50,7 @@ print(f"\nmean envelope gap: {np.mean(gaps):.3f} "
       f"(shrinks as the sample grows; try n=300)")
 
 crossings = [z for (z, _, up, _), (z2, _, up2, _) in zip(rows, rows[1:])
-             if (up >= alpha) != (up2 >= alpha)]
+             if (up > alpha) != (up2 > alpha)]
 print(f"upper-envelope alpha crossings near: {[round(z, 3) for z in crossings]}")
 print(f"split curve at the anchor: {float(pi_split(anchor)):.3f}")
 print("\nEvery grid point satisfies lo <= exact <= up: "

@@ -250,8 +250,8 @@ def cmd_curve(data_path, target_column, sidecar, out, **kw):
             current = {"pi_lo": lo, "pi_up": up, "pi_exact": exact, "pi_split": ps}
             if previous is not None:
                 for name, value in current.items():
-                    was = previous[name] >= config.alpha
-                    now = value >= config.alpha
+                    was = previous[name] > config.alpha
+                    now = value > config.alpha
                     if was != now:
                         crossings[name].append(z)
             previous = current

@@ -30,11 +30,12 @@ from .core import (
     ScoreFunction,
     TabularDataset,
     _as_finite_array,
-    _ceil_tol,
+    _certificate,
     _check_grid,
+    _conformity,
     _grid_set,
-    _kept_intervals,
-    _level_threshold,
+    _kept_set,
+    _level_index,
     _Refits,
     check_alpha,
     conformity_scores,
@@ -45,10 +46,10 @@ from .stability import StabilityBounds
 
 @dataclass
 class PiBounds:
-    """Sandwich values at one candidate: ``0 <= lo <= up <= 1``.
+    """Sandwich values at one candidate: ``1/(n+1) <= lo <= pi_exact <= up <= 1``.
 
-    ``n_lo`` and ``n_up`` are the integer indicator sums behind the two
-    envelopes (``lo = 1 - n_lo/(n+1)``), kept for exact rank comparisons.
+    ``n_lo`` (``n_up``) counts the observed rows whose score may (must) be at
+    most the query's, and ``lo = 1 - n_lo/(n+1)``; kept for exact comparisons.
     """
 
     lo: float
@@ -109,23 +110,15 @@ class ConformityBounds:
             n=n,
         )
 
-    def test_bounds(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper envelope of the query-point score at candidate(s) z."""
-        s = self.score.evaluate(np.asarray(z, dtype=float), self.mu_test)
-        return s - self.tau_test, s + self.tau_test
-
     def counts_at(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Indicator sums (n_lo, n_up) over all n+1 rows, vectorized in z."""
-        low_test, up_test = self.test_bounds(z)
-        n_lo = np.searchsorted(self.lower_sorted, up_test, side="right") + 1
-        self_term = 1 if self.tau_test == 0.0 else 0
-        n_up = np.searchsorted(self.upper_sorted, low_test, side="right") + self_term
-        return n_lo, n_up
+        """Observed-row counts (n_lo, n_up) of ``PiBounds``, vectorized in z."""
+        s = self.score.evaluate(np.asarray(z, dtype=float), self.mu_test)
+        return (np.searchsorted(self.lower_sorted, s + self.tau_test, side="right"),
+                np.searchsorted(self.upper_sorted, s - self.tau_test, side="right"))
 
     def pi_bounds_at(self, z: float) -> PiBounds:
-        n_lo, n_up = self.counts_at(float(z))
-        m = self.n + 1
-        return PiBounds(1.0 - float(n_lo) / m, 1.0 - float(n_up) / m, int(n_lo), int(n_up))
+        n_lo, n_up = (int(count) for count in self.counts_at(float(z)))
+        return PiBounds(_conformity(n_lo, self.n), _conformity(n_up, self.n), n_lo, n_up)
 
 
 def anchor_bounds(dataset: TabularDataset, anchor: float, model_spec,
@@ -152,22 +145,11 @@ def _score_threshold(sorted_scores: np.ndarray, tau_test: float, alpha: float) -
     - oracle: the observed scores of the fit at the true response, tau_test = 0;
     - split: the calibration scores, tau_test = 0.
 
-    The index is ``k = ceil((1-alpha)(m+1))`` when ``tau_test > 0`` and
-    ``k = floor((1-alpha)(m+1))`` when ``tau_test = 0``: with a zero bound the
-    query point's own indicator fires in the upper-envelope count, which moves
-    the index down to the floor (the zero-stability limit the oracle shares).
-    Returns ``+inf`` when ``k > m`` (the set is the whole range) and ``-inf``
-    when ``k < 1`` (the set is empty).
+    ``k = _level_index(m, alpha)``; ``+inf`` (the whole range) when ``k > m``.
     """
-    m = sorted_scores.size
-    if tau_test > 0:
-        k = _ceil_tol((1.0 - alpha) * (m + 1))
-    else:
-        k = _level_threshold(m, alpha)
-    if k > m:
+    k = _level_index(sorted_scores.size, alpha)
+    if k > sorted_scores.size:
         return math.inf
-    if k < 1:
-        return -math.inf
     return float(sorted_scores[k - 1]) + tau_test
 
 
@@ -189,24 +171,22 @@ def _bisect(is_inside, inside: float, outside: float, eps_r: float) -> tuple[flo
     return inside, outside
 
 
-def _outer_boundary(score: ScoreFunction, mu: float, threshold: float, step: float,
-                    eps_r: float) -> float | None:
-    """A point just outside ``{z : S(z, mu) <= T}`` on the side ``step`` points to.
+def _outer_boundary(is_inside, start: float, step: float,
+                    eps_r: float) -> tuple[float, float] | None:
+    """The bracket ``(inside, outside)`` of a set boundary beyond ``start``.
 
-    Steps outward from ``mu`` by ``step``, doubling it until the score exceeds
-    the threshold, then bisects the last bracket (``_bisect``) and returns its
-    outer end.  None when the score is still at most the threshold after
-    ``_MAX_DOUBLINGS`` doublings.
+    ``is_inside`` holds at ``start``.  Steps outward from it by ``step``
+    (whose sign picks the side), doubling the step until ``is_inside`` fails,
+    then shrinks the last bracket with ``_bisect``.  None when ``is_inside``
+    still holds after ``_MAX_DOUBLINGS`` doublings.
     """
-    inside, outside = mu, mu + step
+    inside, outside = start, start + step
     for _ in range(_MAX_DOUBLINGS):
-        if score.evaluate(outside, mu) > threshold:
-            break
+        if not is_inside(outside):
+            return _bisect(is_inside, inside, outside, eps_r)
         step *= 2.0
-        inside, outside = outside, mu + step
-    else:
-        return None
-    return _bisect(lambda z: score.evaluate(z, mu) <= threshold, inside, outside, eps_r)[1]
+        inside, outside = outside, start + step
+    return None
 
 
 def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float,
@@ -214,7 +194,7 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
     """The candidates whose query score stays within the threshold: ``{z : S(z, mu) <= T}``.
 
     - ``T = +inf`` gives the whole candidate range, flagged as truncated, and
-      ``S(mu, mu) > T`` (in particular ``T = -inf``) the empty set.
+      ``S(mu, mu) > T`` the empty set.
     - The absolute residual gives ``[mu - T, mu + T]`` exactly.
     - A custom score must honor the contract of ``ScoreFunction.custom``
       (minimized at ``q = m``, nondecreasing in ``|q - m|`` on each side), so
@@ -238,10 +218,11 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
         ends = (mu - threshold, mu + threshold)
     else:
         step = max(float(candidate_range[1]) - float(candidate_range[0]), eps_r)
-        ends = (_outer_boundary(score, mu, threshold, -step, eps_r),
-                _outer_boundary(score, mu, threshold, step, eps_r))
-        if None in ends:
+        brackets = [_outer_boundary(lambda z: score.evaluate(z, mu) <= threshold,
+                                    mu, side * step, eps_r) for side in (-1.0, 1.0)]
+        if None in brackets:
             return PredictionSet.whole_range(method, alpha, candidate_range)
+        ends = (brackets[0][1], brackets[1][1])
     return PredictionSet.from_intervals([ends], method, alpha,
                                         candidate_range=candidate_range)
 
@@ -259,14 +240,6 @@ def _report(prediction_set: PredictionSet, dataset: TabularDataset, fit_count: i
         wall_time=time.perf_counter() - started,
         details=dict(details),
     )
-
-
-def _certificate(fitted) -> dict:
-    """The solver certificate of a fit, or the totals of ``_Refits``:
-    ``iterations``, ``duality_gap`` and ``converged``, each None for a
-    closed-form fit."""
-    return {key: getattr(fitted, key, None)
-            for key in ("iterations", "duality_gap", "converged")}
 
 
 def _stab_cp(dataset: TabularDataset, anchor: float, model_spec, score: ScoreFunction,
@@ -301,10 +274,10 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
 
     Fits once at the anchor, inflates the observed scores by their stability
     bounds, and returns ``{z : S(z, mu) <= T}`` with ``T`` from
-    ``_score_threshold``.  For the absolute residual this is the interval
-    centered at the anchor prediction with half-width ``Q + tau_test``, Q the
-    ceil((1-alpha)(n+1))-th order statistic of the inflated scores (the
-    floor when ``tau_test = 0``).  When that index exceeds n the whole
+    ``_score_threshold``, the closure of ``{pi_up > alpha}``.  For the
+    absolute residual this is the interval centered at the anchor prediction
+    with half-width ``Q + tau_test``, Q the ceil((1-alpha)(n+1))-th order
+    statistic of the inflated scores; when that index exceeds n the whole
     candidate range is returned.  Custom scores are extracted by
     ``sublevel_set`` to within ``1e-6``.
     """
@@ -348,9 +321,9 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
     Evaluates the upper envelope of the interpolated conformity function on
     the grid: every row's score moves with the candidate through the
     interpolated predictions, and all rows carry the inflated interpolation
-    bounds.  Returns the alpha-superlevel set merged into intervals; as for
-    the single-fit sets, an uncertified knot fit reports
-    ``tau_coverage_safe=False``.
+    bounds.  Keeps the grid points where that envelope exceeds ``alpha``
+    (``_kept_set``); as for the single-fit sets, an uncertified knot fit
+    reports ``tau_coverage_safe=False``.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -359,20 +332,15 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
     tau_arr = tau_tilde.tau
     if tau_arr.size != n + 1:
         raise InvalidInputError(f"tau has {tau_arr.size} entries, expected {n + 1}")
-    threshold = _level_threshold(n, alpha)
+    k = _level_index(n, alpha)
     kept = np.zeros(grid.size, dtype=bool)
     for j, z in enumerate(grid):
         preds = interpolated.row_predictions_at(z)
         q = dataset.augmented_targets(z)
         scores = np.asarray(score.evaluate(q, preds), dtype=float)
-        upper = scores + tau_arr
-        lower_test = scores[-1] - tau_arr[-1]
-        n_up = int(np.count_nonzero(upper <= lower_test))
-        kept[j] = n_up <= threshold
-    prediction_set = PredictionSet.from_intervals(
-        _kept_intervals(grid, kept), "interpcp", alpha,
-        candidate_range=(float(grid[0]), float(grid[-1])),
-    )
+        n_up = np.count_nonzero(scores[:-1] + tau_arr[:-1] <= scores[-1] - tau_arr[-1])
+        kept[j] = n_up < k
+    prediction_set = _kept_set(grid, kept, "interpcp", alpha)
     return _report(prediction_set, dataset, interpolated.fit_count, started,
                    tau_provenance=tau_tilde.provenance,
                    tau_coverage_safe=tau_tilde.coverage_safe and interpolated.converged)
@@ -399,10 +367,10 @@ def split_cp(dataset: TabularDataset, split_index: int, model_spec,
 
     The model is fitted on rows ``1..m`` only; the remaining ``n - m`` rows
     provide calibration scores.  The set is ``{z : S(z, mu) <= T}`` around the
-    trained prediction, T the floor((1-alpha)(n-m+1))-th calibration order
-    statistic (the index ``split_pi`` and the grid sets use); when that index
-    is 0 the set is empty.  Custom scores are extracted by ``sublevel_set``
-    to within ``1e-6``.
+    trained prediction, T the ceil((1-alpha)(n-m+1))-th calibration order
+    statistic: the closure of ``{split_pi > alpha}``, the whole range when
+    that index exceeds ``n - m``.  Custom scores are extracted by
+    ``sublevel_set`` to within ``1e-6``.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -417,14 +385,14 @@ def split_cp(dataset: TabularDataset, split_index: int, model_spec,
 
 def split_pi(dataset: TabularDataset, split_index: int, model_spec,
              score: ScoreFunction):
-    """Split conformity function ``z -> pi_split(z)`` (one fit, reusable)."""
+    """Split conformity ``z -> 1 - count/(n_cal+1)`` (one fit, reusable), count
+    the calibration scores at most the query's."""
     mu_test, cal_scores, _ = _split_fit(dataset, split_index, model_spec, score)
-    n_cal = cal_scores.size
 
     def pi(z):
         test_score = score.evaluate(np.asarray(z, dtype=float), mu_test)
-        count = np.searchsorted(cal_scores, test_score, side="right") + 1
-        return 1.0 - count / (n_cal + 1)
+        return _conformity(np.searchsorted(cal_scores, test_score, side="right"),
+                           cal_scores.size)
 
     return pi
 
@@ -434,10 +402,10 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
     """Reference set computed as if the held-out response were known.
 
     One fit at the true response; the set keeps the candidates whose score
-    against that fit ranks low enough among the fixed scores.  This is the
-    zero-stability limit of the single-fit construction anchored at the
-    truth: ``stab_cp_interval`` with all bounds zero, anchored at the true
-    response, returns the same set.
+    against that fit is at most the ceil((1-alpha)(n+1))-th observed score.
+    This is the zero-stability limit of the single-fit construction anchored
+    at the truth: ``stab_cp_interval`` with all bounds zero, anchored at the
+    true response, returns the same set.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -457,16 +425,16 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
             z_range=None, eps_r: float = 1e-4) -> MethodReport:
     """Endpoints of the exact conformal set by bisection, one refit per probe.
 
-    Assumes the exact set is one interval.  It first probes ``_ROOT_PROBES``
-    evenly spaced candidates of the range (a ``conformal_set_grid``); each
-    endpoint is then bisected between the outermost kept probe and its unkept
-    neighbour, and the midpoint of the final bracket is returned.  The set is empty when no probe is kept; when
-    an end probe is kept, that endpoint is clamped to the range end and the
-    set is flagged as truncated.  Every conformity evaluation refits the
-    model, so ``fit_count`` is the probes plus the bisection steps.  Each
-    refit is warm-started from the one before it (the probes in order, then
-    the left bisection, then the right), whose candidates lie ever closer
-    together; the details carry the refits' summed ``iterations``, largest
+    Assumes the exact set is one interval.  When ``_level_index`` exceeds n
+    it returns the whole range with no refit.  Otherwise it probes
+    ``_ROOT_PROBES`` evenly spaced candidates of the range (empty when none
+    is kept) and brackets each endpoint between the outermost kept probe and
+    its unkept neighbour or, past a kept end probe, outward as
+    ``sublevel_set`` does (``_outer_boundary``; never clamped, whole range
+    when unbounded).  The bracket is bisected to ``eps_r`` and its midpoint
+    returned.  ``fit_count`` counts every refit.  Each refit is warm-started
+    from the one before it, whose candidates lie ever closer together; the
+    details carry the refits' summed ``iterations``, largest
     ``duality_gap`` and joint ``converged`` (None for closed-form fits).
     """
     started = time.perf_counter()
@@ -479,30 +447,35 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     z_min, z_max = float(z_range[0]), float(z_range[1])
     if not z_min < z_max:
         raise InvalidInputError("need z_min < z_max")
+    if _level_index(dataset.n, alpha) > dataset.n:
+        return _report(PredictionSet.whole_range("rootcp", alpha, (z_min, z_max)), dataset, 0,
+                       started, **_certificate(None))
     probes = np.linspace(z_min, z_max, _ROOT_PROBES)
     refits = _Refits(dataset, model_spec, score)
     probed = _grid_set(refits, alpha, probes)
     if probed.shape == "empty":
         prediction_set = PredictionSet.empty_set("rootcp", alpha, (z_min, z_max))
-        return _report(prediction_set, dataset, refits.count, started, **_certificate(refits))
-    threshold = _level_threshold(dataset.n, alpha)
+        return _report(prediction_set, dataset, refits.count, started, **refits.certificate)
 
-    def endpoint(kept: int, unkept: int) -> float:
-        if not 0 <= unkept < _ROOT_PROBES:
-            return float(probes[kept])
-        inside, outside = _bisect(lambda z: refits.rank_at(z) <= threshold,
-                                  probes[kept], probes[unkept], eps_r)
-        return 0.5 * (inside + outside)
+    def inside(z: float) -> bool:
+        return refits.inside(z, alpha)
+
+    def bracket(kept: int, side: int):
+        if 0 <= kept + side < _ROOT_PROBES:
+            return _bisect(inside, probes[kept], probes[kept + side], eps_r)
+        return _outer_boundary(inside, float(probes[kept]), side * (z_max - z_min), eps_r)
 
     first = int(np.searchsorted(probes, probed.intervals[0][0], side="left"))
     last = int(np.searchsorted(probes, probed.intervals[-1][1], side="right")) - 1
-    left, right = endpoint(first, first - 1), endpoint(last, last + 1)
-    truncated = first == 0 or last == _ROOT_PROBES - 1
-    prediction_set = PredictionSet.from_intervals([(left, right)], "rootcp", alpha,
-                                                  truncated=truncated,
-                                                  candidate_range=(z_min, z_max))
+    brackets = [bracket(first, -1), bracket(last, 1)]
+    if None in brackets:
+        prediction_set = PredictionSet.whole_range("rootcp", alpha, (z_min, z_max))
+    else:
+        ends = tuple(0.5 * (a + b) for a, b in brackets)
+        prediction_set = PredictionSet.from_intervals([ends], "rootcp", alpha,
+                                                      candidate_range=(z_min, z_max))
     return _report(prediction_set, dataset, refits.count, started,
-                   z0=float(probes[first]), **_certificate(refits))
+                   z0=float(probes[first]), **refits.certificate)
 
 
 def grid_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
@@ -512,7 +485,7 @@ def grid_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     started = time.perf_counter()
     refits = _Refits(dataset, model_spec, score)
     prediction_set = _grid_set(refits, alpha, grid)
-    return _report(prediction_set, dataset, refits.count, started, **_certificate(refits))
+    return _report(prediction_set, dataset, refits.count, started, **refits.certificate)
 
 
 def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
@@ -529,7 +502,7 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
     rows = []
     for z in grid:
         pb = bounds.pi_bounds_at(z)
-        rows.append((float(z), pb.lo, pb.up, 1.0 - refits.rank_at(z) / (dataset.n + 1)))
+        rows.append((float(z), pb.lo, pb.up, _conformity(refits.count_at(z), dataset.n)))
     return rows
 
 

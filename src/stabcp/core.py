@@ -1,9 +1,11 @@
 """Rank statistics, conformity scores, and the grid-evaluated exact conformal set.
 
-The conformity of a candidate target value is one minus the normalized rank of
-its nonconformity score within the augmented sample.  The grid sweep here
-refits the model at every candidate and is the slow-but-trustworthy baseline
-that every faster construction in :mod:`stabcp.conformal` is checked against.
+The conformity of a candidate target value is ``1 - count/(n+1)``, count the
+observed nonconformity scores at most the query's (its rank less one), and
+every set keeps the candidates whose conformity exceeds alpha
+(``_level_index``).  The grid sweep here refits the model at every candidate
+and is the slow-but-trustworthy baseline that every faster construction in
+:mod:`stabcp.conformal` is checked against.
 """
 
 from __future__ import annotations
@@ -20,19 +22,20 @@ _TOL = 1e-9
 PREDICTION_SHAPES = ("interval", "union-of-intervals", "whole-range", "empty")
 
 
-def _ceil_tol(x: float) -> int:
-    """Ceiling that forgives float noise just below an integer."""
-    return math.ceil(x - _TOL)
+def _level_index(m: int, alpha: float) -> int:
+    """The one level rule, ``k = ceil((1 - alpha)(m + 1))`` (Lei et al., JASA 2018).
+
+    With ``count`` of m reference scores at most the query's score, its
+    conformity is ``pi = 1 - count/(m + 1)`` (``_conformity``); every set is
+    the closure of ``{pi > alpha} = {count < k}``, which covers with
+    probability at least 1 - alpha.  ``k > m``: every candidate, the whole line.
+    """
+    return math.ceil((1.0 - alpha) * (m + 1) - _TOL)
 
 
-def _floor_tol(x: float) -> int:
-    """Floor that forgives float noise just above an integer."""
-    return math.floor(x + _TOL)
-
-
-def _level_threshold(n: int, alpha: float) -> int:
-    """Largest rank (out of n+1) a candidate may have and stay in the set at alpha."""
-    return _floor_tol((1.0 - alpha) * (n + 1))
+def _conformity(count, m: int):
+    """``1 - count/(m + 1)`` rounded once, so ``> alpha`` matches ``count < k``."""
+    return (m + 1 - count) / (m + 1)
 
 
 def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
@@ -242,33 +245,43 @@ def _checked_scores(score: ScoreFunction, q: np.ndarray, preds: np.ndarray) -> n
     return scores
 
 
-def _exact_rank(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction,
-                start=None, X=None) -> tuple[int, object]:
-    """Rank of the query's score among all n+1 under a refit at ``candidate``,
-    and that refit (one fit).
+def _exact_count(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction,
+                 start=None, X=None) -> tuple[int, object]:
+    """How many observed scores are at most the query's under a refit at
+    ``candidate`` (in the set when below ``_level_index``), and the refit.
 
     The refit is ``fit_rows`` on the augmented rows ``X`` (built here when not
     given): it never goes through ``fit``, which may reuse per-dataset work,
     so the refit baselines stay an independent check of the single-fit sets.
     ``start``, an earlier refit on the same rows, only sets where an
     iterative solver begins; the refit still meets the solver's tolerance.
-    The candidate lies in the exact conformal set at level alpha when the rank
-    is at most ``_level_threshold(n, alpha)``.
     """
     X = dataset.augmented_design() if X is None else X
     y = dataset.augmented_targets(candidate)
     fitted = model_spec.fit_rows(X, y, start=start)
-    return rank(_checked_scores(score, y, fitted.predict_rows(X)), dataset.n + 1), fitted
+    return rank(_checked_scores(score, y, fitted.predict_rows(X)), dataset.n + 1) - 1, fitted
+
+
+def _certificate(fitted) -> dict:
+    """A fit's ``iterations``, ``duality_gap`` and ``converged`` (None if closed-form)."""
+    return {key: getattr(fitted, key, None) for key in ("iterations", "duality_gap", "converged")}
+
+
+def _joint_certificate(first: dict, second: dict) -> dict:
+    """Two certificates as one: iterations summed, the larger gap, converged if both did."""
+    if None in (first["iterations"], second["iterations"]):
+        return second if first["iterations"] is None else first
+    return {"iterations": first["iterations"] + second["iterations"],
+            "duality_gap": max(first["duality_gap"], second["duality_gap"]),
+            "converged": first["converged"] and second["converged"]}
 
 
 class _Refits:
     """The refits of one baseline call, each warm-started from the one before.
 
     Builds the augmented design once and passes every refit to the next as
-    ``start``; nothing outlives the call.  Totals the solver certificates:
-    ``iterations`` summed over the refits, the largest ``duality_gap``, and
-    ``converged`` only when every refit converged, each None for closed-form
-    fits.
+    ``start``; nothing outlives the call.  ``certificate`` totals the refits'
+    solver certificates (``_joint_certificate``).
     """
 
     def __init__(self, dataset: TabularDataset, model_spec, score: ScoreFunction):
@@ -276,26 +289,27 @@ class _Refits:
         self.X = dataset.augmented_design()
         self.last = None
         self.count = 0
-        self.iterations, self.duality_gap, self.converged = None, None, None
+        self.certificate = _certificate(None)
 
-    def rank_at(self, candidate: float) -> int:
-        """``_exact_rank`` at ``candidate``, refitted from the last refit."""
-        rank_, self.last = _exact_rank(self.dataset, candidate, self.model_spec, self.score,
-                                       start=self.last, X=self.X)
+    def count_at(self, candidate: float) -> int:
+        """``_exact_count`` at ``candidate``, refitted from the last refit."""
+        count, self.last = _exact_count(self.dataset, candidate, self.model_spec, self.score,
+                                        start=self.last, X=self.X)
         self.count += 1
-        if getattr(self.last, "iterations", None) is not None:
-            self.iterations = (self.iterations or 0) + self.last.iterations
-            self.duality_gap = max(self.duality_gap or 0.0, self.last.duality_gap)
-            self.converged = self.converged is not False and self.last.converged
-        return rank_
+        self.certificate = _joint_certificate(self.certificate, _certificate(self.last))
+        return count
+
+    def inside(self, candidate: float, alpha: float) -> bool:
+        return self.count_at(candidate) < _level_index(self.dataset.n, alpha)
 
 
 def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction) -> float:
-    """Exact conformity of ``candidate``: fit on the augmented data, then rank.
+    """Exact conformity ``1 - count/(n+1)`` of ``candidate`` (``_level_index``),
+    count the observed scores at most the query's under a refit at it.
 
-    Always a multiple of ``1/(n+1)``; equals 0 when every score ties.
+    A multiple of ``1/(n+1)`` from ``1/(n+1)`` (e.g. every score tied) to 1.
     """
-    return 1.0 - _exact_rank(dataset, candidate, model_spec, score)[0] / (dataset.n + 1)
+    return _conformity(_exact_count(dataset, candidate, model_spec, score)[0], dataset.n)
 
 
 @dataclass
@@ -304,10 +318,10 @@ class PredictionSet:
 
     ``intervals`` is an ascending list of disjoint closed ``(lo, hi)`` pairs in
     target units.  ``whole-range`` sets carry the active candidate range, and
-    ``truncated`` flags a set that reaches beyond what it stores: a
-    whole-range set, or a root-finding set clamped to its search range.  The
-    single-fit sets are never clamped, so their intervals may leave the
-    candidate range.
+    ``truncated`` flags a set that may reach beyond what it stores: a
+    whole-range set, or a grid set (gridcp, interpcp) with a kept run at a
+    grid end.  The single-fit and root-finding sets are never clamped, so
+    their intervals may leave the candidate range.
     """
 
     shape: str
@@ -389,22 +403,28 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-def _kept_intervals(grid: np.ndarray, kept: np.ndarray) -> list:
-    """Closed intervals spanned by the runs of consecutive kept grid points."""
-    edges = np.diff(np.concatenate([[0], np.asarray(kept, dtype=np.int8), [0]]))
+def _kept_set(grid: np.ndarray, kept, method: str, alpha: float) -> PredictionSet:
+    """The runs of consecutive kept grid points as closed intervals, flagged as
+    truncated when a run reaches a grid end (the set may go on beyond it)."""
+    kept = np.asarray(kept, dtype=bool)
+    edges = np.diff(np.concatenate([[0], kept.astype(np.int8), [0]]))
     starts = np.flatnonzero(edges == 1)
     stops = np.flatnonzero(edges == -1) - 1
-    return [(grid[a], grid[b]) for a, b in zip(starts, stops)]
+    return PredictionSet.from_intervals(
+        [(grid[a], grid[b]) for a, b in zip(starts, stops)], method, alpha,
+        truncated=bool(kept[0] or kept[-1]),
+        candidate_range=(float(grid[0]), float(grid[-1])),
+    )
 
 
 def conformal_set_grid(dataset: TabularDataset, model_spec, score: ScoreFunction,
                        alpha: float, grid) -> PredictionSet:
     """Exact conformal set evaluated on a candidate grid, one refit per point.
 
-    Keeps the grid points whose conformity reaches ``alpha`` and merges
-    consecutive kept points into closed intervals.  This is the verification
-    oracle for the single-fit constructions; it costs ``len(grid)`` fits, each
-    warm-started from the one at the previous grid point.
+    Keeps the grid points whose conformity exceeds ``alpha`` (``_kept_set``).
+    This is the verification oracle for the single-fit constructions; it
+    costs ``len(grid)`` fits, each warm-started from the one at the previous
+    grid point.
     """
     return _grid_set(_Refits(dataset, model_spec, score), alpha, grid)
 
@@ -413,9 +433,4 @@ def _grid_set(refits: _Refits, alpha: float, grid) -> PredictionSet:
     """``conformal_set_grid`` through the given refit chain."""
     alpha = check_alpha(alpha)
     grid = _check_grid(grid)
-    threshold = _level_threshold(refits.dataset.n, alpha)
-    kept = [refits.rank_at(z) <= threshold for z in grid]
-    return PredictionSet.from_intervals(
-        _kept_intervals(grid, kept), method="gridcp", alpha=alpha,
-        candidate_range=(float(grid[0]), float(grid[-1])),
-    )
+    return _kept_set(grid, [refits.inside(z, alpha) for z in grid], "gridcp", alpha)

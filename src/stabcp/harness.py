@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conformal import (
-    default_anchor,
     grid_cp,
     interpolated_cp,
     oracle_cp,
@@ -25,6 +24,7 @@ from .conformal import (
     stab_cp_interval,
 )
 from .core import ScoreFunction, TabularDataset, check_alpha, default_candidate_grid
+from .core import _certificate, _joint_certificate
 from .data import GeneratorSpec, dataset_from_rows, generate
 from .errors import InvalidInputError
 from .models import LadRidgeModel, RidgeModel, build_interpolated_model
@@ -121,11 +121,13 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
     return load_tau_csv(config.tau_file), 0
 
 
-def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, int]:
-    """Anchor value and the number of auxiliary fits spent choosing it."""
+def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, object]:
+    """Anchor value and the fit spent choosing it: ``default_anchor``'s for
+    ``"auto"``, None for a given anchor."""
     if config.anchor == "auto":
-        return default_anchor(dataset, config.model_spec()), 1
-    return config.anchor, 0
+        fitted = config.model_spec().fit_observed(dataset)
+        return float(fitted.predict(dataset.test_point)), fitted
+    return config.anchor, None
 
 
 def run_method(method: str, dataset: TabularDataset, config: RunConfig,
@@ -138,10 +140,12 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
     started = time.perf_counter()
 
     if method == "stabcp":
-        anchor, aux = resolve_anchor(config, dataset)
+        anchor, anchor_fit = resolve_anchor(config, dataset)
         tau, tau_aux = build_tau(config, dataset, score)
         report = stab_cp_interval(dataset, anchor, spec, score, tau, config.alpha)
-        report.details["aux_fits"] = aux + tau_aux
+        report.details["aux_fits"] = (anchor_fit is not None) + tau_aux
+        # the certificate covers the anchor fit as well as the envelope fit
+        report.details.update(_joint_certificate(report.details, _certificate(anchor_fit)))
     elif method == "splitcp":
         report = split_cp(dataset, config.split_index(dataset.n), spec, score, config.alpha)
     elif method == "oraclecp":

@@ -307,3 +307,24 @@ def test_criterion_10_fit_counters_and_timing():
     ok = counters_ok and timing_ok
     _line(10, ok, f"counters exact (stab=1, split=1, grid={grid_size}, "
                   f"{root_detail}); stab/grid time ratio {ratio:.4f} (< 0.1)")
+
+
+def test_criterion_11_every_method_covers_at_a_non_integer_level():
+    # n=20, alpha=0.1: (1 - alpha)(n + 1) = 18.9 is not an integer, so the
+    # ceil index keeps 19 of the 21 ranks (coverage 0.905) where a floor index
+    # would keep 18 (0.857, below the bar).  linear-exact bounds, 1000 draws;
+    # the bar is 1 - alpha - 3 SE over the draws each coverage counts.
+    reps, alpha = 1000, 0.1
+    methods = ["stabcp", "oraclecp", "splitcp", "rootcp", "interpcp"]
+    config = RunConfig(alpha=alpha, tau_source="linear-exact")
+    source = synthetic_source(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 0))
+    report, rows = run_benchmark(source, methods, reps, seed=0, config=config)
+    ok, parts = True, []
+    for method in methods:
+        counted = [row for row in rows if row["method"] == method and row["error"] is None
+                   and row["tau_coverage_safe"] is not False]
+        bar = (1 - alpha) - 3 * math.sqrt(alpha * (1 - alpha) / len(counted))
+        coverage = report["methods"][method]["coverage"]
+        ok &= len(counted) >= 0.9 * reps and coverage >= bar
+        parts.append(f"{method} {coverage:.3f} (bar {bar:.3f}, {len(counted)} draws)")
+    _line(11, ok, "coverage " + ", ".join(parts))

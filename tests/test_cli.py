@@ -8,8 +8,8 @@ import pytest
 
 from stabcp.cli import main
 from stabcp.errors import InvalidInputError
-from stabcp.harness import RunConfig, run_benchmark, run_method, synthetic_source
-from stabcp import GeneratorSpec, gen_linear_gaussian
+from stabcp.harness import RunConfig, build_tau, run_benchmark, run_method, synthetic_source
+from stabcp import GeneratorSpec, ScoreFunction, gen_linear_gaussian, stab_cp_interval
 
 
 def run_cli(capsys, *args):
@@ -158,7 +158,8 @@ def test_predict_reports_the_fit_certificate(generated, capsys):
     code, out, err = run_cli(capsys, *lad_flags, "--max-iter", "5", "--solver-tol", "1e-12")
     assert code == 0, err
     starved = json.loads(out)
-    assert starved["iterations"] == 5 and starved["duality_gap"] > 1e-12
+    # five iterations each for the anchor fit and the envelope fit
+    assert starved["iterations"] == 10 and starved["duality_gap"] > 1e-12
     assert starved["converged"] is False and starved["tau_coverage_safe"] is False
 
 
@@ -175,6 +176,47 @@ def test_predict_rootcp_reports_the_refits_certificate(generated, capsys):
     assert isinstance(lad["iterations"], int) and lad["iterations"] >= 10 * lad["fit_count"]
     assert 0.0 <= lad["duality_gap"] <= RunConfig().solver_tol
     assert lad["converged"] is True
+
+
+def test_predict_whole_range_when_the_level_index_exceeds_n(tmp_path, capsys):
+    # n = 5 at alpha = 0.1: ceil(0.9 * 6) = 6 > 5 reference scores, so every
+    # candidate is in the set; rootcp says so without a refit
+    path = tmp_path / "five.csv"
+    code, _, err = run_cli(capsys, "gen", "--n", "5", "--p", "2", "--out", str(path))
+    assert code == 0, err
+    fit_counts = {}
+    for method in ("rootcp", "oraclecp"):
+        code, out, err = run_cli(capsys, "predict", "--data", str(path), "--method", method)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["shape"] == "whole-range" and payload["covered"] is True
+        fit_counts[method] = payload["fit_count"]
+    assert fit_counts == {"rootcp": 0, "oraclecp": 1}
+
+
+def test_stabcp_lad_certificate_covers_the_anchor_fit():
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
+    config = RunConfig(model="ladridge", lambda_reg=0.2)
+    report = run_method("stabcp", ds, config)
+    anchor_fit = config.model_spec().fit_observed(ds)
+    tau, _ = build_tau(config, ds, ScoreFunction.absolute_residual())
+    envelope = stab_cp_interval(ds, float(anchor_fit.predict(ds.test_point)),
+                                config.model_spec(), ScoreFunction.absolute_residual(),
+                                tau, config.alpha)
+    assert report.set == envelope.set
+    assert report.details["iterations"] == anchor_fit.iterations + envelope.details["iterations"]
+    assert report.details["duality_gap"] == max(anchor_fit.duality_gap,
+                                                 envelope.details["duality_gap"])
+    assert report.details["converged"] is True
+    # both fits starved: each counts its five iterations, and neither converged
+    starved = run_method("stabcp", ds, dataclasses.replace(config, max_iter=5, solver_tol=1e-12))
+    assert starved.details["iterations"] == 10 and starved.details["converged"] is False
+    # a given anchor makes no anchor fit
+    fixed = run_method("stabcp", ds, dataclasses.replace(config, anchor=0.0))
+    assert fixed.details["aux_fits"] == 0
+    assert fixed.details["iterations"] == stab_cp_interval(
+        ds, 0.0, config.model_spec(), ScoreFunction.absolute_residual(), tau,
+        config.alpha).details["iterations"]
 
 
 @pytest.mark.parametrize("anchor", ["abc", "", "nan", "inf"])

@@ -44,6 +44,13 @@ def make_dataset(n=50, p=5, seed=0, noise=1.0):
     return gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, p, noise, seed))
 
 
+def padded_grid(dataset, num):
+    """``num`` candidates spanning the target range widened by its width on
+    each side, which holds the whole exact set on the test data here."""
+    lo, hi = dataset.target_range()
+    return np.linspace(2 * lo - hi, 2 * hi - lo, num)
+
+
 def zero_model_dataset(targets, test_value=0.3):
     targets = np.asarray(targets, dtype=float)
     n = targets.size
@@ -59,15 +66,15 @@ def envelope_at(z, anchor, fitted, observed_scores, tau):
 
 
 def test_pi_bounds_matches_hand_evaluation():
-    # n=2, tau=(0.1, 0.1, 0.1), anchor scores (1.0, 2.0), query score 1.5:
-    # envelopes L=(0.9, 1.9), U=(1.1, 2.1), L_3=1.4, U_3=1.6.
-    # lower sum: 1{0.9<=1.6} + 1{1.9<=1.6} + self = 2 -> lo = 1/3
-    # upper sum: 1{1.1<=1.4} + 1{2.1<=1.4} + 0   = 1 -> up = 2/3
+    # n=2, tau=(0.1, 0.1, 0.1), anchor scores (1.0, 2.0), query score 2.0:
+    # envelopes L=(0.9, 1.9), U=(1.1, 2.1), L_3=1.9, U_3=2.1.
+    # lower count: 1{0.9<=2.1} + 1{1.9<=2.1} = 2 -> lo = 1 - 2/3 = 1/3
+    # upper count: 1{1.1<=1.9} + 1{2.1<=1.9} = 1 -> up = 1 - 1/3 = 2/3
     ds = zero_model_dataset([1.0, -2.0])
     fitted = PretrainedLinearModel(np.zeros(1)).fit(ds, 0.0)
     tau = tau_user_supplied([0.1, 0.1, 0.1])
     for observed in (np.array([1.0, 2.0]), [1.0, 2.0]):
-        pb = envelope_at(1.5, 0.0, fitted, observed, tau)
+        pb = envelope_at(2.0, 0.0, fitted, observed, tau)
         assert pb.lo == pytest.approx(1 / 3)
         assert pb.up == pytest.approx(2 / 3)
         assert pb.gap == pytest.approx(1 / 3)
@@ -94,7 +101,10 @@ def test_pi_bounds_saturate_with_huge_tau():
     scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
     tau = tau_user_supplied(np.full(ds.n + 1, 1e12))
     pb = envelope_at(0.5, 0.0, fitted, scores, tau)
-    assert pb.lo == 0.0
+    # every observed score may lie below the query's, none must: the lowest
+    # and the highest conformity
+    assert (pb.n_lo, pb.n_up) == (ds.n, 0)
+    assert pb.lo == 1 / (ds.n + 1)
     assert pb.up == 1.0
 
 
@@ -217,6 +227,25 @@ def test_uncertified_envelope_fit_is_not_coverage_safe():
     assert closed_form.details["tau_coverage_safe"] is True
 
 
+def test_stab_set_is_the_closure_of_upper_envelope_above_alpha():
+    # inside the single-fit set the upper envelope exceeds alpha, and 1e-6
+    # outside it does not: at an integer (n = 19) and a non-integer (n = 20)
+    # (1 - alpha)(n + 1), with a positive and with a zero query-point bound
+    for n in (19, 20):
+        ds = make_dataset(n=n, p=3, seed=n)
+        spec = RidgeModel(0.5)
+        anchor = default_anchor(ds, spec)
+        for tau in (tau_linear_exact(spec.fit(ds, anchor), ds),
+                    tau_user_supplied(np.zeros(n + 1))):
+            bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
+            for alpha in (0.1, 0.2):
+                (lo, hi), = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha).set.intervals
+                for z in [lo + 1e-6, *np.linspace(lo, hi, 40)[1:-1], hi - 1e-6]:
+                    assert bounds.pi_bounds_at(z).up > alpha
+                for z in (lo - 1e-6, hi + 1e-6):
+                    assert bounds.pi_bounds_at(z).up <= alpha
+
+
 # ------------------------------------------------------------- bisection
 
 def test_bisection_agrees_with_closed_form():
@@ -265,12 +294,14 @@ def test_bisection_constant_above_alpha_whole_range(small_dataset):
 
 
 def test_bisection_empty_when_nothing_selected():
-    # all tau zero, alpha so high nothing can reach it
-    ds = zero_model_dataset([1.0, -1.0, 0.5])
-    spec = PretrainedLinearModel(np.zeros(1))
+    # all tau zero and alpha so high that T is the smallest observed score,
+    # 0.5; the score |q - m| + |m| puts even the query prediction itself
+    # (m = 10, score 10) above T, so no candidate is selected
+    ds = TabularDataset(np.zeros((3, 1)), np.array([1.0, -1.0, 0.5]), np.ones(1))
+    spec = PretrainedLinearModel(np.array([10.0]))
+    offset = ScoreFunction.custom(lambda q, m: np.abs(q - m) + np.abs(m), 2.0)
     tau = tau_user_supplied(np.zeros(4))
-    report = stab_cp_bisection(ds, 0.0, spec, ABS, tau, alpha=0.9,
-                               z_min=0.9, z_max=1.0)
+    report = stab_cp_bisection(ds, 0.0, spec, offset, tau, alpha=0.9, z_min=0.9, z_max=1.0)
     assert report.set.shape == "empty"
 
 
@@ -452,6 +483,27 @@ def test_interpolated_set_contains_grid_oracle():
         assert report.set.contains(glo) and report.set.contains(ghi)
 
 
+def test_grid_sets_reaching_a_grid_end_are_truncated():
+    # a grid inside the exact set keeps both of its ends: the set goes on
+    # beyond them, which gridcp and interpcp flag; a grid holding the whole
+    # exact set gives an unflagged one
+    ds = make_dataset(n=30, p=4, seed=2)
+    spec = RidgeModel(0.5)
+    lo, hi = ds.target_range()
+    interp = build_interpolated_model(ds, np.linspace(lo, hi, 5)[1:-1], lo, hi, spec)
+    tilde = tau_interpolated(tau_linear_exact(spec.fit(ds, 0.0), ds), ABS.gamma)
+    wide = padded_grid(ds, 300)
+    (elo, ehi), = conformal_set_grid(ds, spec, ABS, 0.1, wide).intervals
+    centre = 0.5 * (elo + ehi)
+    narrow = np.linspace(centre - 0.1, centre + 0.1, 11)
+    for grid, truncated in ((narrow, True), (wide, False)):
+        for report in (grid_cp(ds, spec, ABS, 0.1, grid),
+                       interpolated_cp(ds, interp, tilde, ABS, 0.1, grid)):
+            assert report.set.shape == "interval"
+            assert report.set.truncated is truncated
+    assert grid_cp(ds, spec, ABS, 0.1, narrow).set.intervals == [(narrow[0], narrow[-1])]
+
+
 def test_interpolated_single_anchor_at_anchor_matches_inflated_bounds():
     ds = make_dataset(n=20, p=3, seed=6)
     spec = RidgeModel(0.5)
@@ -489,7 +541,7 @@ def test_uncertified_knot_fit_is_not_coverage_safe():
 
 def test_split_matches_direct_indicator_evaluation():
     # trained prediction 0, calibration scores 1..9: the half-width is the
-    # floor((1 - alpha) * 10)-th score, 9 at alpha=0.1 and 8 at alpha=0.15
+    # ceil((1 - alpha) * 10)-th score, 9 at alpha=0.1 and 0.15, 8 at 0.25
     m = 5
     train_targets = np.zeros(m)
     cal_targets = np.arange(1.0, 10.0)
@@ -499,12 +551,12 @@ def test_split_matches_direct_indicator_evaluation():
     spec = PretrainedLinearModel(np.zeros(1))
     pi = split_pi(ds, m, spec, ABS)
     zs = np.linspace(-12, 12, 4801)
-    for alpha, half in ((0.1, 9.0), (0.15, 8.0)):
+    for alpha, half in ((0.1, 9.0), (0.15, 9.0), (0.25, 8.0)):
         report = split_cp(ds, m, spec, ABS, alpha=alpha)
         assert report.set.intervals == [(-half, half)]
         assert report.fit_count == 1
-        # direct indicator oracle: closure of {z: pi_split(z) >= alpha}
-        kept = np.array([pi(z) >= alpha - 1e-12 for z in zs])
+        # direct indicator oracle: closure of {z: pi_split(z) > alpha}
+        kept = np.array([pi(z) > alpha for z in zs])
         assert zs[kept].min() == pytest.approx(-half, abs=zs[1] - zs[0])
         assert zs[kept].max() == pytest.approx(half, abs=zs[1] - zs[0])
 
@@ -547,9 +599,11 @@ def test_split_general_score_matches_dense_scan():
     report = split_cp(ds, m, spec, score, alpha)
     assert report.set.shape in ("interval", "whole-range")
     pi = split_pi(ds, m, spec, score)
+    # the set reaches below the target range: scan it padded by its width
     lo, hi = ds.target_range()
-    zs = np.linspace(lo, hi, 50_000)
-    kept = pi(zs) >= alpha - 1e-12
+    zs = np.linspace(2 * lo - hi, 2 * hi - lo, 150_000)
+    kept = pi(zs) > alpha
+    assert not (kept[0] or kept[-1])
     assert kept.any()
     spacing = zs[1] - zs[0]
     (blo, bhi), = report.set.intervals
@@ -599,20 +653,41 @@ def test_oracle_contained_in_stab_interval_with_any_tau(small_dataset):
 # ------------------------------------------------------------------ root
 
 def test_root_matches_grid_oracle(small_dataset):
+    # rootcp brackets past the target range, so the grid is padded to see as far
     spec = RidgeModel(0.5)
-    grid = stabcp.default_candidate_grid(small_dataset, 250)
+    grid = padded_grid(small_dataset, 750)
     oracle = conformal_set_grid(small_dataset, spec, ABS, 0.1, grid)
+    assert not oracle.truncated
     report = root_cp(small_dataset, spec, ABS, 0.1, eps_r=1e-4)
     (glo, ghi), = oracle.intervals
     (rlo, rhi), = report.set.intervals
     tol = max(1e-4, float(grid[1] - grid[0])) + 1e-9
     assert abs(rlo - glo) <= tol and abs(rhi - ghi) <= tol
+    # the set reaches below the smallest target and is returned whole
+    assert rlo < small_dataset.target_range()[0] and not report.set.truncated
 
 
-def test_root_empty_for_unreachable_alpha(small_dataset):
-    n = small_dataset.n
-    report = root_cp(small_dataset, RidgeModel(0.5), ABS, alpha=(n + 0.5) / (n + 1))
+def test_root_whole_range_when_the_exact_set_is_unbounded():
+    # a high-leverage query row with almost no penalty: the query residual
+    # grows ten times slower in z than every observed one, so no observed
+    # score stays below the query's far out and every candidate is kept
+    rng = np.random.default_rng(0)
+    ds = TabularDataset(np.ones((10, 1)), rng.standard_normal(10), np.array([100.0]))
+    spec = RidgeModel(1e-6)
+    report = root_cp(ds, spec, ABS, 0.1)
+    assert report.set.shape == "whole-range" and report.set.truncated
+    assert report.set.candidate_range == ds.target_range()
+    assert pi_exact(ds, 1e6, spec, ABS) == pi_exact(ds, -1e6, spec, ABS) == 1.0
+
+
+def test_root_empty_for_unreachable_alpha():
+    # at alpha above n/(n+1) the index is 1, and an observed score of 0 is at
+    # most the query's at every candidate, so no candidate is kept
+    ds = zero_model_dataset([0.0, 1.0, -2.0, 0.5])
+    n = ds.n
+    report = root_cp(ds, PretrainedLinearModel(np.zeros(1)), ABS, alpha=(n + 0.5) / (n + 1))
     assert report.set.shape == "empty"
+    assert report.fit_count == 20
 
 
 def test_root_counts_every_refit(small_dataset):

@@ -197,12 +197,16 @@ def zero_model_pi(targets, candidate):
 
 
 def test_pi_from_scores_rank_one():
-    # scores (4, 3, 2, 1): the query's score is the smallest, rank 1 of 4
-    assert zero_model_pi([4.0, 3.0, 2.0], 1.0) == pytest.approx(0.75)
+    # scores (4, 3, 2, 1): the query's score is the smallest, rank 1 of 4, so
+    # no observed score is at most it and the conformity is 1 - 0/4
+    assert zero_model_pi([4.0, 3.0, 2.0], 1.0) == 1.0
+    # rank 2 of 4: one observed score is at most the query's
+    assert zero_model_pi([4.0, 3.0, 2.0], 2.5) == 0.75
 
 
-def test_pi_from_scores_all_ties_is_zero():
-    assert zero_model_pi([1.0, -1.0], 1.0) == 0.0
+def test_pi_from_scores_all_ties_is_the_lowest_conformity():
+    # every observed score ties the query's: 1 - n/(n+1), the smallest value
+    assert zero_model_pi([1.0, -1.0], 1.0) == 1 / 3
 
 
 def test_pi_exact_multiple_of_inverse_sample_size(small_dataset):
@@ -222,11 +226,14 @@ def test_pi_exact_permutation_invariant(small_dataset):
             pi_exact(shuffled, z, spec, ABS))
 
 
-def test_pi_exact_coverage_monte_carlo():
-    # With (n+1)(1-alpha) integer the exact-set coverage equals 1 - alpha;
-    # check the Monte-Carlo frequency against a 3-sigma band.
+@pytest.mark.parametrize("n", [19, 20])
+def test_pi_exact_coverage_monte_carlo(n):
+    # The exact set {pi_exact > alpha} covers with probability
+    # ceil((1-alpha)(n+1))/(n+1): 1 - alpha at n = 19, where (1-alpha)(n+1)
+    # is an integer, and 19/21 at n = 20, where a floor index would give
+    # 18/21 < 1 - alpha.  Check the Monte-Carlo frequency against a 3-sigma band.
     rng = np.random.default_rng(2024)
-    n, p, alpha, draws = 19, 2, 0.1, 1000
+    p, alpha, draws = 2, 0.1, 1000
     spec = RidgeModel(0.5)
     hits = 0
     for _ in range(draws):
@@ -234,10 +241,7 @@ def test_pi_exact_coverage_monte_carlo():
         w = rng.standard_normal(p)
         y = X @ w + rng.standard_normal(n + 1)
         ds = TabularDataset(X[:-1], y[:-1], X[-1])
-        # boundary-tolerant comparison, matching the integer-rank set
-        # semantics used by the set constructions (pi values are exact
-        # multiples of 1/(n+1); alpha itself is not float-exact)
-        hits += pi_exact(ds, float(y[-1]), spec, ABS) >= alpha - 1e-9
+        hits += pi_exact(ds, float(y[-1]), spec, ABS) > alpha
     freq = hits / draws
     assert freq >= (1 - alpha) - 3 * math.sqrt(alpha * (1 - alpha) / draws)
 
@@ -292,7 +296,9 @@ def test_grid_full_acceptance_single_interval():
 
 
 def test_grid_alpha_above_max_conformity_empty():
-    ds = TabularDataset(np.ones((2, 1)), np.array([1.0, -1.0]), np.ones(1))
+    # the observed score 0 is at most the query's at every candidate, so the
+    # conformity never exceeds 1 - 1/3 < alpha
+    ds = TabularDataset(np.ones((2, 1)), np.array([0.0, -1.0]), np.ones(1))
     spec = PretrainedLinearModel(np.zeros(1))
     ps = conformal_set_grid(ds, spec, ABS, alpha=0.7, grid=np.linspace(-2, 2, 21))
     assert ps.shape == "empty"
@@ -308,11 +314,15 @@ def test_grid_rejects_empty_and_unsorted():
 
 
 def test_grid_matches_root_finding_endpoints(small_dataset):
+    # rootcp brackets past the target range: pad the grid by the range width
+    # on each side (same spacing) so that both see the whole exact set
     spec = RidgeModel(0.5)
-    grid = stabcp.default_candidate_grid(small_dataset, 200)
+    lo, hi = small_dataset.target_range()
+    grid = np.linspace(2 * lo - hi, 2 * hi - lo, 600)
     ps = conformal_set_grid(small_dataset, spec, ABS, 0.1, grid)
     report = stabcp.root_cp(small_dataset, spec, ABS, 0.1, eps_r=1e-4)
     assert ps.shape == "interval" and report.set.shape == "interval"
+    assert not ps.truncated and not report.set.truncated
     spacing = grid[1] - grid[0]
     tol = max(1e-4, spacing) + 1e-9
     assert abs(ps.intervals[0][0] - report.set.intervals[0][0]) <= tol
