@@ -29,7 +29,6 @@ from .conformal import (
     root_cp,
     split_cp,
     split_pi,
-    stab_cp_bisection,
     stab_cp_interval,
 )
 from .data import (

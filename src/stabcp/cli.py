@@ -82,7 +82,8 @@ _model_opts = [  # value types follow the RunConfig defaults
                  help="Permit heuristic bounds that carry no coverage guarantee."),
     click.option("--anchor", default=_DEFAULTS.anchor, show_default=True,
                  help="'auto' (fit on observed rows), 'zero', or a number."),
-    click.option("--eps-r", default=_DEFAULTS.eps_r, show_default=True),
+    click.option("--eps-r", default=_DEFAULTS.eps_r, show_default=True,
+                 help="Bisection tolerance of rootcp's refit endpoints."),
     click.option("--grid-size", default=_DEFAULTS.grid_size, show_default=True),
     click.option("--n-anchors", default=_DEFAULTS.n_anchors, show_default=True),
     click.option("--split-fraction", default=_DEFAULTS.split_fraction, show_default=True),
@@ -183,13 +184,11 @@ def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **k
               help="Comma-separated method list.")
 @click.option("--reps", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True, envvar="STABCP_JOBS",
-              help="Concurrent repetitions (environment: STABCP_JOBS).")
 @click.option("--out-json", type=click.Path(), default=None)
 @click.option("--out-csv", type=click.Path(), default=None)
 @_add_options(_model_opts)
 def cmd_benchmark(data_path, target_column, kind, n, p, noise, methods, reps, seed,
-                  jobs, out_json, out_csv, **kw):
+                  out_json, out_csv, **kw):
     """Run the coverage/length/time protocol and emit the aggregate report."""
     method_list = [name.strip() for name in methods.split(",") if name.strip()]
     config = _usage_checked(RunConfig, **kw)
@@ -200,8 +199,7 @@ def cmd_benchmark(data_path, target_column, kind, n, p, noise, methods, reps, se
     else:
         source = synthetic_source(GeneratorSpec(kind, n, p, noise, seed))
         source_echo = {"kind": kind, "n": n, "p": p, "noise_sd": noise, "mode": "redraw"}
-    report, rows = _usage_checked(run_benchmark, source, method_list, reps, seed, config,
-                                  jobs=jobs)
+    report, rows = _usage_checked(run_benchmark, source, method_list, reps, seed, config)
     report["source"] = source_echo
     text = json.dumps(report, indent=2)
     if out_json:

@@ -9,12 +9,12 @@ That envelope depends on the candidate only through the query score
 ``S(z, mu)``, so the single-fit set is ``{z : S(z, mu) <= T}`` for one order
 statistic T.  The split and oracle baselines have the same form, with the
 calibration scores or the scores at the true response in place of the
-inflated ones.  All four sets (``stab_cp_interval``, ``stab_cp_bisection``,
-``oracle_cp``, ``split_cp``) therefore go through one threshold rule
-(``_score_threshold``) and one extraction routine (``sublevel_set``): a
-closed form for the absolute residual, outward bracketing plus bisection for
-custom scores.  The module also holds the interpolated refinement and the
-root-finding and grid baselines used for benchmarking.
+inflated ones.  All three sets (``stab_cp_interval``, ``oracle_cp``,
+``split_cp``) therefore go through one threshold rule (``_score_threshold``)
+and one extraction routine (``sublevel_set``): a closed form for the absolute
+residual, outward bracketing plus bisection to ``_EPS_R`` for custom scores.
+The module also holds the interpolated refinement and the root-finding and
+grid baselines used for benchmarking.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def anchor_bounds(dataset: TabularDataset, anchor: float, model_spec,
     return bounds, fitted
 
 
-_EPS_R = 1e-6       # bisection tolerance of the sets whose functions take no eps_r
+_EPS_R = 1e-4       # bisection tolerance of every set endpoint; rootcp's default
 _MAX_DOUBLINGS = 64  # outward steps before a custom-score set counts as unbounded
 _ROOT_PROBES = 20    # grid points root_cp probes before bisecting its endpoints
 
@@ -190,7 +190,7 @@ def _outer_boundary(is_inside, start: float, step: float,
 
 
 def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float,
-                 candidate_range, method: str, eps_r: float) -> PredictionSet:
+                 candidate_range, method: str) -> PredictionSet:
     """The candidates whose query score stays within the threshold: ``{z : S(z, mu) <= T}``.
 
     - ``T = +inf`` gives the whole candidate range, flagged as truncated, and
@@ -200,9 +200,9 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
       (minimized at ``q = m``, nondecreasing in ``|q - m|`` on each side), so
       the set is one interval around ``mu``.  Each endpoint is bracketed by
       stepping outward from ``mu``, the first step being the width of the
-      candidate range (at least ``eps_r``) and each next step twice the last,
+      candidate range (at least ``_EPS_R``) and each next step twice the last,
       until the score exceeds T; bisection then shrinks the bracket to
-      ``eps_r`` and its outer end is returned, so the set always contains the
+      ``_EPS_R`` and its outer end is returned, so the set always contains the
       exact sublevel set.  A score still at most T after ``_MAX_DOUBLINGS``
       doublings gives the whole range, flagged as truncated.
 
@@ -217,9 +217,9 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
     if score.kind == "absolute-residual":
         ends = (mu - threshold, mu + threshold)
     else:
-        step = max(float(candidate_range[1]) - float(candidate_range[0]), eps_r)
+        step = max(float(candidate_range[1]) - float(candidate_range[0]), _EPS_R)
         brackets = [_outer_boundary(lambda z: score.evaluate(z, mu) <= threshold,
-                                    mu, side * step, eps_r) for side in (-1.0, 1.0)]
+                                    mu, side * step, _EPS_R) for side in (-1.0, 1.0)]
         if None in brackets:
             return PredictionSet.whole_range(method, alpha, candidate_range)
         ends = (brackets[0][1], brackets[1][1])
@@ -242,32 +242,6 @@ def _report(prediction_set: PredictionSet, dataset: TabularDataset, fit_count: i
     )
 
 
-def _stab_cp(dataset: TabularDataset, anchor: float, model_spec, score: ScoreFunction,
-             tau: StabilityBounds, alpha: float, candidate_range, method: str,
-             eps_r: float) -> MethodReport:
-    """Body shared by the two single-fit entry points: one fit, one threshold.
-
-    Every bound recipe bounds the score deviation between a candidate and the
-    anchor assuming both lie in ``tau.candidate_range`` and the anchor fit
-    being exact, so an anchor outside that range, or an envelope fit whose
-    solver stopped before its certificate reached the tolerance
-    (``converged=False``), reports ``tau_coverage_safe=False``; the set is
-    unchanged.  Closed-form fits carry no ``converged`` flag and are exact.
-    """
-    started = time.perf_counter()
-    bounds, fitted = anchor_bounds(dataset, anchor, model_spec, score, tau)
-    threshold = _score_threshold(bounds.upper_sorted, bounds.tau_test, alpha)
-    prediction_set = sublevel_set(score, bounds.mu_test, threshold, alpha,
-                                  candidate_range, method, eps_r)
-    anchor_in_range = (tau.candidate_range is None
-                       or tau.candidate_range[0] <= anchor <= tau.candidate_range[1])
-    certified = getattr(fitted, "converged", True)
-    return _report(prediction_set, dataset, 1, started,
-                   anchor=float(anchor), tau_provenance=tau.provenance,
-                   tau_coverage_safe=tau.coverage_safe and anchor_in_range and certified,
-                   **_certificate(fitted))
-
-
 def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
                      score: ScoreFunction, tau: StabilityBounds, alpha: float) -> MethodReport:
     """Single-fit stable conformal set, any score, any ``tau_test >= 0``.
@@ -278,40 +252,36 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
     absolute residual this is the interval centered at the anchor prediction
     with half-width ``Q + tau_test``, Q the ceil((1-alpha)(n+1))-th order
     statistic of the inflated scores; when that index exceeds n the whole
-    candidate range is returned.  Custom scores are extracted by
-    ``sublevel_set`` to within ``1e-6``.
+    candidate range is returned.  Custom scores, which must be minimized at
+    ``q = m`` (see ``ScoreFunction.custom``), are extracted by
+    ``sublevel_set`` to within ``_EPS_R``.  The candidate range is
+    ``tau.candidate_range``, else the observed target range; it is recorded
+    and sets the first bracketing step, and the set is never clamped to it.
+
+    Every bound recipe bounds the score deviation between a candidate and the
+    anchor assuming both lie in ``tau.candidate_range`` and the anchor fit
+    being exact, so an anchor outside that range, or an envelope fit whose
+    solver stopped before its certificate reached the tolerance
+    (``converged=False``), reports ``tau_coverage_safe=False``; the set is
+    unchanged.  Closed-form fits carry no ``converged`` flag and are exact.
     """
+    started = time.perf_counter()
     alpha = check_alpha(alpha)
     candidate_range = tau.candidate_range or dataset.target_range()
-    return _stab_cp(dataset, anchor, model_spec, score, tau, alpha, candidate_range,
-                    "stabcp", _EPS_R)
+    bounds, fitted = anchor_bounds(dataset, anchor, model_spec, score, tau)
+    threshold = _score_threshold(bounds.upper_sorted, bounds.tau_test, alpha)
+    prediction_set = sublevel_set(score, bounds.mu_test, threshold, alpha,
+                                  candidate_range, "stabcp")
+    anchor_in_range = (tau.candidate_range is None
+                       or tau.candidate_range[0] <= anchor <= tau.candidate_range[1])
+    certified = getattr(fitted, "converged", True)
+    return _report(prediction_set, dataset, 1, started,
+                   anchor=float(anchor), tau_provenance=tau.provenance,
+                   tau_coverage_safe=tau.coverage_safe and anchor_in_range and certified,
+                   **_certificate(fitted))
 
 
-def stab_cp_bisection(dataset: TabularDataset, anchor: float, model_spec,
-                      score: ScoreFunction, tau: StabilityBounds, alpha: float,
-                      z_min: float | None = None, z_max: float | None = None,
-                      eps_r: float = 1e-4) -> MethodReport:
-    """Single-fit stable conformal set with a given candidate range and tolerance.
-
-    The same set as ``stab_cp_interval``: the closed form for the absolute
-    residual, bisection to ``eps_r`` for custom scores, which must be
-    minimized at ``q = m`` (see ``ScoreFunction.custom``).  ``(z_min, z_max)``
-    (default: the observed target range) is recorded as the candidate range
-    and sets the first bracketing step; the set is never clamped to it (see
-    ``sublevel_set`` for the truncation rule).
-    """
-    alpha = check_alpha(alpha)
-    eps_r = float(eps_r)
-    if eps_r <= 0:
-        raise InvalidInputError("eps_r must be positive")
-    if z_min is None or z_max is None:
-        lo_range, hi_range = dataset.target_range()
-        z_min = lo_range if z_min is None else float(z_min)
-        z_max = hi_range if z_max is None else float(z_max)
-    if not z_min < z_max:
-        raise InvalidInputError("need z_min < z_max")
-    return _stab_cp(dataset, anchor, model_spec, score, tau, alpha,
-                    (float(z_min), float(z_max)), "stabcp-bisection", eps_r)
+stab_cp_bisection = stab_cp_interval  # the earlier name, still called by perfbench
 
 
 def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityBounds,
@@ -370,14 +340,14 @@ def split_cp(dataset: TabularDataset, split_index: int, model_spec,
     trained prediction, T the ceil((1-alpha)(n-m+1))-th calibration order
     statistic: the closure of ``{split_pi > alpha}``, the whole range when
     that index exceeds ``n - m``.  Custom scores are extracted by
-    ``sublevel_set`` to within ``1e-6``.
+    ``sublevel_set`` to within ``_EPS_R``.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
     mu_test, cal_scores, trained = _split_fit(dataset, split_index, model_spec, score)
     threshold = _score_threshold(cal_scores, 0.0, alpha)
     prediction_set = sublevel_set(score, mu_test, threshold, alpha,
-                                  dataset.target_range(), "splitcp", _EPS_R)
+                                  dataset.target_range(), "splitcp")
     return _report(prediction_set, dataset, 1, started,
                    split_index=int(split_index), calibration_size=cal_scores.size,
                    **_certificate(trained))
@@ -416,13 +386,13 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
     scores = conformity_scores(dataset, true_target, fitted, score)
     threshold = _score_threshold(np.sort(scores[:-1]), 0.0, alpha)
     prediction_set = sublevel_set(score, fitted.row_predictions[-1], threshold, alpha,
-                                  dataset.target_range(), "oraclecp", _EPS_R)
+                                  dataset.target_range(), "oraclecp")
     return _report(prediction_set, dataset, 1, started, anchor=true_target,
                    **_certificate(fitted))
 
 
 def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
-            z_range=None, eps_r: float = 1e-4) -> MethodReport:
+            z_range=None, eps_r: float = _EPS_R) -> MethodReport:
     """Endpoints of the exact conformal set by bisection, one refit per probe.
 
     Assumes the exact set is one interval.  When ``_level_index`` exceeds n
@@ -430,11 +400,12 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     ``_ROOT_PROBES`` evenly spaced candidates of the range (empty when none
     is kept) and brackets each endpoint between the outermost kept probe and
     its unkept neighbour or, past a kept end probe, outward as
-    ``sublevel_set`` does (``_outer_boundary``; never clamped, whole range
-    when unbounded).  The bracket is bisected to ``eps_r`` and its midpoint
-    returned.  ``fit_count`` counts every refit.  Each refit is warm-started
-    from the one before it, whose candidates lie ever closer together; the
-    details carry the refits' summed ``iterations``, largest
+    ``sublevel_set`` does (``_outer_boundary``; never clamped).  The lower
+    endpoint is bracketed first; when either side is unbounded the whole
+    range is returned at once.  Each bracket is bisected to ``eps_r`` and
+    its midpoint returned.  ``fit_count`` counts every refit.  Each refit is
+    warm-started from the one before it, whose candidates lie ever closer
+    together; the details carry the refits' summed ``iterations``, largest
     ``duality_gap`` and joint ``converged`` (None for closed-form fits).
     """
     started = time.perf_counter()
@@ -467,11 +438,13 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
 
     first = int(np.searchsorted(probes, probed.intervals[0][0], side="left"))
     last = int(np.searchsorted(probes, probed.intervals[-1][1], side="right")) - 1
-    brackets = [bracket(first, -1), bracket(last, 1)]
-    if None in brackets:
+    # an unbounded side makes the set the whole range: the other is not bracketed
+    lower = bracket(first, -1)
+    upper = None if lower is None else bracket(last, 1)
+    if upper is None:
         prediction_set = PredictionSet.whole_range("rootcp", alpha, (z_min, z_max))
     else:
-        ends = tuple(0.5 * (a + b) for a, b in brackets)
+        ends = tuple(0.5 * (a + b) for a, b in (lower, upper))
         prediction_set = PredictionSet.from_intervals([ends], "rootcp", alpha,
                                                       candidate_range=(z_min, z_max))
     return _report(prediction_set, dataset, refits.count, started,

@@ -340,10 +340,10 @@ class PredictionSet:
         return cls("empty", [], method, alpha, candidate_range=candidate_range)
 
     @classmethod
-    def whole_range(cls, method: str, alpha: float, candidate_range, truncated: bool = True) -> "PredictionSet":
+    def whole_range(cls, method: str, alpha: float, candidate_range) -> "PredictionSet":
         lo, hi = float(candidate_range[0]), float(candidate_range[1])
         return cls("whole-range", [(lo, hi)], method, alpha,
-                   truncated=truncated, candidate_range=(lo, hi))
+                   truncated=True, candidate_range=(lo, hi))
 
     @classmethod
     def from_intervals(cls, intervals, method: str, alpha: float,

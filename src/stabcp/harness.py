@@ -10,12 +10,12 @@ mean times by the oracle method's mean, which is therefore always run.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .conformal import (
+    _EPS_R,
     grid_cp,
     interpolated_cp,
     oracle_cp,
@@ -60,7 +60,7 @@ class RunConfig:
     tau_file: str | None = None
     allow_unsafe_tau: bool = False
     anchor: str | float = "auto"
-    eps_r: float = 1e-4
+    eps_r: float = _EPS_R  # rootcp's refit bisection tolerance
     grid_size: int = 200
     n_anchors: int = 3
     split_fraction: float = 0.5
@@ -228,8 +228,7 @@ def _coverage(rows):
     return float(np.mean(covered)) if covered else None
 
 
-def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfig,
-                  jobs: int = 1):
+def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfig):
     """Full protocol: returns (report dict, per-repetition rows).
 
     The oracle method is always included so times can be normalized by its
@@ -250,10 +249,8 @@ def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfi
         methods.append("oraclecp")
 
     rep_seeds = np.random.default_rng(int(seed)).integers(0, 2**63 - 1, size=repetitions)
-    with ThreadPoolExecutor(max_workers=max(1, int(jobs))) as pool:
-        nested = pool.map(lambda r: _one_repetition(r, rep_seeds[r], source, methods, config),
-                          range(repetitions))
-        rows = [row for rep_rows in nested for row in rep_rows]
+    rows = [row for rep in range(repetitions)
+            for row in _one_repetition(rep, rep_seeds[rep], source, methods, config)]
 
     per_method = {}
     for method in methods:

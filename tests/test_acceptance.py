@@ -5,6 +5,7 @@ per-criterion lines while the suite executes.  Every tolerance is pinned here,
 not configurable.
 """
 
+import dataclasses
 import math
 import time
 
@@ -32,7 +33,6 @@ from stabcp import (
     rank,
     root_cp,
     split_cp,
-    stab_cp_bisection,
     stab_cp_interval,
     tau_interpolated,
     tau_linear_exact,
@@ -114,7 +114,7 @@ def test_criterion_03_grid_set_contained_in_single_fit_set():
 
 def test_criterion_04_interval_and_bisection_agree():
     # the bisection extraction runs on the absolute residual given as a custom
-    # score; the built-in one takes the closed form in both entry points
+    # score; the built-in one takes the closed form on any candidate range
     custom_abs = ScoreFunction.custom(lambda q, m: np.abs(q - m), 1.0)
     instances, eps_r = 50, 1e-4
     worst = 0.0
@@ -127,13 +127,12 @@ def test_criterion_04_interval_and_bisection_agree():
         interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
         (ilo, ihi), = interval.set.intervals
         width = ihi - ilo
-        bisect = stab_cp_bisection(ds, anchor, spec, custom_abs, tau, 0.1,
-                                   z_min=ilo - width, z_max=ihi + width,
-                                   eps_r=eps_r)
+        wide = dataclasses.replace(tau, candidate_range=(ilo - width, ihi + width))
+        bisect = stab_cp_interval(ds, anchor, spec, custom_abs, wide, 0.1)
         (blo, bhi), = bisect.set.intervals
         worst = max(worst, abs(blo - ilo), abs(bhi - ihi))
         outer &= blo <= ilo and ihi <= bhi
-        closed = stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1)
+        closed = stab_cp_interval(ds, anchor, spec, ABS, wide, 0.1)
         outer &= closed.set.intervals == interval.set.intervals
     ok = worst <= eps_r and outer
     _line(4, ok, f"{instances} instances, max endpoint difference "

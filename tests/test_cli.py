@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stabcp import conformal
 from stabcp.cli import main
 from stabcp.errors import InvalidInputError
 from stabcp.harness import RunConfig, build_tau, run_benchmark, run_method, synthetic_source
@@ -236,6 +237,11 @@ def test_run_config_refuses_heuristic_bounds_without_opt_in():
         config.allow_unsafe_tau = False
 
 
+def test_run_config_eps_r_defaults_to_the_library_tolerance():
+    # one bisection tolerance: rootcp's default is the single-fit sets' own
+    assert RunConfig().eps_r == conformal._EPS_R
+
+
 # settings that no dataset can turn into a bound or a set, out-of-range
 # numbers included: (RunConfig fields, CLI flags)
 UNBUILDABLE_TAU = {
@@ -388,13 +394,12 @@ def test_benchmark_is_deterministic(capsys):
            [row["length"] for row in rows2 if row["method"] == "stabcp"]
 
 
-def test_benchmark_parallel_matches_serial(capsys):
-    config = RunConfig(model="ridge", tau_source="linear-exact", alpha=0.1)
-    source = synthetic_source(GeneratorSpec("linear-gaussian", 25, 3, 1.0, 0))
-    _, rows1 = run_benchmark(source, ["stabcp"], 6, seed=3, config=config, jobs=1)
-    _, rows2 = run_benchmark(source, ["stabcp"], 6, seed=3, config=config, jobs=3)
-    key = lambda rows: [{k: v for k, v in r.items() if k != "wall_time"} for r in rows]
-    assert key(rows1) == key(rows2)
+def test_benchmark_has_no_jobs_option(capsys):
+    # repetitions run one after another; there is no thread pool to size
+    code, _, err = run_cli(capsys, "benchmark", "--n", "20", "--p", "3",
+                           "--methods", "stabcp", "--reps", "2", "--jobs", "2")
+    assert code == 1
+    assert "--jobs" in err
 
 
 def test_benchmark_times_each_method_on_an_empty_memo(monkeypatch):
@@ -476,24 +481,6 @@ def test_curve_qualitative_sandwich_on_benchmark_config(tmp_path, capsys):
     # clearing the alpha line over an interior stretch
     assert exacts[0] < 0.1 and exacts[-1] < 0.1
     assert max(exacts) > 0.5
-
-
-def test_benchmark_jobs_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STABCP_JOBS", "2")
-    code, out, _ = run_cli(capsys, "benchmark", "--n", "20", "--p", "3",
-                           "--methods", "stabcp", "--reps", "2", "--seed", "0",
-                           "--tau", "linear-exact")
-    assert code == 0
-    assert json.loads(out)["repetitions"] == 2
-
-
-def test_benchmark_jobs_env_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("STABCP_JOBS", "abc")
-    code, _, err = run_cli(capsys, "benchmark", "--n", "20", "--p", "3",
-                           "--methods", "stabcp", "--reps", "2", "--seed", "0",
-                           "--tau", "linear-exact")
-    assert code == 1
-    assert "--jobs" in err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

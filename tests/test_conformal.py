@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,12 +29,12 @@ from stabcp import (
     root_cp,
     split_cp,
     split_pi,
-    stab_cp_bisection,
     stab_cp_interval,
     tau_interpolated,
     tau_linear_exact,
     tau_user_supplied,
 )
+from stabcp.conformal import _EPS_R, _MAX_DOUBLINGS, _ROOT_PROBES
 
 ABS = ScoreFunction.absolute_residual()
 # the absolute residual as a custom score: same sets, extracted by bisection
@@ -49,6 +50,12 @@ def padded_grid(dataset, num):
     each side, which holds the whole exact set on the test data here."""
     lo, hi = dataset.target_range()
     return np.linspace(2 * lo - hi, 2 * hi - lo, num)
+
+
+def with_range(tau, candidate_range):
+    """``tau`` with another candidate range: the range the set records and
+    whose width is the first bracketing step of a custom score."""
+    return dataclasses.replace(tau, candidate_range=candidate_range)
 
 
 def zero_model_dataset(targets, test_value=0.3):
@@ -192,7 +199,7 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
     lo, hi = tau.candidate_range
     assert anchor > hi
     stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
-    bisect = stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1)
+    bisect = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)
     assert stab.details["tau_coverage_safe"] is False
     assert bisect.details["tau_coverage_safe"] is False
     # the flag leaves the set alone: an unflagged copy of the bound gives the same set
@@ -214,7 +221,7 @@ def test_uncertified_envelope_fit_is_not_coverage_safe():
     anchor = 0.5 * (z_range[0] + z_range[1])
     assert tau.coverage_safe
     for report in (stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1),
-                   stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1)):
+                   stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)):
         assert report.details["tau_coverage_safe"] is False
         assert report.details["converged"] is False
         assert report.details["duality_gap"] > 1e-12
@@ -248,6 +255,12 @@ def test_stab_set_is_the_closure_of_upper_envelope_above_alpha():
 
 # ------------------------------------------------------------- bisection
 
+def test_bisection_name_is_the_single_fit_set():
+    # one single-fit set function; the earlier name stays as a module alias
+    assert stabcp.conformal.stab_cp_bisection is stab_cp_interval
+    assert not hasattr(stabcp, "stab_cp_bisection")
+
+
 def test_bisection_agrees_with_closed_form():
     ds = make_dataset(n=50, p=5, seed=21)
     spec = RidgeModel(0.5)
@@ -256,16 +269,15 @@ def test_bisection_agrees_with_closed_form():
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     (ilo, ihi), = interval.set.intervals
     width = ihi - ilo
-    report = stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1,
-                               z_min=ilo - width, z_max=ihi + width, eps_r=1e-4)
+    wide = with_range(tau, (ilo - width, ihi + width))
+    report = stab_cp_interval(ds, anchor, spec, ABS, wide, 0.1)
     assert report.set.intervals == interval.set.intervals
     assert report.fit_count == 1
     # the bisection extraction of the same score lands just outside
-    report = stab_cp_bisection(ds, anchor, spec, CUSTOM_ABS, tau, 0.1,
-                               z_min=ilo - width, z_max=ihi + width, eps_r=1e-4)
+    report = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, wide, 0.1)
     (blo, bhi), = report.set.intervals
-    assert ilo - 1e-4 <= blo <= ilo
-    assert ihi <= bhi <= ihi + 1e-4
+    assert ilo - _EPS_R <= blo <= ilo
+    assert ihi <= bhi <= ihi + _EPS_R
     assert report.fit_count == 1
 
 
@@ -275,7 +287,7 @@ def test_bisection_constant_above_alpha_whole_range(small_dataset):
     lo, hi = small_dataset.target_range()
     tau = tau_user_supplied(np.full(small_dataset.n + 1, 1e9))
     for score in (ABS, CUSTOM_ABS):
-        report = stab_cp_bisection(small_dataset, 0.0, spec, score, tau, 0.1)
+        report = stab_cp_interval(small_dataset, 0.0, spec, score, tau, 0.1)
         assert report.set.shape == "interval"
         (blo, bhi), = report.set.intervals
         assert blo < lo - 1e8 and bhi > hi + 1e8
@@ -283,13 +295,13 @@ def test_bisection_constant_above_alpha_whole_range(small_dataset):
     # alpha < 1/(n+1): the order-statistic index exceeds n, whole range
     alpha = 0.5 / (small_dataset.n + 1)
     for score in (ABS, CUSTOM_ABS):
-        report = stab_cp_bisection(small_dataset, 0.0, spec, score, tau, alpha)
+        report = stab_cp_interval(small_dataset, 0.0, spec, score, tau, alpha)
         assert report.set.shape == "whole-range"
         assert report.set.truncated
         assert report.set.candidate_range == (lo, hi)
     # a custom score that never exceeds the threshold is unbounded: whole range
     flat = ScoreFunction.custom(lambda q, m: np.minimum(np.abs(q - m), 1.0), 1.0)
-    report = stab_cp_bisection(small_dataset, 0.0, spec, flat, tau, 0.1)
+    report = stab_cp_interval(small_dataset, 0.0, spec, flat, tau, 0.1)
     assert report.set.shape == "whole-range" and report.set.truncated
 
 
@@ -300,8 +312,8 @@ def test_bisection_empty_when_nothing_selected():
     ds = TabularDataset(np.zeros((3, 1)), np.array([1.0, -1.0, 0.5]), np.ones(1))
     spec = PretrainedLinearModel(np.array([10.0]))
     offset = ScoreFunction.custom(lambda q, m: np.abs(q - m) + np.abs(m), 2.0)
-    tau = tau_user_supplied(np.zeros(4))
-    report = stab_cp_bisection(ds, 0.0, spec, offset, tau, alpha=0.9, z_min=0.9, z_max=1.0)
+    tau = tau_user_supplied(np.zeros(4), candidate_range=(0.9, 1.0))
+    report = stab_cp_interval(ds, 0.0, spec, offset, tau, alpha=0.9)
     assert report.set.shape == "empty"
 
 
@@ -315,13 +327,12 @@ def test_bisection_general_score_matches_dense_scan():
     ds = make_dataset(n=25, p=3, seed=4)
     spec = RidgeModel(0.8)
     anchor = 0.0
-    tau = tau_user_supplied(np.full(ds.n + 1, 0.05))
     alpha = 0.1
     lo, hi = ds.target_range()
     span = hi - lo
     z_min, z_max = lo - span, hi + span
-    report = stab_cp_bisection(ds, anchor, spec, score, tau, alpha,
-                               z_min=z_min, z_max=z_max, eps_r=1e-4)
+    tau = tau_user_supplied(np.full(ds.n + 1, 0.05), candidate_range=(z_min, z_max))
+    report = stab_cp_interval(ds, anchor, spec, score, tau, alpha)
     bounds, _ = anchor_bounds(ds, anchor, spec, score, tau)
     threshold = math.floor((1 - alpha) * (ds.n + 1) + 1e-9)
     zs = np.linspace(z_min, z_max, 100_000)
@@ -332,8 +343,8 @@ def test_bisection_general_score_matches_dense_scan():
     scan_hi = zs[len(zs) - 1 - np.argmax(selected[::-1])]
     (blo, bhi), = report.set.intervals
     spacing = zs[1] - zs[0]
-    assert abs(blo - scan_lo) <= 1e-4 + spacing
-    assert abs(bhi - scan_hi) <= 1e-4 + spacing
+    assert abs(blo - scan_lo) <= _EPS_R + spacing
+    assert abs(bhi - scan_hi) <= _EPS_R + spacing
 
 
 def outlier_dataset(values):
@@ -353,32 +364,35 @@ def test_bisection_finds_set_between_two_outliers():
     anchor = default_anchor(ds, spec)
     tau = tau_linear_exact(spec.fit(ds, anchor), ds, z_range=clean)
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
-    bisect = stab_cp_bisection(ds, anchor, spec, ABS, tau, 0.1)
-    assert bisect.set.intervals == interval.set.intervals
+    bisect = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)
+    (ilo, ihi), = interval.set.intervals
+    (blo, bhi), = bisect.set.intervals
+    assert ilo - _EPS_R <= blo <= ilo and ihi <= bhi <= ihi + _EPS_R
     assert interval.length < 50
     assert bisect.covered and interval.covered
 
 
 def test_bisection_never_clamps_to_the_candidate_range():
     # one outlier: the set reaches below the smallest observed target, and
-    # is returned whole, not clamped and not flagged as truncated
+    # is returned whole, not clamped and not flagged as truncated; it records
+    # the bound's candidate range
     ds, clean = outlier_dataset([1000.0])
     spec = RidgeModel(0.5)
     anchor = default_anchor(ds, spec)
     tau = tau_linear_exact(spec.fit(ds, anchor), ds, z_range=clean)
-    for score, slack in ((ABS, 0.0), (CUSTOM_ABS, 1e-4)):
-        report = stab_cp_bisection(ds, anchor, spec, score, tau, 0.1, eps_r=1e-4)
+    for score, slack in ((ABS, 0.0), (CUSTOM_ABS, _EPS_R)):
+        report = stab_cp_interval(ds, anchor, spec, score, tau, 0.1)
         (lo, hi), = report.set.intervals
         assert lo == pytest.approx(-19.4062, abs=1e-4 + slack)
         assert hi == pytest.approx(10.1586, abs=1e-4 + slack)
         assert lo < ds.target_range()[0]
         assert not report.set.truncated
-        assert report.set.candidate_range == ds.target_range()
+        assert report.set.candidate_range == clean
 
 
 @pytest.mark.parametrize("n", [9, 99])
 def test_bisection_uses_closed_form_index_at_integer_level(n):
-    # (1 - alpha)(n + 1) is an integer: both entry points take the ceil index
+    # (1 - alpha)(n + 1) is an integer: both extractions take the ceil index
     alpha = 0.1
     ds = make_dataset(n=n, p=3, seed=0)
     spec = RidgeModel(0.5)
@@ -387,13 +401,12 @@ def test_bisection_uses_closed_form_index_at_integer_level(n):
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
     (ilo, ihi), = interval.set.intervals
     width = ihi - ilo
-    bisect = stab_cp_bisection(ds, anchor, spec, ABS, tau, alpha,
-                               z_min=ilo - width, z_max=ihi + width)
+    wide = with_range(tau, (ilo - width, ihi + width))
+    bisect = stab_cp_interval(ds, anchor, spec, ABS, wide, alpha)
     assert bisect.set.intervals == interval.set.intervals
-    custom = stab_cp_bisection(ds, anchor, spec, CUSTOM_ABS, tau, alpha,
-                               z_min=ilo - width, z_max=ihi + width, eps_r=1e-4)
+    custom = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, wide, alpha)
     (clo, chi), = custom.set.intervals
-    assert ilo - 1e-4 <= clo <= ilo and ihi <= chi <= ihi + 1e-4
+    assert ilo - _EPS_R <= clo <= ilo and ihi <= chi <= ihi + _EPS_R
     exact = conformal_set_grid(ds, spec, ABS, alpha, stabcp.default_candidate_grid(ds, 200))
     assert exact.intervals
     for glo, ghi in exact.intervals:
@@ -401,7 +414,7 @@ def test_bisection_uses_closed_form_index_at_integer_level(n):
 
 
 def test_split_and_oracle_custom_score_match_builtin():
-    # one index rule for both paths; custom endpoints within 1e-6, outside
+    # one index rule for both paths; custom endpoints within _EPS_R, outside
     ds = make_dataset(n=50, p=5, seed=0)
     spec = RidgeModel(0.5)
     pairs = [(split_cp(ds, 25, spec, score, 0.1),
@@ -409,8 +422,8 @@ def test_split_and_oracle_custom_score_match_builtin():
     for builtin, custom in zip(*pairs):
         (lo, hi), = builtin.set.intervals
         (clo, chi), = custom.set.intervals
-        assert lo - 1e-6 <= clo <= lo
-        assert hi <= chi <= hi + 1e-6
+        assert lo - _EPS_R <= clo <= lo
+        assert hi <= chi <= hi + _EPS_R
 
 
 # ----------------------------------------------------------------- batch
@@ -607,8 +620,8 @@ def test_split_general_score_matches_dense_scan():
     assert kept.any()
     spacing = zs[1] - zs[0]
     (blo, bhi), = report.set.intervals
-    assert abs(blo - zs[np.argmax(kept)]) <= 1e-6 + spacing
-    assert abs(bhi - zs[len(zs) - 1 - np.argmax(kept[::-1])]) <= 1e-6 + spacing
+    assert abs(blo - zs[np.argmax(kept)]) <= _EPS_R + spacing
+    assert abs(bhi - zs[len(zs) - 1 - np.argmax(kept[::-1])]) <= _EPS_R + spacing
 
 
 def test_split_rejects_bad_index(small_dataset):
@@ -677,6 +690,9 @@ def test_root_whole_range_when_the_exact_set_is_unbounded():
     report = root_cp(ds, spec, ABS, 0.1)
     assert report.set.shape == "whole-range" and report.set.truncated
     assert report.set.candidate_range == ds.target_range()
+    # every probe is kept and the lower side never closes: the upper side is
+    # not bracketed once the set is known to be the whole range
+    assert report.fit_count == _ROOT_PROBES + _MAX_DOUBLINGS
     assert pi_exact(ds, 1e6, spec, ABS) == pi_exact(ds, -1e6, spec, ABS) == 1.0
 
 

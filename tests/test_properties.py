@@ -30,10 +30,10 @@ from stabcp import (
     stab_cp_interval,
     tau_linear_exact,
 )
+from stabcp.conformal import _EPS_R
 
 ABS = ScoreFunction.absolute_residual()
 CUSTOM_ABS = ScoreFunction.custom(lambda q, m: np.abs(q - m), 1.0)
-EPS_R = 1e-6  # bisection tolerance of stab_cp_interval, oracle_cp and split_cp
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -62,13 +62,13 @@ def adversarial_datasets(draw):
 
 
 def assert_outer_match(closed, bisected):
-    """Same shape; bisected endpoints within EPS_R of the closed form, never inside."""
+    """Same shape; bisected endpoints within _EPS_R of the closed form, never inside."""
     assert bisected.set.shape == closed.set.shape
     if closed.set.shape == "interval":
         (lo, hi), = closed.set.intervals
         (blo, bhi), = bisected.set.intervals
-        assert lo - EPS_R <= blo <= lo
-        assert hi <= bhi <= hi + EPS_R
+        assert lo - _EPS_R <= blo <= lo
+        assert hi <= bhi <= hi + _EPS_R
 
 
 @SETTINGS
