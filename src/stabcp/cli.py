@@ -81,7 +81,8 @@ _model_opts = [  # value types follow the RunConfig defaults
     click.option("--allow-unsafe-tau", is_flag=True, default=_DEFAULTS.allow_unsafe_tau,
                  help="Permit heuristic bounds that carry no coverage guarantee."),
     click.option("--anchor", default=_DEFAULTS.anchor, show_default=True,
-                 help="'auto' (fit on observed rows), 'zero', or a number."),
+                 help="'auto' (fit on observed rows, LAD-ridge to a 1% relative gap), "
+                      "'zero', or a number."),
     click.option("--eps-r", default=_DEFAULTS.eps_r, show_default=True,
                  help="Bisection tolerance of rootcp's refit endpoints."),
     click.option("--grid-size", default=_DEFAULTS.grid_size, show_default=True),

@@ -480,5 +480,10 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
 
 
 def default_anchor(dataset: TabularDataset, model_spec) -> float:
-    """Anchor candidate: prediction at the query point of a fit on the observed rows."""
+    """Anchor candidate: prediction at the query point of a fit on the observed rows.
+
+    The fit is ``model_spec.fit_observed``, which an iterative model may stop
+    at a looser anchor tolerance: the set is sound for any anchor inside the
+    bound's range, and the anchor only sets where it is centred.
+    """
     return float(model_spec.fit_observed(dataset).predict(dataset.test_point))

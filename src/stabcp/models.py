@@ -14,7 +14,8 @@ Every model follows one protocol:
   use it, so they stay an independent check of ``fit``, and pass each
   refit to the next as ``start`` (only the iterative model uses it);
 - ``fit_observed(dataset)`` is ``fit_rows`` on the n observed rows, and may
-  reuse the dataset's work as ``fit`` does;
+  reuse the dataset's work as ``fit`` does; it only chooses the single-fit
+  anchor, so an iterative model may stop it at a looser anchor tolerance;
 - ``stability_bound(dataset, score, z_range)`` returns the per-row
   :class:`~stabcp.stability.StabilityBounds` the model's loss and penalty
   give over the candidate range.
@@ -44,6 +45,16 @@ from .stability import (
     tau_regularized_lipschitz,
     tau_regularized_smooth,
 )
+
+
+# Relative duality gap at which ``LadRidgeModel.fit_observed`` stops.  The
+# anchor is a free choice (a single-fit set is sound for any anchor inside the
+# bound's range), so its fit need not be exact.  The objective is
+# 2*lambda-strongly convex, so a gap g keeps the coefficients within
+# sqrt(g/lambda) of the minimizer and the anchor within
+# ||x_query|| * sqrt(g/lambda) of the exact one.  Scaling by mean|y|, the
+# objective at beta = 0, makes the rule scale-free.
+_ANCHOR_GAP = 1e-2
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, m: int,
@@ -321,6 +332,14 @@ class LadRidgeModel(LinearModel):
         model.accepted_objectives = accepted
         model._admm_state = (v, u, rho)  # where a warm start from this fit begins
         return model
+
+    def fit_observed(self, dataset: TabularDataset) -> "LadRidgeModel":
+        """Fit on the observed rows to the anchor tolerance
+        ``max(solver_tol, _ANCHOR_GAP * mean|y|)``, against which its
+        ``converged`` is judged."""
+        anchor_tol = max(self.solver_tol, _ANCHOR_GAP * float(np.mean(np.abs(dataset.targets))))
+        spec = LadRidgeModel(self.lambda_reg, anchor_tol, self.max_iter)
+        return spec.fit_rows(dataset.features, dataset.targets)
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "LadRidgeModel":
         X = dataset.augmented_design()

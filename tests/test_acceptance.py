@@ -283,7 +283,7 @@ def test_criterion_10_fit_counters_and_timing():
     eps_r, grid_size = 1e-4, 200
     config = RunConfig(model="ladridge", lambda_reg=0.5, alpha=0.1,
                        tau_source="auto", eps_r=eps_r, grid_size=grid_size)
-    counters_ok = True
+    counters_ok = contains_ok = True
     stab_times, grid_times = [], []
     root_detail = ""
     for seed in (1, 2, 3):
@@ -299,13 +299,18 @@ def test_criterion_10_fit_counters_and_timing():
         counters_ok &= gridr.fit_count == grid_size
         counters_ok &= rootr.fit_count >= root_floor
         root_detail = f"root fits {rootr.fit_count} >= {root_floor:.1f}"
+        # the default anchor's fit stops early; its set still holds rootcp's
+        stab_set, root_set = stab.set.intervals, rootr.set.intervals
+        contains_ok &= (len(stab_set) == 1 and stab_set[0][0] <= root_set[0][0] + eps_r
+                        and root_set[-1][1] - eps_r <= stab_set[0][1])
         stab_times.append(stab.wall_time)
         grid_times.append(gridr.wall_time)
     ratio = float(np.mean(stab_times) / np.mean(grid_times))
     timing_ok = ratio < 0.1
-    ok = counters_ok and timing_ok
+    ok = counters_ok and timing_ok and contains_ok
     _line(10, ok, f"counters exact (stab=1, split=1, grid={grid_size}, "
-                  f"{root_detail}); stab/grid time ratio {ratio:.4f} (< 0.1)")
+                  f"{root_detail}); stab/grid time ratio {ratio:.4f} (< 0.1); "
+                  f"stabcp set holds rootcp's within eps_r: {contains_ok}")
 
 
 def test_criterion_11_every_method_covers_at_a_non_integer_level():

@@ -156,6 +156,23 @@ def test_lad_certificate_and_convergence_flag(small_dataset):
     assert starved.row_predictions is not None and starved.converged is False
 
 
+def test_lad_fit_observed_stops_at_the_anchor_tolerance():
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
+    lam = 0.2
+    spec = LadRidgeModel(lam)
+    loose = spec.fit_observed(ds)
+    tight = spec.fit_rows(ds.features, ds.targets)
+    assert loose.iterations < tight.iterations
+    assert 0.0 <= loose.duality_gap <= 1e-2 * np.mean(np.abs(ds.targets))
+    assert loose.converged is True
+    # 2*lambda-strong convexity: each fit lies within sqrt(gap/lambda) of the
+    # minimizer, so the two anchors differ by at most the sum of both radii
+    x_q = ds.test_point
+    radius = np.linalg.norm(x_q) * (np.sqrt(loose.duality_gap / lam)
+                                    + np.sqrt(tight.duality_gap / lam))
+    assert abs(loose.predict(x_q) - tight.predict(x_q)) <= radius
+
+
 def test_lad_permutation_symmetry_within_tolerance():
     ds = fig2_like_dataset(n=30, p=20, seed=4)
     order = np.random.default_rng(1).permutation(ds.n)
