@@ -12,10 +12,10 @@ from stabcp import (
     GeneratorSpec,
     RidgeModel,
     ScoreFunction,
-    conformal_set_grid,
     default_anchor,
     default_candidate_grid,
     gen_linear_gaussian,
+    grid_cp,
     oracle_cp,
     root_cp,
     split_cp,
@@ -50,7 +50,7 @@ reports = {
     "rootcp  (refits)": root_cp(dataset, model, score, alpha),
 }
 grid = default_candidate_grid(dataset, 300)
-exact = conformal_set_grid(dataset, model, score, alpha, grid)
+exact = grid_cp(dataset, model, score, alpha, grid).set
 
 print(f"{'method':<18} {'interval':<24} {'length':>7} {'fits':>5} {'covers y*':>10}")
 for name, report in reports.items():

@@ -10,10 +10,8 @@ from .core import (
     PredictionSet,
     ScoreFunction,
     TabularDataset,
-    conformal_set_grid,
     conformity_scores,
     default_candidate_grid,
-    pi_exact,
     rank,
 )
 from .conformal import (
@@ -26,6 +24,7 @@ from .conformal import (
     grid_cp,
     interpolated_cp,
     oracle_cp,
+    pi_exact,
     root_cp,
     split_cp,
     split_pi,

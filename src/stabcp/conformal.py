@@ -13,8 +13,12 @@ inflated ones.  All three sets (``stab_cp_interval``, ``oracle_cp``,
 ``split_cp``) therefore go through one threshold rule (``_score_threshold``)
 and one extraction routine (``sublevel_set``): a closed form for the absolute
 residual, outward bracketing plus bisection to ``_EPS_R`` for custom scores.
-The module also holds the interpolated refinement and the root-finding and
-grid baselines used for benchmarking.
+
+The module also holds the interpolated refinement and the refit layer: the
+exact-set baselines ``pi_exact``, ``root_cp``, ``grid_cp`` (the one
+grid-evaluated exact set) and ``gap_profile``'s exact column, which refit the
+model at every candidate through one chain of warm-started refits
+(``_Refits``) and are what every single-fit set is checked against.
 """
 
 from __future__ import annotations
@@ -31,14 +35,13 @@ from .core import (
     TabularDataset,
     _as_finite_array,
     _certificate,
-    _check_grid,
+    _checked_scores,
     _conformity,
-    _grid_set,
-    _kept_set,
+    _joint_certificate,
     _level_index,
-    _Refits,
     check_alpha,
     conformity_scores,
+    rank,
 )
 from .errors import InvalidInputError
 from .stability import StabilityBounds
@@ -227,6 +230,30 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
                                         candidate_range=candidate_range)
 
 
+def _check_grid(grid) -> np.ndarray:
+    """A candidate grid as a finite, nonempty, ascending 1-d array."""
+    grid = _as_finite_array(np.ravel(np.asarray(grid, dtype=float)), "grid", 1)
+    if grid.size == 0:
+        raise InvalidInputError("grid must be nonempty")
+    if np.any(np.diff(grid) < 0):
+        raise InvalidInputError("grid must be sorted ascending")
+    return grid
+
+
+def _kept_set(grid: np.ndarray, kept, method: str, alpha: float) -> PredictionSet:
+    """The runs of consecutive kept grid points as closed intervals, flagged as
+    truncated when a run reaches a grid end (the set may go on beyond it)."""
+    kept = np.asarray(kept, dtype=bool)
+    edges = np.diff(np.concatenate([[0], kept.astype(np.int8), [0]]))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1) - 1
+    return PredictionSet.from_intervals(
+        [(grid[a], grid[b]) for a, b in zip(starts, stops)], method, alpha,
+        truncated=bool(kept[0] or kept[-1]),
+        candidate_range=(float(grid[0]), float(grid[-1])),
+    )
+
+
 def _report(prediction_set: PredictionSet, dataset: TabularDataset, fit_count: int,
             started: float, **details) -> MethodReport:
     covered = None
@@ -292,8 +319,9 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
     the grid: every row's score moves with the candidate through the
     interpolated predictions, and all rows carry the inflated interpolation
     bounds.  Keeps the grid points where that envelope exceeds ``alpha``
-    (``_kept_set``); as for the single-fit sets, an uncertified knot fit
-    reports ``tau_coverage_safe=False``.
+    (``_kept_set``).  The details carry the knot fits' joint certificate
+    (``InterpolatedModel.certificate``); as for the single-fit sets, an
+    uncertified knot fit reports ``tau_coverage_safe=False``.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -311,9 +339,11 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
         n_up = np.count_nonzero(scores[:-1] + tau_arr[:-1] <= scores[-1] - tau_arr[-1])
         kept[j] = n_up < k
     prediction_set = _kept_set(grid, kept, "interpcp", alpha)
+    certified = interpolated.certificate["converged"] is not False
     return _report(prediction_set, dataset, interpolated.fit_count, started,
                    tau_provenance=tau_tilde.provenance,
-                   tau_coverage_safe=tau_tilde.coverage_safe and interpolated.converged)
+                   tau_coverage_safe=tau_tilde.coverage_safe and certified,
+                   **interpolated.certificate)
 
 
 def _split_fit(dataset: TabularDataset, split_index: int, model_spec,
@@ -391,6 +421,56 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
                    **_certificate(fitted))
 
 
+class _Refits:
+    """The refits of one exact-set call, each warm-started from the one before.
+
+    The one refit path of the exact sets (``pi_exact``, ``root_cp``,
+    ``grid_cp``, ``gap_profile``).  Every refit is ``fit_rows`` on the
+    augmented rows, built once here: it never goes through ``fit``, which may
+    reuse per-dataset work, so the refits stay an independent check of the
+    single-fit sets.  Each refit is passed to the next as ``start``, which only
+    sets where an iterative solver begins; every refit still meets the
+    solver's tolerance.  Nothing outlives the call.  ``certificate`` totals
+    the refits' solver certificates (``_joint_certificate``).
+    """
+
+    def __init__(self, dataset: TabularDataset, model_spec, score: ScoreFunction):
+        self.dataset, self.model_spec, self.score = dataset, model_spec, score
+        self.X = dataset.augmented_design()
+        self.last = None
+        self.count = 0
+        self.certificate = _certificate(None)
+
+    def count_at(self, candidate: float) -> int:
+        """How many observed scores are at most the query's under a refit at
+        ``candidate``: the candidate is in the set when below ``_level_index``."""
+        y = self.dataset.augmented_targets(candidate)
+        self.last = self.model_spec.fit_rows(self.X, y, start=self.last)
+        self.count += 1
+        self.certificate = _joint_certificate(self.certificate, _certificate(self.last))
+        scores = _checked_scores(self.score, y, self.last.predict_rows(self.X))
+        return rank(scores, self.dataset.n + 1) - 1
+
+    def inside(self, candidate: float, alpha: float) -> bool:
+        return self.count_at(candidate) < _level_index(self.dataset.n, alpha)
+
+    def details(self) -> dict:
+        """The certificate, plus ``tau_coverage_safe=False`` when some refit
+        stopped before its solver tolerance: the set is then not the exact
+        one.  None otherwise, since the exact set rests on no stability bound."""
+        unsafe = self.certificate["converged"] is False
+        return {**self.certificate, "tau_coverage_safe": False if unsafe else None}
+
+
+def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction) -> float:
+    """Exact conformity ``1 - count/(n+1)`` of ``candidate`` (``_level_index``),
+    count the observed scores at most the query's under a refit at it.
+
+    A multiple of ``1/(n+1)`` from ``1/(n+1)`` (e.g. every score tied) to 1.
+    """
+    return _conformity(_Refits(dataset, model_spec, score).count_at(candidate), dataset.n)
+
+
 def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
             z_range=None, eps_r: float = _EPS_R) -> MethodReport:
     """Endpoints of the exact conformal set by bisection, one refit per probe.
@@ -406,7 +486,9 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     its midpoint returned.  ``fit_count`` counts every refit.  Each refit is
     warm-started from the one before it, whose candidates lie ever closer
     together; the details carry the refits' summed ``iterations``, largest
-    ``duality_gap`` and joint ``converged`` (None for closed-form fits).
+    ``duality_gap`` and joint ``converged`` (None for closed-form fits), and
+    ``tau_coverage_safe=False`` when some refit did not converge
+    (``_Refits.details``).
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -418,29 +500,27 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     z_min, z_max = float(z_range[0]), float(z_range[1])
     if not z_min < z_max:
         raise InvalidInputError("need z_min < z_max")
+    refits = _Refits(dataset, model_spec, score)
     if _level_index(dataset.n, alpha) > dataset.n:
         return _report(PredictionSet.whole_range("rootcp", alpha, (z_min, z_max)), dataset, 0,
-                       started, **_certificate(None))
+                       started, **refits.details())
     probes = np.linspace(z_min, z_max, _ROOT_PROBES)
-    refits = _Refits(dataset, model_spec, score)
-    probed = _grid_set(refits, alpha, probes)
-    if probed.shape == "empty":
+    kept = np.flatnonzero([refits.inside(z, alpha) for z in probes])
+    if kept.size == 0:
         prediction_set = PredictionSet.empty_set("rootcp", alpha, (z_min, z_max))
-        return _report(prediction_set, dataset, refits.count, started, **refits.certificate)
+        return _report(prediction_set, dataset, refits.count, started, **refits.details())
 
     def inside(z: float) -> bool:
         return refits.inside(z, alpha)
 
-    def bracket(kept: int, side: int):
-        if 0 <= kept + side < _ROOT_PROBES:
-            return _bisect(inside, probes[kept], probes[kept + side], eps_r)
-        return _outer_boundary(inside, float(probes[kept]), side * (z_max - z_min), eps_r)
+    def bracket(probe: int, side: int):
+        if 0 <= probe + side < _ROOT_PROBES:
+            return _bisect(inside, probes[probe], probes[probe + side], eps_r)
+        return _outer_boundary(inside, float(probes[probe]), side * (z_max - z_min), eps_r)
 
-    first = int(np.searchsorted(probes, probed.intervals[0][0], side="left"))
-    last = int(np.searchsorted(probes, probed.intervals[-1][1], side="right")) - 1
     # an unbounded side makes the set the whole range: the other is not bracketed
-    lower = bracket(first, -1)
-    upper = None if lower is None else bracket(last, 1)
+    lower = bracket(kept[0], -1)
+    upper = None if lower is None else bracket(kept[-1], 1)
     if upper is None:
         prediction_set = PredictionSet.whole_range("rootcp", alpha, (z_min, z_max))
     else:
@@ -448,17 +528,24 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
         prediction_set = PredictionSet.from_intervals([ends], "rootcp", alpha,
                                                       candidate_range=(z_min, z_max))
     return _report(prediction_set, dataset, refits.count, started,
-                   z0=float(probes[first]), **refits.certificate)
+                   z0=float(probes[kept[0]]), **refits.details())
 
 
 def grid_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
             grid) -> MethodReport:
-    """The grid-evaluated exact set wrapped with timing, fit bookkeeping and
-    the refits' certificate (as ``root_cp`` reports it)."""
+    """Exact conformal set evaluated on a candidate grid, one refit per point.
+
+    Keeps the grid points whose conformity exceeds ``alpha`` (``_kept_set``).
+    This is the verification oracle for the single-fit constructions; it
+    costs ``len(grid)`` refits, each warm-started from the one at the
+    previous grid point, and reports their certificate as ``root_cp`` does.
+    """
     started = time.perf_counter()
+    alpha = check_alpha(alpha)
+    grid = _check_grid(grid)
     refits = _Refits(dataset, model_spec, score)
-    prediction_set = _grid_set(refits, alpha, grid)
-    return _report(prediction_set, dataset, refits.count, started, **refits.certificate)
+    prediction_set = _kept_set(grid, [refits.inside(z, alpha) for z in grid], "gridcp", alpha)
+    return _report(prediction_set, dataset, refits.count, started, **refits.details())
 
 
 def gap_profile(dataset: TabularDataset, anchor: float, model_spec,

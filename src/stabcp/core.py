@@ -1,11 +1,12 @@
-"""Rank statistics, conformity scores, and the grid-evaluated exact conformal set.
+"""Datasets, scores, rank statistics and prediction sets: the bottom layer.
 
 The conformity of a candidate target value is ``1 - count/(n+1)``, count the
 observed nonconformity scores at most the query's (its rank less one), and
 every set keeps the candidates whose conformity exceeds alpha
-(``_level_index``).  The grid sweep here refits the model at every candidate
-and is the slow-but-trustworthy baseline that every faster construction in
-:mod:`stabcp.conformal` is checked against.
+(``_level_index``).  This module holds that rule, the dataset and score types,
+the set container and a fit's solver certificate; it never fits a model.  The
+refit baselines that every faster construction is checked against live in
+:mod:`stabcp.conformal`.
 """
 
 from __future__ import annotations
@@ -245,23 +246,6 @@ def _checked_scores(score: ScoreFunction, q: np.ndarray, preds: np.ndarray) -> n
     return scores
 
 
-def _exact_count(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction,
-                 start=None, X=None) -> tuple[int, object]:
-    """How many observed scores are at most the query's under a refit at
-    ``candidate`` (in the set when below ``_level_index``), and the refit.
-
-    The refit is ``fit_rows`` on the augmented rows ``X`` (built here when not
-    given): it never goes through ``fit``, which may reuse per-dataset work,
-    so the refit baselines stay an independent check of the single-fit sets.
-    ``start``, an earlier refit on the same rows, only sets where an
-    iterative solver begins; the refit still meets the solver's tolerance.
-    """
-    X = dataset.augmented_design() if X is None else X
-    y = dataset.augmented_targets(candidate)
-    fitted = model_spec.fit_rows(X, y, start=start)
-    return rank(_checked_scores(score, y, fitted.predict_rows(X)), dataset.n + 1) - 1, fitted
-
-
 def _certificate(fitted) -> dict:
     """A fit's ``iterations``, ``duality_gap`` and ``converged`` (None if closed-form)."""
     return {key: getattr(fitted, key, None) for key in ("iterations", "duality_gap", "converged")}
@@ -274,42 +258,6 @@ def _joint_certificate(first: dict, second: dict) -> dict:
     return {"iterations": first["iterations"] + second["iterations"],
             "duality_gap": max(first["duality_gap"], second["duality_gap"]),
             "converged": first["converged"] and second["converged"]}
-
-
-class _Refits:
-    """The refits of one baseline call, each warm-started from the one before.
-
-    Builds the augmented design once and passes every refit to the next as
-    ``start``; nothing outlives the call.  ``certificate`` totals the refits'
-    solver certificates (``_joint_certificate``).
-    """
-
-    def __init__(self, dataset: TabularDataset, model_spec, score: ScoreFunction):
-        self.dataset, self.model_spec, self.score = dataset, model_spec, score
-        self.X = dataset.augmented_design()
-        self.last = None
-        self.count = 0
-        self.certificate = _certificate(None)
-
-    def count_at(self, candidate: float) -> int:
-        """``_exact_count`` at ``candidate``, refitted from the last refit."""
-        count, self.last = _exact_count(self.dataset, candidate, self.model_spec, self.score,
-                                        start=self.last, X=self.X)
-        self.count += 1
-        self.certificate = _joint_certificate(self.certificate, _certificate(self.last))
-        return count
-
-    def inside(self, candidate: float, alpha: float) -> bool:
-        return self.count_at(candidate) < _level_index(self.dataset.n, alpha)
-
-
-def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction) -> float:
-    """Exact conformity ``1 - count/(n+1)`` of ``candidate`` (``_level_index``),
-    count the observed scores at most the query's under a refit at it.
-
-    A multiple of ``1/(n+1)`` from ``1/(n+1)`` (e.g. every score tied) to 1.
-    """
-    return _conformity(_exact_count(dataset, candidate, model_spec, score)[0], dataset.n)
 
 
 @dataclass
@@ -376,61 +324,8 @@ class PredictionSet:
         value = float(value)
         return any(lo <= value <= hi for lo, hi in self.intervals)
 
-    def to_dict(self) -> dict:
-        return {
-            "shape": self.shape,
-            "intervals": [[lo, hi] for lo, hi in self.intervals],
-            "method": self.method,
-            "alpha": self.alpha,
-            "truncated": self.truncated,
-            "candidate_range": list(self.candidate_range) if self.candidate_range else None,
-        }
-
 
 def default_candidate_grid(dataset: TabularDataset, num: int = 200) -> np.ndarray:
     """Equally spaced candidates spanning the observed response range."""
     lo, hi = dataset.target_range()
     return np.linspace(lo, hi, int(num))
-
-
-def _check_grid(grid) -> np.ndarray:
-    """A candidate grid as a finite, nonempty, ascending 1-d array."""
-    grid = _as_finite_array(np.ravel(np.asarray(grid, dtype=float)), "grid", 1)
-    if grid.size == 0:
-        raise InvalidInputError("grid must be nonempty")
-    if np.any(np.diff(grid) < 0):
-        raise InvalidInputError("grid must be sorted ascending")
-    return grid
-
-
-def _kept_set(grid: np.ndarray, kept, method: str, alpha: float) -> PredictionSet:
-    """The runs of consecutive kept grid points as closed intervals, flagged as
-    truncated when a run reaches a grid end (the set may go on beyond it)."""
-    kept = np.asarray(kept, dtype=bool)
-    edges = np.diff(np.concatenate([[0], kept.astype(np.int8), [0]]))
-    starts = np.flatnonzero(edges == 1)
-    stops = np.flatnonzero(edges == -1) - 1
-    return PredictionSet.from_intervals(
-        [(grid[a], grid[b]) for a, b in zip(starts, stops)], method, alpha,
-        truncated=bool(kept[0] or kept[-1]),
-        candidate_range=(float(grid[0]), float(grid[-1])),
-    )
-
-
-def conformal_set_grid(dataset: TabularDataset, model_spec, score: ScoreFunction,
-                       alpha: float, grid) -> PredictionSet:
-    """Exact conformal set evaluated on a candidate grid, one refit per point.
-
-    Keeps the grid points whose conformity exceeds ``alpha`` (``_kept_set``).
-    This is the verification oracle for the single-fit constructions; it
-    costs ``len(grid)`` fits, each warm-started from the one at the previous
-    grid point.
-    """
-    return _grid_set(_Refits(dataset, model_spec, score), alpha, grid)
-
-
-def _grid_set(refits: _Refits, alpha: float, grid) -> PredictionSet:
-    """``conformal_set_grid`` through the given refit chain."""
-    alpha = check_alpha(alpha)
-    grid = _check_grid(grid)
-    return _kept_set(grid, [refits.inside(z, alpha) for z in grid], "gridcp", alpha)

@@ -32,11 +32,13 @@ wanted.  This keeps the row norms entering the stability bounds honest.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .core import TabularDataset, _as_finite_array, _read_only
+from .core import (TabularDataset, _as_finite_array, _certificate, _joint_certificate,
+                   _read_only)
 from .errors import InvalidInputError, NotFittedError, NumericalError
 from .stability import (
     StabilityBounds,
@@ -391,9 +393,10 @@ class InterpolatedModel:
     interior anchors).  Inside the knot range the prediction at a candidate is
     the convex combination of the two bracketing knot models; outside it is
     the affine extension of the nearest segment.  The segment weight formula
-    is used unclamped, which yields exactly that extension.  ``converged`` is
-    False when some knot fit stopped before its solver certificate reached
-    the tolerance; closed-form knot fits count as converged.
+    is used unclamped, which yields exactly that extension.  ``certificate``
+    joins the knot fits' solver certificates (``_joint_certificate``): its
+    ``converged`` is False when some knot fit stopped before reaching the
+    tolerance, and all its entries are None for closed-form knot fits.
     """
 
     def __init__(self, knots, knot_models):
@@ -409,7 +412,7 @@ class InterpolatedModel:
             [np.asarray(m.row_predictions, dtype=float) for m in knot_models]
         )
         self.fit_count = knots.size
-        self.converged = all(getattr(m, "converged", True) for m in knot_models)
+        self.certificate = functools.reduce(_joint_certificate, map(_certificate, knot_models))
 
     def _segment(self, z: float) -> tuple[int, float]:
         """Segment index and left-knot weight; weights leave [0,1] outside the range."""

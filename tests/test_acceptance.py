@@ -22,7 +22,6 @@ from stabcp import (
     TabularDataset,
     anchor_bounds,
     build_interpolated_model,
-    conformal_set_grid,
     conformity_scores,
     default_anchor,
     default_candidate_grid,
@@ -104,7 +103,7 @@ def test_criterion_03_grid_set_contained_in_single_fit_set():
         tau = tau_linear_exact(spec.fit(ds, anchor), ds)
         stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
         grid = default_candidate_grid(ds, 100)
-        oracle = conformal_set_grid(ds, spec, ABS, 0.1, grid)
+        oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
         for z in grid:
             if oracle.contains(z) and not stab.set.contains(z):
                 violations += 1

@@ -383,6 +383,26 @@ def test_benchmark_rows_carry_the_fit_certificate():
     for row in ridge_rows:
         assert row["error"] is None
         assert (row["iterations"], row["duality_gap"], row["converged"]) == (None, None, None)
+    # certified and closed-form refits leave the flag unset
+    assert [row["tau_coverage_safe"] for row in lad_rows + ridge_rows
+            if row["method"] == "rootcp"] == [None] * 4
+
+
+def test_benchmark_flags_sets_from_uncertified_refits():
+    # five ADMM iterations cannot reach 1e-12: no refit converges, so the
+    # rootcp and gridcp sets are not the exact ones and leave the coverage
+    source = synthetic_source(GeneratorSpec("linear-gaussian", 30, 3, 1.0, 0))
+    starved = RunConfig(model="ladridge", max_iter=5, solver_tol=1e-12, grid_size=20)
+    report, rows = run_benchmark(source, ["rootcp", "gridcp"], 3, seed=0, config=starved)
+    for method in ("rootcp", "gridcp"):
+        refit_rows = [row for row in rows if row["method"] == method]
+        assert len(refit_rows) == 3
+        for row in refit_rows:
+            assert row["error"] is None and row["converged"] is False
+            assert row["tau_coverage_safe"] is False
+        entry = report["methods"][method]
+        assert entry["tau_unsafe"] is True and entry["coverage"] is None
+        assert "coverage_unvalidated" in entry
 
 
 def test_benchmark_is_deterministic(capsys):

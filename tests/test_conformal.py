@@ -17,7 +17,6 @@ from stabcp import (
     TabularDataset,
     anchor_bounds,
     build_interpolated_model,
-    conformal_set_grid,
     conformity_scores,
     default_anchor,
     gap_profile,
@@ -181,7 +180,7 @@ def test_stab_interval_contains_grid_oracle_at_scale():
     tau = tau_linear_exact(spec.fit(ds, anchor), ds)
     report = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     grid = stabcp.default_candidate_grid(ds, 200)
-    oracle = conformal_set_grid(ds, spec, ABS, 0.1, grid)
+    oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
     (glo, ghi), = oracle.intervals
     (slo, shi), = report.set.intervals
     assert slo <= glo and ghi <= shi
@@ -407,7 +406,7 @@ def test_bisection_uses_closed_form_index_at_integer_level(n):
     custom = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, wide, alpha)
     (clo, chi), = custom.set.intervals
     assert ilo - _EPS_R <= clo <= ilo and ihi <= chi <= ihi + _EPS_R
-    exact = conformal_set_grid(ds, spec, ABS, alpha, stabcp.default_candidate_grid(ds, 200))
+    exact = grid_cp(ds, spec, ABS, alpha, stabcp.default_candidate_grid(ds, 200)).set
     assert exact.intervals
     for glo, ghi in exact.intervals:
         assert bisect.set.contains(glo) and bisect.set.contains(ghi)
@@ -461,7 +460,7 @@ def test_batch_never_widens_the_gap():
     both_lo, both_hi = intersect(reports)
     for report in reports:
         assert both_hi - both_lo <= report.length + 1e-12
-    grid = conformal_set_grid(ds, spec, ABS, 0.1, np.linspace(lo, hi, 200))
+    grid = grid_cp(ds, spec, ABS, 0.1, np.linspace(lo, hi, 200)).set
     assert grid.intervals
     for glo, ghi in grid.intervals:
         assert both_lo <= glo and ghi <= both_hi
@@ -477,7 +476,7 @@ def test_interpolated_zero_tau_recovers_exact_set():
     zero = tau_interpolated(tau_user_supplied(np.zeros(ds.n + 1)), ABS.gamma)
     grid = stabcp.default_candidate_grid(ds, 150)
     report = interpolated_cp(ds, interp, zero, ABS, 0.1, grid)
-    oracle = conformal_set_grid(ds, spec, ABS, 0.1, grid)
+    oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
     assert report.set.intervals == oracle.intervals
     assert report.fit_count == interp.fit_count == 5
 
@@ -491,7 +490,7 @@ def test_interpolated_set_contains_grid_oracle():
     tilde = tau_interpolated(base, ABS.gamma)
     grid = stabcp.default_candidate_grid(ds, 150)
     report = interpolated_cp(ds, interp, tilde, ABS, 0.1, grid)
-    oracle = conformal_set_grid(ds, spec, ABS, 0.1, grid)
+    oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
     for glo, ghi in oracle.intervals:
         assert report.set.contains(glo) and report.set.contains(ghi)
 
@@ -506,7 +505,7 @@ def test_grid_sets_reaching_a_grid_end_are_truncated():
     interp = build_interpolated_model(ds, np.linspace(lo, hi, 5)[1:-1], lo, hi, spec)
     tilde = tau_interpolated(tau_linear_exact(spec.fit(ds, 0.0), ds), ABS.gamma)
     wide = padded_grid(ds, 300)
-    (elo, ehi), = conformal_set_grid(ds, spec, ABS, 0.1, wide).intervals
+    (elo, ehi), = grid_cp(ds, spec, ABS, 0.1, wide).set.intervals
     centre = 0.5 * (elo + ehi)
     narrow = np.linspace(centre - 0.1, centre + 0.1, 11)
     for grid, truncated in ((narrow, True), (wide, False)):
@@ -542,12 +541,20 @@ def test_uncertified_knot_fit_is_not_coverage_safe():
     lo, hi = ds.target_range()
     anchors = np.linspace(lo, hi, 5)[1:-1]
     grid = stabcp.default_candidate_grid(ds, 50)
-    for spec, safe in ((LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5), False),
-                       (LadRidgeModel(0.5), True), (RidgeModel(0.5), True)):
+    for spec, converged in ((LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5), False),
+                            (LadRidgeModel(0.5), True), (RidgeModel(0.5), None)):
         tilde = tau_interpolated(spec.stability_bound(ds, ABS, (lo, hi)), ABS.gamma)
         interp = build_interpolated_model(ds, anchors, lo, hi, spec)
         report = interpolated_cp(ds, interp, tilde, ABS, 0.1, grid)
-        assert report.details["tau_coverage_safe"] is safe
+        assert report.details["tau_coverage_safe"] is (converged is not False)
+        # the report carries the knot fits' joint certificate, None for ridge
+        assert report.details["converged"] is converged
+        if converged is None:
+            assert report.details["iterations"] is report.details["duality_gap"] is None
+        elif converged:
+            assert 0.0 <= report.details["duality_gap"] <= spec.solver_tol
+        else:
+            assert report.details["iterations"] == 5 * report.fit_count
 
 
 # ----------------------------------------------------------------- split
@@ -669,7 +676,7 @@ def test_root_matches_grid_oracle(small_dataset):
     # rootcp brackets past the target range, so the grid is padded to see as far
     spec = RidgeModel(0.5)
     grid = padded_grid(small_dataset, 750)
-    oracle = conformal_set_grid(small_dataset, spec, ABS, 0.1, grid)
+    oracle = grid_cp(small_dataset, spec, ABS, 0.1, grid).set
     assert not oracle.truncated
     report = root_cp(small_dataset, spec, ABS, 0.1, eps_r=1e-4)
     (glo, ghi), = oracle.intervals
@@ -740,8 +747,8 @@ def test_refit_baselines_never_use_the_memoized_fit(small_dataset):
     double = FitBudget(spec, 10_000)
     grid = stabcp.default_candidate_grid(small_dataset, 30)
     assert root_cp(small_dataset, double, ABS, 0.1).set == root_cp(small_dataset, spec, ABS, 0.1).set
-    assert (conformal_set_grid(small_dataset, double, ABS, 0.1, grid)
-            == conformal_set_grid(small_dataset, spec, ABS, 0.1, grid))
+    assert (grid_cp(small_dataset, double, ABS, 0.1, grid).set
+            == grid_cp(small_dataset, spec, ABS, 0.1, grid).set)
     for z in grid[::5]:
         assert pi_exact(small_dataset, z, double, ABS) == pi_exact(small_dataset, z, spec, ABS)
 
@@ -775,13 +782,16 @@ def test_refit_reports_carry_the_summed_certificate(small_dataset):
                    grid_cp(small_dataset, RidgeModel(0.5), ABS, 0.1, grid)):
         assert [report.details[k] for k in ("iterations", "duality_gap", "converged")] == \
             [None, None, None]
-    # ten iterations per refit cannot reach 1e-12: every refit is counted, none converged
+        assert report.details["tau_coverage_safe"] is None
+    # ten iterations per refit cannot reach 1e-12: every refit is counted, none
+    # converged, and the set is flagged
     starved = LadRidgeModel(0.2, solver_tol=1e-12, max_iter=10)
     for report in (root_cp(small_dataset, starved, ABS, 0.1),
                    grid_cp(small_dataset, starved, ABS, 0.1, grid)):
         assert report.details["iterations"] == 10 * report.fit_count
         assert report.details["duality_gap"] > 1e-12
         assert report.details["converged"] is False
+        assert report.details["tau_coverage_safe"] is False
 
 
 def test_root_returns_when_eps_r_is_below_the_float_spacing():
@@ -797,7 +807,7 @@ def test_root_returns_when_eps_r_is_below_the_float_spacing():
     assert report.fit_count == spec.fits
     (rlo, rhi), = report.set.intervals
     assert math.isfinite(rlo) and math.isfinite(rhi)
-    grid = conformal_set_grid(ds, RidgeModel(0.0), ABS, 0.1, np.linspace(*z_range, 401))
+    grid = grid_cp(ds, RidgeModel(0.0), ABS, 0.1, np.linspace(*z_range, 401)).set
     (glo, ghi), = grid.intervals
     assert rlo <= glo + eps_r and ghi - eps_r <= rhi
 
@@ -867,7 +877,7 @@ def test_containment_chain_on_shared_grid():
     bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
     grid = stabcp.default_candidate_grid(ds, 120)
     threshold = math.floor((1 - alpha) * (ds.n + 1) + 1e-9)
-    oracle = conformal_set_grid(ds, spec, ABS, alpha, grid)
+    oracle = grid_cp(ds, spec, ABS, alpha, grid).set
     stab = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
     for z in grid:
         pb = bounds.pi_bounds_at(z)

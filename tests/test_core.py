@@ -14,8 +14,8 @@ from stabcp import (
     RidgeModel,
     ScoreFunction,
     TabularDataset,
-    conformal_set_grid,
     conformity_scores,
+    grid_cp,
     pi_exact,
     rank,
 )
@@ -290,7 +290,7 @@ def test_grid_full_acceptance_single_interval():
     ds = TabularDataset(np.ones((4, 1)), np.array([2.0, -2.0, 3.0, -3.0]), np.ones(1))
     spec = PretrainedLinearModel(np.zeros(1))
     grid = np.linspace(-1.0, 1.0, 11)
-    ps = conformal_set_grid(ds, spec, ABS, alpha=0.2, grid=grid)
+    ps = grid_cp(ds, spec, ABS, alpha=0.2, grid=grid).set
     assert ps.shape == "interval"
     assert ps.intervals == [(-1.0, 1.0)]
 
@@ -300,7 +300,7 @@ def test_grid_alpha_above_max_conformity_empty():
     # conformity never exceeds 1 - 1/3 < alpha
     ds = TabularDataset(np.ones((2, 1)), np.array([0.0, -1.0]), np.ones(1))
     spec = PretrainedLinearModel(np.zeros(1))
-    ps = conformal_set_grid(ds, spec, ABS, alpha=0.7, grid=np.linspace(-2, 2, 21))
+    ps = grid_cp(ds, spec, ABS, alpha=0.7, grid=np.linspace(-2, 2, 21)).set
     assert ps.shape == "empty"
 
 
@@ -308,9 +308,9 @@ def test_grid_rejects_empty_and_unsorted():
     ds = TabularDataset(np.ones((2, 1)), np.array([1.0, -1.0]), np.ones(1))
     spec = PretrainedLinearModel(np.zeros(1))
     with pytest.raises(InvalidInputError):
-        conformal_set_grid(ds, spec, ABS, 0.1, [])
+        grid_cp(ds, spec, ABS, 0.1, [])
     with pytest.raises(InvalidInputError):
-        conformal_set_grid(ds, spec, ABS, 0.1, [1.0, 0.0])
+        grid_cp(ds, spec, ABS, 0.1, [1.0, 0.0])
 
 
 def test_grid_matches_root_finding_endpoints(small_dataset):
@@ -319,7 +319,7 @@ def test_grid_matches_root_finding_endpoints(small_dataset):
     spec = RidgeModel(0.5)
     lo, hi = small_dataset.target_range()
     grid = np.linspace(2 * lo - hi, 2 * hi - lo, 600)
-    ps = conformal_set_grid(small_dataset, spec, ABS, 0.1, grid)
+    ps = grid_cp(small_dataset, spec, ABS, 0.1, grid).set
     report = stabcp.root_cp(small_dataset, spec, ABS, 0.1, eps_r=1e-4)
     assert ps.shape == "interval" and report.set.shape == "interval"
     assert not ps.truncated and not report.set.truncated

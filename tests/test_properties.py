@@ -21,9 +21,9 @@ from stabcp import (
     RidgeModel,
     ScoreFunction,
     TabularDataset,
-    conformal_set_grid,
     default_anchor,
     default_candidate_grid,
+    grid_cp,
     oracle_cp,
     ridge_coefficients,
     split_cp,
@@ -84,7 +84,7 @@ def test_stabcp_bisection_matches_closed_form_and_contains_exact_set(ds, lam, al
     tau = tau_linear_exact(spec.fit(ds, anchor), ds, z_range=z_range)
     closed = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
     assert_outer_match(closed, stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, alpha))
-    exact = conformal_set_grid(ds, spec, ABS, alpha, default_candidate_grid(ds, 40))
+    exact = grid_cp(ds, spec, ABS, alpha, default_candidate_grid(ds, 40)).set
     for lo, hi in exact.intervals:
         assert closed.set.contains(lo) and closed.set.contains(hi)
 
