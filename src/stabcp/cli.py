@@ -7,6 +7,7 @@ key so downstream parsers can pin the format.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -51,8 +52,7 @@ def _load_dataset(data_path: str, target_column, sidecar, trust_holdout: bool = 
         with open(sidecar_path, encoding="utf-8") as fh:
             dataset.meta["sidecar"] = json.load(fh)
     if not (trust_holdout or has_sidecar):
-        dataset = type(dataset)(dataset.features, dataset.targets,
-                                dataset.test_point, None, dataset.meta)
+        dataset = dataclasses.replace(dataset, test_target=None)
     return dataset
 
 
@@ -141,8 +141,7 @@ def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **k
     config = _usage_checked(RunConfig, **kw)
     dataset = _load_dataset(data_path, target_column, sidecar)
     if true_target is not None:
-        dataset = type(dataset)(dataset.features, dataset.targets, dataset.test_point,
-                                test_target=float(true_target), meta=dataset.meta)
+        dataset = dataclasses.replace(dataset, test_target=true_target)
     if method == "oraclecp" and dataset.test_target is None:
         raise click.UsageError("oraclecp needs --true-target (or a dataset with a held-out target)")
     report = run_method(method, dataset, config)

@@ -41,7 +41,6 @@ from .core import (
     _level_index,
     check_alpha,
     conformity_scores,
-    rank,
 )
 from .errors import InvalidInputError
 from .stability import StabilityBounds
@@ -51,8 +50,9 @@ from .stability import StabilityBounds
 class PiBounds:
     """Sandwich values at one candidate: ``1/(n+1) <= lo <= pi_exact <= up <= 1``.
 
-    ``n_lo`` (``n_up``) counts the observed rows whose score may (must) be at
-    most the query's, and ``lo = 1 - n_lo/(n+1)``; kept for exact comparisons.
+    ``n_lo`` (``n_up``) counts the observed rows whose score may (must) be
+    strictly below the query's, and ``lo = 1 - n_lo/(n+1)``; kept for exact
+    comparisons.
     """
 
     lo: float
@@ -116,8 +116,8 @@ class ConformityBounds:
     def counts_at(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Observed-row counts (n_lo, n_up) of ``PiBounds``, vectorized in z."""
         s = self.score.evaluate(np.asarray(z, dtype=float), self.mu_test)
-        return (np.searchsorted(self.lower_sorted, s + self.tau_test, side="right"),
-                np.searchsorted(self.upper_sorted, s - self.tau_test, side="right"))
+        return (np.searchsorted(self.lower_sorted, s + self.tau_test, side="left"),
+                np.searchsorted(self.upper_sorted, s - self.tau_test, side="left"))
 
     def pi_bounds_at(self, z: float) -> PiBounds:
         n_lo, n_up = (int(count) for count in self.counts_at(float(z)))
@@ -174,15 +174,17 @@ def _bisect(is_inside, inside: float, outside: float, eps_r: float) -> tuple[flo
     return inside, outside
 
 
-def _outer_boundary(is_inside, start: float, step: float,
+def _outer_boundary(is_inside, start: float, side: int, candidate_range,
                     eps_r: float) -> tuple[float, float] | None:
     """The bracket ``(inside, outside)`` of a set boundary beyond ``start``.
 
-    ``is_inside`` holds at ``start``.  Steps outward from it by ``step``
-    (whose sign picks the side), doubling the step until ``is_inside`` fails,
-    then shrinks the last bracket with ``_bisect``.  None when ``is_inside``
-    still holds after ``_MAX_DOUBLINGS`` doublings.
+    ``is_inside`` holds at ``start``.  Steps outward from it on ``side`` (-1
+    or +1), first by the width of ``candidate_range`` (at least ``_EPS_R``),
+    doubling the step until ``is_inside`` fails, then shrinks the last
+    bracket with ``_bisect``.  None when ``is_inside`` still holds after
+    ``_MAX_DOUBLINGS`` doublings.
     """
+    step = side * max(float(candidate_range[1]) - float(candidate_range[0]), _EPS_R)
     inside, outside = start, start + step
     for _ in range(_MAX_DOUBLINGS):
         if not is_inside(outside):
@@ -202,12 +204,11 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
     - A custom score must honor the contract of ``ScoreFunction.custom``
       (minimized at ``q = m``, nondecreasing in ``|q - m|`` on each side), so
       the set is one interval around ``mu``.  Each endpoint is bracketed by
-      stepping outward from ``mu``, the first step being the width of the
-      candidate range (at least ``_EPS_R``) and each next step twice the last,
-      until the score exceeds T; bisection then shrinks the bracket to
-      ``_EPS_R`` and its outer end is returned, so the set always contains the
-      exact sublevel set.  A score still at most T after ``_MAX_DOUBLINGS``
-      doublings gives the whole range, flagged as truncated.
+      stepping outward from ``mu`` (``_outer_boundary``) until the score
+      exceeds T; bisection then shrinks the bracket to ``_EPS_R`` and its
+      outer end is returned, so the set always contains the exact sublevel
+      set.  A score still at most T after ``_MAX_DOUBLINGS`` doublings gives
+      the whole range, flagged as truncated.
 
     The set is never clamped to ``candidate_range``, which is only recorded as
     metadata: clamping could drop a true response outside the observed range.
@@ -220,9 +221,8 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
     if score.kind == "absolute-residual":
         ends = (mu - threshold, mu + threshold)
     else:
-        step = max(float(candidate_range[1]) - float(candidate_range[0]), _EPS_R)
         brackets = [_outer_boundary(lambda z: score.evaluate(z, mu) <= threshold,
-                                    mu, side * step, _EPS_R) for side in (-1.0, 1.0)]
+                                    mu, side, candidate_range, _EPS_R) for side in (-1, 1)]
         if None in brackets:
             return PredictionSet.whole_range(method, alpha, candidate_range)
         ends = (brackets[0][1], brackets[1][1])
@@ -336,7 +336,7 @@ def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityB
         preds = interpolated.row_predictions_at(z)
         q = dataset.augmented_targets(z)
         scores = np.asarray(score.evaluate(q, preds), dtype=float)
-        n_up = np.count_nonzero(scores[:-1] + tau_arr[:-1] <= scores[-1] - tau_arr[-1])
+        n_up = np.count_nonzero(scores[:-1] + tau_arr[:-1] < scores[-1] - tau_arr[-1])
         kept[j] = n_up < k
     prediction_set = _kept_set(grid, kept, "interpcp", alpha)
     certified = interpolated.certificate["converged"] is not False
@@ -386,12 +386,12 @@ def split_cp(dataset: TabularDataset, split_index: int, model_spec,
 def split_pi(dataset: TabularDataset, split_index: int, model_spec,
              score: ScoreFunction):
     """Split conformity ``z -> 1 - count/(n_cal+1)`` (one fit, reusable), count
-    the calibration scores at most the query's."""
+    the calibration scores strictly below the query's."""
     mu_test, cal_scores, _ = _split_fit(dataset, split_index, model_spec, score)
 
     def pi(z):
         test_score = score.evaluate(np.asarray(z, dtype=float), mu_test)
-        return _conformity(np.searchsorted(cal_scores, test_score, side="right"),
+        return _conformity(np.searchsorted(cal_scores, test_score, side="left"),
                            cal_scores.size)
 
     return pi
@@ -442,14 +442,14 @@ class _Refits:
         self.certificate = _certificate(None)
 
     def count_at(self, candidate: float) -> int:
-        """How many observed scores are at most the query's under a refit at
-        ``candidate``: the candidate is in the set when below ``_level_index``."""
+        """How many observed scores are strictly below the query's under a
+        refit at ``candidate``; kept when below ``_level_index``."""
         y = self.dataset.augmented_targets(candidate)
         self.last = self.model_spec.fit_rows(self.X, y, start=self.last)
         self.count += 1
         self.certificate = _joint_certificate(self.certificate, _certificate(self.last))
         scores = _checked_scores(self.score, y, self.last.predict_rows(self.X))
-        return rank(scores, self.dataset.n + 1) - 1
+        return int(np.count_nonzero(scores[:-1] < scores[-1]))
 
     def inside(self, candidate: float, alpha: float) -> bool:
         return self.count_at(candidate) < _level_index(self.dataset.n, alpha)
@@ -464,9 +464,9 @@ class _Refits:
 
 def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction) -> float:
     """Exact conformity ``1 - count/(n+1)`` of ``candidate`` (``_level_index``),
-    count the observed scores at most the query's under a refit at it.
+    count the observed scores strictly below the query's under a refit at it.
 
-    A multiple of ``1/(n+1)`` from ``1/(n+1)`` (e.g. every score tied) to 1.
+    A multiple of ``1/(n+1)`` from ``1/(n+1)`` to 1 (e.g. every score tied).
     """
     return _conformity(_Refits(dataset, model_spec, score).count_at(candidate), dataset.n)
 
@@ -477,15 +477,15 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
 
     Assumes the exact set is one interval.  When ``_level_index`` exceeds n
     it returns the whole range with no refit.  Otherwise it probes
-    ``_ROOT_PROBES`` evenly spaced candidates of the range (empty when none
-    is kept) and brackets each endpoint between the outermost kept probe and
-    its unkept neighbour or, past a kept end probe, outward as
-    ``sublevel_set`` does (``_outer_boundary``; never clamped).  The lower
-    endpoint is bracketed first; when either side is unbounded the whole
-    range is returned at once.  Each bracket is bisected to ``eps_r`` and
-    its midpoint returned.  ``fit_count`` counts every refit.  Each refit is
-    warm-started from the one before it, whose candidates lie ever closer
-    together; the details carry the refits' summed ``iterations``, largest
+    ``_ROOT_PROBES`` evenly spaced candidates of the range (which may have
+    zero width; empty when none is kept) and brackets each endpoint between
+    the outermost kept probe and its unkept neighbour or, past a kept end
+    probe, outward by ``sublevel_set``'s steps (``_outer_boundary``; never
+    clamped).  The lower endpoint is bracketed first; when either side is
+    unbounded the whole range is returned at once.  Each bracket is bisected
+    to ``eps_r`` and its midpoint returned.  ``fit_count`` counts every
+    refit.  Each refit is warm-started from the one before it, whose
+    candidates lie ever closer together; the details carry the refits' summed ``iterations``, largest
     ``duality_gap`` and joint ``converged`` (None for closed-form fits), and
     ``tau_coverage_safe=False`` when some refit did not converge
     (``_Refits.details``).
@@ -498,8 +498,8 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     if z_range is None:
         z_range = dataset.target_range()
     z_min, z_max = float(z_range[0]), float(z_range[1])
-    if not z_min < z_max:
-        raise InvalidInputError("need z_min < z_max")
+    if not z_min <= z_max:
+        raise InvalidInputError("need z_min <= z_max")
     refits = _Refits(dataset, model_spec, score)
     if _level_index(dataset.n, alpha) > dataset.n:
         return _report(PredictionSet.whole_range("rootcp", alpha, (z_min, z_max)), dataset, 0,
@@ -516,7 +516,7 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     def bracket(probe: int, side: int):
         if 0 <= probe + side < _ROOT_PROBES:
             return _bisect(inside, probes[probe], probes[probe + side], eps_r)
-        return _outer_boundary(inside, float(probes[probe]), side * (z_max - z_min), eps_r)
+        return _outer_boundary(inside, float(probes[probe]), side, (z_min, z_max), eps_r)
 
     # an unbounded side makes the set the whole range: the other is not bracketed
     lower = bracket(kept[0], -1)

@@ -1,11 +1,12 @@
 """Datasets, scores, rank statistics and prediction sets: the bottom layer.
 
 The conformity of a candidate target value is ``1 - count/(n+1)``, count the
-observed nonconformity scores at most the query's (its rank less one), and
-every set keeps the candidates whose conformity exceeds alpha
-(``_level_index``).  This module holds that rule, the dataset and score types,
-the set container and a fit's solver certificate; it never fits a model.  The
-refit baselines that every faster construction is checked against live in
+observed nonconformity scores strictly below the query's (as the threshold
+sets ``{S_q <= U_(k)}`` count, so both agree at exact score ties), and every
+set keeps the candidates whose conformity exceeds alpha (``_level_index``).
+This module holds that rule, the dataset and score types, the set container
+and a fit's solver certificate; it never fits a model.  The refit baselines
+that every faster construction is checked against live in
 :mod:`stabcp.conformal`.
 """
 
@@ -26,16 +27,18 @@ PREDICTION_SHAPES = ("interval", "union-of-intervals", "whole-range", "empty")
 def _level_index(m: int, alpha: float) -> int:
     """The one level rule, ``k = ceil((1 - alpha)(m + 1))`` (Lei et al., JASA 2018).
 
-    With ``count`` of m reference scores at most the query's score, its
-    conformity is ``pi = 1 - count/(m + 1)`` (``_conformity``); every set is
-    the closure of ``{pi > alpha} = {count < k}``, which covers with
-    probability at least 1 - alpha.  ``k > m``: every candidate, the whole line.
+    With ``count`` of m reference scores strictly below the query's score,
+    its conformity is ``pi = 1 - count/(m + 1)`` (``_conformity``); every set
+    is the closure of ``{pi > alpha} = {count < k} = {S_q <= U_(k)}`` (``U``
+    the sorted reference scores), which covers with probability >= 1 - alpha.
+    ``k > m``: every candidate, the whole line.
     """
     return math.ceil((1.0 - alpha) * (m + 1) - _TOL)
 
 
 def _conformity(count, m: int):
-    """``1 - count/(m + 1)`` rounded once, so ``> alpha`` matches ``count < k``."""
+    """``1 - count/(m + 1)``, count the reference scores strictly below the
+    query's, rounded once so that ``> alpha`` matches ``count < k``."""
     return (m + 1 - count) / (m + 1)
 
 

@@ -149,27 +149,22 @@ def read_csv_columns(path, target_column=None) -> tuple[np.ndarray, np.ndarray, 
     return np.asarray(X_rows, dtype=float), np.asarray(y_values, dtype=float), feature_names
 
 
-def load_csv(path, target_column=None, test_row="last") -> TabularDataset:
-    """Load a CSV and hold one row out as the query point.
-
-    ``test_row`` picks the held-out row ("last" or a 0-based index); its
-    response is kept as the true target for benchmark mode.
+def load_csv(path, target_column=None) -> TabularDataset:
+    """Load a CSV and hold its last row out as the query point
+    (``dataset_from_rows``); that row's response is kept as the true target
+    for benchmark mode.
     """
     X, y, names = read_csv_columns(path, target_column)
-    total = X.shape[0]
-    if total < 3:
+    last_row = X.shape[0] - 1
+    if last_row < 2:
         raise DataError(f"{path}: need at least three data rows (two observed + query)")
-    idx = total - 1 if test_row == "last" else int(test_row)
-    if not 0 <= idx < total:
-        raise DataError(f"{path}: test row {idx} out of range")
-    keep = np.ones(total, dtype=bool)
-    keep[idx] = False
-    meta = {"path": str(path), "feature_names": names, "test_row": idx}
-    return TabularDataset(X[keep], y[keep], X[idx], test_target=float(y[idx]), meta=meta)
+    meta = {"path": str(path), "feature_names": names, "test_row": last_row}
+    return dataset_from_rows(X, y, last_row, meta)
 
 
-def save_csv(dataset: TabularDataset, path, target_name: str = "y") -> None:
-    """Write the observed rows plus the query row (last) as a headered CSV.
+def save_csv(dataset: TabularDataset, path) -> None:
+    """Write the observed rows plus the query row (last) as a headered CSV
+    whose target column ``y`` comes last.
 
     Floats are written with full round-trip precision, so save/load is the
     identity.  The query row needs a known true target.
@@ -179,7 +174,7 @@ def save_csv(dataset: TabularDataset, path, target_name: str = "y") -> None:
     names = dataset.meta.get("feature_names") or [f"x{i + 1}" for i in range(dataset.p)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(names) + [target_name])
+        writer.writerow(list(names) + ["y"])
         for row, target in zip(dataset.features, dataset.targets):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
         writer.writerow([repr(float(v)) for v in dataset.test_point]

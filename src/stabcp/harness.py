@@ -160,8 +160,11 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
         grid = default_candidate_grid(dataset, config.grid_size)
         report = grid_cp(dataset, spec, score, config.alpha, grid)
     else:  # interpcp
-        tau, tau_aux = build_tau(config, dataset, score)
         z_min, z_max = dataset.target_range()
+        if z_min == z_max:  # the knots must be strictly increasing
+            raise InvalidInputError(f"interpcp needs observed targets of nonzero spread, "
+                                    f"got the zero-width target range [{z_min}, {z_max}]")
+        tau, tau_aux = build_tau(config, dataset, score)
         anchors = np.linspace(z_min, z_max, config.n_anchors + 2)[1:-1]
         interp = build_interpolated_model(dataset, anchors, z_min, z_max, spec)
         tau_tilde = tau_interpolated(tau, score.gamma)

@@ -196,7 +196,7 @@ class RidgeModel(LinearModel):
         penalty ``2*lambda_reg``-strongly convex, and ``bound_loss_C`` bounds
         the optimal loss over ``z_range``."""
         return tau_regularized_smooth(score.gamma, 2.0 / (dataset.n + 1),
-                                      bound_loss_C(dataset, z_range=z_range), 1.0,
+                                      bound_loss_C(dataset, z_range=z_range),
                                       2.0 * self.lambda_reg, augmented_row_norms(dataset),
                                       candidate_range=z_range)
 
@@ -361,7 +361,7 @@ class LadRidgeModel(LinearModel):
         smaller bound.)
         """
         rho = float(np.linalg.norm(dataset.test_point)) / (dataset.n + 1)
-        return tau_regularized_lipschitz(score.gamma, rho, 1.0, 2.0 * self.lambda_reg,
+        return tau_regularized_lipschitz(score.gamma, rho, 2.0 * self.lambda_reg,
                                          augmented_row_norms(dataset),
                                          candidate_range=z_range)
 

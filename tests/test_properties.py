@@ -4,12 +4,14 @@ The absolute residual given as a custom score goes through the outward
 bracketing and bisection of ``sublevel_set``; the built-in one takes the
 closed form.  For stabcp, oracle and split the two must agree to within the
 bisection tolerance with the bisected endpoints never inside, and the stabcp
-set must contain the grid-evaluated exact conformal set.  The ridge fit that
-reuses the dataset's Gram matrix and augmented solve must match a refit from
-scratch on the augmented rows, and the LAD-ridge duality gap must bound the
-suboptimality of the returned fit, warm-started or not.  The data mix in
-outliers, tied targets, ``n`` close to ``p``, a constant column and a
-zero-norm query row.
+set must contain the grid-evaluated exact conformal set and, within the
+bisection tolerance, rootcp's endpoints inside the bound's range; rootcp must
+return a set even on all-tied targets, whose range has zero width.  The
+ridge fit that reuses the dataset's Gram matrix and augmented solve must
+match a refit from scratch on the augmented rows, and the LAD-ridge duality
+gap must bound the suboptimality of the returned fit, warm-started or not.
+The data mix in outliers, tied targets, ``n`` close to ``p``, a constant
+column and a zero-norm query row.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from stabcp import (
     grid_cp,
     oracle_cp,
     ridge_coefficients,
+    root_cp,
     split_cp,
     stab_cp_interval,
     tau_linear_exact,
@@ -87,6 +90,11 @@ def test_stabcp_bisection_matches_closed_form_and_contains_exact_set(ds, lam, al
     exact = grid_cp(ds, spec, ABS, alpha, default_candidate_grid(ds, 40)).set
     for lo, hi in exact.intervals:
         assert closed.set.contains(lo) and closed.set.contains(hi)
+    root = root_cp(ds, spec, ABS, alpha).set
+    for end in np.ravel(root.intervals):
+        if z_range[0] <= end <= z_range[1]:
+            assert closed.set.shape == "whole-range" or any(
+                lo - _EPS_R <= end <= hi + _EPS_R for lo, hi in closed.set.intervals)
 
 
 @SETTINGS

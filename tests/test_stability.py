@@ -69,19 +69,19 @@ def test_strongly_convex_rejects_nonpositive_lambda():
 # -------------------------------------------- regularized lipschitz bound
 
 def test_regularized_lipschitz_arithmetic():
-    bounds = tau_regularized_lipschitz(1.0, 1.0, 1.0, 2.0, np.ones(4))
+    bounds = tau_regularized_lipschitz(1.0, 1.0, 2.0, np.ones(4))
     assert np.allclose(bounds.tau, 1.0)
 
 
 def test_regularized_lipschitz_zero_row():
     norms = np.array([1.0, 0.0, 2.0])
-    bounds = tau_regularized_lipschitz(1.0, 1.0, 1.0, 2.0, norms)
+    bounds = tau_regularized_lipschitz(1.0, 1.0, 2.0, norms)
     assert bounds.tau[1] == 0.0
 
 
 def test_regularized_lipschitz_rejects_negative_norm():
     with pytest.raises(InvalidInputError):
-        tau_regularized_lipschitz(1.0, 1.0, 1.0, 2.0, np.array([1.0, -1.0]))
+        tau_regularized_lipschitz(1.0, 1.0, 2.0, np.array([1.0, -1.0]))
 
 
 def test_lad_score_deviations_within_lipschitz_bound():
@@ -98,7 +98,7 @@ def test_lad_score_deviations_within_lipschitz_bound():
     assert bounds.provenance == "regularized-lipschitz"
     query_norm = float(np.linalg.norm(ds.test_point))
     assert np.array_equal(bounds.tau, tau_regularized_lipschitz(
-        ABS.gamma, query_norm / (ds.n + 1), 1.0, 2.0 * lam, augmented_row_norms(ds)).tau)
+        ABS.gamma, query_norm / (ds.n + 1), 2.0 * lam, augmented_row_norms(ds)).tau)
     zs = np.linspace(lo, hi, 30)
     preds = np.vstack([spec.fit(ds, z).row_predictions for z in zs])
     deviations = preds.max(axis=0) - preds.min(axis=0)
@@ -112,19 +112,19 @@ def test_lad_score_deviations_within_lipschitz_bound():
 # ---------------------------------------------- regularized smooth bound
 
 def test_regularized_smooth_arithmetic():
-    bounds = tau_regularized_smooth(gamma=1.0, nu=1.0, loss_bound_C=2.0, l_phi=1.0,
+    bounds = tau_regularized_smooth(gamma=1.0, nu=1.0, loss_bound_C=2.0,
                                     lambda_sc=2.0, row_norms=np.ones(3))
     assert np.allclose(bounds.tau, 4.0)
 
 
 def test_regularized_smooth_zero_loss_bound():
-    bounds = tau_regularized_smooth(1.0, 1.0, 0.0, 1.0, 2.0, np.ones(3))
+    bounds = tau_regularized_smooth(1.0, 1.0, 0.0, 2.0, np.ones(3))
     assert np.allclose(bounds.tau, 0.0)
 
 
 def test_regularized_smooth_rejects_nu_at_least_lambda():
     with pytest.raises(InvalidInputError):
-        tau_regularized_smooth(1.0, 2.0, 1.0, 1.0, 2.0, np.ones(3))
+        tau_regularized_smooth(1.0, 2.0, 1.0, 2.0, np.ones(3))
 
 
 def test_ridge_deviations_within_smooth_bound():
@@ -134,7 +134,7 @@ def test_ridge_deviations_within_smooth_bound():
     m = ds.n + 1
     z_range = ds.target_range()
     C = bound_loss_C(ds, z_range=z_range)
-    bounds = tau_regularized_smooth(ABS.gamma, 2.0 / m, C, 1.0, 2.0 * lam,
+    bounds = tau_regularized_smooth(ABS.gamma, 2.0 / m, C, 2.0 * lam,
                                     augmented_row_norms(ds), candidate_range=z_range)
     # the model's own bound is this one, bit for bit
     own = spec.stability_bound(ds, ABS, z_range)
@@ -277,10 +277,10 @@ def test_bounds_monotone_in_constants(gamma, rho, lam, bump):
 
 def test_smooth_bound_monotone_in_nu_C_norms():
     norms = np.ones(4)
-    base = tau_regularized_smooth(1.0, 0.5, 1.0, 1.0, 2.0, norms).tau
-    assert np.all(tau_regularized_smooth(1.0, 0.8, 1.0, 1.0, 2.0, norms).tau >= base)
-    assert np.all(tau_regularized_smooth(1.0, 0.5, 2.0, 1.0, 2.0, norms).tau >= base)
-    assert np.all(tau_regularized_smooth(1.0, 0.5, 1.0, 1.0, 2.0, 2 * norms).tau >= base)
+    base = tau_regularized_smooth(1.0, 0.5, 1.0, 2.0, norms).tau
+    assert np.all(tau_regularized_smooth(1.0, 0.8, 1.0, 2.0, norms).tau >= base)
+    assert np.all(tau_regularized_smooth(1.0, 0.5, 2.0, 2.0, norms).tau >= base)
+    assert np.all(tau_regularized_smooth(1.0, 0.5, 1.0, 2.0, 2 * norms).tau >= base)
 
 
 # --------------------------------------------------------- range coverage
