@@ -22,7 +22,6 @@ from .conformal import (
     default_anchor,
     gap_profile,
     grid_cp,
-    interpolated_cp,
     oracle_cp,
     pi_exact,
     root_cp,
@@ -41,11 +40,9 @@ from .data import (
 )
 from .errors import DataError, InvalidInputError, NotFittedError, NumericalError
 from .models import (
-    InterpolatedModel,
     LadRidgeModel,
     PretrainedLinearModel,
     RidgeModel,
-    build_interpolated_model,
     ridge_coefficients,
 )
 from .stability import (
@@ -54,7 +51,6 @@ from .stability import (
     bound_loss_C,
     load_tau_csv,
     scaled_squared_loss,
-    tau_interpolated,
     tau_linear_exact,
     tau_regularized_lipschitz,
     tau_regularized_smooth,

@@ -86,7 +86,6 @@ _model_opts = [  # value types follow the RunConfig defaults
     click.option("--eps-r", default=_DEFAULTS.eps_r, show_default=True,
                  help="Bisection tolerance of rootcp's refit endpoints."),
     click.option("--grid-size", default=_DEFAULTS.grid_size, show_default=True),
-    click.option("--n-anchors", default=_DEFAULTS.n_anchors, show_default=True),
     click.option("--split-fraction", default=_DEFAULTS.split_fraction, show_default=True),
 ]
 

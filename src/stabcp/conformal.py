@@ -14,11 +14,11 @@ inflated ones.  All three sets (``stab_cp_interval``, ``oracle_cp``,
 and one extraction routine (``sublevel_set``): a closed form for the absolute
 residual, outward bracketing plus bisection to ``_EPS_R`` for custom scores.
 
-The module also holds the interpolated refinement and the refit layer: the
-exact-set baselines ``pi_exact``, ``root_cp``, ``grid_cp`` (the one
-grid-evaluated exact set) and ``gap_profile``'s exact column, which refit the
-model at every candidate through one chain of warm-started refits
-(``_Refits``) and are what every single-fit set is checked against.
+The module also holds the refit layer: the exact-set baselines ``pi_exact``,
+``root_cp``, ``grid_cp`` (the one grid-evaluated exact set) and
+``gap_profile``'s exact column, which refit the model at every candidate
+through one chain of warm-started refits (``_Refits``) and are what every
+single-fit set is checked against.
 """
 
 from __future__ import annotations
@@ -311,41 +311,6 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
 stab_cp_bisection = stab_cp_interval  # the earlier name, still called by perfbench
 
 
-def interpolated_cp(dataset: TabularDataset, interpolated, tau_tilde: StabilityBounds,
-                    score: ScoreFunction, alpha: float, grid) -> MethodReport:
-    """Prediction set from the interpolated model family, no further refits.
-
-    Evaluates the upper envelope of the interpolated conformity function on
-    the grid: every row's score moves with the candidate through the
-    interpolated predictions, and all rows carry the inflated interpolation
-    bounds.  Keeps the grid points where that envelope exceeds ``alpha``
-    (``_kept_set``).  The details carry the knot fits' joint certificate
-    (``InterpolatedModel.certificate``); as for the single-fit sets, an
-    uncertified knot fit reports ``tau_coverage_safe=False``.
-    """
-    started = time.perf_counter()
-    alpha = check_alpha(alpha)
-    grid = _check_grid(grid)
-    n = dataset.n
-    tau_arr = tau_tilde.tau
-    if tau_arr.size != n + 1:
-        raise InvalidInputError(f"tau has {tau_arr.size} entries, expected {n + 1}")
-    k = _level_index(n, alpha)
-    kept = np.zeros(grid.size, dtype=bool)
-    for j, z in enumerate(grid):
-        preds = interpolated.row_predictions_at(z)
-        q = dataset.augmented_targets(z)
-        scores = np.asarray(score.evaluate(q, preds), dtype=float)
-        n_up = np.count_nonzero(scores[:-1] + tau_arr[:-1] < scores[-1] - tau_arr[-1])
-        kept[j] = n_up < k
-    prediction_set = _kept_set(grid, kept, "interpcp", alpha)
-    certified = interpolated.certificate["converged"] is not False
-    return _report(prediction_set, dataset, interpolated.fit_count, started,
-                   tau_provenance=tau_tilde.provenance,
-                   tau_coverage_safe=tau_tilde.coverage_safe and certified,
-                   **interpolated.certificate)
-
-
 def _split_fit(dataset: TabularDataset, split_index: int, model_spec,
                score: ScoreFunction) -> tuple[float, np.ndarray, object]:
     """Fit on rows ``1..m``; return the query prediction, the sorted calibration
@@ -476,19 +441,23 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     """Endpoints of the exact conformal set by bisection, one refit per probe.
 
     Assumes the exact set is one interval.  When ``_level_index`` exceeds n
-    it returns the whole range with no refit.  Otherwise it probes
-    ``_ROOT_PROBES`` evenly spaced candidates of the range (which may have
-    zero width; empty when none is kept) and brackets each endpoint between
-    the outermost kept probe and its unkept neighbour or, past a kept end
-    probe, outward by ``sublevel_set``'s steps (``_outer_boundary``; never
-    clamped).  The lower endpoint is bracketed first; when either side is
-    unbounded the whole range is returned at once.  Each bracket is bisected
-    to ``eps_r`` and its midpoint returned.  ``fit_count`` counts every
-    refit.  Each refit is warm-started from the one before it, whose
-    candidates lie ever closer together; the details carry the refits' summed ``iterations``, largest
-    ``duality_gap`` and joint ``converged`` (None for closed-form fits), and
-    ``tau_coverage_safe=False`` when some refit did not converge
-    (``_Refits.details``).
+    it returns the whole range with no refit.  Otherwise it probes the
+    distinct values among ``_ROOT_PROBES`` evenly spaced candidates of the
+    range (one on a zero-width range; empty when none is kept) and brackets
+    each endpoint between the outermost kept probe and its unkept neighbour
+    or, past a kept end probe, outward by ``sublevel_set``'s steps
+    (``_outer_boundary``; never clamped).  The lower endpoint is bracketed
+    first; when either side is unbounded the whole range is returned at once.
+    Each bracket is bisected to ``eps_r`` and its midpoint returned.
+    ``fit_count`` counts every refit.  Each refit is warm-started from the one
+    before it, whose candidates lie ever closer together; the details carry
+    the refits' summed ``iterations``, largest ``duality_gap`` and joint
+    ``converged`` (None for closed-form fits), and ``tau_coverage_safe=False``
+    when some refit did not converge (``_Refits.details``).
+
+    An exact set narrower than the probe spacing that falls between two
+    probes is returned empty: with every target 2.0 under
+    ``PretrainedLinearModel([2.0])`` and ``z_range=(1, 3)``, the point 2.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -505,6 +474,7 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
         return _report(PredictionSet.whole_range("rootcp", alpha, (z_min, z_max)), dataset, 0,
                        started, **refits.details())
     probes = np.linspace(z_min, z_max, _ROOT_PROBES)
+    probes = probes[np.concatenate(([True], np.diff(probes) > 0))]  # np.unique imports numpy.ma
     kept = np.flatnonzero([refits.inside(z, alpha) for z in probes])
     if kept.size == 0:
         prediction_set = PredictionSet.empty_set("rootcp", alpha, (z_min, z_max))
@@ -514,7 +484,7 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
         return refits.inside(z, alpha)
 
     def bracket(probe: int, side: int):
-        if 0 <= probe + side < _ROOT_PROBES:
+        if 0 <= probe + side < probes.size:
             return _bisect(inside, probes[probe], probes[probe + side], eps_r)
         return _outer_boundary(inside, float(probes[probe]), side, (z_min, z_max), eps_r)
 

@@ -270,9 +270,9 @@ class PredictionSet:
     ``intervals`` is an ascending list of disjoint closed ``(lo, hi)`` pairs in
     target units.  ``whole-range`` sets carry the active candidate range, and
     ``truncated`` flags a set that may reach beyond what it stores: a
-    whole-range set, or a grid set (gridcp, interpcp) with a kept run at a
-    grid end.  The single-fit and root-finding sets are never clamped, so
-    their intervals may leave the candidate range.
+    whole-range set, or a gridcp set with a kept run at a grid end.  The
+    single-fit and root-finding sets are never clamped, so their intervals
+    may leave the candidate range.
     """
 
     shape: str

@@ -17,7 +17,6 @@ import numpy as np
 from .conformal import (
     _EPS_R,
     grid_cp,
-    interpolated_cp,
     oracle_cp,
     root_cp,
     split_cp,
@@ -26,11 +25,10 @@ from .conformal import (
 from .core import ScoreFunction, TabularDataset, check_alpha, default_candidate_grid
 from .data import GeneratorSpec, dataset_from_rows, generate
 from .errors import InvalidInputError
-from .models import LadRidgeModel, RidgeModel, build_interpolated_model
-from .stability import tau_interpolated, tau_linear_exact, tau_sgd_heuristic
-from .stability import augmented_row_norms, load_tau_csv
+from .models import LadRidgeModel, RidgeModel
+from .stability import augmented_row_norms, load_tau_csv, tau_linear_exact, tau_sgd_heuristic
 
-METHOD_NAMES = ("stabcp", "splitcp", "oraclecp", "rootcp", "gridcp", "interpcp")
+METHOD_NAMES = ("stabcp", "splitcp", "oraclecp", "rootcp", "gridcp")
 MODEL_NAMES = ("ridge", "ladridge")
 TAU_SOURCES = ("auto", "linear-exact", "sgd-heuristic", "file")
 
@@ -61,7 +59,6 @@ class RunConfig:
     anchor: str | float = "auto"
     eps_r: float = _EPS_R  # rootcp's refit bisection tolerance
     grid_size: int = 200
-    n_anchors: int = 3
     split_fraction: float = 0.5
 
     def __post_init__(self):
@@ -71,8 +68,8 @@ class RunConfig:
         check_alpha(self.alpha)
         if not self.eps_r > 0:
             raise InvalidInputError(f"eps_r must be positive, got {self.eps_r}")
-        if self.grid_size < 1 or self.n_anchors < 1:
-            raise InvalidInputError("grid_size and n_anchors must be at least 1")
+        if self.grid_size < 1:
+            raise InvalidInputError("grid_size must be at least 1")
         if not 0 < self.split_fraction < 1:
             raise InvalidInputError(
                 f"split_fraction must lie in (0, 1), got {self.split_fraction}")
@@ -156,21 +153,9 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
         report = oracle_cp(dataset, dataset.test_target, spec, score, config.alpha)
     elif method == "rootcp":
         report = root_cp(dataset, spec, score, config.alpha, eps_r=config.eps_r)
-    elif method == "gridcp":
+    else:  # gridcp
         grid = default_candidate_grid(dataset, config.grid_size)
         report = grid_cp(dataset, spec, score, config.alpha, grid)
-    else:  # interpcp
-        z_min, z_max = dataset.target_range()
-        if z_min == z_max:  # the knots must be strictly increasing
-            raise InvalidInputError(f"interpcp needs observed targets of nonzero spread, "
-                                    f"got the zero-width target range [{z_min}, {z_max}]")
-        tau, tau_aux = build_tau(config, dataset, score)
-        anchors = np.linspace(z_min, z_max, config.n_anchors + 2)[1:-1]
-        interp = build_interpolated_model(dataset, anchors, z_min, z_max, spec)
-        tau_tilde = tau_interpolated(tau, score.gamma)
-        grid = default_candidate_grid(dataset, config.grid_size)
-        report = interpolated_cp(dataset, interp, tau_tilde, score, config.alpha, grid)
-        report.details["aux_fits"] = tau_aux
 
     report.wall_time = time.perf_counter() - started
     report.details.setdefault("tau_provenance", None)

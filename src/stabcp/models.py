@@ -32,13 +32,11 @@ wanted.  This keeps the row norms entering the stability bounds honest.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .core import (TabularDataset, _as_finite_array, _certificate, _joint_certificate,
-                   _read_only)
+from .core import TabularDataset, _as_finite_array, _read_only
 from .errors import InvalidInputError, NotFittedError, NumericalError
 from .stability import (
     StabilityBounds,
@@ -384,63 +382,3 @@ class PretrainedLinearModel(LinearModel):
         model = PretrainedLinearModel(self.coefficients)
         model.row_predictions = dataset.augmented_design() @ self.coefficients
         return model
-
-
-class InterpolatedModel:
-    """Piecewise-linear interpolation of a per-candidate model family.
-
-    Base models are fitted once per knot (the range endpoints plus the
-    interior anchors).  Inside the knot range the prediction at a candidate is
-    the convex combination of the two bracketing knot models; outside it is
-    the affine extension of the nearest segment.  The segment weight formula
-    is used unclamped, which yields exactly that extension.  ``certificate``
-    joins the knot fits' solver certificates (``_joint_certificate``): its
-    ``converged`` is False when some knot fit stopped before reaching the
-    tolerance, and all its entries are None for closed-form knot fits.
-    """
-
-    def __init__(self, knots, knot_models):
-        knots = _as_finite_array(knots, "knots", 1)
-        if knots.size < 3:
-            raise InvalidInputError("need at least three knots (two endpoints, one anchor)")
-        if np.any(np.diff(knots) <= 0):
-            raise InvalidInputError("knots must be strictly increasing")
-        if len(knot_models) != knots.size:
-            raise InvalidInputError("one fitted model per knot required")
-        self.knots = knots
-        self.knot_row_predictions = np.vstack(
-            [np.asarray(m.row_predictions, dtype=float) for m in knot_models]
-        )
-        self.fit_count = knots.size
-        self.certificate = functools.reduce(_joint_certificate, map(_certificate, knot_models))
-
-    def _segment(self, z: float) -> tuple[int, float]:
-        """Segment index and left-knot weight; weights leave [0,1] outside the range."""
-        z = float(z)
-        t = int(np.searchsorted(self.knots, z, side="right")) - 1
-        t = min(max(t, 0), self.knots.size - 2)
-        left, right = self.knots[t], self.knots[t + 1]
-        w = (right - z) / (right - left)
-        return t, w
-
-    def row_predictions_at(self, z: float) -> np.ndarray:
-        """Interpolated predictions for the n+1 augmented rows at candidate z."""
-        t, w = self._segment(z)
-        return w * self.knot_row_predictions[t] + (1.0 - w) * self.knot_row_predictions[t + 1]
-
-
-def build_interpolated_model(dataset: TabularDataset, anchors, z_min: float, z_max: float,
-                             base_model_spec) -> InterpolatedModel:
-    """Fit the base model at every anchor and both endpoints (d + 2 fits)."""
-    anchors = _as_finite_array(np.ravel(np.asarray(anchors, dtype=float)), "anchors", 1)
-    if anchors.size < 1:
-        raise InvalidInputError("need at least one anchor")
-    if np.any(np.diff(anchors) <= 0):
-        raise InvalidInputError("anchors must be strictly increasing")
-    z_min, z_max = float(z_min), float(z_max)
-    if not (z_min < anchors[0] and anchors[-1] < z_max):
-        raise InvalidInputError("anchors must lie strictly inside (z_min, z_max)")
-    knots = np.concatenate([[z_min], anchors, [z_max]])
-    models = [base_model_spec.fit(dataset, z) for z in knots]
-    return InterpolatedModel(knots, models)
-

@@ -28,7 +28,6 @@ PROVENANCES = (
     "sgd-heuristic",
     "linear-exact",
     "user-supplied",
-    "interpolated",
 )
 
 
@@ -207,19 +206,6 @@ def tau_linear_exact(ridge_model, dataset: TabularDataset, z_range=None,
         raise InvalidInputError("z_range must be a finite (lo, hi) pair")
     tau = gamma * np.abs(np.asarray(row_b, dtype=float)) * (hi - lo)
     return StabilityBounds(tau, "linear-exact", candidate_range=(lo, hi))
-
-
-def tau_interpolated(base: StabilityBounds, gamma: float) -> StabilityBounds:
-    """Bound for the piecewise-linear interpolated model: ``3*gamma*tau_i``.
-
-    Interpolation adds at most one base deviation on each side of the direct
-    comparison, and the score's Lipschitz constant converts predictions to
-    scores, giving the factor ``3*gamma``.
-    """
-    gamma = _check_nonnegative(gamma, "gamma")
-    return StabilityBounds(3.0 * gamma * base.tau, "interpolated",
-                           candidate_range=base.candidate_range,
-                           coverage_safe=base.coverage_safe)
 
 
 def tau_user_supplied(values, candidate_range=None) -> StabilityBounds:

@@ -21,7 +21,6 @@ from stabcp import (
     ScoreFunction,
     TabularDataset,
     anchor_bounds,
-    build_interpolated_model,
     conformity_scores,
     default_anchor,
     default_candidate_grid,
@@ -33,7 +32,6 @@ from stabcp import (
     root_cp,
     split_cp,
     stab_cp_interval,
-    tau_interpolated,
     tau_linear_exact,
     tau_strongly_convex,
     tau_user_supplied,
@@ -246,38 +244,6 @@ def test_criterion_08_rank_subuniformity_monte_carlo():
     _line(8, ok, f"rank <= {threshold} frequency {freq:.4f} (bar {bar:.4f})")
 
 
-def test_criterion_09_interpolation_exactness_and_stability():
-    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 9))
-    spec = RidgeModel(0.5)
-    lo, hi = ds.target_range()
-    anchors = np.linspace(lo, hi, 5)[1:-1]
-    base = tau_linear_exact(spec.fit(ds, 0.0), ds, z_range=(lo, hi))
-    interp = build_interpolated_model(ds, anchors, lo, hi, spec)
-
-    # affine base: interpolation equals direct refits at 100 probes
-    probe_err = 0.0
-    for z in np.linspace(lo, hi, 100):
-        direct = spec.fit(ds, z).row_predictions
-        probe_err = max(probe_err, float(np.max(np.abs(
-            interp.row_predictions_at(z) - direct))))
-    exact_ok = probe_err <= 1e-8
-
-    # inflated interpolation bound never violated over sampled (q, z, z0)
-    tilde = tau_interpolated(base, ABS.gamma)
-    rng = np.random.default_rng(99)
-    stab_worst = -np.inf
-    for _ in range(300):
-        q = rng.uniform(lo - 3, hi + 3)
-        z, z0 = rng.uniform(lo, hi, size=2)
-        s1 = ABS.evaluate(q, interp.row_predictions_at(z))
-        s0 = ABS.evaluate(q, interp.row_predictions_at(z0))
-        stab_worst = max(stab_worst, float(np.max(np.abs(s1 - s0) - tilde.tau)))
-    stability_ok = stab_worst <= 1e-10
-    ok = exact_ok and stability_ok
-    _line(9, ok, f"max interpolation error {probe_err:.2e} (<= 1e-8), "
-                 f"max bound excess {stab_worst:.2e} (<= 0)")
-
-
 def test_criterion_10_fit_counters_and_timing():
     eps_r, grid_size = 1e-4, 200
     config = RunConfig(model="ladridge", lambda_reg=0.5, alpha=0.1,
@@ -318,7 +284,7 @@ def test_criterion_11_every_method_covers_at_a_non_integer_level():
     # would keep 18 (0.857, below the bar).  linear-exact bounds, 1000 draws;
     # the bar is 1 - alpha - 3 SE over the draws each coverage counts.
     reps, alpha = 1000, 0.1
-    methods = ["stabcp", "oraclecp", "splitcp", "rootcp", "interpcp"]
+    methods = ["stabcp", "oraclecp", "splitcp", "rootcp"]
     config = RunConfig(alpha=alpha, tau_source="linear-exact")
     source = synthetic_source(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 0))
     report, rows = run_benchmark(source, methods, reps, seed=0, config=config)

@@ -250,7 +250,6 @@ UNBUILDABLE_TAU = {
                             ("--model", "ladridge", "--tau", "linear-exact")),
     "alpha-above-one": (dict(alpha=1.5), ("--alpha", "1.5")),
     "negative-eps-r": (dict(eps_r=-1.0), ("--eps-r", "-1")),
-    "no-anchors": (dict(n_anchors=0), ("--n-anchors", "0")),
     "empty-grid": (dict(grid_size=0), ("--grid-size", "0")),
     "split-fraction-one": (dict(split_fraction=1.0), ("--split-fraction", "1")),
     "negative-lambda": (dict(lambda_reg=-1.0), ("--lambda-reg", "-1")),
@@ -294,6 +293,13 @@ def test_predict_unknown_method_is_usage_error(generated, capsys):
     code, _, _ = run_cli(capsys, "predict", "--data", str(generated),
                          "--method", "magic")
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [("--method", "interpcp"), ("--n-anchors", "3")])
+def test_predict_has_no_interpolated_method(generated, capsys, flags):
+    code, out, err = run_cli(capsys, "predict", "--data", str(generated), *flags)
+    assert (code, out) == (1, "")
+    assert "usage error" in err
 
 
 # -------------------------------------------------------------- benchmark
@@ -517,7 +523,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in err
 
 
-def test_constant_targets_give_a_rootcp_interval_and_refuse_interpcp(tmp_path, capsys):
+def test_constant_targets_give_a_rootcp_interval(tmp_path, capsys):
     # every target 1.5: the target range has zero width
     path = tmp_path / "constant.csv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -527,10 +533,6 @@ def test_constant_targets_give_a_rootcp_interval_and_refuse_interpcp(tmp_path, c
     code, out, err = run_cli(capsys, "predict", "--data", str(path), "--method", "rootcp")
     assert code == 0, err
     assert json.loads(out)["shape"] == "interval"
-    # interpcp's knots would not be strictly increasing
-    code, _, err = run_cli(capsys, "predict", "--data", str(path), "--method", "interpcp")
-    assert code == 2
-    assert "zero-width target range" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -16,20 +16,17 @@ from stabcp import (
     StabilityBounds,
     TabularDataset,
     anchor_bounds,
-    build_interpolated_model,
     conformity_scores,
     default_anchor,
     gap_profile,
     gen_linear_gaussian,
     grid_cp,
-    interpolated_cp,
     oracle_cp,
     pi_exact,
     root_cp,
     split_cp,
     split_pi,
     stab_cp_interval,
-    tau_interpolated,
     tau_linear_exact,
     tau_user_supplied,
 )
@@ -467,95 +464,23 @@ def test_batch_never_widens_the_gap():
         assert both_lo <= glo and ghi <= both_hi
 
 
-# ---------------------------------------------------------- interpolated
-
-def test_interpolated_zero_tau_recovers_exact_set():
-    ds = make_dataset(n=30, p=4, seed=2)
-    spec = RidgeModel(0.5)
-    lo, hi = ds.target_range()
-    interp = build_interpolated_model(ds, np.linspace(lo, hi, 5)[1:-1], lo, hi, spec)
-    zero = tau_interpolated(tau_user_supplied(np.zeros(ds.n + 1)), ABS.gamma)
-    grid = stabcp.default_candidate_grid(ds, 150)
-    report = interpolated_cp(ds, interp, zero, ABS, 0.1, grid)
-    oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
-    assert report.set.intervals == oracle.intervals
-    assert report.fit_count == interp.fit_count == 5
-
-
-def test_interpolated_set_contains_grid_oracle():
-    ds = make_dataset(n=40, p=5, seed=3)
-    spec = RidgeModel(0.5)
-    lo, hi = ds.target_range()
-    base = tau_linear_exact(spec.fit(ds, 0.0), ds)
-    interp = build_interpolated_model(ds, np.linspace(lo, hi, 6)[1:-1], lo, hi, spec)
-    tilde = tau_interpolated(base, ABS.gamma)
-    grid = stabcp.default_candidate_grid(ds, 150)
-    report = interpolated_cp(ds, interp, tilde, ABS, 0.1, grid)
-    oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
-    for glo, ghi in oracle.intervals:
-        assert report.set.contains(glo) and report.set.contains(ghi)
-
+# ------------------------------------------------------------------ grid
 
 def test_grid_sets_reaching_a_grid_end_are_truncated():
     # a grid inside the exact set keeps both of its ends: the set goes on
-    # beyond them, which gridcp and interpcp flag; a grid holding the whole
-    # exact set gives an unflagged one
+    # beyond them, which gridcp flags; a grid holding the whole exact set
+    # gives an unflagged one
     ds = make_dataset(n=30, p=4, seed=2)
     spec = RidgeModel(0.5)
-    lo, hi = ds.target_range()
-    interp = build_interpolated_model(ds, np.linspace(lo, hi, 5)[1:-1], lo, hi, spec)
-    tilde = tau_interpolated(tau_linear_exact(spec.fit(ds, 0.0), ds), ABS.gamma)
     wide = padded_grid(ds, 300)
     (elo, ehi), = grid_cp(ds, spec, ABS, 0.1, wide).set.intervals
     centre = 0.5 * (elo + ehi)
     narrow = np.linspace(centre - 0.1, centre + 0.1, 11)
     for grid, truncated in ((narrow, True), (wide, False)):
-        for report in (grid_cp(ds, spec, ABS, 0.1, grid),
-                       interpolated_cp(ds, interp, tilde, ABS, 0.1, grid)):
-            assert report.set.shape == "interval"
-            assert report.set.truncated is truncated
+        report = grid_cp(ds, spec, ABS, 0.1, grid)
+        assert report.set.shape == "interval"
+        assert report.set.truncated is truncated
     assert grid_cp(ds, spec, ABS, 0.1, narrow).set.intervals == [(narrow[0], narrow[-1])]
-
-
-def test_interpolated_single_anchor_at_anchor_matches_inflated_bounds():
-    ds = make_dataset(n=20, p=3, seed=6)
-    spec = RidgeModel(0.5)
-    lo, hi = ds.target_range()
-    anchor = 0.5 * (lo + hi)
-    interp = build_interpolated_model(ds, [anchor], lo, hi, spec)
-    base = tau_linear_exact(spec.fit(ds, anchor), ds)
-    tilde = tau_interpolated(base, ABS.gamma)
-    fitted = spec.fit(ds, anchor)
-    scores = conformity_scores(ds, anchor, fitted, ABS)
-    # at the anchor the interpolated predictions equal the anchor fit
-    preds = interp.row_predictions_at(anchor)
-    assert np.allclose(preds, fitted.row_predictions, atol=1e-12)
-    # so the interpolated upper count equals the plain count under 3*gamma*tau
-    pb = envelope_at(anchor, anchor, fitted, scores[:-1], tilde)
-    upper = scores + tilde.tau
-    n_up = int(np.count_nonzero(upper <= scores[-1] - tilde.tau[-1]))
-    assert pb.n_up == n_up
-
-
-def test_uncertified_knot_fit_is_not_coverage_safe():
-    ds = make_dataset(n=30, p=3, seed=4)
-    lo, hi = ds.target_range()
-    anchors = np.linspace(lo, hi, 5)[1:-1]
-    grid = stabcp.default_candidate_grid(ds, 50)
-    for spec, converged in ((LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5), False),
-                            (LadRidgeModel(0.5), True), (RidgeModel(0.5), None)):
-        tilde = tau_interpolated(spec.stability_bound(ds, ABS, (lo, hi)), ABS.gamma)
-        interp = build_interpolated_model(ds, anchors, lo, hi, spec)
-        report = interpolated_cp(ds, interp, tilde, ABS, 0.1, grid)
-        assert report.details["tau_coverage_safe"] is (converged is not False)
-        # the report carries the knot fits' joint certificate, None for ridge
-        assert report.details["converged"] is converged
-        if converged is None:
-            assert report.details["iterations"] is report.details["duality_gap"] is None
-        elif converged:
-            assert 0.0 <= report.details["duality_gap"] <= spec.solver_tol
-        else:
-            assert report.details["iterations"] == 5 * report.fit_count
 
 
 # ----------------------------------------------------------------- split
@@ -815,12 +740,13 @@ def test_root_returns_when_eps_r_is_below_the_float_spacing():
 
 
 def test_root_on_constant_targets_matches_a_fine_grid():
-    # a zero-width target range: every probe is the same candidate, and the
-    # outward steps start at _EPS_R as sublevel_set's do
+    # a zero-width target range: the probes collapse to one candidate, refit
+    # once, and the outward steps start at _EPS_R as sublevel_set's do
     rng = np.random.default_rng(0)
     X = rng.standard_normal((31, 3))
     ds = TabularDataset(X[:-1], np.full(30, 1.5), X[-1], test_target=1.5)
     report = run_method("rootcp", ds, RunConfig(lambda_reg=0.5))
+    assert report.fit_count == 60
     grid = np.linspace(-4.0, 4.0, 4001)
     exact = grid_cp(ds, RidgeModel(0.5), ABS, 0.1, grid).set
     assert report.set.shape == exact.shape == "interval" and not exact.truncated
@@ -845,9 +771,6 @@ def test_exact_score_ties_keep_the_truth_in_every_count():
     zero_tau = tau_user_supplied(np.zeros(ds.n + 1))
     assert gap_profile(ds, 2.0, spec, ABS, zero_tau, [2.0]) == [(2.0, 1.0, 1.0, 1.0)]
     assert split_pi(ds, 10, spec, ABS)(2.0) == 1.0
-    interp = build_interpolated_model(ds, [2.0], 1.0, 3.0, spec)
-    kept = interpolated_cp(ds, interp, zero_tau, ABS, 0.1, grid).set
-    assert kept.intervals == oracle.intervals
 
 
 # ----------------------------------------------------------- gap profile
@@ -966,12 +889,6 @@ def test_fit_count_invariants(small_dataset):
     assert oracle_cp(small_dataset, small_dataset.test_target, spec, ABS, 0.1).fit_count == 1
     grid = stabcp.default_candidate_grid(small_dataset, 37)
     assert grid_cp(small_dataset, spec, ABS, 0.1, grid).fit_count == 37
-    lo, hi = small_dataset.target_range()
-    interp = build_interpolated_model(small_dataset, np.linspace(lo, hi, 5)[1:-1],
-                                      lo, hi, spec)
-    tilde = tau_interpolated(tau, ABS.gamma)
-    assert interpolated_cp(small_dataset, interp, tilde, ABS, 0.1,
-                           grid).fit_count == 5
 
 
 def test_reports_track_coverage_and_length(small_dataset):

@@ -3,7 +3,6 @@ import pytest
 
 from stabcp import (
     GeneratorSpec,
-    InterpolatedModel,
     InvalidInputError,
     LadRidgeModel,
     NotFittedError,
@@ -12,7 +11,6 @@ from stabcp import (
     RidgeModel,
     ScoreFunction,
     TabularDataset,
-    build_interpolated_model,
     default_anchor,
     gen_linear_gaussian,
     oracle_cp,
@@ -249,62 +247,3 @@ def test_predict_before_fit_raises(small_dataset):
             spec.predict(np.ones(small_dataset.p))
         with pytest.raises(NotFittedError):
             spec.predict_rows(small_dataset.features)
-
-
-# --------------------------------------------------- interpolated model
-
-def test_interpolated_exact_at_anchor(small_dataset):
-    spec = RidgeModel(0.5)
-    interp = build_interpolated_model(small_dataset, [-1.0, 0.0, 1.0], -3.0, 3.0, spec)
-    direct = spec.fit(small_dataset, 0.0)
-    assert interp.row_predictions_at(0.0)[-1] == pytest.approx(direct.row_predictions[-1], abs=1e-12)
-    assert np.allclose(interp.row_predictions_at(-1.0),
-                       spec.fit(small_dataset, -1.0).row_predictions, atol=1e-12)
-
-
-def test_interpolated_midpoint_averages_anchors(small_dataset):
-    spec = RidgeModel(0.5)
-    interp = build_interpolated_model(small_dataset, [-1.0, 1.0], -3.0, 3.0, spec)
-    left = spec.fit(small_dataset, -1.0).row_predictions[-1]
-    right = spec.fit(small_dataset, 1.0).row_predictions[-1]
-    assert interp.row_predictions_at(0.0)[-1] == pytest.approx(0.5 * (left + right),
-                                                               abs=1e-12)
-
-
-def test_interpolated_matches_refit_for_affine_base(small_dataset):
-    spec = RidgeModel(0.5)
-    interp = build_interpolated_model(small_dataset, [-1.0, 0.5, 2.0], -4.0, 4.0, spec)
-    for z in np.linspace(-4.0, 4.0, 33):
-        direct = spec.fit(small_dataset, z)
-        assert np.allclose(interp.row_predictions_at(z), direct.row_predictions,
-                           atol=1e-9)
-
-
-def test_interpolated_continuous_across_knots(small_dataset):
-    spec = RidgeModel(0.5)
-    interp = build_interpolated_model(small_dataset, [-1.0, 0.0, 1.5], -3.0, 3.0, spec)
-    for knot in interp.knots:
-        below = interp.row_predictions_at(knot - 1e-10)
-        above = interp.row_predictions_at(knot + 1e-10)
-        assert np.max(np.abs(above - below)) < 1e-9
-
-
-def test_interpolated_rejects_unsorted_anchors(small_dataset):
-    spec = RidgeModel(0.5)
-    with pytest.raises(InvalidInputError):
-        build_interpolated_model(small_dataset, [1.0, -1.0], -3.0, 3.0, spec)
-    with pytest.raises(InvalidInputError):
-        build_interpolated_model(small_dataset, [-5.0, 0.0], -3.0, 3.0, spec)
-
-
-def test_interpolated_fit_count_is_anchors_plus_two(small_dataset):
-    spec = RidgeModel(0.5)
-    interp = build_interpolated_model(small_dataset, [-1.0, 0.0, 1.0], -3.0, 3.0, spec)
-    assert interp.fit_count == 5
-
-
-def test_interpolated_model_requires_enough_knots(small_dataset):
-    spec = RidgeModel(0.5)
-    fitted = [spec.fit(small_dataset, z) for z in (-1.0, 1.0)]
-    with pytest.raises(InvalidInputError):
-        InterpolatedModel(np.array([-1.0, 1.0]), fitted)

@@ -15,12 +15,10 @@ from stabcp import (
     TabularDataset,
     augmented_row_norms,
     bound_loss_C,
-    build_interpolated_model,
     conformity_scores,
     gen_linear_gaussian,
     load_tau_csv,
     scaled_squared_loss,
-    tau_interpolated,
     tau_linear_exact,
     tau_regularized_lipschitz,
     tau_regularized_smooth,
@@ -230,33 +228,6 @@ def test_linear_exact_dominates_dense_grid_deviations(small_dataset):
 def test_linear_exact_requires_affine_decomposition(small_dataset):
     with pytest.raises(InvalidInputError):
         tau_linear_exact(object(), small_dataset)
-
-
-# ---------------------------------------------------------- interpolated
-
-def test_interpolated_bound_arithmetic():
-    base = StabilityBounds(np.array([0.2, 0.2]), "user-supplied")
-    assert np.allclose(tau_interpolated(base, 1.0).tau, 0.6)
-    zero = StabilityBounds(np.zeros(3), "user-supplied")
-    assert np.allclose(tau_interpolated(zero, 2.0).tau, 0.0)
-
-
-def test_interpolated_bound_holds_empirically():
-    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 10, 2, 1.0, 5))
-    lam = 0.5
-    spec = RidgeModel(lam)
-    z_lo, z_hi = ds.target_range()
-    base = tau_linear_exact(spec.fit(ds, 0.0), ds, z_range=(z_lo, z_hi))
-    interp = build_interpolated_model(
-        ds, np.linspace(z_lo, z_hi, 5)[1:-1], z_lo, z_hi, spec)
-    tilde = tau_interpolated(base, ABS.gamma)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        q = rng.uniform(-5, 5)
-        z, z0 = rng.uniform(z_lo, z_hi, size=2)
-        s1 = ABS.evaluate(q, interp.row_predictions_at(z))
-        s0 = ABS.evaluate(q, interp.row_predictions_at(z0))
-        assert np.all(np.abs(s1 - s0) <= tilde.tau + 1e-10)
 
 
 # ------------------------------------------------------------ monotonicity
