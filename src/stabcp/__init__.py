@@ -54,7 +54,6 @@ from .stability import (
     tau_linear_exact,
     tau_regularized_lipschitz,
     tau_regularized_smooth,
-    tau_sgd_heuristic,
     tau_strongly_convex,
     tau_user_supplied,
 )

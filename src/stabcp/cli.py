@@ -50,7 +50,10 @@ def _load_dataset(data_path: str, target_column, sidecar, trust_holdout: bool = 
     has_sidecar = os.path.exists(sidecar_path)
     if has_sidecar:
         with open(sidecar_path, encoding="utf-8") as fh:
-            dataset.meta["sidecar"] = json.load(fh)
+            try:
+                dataset.meta["sidecar"] = json.load(fh)
+            except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+                raise DataError(f"{sidecar_path}: not valid JSON: {exc}") from exc
     if not (trust_holdout or has_sidecar):
         dataset = dataclasses.replace(dataset, test_target=None)
     return dataset
@@ -78,13 +81,9 @@ _model_opts = [  # value types follow the RunConfig defaults
                  help="Source of the stability bounds."),
     click.option("--tau-file", type=click.Path(), default=_DEFAULTS.tau_file,
                  help="CSV of user-supplied bounds (one per row, query row last)."),
-    click.option("--allow-unsafe-tau", is_flag=True, default=_DEFAULTS.allow_unsafe_tau,
-                 help="Permit heuristic bounds that carry no coverage guarantee."),
     click.option("--anchor", default=_DEFAULTS.anchor, show_default=True,
                  help="'auto' (fit on observed rows, LAD-ridge to a 1% relative gap), "
                       "'zero', or a number."),
-    click.option("--eps-r", default=_DEFAULTS.eps_r, show_default=True,
-                 help="Bisection tolerance of rootcp's refit endpoints."),
     click.option("--grid-size", default=_DEFAULTS.grid_size, show_default=True),
     click.option("--split-fraction", default=_DEFAULTS.split_fraction, show_default=True),
 ]

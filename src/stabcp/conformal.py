@@ -35,6 +35,7 @@ from .core import (
     TabularDataset,
     _as_finite_array,
     _certificate,
+    _check_range,
     _checked_scores,
     _conformity,
     _joint_certificate,
@@ -134,7 +135,7 @@ def anchor_bounds(dataset: TabularDataset, anchor: float, model_spec,
     return bounds, fitted
 
 
-_EPS_R = 1e-4       # bisection tolerance of every set endpoint; rootcp's default
+_EPS_R = 1e-4       # bisection tolerance of every set endpoint
 _MAX_DOUBLINGS = 64  # outward steps before a custom-score set counts as unbounded
 _ROOT_PROBES = 20    # grid points root_cp probes before bisecting its endpoints
 
@@ -156,14 +157,15 @@ def _score_threshold(sorted_scores: np.ndarray, tau_test: float, alpha: float) -
     return float(sorted_scores[k - 1]) + tau_test
 
 
-def _bisect(is_inside, inside: float, outside: float, eps_r: float) -> tuple[float, float]:
-    """Shrink the bracket ``(inside, outside)`` of a set boundary to ``eps_r``.
+def _bisect(is_inside, inside: float, outside: float) -> tuple[float, float]:
+    """Shrink the bracket ``(inside, outside)`` of a set boundary to ``_EPS_R``.
 
     ``is_inside`` holds at ``inside`` and fails at ``outside``; every step
     keeps the half whose ends still disagree.  The loop also stops at
-    adjacent floats, so an ``eps_r`` below the float spacing cannot stall it.
+    adjacent floats, so a bracket far from zero, whose float spacing exceeds
+    ``_EPS_R``, cannot stall it.
     """
-    while abs(outside - inside) > eps_r:
+    while abs(outside - inside) > _EPS_R:
         mid = 0.5 * (inside + outside)
         if mid in (inside, outside):
             break
@@ -174,8 +176,8 @@ def _bisect(is_inside, inside: float, outside: float, eps_r: float) -> tuple[flo
     return inside, outside
 
 
-def _outer_boundary(is_inside, start: float, side: int, candidate_range,
-                    eps_r: float) -> tuple[float, float] | None:
+def _outer_boundary(is_inside, start: float, side: int,
+                    candidate_range) -> tuple[float, float] | None:
     """The bracket ``(inside, outside)`` of a set boundary beyond ``start``.
 
     ``is_inside`` holds at ``start``.  Steps outward from it on ``side`` (-1
@@ -188,7 +190,7 @@ def _outer_boundary(is_inside, start: float, side: int, candidate_range,
     inside, outside = start, start + step
     for _ in range(_MAX_DOUBLINGS):
         if not is_inside(outside):
-            return _bisect(is_inside, inside, outside, eps_r)
+            return _bisect(is_inside, inside, outside)
         step *= 2.0
         inside, outside = outside, start + step
     return None
@@ -222,7 +224,7 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
         ends = (mu - threshold, mu + threshold)
     else:
         brackets = [_outer_boundary(lambda z: score.evaluate(z, mu) <= threshold,
-                                    mu, side, candidate_range, _EPS_R) for side in (-1, 1)]
+                                    mu, side, candidate_range) for side in (-1, 1)]
         if None in brackets:
             return PredictionSet.whole_range(method, alpha, candidate_range)
         ends = (brackets[0][1], brackets[1][1])
@@ -304,7 +306,7 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
     certified = getattr(fitted, "converged", True)
     return _report(prediction_set, dataset, 1, started,
                    anchor=float(anchor), tau_provenance=tau.provenance,
-                   tau_coverage_safe=tau.coverage_safe and anchor_in_range and certified,
+                   tau_coverage_safe=anchor_in_range and certified,
                    **_certificate(fitted))
 
 
@@ -437,7 +439,7 @@ def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: Score
 
 
 def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
-            z_range=None, eps_r: float = _EPS_R) -> MethodReport:
+            z_range=None) -> MethodReport:
     """Endpoints of the exact conformal set by bisection, one refit per probe.
 
     Assumes the exact set is one interval.  When ``_level_index`` exceeds n
@@ -448,7 +450,7 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     or, past a kept end probe, outward by ``sublevel_set``'s steps
     (``_outer_boundary``; never clamped).  The lower endpoint is bracketed
     first; when either side is unbounded the whole range is returned at once.
-    Each bracket is bisected to ``eps_r`` and its midpoint returned.
+    Each bracket is bisected to ``_EPS_R`` and its midpoint returned.
     ``fit_count`` counts every refit.  Each refit is warm-started from the one
     before it, whose candidates lie ever closer together; the details carry
     the refits' summed ``iterations``, largest ``duality_gap`` and joint
@@ -461,14 +463,9 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
-    eps_r = float(eps_r)
-    if eps_r <= 0:
-        raise InvalidInputError("eps_r must be positive")
     if z_range is None:
         z_range = dataset.target_range()
-    z_min, z_max = float(z_range[0]), float(z_range[1])
-    if not z_min <= z_max:
-        raise InvalidInputError("need z_min <= z_max")
+    z_min, z_max = _check_range(z_range, "z_range")
     refits = _Refits(dataset, model_spec, score)
     if _level_index(dataset.n, alpha) > dataset.n:
         return _report(PredictionSet.whole_range("rootcp", alpha, (z_min, z_max)), dataset, 0,
@@ -485,8 +482,8 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
 
     def bracket(probe: int, side: int):
         if 0 <= probe + side < probes.size:
-            return _bisect(inside, probes[probe], probes[probe + side], eps_r)
-        return _outer_boundary(inside, float(probes[probe]), side, (z_min, z_max), eps_r)
+            return _bisect(inside, probes[probe], probes[probe + side])
+        return _outer_boundary(inside, float(probes[probe]), side, (z_min, z_max))
 
     # an unbounded side makes the set the whole range: the other is not bracketed
     lower = bracket(kept[0], -1)

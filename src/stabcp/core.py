@@ -51,6 +51,14 @@ def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _check_range(candidate_range, name: str) -> tuple[float, float]:
+    """A candidate range as a finite ``(lo, hi)`` pair with ``lo <= hi``."""
+    lo, hi = float(candidate_range[0]), float(candidate_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidInputError(f"{name} must be a finite (lo, hi) pair")
+    return lo, hi
+
+
 def check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:

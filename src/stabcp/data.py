@@ -116,7 +116,7 @@ def read_csv_columns(path, target_column=None) -> tuple[np.ndarray, np.ndarray, 
     given.  Rejects files without a header and any non-finite cell, reporting
     the offending row and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     rows = [row for row in rows if row]
     if len(rows) < 2:

@@ -26,11 +26,11 @@ from .core import ScoreFunction, TabularDataset, check_alpha, default_candidate_
 from .data import GeneratorSpec, dataset_from_rows, generate
 from .errors import InvalidInputError
 from .models import LadRidgeModel, RidgeModel
-from .stability import augmented_row_norms, load_tau_csv, tau_linear_exact, tau_sgd_heuristic
+from .stability import load_tau_csv, tau_linear_exact
 
 METHOD_NAMES = ("stabcp", "splitcp", "oraclecp", "rootcp", "gridcp")
 MODEL_NAMES = ("ridge", "ladridge")
-TAU_SOURCES = ("auto", "linear-exact", "sgd-heuristic", "file")
+TAU_SOURCES = ("auto", "linear-exact", "file")
 
 
 # the solver certificate columns (None for closed-form fits) come after the
@@ -55,19 +55,16 @@ class RunConfig:
     alpha: float = 0.1
     tau_source: str = "auto"
     tau_file: str | None = None
-    allow_unsafe_tau: bool = False
     anchor: str | float = "auto"
-    eps_r: float = _EPS_R  # rootcp's refit bisection tolerance
     grid_size: int = 200
     split_fraction: float = 0.5
+    eps_r = _EPS_R  # not a field: the library's one bisection tolerance, read by perfbench
 
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise InvalidInputError(f"unknown model {self.model!r}")
         self.model_spec()  # checks lambda_reg, solver_tol and max_iter
         check_alpha(self.alpha)
-        if not self.eps_r > 0:
-            raise InvalidInputError(f"eps_r must be positive, got {self.eps_r}")
         if self.grid_size < 1:
             raise InvalidInputError("grid_size must be at least 1")
         if not 0 < self.split_fraction < 1:
@@ -75,9 +72,6 @@ class RunConfig:
                 f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         if self.tau_source not in TAU_SOURCES:
             raise InvalidInputError(f"unknown tau source {self.tau_source!r}")
-        if self.tau_source == "sgd-heuristic" and not self.allow_unsafe_tau:
-            raise InvalidInputError("refusing heuristic stability bounds, which are not "
-                                    "coverage-safe, without allow_unsafe_tau (--allow-unsafe-tau)")
         if self.tau_source == "file" and self.tau_file is None:
             raise InvalidInputError("tau source 'file' needs a tau file path (--tau-file)")
         if self.tau_source == "linear-exact" and self.model != "ridge":
@@ -111,9 +105,6 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
     if config.tau_source == "linear-exact":
         fitted = spec.fit(dataset, 0.0)
         return tau_linear_exact(fitted, dataset, z_range=z_range, gamma=score.gamma), 1
-    if config.tau_source == "sgd-heuristic":
-        n_iter = max(1, dataset.n // 10)
-        return tau_sgd_heuristic(n_iter, augmented_row_norms(dataset), dataset.n), 0
     return load_tau_csv(config.tau_file), 0
 
 
@@ -152,7 +143,7 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
             raise InvalidInputError("oracle method needs the true target")
         report = oracle_cp(dataset, dataset.test_target, spec, score, config.alpha)
     elif method == "rootcp":
-        report = root_cp(dataset, spec, score, config.alpha, eps_r=config.eps_r)
+        report = root_cp(dataset, spec, score, config.alpha)
     else:  # gridcp
         grid = default_candidate_grid(dataset, config.grid_size)
         report = grid_cp(dataset, spec, score, config.alpha, grid)

@@ -5,9 +5,7 @@ augmented row (the last entry belongs to the query point) together with its
 provenance.  The constructors take the regularity constants of a loss and a
 penalty as plain numbers; each model in :mod:`stabcp.models` picks its own
 recipe and constants in ``stability_bound`` (ridge: the smooth-loss bound,
-LAD-ridge: the Lipschitz-loss bound).  Bounds derived from regularity
-constants are coverage-safe; the iteration-count heuristic is not and is
-flagged so reports can quarantine it.
+LAD-ridge: the Lipschitz-loss bound).
 """
 
 from __future__ import annotations
@@ -18,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TabularDataset, _as_finite_array
+from .core import TabularDataset, _as_finite_array, _check_range
 from .errors import DataError, InvalidInputError
 
 PROVENANCES = (
     "strongly-convex-loss",
     "regularized-lipschitz",
     "regularized-smooth",
-    "sgd-heuristic",
     "linear-exact",
     "user-supplied",
 )
@@ -43,7 +40,6 @@ class StabilityBounds:
     tau: np.ndarray
     provenance: str
     candidate_range: tuple | None = None
-    coverage_safe: bool = True
 
     def __post_init__(self):
         tau = _as_finite_array(np.ravel(np.asarray(self.tau, dtype=float)), "tau", 1)
@@ -55,10 +51,8 @@ class StabilityBounds:
             raise InvalidInputError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "tau", tau)
         if self.candidate_range is not None:
-            lo, hi = float(self.candidate_range[0]), float(self.candidate_range[1])
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise InvalidInputError("candidate_range must be a finite (lo, hi) pair")
-            object.__setattr__(self, "candidate_range", (lo, hi))
+            object.__setattr__(self, "candidate_range",
+                               _check_range(self.candidate_range, "candidate_range"))
 
     @property
     def n(self) -> int:
@@ -164,27 +158,9 @@ def bound_loss_C(dataset: TabularDataset, z_range=None) -> float:
     """
     if z_range is None:
         z_range = dataset.target_range()
-    lo, hi = float(z_range[0]), float(z_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise InvalidInputError("z_range must be a finite (lo, hi) pair")
+    lo, hi = _check_range(z_range, "z_range")
     zeros = np.zeros(dataset.n + 1)
     return max(scaled_squared_loss(dataset.augmented_targets(z), zeros) for z in (lo, hi))
-
-
-def tau_sgd_heuristic(n_iter: int, row_norms, n: int) -> StabilityBounds:
-    """Iteration-count heuristic ``n_iter * ||x_i|| / (n + 1)``.
-
-    An order-of-magnitude estimate for models trained by T gradient passes.
-    NOT coverage-safe: the result is flagged so reports can exclude it from
-    coverage claims.
-    """
-    if int(n_iter) < 0:
-        raise InvalidInputError("n_iter must be nonnegative")
-    norms = _check_row_norms(row_norms)
-    if norms.size != int(n) + 1:
-        raise InvalidInputError(f"row_norms must have n+1 = {int(n) + 1} entries")
-    tau = int(n_iter) * norms / (int(n) + 1)
-    return StabilityBounds(tau, "sgd-heuristic", coverage_safe=False)
 
 
 def tau_linear_exact(ridge_model, dataset: TabularDataset, z_range=None,
@@ -201,9 +177,7 @@ def tau_linear_exact(ridge_model, dataset: TabularDataset, z_range=None,
                                 "fit a RidgeModel on the augmented data first")
     if z_range is None:
         z_range = dataset.target_range()
-    lo, hi = float(z_range[0]), float(z_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise InvalidInputError("z_range must be a finite (lo, hi) pair")
+    lo, hi = _check_range(z_range, "z_range")
     tau = gamma * np.abs(np.asarray(row_b, dtype=float)) * (hi - lo)
     return StabilityBounds(tau, "linear-exact", candidate_range=(lo, hi))
 
@@ -217,7 +191,7 @@ def tau_user_supplied(values, candidate_range=None) -> StabilityBounds:
 def load_tau_csv(path) -> StabilityBounds:
     """Read a one-column CSV of bounds, one row per point plus the query row."""
     values = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
     if not rows:

@@ -247,7 +247,7 @@ def test_criterion_08_rank_subuniformity_monte_carlo():
 def test_criterion_10_fit_counters_and_timing():
     eps_r, grid_size = 1e-4, 200
     config = RunConfig(model="ladridge", lambda_reg=0.5, alpha=0.1,
-                       tau_source="auto", eps_r=eps_r, grid_size=grid_size)
+                       tau_source="auto", grid_size=grid_size)
     counters_ok = contains_ok = True
     stab_times, grid_times = [], []
     root_detail = ""

@@ -80,8 +80,7 @@ def test_predict_grid_and_root_agree(generated, capsys):
     outputs = {}
     for method in ("gridcp", "rootcp"):
         code, out, _ = run_cli(capsys, "predict", "--data", str(generated),
-                               "--method", method, "--grid-size", "400",
-                               "--eps-r", "1e-4")
+                               "--method", method, "--grid-size", "400")
         assert code == 0
         outputs[method] = json.loads(out)
     (glo, ghi), = outputs["gridcp"]["intervals"]
@@ -118,18 +117,6 @@ def test_predict_oracle_requires_true_target(tmp_path, capsys):
                            "--method", "oraclecp", "--true-target", "0.4")
     assert code == 0
     assert json.loads(out)["fit_count"] == 1
-
-
-def test_predict_refuses_unsafe_tau_without_flag(generated, capsys):
-    code, _, err = run_cli(capsys, "predict", "--data", str(generated),
-                           "--method", "stabcp", "--tau", "sgd-heuristic")
-    assert code == 1
-    assert "allow-unsafe-tau" in err
-    code, out, _ = run_cli(capsys, "predict", "--data", str(generated),
-                           "--method", "stabcp", "--tau", "sgd-heuristic",
-                           "--allow-unsafe-tau")
-    assert code == 0
-    assert json.loads(out)["tau_provenance"] == "sgd-heuristic"
 
 
 def test_predict_reports_tau_coverage_safe(generated, capsys):
@@ -227,16 +214,6 @@ def test_predict_rejects_unparsable_anchor(generated, capsys, anchor):
     assert "usage error" in err and "anchor" in err
 
 
-def test_run_config_refuses_heuristic_bounds_without_opt_in():
-    with pytest.raises(InvalidInputError, match="allow-unsafe-tau"):
-        RunConfig(tau_source="sgd-heuristic")
-    config = RunConfig(tau_source="sgd-heuristic", allow_unsafe_tau=True)
-    with pytest.raises(InvalidInputError, match="allow-unsafe-tau"):
-        dataclasses.replace(config, allow_unsafe_tau=False)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        config.allow_unsafe_tau = False
-
-
 def test_run_config_eps_r_defaults_to_the_library_tolerance():
     # one bisection tolerance: rootcp's default is the single-fit sets' own
     assert RunConfig().eps_r == conformal._EPS_R
@@ -249,7 +226,6 @@ UNBUILDABLE_TAU = {
     "linear-exact-on-lad": (dict(model="ladridge", tau_source="linear-exact"),
                             ("--model", "ladridge", "--tau", "linear-exact")),
     "alpha-above-one": (dict(alpha=1.5), ("--alpha", "1.5")),
-    "negative-eps-r": (dict(eps_r=-1.0), ("--eps-r", "-1")),
     "empty-grid": (dict(grid_size=0), ("--grid-size", "0")),
     "split-fraction-one": (dict(split_fraction=1.0), ("--split-fraction", "1")),
     "negative-lambda": (dict(lambda_reg=-1.0), ("--lambda-reg", "-1")),
@@ -269,6 +245,25 @@ def test_unbuildable_tau_is_refused_with_the_config(generated, capsys, case):
     assert "usage error" in err
     code, out, err = run_cli(capsys, "predict", "--data", str(generated), *flags)
     assert (code, out) == (1, ""), err
+
+
+def test_no_heuristic_bound_and_no_second_tolerance(generated, capsys):
+    # every bound is coverage-safe and every endpoint bisects to _EPS_R:
+    # neither knob exists, as an option or as a RunConfig field
+    for flags in (("--allow-unsafe-tau",), ("--eps-r", "1e-4"), ("--tau", "sgd-heuristic")):
+        code, out, err = run_cli(capsys, "predict", "--data", str(generated), *flags)
+        assert (code, out) == (1, ""), err
+        assert "usage error" in err
+    for fields in (dict(eps_r=1e-4), dict(allow_unsafe_tau=True)):
+        with pytest.raises(TypeError):
+            RunConfig(**fields)
+
+
+def test_predict_reports_a_malformed_sidecar_as_a_data_error(generated, capsys):
+    generated.with_name(generated.name + ".json").write_text("{bad", encoding="utf-8")
+    code, out, err = run_cli(capsys, "predict", "--data", str(generated))
+    assert (code, out) == (2, ""), err
+    assert "data error" in err and "not valid JSON" in err
 
 
 def test_predict_with_user_supplied_tau_file(generated, tmp_path, capsys):
@@ -346,17 +341,6 @@ def test_benchmark_rejects_bad_method_list(capsys, methods):
                              "--methods", methods, "--tau", "linear-exact")
     assert (code, out) == (1, ""), err
     assert "usage error" in err
-
-
-def test_benchmark_marks_unsafe_tau_coverage(capsys):
-    config = RunConfig(model="ridge", tau_source="sgd-heuristic",
-                       allow_unsafe_tau=True, alpha=0.1)
-    source = synthetic_source(GeneratorSpec("linear-gaussian", 30, 3, 1.0, 0))
-    report, rows = run_benchmark(source, ["stabcp"], 3, seed=0, config=config)
-    entry = report["methods"]["stabcp"]
-    assert entry["tau_unsafe"] is True
-    assert entry["coverage"] is None
-    assert "coverage_unvalidated" in entry
 
 
 def test_benchmark_coverage_averages_only_safe_repetitions():

@@ -216,7 +216,6 @@ def test_uncertified_envelope_fit_is_not_coverage_safe():
     z_range = ds.target_range()
     tau = spec.stability_bound(ds, ABS, z_range)
     anchor = 0.5 * (z_range[0] + z_range[1])
-    assert tau.coverage_safe
     for report in (stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1),
                    stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)):
         assert report.details["tau_coverage_safe"] is False
@@ -604,7 +603,7 @@ def test_root_matches_grid_oracle(small_dataset):
     grid = padded_grid(small_dataset, 750)
     oracle = grid_cp(small_dataset, spec, ABS, 0.1, grid).set
     assert not oracle.truncated
-    report = root_cp(small_dataset, spec, ABS, 0.1, eps_r=1e-4)
+    report = root_cp(small_dataset, spec, ABS, 0.1)
     (glo, ghi), = oracle.intervals
     (rlo, rhi), = report.set.intervals
     tol = max(1e-4, float(grid[1] - grid[0])) + 1e-9
@@ -641,7 +640,7 @@ def test_root_empty_for_unreachable_alpha():
 
 
 def test_root_counts_every_refit(small_dataset):
-    report = root_cp(small_dataset, RidgeModel(0.5), ABS, 0.1, eps_r=1e-4)
+    report = root_cp(small_dataset, RidgeModel(0.5), ABS, 0.1)
     lo, hi = small_dataset.target_range()
     assert report.fit_count >= 2 * math.log2((hi - lo) / 1e-4)
     # every conformity probe is one refit: probes plus both bisections
@@ -693,8 +692,8 @@ class ColdRefits:
 def test_root_warm_starts_give_the_cold_set_in_fewer_iterations():
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 40, 4, 1.0, seed=3))
     spec, eps_r = LadRidgeModel(0.2), 1e-4
-    warm = root_cp(ds, spec, ABS, 0.1, eps_r=eps_r)
-    cold = root_cp(ds, ColdRefits(spec), ABS, 0.1, eps_r=eps_r)
+    warm = root_cp(ds, spec, ABS, 0.1)
+    cold = root_cp(ds, ColdRefits(spec), ABS, 0.1)
     assert warm.set.shape == cold.set.shape == "interval"
     assert (warm.fit_count, warm.set.truncated) == (cold.fit_count, cold.set.truncated)
     assert np.allclose(warm.set.intervals, cold.set.intervals, rtol=0.0, atol=eps_r)
@@ -730,7 +729,7 @@ def test_root_returns_when_eps_r_is_below_the_float_spacing():
     ds = TabularDataset(X, 1e12 + X[:, 1] + rng.standard_normal(n), np.array([1.0, 0.3]))
     z_range, eps_r = (1e12 - 20, 1e12 + 20), 1e-4
     spec = FitBudget(RidgeModel(0.0), 1000)
-    report = root_cp(ds, spec, ABS, 0.1, z_range=z_range, eps_r=eps_r)
+    report = root_cp(ds, spec, ABS, 0.1, z_range=z_range)
     assert report.fit_count == spec.fits
     (rlo, rhi), = report.set.intervals
     assert math.isfinite(rlo) and math.isfinite(rhi)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,29 @@ def test_rank_subuniformity_monte_carlo():
     assert freq >= (1 - alpha) - 3 * math.sqrt(alpha * (1 - alpha) / draws)
 
 
+# ------------------------------------------------------ candidate ranges
+
+# every entry point that takes a candidate range, called on (dataset, range)
+RANGE_ENTRY_POINTS = {
+    "StabilityBounds": lambda ds, r: stabcp.StabilityBounds(
+        np.ones(ds.n + 1), "user-supplied", candidate_range=r),
+    "bound_loss_C": lambda ds, r: stabcp.bound_loss_C(ds, z_range=r),
+    "tau_linear_exact": lambda ds, r: stabcp.tau_linear_exact(
+        RidgeModel(0.5).fit(ds, 0.0), ds, z_range=r),
+    "root_cp": lambda ds, r: stabcp.root_cp(ds, RidgeModel(0.5), ABS, 0.1, z_range=r),
+}
+
+
+@pytest.mark.parametrize("bad_range", [(2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)],
+                         ids=["reversed", "infinite", "nan"])
+@pytest.mark.parametrize("entry", sorted(RANGE_ENTRY_POINTS))
+def test_every_candidate_range_must_be_a_finite_ordered_pair(small_dataset, entry, bad_range):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"finite \(lo, hi\) pair"):
+            RANGE_ENTRY_POINTS[entry](small_dataset, bad_range)
+
+
 # ------------------------------------------------------ prediction sets
 
 def test_prediction_set_normalization():
@@ -324,7 +348,7 @@ def test_grid_matches_root_finding_endpoints(small_dataset):
     lo, hi = small_dataset.target_range()
     grid = np.linspace(2 * lo - hi, 2 * hi - lo, 600)
     ps = grid_cp(small_dataset, spec, ABS, 0.1, grid).set
-    report = stabcp.root_cp(small_dataset, spec, ABS, 0.1, eps_r=1e-4)
+    report = stabcp.root_cp(small_dataset, spec, ABS, 0.1)
     assert ps.shape == "interval" and report.set.shape == "interval"
     assert not ps.truncated and not report.set.truncated
     spacing = grid[1] - grid[0]

@@ -95,6 +95,15 @@ def test_read_csv_columns_by_name(tmp_path):
     assert names == ["a"]
 
 
+def test_read_csv_skips_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF
+    path = tmp_path / "toy.csv"
+    path.write_text("\ufeffa,b\n1,2\n3,4\n", encoding="utf-8")
+    X, y, names = read_csv_columns(path, target_column="a")
+    assert y.tolist() == [1.0, 3.0]
+    assert names == ["b"]
+
+
 def test_read_csv_missing_header_rejected(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("1,2\n3,4\n", encoding="utf-8")

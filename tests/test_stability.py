@@ -22,7 +22,6 @@ from stabcp import (
     tau_linear_exact,
     tau_regularized_lipschitz,
     tau_regularized_smooth,
-    tau_sgd_heuristic,
     tau_strongly_convex,
 )
 
@@ -167,25 +166,6 @@ def test_loss_bound_grid_matches_endpoints_for_convex_loss():
     assert grid == pytest.approx(bound_loss_C(ds), rel=1e-12)
 
 
-# ------------------------------------------------------------- heuristic
-
-def test_sgd_heuristic_arithmetic():
-    bounds = tau_sgd_heuristic(10, np.ones(10), 9)
-    assert np.allclose(bounds.tau, 1.0)
-    assert bounds.coverage_safe is False
-    assert bounds.provenance == "sgd-heuristic"
-
-
-def test_sgd_heuristic_zero_iterations():
-    assert np.allclose(tau_sgd_heuristic(0, np.ones(10), 9).tau, 0.0)
-
-
-def test_sgd_heuristic_scales_inversely_with_sample_size():
-    a = tau_sgd_heuristic(10, np.ones(10), 9).tau
-    b = tau_sgd_heuristic(10, np.ones(20), 19).tau
-    assert a[0] == pytest.approx(2 * b[0])
-
-
 # ------------------------------------------------------------ linear exact
 
 def test_linear_exact_zero_slope_row(small_dataset):
@@ -278,6 +258,12 @@ def test_load_tau_csv_roundtrip(tmp_path):
     assert bounds.provenance == "user-supplied"
 
 
+def test_load_tau_csv_keeps_a_first_value_behind_a_byte_order_mark(tmp_path):
+    path = tmp_path / "tau.csv"
+    path.write_text("\ufeff0.1\n0.2\n0.3\n", encoding="utf-8")
+    assert np.allclose(load_tau_csv(path).tau, [0.1, 0.2, 0.3])
+
+
 def test_load_tau_csv_rejects_garbage(tmp_path):
     path = tmp_path / "tau.csv"
     path.write_text("tau\n0.1\nnope\n", encoding="utf-8")
@@ -293,4 +279,3 @@ def test_tau_auto_dispatches_by_model(small_dataset):
     assert lad_bounds.provenance == "regularized-lipschitz"
     ridge_bounds = RidgeModel(0.5).stability_bound(small_dataset, ABS, z_range)
     assert ridge_bounds.provenance == "regularized-smooth"
-    assert lad_bounds.coverage_safe and ridge_bounds.coverage_safe
