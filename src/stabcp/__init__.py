@@ -49,7 +49,6 @@ from .stability import (
     StabilityBounds,
     augmented_row_norms,
     bound_loss_C,
-    load_tau_csv,
     scaled_squared_loss,
     tau_linear_exact,
     tau_regularized_lipschitz,

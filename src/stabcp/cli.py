@@ -78,9 +78,7 @@ _model_opts = [  # value types follow the RunConfig defaults
     click.option("--alpha", default=_DEFAULTS.alpha, show_default=True),
     click.option("--tau", "tau_source", type=click.Choice(TAU_SOURCES),
                  default=_DEFAULTS.tau_source, show_default=True,
-                 help="Source of the stability bounds."),
-    click.option("--tau-file", type=click.Path(), default=_DEFAULTS.tau_file,
-                 help="CSV of user-supplied bounds (one per row, query row last)."),
+                 help="Source of the stability bounds, both derived from the model."),
     click.option("--anchor", default=_DEFAULTS.anchor, show_default=True,
                  help="'auto' (fit on observed rows, LAD-ridge to a 1% relative gap), "
                       "'zero', or a number."),

@@ -117,7 +117,10 @@ def read_csv_columns(path, target_column=None) -> tuple[np.ndarray, np.ndarray, 
     the offending row and column.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     rows = [row for row in rows if row]
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")

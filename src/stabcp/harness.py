@@ -26,11 +26,11 @@ from .core import ScoreFunction, TabularDataset, check_alpha, default_candidate_
 from .data import GeneratorSpec, dataset_from_rows, generate
 from .errors import InvalidInputError
 from .models import LadRidgeModel, RidgeModel
-from .stability import load_tau_csv, tau_linear_exact
+from .stability import tau_linear_exact
 
 METHOD_NAMES = ("stabcp", "splitcp", "oraclecp", "rootcp", "gridcp")
 MODEL_NAMES = ("ridge", "ladridge")
-TAU_SOURCES = ("auto", "linear-exact", "file")
+TAU_SOURCES = ("auto", "linear-exact")
 
 
 # the solver certificate columns (None for closed-form fits) come after the
@@ -54,7 +54,6 @@ class RunConfig:
     max_iter: int = 50_000
     alpha: float = 0.1
     tau_source: str = "auto"
-    tau_file: str | None = None
     anchor: str | float = "auto"
     grid_size: int = 200
     split_fraction: float = 0.5
@@ -72,8 +71,6 @@ class RunConfig:
                 f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         if self.tau_source not in TAU_SOURCES:
             raise InvalidInputError(f"unknown tau source {self.tau_source!r}")
-        if self.tau_source == "file" and self.tau_file is None:
-            raise InvalidInputError("tau source 'file' needs a tau file path (--tau-file)")
         if self.tau_source == "linear-exact" and self.model != "ridge":
             raise InvalidInputError("linear-exact bounds need the ridge model")
         if self.anchor != "auto":
@@ -102,10 +99,8 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
     z_range = dataset.target_range()
     if config.tau_source == "auto":
         return spec.stability_bound(dataset, score, z_range), 0
-    if config.tau_source == "linear-exact":
-        fitted = spec.fit(dataset, 0.0)
-        return tau_linear_exact(fitted, dataset, z_range=z_range, gamma=score.gamma), 1
-    return load_tau_csv(config.tau_file), 0
+    fitted = spec.fit(dataset, 0.0)  # linear-exact
+    return tau_linear_exact(fitted, dataset, z_range=z_range, gamma=score.gamma), 1
 
 
 def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, object]:
@@ -156,8 +151,7 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
 def synthetic_source(spec: GeneratorSpec):
     """Repetition source drawing a fresh dataset per seed, same law."""
     def draw(rep_seed: int) -> TabularDataset:
-        rep_spec = GeneratorSpec(spec.kind, spec.n, spec.p, spec.noise_sd, int(rep_seed))
-        return generate(rep_spec)
+        return generate(replace(spec, seed=int(rep_seed)))
     return draw
 
 
@@ -165,8 +159,8 @@ def permutation_source(dataset: TabularDataset):
     """Repetition source permuting a fixed table, fresh held-out row each time."""
     if dataset.test_target is None:
         raise InvalidInputError("permutation benchmarking needs the query row's true target")
-    X = np.vstack([dataset.features, dataset.test_point[None, :]])
-    y = np.append(dataset.targets, dataset.test_target)
+    X = dataset.augmented_design()
+    y = dataset.augmented_targets(dataset.test_target)
 
     def draw(rep_seed: int) -> TabularDataset:
         order = np.random.default_rng(int(rep_seed)).permutation(X.shape[0])

@@ -10,14 +10,13 @@ LAD-ridge: the Lipschitz-loss bound).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TabularDataset, _as_finite_array, _check_range
-from .errors import DataError, InvalidInputError
+from .errors import InvalidInputError
 
 PROVENANCES = (
     "strongly-convex-loss",
@@ -53,10 +52,6 @@ class StabilityBounds:
         if self.candidate_range is not None:
             object.__setattr__(self, "candidate_range",
                                _check_range(self.candidate_range, "candidate_range"))
-
-    @property
-    def n(self) -> int:
-        return self.tau.size - 1
 
     @property
     def tau_test(self) -> float:
@@ -183,32 +178,8 @@ def tau_linear_exact(ridge_model, dataset: TabularDataset, z_range=None,
 
 
 def tau_user_supplied(values, candidate_range=None) -> StabilityBounds:
-    """Wrap externally computed bounds; treated as coverage-safe."""
+    """Wrap externally computed bounds.  The library cannot check them: the
+    caller vouches that they hold, and sets built on them count as coverage-safe."""
     return StabilityBounds(np.asarray(values, dtype=float), "user-supplied",
                            candidate_range=candidate_range)
-
-
-def load_tau_csv(path) -> StabilityBounds:
-    """Read a one-column CSV of bounds, one row per point plus the query row."""
-    values = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: empty tau file")
-    start = 0
-    try:
-        float(rows[0][0])
-    except (ValueError, IndexError):
-        start = 1  # header row
-    for r, row in enumerate(rows[start:], start=start + 1):
-        if not row:
-            continue
-        try:
-            values.append(float(row[0]))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {r}: not a number: {row[0]!r}") from exc
-    if len(values) < 2:
-        raise DataError(f"{path}: need at least two tau values")
-    return tau_user_supplied(values)
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 
@@ -9,7 +10,15 @@ import pytest
 from stabcp import conformal
 from stabcp.cli import main
 from stabcp.errors import InvalidInputError
-from stabcp.harness import RunConfig, build_tau, run_benchmark, run_method, synthetic_source
+from stabcp.harness import (
+    MODEL_NAMES,
+    TAU_SOURCES,
+    RunConfig,
+    build_tau,
+    run_benchmark,
+    run_method,
+    synthetic_source,
+)
 from stabcp import GeneratorSpec, ScoreFunction, gen_linear_gaussian, stab_cp_interval
 
 
@@ -222,7 +231,6 @@ def test_run_config_eps_r_defaults_to_the_library_tolerance():
 # settings that no dataset can turn into a bound or a set, out-of-range
 # numbers included: (RunConfig fields, CLI flags)
 UNBUILDABLE_TAU = {
-    "file-without-path": (dict(tau_source="file"), ("--tau", "file")),
     "linear-exact-on-lad": (dict(model="ladridge", tau_source="linear-exact"),
                             ("--model", "ladridge", "--tau", "linear-exact")),
     "alpha-above-one": (dict(alpha=1.5), ("--alpha", "1.5")),
@@ -248,15 +256,52 @@ def test_unbuildable_tau_is_refused_with_the_config(generated, capsys, case):
 
 
 def test_no_heuristic_bound_and_no_second_tolerance(generated, capsys):
-    # every bound is coverage-safe and every endpoint bisects to _EPS_R:
-    # neither knob exists, as an option or as a RunConfig field
-    for flags in (("--allow-unsafe-tau",), ("--eps-r", "1e-4"), ("--tau", "sgd-heuristic")):
+    # every bound is derived from the model and every endpoint bisects to
+    # _EPS_R: no heuristic or file bound and no second tolerance, as an option
+    # or as a RunConfig field
+    for flags in (("--allow-unsafe-tau",), ("--eps-r", "1e-4"), ("--tau", "sgd-heuristic"),
+                  ("--tau", "file"), ("--tau-file", "x.csv")):
         code, out, err = run_cli(capsys, "predict", "--data", str(generated), *flags)
         assert (code, out) == (1, ""), err
         assert "usage error" in err
-    for fields in (dict(eps_r=1e-4), dict(allow_unsafe_tau=True)):
+    for fields in (dict(eps_r=1e-4), dict(allow_unsafe_tau=True), dict(tau_file="x.csv")):
         with pytest.raises(TypeError):
             RunConfig(**fields)
+
+
+# the provenance of the bound each (model, tau source) pair that RunConfig
+# accepts builds; linear-exact on ladridge is refused (UNBUILDABLE_TAU)
+DERIVED_BOUNDS = {
+    ("ridge", "auto"): "regularized-smooth",
+    ("ridge", "linear-exact"): "linear-exact",
+    ("ladridge", "auto"): "regularized-lipschitz",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(DERIVED_BOUNDS), ids="-".join)
+def test_every_configurable_bound_is_derived_and_holds(pair):
+    assert set(itertools.product(MODEL_NAMES, TAU_SOURCES)) \
+        == set(DERIVED_BOUNDS) | {("ladridge", "linear-exact")}
+    model, tau_source = pair
+    config = RunConfig(model=model, tau_source=tau_source)
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 25, 4, 1.0, seed=5))
+    score = ScoreFunction.absolute_residual()
+    tau, _ = build_tau(config, ds, score)
+    assert tau.provenance == DERIVED_BOUNDS[pair]  # never "user-supplied"
+    # the bound covers the deviation between any two candidates of its range
+    spec = config.model_spec()
+    preds = np.array([spec.fit(ds, z).row_predictions
+                      for z in np.linspace(*ds.target_range(), 50)])
+    spread = score.gamma * (preds.max(axis=0) - preds.min(axis=0))
+    assert np.all(spread <= tau.tau + 1e-8), float(np.max(spread - tau.tau))
+
+
+def test_predict_reports_data_that_is_not_utf8_as_a_data_error(generated, capsys):
+    with open(generated, "ab") as fh:
+        fh.write(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "predict", "--data", str(generated))
+    assert (code, out) == (2, ""), err
+    assert "data error" in err and str(generated) in err
 
 
 def test_predict_reports_a_malformed_sidecar_as_a_data_error(generated, capsys):
@@ -264,24 +309,6 @@ def test_predict_reports_a_malformed_sidecar_as_a_data_error(generated, capsys):
     code, out, err = run_cli(capsys, "predict", "--data", str(generated))
     assert (code, out) == (2, ""), err
     assert "data error" in err and "not valid JSON" in err
-
-
-def test_predict_with_user_supplied_tau_file(generated, tmp_path, capsys):
-    tau_path = tmp_path / "tau.csv"
-    tau_path.write_text("tau\n" + "\n".join(["0.05"] * 31) + "\n", encoding="utf-8")
-    code, out, _ = run_cli(capsys, "predict", "--data", str(generated),
-                           "--method", "stabcp", "--tau", "file",
-                           "--tau-file", str(tau_path))
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["tau_provenance"] == "user-supplied"
-    # wrong length is a data/validation problem, not a crash
-    short = tmp_path / "short.csv"
-    short.write_text("tau\n0.05\n0.05\n", encoding="utf-8")
-    code, _, _ = run_cli(capsys, "predict", "--data", str(generated),
-                         "--method", "stabcp", "--tau", "file",
-                         "--tau-file", str(short))
-    assert code == 2
 
 
 def test_predict_unknown_method_is_usage_error(generated, capsys):

@@ -85,6 +85,9 @@ def test_pi_bounds_matches_hand_evaluation():
         assert (pb.n_lo, pb.n_up) == (2, 1)
     with pytest.raises(InvalidInputError):
         envelope_at(1.5, 0.0, fitted, np.array([1.0, np.nan]), tau)
+    # a bound per observed row plus the query row, no fewer
+    with pytest.raises(InvalidInputError, match="tau has 2 entries, expected 3"):
+        envelope_at(2.0, 0.0, fitted, [1.0, 2.0], tau_user_supplied([0.1, 0.1]))
 
 
 def test_pi_bounds_zero_tau_collapses_to_anchor_conformity():

@@ -104,6 +104,13 @@ def test_read_csv_skips_a_byte_order_mark(tmp_path):
     assert names == ["b"]
 
 
+def test_read_csv_reports_bytes_that_are_not_utf8_as_a_data_error(tmp_path):
+    path = tmp_path / "toy.csv"
+    path.write_bytes(b"a,b\n1,2\n3,4\n\xff\xfe")
+    with pytest.raises(DataError, match="toy.csv: not UTF-8"):
+        read_csv_columns(path)
+
+
 def test_read_csv_missing_header_rejected(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("1,2\n3,4\n", encoding="utf-8")

@@ -17,7 +17,6 @@ from stabcp import (
     bound_loss_C,
     conformity_scores,
     gen_linear_gaussian,
-    load_tau_csv,
     scaled_squared_loss,
     tau_linear_exact,
     tau_regularized_lipschitz,
@@ -246,29 +245,6 @@ def test_candidate_range_contains_next_draw():
     freq = inside.mean()
     bound = 1 - 2 / (n + 1)
     assert freq >= bound - 3 * math.sqrt(bound * (1 - bound) / draws)
-
-
-# ----------------------------------------------------------- user supplied
-
-def test_load_tau_csv_roundtrip(tmp_path):
-    path = tmp_path / "tau.csv"
-    path.write_text("tau\n0.1\n0.2\n0.3\n", encoding="utf-8")
-    bounds = load_tau_csv(path)
-    assert np.allclose(bounds.tau, [0.1, 0.2, 0.3])
-    assert bounds.provenance == "user-supplied"
-
-
-def test_load_tau_csv_keeps_a_first_value_behind_a_byte_order_mark(tmp_path):
-    path = tmp_path / "tau.csv"
-    path.write_text("\ufeff0.1\n0.2\n0.3\n", encoding="utf-8")
-    assert np.allclose(load_tau_csv(path).tau, [0.1, 0.2, 0.3])
-
-
-def test_load_tau_csv_rejects_garbage(tmp_path):
-    path = tmp_path / "tau.csv"
-    path.write_text("tau\n0.1\nnope\n", encoding="utf-8")
-    with pytest.raises(Exception):
-        load_tau_csv(path)
 
 
 # ----------------------------------------------------------------- auto
