@@ -79,9 +79,6 @@ _model_opts = [  # value types follow the RunConfig defaults
     click.option("--tau", "tau_source", type=click.Choice(TAU_SOURCES),
                  default=_DEFAULTS.tau_source, show_default=True,
                  help="Source of the stability bounds, both derived from the model."),
-    click.option("--anchor", default=_DEFAULTS.anchor, show_default=True,
-                 help="'auto' (fit on observed rows, LAD-ridge to a 1% relative gap), "
-                      "'zero', or a number."),
     click.option("--grid-size", default=_DEFAULTS.grid_size, show_default=True),
     click.option("--split-fraction", default=_DEFAULTS.split_fraction, show_default=True),
 ]
@@ -110,7 +107,7 @@ def _add_options(options):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen(kind, n, p, noise, seed, out):
     """Generate a synthetic dataset CSV (query row last) plus a sidecar JSON."""
-    dataset = generate(GeneratorSpec(kind, n, p, noise, seed))
+    dataset = generate(_usage_checked(GeneratorSpec, kind, n, p, noise, seed))
     save_csv(dataset, out)
     sidecar = {
         "schema": "stabcp/dataset/1",
@@ -137,7 +134,7 @@ def cmd_predict(data_path, target_column, sidecar, method, true_target, out, **k
     config = _usage_checked(RunConfig, **kw)
     dataset = _load_dataset(data_path, target_column, sidecar)
     if true_target is not None:
-        dataset = dataclasses.replace(dataset, test_target=true_target)
+        dataset = _usage_checked(dataclasses.replace, dataset, test_target=true_target)
     if method == "oraclecp" and dataset.test_target is None:
         raise click.UsageError("oraclecp needs --true-target (or a dataset with a held-out target)")
     report = run_method(method, dataset, config)
@@ -193,7 +190,7 @@ def cmd_benchmark(data_path, target_column, kind, n, p, noise, methods, reps, se
         source = permutation_source(dataset)
         source_echo = {"data": data_path, "mode": "permutation"}
     else:
-        source = synthetic_source(GeneratorSpec(kind, n, p, noise, seed))
+        source = synthetic_source(_usage_checked(GeneratorSpec, kind, n, p, noise, seed))
         source_echo = {"kind": kind, "n": n, "p": p, "noise_sd": noise, "mode": "redraw"}
     report, rows = _usage_checked(run_benchmark, source, method_list, reps, seed, config)
     report["source"] = source_echo

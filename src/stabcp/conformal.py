@@ -288,11 +288,12 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
     and sets the first bracketing step, and the set is never clamped to it.
 
     Every bound recipe bounds the score deviation between a candidate and the
-    anchor assuming both lie in ``tau.candidate_range`` and the anchor fit
-    being exact, so an anchor outside that range, or an envelope fit whose
-    solver stopped before its certificate reached the tolerance
-    (``converged=False``), reports ``tau_coverage_safe=False``; the set is
-    unchanged.  Closed-form fits carry no ``converged`` flag and are exact.
+    anchor assuming both lie in ``tau.candidate_range`` (if any) and the
+    anchor fit being exact, so an anchor outside that range (never
+    ``default_anchor``), or an envelope fit whose solver stopped before its
+    certificate reached the tolerance (``converged=False``), reports
+    ``tau_coverage_safe=False``; the set is unchanged.  Closed-form fits carry
+    no ``converged`` flag and are exact.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -533,11 +534,16 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
     return rows
 
 
-def default_anchor(dataset: TabularDataset, model_spec) -> float:
-    """Anchor candidate: prediction at the query point of a fit on the observed rows.
+def _anchor(dataset: TabularDataset, model_spec) -> tuple[float, object]:
+    """The query prediction of ``model_spec.fit_observed``, clipped into
+    ``dataset.target_range()`` (where every model-derived bound holds), and
+    that fit.  An iterative model may stop the fit at a looser tolerance: the
+    set is sound for any anchor inside the bound's range."""
+    fitted = model_spec.fit_observed(dataset)
+    lo, hi = dataset.target_range()
+    return min(max(float(fitted.predict(dataset.test_point)), lo), hi), fitted
 
-    The fit is ``model_spec.fit_observed``, which an iterative model may stop
-    at a looser anchor tolerance: the set is sound for any anchor inside the
-    bound's range, and the anchor only sets where it is centred.
-    """
-    return float(model_spec.fit_observed(dataset).predict(dataset.test_point))
+
+def default_anchor(dataset: TabularDataset, model_spec) -> float:
+    """The single-fit anchor: the observed fit's query prediction, clipped (``_anchor``)."""
+    return _anchor(dataset, model_spec)[0]

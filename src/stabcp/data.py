@@ -41,6 +41,8 @@ class GeneratorSpec:
             raise InvalidInputError("friedman1 needs p >= 5")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise InvalidInputError("noise_sd must be a finite nonnegative real")
+        if int(self.seed) < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "noise_sd", float(self.noise_sd))

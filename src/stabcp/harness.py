@@ -16,6 +16,7 @@ import numpy as np
 
 from .conformal import (
     _EPS_R,
+    _anchor,
     grid_cp,
     oracle_cp,
     root_cp,
@@ -24,7 +25,7 @@ from .conformal import (
 )
 from .core import ScoreFunction, TabularDataset, check_alpha, default_candidate_grid
 from .data import GeneratorSpec, dataset_from_rows, generate
-from .errors import InvalidInputError
+from .errors import DataError, InvalidInputError, NotFittedError, NumericalError
 from .models import LadRidgeModel, RidgeModel
 from .stability import tau_linear_exact
 
@@ -44,8 +45,8 @@ ROW_FIELDS = ("rep", "method", "covered", "length", "fit_count", "wall_time", "l
 class RunConfig:
     """Method settings shared across benchmark repetitions; the CLI's defaults.
 
-    ``anchor`` is ``"auto"`` (fit on the observed rows) or a number;
-    ``"zero"`` is stored as ``0.0``.
+    The anchor is no setting: every single-fit set is anchored at
+    ``default_anchor``, inside the range its bound holds on.
     """
 
     model: str = "ridge"
@@ -54,7 +55,6 @@ class RunConfig:
     max_iter: int = 50_000
     alpha: float = 0.1
     tau_source: str = "auto"
-    anchor: str | float = "auto"
     grid_size: int = 200
     split_fraction: float = 0.5
     eps_r = _EPS_R  # not a field: the library's one bisection tolerance, read by perfbench
@@ -73,15 +73,6 @@ class RunConfig:
             raise InvalidInputError(f"unknown tau source {self.tau_source!r}")
         if self.tau_source == "linear-exact" and self.model != "ridge":
             raise InvalidInputError("linear-exact bounds need the ridge model")
-        if self.anchor != "auto":
-            try:
-                anchor = 0.0 if self.anchor == "zero" else float(self.anchor)
-            except (TypeError, ValueError):
-                anchor = np.nan
-            if not np.isfinite(anchor):
-                raise InvalidInputError(
-                    f"anchor must be 'auto', 'zero' or a finite number, got {self.anchor!r}")
-            object.__setattr__(self, "anchor", anchor)
 
     def model_spec(self):
         if self.model == "ridge":
@@ -104,12 +95,8 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
 
 
 def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, object]:
-    """Anchor value and the fit spent choosing it: ``default_anchor``'s for
-    ``"auto"``, None for a given anchor."""
-    if config.anchor == "auto":
-        fitted = config.model_spec().fit_observed(dataset)
-        return float(fitted.predict(dataset.test_point)), fitted
-    return config.anchor, None
+    """``default_anchor`` of the configured model and the fit spent choosing it."""
+    return _anchor(dataset, config.model_spec())
 
 
 def run_method(method: str, dataset: TabularDataset, config: RunConfig,
@@ -123,9 +110,8 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
 
     if method == "stabcp":
         anchor, anchor_fit = resolve_anchor(config, dataset)
-        tau, tau_aux = build_tau(config, dataset, score)
+        tau, _ = build_tau(config, dataset, score)
         report = stab_cp_interval(dataset, anchor, spec, score, tau, config.alpha)
-        report.details["aux_fits"] = (anchor_fit is not None) + tau_aux
         # iterations count the anchor fit's cost too; the gap and converged
         # stay the envelope fit's, the one fit the set's soundness rests on
         anchor_iterations = getattr(anchor_fit, "iterations", None)
@@ -179,8 +165,8 @@ def _one_repetition(rep: int, rep_seed: int, source, methods, config: RunConfig)
             # A fresh dataset (same arrays, empty memo) per method, so no method
             # is timed on work another one left in the memo.
             report = run_method(method, replace(dataset), config)
-        except Exception as exc:  # failures are recorded per repetition, not fatal
-            row["error"] = str(exc)
+        except (InvalidInputError, NumericalError, NotFittedError, DataError) as exc:
+            row["error"] = str(exc)  # the library's own failures; a bug propagates
         else:
             intervals = report.set.intervals
             row.update(
@@ -214,6 +200,8 @@ def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfi
     repetitions = int(repetitions)
     if repetitions < 1:
         raise InvalidInputError("repetitions must be at least 1")
+    if int(seed) < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     methods = list(dict.fromkeys(methods))
     if not methods:
         raise InvalidInputError("need at least one method")

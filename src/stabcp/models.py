@@ -18,7 +18,7 @@ Every model follows one protocol:
   anchor, so an iterative model may stop it at a looser anchor tolerance;
 - ``stability_bound(dataset, score, z_range)`` returns the per-row
   :class:`~stabcp.stability.StabilityBounds` the model's loss and penalty
-  give over the candidate range.
+  give over the candidate range (LAD-ridge's holds on the whole line).
 
 All fitters treat the rows exchangeably: the objective is a sum over rows, so
 permuting the observed pairs leaves the fit unchanged (up to solver tolerance
@@ -49,9 +49,9 @@ from .stability import (
 
 # Relative duality gap at which ``LadRidgeModel.fit_observed`` stops.  The
 # anchor is a free choice (a single-fit set is sound for any anchor inside the
-# bound's range), so its fit need not be exact.  The objective is
-# 2*lambda-strongly convex, so a gap g keeps the coefficients within
-# sqrt(g/lambda) of the minimizer and the anchor within
+# bound's range; the LAD bound's is the whole line), so its fit need not be
+# exact.  The objective is 2*lambda-strongly convex, so a gap g keeps the
+# coefficients within sqrt(g/lambda) of the minimizer and the anchor within
 # ||x_query|| * sqrt(g/lambda) of the exact one.  Scaling by mean|y|, the
 # objective at beta = 0, makes the rule scale-free.
 _ANCHOR_GAP = 1e-2
@@ -349,19 +349,20 @@ class LadRidgeModel(LinearModel):
         return model
 
     def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
-        """The Lipschitz-loss bound for candidate changes.
+        """The Lipschitz-loss bound for candidate changes, on the whole line.
 
         Only the query row's term of the scaled L1 loss moves with the
         candidate, and that term is ``||x_query|| / m``-Lipschitz in the
-        coefficients; the penalty is ``2*lambda_reg``-strongly convex.  (The
-        naive whole-loss constant ``1/sqrt(m)`` is NOT sound here: the query
-        row's leverage can exceed it, and measured deviations do cross that
-        smaller bound.)
+        coefficients at every candidate; the penalty is
+        ``2*lambda_reg``-strongly convex.  So the bound holds for any two
+        candidates: it has no range, and ``z_range`` is unused.  (The naive
+        whole-loss constant ``1/sqrt(m)`` is NOT sound here: the query row's
+        leverage can exceed it, and measured deviations do cross that smaller
+        bound.)
         """
         rho = float(np.linalg.norm(dataset.test_point)) / (dataset.n + 1)
         return tau_regularized_lipschitz(score.gamma, rho, 2.0 * self.lambda_reg,
-                                         augmented_row_norms(dataset),
-                                         candidate_range=z_range)
+                                         augmented_row_norms(dataset))
 
 
 class PretrainedLinearModel(LinearModel):

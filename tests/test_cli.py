@@ -15,6 +15,7 @@ from stabcp.harness import (
     TAU_SOURCES,
     RunConfig,
     build_tau,
+    resolve_anchor,
     run_benchmark,
     run_method,
     synthetic_source,
@@ -63,12 +64,44 @@ def test_gen_deterministic(tmp_path, capsys):
 def test_gen_friedman_needs_five_features(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gen", "--kind", "friedman1", "--n", "20", "--p", "4",
                            "--out", str(tmp_path / "f.csv"))
-    assert code == 2
-    assert "p >= 5" in err
+    assert code == 1
+    assert "usage error" in err and "p >= 5" in err
     code, _, err = run_cli(capsys, "benchmark", "--kind", "friedman1", "--n", "20", "--p", "4",
                            "--reps", "2", "--methods", "stabcp", "--tau", "linear-exact")
-    assert code == 2
-    assert "p >= 5" in err
+    assert code == 1
+    assert "usage error" in err and "p >= 5" in err
+
+
+# out-of-range numbers that no run option carries, reported as usage errors
+# before anything is written: (command line, text the message names); the
+# generated data follow "--data"
+OUT_OF_RANGE_NUMBERS = {
+    "gen-one-row": (("gen", "--n", "1", "--p", "3"), "n must be"),
+    "gen-negative-seed": (("gen", "--n", "20", "--p", "3", "--seed", "-1"), "seed"),
+    "benchmark-negative-noise": (("benchmark", "--n", "20", "--p", "3", "--noise", "-1"),
+                                 "noise_sd"),
+    "benchmark-negative-seed": (("benchmark", "--n", "20", "--p", "3", "--seed", "-1"), "seed"),
+    "benchmark-data-negative-seed": (("benchmark", "--seed", "-1", "--data"), "seed"),
+    "predict-nan-target": (("predict", "--method", "oraclecp", "--true-target", "nan",
+                            "--data"), "test_target"),
+    "predict-inf-target": (("predict", "--true-target", "inf", "--data"), "test_target"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_NUMBERS))
+def test_out_of_range_numbers_are_usage_errors(generated, tmp_path, capsys, case):
+    args, named = OUT_OF_RANGE_NUMBERS[case]
+    out = tmp_path / "out.csv"
+    if args[-1] == "--data":
+        args += (str(generated),)
+    if args[0] == "gen":
+        args += ("--out", str(out))
+    elif args[0] == "benchmark":
+        args += ("--reps", "2", "--methods", "stabcp")
+    code, stdout, err = run_cli(capsys, *args)
+    assert (code, stdout) == (1, ""), err
+    assert "usage error" in err and named in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- predict
@@ -129,7 +162,9 @@ def test_predict_oracle_requires_true_target(tmp_path, capsys):
 
 
 def test_predict_reports_tau_coverage_safe(generated, capsys):
-    cases = [(("--tau", "linear-exact", "--anchor", "100"), False),
+    # the anchor always lies in the bound's range: the flag reads only the
+    # certificate of the envelope fit, which five ADMM iterations leave unmet
+    cases = [(("--model", "ladridge", "--max-iter", "5", "--solver-tol", "1e-12"), False),
              (("--tau", "linear-exact"), True),
              (("--method", "oraclecp"), None)]
     for flags, expected in cases:
@@ -195,11 +230,10 @@ def test_stabcp_lad_certificate_covers_the_anchor_fit():
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
     config = RunConfig(model="ladridge", lambda_reg=0.2)
     report = run_method("stabcp", ds, config)
-    anchor_fit = config.model_spec().fit_observed(ds)
+    anchor, anchor_fit = resolve_anchor(config, ds)
     tau, _ = build_tau(config, ds, ScoreFunction.absolute_residual())
-    envelope = stab_cp_interval(ds, float(anchor_fit.predict(ds.test_point)),
-                                config.model_spec(), ScoreFunction.absolute_residual(),
-                                tau, config.alpha)
+    envelope = stab_cp_interval(ds, anchor, config.model_spec(),
+                                ScoreFunction.absolute_residual(), tau, config.alpha)
     assert report.set == envelope.set
     assert report.details["iterations"] == anchor_fit.iterations + envelope.details["iterations"]
     # the gap and converged are the envelope fit's, on which the set rests
@@ -208,19 +242,27 @@ def test_stabcp_lad_certificate_covers_the_anchor_fit():
     # both fits starved: each counts its five iterations; the envelope fit did not converge
     starved = run_method("stabcp", ds, dataclasses.replace(config, max_iter=5, solver_tol=1e-12))
     assert starved.details["iterations"] == 10 and starved.details["converged"] is False
-    # a given anchor makes no anchor fit
-    fixed = run_method("stabcp", ds, dataclasses.replace(config, anchor=0.0))
-    assert fixed.details["aux_fits"] == 0
-    assert fixed.details["iterations"] == stab_cp_interval(
-        ds, 0.0, config.model_spec(), ScoreFunction.absolute_residual(), tau,
-        config.alpha).details["iterations"]
 
 
-@pytest.mark.parametrize("anchor", ["abc", "", "nan", "inf"])
-def test_predict_rejects_unparsable_anchor(generated, capsys, anchor):
-    code, _, err = run_cli(capsys, "predict", "--data", str(generated), "--anchor", anchor)
-    assert code == 1
-    assert "usage error" in err and "anchor" in err
+@pytest.mark.parametrize("tau_source", TAU_SOURCES)
+@pytest.mark.parametrize("seed", [7, 308, 332])
+def test_default_stabcp_is_anchored_where_its_bound_holds(seed, tau_source):
+    # the observed fit predicts outside the target range on these draws; the
+    # anchor is clipped into it, so the set is coverage-safe and holds the
+    # exact set
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 10, 1.0, seed))
+    config = RunConfig(tau_source=tau_source)
+    lo, hi = ds.target_range()
+    raw = config.model_spec().fit_observed(ds).predict(ds.test_point)
+    assert not lo <= raw <= hi
+    report = run_method("stabcp", ds, config)
+    assert report.details["anchor"] == min(max(raw, lo), hi)
+    assert report.details["tau_coverage_safe"] is True
+    exact = conformal.grid_cp(ds, config.model_spec(), ScoreFunction.absolute_residual(),
+                              config.alpha, np.linspace(lo, hi, 801)).set
+    assert exact.intervals
+    for end in np.ravel(exact.intervals):
+        assert report.set.contains(end)
 
 
 def test_run_config_eps_r_defaults_to_the_library_tolerance():
@@ -259,12 +301,14 @@ def test_no_heuristic_bound_and_no_second_tolerance(generated, capsys):
     # every bound is derived from the model and every endpoint bisects to
     # _EPS_R: no heuristic or file bound and no second tolerance, as an option
     # or as a RunConfig field
+    # no anchor setting either: the anchor is derived from the data
     for flags in (("--allow-unsafe-tau",), ("--eps-r", "1e-4"), ("--tau", "sgd-heuristic"),
-                  ("--tau", "file"), ("--tau-file", "x.csv")):
+                  ("--tau", "file"), ("--tau-file", "x.csv"), ("--anchor", "0")):
         code, out, err = run_cli(capsys, "predict", "--data", str(generated), *flags)
         assert (code, out) == (1, ""), err
         assert "usage error" in err
-    for fields in (dict(eps_r=1e-4), dict(allow_unsafe_tau=True), dict(tau_file="x.csv")):
+    for fields in (dict(eps_r=1e-4), dict(allow_unsafe_tau=True), dict(tau_file="x.csv"),
+                   dict(anchor=0.0)):
         with pytest.raises(TypeError):
             RunConfig(**fields)
 
@@ -371,15 +415,17 @@ def test_benchmark_rejects_bad_method_list(capsys, methods):
 
 
 def test_benchmark_coverage_averages_only_safe_repetitions():
-    # anchor 2.0 lies outside the target range of 8 of these 20 draws
-    config = RunConfig(model="ridge", tau_source="linear-exact", anchor=2.0, alpha=0.1)
+    # 60 ADMM iterations certify the envelope fit on 7 of these 20 draws; at
+    # alpha 0.5 the safe and the flagged repetitions cover at different rates
+    config = RunConfig(model="ladridge", lambda_reg=0.5, max_iter=60, alpha=0.5)
     source = synthetic_source(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 0))
     report, rows = run_benchmark(source, ["stabcp"], 20, seed=0, config=config)
     entry = report["methods"]["stabcp"]
     stab = [row for row in rows if row["method"] == "stabcp"]
     safe = [row["covered"] for row in stab if row["tau_coverage_safe"] is True]
     flagged = [row["covered"] for row in stab if row["tau_coverage_safe"] is False]
-    assert (len(safe), len(flagged)) == (12, 8)
+    assert (len(safe), len(flagged)) == (7, 13)
+    assert np.mean(safe) != np.mean(flagged)
     assert entry["tau_unsafe"] is True
     assert entry["coverage"] == pytest.approx(np.mean(safe))
     assert entry["coverage_unvalidated"] == pytest.approx(np.mean(flagged))
@@ -473,6 +519,20 @@ def test_benchmark_records_method_failures(capsys):
     assert report["methods"]["stabcp"]["coverage"] is None
 
 
+def test_benchmark_lets_a_programming_error_out(monkeypatch):
+    # only the library's own errors are recorded as failures; a TypeError is
+    # a bug, and the benchmark must not report it as a method's failure
+    import stabcp.harness as harness
+
+    def broken_split(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(harness, "split_cp", broken_split)
+    source = synthetic_source(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 0))
+    with pytest.raises(TypeError, match="a bug"):
+        run_benchmark(source, ["splitcp"], 2, seed=0, config=RunConfig())
+
+
 # ------------------------------------------------------------------ curve
 
 def test_curve_rows_are_sandwiched(generated, tmp_path, capsys):
@@ -495,9 +555,8 @@ def test_curve_rows_are_sandwiched(generated, tmp_path, capsys):
 
 
 def test_curve_qualitative_sandwich_on_benchmark_config(tmp_path, capsys):
-    # n=30, p=100, L1 + ridge 0.5, anchor 0: the envelopes must bracket the
-    # exact curve everywhere and the upper envelope crosses alpha twice
-    # around an interior plateau.
+    # n=30, p=100, L1 + ridge 0.5 at the default anchor: the envelopes must
+    # bracket the exact curve everywhere.
     data = tmp_path / "d.csv"
     code, _, _ = run_cli(capsys, "gen", "--n", "30", "--p", "100", "--noise", "1",
                          "--seed", "3", "--out", str(data))
@@ -505,7 +564,7 @@ def test_curve_qualitative_sandwich_on_benchmark_config(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code, stdout, _ = run_cli(capsys, "curve", "--data", str(data),
                               "--model", "ladridge", "--lambda-reg", "0.5",
-                              "--anchor", "zero", "--tau", "auto",
+                              "--tau", "auto",
                               "--grid-size", "80", "--out", str(out))
     assert code == 0
     rows = list(csv.DictReader(open(out, encoding="utf-8")))

@@ -189,12 +189,13 @@ def test_stab_interval_contains_grid_oracle_at_scale():
 
 
 def test_anchor_outside_bound_range_is_not_coverage_safe():
-    # the query row extrapolates far beyond the observed rows, so the default
-    # anchor lies above the target range that tau_linear_exact bounds over
+    # the query row extrapolates far beyond the observed rows, so the observed
+    # fit's prediction lies above the target range that tau_linear_exact
+    # bounds over
     ds = TabularDataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.1, 2.9]),
                         np.array([10.0]))
     spec = RidgeModel(0.01)
-    anchor = default_anchor(ds, spec)
+    anchor = spec.fit_observed(ds).predict(ds.test_point)
     tau = tau_linear_exact(spec.fit(ds, anchor), ds)
     lo, hi = tau.candidate_range
     assert anchor > hi
@@ -209,6 +210,33 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
     assert stab.set.intervals == same.set.intervals
     inside = stab_cp_interval(ds, 0.5 * (lo + hi), spec, ABS, tau, 0.1)
     assert inside.details["tau_coverage_safe"] is True
+    # the default anchor is that prediction clipped into the range, so its set
+    # is coverage-safe and holds the exact set (at alpha 0.5, where neither is
+    # the whole range)
+    assert default_anchor(ds, spec) == hi
+    clipped = stab_cp_interval(ds, default_anchor(ds, spec), spec, ABS, tau, 0.5)
+    assert clipped.details["tau_coverage_safe"] is True
+    assert clipped.set.shape == "interval"
+    exact = grid_cp(ds, spec, ABS, 0.5, np.linspace(lo, hi, 801)).set
+    assert exact.intervals
+    for end in np.ravel(exact.intervals):
+        assert clipped.set.contains(end)
+
+
+def test_lad_bound_holds_for_an_anchor_far_outside_the_target_range():
+    # the query term's loss difference is 2||x_q||/m-Lipschitz for any two
+    # candidates, so the LAD bound has no range and a far anchor stays safe
+    ds = make_dataset(n=40, p=5, seed=0)
+    spec = LadRidgeModel(0.2, solver_tol=1e-11)
+    lo, hi = ds.target_range()
+    tau = spec.stability_bound(ds, ABS, (lo, hi))
+    assert tau.candidate_range is None
+    far = stab_cp_interval(ds, hi + 3 * (hi - lo), spec, ABS, tau, 0.1)
+    assert far.details["tau_coverage_safe"] is True
+    assert far.set.candidate_range == (lo, hi)
+    (flo, fhi), = far.set.intervals
+    (rlo, rhi), = root_cp(ds, spec, ABS, 0.1).set.intervals
+    assert flo <= rlo - _EPS_R and rhi + _EPS_R <= fhi
 
 
 def test_uncertified_envelope_fit_is_not_coverage_safe():

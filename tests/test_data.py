@@ -82,6 +82,9 @@ def test_generator_spec_validation():
         GeneratorSpec("linear-gaussian", 1, 3)
     with pytest.raises(InvalidInputError):
         GeneratorSpec("linear-gaussian", 10, 3, noise_sd=-1.0)
+    # numpy's generators take no negative seed; refused here, not inside numpy
+    with pytest.raises(InvalidInputError, match="seed"):
+        GeneratorSpec("linear-gaussian", 10, 3, seed=-1)
 
 
 # --------------------------------------------------------------------- csv

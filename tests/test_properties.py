@@ -79,13 +79,11 @@ def assert_outer_match(closed, bisected):
        alpha=st.sampled_from([0.05, 0.1, 0.2, 0.5]))
 def test_stabcp_bisection_matches_closed_form_and_contains_exact_set(ds, lam, alpha):
     spec = RidgeModel(lam)
-    anchor = default_anchor(ds, spec)
-    # the bound covers every candidate's distance to the anchor only on a
-    # range holding both, and the anchor may lie outside the target range
-    lo, hi = ds.target_range()
-    z_range = (min(lo, anchor), max(hi, anchor))
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds, z_range=z_range)
+    anchor = default_anchor(ds, spec)  # always inside the target range
+    z_range = ds.target_range()
+    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
     closed = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
+    assert closed.details["tau_coverage_safe"] is True
     assert_outer_match(closed, stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, alpha))
     exact = grid_cp(ds, spec, ABS, alpha, default_candidate_grid(ds, 40)).set
     for lo, hi in exact.intervals:
