@@ -186,6 +186,13 @@ def cmd_benchmark(data_path, target_column, kind, n, p, noise, methods, reps, se
     method_list = [name.strip() for name in methods.split(",") if name.strip()]
     config = _usage_checked(RunConfig, **kw)
     if data_path:
+        # the generator options describe the redraws that --data replaces
+        ctx = click.get_current_context()
+        given = [f"--{name}" for name in ("kind", "n", "p", "noise")
+                 if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE]
+        if given:
+            raise click.UsageError(f"{', '.join(given)} cannot be given with --data: "
+                                   "the generator options apply only to redrawn data")
         dataset = _load_dataset(data_path, target_column, None, trust_holdout=True)
         source = permutation_source(dataset)
         source_echo = {"data": data_path, "mode": "permutation"}

@@ -204,9 +204,10 @@ class LadRidgeModel(LinearModel):
 
     Objective on ``m`` rows: ``||y - X beta||_1 / m + lambda_reg * ||beta||^2``.
     The solver is deterministic full-batch operator splitting (ADMM on the
-    residual split, with a residual-balanced penalty rho and one cached
-    beta-step operator per penalty value, rebuilt when rho changes, so no
-    iteration solves a linear system).  Clipping the scaled dual variable
+    residual split, with a residual-balanced penalty rho).  One
+    eigendecomposition of ``X^T X`` per fit diagonalizes the beta step for
+    every rho, so a penalty change rescales a length-p vector and no
+    iteration solves a linear system.  Clipping the scaled dual variable
     into the feasible box gives a duality gap at every check, so the returned
     iterate carries an explicit suboptimality certificate; the incumbent is
     the best primal point seen, whose recorded objectives decrease
@@ -273,56 +274,83 @@ class LadRidgeModel(LinearModel):
         best_gap = math.inf
         iterations = 0
 
-        gram = X.T @ X
-        # The beta step is a ridge solve with penalty 2*lambda/rho: one cached
-        # beta-step operator per penalty value, rebuilt when rho changes.  The
-        # penalty is residual-balanced.
-
-        def beta_step(rho: float) -> np.ndarray:
-            """``(X^T X + (2 lambda / rho) I)^-1 X^T``, a p x m matrix."""
-            return _solve_normal_equations(gram, X.T, m, 2.0 * self.lambda_reg / (rho * m))
-
-        step = beta_step(rho)
+        # The beta step is a ridge solve with penalty 2*lambda/rho, which one
+        # eigendecomposition X^T X = Q diag(eigvals) Q^T diagonalizes for every
+        # rho: in the rotated coordinates w = Q^T beta it reads
+        # w = Z^T d / (eigvals + 2*lambda/rho) with Z = X Q, and the fitted
+        # rows are Z w.  A penalty change rescales one length-p vector, so no
+        # iteration solves a linear system.  The penalty is residual-balanced.
+        try:
+            eigvals, Q = np.linalg.eigh(X.T @ X)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Gram matrix eigendecomposition failed: {exc}") from exc
+        eigvals = np.maximum(eigvals, 0.0)
+        Z = X @ Q
+        Zt = np.ascontiguousarray(Z.T)
+        denominator = eigvals + 2.0 * self.lambda_reg / rho
+        threshold = 1.0 / (m * rho)
         relax = 1.7
         check_every = 10
         penalty_changes = 0
 
+        # The iterate is kept as the pre-threshold residual r and its part c
+        # clipped into [-1/(m rho), 1/(m rho)]: ADMM's residual split is
+        # v = r - c and its scaled dual u = -c.  In these terms the beta step
+        # acts on d = y - v - u = y - r + 2c, the relaxed residual is
+        # r + relax * (y + c - r - fitted), and the soft threshold and dual
+        # update fuse into one clip.  Both live in buffers updated in place.
+        c = -u
+        r = v + c
+        e, d, fitted = np.empty(m), np.empty(m), np.empty(m)
+        w = np.empty(p)
+
         for k in range(1, self.max_iter + 1):
-            q = y - v
-            beta = step @ (q - u)
-            fitted_rows = X @ beta
-            v_old = v
-            residual = (y - u) - (relax * fitted_rows + (1.0 - relax) * q)
-            # soft threshold at 1/(m rho) and the scaled dual update, fused:
-            # v = residual - clip(residual) and u + relaxed + v - y = -clip(residual)
-            threshold = 1.0 / (m * rho)
-            u = -np.clip(residual, -threshold, threshold)
-            v = residual + u
+            check = k % check_every == 0 or k == self.max_iter
+            if check:
+                v_old = r - c
+            np.add(y, c, out=e)
+            e -= r
+            np.add(e, c, out=d)
+            np.dot(Zt, d, out=w)
+            w /= denominator
+            np.dot(Z, w, out=fitted)
+            e -= fitted
+            e *= relax
+            r += e
+            np.minimum(r, threshold, out=c)
+            np.maximum(c, -threshold, out=c)
             iterations = k
-            if k % check_every == 0 or k == self.max_iter:
+            if check:
+                beta = Q @ w
                 obj = self._objective(X, y, beta)
                 if obj < best_obj:
                     best_obj = obj
-                    best_beta = beta.copy()
+                    best_beta = beta
                     accepted.append(obj)
-                theta = np.clip(rho * u, -1.0 / m, 1.0 / m)
+                theta = np.clip(-rho * c, -1.0 / m, 1.0 / m)
                 gap = max(best_obj - self._dual_objective(X, y, theta), 0.0)
                 best_gap = min(best_gap, gap)
                 if best_gap <= self.solver_tol:
                     break
-                primal_res = float(np.linalg.norm(fitted_rows + v - y))
+                v = r - c
+                primal_res = float(np.linalg.norm(fitted + v - y))
                 dual_res = rho * float(np.linalg.norm(X.T @ (v - v_old)))
                 if penalty_changes < 40:
+                    # rescaling u keeps v: c -> c/2 with r -> r - c/2, or
+                    # c -> 2c with r -> r + c
                     if primal_res > 10.0 * dual_res:
                         rho *= 2.0
-                        u /= 2.0
-                        step = beta_step(rho)
-                        penalty_changes += 1
+                        c *= 0.5
+                        r -= c
                     elif dual_res > 10.0 * primal_res:
                         rho /= 2.0
-                        u *= 2.0
-                        step = beta_step(rho)
-                        penalty_changes += 1
+                        r += c
+                        c *= 2.0
+                    else:
+                        continue
+                    penalty_changes += 1
+                    denominator = eigvals + 2.0 * self.lambda_reg / rho
+                    threshold = 1.0 / (m * rho)
 
         model.coefficients = best_beta
         model.objective = best_obj
@@ -330,7 +358,7 @@ class LadRidgeModel(LinearModel):
         model.converged = best_gap <= self.solver_tol
         model.iterations = iterations
         model.accepted_objectives = accepted
-        model._admm_state = (v, u, rho)  # where a warm start from this fit begins
+        model._admm_state = (r - c, -c, rho)  # where a warm start from this fit begins
         return model
 
     def fit_observed(self, dataset: TabularDataset) -> "LadRidgeModel":

@@ -406,6 +406,18 @@ def test_benchmark_from_csv_permutes_rows(generated, tmp_path, capsys):
     assert report["methods"]["oraclecp"]["time_normalized"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("flags", [("--n", "1", "--noise", "-5"), ("--kind", "linear"),
+                                   ("--n", "300"), ("--p", "20"), ("--noise", "1.0")])
+def test_benchmark_rejects_generator_options_with_data(generated, capsys, flags):
+    # valid or not, and even at their defaults: a table is permuted, never drawn
+    code, out, err = run_cli(capsys, "benchmark", "--data", str(generated), *flags,
+                             "--reps", "1", "--methods", "stabcp")
+    assert (code, out) == (1, ""), err
+    assert "usage error" in err and "--data" in err
+    for name in flags[::2]:
+        assert name in err
+
+
 @pytest.mark.parametrize("methods", ["magic", ",", "stabcp,magic"])
 def test_benchmark_rejects_bad_method_list(capsys, methods):
     code, out, err = run_cli(capsys, "benchmark", "--n", "20", "--p", "3", "--reps", "2",

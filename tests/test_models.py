@@ -193,6 +193,43 @@ def test_lad_warm_start_needs_a_fit_on_as_many_rows(small_dataset):
                           RidgeModel(0.2).fit_rows(X, y).coefficients)
 
 
+def test_lad_fit_solves_no_linear_system(monkeypatch):
+    # one eigendecomposition per fit serves every penalty value
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 0))
+    X, y = ds.augmented_design(), ds.augmented_targets(0.0)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    fit = LadRidgeModel(0.2).fit_rows(X, y)
+    assert fit.converged and fit.duality_gap <= 1e-8
+
+
+def test_lad_warm_start_from_a_converged_fit_stops_at_the_first_check():
+    # the final residual split and scaled dual map back to the same iterate
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 0))
+    X, y = ds.augmented_design(), ds.augmented_targets(0.0)
+    spec = LadRidgeModel(0.2)
+    cold = spec.fit_rows(X, y)
+    assert cold.converged and cold.iterations > 10
+    warm = spec.fit_rows(X, y, start=cold)
+    assert warm.converged and warm.iterations <= 10
+    assert warm.objective <= cold.objective
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lad_converges_with_a_singular_gram_matrix(seed):
+    # p = 60 features on 9 rows: X^T X has rank at most 9
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 8, 60, 1.0, seed))
+    X = ds.augmented_design()
+    assert np.linalg.matrix_rank(X.T @ X) < X.shape[1]
+    spec = LadRidgeModel(0.05)
+    for fit in (spec.fit(ds, 0.0), spec.fit(ds, ds.test_target),
+                spec.fit_rows(ds.features, ds.targets)):
+        assert fit.converged and fit.duality_gap <= spec.solver_tol
+
+
 def test_lad_default_iteration_cap_matches_run_config():
     assert LadRidgeModel(0.5).max_iter == RunConfig().max_iter == 50_000
 

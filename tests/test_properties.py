@@ -9,7 +9,8 @@ bisection tolerance, rootcp's endpoints inside the bound's range; rootcp must
 return a set even on all-tied targets, whose range has zero width.  The
 ridge fit that reuses the dataset's Gram matrix and augmented solve must
 match a refit from scratch on the augmented rows, and the LAD-ridge duality
-gap must bound the suboptimality of the returned fit, warm-started or not.
+gap must bound the suboptimality of the returned fit, warm-started or not,
+against random points and against a fit stopped at a 1e-12 gap.
 The data mix in outliers, tied targets, ``n`` close to ``p``, a constant
 column and a zero-norm query row.
 """
@@ -139,6 +140,12 @@ def test_lad_certificate_bounds_suboptimality(ds, lam, candidate, max_iter, seed
                for s in (1e-6, 1e-3, 1.0)]
     for beta in others:
         assert objective(beta) >= fit.objective - fit.duality_gap - 1e-12
+    # a fit stopped at a 1e-12 gap sits at the optimum up to its own gap;
+    # objectives near 4e4 (rows of 1e6) round at a few units in the last place
+    reference = LadRidgeModel(lam, solver_tol=1e-12).fit_rows(X, y)
+    slack = 1e-12 + 64 * np.spacing(reference.objective)
+    assert fit.objective <= reference.objective + fit.duality_gap + slack
+    assert reference.objective <= fit.objective + reference.duality_gap + slack
     assert np.isclose(fit.objective, objective(fit.coefficients), rtol=1e-12, atol=0.0)
     assert fit.converged == (fit.duality_gap <= spec.solver_tol)
     assert np.array_equal(fit.row_predictions, X @ fit.coefficients)
