@@ -40,6 +40,7 @@ from .core import (
     _conformity,
     _joint_certificate,
     _level_index,
+    _read_only,
     check_alpha,
     conformity_scores,
 )
@@ -394,17 +395,20 @@ class _Refits:
 
     The one refit path of the exact sets (``pi_exact``, ``root_cp``,
     ``grid_cp``, ``gap_profile``).  Every refit is ``fit_rows`` on the
-    augmented rows, built once here: it never goes through ``fit``, which may
-    reuse per-dataset work, so the refits stay an independent check of the
-    single-fit sets.  Each refit is passed to the next as ``start``, which only
-    sets where an iterative solver begins; every refit still meets the
-    solver's tolerance.  Nothing outlives the call.  ``certificate`` totals
-    the refits' solver certificates (``_joint_certificate``).
+    augmented rows, built once here and read-only: it never goes through
+    ``fit``, which may reuse per-dataset work, so the refits stay an
+    independent check of the single-fit sets.  Each refit is passed to the
+    next as ``start``, which sets where an iterative solver begins and, since
+    the design is the same read-only array, lends the work that depends on the
+    design alone (LAD-ridge takes one eigendecomposition per call); every
+    refit still meets the solver's tolerance.  Nothing outlives the call.
+    ``certificate`` totals the refits' solver certificates
+    (``_joint_certificate``).
     """
 
     def __init__(self, dataset: TabularDataset, model_spec, score: ScoreFunction):
         self.dataset, self.model_spec, self.score = dataset, model_spec, score
-        self.X = dataset.augmented_design()
+        self.X = _read_only(dataset.augmented_design())
         self.last = None
         self.count = 0
         self.certificate = _certificate(None)

@@ -12,7 +12,9 @@ Every model follows one protocol:
   ``start``; never from the dataset memo.  It returns a model whose
   ``coefficients`` serve ``predict``/``predict_rows``; the refit baselines
   use it, so they stay an independent check of ``fit``, and pass each
-  refit to the next as ``start`` (only the iterative model uses it);
+  refit to the next as ``start`` (only the iterative model uses it: the
+  start sets where its solver begins and, when it was fitted on the very
+  same read-only ``X``, lends the work that depends on ``X`` alone);
 - ``fit_observed(dataset)`` is ``fit_rows`` on the n observed rows, and may
   reuse the dataset's work as ``fit`` does; it only chooses the single-fit
   anchor, so an iterative model may stop it at a looser anchor tolerance;
@@ -77,6 +79,8 @@ def ridge_coefficients(X, y, lambda_reg: float) -> np.ndarray:
     y = _as_finite_array(y, "y", 1)
     if X.shape[0] != y.shape[0]:
         raise InvalidInputError("X and y row counts differ")
+    if X.shape[0] == 0:
+        raise InvalidInputError("cannot fit on zero rows")
     lambda_reg = float(lambda_reg)
     if lambda_reg < 0:
         raise InvalidInputError("lambda_reg must be nonnegative")
@@ -222,6 +226,15 @@ class LadRidgeModel(LinearModel):
     ``coefficients`` are the first incumbent.  The stopping rule, certificate
     and penalty-change cap are those of a cold fit, so a warm fit meets the
     same ``solver_tol``.
+
+    A fit on a read-only ``X`` keeps its design work: the finite check of
+    ``X``, the eigendecomposition, ``Z = X Q`` and ``Z^T``.  A later
+    ``fit_rows`` whose ``start`` was fitted on that very array object, still
+    read-only, reuses it instead of recomputing it, so a refit chain on one
+    read-only design takes one eigendecomposition; the iterates are the ones
+    a recomputation gives.  Any other design, even an equal array, is
+    decomposed anew, and a fit on a writable ``X`` keeps nothing, since its
+    rows could change before the next fit.
     """
 
     def __init__(self, lambda_reg: float, solver_tol: float = 1e-8, max_iter: int = 50_000):
@@ -246,8 +259,27 @@ class LadRidgeModel(LinearModel):
         v = X.T @ theta
         return float(-theta @ y - (v @ v) / (4.0 * self.lambda_reg))
 
-    def fit_rows(self, X, y, start=None) -> "LadRidgeModel":
+    @staticmethod
+    def _diagonalized(X) -> tuple:
+        """``(X, eigvals, Q, Z, Z^T)`` with ``X^T X = Q diag(eigvals) Q^T``
+        (eigenvalues clamped at 0), ``Z = X Q`` and ``Z^T`` contiguous: the
+        work of a fit that depends on the design alone."""
         X = _as_finite_array(X, "X", 2)
+        if X.shape[0] == 0:
+            raise InvalidInputError("cannot fit on zero rows")
+        try:
+            eigvals, Q = np.linalg.eigh(X.T @ X)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Gram matrix eigendecomposition failed: {exc}") from exc
+        Z = X @ Q
+        return X, np.maximum(eigvals, 0.0), Q, Z, np.ascontiguousarray(Z.T)
+
+    def fit_rows(self, X, y, start=None) -> "LadRidgeModel":
+        # a start fitted on this very read-only array lends its design work
+        design = getattr(start, "_design", None)
+        if design is None or design[0] is not X or X.flags.writeable:
+            design = self._diagonalized(X)
+        X, eigvals, Q, Z, Zt = design
         y = _as_finite_array(y, "y", 1)
         if X.shape[0] != y.shape[0]:
             raise InvalidInputError("X and y row counts differ")
@@ -280,13 +312,6 @@ class LadRidgeModel(LinearModel):
         # w = Z^T d / (eigvals + 2*lambda/rho) with Z = X Q, and the fitted
         # rows are Z w.  A penalty change rescales one length-p vector, so no
         # iteration solves a linear system.  The penalty is residual-balanced.
-        try:
-            eigvals, Q = np.linalg.eigh(X.T @ X)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Gram matrix eigendecomposition failed: {exc}") from exc
-        eigvals = np.maximum(eigvals, 0.0)
-        Z = X @ Q
-        Zt = np.ascontiguousarray(Z.T)
         denominator = eigvals + 2.0 * self.lambda_reg / rho
         threshold = 1.0 / (m * rho)
         relax = 1.7
@@ -359,6 +384,8 @@ class LadRidgeModel(LinearModel):
         model.iterations = iterations
         model.accepted_objectives = accepted
         model._admm_state = (r - c, -c, rho)  # where a warm start from this fit begins
+        # only a read-only design can be lent: a writable one may change
+        model._design = None if X.flags.writeable else design
         return model
 
     def fit_observed(self, dataset: TabularDataset) -> "LadRidgeModel":

@@ -11,6 +11,19 @@ def small_dataset():
 
 
 @pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count ``np.linalg.eigh`` calls: the list grows by one entry per call."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.fixture
 def tiny_dataset():
     """Hand-built 3x2 dataset, easy to reason about."""
     return TabularDataset(

@@ -733,6 +733,51 @@ def test_root_warm_starts_give_the_cold_set_in_fewer_iterations():
     assert warm.details["iterations"] < cold.details["iterations"]
 
 
+class FreshDesign:
+    """Model spec that hands every refit a fresh writable copy of the design,
+    so no refit can borrow the design work of the one before."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def fit_rows(self, X, y, start=None):
+        return self.spec.fit_rows(X.copy(), y, start=start)
+
+    def fit(self, dataset, candidate):
+        return self.spec.fit(dataset, candidate)
+
+
+def test_lad_refit_chain_takes_one_eigendecomposition(eigh_calls):
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 60, 5, 1.0, seed=2))
+    spec = LadRidgeModel(0.2)
+    grid = stabcp.default_candidate_grid(ds, 30)
+    anchor = default_anchor(ds, spec)
+    tau = spec.stability_bound(ds, ABS, None)
+
+    def certificate(report):
+        return [report.set, report.fit_count] + [
+            report.details[k] for k in ("iterations", "duality_gap", "converged")]
+
+    runs = {}
+    for name, model in (("shared", spec), ("fresh", FreshDesign(spec))):
+        del eigh_calls[:]
+        root = root_cp(ds, model, ABS, 0.1)
+        root_eighs = len(eigh_calls)
+        grid_report = grid_cp(ds, model, ABS, 0.1, grid)
+        grid_eighs = len(eigh_calls) - root_eighs
+        # gap_profile also fits once at the anchor, outside its refit chain
+        before = len(eigh_calls)
+        rows = gap_profile(ds, anchor, model, ABS, tau, grid)
+        column_eighs = len(eigh_calls) - before - 1
+        runs[name] = (certificate(root), certificate(grid_report), rows)
+        if name == "shared":
+            assert (root_eighs, grid_eighs, column_eighs) == (1, 1, 1)
+        else:
+            assert (root_eighs, grid_eighs, column_eighs) == (root.fit_count, 30, 30)
+    assert runs["shared"][0][1] > 20
+    assert runs["shared"] == runs["fresh"]
+
+
 def test_refit_reports_carry_the_summed_certificate(small_dataset):
     grid = stabcp.default_candidate_grid(small_dataset, 12)
     for report in (root_cp(small_dataset, RidgeModel(0.5), ABS, 0.1),

@@ -16,6 +16,7 @@ from stabcp import (
     oracle_cp,
     ridge_coefficients,
 )
+from stabcp.core import _read_only
 from stabcp.harness import RunConfig
 
 
@@ -179,7 +180,7 @@ def test_lad_permutation_symmetry_within_tolerance():
     assert f1.row_predictions[-1] == pytest.approx(f2.row_predictions[-1], abs=1e-4)
 
 
-def test_lad_warm_start_needs_a_fit_on_as_many_rows(small_dataset):
+def test_lad_warm_start_needs_a_fit_on_as_many_rows(small_dataset, eigh_calls):
     spec = LadRidgeModel(0.2)
     X, y = small_dataset.augmented_design(), small_dataset.augmented_targets(0.0)
     start = spec.fit_rows(X, y)
@@ -191,6 +192,30 @@ def test_lad_warm_start_needs_a_fit_on_as_many_rows(small_dataset):
     # the closed-form models ignore a start
     assert np.array_equal(RidgeModel(0.2).fit_rows(X, y, start=start).coefficients,
                           RidgeModel(0.2).fit_rows(X, y).coefficients)
+
+    # a start lends its eigendecomposition only to a fit on the very same
+    # read-only array; any other design of the same shape is decomposed anew
+    del eigh_calls[:]
+    X1 = _read_only(X.copy())
+    on_X1 = spec.fit_rows(X1, y)
+    assert len(eigh_calls) == 1
+    assert spec.fit_rows(X1, y, start=on_X1).converged and len(eigh_calls) == 1
+    for X2 in (_read_only(X.copy()), X1[:], X.copy()):
+        del eigh_calls[:]
+        assert spec.fit_rows(X2, y, start=on_X1).converged
+        assert len(eigh_calls) == 1
+    # nor to the same array once it has been made writable again
+    X1.flags.writeable = True
+    del eigh_calls[:]
+    assert spec.fit_rows(X1, y, start=on_X1).converged and len(eigh_calls) == 1
+    # a fit on a writable design keeps none of that work alive
+    assert spec.fit_rows(X, y)._design is None
+
+
+@pytest.mark.parametrize("spec", [RidgeModel(0.5), LadRidgeModel(0.5)])
+def test_fit_on_zero_rows_is_invalid_input(spec):
+    with pytest.raises(InvalidInputError, match="zero rows"):
+        spec.fit_rows(np.empty((0, 3)), np.empty(0))
 
 
 def test_lad_fit_solves_no_linear_system(monkeypatch):
