@@ -1,9 +1,10 @@
 """Where the stability bounds come from, and how tight each recipe is.
 
-Builds every bound the package knows for one dataset (the two regularized
-bounds through each model's ``stability_bound``) and checks them against
-the measured worst-case score deviations: every one is a sound guarantee,
-and they differ only in how much slack they leave.
+Builds each model's own bound through its ``stability_bound`` (ridge: the
+exact affine bound; the L1 model: the Lipschitz-loss bound) and the generic
+smooth-loss recipe for ridge through ``tau_regularized_smooth``, and checks
+them against the measured worst-case score deviations: every one is a sound
+guarantee, and they differ only in how much slack they leave.
 """
 
 import numpy as np
@@ -13,8 +14,10 @@ from stabcp import (
     LadRidgeModel,
     RidgeModel,
     ScoreFunction,
+    augmented_row_norms,
+    bound_loss_C,
     gen_linear_gaussian,
-    tau_linear_exact,
+    tau_regularized_smooth,
 )
 
 score = ScoreFunction.absolute_residual()
@@ -36,10 +39,13 @@ def measured_deviation(spec):
 print(f"dataset: n={dataset.n}, p={dataset.p}, candidate range "
       f"[{z_range[0]:+.2f}, {z_range[1]:+.2f}]\n")
 
-# ridge: exact affine bound, and the smooth-loss bound the model builds itself
-ridge_fit = ridge.fit(dataset, 0.0)
-exact = tau_linear_exact(ridge_fit, dataset, z_range=z_range)
-smooth = ridge.stability_bound(dataset, score, z_range)
+# ridge: its own exact affine bound, and the smooth-loss recipe, whose
+# constants are the 2/m-smooth scaled squared loss, the 2*lam-strongly convex
+# penalty and the loss bound C over the candidate range
+exact = ridge.stability_bound(dataset, score, z_range)
+smooth = tau_regularized_smooth(score.gamma, 2.0 / (dataset.n + 1),
+                                bound_loss_C(dataset, z_range=z_range), 2.0 * lam,
+                                augmented_row_norms(dataset), candidate_range=z_range)
 ridge_dev = measured_deviation(ridge)
 
 # L1 model: its own Lipschitz-loss bound, with the replace-one constant

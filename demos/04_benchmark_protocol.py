@@ -13,7 +13,6 @@ config = RunConfig(
     model="ridge",
     lambda_reg=0.5,
     alpha=0.1,
-    tau_source="linear-exact",
     split_fraction=0.5,
     grid_size=150,
 )
@@ -28,7 +27,7 @@ report, rows = run_benchmark(
 )
 
 print(f"repetitions: {report['repetitions']}, alpha: {report['alpha']}, "
-      f"model: {report['model']}, tau: {report['tau_source']}\n")
+      f"model: {report['model']}\n")
 header = f"{'method':<10} {'coverage':>9} {'len mean':>9} {'len q50':>8} {'time/oracle':>12} {'fits/rep':>9}"
 print(header)
 print("-" * len(header))

@@ -53,7 +53,6 @@ from .stability import (
     tau_linear_exact,
     tau_regularized_lipschitz,
     tau_regularized_smooth,
-    tau_strongly_convex,
     tau_user_supplied,
 )
 

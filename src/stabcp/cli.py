@@ -22,7 +22,6 @@ from .harness import (
     METHOD_NAMES,
     MODEL_NAMES,
     ROW_FIELDS,
-    TAU_SOURCES,
     RunConfig,
     build_tau,
     permutation_source,
@@ -76,9 +75,6 @@ _model_opts = [  # value types follow the RunConfig defaults
     click.option("--solver-tol", default=_DEFAULTS.solver_tol, show_default=True),
     click.option("--max-iter", default=_DEFAULTS.max_iter, show_default=True),
     click.option("--alpha", default=_DEFAULTS.alpha, show_default=True),
-    click.option("--tau", "tau_source", type=click.Choice(TAU_SOURCES),
-                 default=_DEFAULTS.tau_source, show_default=True,
-                 help="Source of the stability bounds, both derived from the model."),
     click.option("--grid-size", default=_DEFAULTS.grid_size, show_default=True),
     click.option("--split-fraction", default=_DEFAULTS.split_fraction, show_default=True),
 ]
@@ -123,7 +119,7 @@ def cmd_gen(kind, n, p, noise, seed, out):
 @cli.command("predict")
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--target-column", default=None)
-@click.option("--sidecar", type=click.Path(), default=None)
+@click.option("--sidecar", type=click.Path(exists=True), default=None)
 @click.option("--method", type=click.Choice(METHOD_NAMES), default="stabcp", show_default=True)
 @click.option("--true-target", type=float, default=None,
               help="Held-out response (oracle method).")
@@ -218,7 +214,7 @@ def cmd_benchmark(data_path, target_column, kind, n, p, noise, methods, reps, se
 @cli.command("curve")
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--target-column", default=None)
-@click.option("--sidecar", type=click.Path(), default=None)
+@click.option("--sidecar", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True, help="CSV of the curves.")
 @_add_options(_model_opts)
 def cmd_curve(data_path, target_column, sidecar, out, **kw):

@@ -33,20 +33,30 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise InvalidInputError(f"unknown generator kind {self.kind!r}")
-        if int(self.n) < 2:
+        for name in ("n", "p", "seed"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        if self.n < 2:
             raise InvalidInputError("n must be at least 2")
-        if int(self.p) < 1:
+        if self.p < 1:
             raise InvalidInputError("p must be at least 1")
-        if self.kind == "friedman1" and int(self.p) < 5:
+        if self.kind == "friedman1" and self.p < 5:
             raise InvalidInputError("friedman1 needs p >= 5")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise InvalidInputError("noise_sd must be a finite nonnegative real")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "noise_sd", float(self.noise_sd))
-        object.__setattr__(self, "seed", int(self.seed))
+
+
+def _integral(value, name: str) -> int:
+    """``value`` as an int, refusing any value an int would change."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from exc
+    if as_int != value:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return as_int
 
 
 def gen_linear_gaussian(spec: GeneratorSpec) -> TabularDataset:
@@ -191,6 +201,8 @@ def dataset_from_rows(X, y, test_index: int, meta=None) -> TabularDataset:
     X = _as_finite_array(X, "X", 2)
     y = _as_finite_array(y, "y", 1)
     total = X.shape[0]
+    if y.shape[0] != total:
+        raise InvalidInputError(f"X has {total} rows but y has {y.shape[0]} entries")
     test_index = int(test_index)
     if not 0 <= test_index < total:
         raise InvalidInputError(f"test_index {test_index} out of range")

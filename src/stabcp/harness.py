@@ -27,7 +27,6 @@ from .core import ScoreFunction, TabularDataset, check_alpha, default_candidate_
 from .data import GeneratorSpec, dataset_from_rows, generate
 from .errors import DataError, InvalidInputError, NotFittedError, NumericalError
 from .models import LadRidgeModel, RidgeModel
-from .stability import tau_linear_exact
 
 METHOD_NAMES = ("stabcp", "splitcp", "oraclecp", "rootcp", "gridcp")
 MODEL_NAMES = ("ridge", "ladridge")
@@ -46,7 +45,8 @@ class RunConfig:
     """Method settings shared across benchmark repetitions; the CLI's defaults.
 
     The anchor is no setting: every single-fit set is anchored at
-    ``default_anchor``, inside the range its bound holds on.
+    ``default_anchor``, inside the range its bound holds on.  Nor is the
+    bound: each model builds its own in ``stability_bound``.
     """
 
     model: str = "ridge"
@@ -54,7 +54,7 @@ class RunConfig:
     solver_tol: float = 1e-8
     max_iter: int = 50_000
     alpha: float = 0.1
-    tau_source: str = "auto"
+    tau_source: str = "auto"  # not a setting: read by no bound, kept for perfbench
     grid_size: int = 200
     split_fraction: float = 0.5
     eps_r = _EPS_R  # not a field: the library's one bisection tolerance, read by perfbench
@@ -85,13 +85,12 @@ class RunConfig:
 
 
 def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
-    """Stability bounds per the configured source; returns (tau, aux_fit_count)."""
-    spec = config.model_spec()
-    z_range = dataset.target_range()
-    if config.tau_source == "auto":
-        return spec.stability_bound(dataset, score, z_range), 0
-    fitted = spec.fit(dataset, 0.0)  # linear-exact
-    return tau_linear_exact(fitted, dataset, z_range=z_range, gamma=score.gamma), 1
+    """The model's own stability bound over the target range, as ``(tau, 0)``.
+
+    The second value is a placeholder that no caller reads; the 2-tuple stays
+    because perfbench unpacks it.
+    """
+    return config.model_spec().stability_bound(dataset, score, dataset.target_range()), 0
 
 
 def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, object]:

@@ -18,9 +18,10 @@ Every model follows one protocol:
 - ``fit_observed(dataset)`` is ``fit_rows`` on the n observed rows, and may
   reuse the dataset's work as ``fit`` does; it only chooses the single-fit
   anchor, so an iterative model may stop it at a looser anchor tolerance;
-- ``stability_bound(dataset, score, z_range)`` returns the per-row
-  :class:`~stabcp.stability.StabilityBounds` the model's loss and penalty
-  give over the candidate range (LAD-ridge's holds on the whole line).
+- ``stability_bound(dataset, score, z_range)`` returns the model's one
+  per-row :class:`~stabcp.stability.StabilityBounds` over the candidate
+  range: ridge's is the exact affine bound, LAD-ridge's the Lipschitz-loss
+  bound, which holds on the whole line.
 
 All fitters treat the rows exchangeably: the objective is a sum over rows, so
 permuting the observed pairs leaves the fit unchanged (up to solver tolerance
@@ -43,9 +44,8 @@ from .errors import InvalidInputError, NotFittedError, NumericalError
 from .stability import (
     StabilityBounds,
     augmented_row_norms,
-    bound_loss_C,
+    tau_linear_exact,
     tau_regularized_lipschitz,
-    tau_regularized_smooth,
 )
 
 
@@ -194,13 +194,11 @@ class RidgeModel(LinearModel):
         return model
 
     def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
-        """The smooth-loss bound: the scaled squared loss is ``2/m``-smooth, the
-        penalty ``2*lambda_reg``-strongly convex, and ``bound_loss_C`` bounds
-        the optimal loss over ``z_range``."""
-        return tau_regularized_smooth(score.gamma, 2.0 / (dataset.n + 1),
-                                      bound_loss_C(dataset, z_range=z_range),
-                                      2.0 * self.lambda_reg, augmented_row_norms(dataset),
-                                      candidate_range=z_range)
+        """The exact affine bound ``gamma * |b_i| * W`` over ``z_range`` of width
+        ``W``: the predictions are affine in the candidate, so this is the worst
+        case, and ``row_b`` comes from the dataset's one augmented solve."""
+        return tau_linear_exact(self.fit(dataset, 0.0), dataset, z_range=z_range,
+                                gamma=score.gamma)
 
 
 class LadRidgeModel(LinearModel):

@@ -4,8 +4,9 @@ Each constructor returns a :class:`StabilityBounds` holding one bound per
 augmented row (the last entry belongs to the query point) together with its
 provenance.  The constructors take the regularity constants of a loss and a
 penalty as plain numbers; each model in :mod:`stabcp.models` picks its own
-recipe and constants in ``stability_bound`` (ridge: the smooth-loss bound,
-LAD-ridge: the Lipschitz-loss bound).
+bound in ``stability_bound`` (ridge: the exact affine bound, LAD-ridge: the
+Lipschitz-loss bound).  The smooth-loss recipe serves models of a smooth loss
+that is not affine in the candidate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .core import TabularDataset, _as_finite_array, _check_range
 from .errors import InvalidInputError
 
 PROVENANCES = (
-    "strongly-convex-loss",
     "regularized-lipschitz",
     "regularized-smooth",
     "linear-exact",
@@ -85,24 +85,6 @@ def _check_row_norms(row_norms) -> np.ndarray:
     if np.any(norms < 0):
         raise InvalidInputError("row norms must be nonnegative")
     return norms
-
-
-def tau_strongly_convex(gamma: float, rho: float, lambda_sc: float, n: int,
-                        candidate_range=None) -> StabilityBounds:
-    """Uniform bound ``2*gamma*rho/lambda_sc`` from a strongly convex objective.
-
-    Applies when the fit minimizes a ``lambda_sc``-strongly-convex,
-    ``rho``-Lipschitz function of the prediction vector and the score is
-    ``gamma``-Lipschitz in the prediction.
-    """
-    gamma = _check_nonnegative(gamma, "gamma")
-    rho = _check_nonnegative(rho, "rho")
-    lambda_sc = _check_positive(lambda_sc, "lambda_sc")
-    if int(n) < 1:
-        raise InvalidInputError("n must be at least 1")
-    value = 2.0 * gamma * rho / lambda_sc
-    return StabilityBounds(np.full(int(n) + 1, value), "strongly-convex-loss",
-                           candidate_range=candidate_range)
 
 
 def tau_regularized_lipschitz(gamma: float, rho: float, lambda_sc: float,

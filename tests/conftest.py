@@ -32,22 +32,3 @@ def tiny_dataset():
         test_point=np.array([0.5, 0.5]),
         test_target=0.3,
     )
-
-
-class ClipModel:
-    """Per-coordinate prox fit: predictions clip each response into a box.
-
-    Minimizes ``||y - u||_1 / m + (lam_pred / 2) * ||u||^2`` over the
-    prediction vector directly, i.e. a strongly convex regularizer in
-    prediction space with a 1/sqrt(m)-Lipschitz loss.  Row predictions only
-    depend on that row's response, so the fit is exchangeable by construction.
-    """
-
-    def __init__(self, lam_pred=0.05):
-        self.lam_pred = lam_pred
-
-    def fit(self, dataset, candidate):
-        model = ClipModel(self.lam_pred)
-        bound = 1.0 / ((dataset.n + 1) * self.lam_pred)
-        model.row_predictions = np.clip(dataset.augmented_targets(candidate), -bound, bound)
-        return model

@@ -21,6 +21,8 @@ from stabcp import (
     ScoreFunction,
     TabularDataset,
     anchor_bounds,
+    augmented_row_norms,
+    bound_loss_C,
     conformity_scores,
     default_anchor,
     default_candidate_grid,
@@ -33,12 +35,10 @@ from stabcp import (
     split_cp,
     stab_cp_interval,
     tau_linear_exact,
-    tau_strongly_convex,
+    tau_regularized_smooth,
     tau_user_supplied,
 )
 from stabcp.harness import RunConfig, run_benchmark, run_method, synthetic_source
-
-from conftest import ClipModel
 
 ABS = ScoreFunction.absolute_residual()
 
@@ -55,8 +55,7 @@ def test_criterion_01_coverage_at_scale():
     started = time.perf_counter()
     reps, alpha = 200, 0.1
     bar = (1 - alpha) - 3 * math.sqrt(alpha * (1 - alpha) / reps)
-    config = RunConfig(model="ridge", lambda_reg=0.5, alpha=alpha,
-                       tau_source="linear-exact", split_fraction=0.5)
+    config = RunConfig(model="ridge", lambda_reg=0.5, alpha=alpha, split_fraction=0.5)
     source = synthetic_source(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 0))
     report, _ = run_benchmark(source, ["stabcp", "splitcp"], reps, seed=2024,
                               config=config)
@@ -206,27 +205,24 @@ def test_criterion_07_stability_bounds_sound_everywhere():
     tau = spec.stability_bound(ds, ABS, ds.target_range())
     check("regularized-lipschitz/ladridge", ds, spec, tau)
 
-    # smooth-loss bound with ridge
+    # smooth-loss recipe with ridge: the squared loss scaled by 1/m is
+    # 2/m-smooth and the penalty 2*lambda-strongly convex
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 3, 1.0, 12))
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    z_range = ds.target_range()
+    tau = tau_regularized_smooth(ABS.gamma, 2.0 / (ds.n + 1), bound_loss_C(ds, z_range=z_range),
+                                 2.0 * spec.lambda_reg, augmented_row_norms(ds),
+                                 candidate_range=z_range)
     check("regularized-smooth/ridge", ds, spec, tau)
 
-    # exact affine bound with ridge
+    # exact affine bound, ridge's own
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, 13))
     spec = RidgeModel(0.5)
-    tau = tau_linear_exact(spec.fit(ds, 0.0), ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     check("linear-exact/ridge", ds, spec, tau)
 
-    # strongly-convex prediction-space model (per-row clip fit)
-    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 30, 4, 1.0, 14))
-    clip_spec = ClipModel(lam_pred=0.05)
-    m = ds.n + 1
-    tau = tau_strongly_convex(ABS.gamma, 1.0 / math.sqrt(m), clip_spec.lam_pred, ds.n)
-    check("strongly-convex-loss/clip", ds, clip_spec, tau)
-
     ok = not violations
-    _line(7, ok, f"4 provenance/model pairs, violations: {violations or 'none'}")
+    _line(7, ok, f"3 provenance/model pairs, violations: {violations or 'none'}")
 
 
 def test_criterion_08_rank_subuniformity_monte_carlo():
@@ -246,8 +242,7 @@ def test_criterion_08_rank_subuniformity_monte_carlo():
 
 def test_criterion_10_fit_counters_and_timing():
     eps_r, grid_size = 1e-4, 200
-    config = RunConfig(model="ladridge", lambda_reg=0.5, alpha=0.1,
-                       tau_source="auto", grid_size=grid_size)
+    config = RunConfig(model="ladridge", lambda_reg=0.5, alpha=0.1, grid_size=grid_size)
     counters_ok = contains_ok = True
     stab_times, grid_times = [], []
     root_detail = ""
@@ -285,7 +280,7 @@ def test_criterion_11_every_method_covers_at_a_non_integer_level():
     # the bar is 1 - alpha - 3 SE over the draws each coverage counts.
     reps, alpha = 1000, 0.1
     methods = ["stabcp", "oraclecp", "splitcp", "rootcp"]
-    config = RunConfig(alpha=alpha, tau_source="linear-exact")
+    config = RunConfig(alpha=alpha)
     source = synthetic_source(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 0))
     report, rows = run_benchmark(source, methods, reps, seed=0, config=config)
     ok, parts = True, []

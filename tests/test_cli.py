@@ -67,7 +67,7 @@ def test_gen_friedman_needs_five_features(tmp_path, capsys):
     assert code == 1
     assert "usage error" in err and "p >= 5" in err
     code, _, err = run_cli(capsys, "benchmark", "--kind", "friedman1", "--n", "20", "--p", "4",
-                           "--reps", "2", "--methods", "stabcp", "--tau", "linear-exact")
+                           "--reps", "2", "--methods", "stabcp")
     assert code == 1
     assert "usage error" in err and "p >= 5" in err
 
@@ -108,8 +108,7 @@ def test_out_of_range_numbers_are_usage_errors(generated, tmp_path, capsys, case
 
 def test_predict_stabcp_single_fit(generated, capsys):
     code, out, _ = run_cli(capsys, "predict", "--data", str(generated),
-                           "--method", "stabcp", "--tau", "linear-exact",
-                           "--alpha", "0.1")
+                           "--method", "stabcp", "--alpha", "0.1")
     assert code == 0
     payload = json.loads(out)
     assert payload["schema"] == "stabcp/predict/1"
@@ -135,7 +134,7 @@ def test_predict_grid_and_root_agree(generated, capsys):
 
 def test_predict_stabcp_contains_gridcp(generated, capsys):
     _, stab_out, _ = run_cli(capsys, "predict", "--data", str(generated),
-                             "--method", "stabcp", "--tau", "linear-exact")
+                             "--method", "stabcp")
     _, grid_out, _ = run_cli(capsys, "predict", "--data", str(generated),
                              "--method", "gridcp")
     (slo, shi), = json.loads(stab_out)["intervals"]
@@ -165,7 +164,7 @@ def test_predict_reports_tau_coverage_safe(generated, capsys):
     # the anchor always lies in the bound's range: the flag reads only the
     # certificate of the envelope fit, which five ADMM iterations leave unmet
     cases = [(("--model", "ladridge", "--max-iter", "5", "--solver-tol", "1e-12"), False),
-             (("--tau", "linear-exact"), True),
+             ((), True),
              (("--method", "oraclecp"), None)]
     for flags, expected in cases:
         code, out, err = run_cli(capsys, "predict", "--data", str(generated), *flags)
@@ -174,14 +173,13 @@ def test_predict_reports_tau_coverage_safe(generated, capsys):
 
 
 def test_predict_reports_the_fit_certificate(generated, capsys):
-    code, out, err = run_cli(capsys, "predict", "--data", str(generated), "--method", "stabcp",
-                             "--tau", "linear-exact")
+    code, out, err = run_cli(capsys, "predict", "--data", str(generated), "--method", "stabcp")
     assert code == 0, err
     ridge = json.loads(out)
     assert ridge["iterations"] is None and ridge["duality_gap"] is None
     assert ridge["converged"] is None
     lad_flags = ("predict", "--data", str(generated), "--method", "stabcp",
-                 "--model", "ladridge", "--tau", "auto")
+                 "--model", "ladridge")
     code, out, err = run_cli(capsys, *lad_flags)
     assert code == 0, err
     lad = json.loads(out)
@@ -201,7 +199,7 @@ def test_predict_rootcp_reports_the_refits_certificate(generated, capsys):
     ridge = json.loads(out)
     assert [ridge[k] for k in ("iterations", "duality_gap", "converged")] == [None, None, None]
     code, out, err = run_cli(capsys, "predict", "--data", str(generated), "--method", "rootcp",
-                             "--model", "ladridge", "--tau", "auto")
+                             "--model", "ladridge")
     assert code == 0, err
     lad = json.loads(out)
     # summed over every refit, so at least ten ADMM iterations per refit
@@ -249,7 +247,7 @@ def test_stabcp_lad_certificate_covers_the_anchor_fit():
 def test_default_stabcp_is_anchored_where_its_bound_holds(seed, tau_source):
     # the observed fit predicts outside the target range on these draws; the
     # anchor is clipped into it, so the set is coverage-safe and holds the
-    # exact set
+    # exact set, whichever tau_source value the config carries
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 10, 1.0, seed))
     config = RunConfig(tau_source=tau_source)
     lo, hi = ds.target_range()
@@ -271,7 +269,8 @@ def test_run_config_eps_r_defaults_to_the_library_tolerance():
 
 
 # settings that no dataset can turn into a bound or a set, out-of-range
-# numbers included: (RunConfig fields, CLI flags)
+# numbers included: (RunConfig fields, CLI flags); the CLI has no --tau, so
+# there the flag itself is refused
 UNBUILDABLE_TAU = {
     "linear-exact-on-lad": (dict(model="ladridge", tau_source="linear-exact"),
                             ("--model", "ladridge", "--tau", "linear-exact")),
@@ -302,8 +301,10 @@ def test_no_heuristic_bound_and_no_second_tolerance(generated, capsys):
     # _EPS_R: no heuristic or file bound and no second tolerance, as an option
     # or as a RunConfig field
     # no anchor setting either: the anchor is derived from the data
+    # nor a bound setting: each model builds its own
     for flags in (("--allow-unsafe-tau",), ("--eps-r", "1e-4"), ("--tau", "sgd-heuristic"),
-                  ("--tau", "file"), ("--tau-file", "x.csv"), ("--anchor", "0")):
+                  ("--tau", "file"), ("--tau-file", "x.csv"), ("--anchor", "0"),
+                  ("--tau", "auto"), ("--tau", "linear-exact")):
         code, out, err = run_cli(capsys, "predict", "--data", str(generated), *flags)
         assert (code, out) == (1, ""), err
         assert "usage error" in err
@@ -313,31 +314,36 @@ def test_no_heuristic_bound_and_no_second_tolerance(generated, capsys):
             RunConfig(**fields)
 
 
-# the provenance of the bound each (model, tau source) pair that RunConfig
-# accepts builds; linear-exact on ladridge is refused (UNBUILDABLE_TAU)
-DERIVED_BOUNDS = {
-    ("ridge", "auto"): "regularized-smooth",
-    ("ridge", "linear-exact"): "linear-exact",
-    ("ladridge", "auto"): "regularized-lipschitz",
-}
+# the provenance of each model's own bound
+OWN_BOUNDS = {"ridge": "linear-exact", "ladridge": "regularized-lipschitz"}
+# every (model, tau_source) pair RunConfig accepts; the field stays only for
+# callers that still pass it, and no value of it changes the bound
+ACCEPTED_PAIRS = [("ladridge", "auto"), ("ridge", "auto"), ("ridge", "linear-exact")]
 
 
-@pytest.mark.parametrize("pair", sorted(DERIVED_BOUNDS), ids="-".join)
+@pytest.mark.parametrize("pair", ACCEPTED_PAIRS, ids="-".join)
 def test_every_configurable_bound_is_derived_and_holds(pair):
     assert set(itertools.product(MODEL_NAMES, TAU_SOURCES)) \
-        == set(DERIVED_BOUNDS) | {("ladridge", "linear-exact")}
+        == set(ACCEPTED_PAIRS) | {("ladridge", "linear-exact")}
     model, tau_source = pair
     config = RunConfig(model=model, tau_source=tau_source)
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 25, 4, 1.0, seed=5))
     score = ScoreFunction.absolute_residual()
     tau, _ = build_tau(config, ds, score)
-    assert tau.provenance == DERIVED_BOUNDS[pair]  # never "user-supplied"
+    assert tau.provenance == OWN_BOUNDS[model]  # never "user-supplied"
+    own = config.model_spec().stability_bound(ds, score, ds.target_range())
+    assert tau.provenance == own.provenance and np.array_equal(tau.tau, own.tau)
     # the bound covers the deviation between any two candidates of its range
     spec = config.model_spec()
     preds = np.array([spec.fit(ds, z).row_predictions
                       for z in np.linspace(*ds.target_range(), 50)])
     spread = score.gamma * (preds.max(axis=0) - preds.min(axis=0))
     assert np.all(spread <= tau.tau + 1e-8), float(np.max(spread - tau.tau))
+
+
+def test_run_config_refuses_an_unknown_tau_source():
+    with pytest.raises(InvalidInputError):
+        RunConfig(tau_source="sgd-heuristic")
 
 
 def test_predict_reports_data_that_is_not_utf8_as_a_data_error(generated, capsys):
@@ -353,6 +359,18 @@ def test_predict_reports_a_malformed_sidecar_as_a_data_error(generated, capsys):
     code, out, err = run_cli(capsys, "predict", "--data", str(generated))
     assert (code, out) == (2, ""), err
     assert "data error" in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "curve"])
+def test_a_missing_sidecar_is_a_usage_error(generated, tmp_path, capsys, command):
+    # an explicit --sidecar that does not exist is refused, not skipped with
+    # the held-out target dropped
+    missing = tmp_path / "nope.json"
+    extra = ("--method", "oraclecp") if command == "predict" else ("--out", str(tmp_path / "c.csv"))
+    code, out, err = run_cli(capsys, command, "--data", str(generated),
+                             "--sidecar", str(missing), *extra)
+    assert (code, out) == (1, ""), err
+    assert "usage error" in err and "nope.json" in err and "does not exist" in err
 
 
 def test_predict_unknown_method_is_usage_error(generated, capsys):
@@ -376,7 +394,6 @@ def test_benchmark_report_schema_and_normalization(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "benchmark", "--n", "40", "--p", "4",
                          "--methods", "stabcp,splitcp,gridcp", "--reps", "3",
                          "--seed", "1", "--grid-size", "25",
-                         "--tau", "linear-exact",
                          "--out-json", str(out_json), "--out-csv", str(out_csv))
     assert code == 0
     report = json.loads(out_json.read_text(encoding="utf-8"))
@@ -396,8 +413,7 @@ def test_benchmark_from_csv_permutes_rows(generated, tmp_path, capsys):
     out_json = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "benchmark", "--data", str(generated),
                          "--methods", "stabcp,splitcp", "--reps", "4",
-                         "--seed", "3", "--tau", "linear-exact",
-                         "--out-json", str(out_json))
+                         "--seed", "3", "--out-json", str(out_json))
     assert code == 0
     report = json.loads(out_json.read_text(encoding="utf-8"))
     assert report["source"]["mode"] == "permutation"
@@ -421,7 +437,7 @@ def test_benchmark_rejects_generator_options_with_data(generated, capsys, flags)
 @pytest.mark.parametrize("methods", ["magic", ",", "stabcp,magic"])
 def test_benchmark_rejects_bad_method_list(capsys, methods):
     code, out, err = run_cli(capsys, "benchmark", "--n", "20", "--p", "3", "--reps", "2",
-                             "--methods", methods, "--tau", "linear-exact")
+                             "--methods", methods)
     assert (code, out) == (1, ""), err
     assert "usage error" in err
 
@@ -481,7 +497,7 @@ def test_benchmark_flags_sets_from_uncertified_refits():
 
 
 def test_benchmark_is_deterministic(capsys):
-    config = RunConfig(model="ridge", tau_source="linear-exact", alpha=0.1)
+    config = RunConfig(model="ridge", alpha=0.1)
     source = synthetic_source(GeneratorSpec("linear-gaussian", 25, 3, 1.0, 0))
     r1, rows1 = run_benchmark(source, ["stabcp"], 4, seed=9, config=config)
     r2, rows2 = run_benchmark(source, ["stabcp"], 4, seed=9, config=config)
@@ -509,7 +525,7 @@ def test_benchmark_times_each_method_on_an_empty_memo(monkeypatch):
 
     oracle_cp = harness.oracle_cp
     monkeypatch.setattr(harness, "oracle_cp", recording_oracle)
-    config = RunConfig(model="ridge", tau_source="linear-exact", alpha=0.1)
+    config = RunConfig(model="ridge", alpha=0.1)
     source = synthetic_source(GeneratorSpec("linear-gaussian", 25, 3, 1.0, 0))
     report, _ = run_benchmark(source, ["stabcp", "gridcp"], 2, seed=3, config=config)
     assert memo_sizes == [0, 0]
@@ -518,7 +534,7 @@ def test_benchmark_times_each_method_on_an_empty_memo(monkeypatch):
 
 def test_benchmark_records_method_failures(capsys):
     # the oracle cannot run when the source strips the true target
-    config = RunConfig(model="ridge", tau_source="linear-exact", alpha=0.1)
+    config = RunConfig(model="ridge", alpha=0.1)
 
     def source(seed):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 3, 1.0, int(seed) % 2**31))
@@ -550,7 +566,7 @@ def test_benchmark_lets_a_programming_error_out(monkeypatch):
 def test_curve_rows_are_sandwiched(generated, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code, stdout, _ = run_cli(capsys, "curve", "--data", str(generated),
-                              "--tau", "linear-exact", "--grid-size", "60",
+                              "--grid-size", "60",
                               "--out", str(out))
     assert code == 0
     summary = json.loads(stdout)
@@ -576,7 +592,6 @@ def test_curve_qualitative_sandwich_on_benchmark_config(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code, stdout, _ = run_cli(capsys, "curve", "--data", str(data),
                               "--model", "ladridge", "--lambda-reg", "0.5",
-                              "--tau", "auto",
                               "--grid-size", "80", "--out", str(out))
     assert code == 0
     rows = list(csv.DictReader(open(out, encoding="utf-8")))

@@ -87,6 +87,21 @@ def test_generator_spec_validation():
         GeneratorSpec("linear-gaussian", 10, 3, seed=-1)
 
 
+@pytest.mark.parametrize("n, p, seed", [(2.7, 3, 0), (10, 3.9, 0), (10, 3, 0.5),
+                                        (float("nan"), 3, 0), ("10", 3, 0)],
+                         ids=["n-2.7", "p-3.9", "seed-0.5", "n-nan", "n-text"])
+def test_generator_spec_refuses_non_integral_sizes(n, p, seed):
+    # a size or seed that int() would change is refused, not truncated
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        GeneratorSpec("linear-gaussian", n, p, 1.0, seed)
+
+
+def test_generator_spec_takes_integral_values_of_any_type():
+    spec = GeneratorSpec("linear-gaussian", 10.0, np.int64(3), 1.0, np.float64(4.0))
+    assert (spec.n, spec.p, spec.seed) == (10, 3, 4)
+    assert all(type(v) is int for v in (spec.n, spec.p, spec.seed))
+
+
 # --------------------------------------------------------------------- csv
 
 def test_read_csv_columns_by_name(tmp_path):
@@ -151,6 +166,11 @@ def test_load_csv_holds_out_requested_row(tmp_path):
     assert ds.test_point.tolist() == [3.0]
     assert ds.test_target == 4.0
     assert ds.targets.tolist() == [2.0, 6.0, 8.0]
+
+
+def test_dataset_from_rows_refuses_mismatched_row_counts():
+    with pytest.raises(InvalidInputError, match="5 rows but y has 4"):
+        dataset_from_rows(np.ones((5, 2)), np.ones(4), 0)
 
 
 # ---------------------------------------------------------- target scaling

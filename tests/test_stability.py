@@ -21,7 +21,6 @@ from stabcp import (
     tau_linear_exact,
     tau_regularized_lipschitz,
     tau_regularized_smooth,
-    tau_strongly_convex,
 )
 
 ABS = ScoreFunction.absolute_residual()
@@ -36,30 +35,6 @@ def test_bounds_reject_negative_and_nan():
         StabilityBounds(np.array([0.1, np.nan]), "user-supplied")
     with pytest.raises(InvalidInputError):
         StabilityBounds(np.array([0.1, 0.2]), "nonsense")
-
-
-# ------------------------------------------------- strongly convex bound
-
-def test_strongly_convex_arithmetic():
-    bounds = tau_strongly_convex(gamma=1.0, rho=0.5, lambda_sc=1.0, n=4)
-    assert np.allclose(bounds.tau, 1.0)
-    assert bounds.tau.size == 5
-    assert bounds.provenance == "strongly-convex-loss"
-
-
-def test_strongly_convex_zero_gamma_zero_bound():
-    assert np.allclose(tau_strongly_convex(0.0, 3.0, 2.0, 3).tau, 0.0)
-
-
-def test_strongly_convex_halves_when_lambda_doubles():
-    a = tau_strongly_convex(1.0, 1.0, 1.0, 3).tau
-    b = tau_strongly_convex(1.0, 1.0, 2.0, 3).tau
-    assert np.allclose(a, 2 * b)
-
-
-def test_strongly_convex_rejects_nonpositive_lambda():
-    with pytest.raises(InvalidInputError):
-        tau_strongly_convex(1.0, 1.0, 0.0, 3)
 
 
 # -------------------------------------------- regularized lipschitz bound
@@ -132,10 +107,7 @@ def test_ridge_deviations_within_smooth_bound():
     C = bound_loss_C(ds, z_range=z_range)
     bounds = tau_regularized_smooth(ABS.gamma, 2.0 / m, C, 2.0 * lam,
                                     augmented_row_norms(ds), candidate_range=z_range)
-    # the model's own bound is this one, bit for bit
-    own = spec.stability_bound(ds, ABS, z_range)
-    assert own.provenance == "regularized-smooth" and own.candidate_range == z_range
-    assert np.array_equal(own.tau, bounds.tau)
+    assert bounds.provenance == "regularized-smooth" and bounds.candidate_range == z_range
     # exact deviations via the affine-in-candidate decomposition
     fitted = spec.fit(ds, 0.0)
     exact_dev = np.abs(fitted.row_b) * (z_range[1] - z_range[0])
@@ -219,10 +191,11 @@ def test_linear_exact_requires_affine_decomposition(small_dataset):
     bump=st.floats(0.0, 2.0),
 )
 def test_bounds_monotone_in_constants(gamma, rho, lam, bump):
-    base = tau_strongly_convex(gamma, rho, lam, 3).tau
-    assert np.all(tau_strongly_convex(gamma + bump, rho, lam, 3).tau >= base)
-    assert np.all(tau_strongly_convex(gamma, rho + bump, lam, 3).tau >= base)
-    assert np.all(tau_strongly_convex(gamma, rho, lam + bump, 3).tau <= base)
+    norms = np.ones(4)
+    base = tau_regularized_lipschitz(gamma, rho, lam, norms).tau
+    assert np.all(tau_regularized_lipschitz(gamma + bump, rho, lam, norms).tau >= base)
+    assert np.all(tau_regularized_lipschitz(gamma, rho + bump, lam, norms).tau >= base)
+    assert np.all(tau_regularized_lipschitz(gamma, rho, lam + bump, norms).tau <= base)
 
 
 def test_smooth_bound_monotone_in_nu_C_norms():
@@ -254,4 +227,9 @@ def test_tau_auto_dispatches_by_model(small_dataset):
     lad_bounds = LadRidgeModel(0.5).stability_bound(small_dataset, ABS, z_range)
     assert lad_bounds.provenance == "regularized-lipschitz"
     ridge_bounds = RidgeModel(0.5).stability_bound(small_dataset, ABS, z_range)
-    assert ridge_bounds.provenance == "regularized-smooth"
+    assert ridge_bounds.provenance == "linear-exact"
+    # ridge's own bound is the exact affine one, bit for bit
+    fitted = RidgeModel(0.5).fit(small_dataset, 0.0)
+    exact = tau_linear_exact(fitted, small_dataset, z_range=z_range, gamma=ABS.gamma)
+    assert np.array_equal(ridge_bounds.tau, exact.tau)
+    assert ridge_bounds.candidate_range == exact.candidate_range == z_range
