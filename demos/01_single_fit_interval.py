@@ -34,7 +34,7 @@ model = RidgeModel(lambda_reg=0.5)
 
 # The anchor is just a guess for the unknown response; any value is valid.
 anchor = default_anchor(dataset, model)
-print(f"anchor (fit on the observed rows, prediction at the query point): {anchor:+.3f}")
+print(f"anchor (self-consistent query prediction a_q / (1 - b_q)): {anchor:+.3f}")
 
 # Exact per-row stability bounds: ridge predictions are affine in the
 # candidate, so the worst-case score movement over the candidate range is

@@ -41,18 +41,32 @@ def _sidecar_path(data_path: str) -> str:
     return data_path + ".json"
 
 
+_SIDECAR_SCHEMA = "stabcp/dataset/1"
+
+
 def _load_dataset(data_path: str, target_column, sidecar, trust_holdout: bool = False):
     """Load a CSV; the held-out row's response is only kept as the true
-    target in harness mode or when a generator sidecar vouches for it."""
+    target in harness mode or when a generator sidecar vouches for it.
+
+    A sidecar vouches only if its schema is ``stabcp/dataset/1`` and its
+    ``test_target`` equals the CSV's last-row response (``gen`` writes both
+    with ``repr``, so they match exactly); any other sidecar is a data error.
+    """
     dataset = load_csv(data_path, target_column=target_column)
     sidecar_path = sidecar or _sidecar_path(data_path)
     has_sidecar = os.path.exists(sidecar_path)
     if has_sidecar:
         with open(sidecar_path, encoding="utf-8") as fh:
             try:
-                dataset.meta["sidecar"] = json.load(fh)
+                meta = json.load(fh)
             except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
                 raise DataError(f"{sidecar_path}: not valid JSON: {exc}") from exc
+        if not (isinstance(meta, dict) and meta.get("schema") == _SIDECAR_SCHEMA):
+            raise DataError(f"{sidecar_path}: not a {_SIDECAR_SCHEMA} sidecar")
+        if meta.get("test_target") != dataset.test_target:
+            raise DataError(f"{sidecar_path}: test_target {meta.get('test_target')!r} is not "
+                            f"the held-out response {dataset.test_target!r} of {data_path}")
+        dataset.meta["sidecar"] = meta
     if not (trust_holdout or has_sidecar):
         dataset = dataclasses.replace(dataset, test_target=None)
     return dataset
@@ -106,7 +120,7 @@ def cmd_gen(kind, n, p, noise, seed, out):
     dataset = generate(_usage_checked(GeneratorSpec, kind, n, p, noise, seed))
     save_csv(dataset, out)
     sidecar = {
-        "schema": "stabcp/dataset/1",
+        "schema": _SIDECAR_SCHEMA,
         "kind": kind, "n": n, "p": p, "noise_sd": noise, "seed": seed,
         "target_column": "y", "holdout_row": "last",
         "test_target": dataset.test_target,

@@ -539,15 +539,17 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
 
 
 def _anchor(dataset: TabularDataset, model_spec) -> tuple[float, object]:
-    """The query prediction of ``model_spec.fit_observed``, clipped into
-    ``dataset.target_range()`` (where every model-derived bound holds), and
-    that fit.  An iterative model may stop the fit at a looser tolerance: the
-    set is sound for any anchor inside the bound's range."""
-    fitted = model_spec.fit_observed(dataset)
+    """``model_spec.anchor``'s raw anchor clipped into ``dataset.target_range()``
+    (where every model-derived bound holds), and the fit spent choosing it
+    (None if none).  A non-finite raw anchor becomes the range's midpoint:
+    the set is sound for any anchor inside the bound's range."""
+    raw, fitted = model_spec.anchor(dataset)
     lo, hi = dataset.target_range()
-    return min(max(float(fitted.predict(dataset.test_point)), lo), hi), fitted
+    if not math.isfinite(raw):
+        return 0.5 * (lo + hi), fitted
+    return min(max(raw, lo), hi), fitted
 
 
 def default_anchor(dataset: TabularDataset, model_spec) -> float:
-    """The single-fit anchor: the observed fit's query prediction, clipped (``_anchor``)."""
+    """The single-fit anchor: the model's raw anchor, clipped (``_anchor``)."""
     return _anchor(dataset, model_spec)[0]

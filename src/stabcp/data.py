@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,10 @@ class GeneratorSpec:
             raise InvalidInputError("p must be at least 1")
         if self.kind == "friedman1" and self.p < 5:
             raise InvalidInputError("friedman1 needs p >= 5")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
-            raise InvalidInputError("noise_sd must be a finite nonnegative real")
+        if not (isinstance(self.noise_sd, numbers.Real) and math.isfinite(self.noise_sd)
+                and self.noise_sd >= 0):
+            raise InvalidInputError(
+                f"noise_sd must be a finite nonnegative real, got {self.noise_sd!r}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "noise_sd", float(self.noise_sd))

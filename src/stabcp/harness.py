@@ -94,7 +94,8 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
 
 
 def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, object]:
-    """``default_anchor`` of the configured model and the fit spent choosing it."""
+    """``default_anchor`` of the configured model and the fit spent choosing it
+    (None for a model that fits nothing to choose it, such as ridge)."""
     return _anchor(dataset, config.model_spec())
 
 

@@ -15,9 +15,13 @@ Every model follows one protocol:
   refit to the next as ``start`` (only the iterative model uses it: the
   start sets where its solver begins and, when it was fitted on the very
   same read-only ``X``, lends the work that depends on ``X`` alone);
-- ``fit_observed(dataset)`` is ``fit_rows`` on the n observed rows, and may
-  reuse the dataset's work as ``fit`` does; it only chooses the single-fit
-  anchor, so an iterative model may stop it at a looser anchor tolerance;
+- ``anchor(dataset)`` returns ``(raw_anchor, fit_or_None)``: the model's
+  guess of the query response, from which ``conformal.default_anchor``
+  clips the single-fit anchor, and the fit spent choosing it.  Ridge's is
+  the self-consistent query prediction ``a_q / (1 - b_q)`` of its augmented
+  solve, so it makes no solve of its own and returns no fit; LAD-ridge fits
+  the observed rows, stopped at a looser anchor tolerance, since any anchor
+  inside the bound's range gives a sound set;
 - ``stability_bound(dataset, score, z_range)`` returns the model's one
   per-row :class:`~stabcp.stability.StabilityBounds` over the candidate
   range: ridge's is the exact affine bound, LAD-ridge's the Lipschitz-loss
@@ -49,13 +53,14 @@ from .stability import (
 )
 
 
-# Relative duality gap at which ``LadRidgeModel.fit_observed`` stops.  The
+# Relative duality gap at which ``LadRidgeModel.anchor``'s fit stops.  The
 # anchor is a free choice (a single-fit set is sound for any anchor inside the
 # bound's range; the LAD bound's is the whole line), so its fit need not be
 # exact.  The objective is 2*lambda-strongly convex, so a gap g keeps the
 # coefficients within sqrt(g/lambda) of the minimizer and the anchor within
 # ||x_query|| * sqrt(g/lambda) of the exact one.  Scaling by mean|y|, the
-# objective at beta = 0, makes the rule scale-free.
+# objective at beta = 0, makes the rule scale-free.  Ridge's anchor needs no
+# such rule: it is read off the augmented solve, with no fit of its own.
 _ANCHOR_GAP = 1e-2
 
 
@@ -101,10 +106,6 @@ class LinearModel:
 
     Subclasses set ``coefficients``; None means the model is not fitted yet.
     """
-
-    def fit_observed(self, dataset: TabularDataset) -> "LinearModel":
-        """Fit on the n observed rows (the query row left out)."""
-        return self.fit_rows(dataset.features, dataset.targets)
 
     def predict(self, x) -> float:
         if self.coefficients is None:
@@ -182,16 +183,20 @@ class RidgeModel(LinearModel):
         model.row_b = b
         return model
 
-    def fit_observed(self, dataset: TabularDataset) -> "RidgeModel":
-        """Fit on the observed rows from the dataset's Gram matrix.
+    def anchor(self, dataset: TabularDataset) -> tuple[float, None]:
+        """The query prediction ``a_q / (1 - b_q)`` that the augmented fit
+        reproduces at its own candidate, from the dataset's one augmented
+        solve; no solve of its own, so no fit to return.
 
-        Solved on each call and never by ``fit``: with ``lambda_reg = 0`` this
-        system may be singular while the augmented one of ``fit`` is not.
+        At that candidate the augmented normal equations reduce to the
+        observed rows' ones, so this is the observed-rows ridge prediction at
+        penalty ``(n+1) * lambda_reg / n``.  Where the observed rows leave the
+        query direction unpenalized (``b_q = 1``) the quotient is not finite,
+        and ``conformal.default_anchor`` takes the range's midpoint instead.
         """
-        gram, xty = _observed_gram(dataset)
-        model = RidgeModel(self.lambda_reg)
-        model.coefficients = _solve_normal_equations(gram, xty, dataset.n, self.lambda_reg)
-        return model
+        _, _, a, b = self._affine(dataset)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(a[-1] / (1.0 - b[-1])), None
 
     def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
         """The exact affine bound ``gamma * |b_i| * W`` over ``z_range`` of width
@@ -386,13 +391,14 @@ class LadRidgeModel(LinearModel):
         model._design = None if X.flags.writeable else design
         return model
 
-    def fit_observed(self, dataset: TabularDataset) -> "LadRidgeModel":
-        """Fit on the observed rows to the anchor tolerance
-        ``max(solver_tol, _ANCHOR_GAP * mean|y|)``, against which its
-        ``converged`` is judged."""
+    def anchor(self, dataset: TabularDataset) -> tuple[float, "LadRidgeModel"]:
+        """The query prediction of a fit on the observed rows, and that fit,
+        stopped at the anchor tolerance ``max(solver_tol, _ANCHOR_GAP * mean|y|)``
+        against which its ``converged`` is judged."""
         anchor_tol = max(self.solver_tol, _ANCHOR_GAP * float(np.mean(np.abs(dataset.targets))))
         spec = LadRidgeModel(self.lambda_reg, anchor_tol, self.max_iter)
-        return spec.fit_rows(dataset.features, dataset.targets)
+        fitted = spec.fit_rows(dataset.features, dataset.targets)
+        return fitted.predict(dataset.test_point), fitted
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "LadRidgeModel":
         X = dataset.augmented_design()
@@ -431,6 +437,10 @@ class PretrainedLinearModel(LinearModel):
 
     def fit_rows(self, X, y, start=None) -> "PretrainedLinearModel":
         return self
+
+    def anchor(self, dataset: TabularDataset) -> tuple[float, None]:
+        """Its own query prediction; nothing is fitted."""
+        return self.predict(dataset.test_point), None
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "PretrainedLinearModel":
         model = PretrainedLinearModel(self.coefficients)

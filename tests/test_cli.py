@@ -20,7 +20,7 @@ from stabcp.harness import (
     run_method,
     synthetic_source,
 )
-from stabcp import GeneratorSpec, ScoreFunction, gen_linear_gaussian, stab_cp_interval
+from stabcp import GeneratorSpec, RidgeModel, ScoreFunction, gen_linear_gaussian, stab_cp_interval
 
 
 def run_cli(capsys, *args):
@@ -245,13 +245,16 @@ def test_stabcp_lad_certificate_covers_the_anchor_fit():
 @pytest.mark.parametrize("tau_source", TAU_SOURCES)
 @pytest.mark.parametrize("seed", [7, 308, 332])
 def test_default_stabcp_is_anchored_where_its_bound_holds(seed, tau_source):
-    # the observed fit predicts outside the target range on these draws; the
-    # anchor is clipped into it, so the set is coverage-safe and holds the
-    # exact set, whichever tau_source value the config carries
+    # ridge's raw anchor, the observed-rows fit at (n+1)/n the penalty,
+    # predicts outside the target range on these draws; the anchor is clipped
+    # into it, so the set is coverage-safe and holds the exact set, whichever
+    # tau_source value the config carries
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 10, 1.0, seed))
     config = RunConfig(tau_source=tau_source)
     lo, hi = ds.target_range()
-    raw = config.model_spec().fit_observed(ds).predict(ds.test_point)
+    raw, _ = config.model_spec().anchor(ds)
+    observed = RidgeModel(config.lambda_reg * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets)
+    assert raw == pytest.approx(observed.predict(ds.test_point), rel=1e-9)
     assert not lo <= raw <= hi
     report = run_method("stabcp", ds, config)
     assert report.details["anchor"] == min(max(raw, lo), hi)
@@ -359,6 +362,28 @@ def test_predict_reports_a_malformed_sidecar_as_a_data_error(generated, capsys):
     code, out, err = run_cli(capsys, "predict", "--data", str(generated))
     assert (code, out) == (2, ""), err
     assert "data error" in err and "not valid JSON" in err
+
+
+def test_a_sidecar_that_does_not_vouch_for_the_held_out_row_is_a_data_error(
+        generated, tmp_path, capsys):
+    # an empty sidecar, and the sidecar of another dataset: neither may make
+    # the CSV's last-row response the true target that `covered` is judged by
+    other = tmp_path / "other.csv"
+    code, _, err = run_cli(capsys, "gen", "--n", "30", "--p", "5", "--seed", "8",
+                           "--out", str(other))
+    assert code == 0, err
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}", encoding="utf-8")
+    for sidecar, message in ((empty, "not a stabcp/dataset/1 sidecar"),
+                             (tmp_path / "other.csv.json", "is not the held-out response")):
+        code, out, err = run_cli(capsys, "predict", "--data", str(generated),
+                                 "--method", "oraclecp", "--sidecar", str(sidecar))
+        assert (code, out) == (2, ""), err
+        assert "data error" in err and message in err
+    # the dataset's own sidecar still vouches for it
+    code, out, err = run_cli(capsys, "predict", "--data", str(generated), "--method", "oraclecp")
+    assert code == 0, err
+    assert isinstance(json.loads(out)["covered"], bool)
 
 
 @pytest.mark.parametrize("command", ["predict", "curve"])

@@ -189,13 +189,12 @@ def test_stab_interval_contains_grid_oracle_at_scale():
 
 
 def test_anchor_outside_bound_range_is_not_coverage_safe():
-    # the query row extrapolates far beyond the observed rows, so the observed
-    # fit's prediction lies above the target range that tau_linear_exact
-    # bounds over
+    # the query row extrapolates far beyond the observed rows, so ridge's raw
+    # anchor lies above the target range that tau_linear_exact bounds over
     ds = TabularDataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.1, 2.9]),
                         np.array([10.0]))
     spec = RidgeModel(0.01)
-    anchor = spec.fit_observed(ds).predict(ds.test_point)
+    anchor, _ = spec.anchor(ds)
     tau = tau_linear_exact(spec.fit(ds, anchor), ds)
     lo, hi = tau.candidate_range
     assert anchor > hi
@@ -210,7 +209,7 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
     assert stab.set.intervals == same.set.intervals
     inside = stab_cp_interval(ds, 0.5 * (lo + hi), spec, ABS, tau, 0.1)
     assert inside.details["tau_coverage_safe"] is True
-    # the default anchor is that prediction clipped into the range, so its set
+    # the default anchor is that raw anchor clipped into the range, so its set
     # is coverage-safe and holds the exact set (at alpha 0.5, where neither is
     # the whole range)
     assert default_anchor(ds, spec) == hi
@@ -410,8 +409,8 @@ def test_bisection_never_clamps_to_the_candidate_range():
     for score, slack in ((ABS, 0.0), (CUSTOM_ABS, _EPS_R)):
         report = stab_cp_interval(ds, anchor, spec, score, tau, 0.1)
         (lo, hi), = report.set.intervals
-        assert lo == pytest.approx(-19.4062, abs=1e-4 + slack)
-        assert hi == pytest.approx(10.1586, abs=1e-4 + slack)
+        assert lo == pytest.approx(-19.4058, abs=1e-4 + slack)
+        assert hi == pytest.approx(10.1588, abs=1e-4 + slack)
         assert lo < ds.target_range()[0]
         assert not report.set.truncated
         assert report.set.candidate_range == clean

@@ -87,6 +87,13 @@ def test_generator_spec_validation():
         GeneratorSpec("linear-gaussian", 10, 3, seed=-1)
 
 
+@pytest.mark.parametrize("noise_sd", ["1.0", None], ids=["text", "none"])
+def test_generator_spec_refuses_a_non_numeric_noise_level(noise_sd):
+    # refused as bad input, not left to escape as a TypeError from math.isfinite
+    with pytest.raises(InvalidInputError, match="noise_sd"):
+        GeneratorSpec("linear-gaussian", 10, 3, noise_sd)
+
+
 @pytest.mark.parametrize("n, p, seed", [(2.7, 3, 0), (10, 3.9, 0), (10, 3, 0.5),
                                         (float("nan"), 3, 0), ("10", 3, 0)],
                          ids=["n-2.7", "p-3.9", "seed-0.5", "n-nan", "n-text"])

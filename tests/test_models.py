@@ -16,8 +16,9 @@ from stabcp import (
     oracle_cp,
     ridge_coefficients,
 )
+from stabcp import models
 from stabcp.core import _read_only
-from stabcp.harness import RunConfig
+from stabcp.harness import RunConfig, run_method
 
 
 ABS = ScoreFunction.absolute_residual()
@@ -84,28 +85,68 @@ def test_ridge_fits_at_two_penalties_on_one_dataset_solve_separately(small_datas
         refit = RidgeModel(lam).fit_rows(X, ds.augmented_targets(z)).predict_rows(X)
         assert np.allclose(RidgeModel(lam).fit(ds, z).row_predictions, refit,
                            rtol=1e-12, atol=1e-12)
-        observed = RidgeModel(lam).fit_rows(ds.features, ds.targets)
+        # the anchor a_q / (1 - b_q) is the observed-rows fit at (n+1)/n the penalty
+        observed = RidgeModel(lam * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets)
         assert default_anchor(ds, RidgeModel(lam)) == pytest.approx(
             observed.predict(ds.test_point), abs=1e-12)
     assert not np.allclose(RidgeModel(0.1).fit(ds, 0.0).row_predictions,
                            RidgeModel(2.0).fit(ds, 0.0).row_predictions)
 
 
-def test_ridge_singular_observed_rows_fail_only_the_anchor():
+def test_ridge_singular_observed_rows_still_give_an_anchor():
     # lambda = 0, four observed rows, five features and a zero first column:
-    # the observed-row system is singular, the augmented one is not
+    # the observed-row system is singular, the augmented one is not, and the
+    # anchor comes from the augmented solve alone
     rng = np.random.default_rng(0)
     X = rng.standard_normal((4, 5))
     X[:, 0] = 0.0
     for anchor_first in (True, False):
         ds = TabularDataset(X, rng.standard_normal(4), rng.standard_normal(5), test_target=0.3)
+        lo, hi = ds.target_range()
         if anchor_first:
-            with pytest.raises(NumericalError):
-                default_anchor(ds, RidgeModel(0.0))
+            assert lo <= default_anchor(ds, RidgeModel(0.0)) <= hi
         assert oracle_cp(ds, 0.3, RidgeModel(0.0), ABS, 0.2).set.shape == "interval"
         assert np.all(np.isfinite(RidgeModel(0.0).fit(ds, 0.0).row_predictions))
-        with pytest.raises(NumericalError):
-            default_anchor(ds, RidgeModel(0.0))
+        assert lo <= default_anchor(ds, RidgeModel(0.0)) <= hi
+
+
+def test_ridge_anchor_of_an_unpenalized_query_direction_is_the_range_midpoint():
+    # lambda = 0 and zero observed features: the augmented fit reproduces any
+    # query candidate (a_q = 0, b_q = 1), so a_q / (1 - b_q) is nan; the
+    # anchor is the target range's midpoint and the set stays coverage-safe
+    ds = TabularDataset(np.zeros((2, 1)), np.array([-1.0, 3.0]), np.array([1.0]),
+                        test_target=0.5)
+    spec = RidgeModel(0.0)
+    raw, fitted = spec.anchor(ds)
+    assert np.isnan(raw) and fitted is None
+    assert default_anchor(ds, spec) == 1.0
+    report = run_method("stabcp", ds, RunConfig(lambda_reg=0.0))
+    assert report.details["anchor"] == 1.0
+    assert report.details["tau_coverage_safe"] is True
+
+
+def test_ridge_stabcp_set_makes_one_gram_and_one_solve(monkeypatch):
+    # the anchor comes from the augmented solve that the bound and the
+    # envelope fit share: one Gram matrix, one linear solve per set
+    solves, grams = [], []
+    solve = models._solve_normal_equations
+    observed_gram = models._observed_gram
+
+    def counted_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    def counted_gram(dataset):
+        if "gram" not in dataset._memo:
+            grams.append(1)
+        return observed_gram(dataset)
+
+    monkeypatch.setattr(models, "_solve_normal_equations", counted_solve)
+    monkeypatch.setattr(models, "_observed_gram", counted_gram)
+    ds = fig2_like_dataset(n=50, p=10, seed=3)
+    report = run_method("stabcp", ds, RunConfig(model="ridge"))
+    assert report.set.shape == "interval"
+    assert (len(grams), len(solves)) == (1, 1)
 
 
 def test_ridge_permutation_symmetry(small_dataset):
@@ -155,11 +196,12 @@ def test_lad_certificate_and_convergence_flag(small_dataset):
     assert starved.row_predictions is not None and starved.converged is False
 
 
-def test_lad_fit_observed_stops_at_the_anchor_tolerance():
+def test_lad_anchor_fit_stops_at_the_anchor_tolerance():
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
     lam = 0.2
     spec = LadRidgeModel(lam)
-    loose = spec.fit_observed(ds)
+    raw, loose = spec.anchor(ds)
+    assert raw == loose.predict(ds.test_point)
     tight = spec.fit_rows(ds.features, ds.targets)
     assert loose.iterations < tight.iterations
     assert 0.0 <= loose.duality_gap <= 1e-2 * np.mean(np.abs(ds.targets))

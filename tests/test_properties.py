@@ -8,7 +8,9 @@ set must contain the grid-evaluated exact conformal set and, within the
 bisection tolerance, rootcp's endpoints inside the bound's range; rootcp must
 return a set even on all-tied targets, whose range has zero width.  The
 ridge fit that reuses the dataset's Gram matrix and augmented solve must
-match a refit from scratch on the augmented rows, and the LAD-ridge duality
+match a refit from scratch on the augmented rows, its anchor (taken from
+that augmented solve) the clipped observed-rows fit at ``(n+1)/n`` the
+penalty, and the LAD-ridge duality
 gap must bound the suboptimality of the returned fit, warm-started or not,
 against random points and against a fit stopped at a 1e-12 gap.
 The data mix in outliers, tied targets, ``n`` close to ``p``, a constant
@@ -106,6 +108,18 @@ def test_memoized_ridge_fit_matches_refit_from_scratch(ds, lam, candidates):
         refit = spec.fit_rows(X, ds.augmented_targets(z)).predict_rows(X)
         memoized = spec.fit(ds, z).row_predictions
         assert np.max(np.abs(memoized - refit)) <= 1e-9 * max(1.0, np.max(np.abs(refit)))
+
+
+@SETTINGS
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.01, 0.5]))
+def test_ridge_anchor_is_the_observed_fit_at_the_augmented_penalty(ds, lam):
+    # at z0 = a_q / (1 - b_q) the augmented normal equations reduce to the
+    # observed rows' ones at penalty (n+1) * lam / n
+    observed = RidgeModel(lam * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets)
+    lo, hi = ds.target_range()
+    expected = min(max(observed.predict(ds.test_point), lo), hi)
+    anchor = default_anchor(ds, RidgeModel(lam))
+    assert abs(anchor - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 @SETTINGS
