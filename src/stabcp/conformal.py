@@ -38,9 +38,11 @@ from .core import (
     _check_range,
     _checked_scores,
     _conformity,
+    _integral,
     _joint_certificate,
     _level_index,
     _read_only,
+    _real,
     check_alpha,
     conformity_scores,
 )
@@ -319,10 +321,7 @@ def _split_fit(dataset: TabularDataset, split_index: int, model_spec,
                score: ScoreFunction) -> tuple[float, np.ndarray, object]:
     """Fit on rows ``1..m``; return the query prediction, the sorted calibration
     scores and the fit."""
-    m = int(split_index)
-    n = dataset.n
-    if not 1 <= m < n:
-        raise InvalidInputError(f"split index must satisfy 1 <= m < n, got m={m}, n={n}")
+    m = _integral(split_index, "split_index", 1, dataset.n)
     trained = model_spec.fit_rows(dataset.features[:m], dataset.targets[:m])
     cal_predictions = trained.predict_rows(dataset.features[m:])
     cal_scores = np.sort(np.asarray(
@@ -348,7 +347,8 @@ def split_cp(dataset: TabularDataset, split_index: int, model_spec,
     prediction_set = sublevel_set(score, mu_test, threshold, alpha,
                                   dataset.target_range(), "splitcp")
     return _report(prediction_set, dataset, 1, started,
-                   split_index=int(split_index), calibration_size=cal_scores.size,
+                   split_index=dataset.n - cal_scores.size,  # as _split_fit took it
+                   calibration_size=cal_scores.size,
                    **_certificate(trained))
 
 
@@ -378,9 +378,7 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
-    true_target = float(true_target)
-    if not math.isfinite(true_target):
-        raise InvalidInputError("true_target must be finite")
+    true_target = _real(true_target, "true_target")
     fitted = model_spec.fit(dataset, true_target)
     scores = conformity_scores(dataset, true_target, fitted, score)
     threshold = _score_threshold(np.sort(scores[:-1]), 0.0, alpha)

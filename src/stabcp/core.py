@@ -13,6 +13,7 @@ that every faster construction is checked against live in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,11 @@ import numpy as np
 from .errors import InvalidInputError, NotFittedError
 
 _TOL = 1e-9
+
+# ``numbers.Real`` with its two common concrete types first: an isinstance
+# check against the ABC alone costs about 0.5 us, which the fit of a small
+# memoized set does not dwarf
+_REAL_TYPES = (float, int, numbers.Real)
 
 PREDICTION_SHAPES = ("interval", "union-of-intervals", "whole-range", "empty")
 
@@ -51,19 +57,54 @@ def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
+          *, open_lo: bool = False) -> float:
+    """``value`` as a float: the one rule for a real argument.
+
+    It must be a finite ``numbers.Real`` in ``[lo, hi)`` (``(lo, hi)`` with
+    ``open_lo``); anything else, a numeric string included, is refused with
+    an ``InvalidInputError`` naming the argument.
+    """
+    try:
+        number = float(value) if isinstance(value, _REAL_TYPES) else math.nan
+    except OverflowError:  # an int too large for a float
+        number = math.nan
+    if math.isfinite(number) and (lo < number if open_lo else lo <= number) and number < hi:
+        return number
+    raise InvalidInputError(f"{name} must be a finite real in "
+                            f"{'(' if open_lo else '['}{lo:g}, {hi:g}), got {value!r}")
+
+
+def _integral(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """``value`` as an int: the one rule for an integral argument.
+
+    It must be a ``numbers.Real`` equal to its ``int`` (3.0 is taken as 3,
+    2.5 is refused, never truncated) in ``[lo, hi)``; anything else is
+    refused with an ``InvalidInputError`` naming the argument.  The int is
+    taken exactly, so a seed near 2**63 keeps every digit.
+    """
+    try:
+        as_int = int(value) if isinstance(value, _REAL_TYPES) else None
+    except (ValueError, OverflowError):  # nan, inf
+        as_int = None
+    if as_int is not None and as_int == value and lo <= as_int < hi:
+        return as_int
+    raise InvalidInputError(f"{name} must be an integer in [{lo:g}, {hi:g}), got {value!r}")
+
+
 def _check_range(candidate_range, name: str) -> tuple[float, float]:
     """A candidate range as a finite ``(lo, hi)`` pair with ``lo <= hi``."""
-    lo, hi = float(candidate_range[0]), float(candidate_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise InvalidInputError(f"{name} must be a finite (lo, hi) pair")
-    return lo, hi
+    try:
+        lo, hi = candidate_range
+        lo = _real(lo, "lo")
+        return lo, _real(hi, "hi", lo)
+    except (TypeError, ValueError) as exc:  # not a pair, or an entry _real refuses
+        raise InvalidInputError(f"{name} must be a finite (lo, hi) pair, "
+                                f"got {candidate_range!r}") from exc
 
 
 def check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
+    return _real(alpha, "alpha", 0, 1, open_lo=True)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -122,10 +163,7 @@ class TabularDataset:
                 f"test_point has {x_new.shape[0]} entries, expected {X.shape[1]}"
             )
         if self.test_target is not None:
-            t = float(self.test_target)
-            if not math.isfinite(t):
-                raise InvalidInputError("test_target must be finite")
-            object.__setattr__(self, "test_target", t)
+            object.__setattr__(self, "test_target", _real(self.test_target, "test_target"))
         object.__setattr__(self, "features", _read_only(X))
         object.__setattr__(self, "targets", _read_only(y))
         object.__setattr__(self, "test_point", _read_only(x_new))
@@ -144,10 +182,7 @@ class TabularDataset:
 
     def augmented_targets(self, candidate: float) -> np.ndarray:
         """The response vector with ``candidate`` appended for the query row."""
-        candidate = float(candidate)
-        if not math.isfinite(candidate):
-            raise InvalidInputError("candidate must be finite")
-        return np.append(self.targets, candidate)
+        return np.append(self.targets, _real(candidate, "candidate"))
 
     def target_range(self) -> tuple[float, float]:
         """Smallest and largest observed response, the default candidate range."""
@@ -155,9 +190,10 @@ class TabularDataset:
 
     def permuted(self, order) -> "TabularDataset":
         """Dataset with the observed rows reordered; the query point is untouched."""
-        order = np.asarray(order, dtype=int)
+        order = np.asarray(order)  # compared before any cast, so 1.5 is not taken as 1
         if sorted(order.tolist()) != list(range(self.n)):
             raise InvalidInputError("order must be a permutation of the observed rows")
+        order = order.astype(int)
         return TabularDataset(
             self.features[order],
             self.targets[order],
@@ -172,12 +208,24 @@ class ScoreFunction:
     """Nonconformity score ``S(q, m)`` with a declared regularity constant.
 
     ``gamma`` bounds the variation in the second (prediction) argument:
-    ``|S(q, m1) - S(q, m2)| <= gamma * |m1 - m2|`` for all ``q``.
+    ``|S(q, m1) - S(q, m2)| <= gamma * |m1 - m2|`` for all ``q``.  ``kind``
+    is ``"absolute-residual"`` or ``"custom"``, and a custom score carries a
+    callable ``fn``; all three are checked at construction.  The absolute
+    residual's own constant is 1, so its gamma must be at least 1: a smaller
+    one would shrink every stability bound below the truth.
     """
 
     kind: str
     gamma: float
     fn: object = None
+
+    def __post_init__(self):
+        if self.kind not in ("absolute-residual", "custom"):
+            raise InvalidInputError(f"unknown score kind {self.kind!r}")
+        least = 1 if self.kind == "absolute-residual" else 0
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma", least))
+        if self.kind == "custom" and not callable(self.fn):
+            raise InvalidInputError("custom score needs a callable fn(q, m)")
 
     @classmethod
     def absolute_residual(cls) -> "ScoreFunction":
@@ -194,11 +242,6 @@ class ScoreFunction:
         is then one interval around the prediction, which the set extraction
         of :mod:`stabcp.conformal` relies on.
         """
-        gamma = float(gamma)
-        if not (math.isfinite(gamma) and gamma >= 0):
-            raise InvalidInputError("gamma must be a finite nonnegative real")
-        if not callable(fn):
-            raise InvalidInputError("custom score needs a callable fn(q, m)")
         return cls(kind="custom", gamma=gamma, fn=fn)
 
     def evaluate(self, q, m):
@@ -207,10 +250,8 @@ class ScoreFunction:
         m = np.asarray(m, dtype=float)
         if self.kind == "absolute-residual":
             out = np.abs(q - m)
-        elif self.kind == "custom":
-            out = np.asarray(self.fn(q, m), dtype=float)
         else:
-            raise InvalidInputError(f"unknown score kind {self.kind!r}")
+            out = np.asarray(self.fn(q, m), dtype=float)
         if out.ndim == 0:
             return float(out)
         return out
@@ -226,9 +267,8 @@ def rank(values, index: int) -> int:
     m = arr.size
     if m == 0:
         raise InvalidInputError("values must be nonempty")
-    if not 1 <= int(index) <= m:
-        raise InvalidInputError(f"index must lie in 1..{m}, got {index}")
-    return int(np.count_nonzero(arr <= arr[int(index) - 1]))
+    index = _integral(index, "index", 1, m + 1)
+    return int(np.count_nonzero(arr <= arr[index - 1]))
 
 
 def conformity_scores(dataset: TabularDataset, candidate: float, model, score: ScoreFunction) -> np.ndarray:
@@ -300,20 +340,14 @@ class PredictionSet:
 
     @classmethod
     def whole_range(cls, method: str, alpha: float, candidate_range) -> "PredictionSet":
-        lo, hi = float(candidate_range[0]), float(candidate_range[1])
+        lo, hi = _check_range(candidate_range, "candidate_range")
         return cls("whole-range", [(lo, hi)], method, alpha,
                    truncated=True, candidate_range=(lo, hi))
 
     @classmethod
     def from_intervals(cls, intervals, method: str, alpha: float,
                        truncated: bool = False, candidate_range=None) -> "PredictionSet":
-        cleaned = []
-        for lo, hi in intervals:
-            lo, hi = float(lo), float(hi)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise InvalidInputError(f"bad interval ({lo}, {hi})")
-            cleaned.append((lo, hi))
-        cleaned.sort()
+        cleaned = sorted(_check_range(pair, "interval") for pair in intervals)
         for (a, b), (c, _) in zip(cleaned, cleaned[1:]):
             if c <= b:
                 raise InvalidInputError("intervals must be disjoint")
@@ -332,11 +366,11 @@ class PredictionSet:
         # clamped display of the active candidate range
         if self.shape == "whole-range":
             return True
-        value = float(value)
+        value = _real(value, "value")
         return any(lo <= value <= hi for lo, hi in self.intervals)
 
 
 def default_candidate_grid(dataset: TabularDataset, num: int = 200) -> np.ndarray:
     """Equally spaced candidates spanning the observed response range."""
     lo, hi = dataset.target_range()
-    return np.linspace(lo, hi, int(num))
+    return np.linspace(lo, hi, _integral(num, "num", 1))

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TabularDataset, _as_finite_array
+from .core import TabularDataset, _as_finite_array, _integral, _real
 from .errors import DataError, InvalidInputError
 
 GENERATOR_KINDS = ("linear-gaussian", "friedman1")
@@ -34,32 +33,12 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise InvalidInputError(f"unknown generator kind {self.kind!r}")
-        for name in ("n", "p", "seed"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
-        if self.n < 2:
-            raise InvalidInputError("n must be at least 2")
-        if self.p < 1:
-            raise InvalidInputError("p must be at least 1")
+        object.__setattr__(self, "n", _integral(self.n, "n", 2))
+        object.__setattr__(self, "p", _integral(self.p, "p", 1))
         if self.kind == "friedman1" and self.p < 5:
             raise InvalidInputError("friedman1 needs p >= 5")
-        if not (isinstance(self.noise_sd, numbers.Real) and math.isfinite(self.noise_sd)
-                and self.noise_sd >= 0):
-            raise InvalidInputError(
-                f"noise_sd must be a finite nonnegative real, got {self.noise_sd!r}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
-        object.__setattr__(self, "noise_sd", float(self.noise_sd))
-
-
-def _integral(value, name: str) -> int:
-    """``value`` as an int, refusing any value an int would change."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from exc
-    if as_int != value:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    return as_int
+        object.__setattr__(self, "noise_sd", _real(self.noise_sd, "noise_sd", 0))
+        object.__setattr__(self, "seed", _integral(self.seed, "seed", 0))
 
 
 def gen_linear_gaussian(spec: GeneratorSpec) -> TabularDataset:
@@ -206,9 +185,7 @@ def dataset_from_rows(X, y, test_index: int, meta=None) -> TabularDataset:
     total = X.shape[0]
     if y.shape[0] != total:
         raise InvalidInputError(f"X has {total} rows but y has {y.shape[0]} entries")
-    test_index = int(test_index)
-    if not 0 <= test_index < total:
-        raise InvalidInputError(f"test_index {test_index} out of range")
+    test_index = _integral(test_index, "test_index", 0, total)
     keep = np.ones(total, dtype=bool)
     keep[test_index] = False
     return TabularDataset(X[keep], y[keep], X[test_index],

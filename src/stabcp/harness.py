@@ -23,7 +23,8 @@ from .conformal import (
     split_cp,
     stab_cp_interval,
 )
-from .core import ScoreFunction, TabularDataset, check_alpha, default_candidate_grid
+from .core import (ScoreFunction, TabularDataset, _integral, _real, check_alpha,
+                   default_candidate_grid)
 from .data import GeneratorSpec, dataset_from_rows, generate
 from .errors import DataError, InvalidInputError, NotFittedError, NumericalError
 from .models import LadRidgeModel, RidgeModel
@@ -62,13 +63,17 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise InvalidInputError(f"unknown model {self.model!r}")
-        self.model_spec()  # checks lambda_reg, solver_tol and max_iter
-        check_alpha(self.alpha)
-        if self.grid_size < 1:
-            raise InvalidInputError("grid_size must be at least 1")
-        if not 0 < self.split_fraction < 1:
-            raise InvalidInputError(
-                f"split_fraction must lie in (0, 1), got {self.split_fraction}")
+        # every numeric field is checked whatever the model, and kept as checked
+        for name, value in (
+                ("lambda_reg", _real(self.lambda_reg, "lambda_reg", 0)),
+                ("solver_tol", _real(self.solver_tol, "solver_tol", 0, open_lo=True)),
+                ("max_iter", _integral(self.max_iter, "max_iter", 1)),
+                ("alpha", check_alpha(self.alpha)),
+                ("grid_size", _integral(self.grid_size, "grid_size", 1)),
+                ("split_fraction", _real(self.split_fraction, "split_fraction", 0, 1,
+                                         open_lo=True))):
+            object.__setattr__(self, name, value)
+        self.model_spec()  # the model's own checks: LAD-ridge needs lambda_reg > 0
         if self.tau_source not in TAU_SOURCES:
             raise InvalidInputError(f"unknown tau source {self.tau_source!r}")
         if self.tau_source == "linear-exact" and self.model != "ridge":
@@ -137,7 +142,7 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
 def synthetic_source(spec: GeneratorSpec):
     """Repetition source drawing a fresh dataset per seed, same law."""
     def draw(rep_seed: int) -> TabularDataset:
-        return generate(replace(spec, seed=int(rep_seed)))
+        return generate(replace(spec, seed=rep_seed))
     return draw
 
 
@@ -149,7 +154,7 @@ def permutation_source(dataset: TabularDataset):
     y = dataset.augmented_targets(dataset.test_target)
 
     def draw(rep_seed: int) -> TabularDataset:
-        order = np.random.default_rng(int(rep_seed)).permutation(X.shape[0])
+        order = np.random.default_rng(_integral(rep_seed, "rep_seed", 0)).permutation(X.shape[0])
         Xp, yp = X[order], y[order]
         return dataset_from_rows(Xp, yp, Xp.shape[0] - 1, meta={"mode": "permutation"})
     return draw
@@ -197,11 +202,8 @@ def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfi
     coverage-safe; ``coverage_unvalidated`` averages the flagged ones and is
     present only when some repetition is flagged.
     """
-    repetitions = int(repetitions)
-    if repetitions < 1:
-        raise InvalidInputError("repetitions must be at least 1")
-    if int(seed) < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    repetitions = _integral(repetitions, "repetitions", 1)
+    seed = _integral(seed, "seed", 0)
     methods = list(dict.fromkeys(methods))
     if not methods:
         raise InvalidInputError("need at least one method")
@@ -211,7 +213,7 @@ def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfi
     if "oraclecp" not in methods:
         methods.append("oraclecp")
 
-    rep_seeds = np.random.default_rng(int(seed)).integers(0, 2**63 - 1, size=repetitions)
+    rep_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=repetitions)
     rows = [row for rep in range(repetitions)
             for row in _one_repetition(rep, rep_seeds[rep], source, methods, config)]
 
@@ -253,7 +255,7 @@ def run_benchmark(source, methods, repetitions: int, seed: int, config: RunConfi
     report = {
         "schema": "stabcp/benchmark/1",
         "repetitions": repetitions,
-        "seed": int(seed),
+        "seed": seed,
         "alpha": config.alpha,
         "model": config.model,
         "lambda_reg": config.lambda_reg,

@@ -25,7 +25,8 @@ Every model follows one protocol:
 - ``stability_bound(dataset, score, z_range)`` returns the model's one
   per-row :class:`~stabcp.stability.StabilityBounds` over the candidate
   range: ridge's is the exact affine bound, LAD-ridge's the Lipschitz-loss
-  bound, which holds on the whole line.
+  bound, which holds on the whole line.  ``PretrainedLinearModel`` has
+  none: a caller passes its zero bound (``tau_user_supplied``) explicitly.
 
 All fitters treat the rows exchangeably: the objective is a sum over rows, so
 permuting the observed pairs leaves the fit unchanged (up to solver tolerance
@@ -43,7 +44,7 @@ import math
 
 import numpy as np
 
-from .core import TabularDataset, _as_finite_array, _read_only
+from .core import TabularDataset, _as_finite_array, _integral, _read_only, _real
 from .errors import InvalidInputError, NotFittedError, NumericalError
 from .stability import (
     StabilityBounds,
@@ -62,6 +63,12 @@ from .stability import (
 # objective at beta = 0, makes the rule scale-free.  Ridge's anchor needs no
 # such rule: it is read off the augmented solve, with no fit of its own.
 _ANCHOR_GAP = 1e-2
+
+# Smallest ``1 - b_q`` from which ``RidgeModel.anchor`` takes its quotient.
+# Exactly, b_q lies in [0, 1]; where it is 1 the computed 1 - b_q is rounding
+# noise of either sign, so sqrt(eps), half the float64 digits, separates noise
+# from a value (it is not tuned to any draw).
+_FREE_QUERY_TOL = math.sqrt(np.finfo(float).eps)
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, m: int,
@@ -86,9 +93,7 @@ def ridge_coefficients(X, y, lambda_reg: float) -> np.ndarray:
         raise InvalidInputError("X and y row counts differ")
     if X.shape[0] == 0:
         raise InvalidInputError("cannot fit on zero rows")
-    lambda_reg = float(lambda_reg)
-    if lambda_reg < 0:
-        raise InvalidInputError("lambda_reg must be nonnegative")
+    lambda_reg = _real(lambda_reg, "lambda_reg", 0)
     return _solve_normal_equations(X.T @ X, X.T @ y, X.shape[0], lambda_reg)
 
 
@@ -142,10 +147,7 @@ class RidgeModel(LinearModel):
     """
 
     def __init__(self, lambda_reg: float = 1.0):
-        lambda_reg = float(lambda_reg)
-        if lambda_reg < 0 or not math.isfinite(lambda_reg):
-            raise InvalidInputError("lambda_reg must be a finite nonnegative real")
-        self.lambda_reg = lambda_reg
+        self.lambda_reg = _real(lambda_reg, "lambda_reg", 0)
         self.coefficients = None
 
     def fit_rows(self, X, y, start=None) -> "RidgeModel":
@@ -173,7 +175,7 @@ class RidgeModel(LinearModel):
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "RidgeModel":
         """Fit on the augmented data as ``a + b * candidate`` from the dataset's solve."""
-        candidate = float(candidate)
+        candidate = _real(candidate, "candidate")
         beta_base, beta_candidate, a, b = self._affine(dataset)
         model = RidgeModel(self.lambda_reg)
         model.beta_base = beta_base
@@ -191,12 +193,16 @@ class RidgeModel(LinearModel):
         At that candidate the augmented normal equations reduce to the
         observed rows' ones, so this is the observed-rows ridge prediction at
         penalty ``(n+1) * lambda_reg / n``.  Where the observed rows leave the
-        query direction unpenalized (``b_q = 1``) the quotient is not finite,
-        and ``conformal.default_anchor`` takes the range's midpoint instead.
+        query direction unpenalized (``b_q = 1``) the quotient is 0/0, and a
+        computed ``1 - b_q`` there is rounding noise of either sign, so at or
+        below ``_FREE_QUERY_TOL`` the anchor is nan and
+        ``conformal.default_anchor`` takes the range's midpoint instead.
         """
         _, _, a, b = self._affine(dataset)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(a[-1] / (1.0 - b[-1])), None
+        free = 1.0 - float(b[-1])
+        if free <= _FREE_QUERY_TOL:
+            return math.nan, None
+        return float(a[-1]) / free, None
 
     def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
         """The exact affine bound ``gamma * |b_i| * W`` over ``z_range`` of width
@@ -241,17 +247,10 @@ class LadRidgeModel(LinearModel):
     """
 
     def __init__(self, lambda_reg: float, solver_tol: float = 1e-8, max_iter: int = 50_000):
-        lambda_reg = float(lambda_reg)
-        if not (math.isfinite(lambda_reg) and lambda_reg > 0):
-            raise InvalidInputError("lambda_reg must be positive (strong convexity)")
-        solver_tol = float(solver_tol)
-        if not (math.isfinite(solver_tol) and solver_tol > 0):
-            raise InvalidInputError("solver_tol must be positive")
-        if int(max_iter) < 1:
-            raise InvalidInputError("max_iter must be a positive integer")
-        self.lambda_reg = lambda_reg
-        self.solver_tol = solver_tol
-        self.max_iter = int(max_iter)
+        # lambda_reg > 0: the objective must be strongly convex
+        self.lambda_reg = _real(lambda_reg, "lambda_reg", 0, open_lo=True)
+        self.solver_tol = _real(solver_tol, "solver_tol", 0, open_lo=True)
+        self.max_iter = _integral(max_iter, "max_iter", 1)
         self.coefficients = None
 
     def _objective(self, X, y, beta) -> float:

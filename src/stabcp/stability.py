@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TabularDataset, _as_finite_array, _check_range
+from .core import TabularDataset, _as_finite_array, _check_range, _real
 from .errors import InvalidInputError
 
 PROVENANCES = (
@@ -25,6 +25,16 @@ PROVENANCES = (
     "linear-exact",
     "user-supplied",
 )
+
+
+def _augmented_vector(values, name: str) -> np.ndarray:
+    """One finite nonnegative entry per augmented row, the query row's last."""
+    arr = _as_finite_array(np.ravel(np.asarray(values, dtype=float)), name, 1)
+    if arr.size < 2:
+        raise InvalidInputError(f"{name} must cover the observed rows plus the query row")
+    if np.any(arr < 0):
+        raise InvalidInputError(f"{name} entries must be nonnegative")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -41,11 +51,7 @@ class StabilityBounds:
     candidate_range: tuple | None = None
 
     def __post_init__(self):
-        tau = _as_finite_array(np.ravel(np.asarray(self.tau, dtype=float)), "tau", 1)
-        if tau.size < 2:
-            raise InvalidInputError("tau must cover the observed rows plus the query point")
-        if np.any(tau < 0):
-            raise InvalidInputError("tau entries must be nonnegative")
+        tau = _augmented_vector(self.tau, "tau")
         if self.provenance not in PROVENANCES:
             raise InvalidInputError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "tau", tau)
@@ -64,36 +70,12 @@ def augmented_row_norms(dataset: TabularDataset) -> np.ndarray:
                      np.linalg.norm(dataset.test_point[None, :], axis=1))
 
 
-def _check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidInputError(f"{name} must be positive")
-    return value
-
-
-def _check_nonnegative(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0):
-        raise InvalidInputError(f"{name} must be a finite nonnegative real")
-    return value
-
-
-def _check_row_norms(row_norms) -> np.ndarray:
-    norms = _as_finite_array(np.ravel(np.asarray(row_norms, dtype=float)), "row_norms", 1)
-    if norms.size < 2:
-        raise InvalidInputError("row_norms must include the query row")
-    if np.any(norms < 0):
-        raise InvalidInputError("row norms must be nonnegative")
-    return norms
-
-
 def tau_regularized_lipschitz(gamma: float, rho: float, lambda_sc: float,
                               row_norms, candidate_range=None) -> StabilityBounds:
     """Per-row bound ``2*gamma*rho*||x_i||/lambda_sc`` (Lipschitz loss)."""
-    gamma = _check_nonnegative(gamma, "gamma")
-    rho = _check_nonnegative(rho, "rho")
-    lambda_sc = _check_positive(lambda_sc, "lambda_sc")
-    norms = _check_row_norms(row_norms)
+    gamma, rho = _real(gamma, "gamma", 0), _real(rho, "rho", 0)
+    lambda_sc = _real(lambda_sc, "lambda_sc", 0, open_lo=True)
+    norms = _augmented_vector(row_norms, "row_norms")
     tau = 2.0 * gamma * rho * norms / lambda_sc
     return StabilityBounds(tau, "regularized-lipschitz", candidate_range=candidate_range)
 
@@ -105,15 +87,14 @@ def tau_regularized_smooth(gamma: float, nu: float, loss_bound_C: float,
     Needs a ``nu``-smooth loss with ``nu < lambda_sc`` and the optimal loss
     bounded by ``C`` over the candidate range.
     """
-    gamma = _check_nonnegative(gamma, "gamma")
-    nu = _check_nonnegative(nu, "nu")
-    loss_bound_C = _check_nonnegative(loss_bound_C, "loss_bound_C")
-    lambda_sc = _check_positive(lambda_sc, "lambda_sc")
+    gamma, nu = _real(gamma, "gamma", 0), _real(nu, "nu", 0)
+    loss_bound_C = _real(loss_bound_C, "loss_bound_C", 0)
+    lambda_sc = _real(lambda_sc, "lambda_sc", 0, open_lo=True)
     if nu >= lambda_sc:
         raise InvalidInputError(
             f"smooth-loss bound needs nu < lambda_sc, got nu={nu} >= lambda_sc={lambda_sc}"
         )
-    norms = _check_row_norms(row_norms)
+    norms = _augmented_vector(row_norms, "row_norms")
     tau = 2.0 * gamma * norms * math.sqrt(2.0 * nu * loss_bound_C) / (lambda_sc - nu)
     return StabilityBounds(tau, "regularized-smooth", candidate_range=candidate_range)
 
@@ -147,7 +128,7 @@ def tau_linear_exact(ridge_model, dataset: TabularDataset, z_range=None,
     For ``mu_z(x_i) = a_i + b_i * z`` the deviation over a range of width W is
     exactly ``|b_i| * W``; the score moves by at most ``gamma`` times that.
     """
-    gamma = _check_nonnegative(gamma, "gamma")
+    gamma = _real(gamma, "gamma", 0)
     row_b = getattr(ridge_model, "row_b", None)
     if row_b is None:
         raise InvalidInputError("model lacks the affine-in-candidate decomposition; "

@@ -85,6 +85,9 @@ OUT_OF_RANGE_NUMBERS = {
     "predict-nan-target": (("predict", "--method", "oraclecp", "--true-target", "nan",
                             "--data"), "test_target"),
     "predict-inf-target": (("predict", "--true-target", "inf", "--data"), "test_target"),
+    # the LAD solver settings are checked on the default ridge model too
+    "predict-nan-solver-tol": (("predict", "--solver-tol", "nan", "--data"), "solver_tol"),
+    "predict-zero-max-iter": (("predict", "--max-iter", "0", "--data"), "max_iter"),
 }
 
 

@@ -229,6 +229,15 @@ def test_pi_exact_permutation_invariant(small_dataset):
             pi_exact(shuffled, z, spec, ABS))
 
 
+def test_permuted_refuses_an_order_that_only_truncates_to_a_permutation(small_dataset):
+    order = [0.5, 1.2, *range(2, small_dataset.n)]
+    with pytest.raises(InvalidInputError, match="permutation"):
+        small_dataset.permuted(order)
+    # integral floats are the same order
+    assert np.array_equal(small_dataset.permuted(np.arange(small_dataset.n)[::-1] * 1.0).features,
+                          small_dataset.features[::-1])
+
+
 @pytest.mark.parametrize("n", [19, 20])
 def test_pi_exact_coverage_monte_carlo(n):
     # The exact set {pi_exact > alpha} covers with probability

@@ -125,6 +125,23 @@ def test_ridge_anchor_of_an_unpenalized_query_direction_is_the_range_midpoint():
     assert report.details["tau_coverage_safe"] is True
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_ridge_anchor_of_a_query_direction_free_up_to_rounding_is_the_midpoint(seed):
+    # p = 21 features on 20 observed rows: at lambda = 0 the query direction
+    # is unpenalized, the exact 1 - b_q is 0, and the computed one is rounding
+    # noise of either sign, so the anchor is the range's midpoint, not 0/0
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 21, 1.0, seed))
+    lo, hi = ds.target_range()
+    raw, fitted = RidgeModel(0.0).anchor(ds)
+    assert np.isnan(raw) and fitted is None
+    assert default_anchor(ds, RidgeModel(0.0)) == 0.5 * (lo + hi)
+    # a tiny penalty leaves 1 - b_q far above rounding: the quotient is kept
+    spec = RidgeModel(1e-6)
+    _, _, a, b = spec._affine(ds)
+    assert 1.0 - b[-1] > 1e-6
+    assert spec.anchor(ds)[0] == a[-1] / (1.0 - b[-1])
+
+
 def test_ridge_stabcp_set_makes_one_gram_and_one_solve(monkeypatch):
     # the anchor comes from the augmented solve that the bound and the
     # envelope fit share: one Gram matrix, one linear solve per set
