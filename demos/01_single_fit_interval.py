@@ -20,7 +20,6 @@ from stabcp import (
     root_cp,
     split_cp,
     stab_cp_interval,
-    tau_linear_exact,
 )
 
 score = ScoreFunction.absolute_residual()
@@ -38,8 +37,8 @@ print(f"anchor (self-consistent query prediction a_q / (1 - b_q)): {anchor:+.3f}
 
 # Exact per-row stability bounds: ridge predictions are affine in the
 # candidate, so the worst-case score movement over the candidate range is
-# known in closed form.
-tau = tau_linear_exact(model.fit(dataset, anchor), dataset)
+# known in closed form.  Each model builds its own bound.
+tau = model.stability_bound(dataset, score, dataset.target_range())
 print(f"stability bounds: max tau_i = {tau.tau.max():.4f}, "
       f"query-point tau = {tau.tau_test:.4f}\n")
 

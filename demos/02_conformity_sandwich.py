@@ -16,7 +16,6 @@ from stabcp import (
     gap_profile,
     gen_linear_gaussian,
     split_pi,
-    tau_linear_exact,
 )
 
 score = ScoreFunction.absolute_residual()
@@ -25,7 +24,7 @@ alpha = 0.1
 dataset = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 80, 6, 1.0, seed=11))
 model = RidgeModel(0.5)
 anchor = default_anchor(dataset, model)
-tau = tau_linear_exact(model.fit(dataset, anchor), dataset)
+tau = model.stability_bound(dataset, score, dataset.target_range())
 
 grid = default_candidate_grid(dataset, 61)
 rows = gap_profile(dataset, anchor, model, score, tau, grid)

@@ -1,10 +1,10 @@
-"""Where the stability bounds come from, and how tight each recipe is.
+"""Where the stability bounds come from, and how tight each one is.
 
 Builds each model's own bound through its ``stability_bound`` (ridge: the
-exact affine bound; the L1 model: the Lipschitz-loss bound) and the generic
-smooth-loss recipe for ridge through ``tau_regularized_smooth``, and checks
-them against the measured worst-case score deviations: every one is a sound
-guarantee, and they differ only in how much slack they leave.
+exact affine bound over the candidate range; the L1 model: the
+Lipschitz-loss bound, which holds on the whole line) and checks both against
+the measured worst-case score deviations: each is a sound guarantee, and
+they differ only in how much slack they leave.
 """
 
 import numpy as np
@@ -14,10 +14,7 @@ from stabcp import (
     LadRidgeModel,
     RidgeModel,
     ScoreFunction,
-    augmented_row_norms,
-    bound_loss_C,
     gen_linear_gaussian,
-    tau_regularized_smooth,
 )
 
 score = ScoreFunction.absolute_residual()
@@ -39,13 +36,8 @@ def measured_deviation(spec):
 print(f"dataset: n={dataset.n}, p={dataset.p}, candidate range "
       f"[{z_range[0]:+.2f}, {z_range[1]:+.2f}]\n")
 
-# ridge: its own exact affine bound, and the smooth-loss recipe, whose
-# constants are the 2/m-smooth scaled squared loss, the 2*lam-strongly convex
-# penalty and the loss bound C over the candidate range
+# ridge: its own exact affine bound over the candidate range
 exact = ridge.stability_bound(dataset, score, z_range)
-smooth = tau_regularized_smooth(score.gamma, 2.0 / (dataset.n + 1),
-                                bound_loss_C(dataset, z_range=z_range), 2.0 * lam,
-                                augmented_row_norms(dataset), candidate_range=z_range)
 ridge_dev = measured_deviation(ridge)
 
 # L1 model: its own Lipschitz-loss bound, with the replace-one constant
@@ -55,7 +47,6 @@ lad_dev = measured_deviation(lad)
 print(f"{'bound':<22} {'max tau':>9} {'max measured':>13} {'slack':>7}")
 for name, bounds, dev in [
     ("linear-exact (ridge)", exact, ridge_dev),
-    ("smooth loss (ridge)", smooth, ridge_dev),
     ("lipschitz loss (L1)", lipschitz, lad_dev),
 ]:
     ratio = float(np.max(dev / np.maximum(bounds.tau, 1e-300)))

@@ -47,12 +47,6 @@ from .models import (
 )
 from .stability import (
     StabilityBounds,
-    augmented_row_norms,
-    bound_loss_C,
-    scaled_squared_loss,
-    tau_linear_exact,
-    tau_regularized_lipschitz,
-    tau_regularized_smooth,
     tau_user_supplied,
 )
 

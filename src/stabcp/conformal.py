@@ -290,13 +290,15 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
     ``tau.candidate_range``, else the observed target range; it is recorded
     and sets the first bracketing step, and the set is never clamped to it.
 
-    Every bound recipe bounds the score deviation between a candidate and the
-    anchor assuming both lie in ``tau.candidate_range`` (if any) and the
-    anchor fit being exact, so an anchor outside that range (never
-    ``default_anchor``), or an envelope fit whose solver stopped before its
-    certificate reached the tolerance (``converged=False``), reports
-    ``tau_coverage_safe=False``; the set is unchanged.  Closed-form fits carry
-    no ``converged`` flag and are exact.
+    Each model builds its own bound (``stability_bound``).  It bounds the
+    score deviation between a candidate and the anchor, assuming both lie in
+    ``tau.candidate_range`` and the anchor fit is exact; ridge's bound holds
+    over that range, LAD-ridge's carries no range and holds on the whole
+    line.  So an anchor outside the range (never ``default_anchor``), or an
+    envelope fit whose solver stopped before its certificate reached the
+    tolerance (``converged=False``), reports ``tau_coverage_safe=False``;
+    the set is unchanged.  Closed-form fits carry no ``converged`` flag and
+    are exact.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)

@@ -22,11 +22,12 @@ Every model follows one protocol:
   solve, so it makes no solve of its own and returns no fit; LAD-ridge fits
   the observed rows, stopped at a looser anchor tolerance, since any anchor
   inside the bound's range gives a sound set;
-- ``stability_bound(dataset, score, z_range)`` returns the model's one
-  per-row :class:`~stabcp.stability.StabilityBounds` over the candidate
-  range: ridge's is the exact affine bound, LAD-ridge's the Lipschitz-loss
-  bound, which holds on the whole line.  ``PretrainedLinearModel`` has
-  none: a caller passes its zero bound (``tau_user_supplied``) explicitly.
+- ``stability_bound(dataset, score, z_range)`` builds the model's one
+  per-row :class:`~stabcp.stability.StabilityBounds`; no other code builds
+  it.  Ridge's is the exact affine bound over ``z_range``; LAD-ridge's is
+  the Lipschitz-loss bound, which carries no range and holds on the whole
+  line.  ``PretrainedLinearModel`` has none: a caller passes its zero bound
+  (``tau_user_supplied``) explicitly.
 
 All fitters treat the rows exchangeably: the objective is a sum over rows, so
 permuting the observed pairs leaves the fit unchanged (up to solver tolerance
@@ -44,14 +45,9 @@ import math
 
 import numpy as np
 
-from .core import TabularDataset, _as_finite_array, _integral, _read_only, _real
+from .core import TabularDataset, _as_finite_array, _check_range, _integral, _read_only, _real
 from .errors import InvalidInputError, NotFittedError, NumericalError
-from .stability import (
-    StabilityBounds,
-    augmented_row_norms,
-    tau_linear_exact,
-    tau_regularized_lipschitz,
-)
+from .stability import StabilityBounds
 
 
 # Relative duality gap at which ``LadRidgeModel.anchor``'s fit stops.  The
@@ -207,9 +203,11 @@ class RidgeModel(LinearModel):
     def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
         """The exact affine bound ``gamma * |b_i| * W`` over ``z_range`` of width
         ``W``: the predictions are affine in the candidate, so this is the worst
-        case, and ``row_b`` comes from the dataset's one augmented solve."""
-        return tau_linear_exact(self.fit(dataset, 0.0), dataset, z_range=z_range,
-                                gamma=score.gamma)
+        case, and ``b`` comes from the dataset's one augmented solve."""
+        lo, hi = _check_range(z_range, "z_range")
+        b = self._affine(dataset)[-1]
+        return StabilityBounds(score.gamma * np.abs(b) * (hi - lo), "linear-exact",
+                               candidate_range=(lo, hi))
 
 
 class LadRidgeModel(LinearModel):
@@ -416,11 +414,14 @@ class LadRidgeModel(LinearModel):
         candidates: it has no range, and ``z_range`` is unused.  (The naive
         whole-loss constant ``1/sqrt(m)`` is NOT sound here: the query row's
         leverage can exceed it, and measured deviations do cross that smaller
-        bound.)
+        bound.)  Row i's bound is ``2 * gamma * rho * ||x_i|| / (2 * lambda_reg)``
+        with ``rho = ||x_query|| / (n + 1)``.
         """
         rho = float(np.linalg.norm(dataset.test_point)) / (dataset.n + 1)
-        return tau_regularized_lipschitz(score.gamma, rho, 2.0 * self.lambda_reg,
-                                         augmented_row_norms(dataset))
+        norms = np.append(np.linalg.norm(dataset.features, axis=1),
+                          np.linalg.norm(dataset.test_point[None, :], axis=1))
+        tau = 2.0 * score.gamma * rho * norms / (2.0 * self.lambda_reg)
+        return StabilityBounds(tau, "regularized-lipschitz")
 
 
 class PretrainedLinearModel(LinearModel):

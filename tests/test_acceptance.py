@@ -21,8 +21,6 @@ from stabcp import (
     ScoreFunction,
     TabularDataset,
     anchor_bounds,
-    augmented_row_norms,
-    bound_loss_C,
     conformity_scores,
     default_anchor,
     default_candidate_grid,
@@ -34,8 +32,6 @@ from stabcp import (
     root_cp,
     split_cp,
     stab_cp_interval,
-    tau_linear_exact,
-    tau_regularized_smooth,
     tau_user_supplied,
 )
 from stabcp.harness import RunConfig, run_benchmark, run_method, synthetic_source
@@ -74,7 +70,7 @@ def test_criterion_02_sandwich_exact_rank_arithmetic():
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 100, 10, 1.0, 7))
     spec = RidgeModel(0.5)
     anchor = default_anchor(ds, spec)
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
     grid = default_candidate_grid(ds, 200)
     worst = 0
@@ -97,7 +93,7 @@ def test_criterion_03_grid_set_contained_in_single_fit_set():
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, seed))
         spec = RidgeModel(0.5)
         anchor = default_anchor(ds, spec)
-        tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+        tau = spec.stability_bound(ds, ABS, ds.target_range())
         stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
         grid = default_candidate_grid(ds, 100)
         oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
@@ -119,7 +115,7 @@ def test_criterion_04_interval_and_bisection_agree():
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, seed))
         spec = RidgeModel(0.5)
         anchor = default_anchor(ds, spec)
-        tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+        tau = spec.stability_bound(ds, ABS, ds.target_range())
         interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
         (ilo, ihi), = interval.set.intervals
         width = ihi - ilo
@@ -205,16 +201,6 @@ def test_criterion_07_stability_bounds_sound_everywhere():
     tau = spec.stability_bound(ds, ABS, ds.target_range())
     check("regularized-lipschitz/ladridge", ds, spec, tau)
 
-    # smooth-loss recipe with ridge: the squared loss scaled by 1/m is
-    # 2/m-smooth and the penalty 2*lambda-strongly convex
-    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 3, 1.0, 12))
-    spec = RidgeModel(0.5)
-    z_range = ds.target_range()
-    tau = tau_regularized_smooth(ABS.gamma, 2.0 / (ds.n + 1), bound_loss_C(ds, z_range=z_range),
-                                 2.0 * spec.lambda_reg, augmented_row_norms(ds),
-                                 candidate_range=z_range)
-    check("regularized-smooth/ridge", ds, spec, tau)
-
     # exact affine bound, ridge's own
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, 13))
     spec = RidgeModel(0.5)
@@ -222,7 +208,7 @@ def test_criterion_07_stability_bounds_sound_everywhere():
     check("linear-exact/ridge", ds, spec, tau)
 
     ok = not violations
-    _line(7, ok, f"3 provenance/model pairs, violations: {violations or 'none'}")
+    _line(7, ok, f"2 provenance/model pairs, violations: {violations or 'none'}")
 
 
 def test_criterion_08_rank_subuniformity_monte_carlo():

@@ -24,9 +24,6 @@ from stabcp import (
     rank,
     ridge_coefficients,
     split_cp,
-    tau_linear_exact,
-    tau_regularized_lipschitz,
-    tau_regularized_smooth,
     tau_user_supplied,
 )
 from stabcp.core import check_alpha
@@ -53,15 +50,13 @@ REAL_SITES = {
     # the absolute residual's own constant is 1: a smaller gamma is refused
     "ScoreFunction-gamma": (lambda v: ScoreFunction("absolute-residual", v), 0.5),
     "ScoreFunction.custom-gamma": (lambda v: ScoreFunction.custom(np.subtract, v), -1.0),
-    "lipschitz-gamma": (lambda v: tau_regularized_lipschitz(v, 1.0, 1.0, NORMS), -1.0),
-    "lipschitz-rho": (lambda v: tau_regularized_lipschitz(1.0, v, 1.0, NORMS), -1.0),
-    "lipschitz-lambda_sc": (lambda v: tau_regularized_lipschitz(1.0, 1.0, v, NORMS), 0.0),
-    "smooth-gamma": (lambda v: tau_regularized_smooth(v, 0.1, 1.0, 1.0, NORMS), -1.0),
-    "smooth-nu": (lambda v: tau_regularized_smooth(1.0, v, 1.0, 1.0, NORMS), -1.0),
-    "smooth-loss_bound_C": (lambda v: tau_regularized_smooth(1.0, 0.1, v, 1.0, NORMS), -1.0),
-    "smooth-lambda_sc": (lambda v: tau_regularized_smooth(1.0, 0.0, 1.0, v, NORMS), 0.0),
-    "linear_exact-gamma": (lambda v: tau_linear_exact(RidgeModel(0.5).fit(DS, 0.0), DS,
-                                                      gamma=v), -1.0),
+    # each model's stability bound is built from the score's gamma, and LAD's
+    # divides by its penalty: neither can be built from a refused value
+    "lipschitz-gamma": (lambda v: LadRidgeModel(0.5).stability_bound(
+        DS, ScoreFunction.custom(np.subtract, v), None), -1.0),
+    "lipschitz-lambda_sc": (lambda v: LadRidgeModel(v).stability_bound(DS, ABS, None), 0.0),
+    "linear_exact-gamma": (lambda v: RidgeModel(0.5).stability_bound(
+        DS, ScoreFunction.custom(np.subtract, v), DS.target_range()), -1.0),
     "ridge_coefficients-lambda_reg": (lambda v: ridge_coefficients(DS.features, DS.targets, v),
                                       -1.0),
     "RidgeModel-lambda_reg": (RidgeModel, -1.0),

@@ -27,7 +27,6 @@ from stabcp import (
     split_cp,
     split_pi,
     stab_cp_interval,
-    tau_linear_exact,
     tau_user_supplied,
 )
 from stabcp.conformal import _EPS_R, _MAX_DOUBLINGS, _ROOT_PROBES
@@ -121,7 +120,7 @@ def test_pi_bounds_selection_matches_observed_row_sum():
     ds = make_dataset(30, 4, seed=5)
     spec = RidgeModel(0.5)
     fitted = spec.fit(ds, 0.0)
-    tau = tau_linear_exact(fitted, ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     assert tau.tau_test > 0
     scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
     upper = np.sort(scores + tau.tau[:-1])
@@ -178,7 +177,7 @@ def test_stab_interval_contains_grid_oracle_at_scale():
     ds = make_dataset(n=300, p=5, seed=13)
     spec = RidgeModel(0.5)
     anchor = default_anchor(ds, spec)
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     report = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     grid = stabcp.default_candidate_grid(ds, 200)
     oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
@@ -190,12 +189,12 @@ def test_stab_interval_contains_grid_oracle_at_scale():
 
 def test_anchor_outside_bound_range_is_not_coverage_safe():
     # the query row extrapolates far beyond the observed rows, so ridge's raw
-    # anchor lies above the target range that tau_linear_exact bounds over
+    # anchor lies above the target range that ridge's bound holds over
     ds = TabularDataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.1, 2.9]),
                         np.array([10.0]))
     spec = RidgeModel(0.01)
     anchor, _ = spec.anchor(ds)
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     lo, hi = tau.candidate_range
     assert anchor > hi
     stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
@@ -268,7 +267,7 @@ def test_stab_set_is_the_closure_of_upper_envelope_above_alpha():
         ds = make_dataset(n=n, p=3, seed=n)
         spec = RidgeModel(0.5)
         anchor = default_anchor(ds, spec)
-        for tau in (tau_linear_exact(spec.fit(ds, anchor), ds),
+        for tau in (spec.stability_bound(ds, ABS, ds.target_range()),
                     tau_user_supplied(np.zeros(n + 1))):
             bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
             for alpha in (0.1, 0.2):
@@ -291,7 +290,7 @@ def test_bisection_agrees_with_closed_form():
     ds = make_dataset(n=50, p=5, seed=21)
     spec = RidgeModel(0.5)
     anchor = default_anchor(ds, spec)
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     (ilo, ihi), = interval.set.intervals
     width = ihi - ilo
@@ -388,7 +387,7 @@ def test_bisection_finds_set_between_two_outliers():
     ds, clean = outlier_dataset([1000.0, -1000.0])
     spec = RidgeModel(0.5)
     anchor = default_anchor(ds, spec)
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds, z_range=clean)
+    tau = spec.stability_bound(ds, ABS, clean)
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     bisect = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)
     (ilo, ihi), = interval.set.intervals
@@ -405,7 +404,7 @@ def test_bisection_never_clamps_to_the_candidate_range():
     ds, clean = outlier_dataset([1000.0])
     spec = RidgeModel(0.5)
     anchor = default_anchor(ds, spec)
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds, z_range=clean)
+    tau = spec.stability_bound(ds, ABS, clean)
     for score, slack in ((ABS, 0.0), (CUSTOM_ABS, _EPS_R)):
         report = stab_cp_interval(ds, anchor, spec, score, tau, 0.1)
         (lo, hi), = report.set.intervals
@@ -423,7 +422,7 @@ def test_bisection_uses_closed_form_index_at_integer_level(n):
     ds = make_dataset(n=n, p=3, seed=0)
     spec = RidgeModel(0.5)
     anchor = default_anchor(ds, spec)
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
     (ilo, ihi), = interval.set.intervals
     width = ihi - ilo
@@ -464,14 +463,14 @@ def intersect(reports):
 
 def test_batch_single_anchor_is_plain_bounds(small_dataset):
     spec = RidgeModel(0.5)
-    tau = tau_linear_exact(spec.fit(small_dataset, 0.0), small_dataset)
+    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
     report = stab_cp_interval(small_dataset, 0.0, spec, ABS, tau, 0.1)
     assert intersect([report]) == report.set.intervals[0]
 
 
 def test_batch_duplicate_anchor_idempotent(small_dataset):
     spec = RidgeModel(0.5)
-    tau = tau_linear_exact(spec.fit(small_dataset, 0.0), small_dataset)
+    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
     one = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
     two = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
     assert intersect([one, two]) == intersect([one])
@@ -481,7 +480,7 @@ def test_batch_never_widens_the_gap():
     ds = make_dataset(n=40, p=8, seed=9)
     spec = RidgeModel(0.5)
     lo, hi = ds.target_range()
-    tau = tau_linear_exact(spec.fit(ds, 0.0), ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     reports = [stab_cp_interval(ds, z_hat, spec, ABS, tau, 0.1)
                for z_hat in (lo + 0.25 * (hi - lo), 0.0, lo + 0.75 * (hi - lo))]
     both_lo, both_hi = intersect(reports)
@@ -852,7 +851,7 @@ def test_exact_score_ties_keep_the_truth_in_every_count():
 def test_gap_profile_sandwich_everywhere(small_dataset):
     spec = RidgeModel(0.5)
     anchor = default_anchor(small_dataset, spec)
-    tau = tau_linear_exact(spec.fit(small_dataset, anchor), small_dataset)
+    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
     grid = stabcp.default_candidate_grid(small_dataset, 60)
     rows = gap_profile(small_dataset, anchor, spec, ABS, tau, grid)
     assert len(rows) == 60
@@ -890,13 +889,13 @@ def test_stab_interval_equivariant_under_target_scaling():
     base = make_dataset(n=60, p=4, seed=23)
     spec = RidgeModel(0.5)
     anchor = default_anchor(base, spec)
-    tau = tau_linear_exact(spec.fit(base, anchor), base)
+    tau = spec.stability_bound(base, ABS, base.target_range())
     (lo0, hi0), = stab_cp_interval(base, anchor, spec, ABS, tau, 0.1).set.intervals
     for scale in (1e-6, 1e6):
         ds = TabularDataset(base.features, scale * base.targets, base.test_point,
                             scale * base.test_target)
         anchor_s = default_anchor(ds, spec)
-        tau_s = tau_linear_exact(spec.fit(ds, anchor_s), ds)
+        tau_s = spec.stability_bound(ds, ABS, ds.target_range())
         (lo, hi), = stab_cp_interval(ds, anchor_s, spec, ABS, tau_s, 0.1).set.intervals
         assert lo == pytest.approx(scale * lo0, rel=1e-9)
         assert hi == pytest.approx(scale * hi0, rel=1e-9)
@@ -908,7 +907,7 @@ def test_containment_chain_on_shared_grid():
     spec = RidgeModel(0.5)
     alpha = 0.1
     anchor = default_anchor(ds, spec)
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
     grid = stabcp.default_candidate_grid(ds, 120)
     threshold = math.floor((1 - alpha) * (ds.n + 1) + 1e-9)
@@ -929,7 +928,7 @@ def test_containment_chain_on_shared_grid():
 def test_upper_set_monotone_in_alpha(small_dataset):
     spec = RidgeModel(0.5)
     anchor = default_anchor(small_dataset, spec)
-    tau = tau_linear_exact(spec.fit(small_dataset, anchor), small_dataset)
+    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
     previous = None
     for alpha in (0.05, 0.1, 0.2, 0.4):
         current = stab_cp_interval(small_dataset, anchor, spec, ABS, tau, alpha)
@@ -943,7 +942,7 @@ def test_upper_set_monotone_in_alpha(small_dataset):
 def test_upper_set_monotone_in_tau(small_dataset):
     spec = RidgeModel(0.5)
     anchor = default_anchor(small_dataset, spec)
-    base = tau_linear_exact(spec.fit(small_dataset, anchor), small_dataset)
+    base = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
     bigger = tau_user_supplied(base.tau + 0.3)
     r1 = stab_cp_interval(small_dataset, anchor, spec, ABS, base, 0.1)
     r2 = stab_cp_interval(small_dataset, anchor, spec, ABS, bigger, 0.1)
@@ -957,7 +956,7 @@ def test_upper_set_monotone_in_tau(small_dataset):
 def test_fit_count_invariants(small_dataset):
     spec = RidgeModel(0.5)
     anchor = default_anchor(small_dataset, spec)
-    tau = tau_linear_exact(spec.fit(small_dataset, anchor), small_dataset)
+    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
     assert stab_cp_interval(small_dataset, anchor, spec, ABS, tau, 0.1).fit_count == 1
     assert split_cp(small_dataset, 5, spec, ABS, 0.1).fit_count == 1
     assert oracle_cp(small_dataset, small_dataset.test_target, spec, ABS, 0.1).fit_count == 1

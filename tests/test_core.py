@@ -276,9 +276,8 @@ def test_rank_subuniformity_monte_carlo():
 RANGE_ENTRY_POINTS = {
     "StabilityBounds": lambda ds, r: stabcp.StabilityBounds(
         np.ones(ds.n + 1), "user-supplied", candidate_range=r),
-    "bound_loss_C": lambda ds, r: stabcp.bound_loss_C(ds, z_range=r),
-    "tau_linear_exact": lambda ds, r: stabcp.tau_linear_exact(
-        RidgeModel(0.5).fit(ds, 0.0), ds, z_range=r),
+    # ridge's linear-exact tau, built by its model
+    "tau_linear_exact": lambda ds, r: RidgeModel(0.5).stability_bound(ds, ABS, r),
     "root_cp": lambda ds, r: stabcp.root_cp(ds, RidgeModel(0.5), ABS, 0.1, z_range=r),
 }
 

@@ -16,7 +16,6 @@ from stabcp import (
     save_csv,
     split_cp,
     stab_cp_interval,
-    tau_linear_exact,
 )
 from stabcp.data import dataset_from_rows
 from stabcp.harness import RunConfig
@@ -190,13 +189,13 @@ def test_target_scaling_pipeline_matches_direct_intervals():
     lam, alpha = 0.5, 0.1
     spec = RidgeModel(lam)
 
-    direct_tau = tau_linear_exact(spec.fit(ds, 0.0), ds)
+    direct_tau = spec.stability_bound(ds, ABS, ds.target_range())
     direct = stab_cp_interval(ds, 0.0, spec, ABS, direct_tau, alpha)
 
     scale = float(ds.targets.std())
     scaled = TabularDataset(ds.features, ds.targets / scale, ds.test_point,
                             ds.test_target / scale)
-    scaled_tau = tau_linear_exact(spec.fit(scaled, 0.0), scaled)
+    scaled_tau = spec.stability_bound(scaled, ABS, scaled.target_range())
     scaled_report = stab_cp_interval(scaled, 0.0, spec, ABS, scaled_tau, alpha)
 
     mapped = [scale * end for end in scaled_report.set.intervals[0]]

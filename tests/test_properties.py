@@ -34,7 +34,6 @@ from stabcp import (
     root_cp,
     split_cp,
     stab_cp_interval,
-    tau_linear_exact,
 )
 from stabcp.conformal import _EPS_R
 
@@ -84,7 +83,7 @@ def test_stabcp_bisection_matches_closed_form_and_contains_exact_set(ds, lam, al
     spec = RidgeModel(lam)
     anchor = default_anchor(ds, spec)  # always inside the target range
     z_range = ds.target_range()
-    tau = tau_linear_exact(spec.fit(ds, anchor), ds)
+    tau = spec.stability_bound(ds, ABS, ds.target_range())
     closed = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
     assert closed.details["tau_coverage_safe"] is True
     assert_outer_match(closed, stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, alpha))

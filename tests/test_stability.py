@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stabcp
 from stabcp import (
     GeneratorSpec,
     InvalidInputError,
@@ -13,17 +14,14 @@ from stabcp import (
     ScoreFunction,
     StabilityBounds,
     TabularDataset,
-    augmented_row_norms,
-    bound_loss_C,
-    conformity_scores,
     gen_linear_gaussian,
-    scaled_squared_loss,
-    tau_linear_exact,
-    tau_regularized_lipschitz,
-    tau_regularized_smooth,
 )
 
 ABS = ScoreFunction.absolute_residual()
+
+
+def _custom(gamma):
+    return ScoreFunction.custom(lambda q, m: np.abs(q - m), gamma=gamma)
 
 
 # ------------------------------------------------------------ validation
@@ -37,22 +35,47 @@ def test_bounds_reject_negative_and_nan():
         StabilityBounds(np.array([0.1, 0.2]), "nonsense")
 
 
+def test_free_standing_recipes_are_gone():
+    # each model builds its one bound; tau_user_supplied is the only other way
+    removed = ("tau_linear_exact", "tau_regularized_lipschitz", "tau_regularized_smooth",
+               "bound_loss_C", "scaled_squared_loss", "augmented_row_norms")
+    for name in removed:
+        assert name not in dir(stabcp)
+        assert name not in dir(stabcp.stability)
+    assert "regularized-smooth" not in stabcp.stability.PROVENANCES
+
+
 # -------------------------------------------- regularized lipschitz bound
 
+def _lad_closed_form(ds, gamma, lam):
+    """``gamma * ||x_q|| * ||x_i|| / ((n + 1) * lambda)`` per augmented row."""
+    rows = np.vstack([ds.features, ds.test_point[None, :]])
+    return gamma * np.linalg.norm(ds.test_point) * np.linalg.norm(rows, axis=1) / (
+        (ds.n + 1) * lam)
+
+
 def test_regularized_lipschitz_arithmetic():
-    bounds = tau_regularized_lipschitz(1.0, 1.0, 2.0, np.ones(4))
-    assert np.allclose(bounds.tau, 1.0)
+    # ||x_q|| = 1 and n + 1 = 4 at lambda = 0.5: the bound is gamma * ||x_i|| / 2
+    ds = TabularDataset(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]),
+                        np.array([1.0, -1.0, 0.5]), np.array([0.0, 1.0]))
+    bounds = LadRidgeModel(0.5).stability_bound(ds, ABS, ds.target_range())
+    assert np.allclose(bounds.tau, [0.5, 1.0, 2.5, 0.5])
+    bounds = LadRidgeModel(0.5).stability_bound(ds, _custom(3.0), ds.target_range())
+    assert np.allclose(bounds.tau, [1.5, 3.0, 7.5, 1.5])
+    drawn = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 30, 5, 1.0, 4))
+    bounds = LadRidgeModel(0.2).stability_bound(drawn, _custom(2.0), drawn.target_range())
+    assert np.allclose(bounds.tau, _lad_closed_form(drawn, 2.0, 0.2), rtol=1e-14, atol=0)
 
 
 def test_regularized_lipschitz_zero_row():
-    norms = np.array([1.0, 0.0, 2.0])
-    bounds = tau_regularized_lipschitz(1.0, 1.0, 2.0, norms)
+    # a zero feature row never moves, and a zero query row moves nothing
+    X = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
+    y = np.array([1.0, -1.0, 0.5])
+    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.ones(2)), ABS, None)
     assert bounds.tau[1] == 0.0
-
-
-def test_regularized_lipschitz_rejects_negative_norm():
-    with pytest.raises(InvalidInputError):
-        tau_regularized_lipschitz(1.0, 1.0, 2.0, np.array([1.0, -1.0]))
+    assert np.all(np.delete(bounds.tau, 1) > 0.0)
+    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.zeros(2)), ABS, None)
+    assert np.all(bounds.tau == 0.0)
 
 
 def test_lad_score_deviations_within_lipschitz_bound():
@@ -67,9 +90,6 @@ def test_lad_score_deviations_within_lipschitz_bound():
     lo, hi = ds.target_range()
     bounds = spec.stability_bound(ds, ABS, (lo, hi))
     assert bounds.provenance == "regularized-lipschitz"
-    query_norm = float(np.linalg.norm(ds.test_point))
-    assert np.array_equal(bounds.tau, tau_regularized_lipschitz(
-        ABS.gamma, query_norm / (ds.n + 1), 2.0 * lam, augmented_row_norms(ds)).tau)
     zs = np.linspace(lo, hi, 30)
     preds = np.vstack([spec.fit(ds, z).row_predictions for z in zs])
     deviations = preds.max(axis=0) - preds.min(axis=0)
@@ -80,84 +100,27 @@ def test_lad_score_deviations_within_lipschitz_bound():
     assert np.all(row_dev <= bounds.tau[:-1] + 1e-8)
 
 
-# ---------------------------------------------- regularized smooth bound
-
-def test_regularized_smooth_arithmetic():
-    bounds = tau_regularized_smooth(gamma=1.0, nu=1.0, loss_bound_C=2.0,
-                                    lambda_sc=2.0, row_norms=np.ones(3))
-    assert np.allclose(bounds.tau, 4.0)
-
-
-def test_regularized_smooth_zero_loss_bound():
-    bounds = tau_regularized_smooth(1.0, 1.0, 0.0, 2.0, np.ones(3))
-    assert np.allclose(bounds.tau, 0.0)
-
-
-def test_regularized_smooth_rejects_nu_at_least_lambda():
-    with pytest.raises(InvalidInputError):
-        tau_regularized_smooth(1.0, 2.0, 1.0, 2.0, np.ones(3))
-
-
-def test_ridge_deviations_within_smooth_bound():
-    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 9))
-    lam = 0.5
-    spec = RidgeModel(lam)
-    m = ds.n + 1
-    z_range = ds.target_range()
-    C = bound_loss_C(ds, z_range=z_range)
-    bounds = tau_regularized_smooth(ABS.gamma, 2.0 / m, C, 2.0 * lam,
-                                    augmented_row_norms(ds), candidate_range=z_range)
-    assert bounds.provenance == "regularized-smooth" and bounds.candidate_range == z_range
-    # exact deviations via the affine-in-candidate decomposition
-    fitted = spec.fit(ds, 0.0)
-    exact_dev = np.abs(fitted.row_b) * (z_range[1] - z_range[0])
-    assert np.all(ABS.gamma * exact_dev <= bounds.tau + 1e-10)
-
-
-# ------------------------------------------------------------ loss bound
-
-def test_loss_bound_endpoint_evaluation():
-    ds = TabularDataset(np.ones((2, 1)), np.array([1.0, -1.0]), np.ones(1))
-    C = bound_loss_C(ds, z_range=(-1.0, 1.0))
-    assert C == pytest.approx(1.0)
-
-
-def test_loss_bound_degenerate_zero():
-    ds = TabularDataset(np.ones((2, 1)), np.zeros(2), np.ones(1))
-    assert bound_loss_C(ds, z_range=(0.0, 0.0)) == 0.0
-
-
-def test_loss_bound_grid_matches_endpoints_for_convex_loss():
-    # the scaled squared loss is convex in the candidate: a dense grid finds
-    # no larger value than the endpoints that bound_loss_C evaluates
-    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 30, 100, 1.0, 3))
-    zeros = np.zeros(ds.n + 1)
-    grid = max(scaled_squared_loss(ds.augmented_targets(z), zeros)
-               for z in np.linspace(*ds.target_range(), 1000))
-    assert grid == pytest.approx(bound_loss_C(ds), rel=1e-12)
-
-
 # ------------------------------------------------------------ linear exact
 
 def test_linear_exact_zero_slope_row(small_dataset):
-    fitted = RidgeModel(0.5).fit(small_dataset, 0.0)
-    bounds = tau_linear_exact(fitted, small_dataset, z_range=(0.0, 0.0))
+    bounds = RidgeModel(0.5).stability_bound(small_dataset, ABS, (0.0, 0.0))
     assert np.allclose(bounds.tau, 0.0)
     # a zero feature row has zero candidate slope, hence a zero bound
     X = small_dataset.features.copy()
     X[0] = 0.0
     ds = TabularDataset(X, small_dataset.targets, small_dataset.test_point)
-    fitted = RidgeModel(0.5).fit(ds, 0.0)
-    bounds = tau_linear_exact(fitted, ds, z_range=(-2.0, 2.0))
+    bounds = RidgeModel(0.5).stability_bound(ds, ABS, (-2.0, 2.0))
     assert bounds.tau[0] == 0.0
     assert bounds.tau[-1] > 0.0
 
 
 def test_linear_exact_scales_with_range(small_dataset):
-    fitted = RidgeModel(0.5).fit(small_dataset, 0.0)
-    one = tau_linear_exact(fitted, small_dataset, z_range=(0.0, 1.0))
-    two = tau_linear_exact(fitted, small_dataset, z_range=(0.0, 2.0))
+    spec = RidgeModel(0.5)
+    one = spec.stability_bound(small_dataset, ABS, (0.0, 1.0))
+    two = spec.stability_bound(small_dataset, ABS, (0.0, 2.0))
     assert np.allclose(2 * one.tau, two.tau)
+    assert np.allclose(3 * one.tau, spec.stability_bound(small_dataset, _custom(3.0),
+                                                         (0.0, 1.0)).tau)
 
 
 def test_linear_exact_dominates_dense_grid_deviations(small_dataset):
@@ -166,7 +129,7 @@ def test_linear_exact_dominates_dense_grid_deviations(small_dataset):
     z_range = small_dataset.target_range()
     anchor = z_range[0]
     fitted = spec.fit(small_dataset, anchor)
-    bounds = tau_linear_exact(fitted, small_dataset, z_range=z_range)
+    bounds = spec.stability_bound(small_dataset, ABS, z_range)
     zs = np.linspace(z_range[0], z_range[1], 500)
     preds = np.vstack([spec.fit(small_dataset, z).row_predictions for z in zs])
     dev = np.abs(preds - fitted.row_predictions[None, :]).max(axis=0)
@@ -176,9 +139,24 @@ def test_linear_exact_dominates_dense_grid_deviations(small_dataset):
     assert np.all(dev[nonzero] >= 0.99 * bounds.tau[nonzero])
 
 
-def test_linear_exact_requires_affine_decomposition(small_dataset):
-    with pytest.raises(InvalidInputError):
-        tau_linear_exact(object(), small_dataset)
+def test_linear_exact_builds_no_fit(small_dataset, monkeypatch):
+    # the bound reads b off the dataset's one augmented solve, not off a fit
+    def no_fit(self, dataset, candidate):
+        raise AssertionError("stability_bound must not fit")
+
+    monkeypatch.setattr(RidgeModel, "fit", no_fit)
+    spec = RidgeModel(0.5)
+    lo, hi = small_dataset.target_range()
+    bounds = spec.stability_bound(small_dataset, _custom(2.0), (lo, hi))
+    b = spec._affine(small_dataset)[-1]
+    assert np.array_equal(bounds.tau, 2.0 * np.abs(b) * (hi - lo))
+    assert bounds.provenance == "linear-exact" and bounds.candidate_range == (lo, hi)
+
+
+def test_linear_exact_needs_a_range(small_dataset):
+    # the bound is over a range; None is refused like every other malformed one
+    with pytest.raises(InvalidInputError, match=r"finite \(lo, hi\) pair"):
+        RidgeModel(0.5).stability_bound(small_dataset, ABS, None)
 
 
 # ------------------------------------------------------------ monotonicity
@@ -186,24 +164,22 @@ def test_linear_exact_requires_affine_decomposition(small_dataset):
 @settings(max_examples=60, deadline=None)
 @given(
     gamma=st.floats(0.0, 5.0),
-    rho=st.floats(0.0, 5.0),
     lam=st.floats(0.1, 5.0),
+    scale=st.floats(0.0, 5.0),
     bump=st.floats(0.0, 2.0),
 )
-def test_bounds_monotone_in_constants(gamma, rho, lam, bump):
-    norms = np.ones(4)
-    base = tau_regularized_lipschitz(gamma, rho, lam, norms).tau
-    assert np.all(tau_regularized_lipschitz(gamma + bump, rho, lam, norms).tau >= base)
-    assert np.all(tau_regularized_lipschitz(gamma, rho + bump, lam, norms).tau >= base)
-    assert np.all(tau_regularized_lipschitz(gamma, rho, lam + bump, norms).tau <= base)
+def test_bounds_monotone_in_constants(gamma, lam, scale, bump):
+    X = np.array([[1.0, 0.0], [0.5, -2.0], [0.0, 0.0]])
+    y = np.array([1.0, -1.0, 0.5])
 
+    def tau(gamma, lam, scale):
+        ds = TabularDataset(X, y, scale * np.array([1.0, 1.5]))
+        return LadRidgeModel(lam).stability_bound(ds, _custom(gamma), None).tau
 
-def test_smooth_bound_monotone_in_nu_C_norms():
-    norms = np.ones(4)
-    base = tau_regularized_smooth(1.0, 0.5, 1.0, 2.0, norms).tau
-    assert np.all(tau_regularized_smooth(1.0, 0.8, 1.0, 2.0, norms).tau >= base)
-    assert np.all(tau_regularized_smooth(1.0, 0.5, 2.0, 2.0, norms).tau >= base)
-    assert np.all(tau_regularized_smooth(1.0, 0.5, 1.0, 2.0, 2 * norms).tau >= base)
+    base = tau(gamma, lam, scale)
+    assert np.all(tau(gamma + bump, lam, scale) >= base)
+    assert np.all(tau(gamma, lam + bump, scale) <= base)
+    assert np.all(tau(gamma, lam, scale + bump) >= base)
 
 
 # --------------------------------------------------------- range coverage
@@ -220,16 +196,14 @@ def test_candidate_range_contains_next_draw():
     assert freq >= bound - 3 * math.sqrt(bound * (1 - bound) / draws)
 
 
-# ----------------------------------------------------------------- auto
+# --------------------------------------------------------- one bound per model
 
 def test_tau_auto_dispatches_by_model(small_dataset):
+    # each model builds its own bound: no recipe is chosen for it
     z_range = small_dataset.target_range()
     lad_bounds = LadRidgeModel(0.5).stability_bound(small_dataset, ABS, z_range)
     assert lad_bounds.provenance == "regularized-lipschitz"
+    assert lad_bounds.candidate_range is None  # it holds on the whole line
     ridge_bounds = RidgeModel(0.5).stability_bound(small_dataset, ABS, z_range)
     assert ridge_bounds.provenance == "linear-exact"
-    # ridge's own bound is the exact affine one, bit for bit
-    fitted = RidgeModel(0.5).fit(small_dataset, 0.0)
-    exact = tau_linear_exact(fitted, small_dataset, z_range=z_range, gamma=ABS.gamma)
-    assert np.array_equal(ridge_bounds.tau, exact.tau)
-    assert ridge_bounds.candidate_range == exact.candidate_range == z_range
+    assert ridge_bounds.candidate_range == z_range
