@@ -538,18 +538,13 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
     return rows
 
 
-def _anchor(dataset: TabularDataset, model_spec) -> tuple[float, object]:
-    """``model_spec.anchor``'s raw anchor clipped into ``dataset.target_range()``
-    (where every model-derived bound holds), and the fit spent choosing it
-    (None if none).  A non-finite raw anchor becomes the range's midpoint:
-    the set is sound for any anchor inside the bound's range."""
-    raw, fitted = model_spec.anchor(dataset)
+def default_anchor(dataset: TabularDataset, model_spec) -> float:
+    """The single-fit anchor: ``model_spec.anchor``'s raw anchor clipped into
+    ``dataset.target_range()``, where every model-derived bound holds.  A
+    non-finite raw anchor becomes the range's midpoint: the set is sound for
+    any anchor inside the bound's range."""
+    raw = model_spec.anchor(dataset)
     lo, hi = dataset.target_range()
     if not math.isfinite(raw):
-        return 0.5 * (lo + hi), fitted
-    return min(max(raw, lo), hi), fitted
-
-
-def default_anchor(dataset: TabularDataset, model_spec) -> float:
-    """The single-fit anchor: the model's raw anchor, clipped (``_anchor``)."""
-    return _anchor(dataset, model_spec)[0]
+        return 0.5 * (lo + hi)
+    return min(max(raw, lo), hi)

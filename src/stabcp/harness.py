@@ -16,7 +16,7 @@ import numpy as np
 
 from .conformal import (
     _EPS_R,
-    _anchor,
+    default_anchor,
     grid_cp,
     oracle_cp,
     root_cp,
@@ -98,10 +98,13 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
     return config.model_spec().stability_bound(dataset, score, dataset.target_range()), 0
 
 
-def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, object]:
-    """``default_anchor`` of the configured model and the fit spent choosing it
-    (None for a model that fits nothing to choose it, such as ridge)."""
-    return _anchor(dataset, config.model_spec())
+def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, None]:
+    """``default_anchor`` of the configured model, as ``(anchor, None)``.
+
+    No model fits to choose its anchor, so the second value is a placeholder
+    that no caller reads; the 2-tuple stays because perfbench unpacks it.
+    """
+    return default_anchor(dataset, config.model_spec()), None
 
 
 def run_method(method: str, dataset: TabularDataset, config: RunConfig,
@@ -114,14 +117,9 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
     started = time.perf_counter()
 
     if method == "stabcp":
-        anchor, anchor_fit = resolve_anchor(config, dataset)
+        anchor = default_anchor(dataset, spec)
         tau, _ = build_tau(config, dataset, score)
         report = stab_cp_interval(dataset, anchor, spec, score, tau, config.alpha)
-        # iterations count the anchor fit's cost too; the gap and converged
-        # stay the envelope fit's, the one fit the set's soundness rests on
-        anchor_iterations = getattr(anchor_fit, "iterations", None)
-        if anchor_iterations is not None:
-            report.details["iterations"] += anchor_iterations
     elif method == "splitcp":
         report = split_cp(dataset, config.split_index(dataset.n), spec, score, config.alpha)
     elif method == "oraclecp":

@@ -15,13 +15,12 @@ Every model follows one protocol:
   refit to the next as ``start`` (only the iterative model uses it: the
   start sets where its solver begins and, when it was fitted on the very
   same read-only ``X``, lends the work that depends on ``X`` alone);
-- ``anchor(dataset)`` returns ``(raw_anchor, fit_or_None)``: the model's
-  guess of the query response, from which ``conformal.default_anchor``
-  clips the single-fit anchor, and the fit spent choosing it.  Ridge's is
-  the self-consistent query prediction ``a_q / (1 - b_q)`` of its augmented
-  solve, so it makes no solve of its own and returns no fit; LAD-ridge fits
-  the observed rows, stopped at a looser anchor tolerance, since any anchor
-  inside the bound's range gives a sound set;
+- ``anchor(dataset)`` returns the model's guess of the query response, a
+  float from which ``conformal.default_anchor`` clips the single-fit anchor;
+  no model spends a fit on it.  Ridge's is the self-consistent query
+  prediction ``a_q / (1 - b_q)`` of its augmented solve; LAD-ridge's is the
+  median of the observed responses, since its bound holds on the whole line
+  and any anchor gives a sound set;
 - ``stability_bound(dataset, score, z_range)`` builds the model's one
   per-row :class:`~stabcp.stability.StabilityBounds`; no other code builds
   it.  Ridge's is the exact affine bound over ``z_range``; LAD-ridge's is
@@ -49,16 +48,6 @@ from .core import TabularDataset, _as_finite_array, _check_range, _integral, _re
 from .errors import InvalidInputError, NotFittedError, NumericalError
 from .stability import StabilityBounds
 
-
-# Relative duality gap at which ``LadRidgeModel.anchor``'s fit stops.  The
-# anchor is a free choice (a single-fit set is sound for any anchor inside the
-# bound's range; the LAD bound's is the whole line), so its fit need not be
-# exact.  The objective is 2*lambda-strongly convex, so a gap g keeps the
-# coefficients within sqrt(g/lambda) of the minimizer and the anchor within
-# ||x_query|| * sqrt(g/lambda) of the exact one.  Scaling by mean|y|, the
-# objective at beta = 0, makes the rule scale-free.  Ridge's anchor needs no
-# such rule: it is read off the augmented solve, with no fit of its own.
-_ANCHOR_GAP = 1e-2
 
 # Smallest ``1 - b_q`` from which ``RidgeModel.anchor`` takes its quotient.
 # Exactly, b_q lies in [0, 1]; where it is 1 the computed 1 - b_q is rounding
@@ -181,10 +170,10 @@ class RidgeModel(LinearModel):
         model.row_b = b
         return model
 
-    def anchor(self, dataset: TabularDataset) -> tuple[float, None]:
+    def anchor(self, dataset: TabularDataset) -> float:
         """The query prediction ``a_q / (1 - b_q)`` that the augmented fit
         reproduces at its own candidate, from the dataset's one augmented
-        solve; no solve of its own, so no fit to return.
+        solve; no solve of its own.
 
         At that candidate the augmented normal equations reduce to the
         observed rows' ones, so this is the observed-rows ridge prediction at
@@ -197,8 +186,8 @@ class RidgeModel(LinearModel):
         _, _, a, b = self._affine(dataset)
         free = 1.0 - float(b[-1])
         if free <= _FREE_QUERY_TOL:
-            return math.nan, None
-        return float(a[-1]) / free, None
+            return math.nan
+        return float(a[-1]) / free
 
     def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
         """The exact affine bound ``gamma * |b_i| * W`` over ``z_range`` of width
@@ -388,14 +377,14 @@ class LadRidgeModel(LinearModel):
         model._design = None if X.flags.writeable else design
         return model
 
-    def anchor(self, dataset: TabularDataset) -> tuple[float, "LadRidgeModel"]:
-        """The query prediction of a fit on the observed rows, and that fit,
-        stopped at the anchor tolerance ``max(solver_tol, _ANCHOR_GAP * mean|y|)``
-        against which its ``converged`` is judged."""
-        anchor_tol = max(self.solver_tol, _ANCHOR_GAP * float(np.mean(np.abs(dataset.targets))))
-        spec = LadRidgeModel(self.lambda_reg, anchor_tol, self.max_iter)
-        fitted = spec.fit_rows(dataset.features, dataset.targets)
-        return fitted.predict(dataset.test_point), fitted
+    def anchor(self, dataset: TabularDataset) -> float:
+        """The median of the observed responses; no fit.
+
+        The Lipschitz-loss bound has no range, so every anchor gives a sound
+        set, and a fit spent on a better guess only costs time.  The median
+        is the L1 location of the responses, the LAD fit of a constant.
+        """
+        return float(np.median(dataset.targets))
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "LadRidgeModel":
         X = dataset.augmented_design()
@@ -411,12 +400,15 @@ class LadRidgeModel(LinearModel):
         candidate, and that term is ``||x_query|| / m``-Lipschitz in the
         coefficients at every candidate; the penalty is
         ``2*lambda_reg``-strongly convex.  So the bound holds for any two
-        candidates: it has no range, and ``z_range`` is unused.  (The naive
+        candidates: it has no range, and ``z_range``, None or a range checked
+        as every range is, does not change it.  (The naive
         whole-loss constant ``1/sqrt(m)`` is NOT sound here: the query row's
         leverage can exceed it, and measured deviations do cross that smaller
         bound.)  Row i's bound is ``2 * gamma * rho * ||x_i|| / (2 * lambda_reg)``
         with ``rho = ||x_query|| / (n + 1)``.
         """
+        if z_range is not None:
+            _check_range(z_range, "z_range")
         rho = float(np.linalg.norm(dataset.test_point)) / (dataset.n + 1)
         norms = np.append(np.linalg.norm(dataset.features, axis=1),
                           np.linalg.norm(dataset.test_point[None, :], axis=1))
@@ -438,9 +430,9 @@ class PretrainedLinearModel(LinearModel):
     def fit_rows(self, X, y, start=None) -> "PretrainedLinearModel":
         return self
 
-    def anchor(self, dataset: TabularDataset) -> tuple[float, None]:
+    def anchor(self, dataset: TabularDataset) -> float:
         """Its own query prediction; nothing is fitted."""
-        return self.predict(dataset.test_point), None
+        return self.predict(dataset.test_point)
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "PretrainedLinearModel":
         model = PretrainedLinearModel(self.coefficients)

@@ -245,7 +245,8 @@ def test_criterion_10_fit_counters_and_timing():
         counters_ok &= gridr.fit_count == grid_size
         counters_ok &= rootr.fit_count >= root_floor
         root_detail = f"root fits {rootr.fit_count} >= {root_floor:.1f}"
-        # the default anchor's fit stops early; its set still holds rootcp's
+        # anchored at the observed median with no fit of its own, the one-fit
+        # set still holds rootcp's
         stab_set, root_set = stab.set.intervals, rootr.set.intervals
         contains_ok &= (len(stab_set) == 1 and stab_set[0][0] <= root_set[0][0] + eps_r
                         and root_set[-1][1] - eps_r <= stab_set[0][1])

@@ -191,8 +191,8 @@ def test_predict_reports_the_fit_certificate(generated, capsys):
     code, out, err = run_cli(capsys, *lad_flags, "--max-iter", "5", "--solver-tol", "1e-12")
     assert code == 0, err
     starved = json.loads(out)
-    # five iterations each for the anchor fit and the envelope fit
-    assert starved["iterations"] == 10 and starved["duality_gap"] > 1e-12
+    # the five iterations of the envelope fit, the set's one fit
+    assert starved["iterations"] == 5 and starved["duality_gap"] > 1e-12
     assert starved["converged"] is False and starved["tau_coverage_safe"] is False
 
 
@@ -227,22 +227,24 @@ def test_predict_whole_range_when_the_level_index_exceeds_n(tmp_path, capsys):
     assert fit_counts == {"rootcp": 0, "oraclecp": 1}
 
 
-def test_stabcp_lad_certificate_covers_the_anchor_fit():
+def test_stabcp_lad_certificate_is_the_envelope_fits():
+    # the anchor is the observed median and costs no fit, so the report's
+    # iterations, gap and converged are all the envelope fit's, the set's one fit
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
     config = RunConfig(model="ladridge", lambda_reg=0.2)
     report = run_method("stabcp", ds, config)
-    anchor, anchor_fit = resolve_anchor(config, ds)
+    anchor, placeholder = resolve_anchor(config, ds)
+    assert (anchor, placeholder) == (float(np.median(ds.targets)), None)
     tau, _ = build_tau(config, ds, ScoreFunction.absolute_residual())
     envelope = stab_cp_interval(ds, anchor, config.model_spec(),
                                 ScoreFunction.absolute_residual(), tau, config.alpha)
     assert report.set == envelope.set
-    assert report.details["iterations"] == anchor_fit.iterations + envelope.details["iterations"]
-    # the gap and converged are the envelope fit's, on which the set rests
+    assert report.details["iterations"] == envelope.details["iterations"]
     assert report.details["duality_gap"] == envelope.details["duality_gap"]
     assert report.details["converged"] is envelope.details["converged"] is True
-    # both fits starved: each counts its five iterations; the envelope fit did not converge
+    # the envelope fit starved: its five iterations are the report's, and it did not converge
     starved = run_method("stabcp", ds, dataclasses.replace(config, max_iter=5, solver_tol=1e-12))
-    assert starved.details["iterations"] == 10 and starved.details["converged"] is False
+    assert starved.details["iterations"] == 5 and starved.details["converged"] is False
 
 
 @pytest.mark.parametrize("tau_source", TAU_SOURCES)
@@ -255,7 +257,7 @@ def test_default_stabcp_is_anchored_where_its_bound_holds(seed, tau_source):
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 10, 1.0, seed))
     config = RunConfig(tau_source=tau_source)
     lo, hi = ds.target_range()
-    raw, _ = config.model_spec().anchor(ds)
+    raw = config.model_spec().anchor(ds)
     observed = RidgeModel(config.lambda_reg * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets)
     assert raw == pytest.approx(observed.predict(ds.test_point), rel=1e-9)
     assert not lo <= raw <= hi
@@ -471,7 +473,7 @@ def test_benchmark_rejects_bad_method_list(capsys, methods):
 
 
 def test_benchmark_coverage_averages_only_safe_repetitions():
-    # 60 ADMM iterations certify the envelope fit on 7 of these 20 draws; at
+    # 60 ADMM iterations certify the envelope fit on 16 of these 20 draws; at
     # alpha 0.5 the safe and the flagged repetitions cover at different rates
     config = RunConfig(model="ladridge", lambda_reg=0.5, max_iter=60, alpha=0.5)
     source = synthetic_source(GeneratorSpec("linear-gaussian", 20, 3, 1.0, 0))
@@ -480,7 +482,7 @@ def test_benchmark_coverage_averages_only_safe_repetitions():
     stab = [row for row in rows if row["method"] == "stabcp"]
     safe = [row["covered"] for row in stab if row["tau_coverage_safe"] is True]
     flagged = [row["covered"] for row in stab if row["tau_coverage_safe"] is False]
-    assert (len(safe), len(flagged)) == (7, 13)
+    assert (len(safe), len(flagged)) == (16, 4)
     assert np.mean(safe) != np.mean(flagged)
     assert entry["tau_unsafe"] is True
     assert entry["coverage"] == pytest.approx(np.mean(safe))

@@ -193,7 +193,7 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
     ds = TabularDataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.1, 2.9]),
                         np.array([10.0]))
     spec = RidgeModel(0.01)
-    anchor, _ = spec.anchor(ds)
+    anchor = spec.anchor(ds)
     tau = spec.stability_bound(ds, ABS, ds.target_range())
     lo, hi = tau.candidate_range
     assert anchor > hi

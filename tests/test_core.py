@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import stabcp
 from stabcp import (
     InvalidInputError,
+    LadRidgeModel,
     NotFittedError,
     PredictionSet,
     PretrainedLinearModel,
@@ -278,12 +279,14 @@ RANGE_ENTRY_POINTS = {
         np.ones(ds.n + 1), "user-supplied", candidate_range=r),
     # ridge's linear-exact tau, built by its model
     "tau_linear_exact": lambda ds, r: RidgeModel(0.5).stability_bound(ds, ABS, r),
+    # LAD-ridge's bound has no range, but a range it is given is still checked
+    "tau_regularized_lipschitz": lambda ds, r: LadRidgeModel(0.5).stability_bound(ds, ABS, r),
     "root_cp": lambda ds, r: stabcp.root_cp(ds, RidgeModel(0.5), ABS, 0.1, z_range=r),
 }
 
 
-@pytest.mark.parametrize("bad_range", [(2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)],
-                         ids=["reversed", "infinite", "nan"])
+@pytest.mark.parametrize("bad_range", [(2.0, 1.0), (0.0, math.inf), (math.nan, 1.0), "junk"],
+                         ids=["reversed", "infinite", "nan", "not-a-pair"])
 @pytest.mark.parametrize("entry", sorted(RANGE_ENTRY_POINTS))
 def test_every_candidate_range_must_be_a_finite_ordered_pair(small_dataset, entry, bad_range):
     with warnings.catch_warnings():

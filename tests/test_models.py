@@ -117,8 +117,7 @@ def test_ridge_anchor_of_an_unpenalized_query_direction_is_the_range_midpoint():
     ds = TabularDataset(np.zeros((2, 1)), np.array([-1.0, 3.0]), np.array([1.0]),
                         test_target=0.5)
     spec = RidgeModel(0.0)
-    raw, fitted = spec.anchor(ds)
-    assert np.isnan(raw) and fitted is None
+    assert np.isnan(spec.anchor(ds))
     assert default_anchor(ds, spec) == 1.0
     report = run_method("stabcp", ds, RunConfig(lambda_reg=0.0))
     assert report.details["anchor"] == 1.0
@@ -132,14 +131,13 @@ def test_ridge_anchor_of_a_query_direction_free_up_to_rounding_is_the_midpoint(s
     # noise of either sign, so the anchor is the range's midpoint, not 0/0
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 21, 1.0, seed))
     lo, hi = ds.target_range()
-    raw, fitted = RidgeModel(0.0).anchor(ds)
-    assert np.isnan(raw) and fitted is None
+    assert np.isnan(RidgeModel(0.0).anchor(ds))
     assert default_anchor(ds, RidgeModel(0.0)) == 0.5 * (lo + hi)
     # a tiny penalty leaves 1 - b_q far above rounding: the quotient is kept
     spec = RidgeModel(1e-6)
     _, _, a, b = spec._affine(ds)
     assert 1.0 - b[-1] > 1e-6
-    assert spec.anchor(ds)[0] == a[-1] / (1.0 - b[-1])
+    assert spec.anchor(ds) == a[-1] / (1.0 - b[-1])
 
 
 def test_ridge_stabcp_set_makes_one_gram_and_one_solve(monkeypatch):
@@ -213,22 +211,29 @@ def test_lad_certificate_and_convergence_flag(small_dataset):
     assert starved.row_predictions is not None and starved.converged is False
 
 
-def test_lad_anchor_fit_stops_at_the_anchor_tolerance():
+def test_lad_anchor_is_the_observed_median_and_fits_nothing(monkeypatch):
+    # the LAD bound holds on the whole line, so any anchor is sound; the
+    # median of the responses is taken without a fit
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
-    lam = 0.2
-    spec = LadRidgeModel(lam)
-    raw, loose = spec.anchor(ds)
-    assert raw == loose.predict(ds.test_point)
-    tight = spec.fit_rows(ds.features, ds.targets)
-    assert loose.iterations < tight.iterations
-    assert 0.0 <= loose.duality_gap <= 1e-2 * np.mean(np.abs(ds.targets))
-    assert loose.converged is True
-    # 2*lambda-strong convexity: each fit lies within sqrt(gap/lambda) of the
-    # minimizer, so the two anchors differ by at most the sum of both radii
-    x_q = ds.test_point
-    radius = np.linalg.norm(x_q) * (np.sqrt(loose.duality_gap / lam)
-                                    + np.sqrt(tight.duality_gap / lam))
-    assert abs(loose.predict(x_q) - tight.predict(x_q)) <= radius
+    spec = LadRidgeModel(0.2)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the anchor made a fit")
+
+    monkeypatch.setattr(LadRidgeModel, "fit_rows", no_fit)
+    monkeypatch.setattr(LadRidgeModel, "fit", no_fit)
+    raw = spec.anchor(ds)
+    assert type(raw) is float and raw == np.median(ds.targets)
+    assert default_anchor(ds, spec) == raw
+
+
+def test_lad_stabcp_set_makes_one_fit_and_one_eigendecomposition(eigh_calls):
+    # the anchor costs no fit: the envelope fit is the set's one fit, with
+    # the one eigendecomposition of its design
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
+    report = run_method("stabcp", ds, RunConfig(model="ladridge", lambda_reg=0.2))
+    assert report.set.shape == "interval" and report.details["converged"] is True
+    assert report.fit_count == 1 and len(eigh_calls) == 1
 
 
 def test_lad_permutation_symmetry_within_tolerance():

@@ -65,6 +65,10 @@ def test_regularized_lipschitz_arithmetic():
     drawn = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 30, 5, 1.0, 4))
     bounds = LadRidgeModel(0.2).stability_bound(drawn, _custom(2.0), drawn.target_range())
     assert np.allclose(bounds.tau, _lad_closed_form(drawn, 2.0, 0.2), rtol=1e-14, atol=0)
+    # the range is checked but changes nothing: without one the bound is the same
+    unranged = LadRidgeModel(0.2).stability_bound(drawn, _custom(2.0), None)
+    assert np.array_equal(unranged.tau, bounds.tau)
+    assert unranged.candidate_range is bounds.candidate_range is None
 
 
 def test_regularized_lipschitz_zero_row():
