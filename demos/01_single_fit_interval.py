@@ -12,7 +12,6 @@ from stabcp import (
     GeneratorSpec,
     RidgeModel,
     ScoreFunction,
-    default_anchor,
     default_candidate_grid,
     gen_linear_gaussian,
     grid_cp,
@@ -31,14 +30,15 @@ print(f"coverage target: {1 - alpha:.0%}\n")
 
 model = RidgeModel(lambda_reg=0.5)
 
-# The anchor is just a guess for the unknown response; any value is valid.
-anchor = default_anchor(dataset, model)
+# The anchor is just a guess for the unknown response; any value inside the
+# range where the bound holds is valid.  Each model picks its own.
+anchor = model.anchor(dataset)
 print(f"anchor (self-consistent query prediction a_q / (1 - b_q)): {anchor:+.3f}")
 
 # Exact per-row stability bounds: ridge predictions are affine in the
-# candidate, so the worst-case score movement over the candidate range is
-# known in closed form.  Each model builds its own bound.
-tau = model.stability_bound(dataset, score, dataset.target_range())
+# candidate, so the worst-case score movement over the observed target range
+# is known in closed form.  Each model builds its own bound.
+tau = model.stability_bound(dataset, score)
 print(f"stability bounds: max tau_i = {tau.tau.max():.4f}, "
       f"query-point tau = {tau.tau_test:.4f}\n")
 

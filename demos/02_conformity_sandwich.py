@@ -11,7 +11,6 @@ from stabcp import (
     GeneratorSpec,
     RidgeModel,
     ScoreFunction,
-    default_anchor,
     default_candidate_grid,
     gap_profile,
     gen_linear_gaussian,
@@ -23,8 +22,8 @@ alpha = 0.1
 
 dataset = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 80, 6, 1.0, seed=11))
 model = RidgeModel(0.5)
-anchor = default_anchor(dataset, model)
-tau = model.stability_bound(dataset, score, dataset.target_range())
+anchor = model.anchor(dataset)
+tau = model.stability_bound(dataset, score)
 
 grid = default_candidate_grid(dataset, 61)
 rows = gap_profile(dataset, anchor, model, score, tau, grid)

@@ -1,7 +1,7 @@
 """Where the stability bounds come from, and how tight each one is.
 
 Builds each model's own bound through its ``stability_bound`` (ridge: the
-exact affine bound over the candidate range; the L1 model: the
+exact affine bound over the observed target range; the L1 model: the
 Lipschitz-loss bound, which holds on the whole line) and checks both against
 the measured worst-case score deviations: each is a sound guarantee, and
 they differ only in how much slack they leave.
@@ -36,12 +36,12 @@ def measured_deviation(spec):
 print(f"dataset: n={dataset.n}, p={dataset.p}, candidate range "
       f"[{z_range[0]:+.2f}, {z_range[1]:+.2f}]\n")
 
-# ridge: its own exact affine bound over the candidate range
-exact = ridge.stability_bound(dataset, score, z_range)
+# ridge: its own exact affine bound over the target range
+exact = ridge.stability_bound(dataset, score)
 ridge_dev = measured_deviation(ridge)
 
 # L1 model: its own Lipschitz-loss bound, with the replace-one constant
-lipschitz = lad.stability_bound(dataset, score, z_range)
+lipschitz = lad.stability_bound(dataset, score)
 lad_dev = measured_deviation(lad)
 
 print(f"{'bound':<22} {'max tau':>9} {'max measured':>13} {'slack':>7}")

@@ -19,7 +19,6 @@ from .conformal import (
     MethodReport,
     PiBounds,
     anchor_bounds,
-    default_anchor,
     gap_profile,
     grid_cp,
     oracle_cp,

@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .conformal import default_anchor, gap_profile, split_pi
+from .conformal import gap_profile, split_pi
 from .core import ScoreFunction, default_candidate_grid
 from .data import GeneratorSpec, generate, load_csv, save_csv
 from .errors import DataError, InvalidInputError, NotFittedError, NumericalError
@@ -239,7 +239,7 @@ def cmd_curve(data_path, target_column, sidecar, out, **kw):
     dataset = _load_dataset(data_path, target_column, sidecar)
     score = ScoreFunction.absolute_residual()
     spec = config.model_spec()
-    anchor = default_anchor(dataset, spec)
+    anchor = spec.anchor(dataset)
     tau, _ = build_tau(config, dataset, score)
     grid = default_candidate_grid(dataset, config.grid_size)
     rows = gap_profile(dataset, anchor, spec, score, tau, grid)

@@ -35,7 +35,6 @@ from .core import (
     TabularDataset,
     _as_finite_array,
     _certificate,
-    _check_range,
     _checked_scores,
     _conformity,
     _integral,
@@ -286,27 +285,26 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
     statistic of the inflated scores; when that index exceeds n the whole
     candidate range is returned.  Custom scores, which must be minimized at
     ``q = m`` (see ``ScoreFunction.custom``), are extracted by
-    ``sublevel_set`` to within ``_EPS_R``.  The candidate range is
-    ``tau.candidate_range``, else the observed target range; it is recorded
-    and sets the first bracketing step, and the set is never clamped to it.
+    ``sublevel_set`` to within ``_EPS_R``.  The candidate range is the
+    observed target range, as in every set method; it is recorded and sets
+    the first bracketing step, and the set is never clamped to it.
 
     Each model builds its own bound (``stability_bound``).  It bounds the
     score deviation between a candidate and the anchor, assuming both lie in
     ``tau.candidate_range`` and the anchor fit is exact; ridge's bound holds
-    over that range, LAD-ridge's carries no range and holds on the whole
-    line.  So an anchor outside the range (never ``default_anchor``), or an
-    envelope fit whose solver stopped before its certificate reached the
-    tolerance (``converged=False``), reports ``tau_coverage_safe=False``;
-    the set is unchanged.  Closed-form fits carry no ``converged`` flag and
-    are exact.
+    over the target range, LAD-ridge's carries no range and holds on the
+    whole line.  So an anchor outside the bound's range (never a model's own
+    ``anchor``), or an envelope fit whose solver stopped before its
+    certificate reached the tolerance (``converged=False``), reports
+    ``tau_coverage_safe=False``; the set is unchanged.  Closed-form fits
+    carry no ``converged`` flag and are exact.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
-    candidate_range = tau.candidate_range or dataset.target_range()
     bounds, fitted = anchor_bounds(dataset, anchor, model_spec, score, tau)
     threshold = _score_threshold(bounds.upper_sorted, bounds.tau_test, alpha)
     prediction_set = sublevel_set(score, bounds.mu_test, threshold, alpha,
-                                  candidate_range, "stabcp")
+                                  dataset.target_range(), "stabcp")
     anchor_in_range = (tau.candidate_range is None
                        or tau.candidate_range[0] <= anchor <= tau.candidate_range[1])
     certified = getattr(fitted, "converged", True)
@@ -443,16 +441,16 @@ def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: Score
     return _conformity(_Refits(dataset, model_spec, score).count_at(candidate), dataset.n)
 
 
-def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: float,
-            z_range=None) -> MethodReport:
+def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction,
+            alpha: float) -> MethodReport:
     """Endpoints of the exact conformal set by bisection, one refit per probe.
 
     Assumes the exact set is one interval.  When ``_level_index`` exceeds n
-    it returns the whole range with no refit.  Otherwise it probes the
+    it returns the whole target range with no refit.  Otherwise it probes the
     distinct values among ``_ROOT_PROBES`` evenly spaced candidates of the
-    range (one on a zero-width range; empty when none is kept) and brackets
-    each endpoint between the outermost kept probe and its unkept neighbour
-    or, past a kept end probe, outward by ``sublevel_set``'s steps
+    target range (one on a zero-width range; empty when none is kept) and
+    brackets each endpoint between the outermost kept probe and its unkept
+    neighbour or, past a kept end probe, outward by ``sublevel_set``'s steps
     (``_outer_boundary``; never clamped).  The lower endpoint is bracketed
     first; when either side is unbounded the whole range is returned at once.
     Each bracket is bisected to ``_EPS_R`` and its midpoint returned.
@@ -463,14 +461,13 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     when some refit did not converge (``_Refits.details``).
 
     An exact set narrower than the probe spacing that falls between two
-    probes is returned empty: with every target 2.0 under
-    ``PretrainedLinearModel([2.0])`` and ``z_range=(1, 3)``, the point 2.
+    probes is returned empty: on 100 rows of ones with targets 1.0, then
+    98 times 2.0, then 3.0, ``PretrainedLinearModel([2.0])`` at alpha = 0.1
+    keeps the point 2 alone, which no probe of ``[1, 3]`` hits.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
-    if z_range is None:
-        z_range = dataset.target_range()
-    z_min, z_max = _check_range(z_range, "z_range")
+    z_min, z_max = dataset.target_range()
     refits = _Refits(dataset, model_spec, score)
     if _level_index(dataset.n, alpha) > dataset.n:
         return _report(PredictionSet.whole_range("rootcp", alpha, (z_min, z_max)), dataset, 0,
@@ -536,15 +533,3 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
         pb = bounds.pi_bounds_at(z)
         rows.append((float(z), pb.lo, pb.up, _conformity(refits.count_at(z), dataset.n)))
     return rows
-
-
-def default_anchor(dataset: TabularDataset, model_spec) -> float:
-    """The single-fit anchor: ``model_spec.anchor``'s raw anchor clipped into
-    ``dataset.target_range()``, where every model-derived bound holds.  A
-    non-finite raw anchor becomes the range's midpoint: the set is sound for
-    any anchor inside the bound's range."""
-    raw = model_spec.anchor(dataset)
-    lo, hi = dataset.target_range()
-    if not math.isfinite(raw):
-        return 0.5 * (lo + hi)
-    return min(max(raw, lo), hi)

@@ -37,9 +37,11 @@ def _level_index(m: int, alpha: float) -> int:
     its conformity is ``pi = 1 - count/(m + 1)`` (``_conformity``); every set
     is the closure of ``{pi > alpha} = {count < k} = {S_q <= U_(k)}`` (``U``
     the sorted reference scores), which covers with probability >= 1 - alpha.
-    ``k > m``: every candidate, the whole line.
+    ``k > m``: every candidate, the whole line.  ``k`` is at least 1, since
+    ``count = 0`` meets ``count < (1 - alpha)(m + 1)`` for every alpha < 1;
+    the tolerance alone would take alpha within ``_TOL/(m + 1)`` of 1 to 0.
     """
-    return math.ceil((1.0 - alpha) * (m + 1) - _TOL)
+    return max(1, math.ceil((1.0 - alpha) * (m + 1) - _TOL))
 
 
 def _conformity(count, m: int):

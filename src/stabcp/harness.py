@@ -16,7 +16,6 @@ import numpy as np
 
 from .conformal import (
     _EPS_R,
-    default_anchor,
     grid_cp,
     oracle_cp,
     root_cp,
@@ -45,9 +44,10 @@ ROW_FIELDS = ("rep", "method", "covered", "length", "fit_count", "wall_time", "l
 class RunConfig:
     """Method settings shared across benchmark repetitions; the CLI's defaults.
 
-    The anchor is no setting: every single-fit set is anchored at
-    ``default_anchor``, inside the range its bound holds on.  Nor is the
-    bound: each model builds its own in ``stability_bound``.
+    The anchor is no setting: every single-fit set is anchored at the
+    model's own ``anchor``, inside the range its bound holds on.  Nor is the
+    bound: each model builds its own in ``stability_bound``, and every set
+    searches and records the observed target range.
     """
 
     model: str = "ridge"
@@ -90,21 +90,21 @@ class RunConfig:
 
 
 def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
-    """The model's own stability bound over the target range, as ``(tau, 0)``.
+    """The configured model's own stability bound, as ``(tau, 0)``.
 
     The second value is a placeholder that no caller reads; the 2-tuple stays
     because perfbench unpacks it.
     """
-    return config.model_spec().stability_bound(dataset, score, dataset.target_range()), 0
+    return config.model_spec().stability_bound(dataset, score), 0
 
 
 def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, None]:
-    """``default_anchor`` of the configured model, as ``(anchor, None)``.
+    """The configured model's own ``anchor``, as ``(anchor, None)``.
 
     No model fits to choose its anchor, so the second value is a placeholder
     that no caller reads; the 2-tuple stays because perfbench unpacks it.
     """
-    return default_anchor(dataset, config.model_spec()), None
+    return config.model_spec().anchor(dataset), None
 
 
 def run_method(method: str, dataset: TabularDataset, config: RunConfig,
@@ -117,7 +117,7 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
     started = time.perf_counter()
 
     if method == "stabcp":
-        anchor = default_anchor(dataset, spec)
+        anchor = spec.anchor(dataset)
         tau, _ = build_tau(config, dataset, score)
         report = stab_cp_interval(dataset, anchor, spec, score, tau, config.alpha)
     elif method == "splitcp":

@@ -15,17 +15,18 @@ Every model follows one protocol:
   refit to the next as ``start`` (only the iterative model uses it: the
   start sets where its solver begins and, when it was fitted on the very
   same read-only ``X``, lends the work that depends on ``X`` alone);
-- ``anchor(dataset)`` returns the model's guess of the query response, a
-  float from which ``conformal.default_anchor`` clips the single-fit anchor;
-  no model spends a fit on it.  Ridge's is the self-consistent query
-  prediction ``a_q / (1 - b_q)`` of its augmented solve; LAD-ridge's is the
+- ``anchor(dataset)`` returns the single-fit anchor, a finite float inside
+  every range on which the model's own bound holds; no model spends a fit on
+  it.  Ridge's is the self-consistent query prediction ``a_q / (1 - b_q)`` of
+  its augmented solve, clipped into the target range; LAD-ridge's is the
   median of the observed responses, since its bound holds on the whole line
   and any anchor gives a sound set;
-- ``stability_bound(dataset, score, z_range)`` builds the model's one
-  per-row :class:`~stabcp.stability.StabilityBounds`; no other code builds
-  it.  Ridge's is the exact affine bound over ``z_range``; LAD-ridge's is
-  the Lipschitz-loss bound, which carries no range and holds on the whole
-  line.  ``PretrainedLinearModel`` has none: a caller passes its zero bound
+- ``stability_bound(dataset, score)`` builds the model's one per-row
+  :class:`~stabcp.stability.StabilityBounds`; no other code builds it.
+  Ridge's is the exact affine bound over ``dataset.target_range()``, the one
+  candidate range of every set; LAD-ridge's is the Lipschitz-loss bound,
+  which carries no range and holds on the whole line.
+  ``PretrainedLinearModel`` has none: a caller passes its zero bound
   (``tau_user_supplied``) explicitly.
 
 All fitters treat the rows exchangeably: the objective is a sum over rows, so
@@ -44,7 +45,7 @@ import math
 
 import numpy as np
 
-from .core import TabularDataset, _as_finite_array, _check_range, _integral, _read_only, _real
+from .core import TabularDataset, _as_finite_array, _integral, _read_only, _real
 from .errors import InvalidInputError, NotFittedError, NumericalError
 from .stability import StabilityBounds
 
@@ -172,28 +173,30 @@ class RidgeModel(LinearModel):
 
     def anchor(self, dataset: TabularDataset) -> float:
         """The query prediction ``a_q / (1 - b_q)`` that the augmented fit
-        reproduces at its own candidate, from the dataset's one augmented
-        solve; no solve of its own.
+        reproduces at its own candidate, clipped into the target range where
+        the bound holds; from the dataset's one augmented solve, no solve of
+        its own.
 
         At that candidate the augmented normal equations reduce to the
         observed rows' ones, so this is the observed-rows ridge prediction at
         penalty ``(n+1) * lambda_reg / n``.  Where the observed rows leave the
         query direction unpenalized (``b_q = 1``) the quotient is 0/0, and a
         computed ``1 - b_q`` there is rounding noise of either sign, so at or
-        below ``_FREE_QUERY_TOL`` the anchor is nan and
-        ``conformal.default_anchor`` takes the range's midpoint instead.
+        below ``_FREE_QUERY_TOL`` the anchor is the range's midpoint.
         """
         _, _, a, b = self._affine(dataset)
+        lo, hi = dataset.target_range()
         free = 1.0 - float(b[-1])
         if free <= _FREE_QUERY_TOL:
-            return math.nan
-        return float(a[-1]) / free
+            return 0.5 * (lo + hi)
+        return min(max(float(a[-1]) / free, lo), hi)
 
-    def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
-        """The exact affine bound ``gamma * |b_i| * W`` over ``z_range`` of width
-        ``W``: the predictions are affine in the candidate, so this is the worst
-        case, and ``b`` comes from the dataset's one augmented solve."""
-        lo, hi = _check_range(z_range, "z_range")
+    def stability_bound(self, dataset: TabularDataset, score) -> StabilityBounds:
+        """The exact affine bound ``gamma * |b_i| * W`` over the target range,
+        of width ``W``: the predictions are affine in the candidate, so this
+        is the worst case, and ``b`` comes from the dataset's one augmented
+        solve."""
+        lo, hi = dataset.target_range()
         b = self._affine(dataset)[-1]
         return StabilityBounds(score.gamma * np.abs(b) * (hi - lo), "linear-exact",
                                candidate_range=(lo, hi))
@@ -393,22 +396,19 @@ class LadRidgeModel(LinearModel):
         model.row_predictions = X @ model.coefficients
         return model
 
-    def stability_bound(self, dataset: TabularDataset, score, z_range) -> StabilityBounds:
+    def stability_bound(self, dataset: TabularDataset, score) -> StabilityBounds:
         """The Lipschitz-loss bound for candidate changes, on the whole line.
 
         Only the query row's term of the scaled L1 loss moves with the
         candidate, and that term is ``||x_query|| / m``-Lipschitz in the
         coefficients at every candidate; the penalty is
         ``2*lambda_reg``-strongly convex.  So the bound holds for any two
-        candidates: it has no range, and ``z_range``, None or a range checked
-        as every range is, does not change it.  (The naive
-        whole-loss constant ``1/sqrt(m)`` is NOT sound here: the query row's
-        leverage can exceed it, and measured deviations do cross that smaller
-        bound.)  Row i's bound is ``2 * gamma * rho * ||x_i|| / (2 * lambda_reg)``
-        with ``rho = ||x_query|| / (n + 1)``.
+        candidates: it has no range.  (The naive whole-loss constant
+        ``1/sqrt(m)`` is NOT sound here: the query row's leverage can exceed
+        it, and measured deviations do cross that smaller bound.)  Row i's
+        bound is ``2 * gamma * rho * ||x_i|| / (2 * lambda_reg)`` with
+        ``rho = ||x_query|| / (n + 1)``.
         """
-        if z_range is not None:
-            _check_range(z_range, "z_range")
         rho = float(np.linalg.norm(dataset.test_point)) / (dataset.n + 1)
         norms = np.append(np.linalg.norm(dataset.features, axis=1),
                           np.linalg.norm(dataset.test_point[None, :], axis=1))

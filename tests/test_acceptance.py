@@ -5,7 +5,6 @@ per-criterion lines while the suite executes.  Every tolerance is pinned here,
 not configurable.
 """
 
-import dataclasses
 import math
 import time
 
@@ -22,7 +21,6 @@ from stabcp import (
     TabularDataset,
     anchor_bounds,
     conformity_scores,
-    default_anchor,
     default_candidate_grid,
     gen_linear_gaussian,
     grid_cp,
@@ -69,8 +67,8 @@ def test_criterion_02_sandwich_exact_rank_arithmetic():
     started = time.perf_counter()
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 100, 10, 1.0, 7))
     spec = RidgeModel(0.5)
-    anchor = default_anchor(ds, spec)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    anchor = spec.anchor(ds)
+    tau = spec.stability_bound(ds, ABS)
     bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
     grid = default_candidate_grid(ds, 200)
     worst = 0
@@ -92,8 +90,8 @@ def test_criterion_03_grid_set_contained_in_single_fit_set():
     for seed in range(instances):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, seed))
         spec = RidgeModel(0.5)
-        anchor = default_anchor(ds, spec)
-        tau = spec.stability_bound(ds, ABS, ds.target_range())
+        anchor = spec.anchor(ds)
+        tau = spec.stability_bound(ds, ABS)
         stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
         grid = default_candidate_grid(ds, 100)
         oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
@@ -106,7 +104,7 @@ def test_criterion_03_grid_set_contained_in_single_fit_set():
 
 def test_criterion_04_interval_and_bisection_agree():
     # the bisection extraction runs on the absolute residual given as a custom
-    # score; the built-in one takes the closed form on any candidate range
+    # score; the built-in one takes the closed form
     custom_abs = ScoreFunction.custom(lambda q, m: np.abs(q - m), 1.0)
     instances, eps_r = 50, 1e-4
     worst = 0.0
@@ -114,18 +112,14 @@ def test_criterion_04_interval_and_bisection_agree():
     for seed in range(100, 100 + instances):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, seed))
         spec = RidgeModel(0.5)
-        anchor = default_anchor(ds, spec)
-        tau = spec.stability_bound(ds, ABS, ds.target_range())
+        anchor = spec.anchor(ds)
+        tau = spec.stability_bound(ds, ABS)
         interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
         (ilo, ihi), = interval.set.intervals
-        width = ihi - ilo
-        wide = dataclasses.replace(tau, candidate_range=(ilo - width, ihi + width))
-        bisect = stab_cp_interval(ds, anchor, spec, custom_abs, wide, 0.1)
+        bisect = stab_cp_interval(ds, anchor, spec, custom_abs, tau, 0.1)
         (blo, bhi), = bisect.set.intervals
         worst = max(worst, abs(blo - ilo), abs(bhi - ihi))
         outer &= blo <= ilo and ihi <= bhi
-        closed = stab_cp_interval(ds, anchor, spec, ABS, wide, 0.1)
-        outer &= closed.set.intervals == interval.set.intervals
     ok = worst <= eps_r and outer
     _line(4, ok, f"{instances} instances, max endpoint difference "
                  f"{worst:.2e} (<= {eps_r:.0e}), bisection never inside {outer}")
@@ -166,7 +160,7 @@ def test_criterion_06_gap_shrinks_with_sample_size():
         for seed in seeds:
             ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, 100, 1.0, seed))
             spec = LadRidgeModel(0.5)
-            tau = spec.stability_bound(ds, ABS, ds.target_range())
+            tau = spec.stability_bound(ds, ABS)
             bounds, _ = anchor_bounds(ds, 0.0, spec, ABS, tau)
             grid = default_candidate_grid(ds, 200)
             gaps = [bounds.pi_bounds_at(z).gap for z in grid]
@@ -198,13 +192,13 @@ def test_criterion_07_stability_bounds_sound_everywhere():
     # Lipschitz-loss bound with the L1 model
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 40, 30, 1.0, 11))
     spec = LadRidgeModel(0.5, solver_tol=1e-10)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    tau = spec.stability_bound(ds, ABS)
     check("regularized-lipschitz/ladridge", ds, spec, tau)
 
     # exact affine bound, ridge's own
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, 13))
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    tau = spec.stability_bound(ds, ABS)
     check("linear-exact/ridge", ds, spec, tau)
 
     ok = not violations

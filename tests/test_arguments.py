@@ -53,10 +53,10 @@ REAL_SITES = {
     # each model's stability bound is built from the score's gamma, and LAD's
     # divides by its penalty: neither can be built from a refused value
     "lipschitz-gamma": (lambda v: LadRidgeModel(0.5).stability_bound(
-        DS, ScoreFunction.custom(np.subtract, v), None), -1.0),
-    "lipschitz-lambda_sc": (lambda v: LadRidgeModel(v).stability_bound(DS, ABS, None), 0.0),
+        DS, ScoreFunction.custom(np.subtract, v)), -1.0),
+    "lipschitz-lambda_sc": (lambda v: LadRidgeModel(v).stability_bound(DS, ABS), 0.0),
     "linear_exact-gamma": (lambda v: RidgeModel(0.5).stability_bound(
-        DS, ScoreFunction.custom(np.subtract, v), DS.target_range()), -1.0),
+        DS, ScoreFunction.custom(np.subtract, v)), -1.0),
     "ridge_coefficients-lambda_reg": (lambda v: ridge_coefficients(DS.features, DS.targets, v),
                                       -1.0),
     "RidgeModel-lambda_reg": (RidgeModel, -1.0),

@@ -257,12 +257,11 @@ def test_default_stabcp_is_anchored_where_its_bound_holds(seed, tau_source):
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 10, 1.0, seed))
     config = RunConfig(tau_source=tau_source)
     lo, hi = ds.target_range()
-    raw = config.model_spec().anchor(ds)
     observed = RidgeModel(config.lambda_reg * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets)
-    assert raw == pytest.approx(observed.predict(ds.test_point), rel=1e-9)
+    raw = observed.predict(ds.test_point)
     assert not lo <= raw <= hi
     report = run_method("stabcp", ds, config)
-    assert report.details["anchor"] == min(max(raw, lo), hi)
+    assert report.details["anchor"] == config.model_spec().anchor(ds) == min(max(raw, lo), hi)
     assert report.details["tau_coverage_safe"] is True
     exact = conformal.grid_cp(ds, config.model_spec(), ScoreFunction.absolute_residual(),
                               config.alpha, np.linspace(lo, hi, 801)).set
@@ -339,7 +338,7 @@ def test_every_configurable_bound_is_derived_and_holds(pair):
     score = ScoreFunction.absolute_residual()
     tau, _ = build_tau(config, ds, score)
     assert tau.provenance == OWN_BOUNDS[model]  # never "user-supplied"
-    own = config.model_spec().stability_bound(ds, score, ds.target_range())
+    own = config.model_spec().stability_bound(ds, score)
     assert tau.provenance == own.provenance and np.array_equal(tau.tau, own.tau)
     # the bound covers the deviation between any two candidates of its range
     spec = config.model_spec()

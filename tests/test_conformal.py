@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from stabcp import (
     TabularDataset,
     anchor_bounds,
     conformity_scores,
-    default_anchor,
     gap_profile,
     gen_linear_gaussian,
     grid_cp,
@@ -46,12 +44,6 @@ def padded_grid(dataset, num):
     each side, which holds the whole exact set on the test data here."""
     lo, hi = dataset.target_range()
     return np.linspace(2 * lo - hi, 2 * hi - lo, num)
-
-
-def with_range(tau, candidate_range):
-    """``tau`` with another candidate range: the range the set records and
-    whose width is the first bracketing step of a custom score."""
-    return dataclasses.replace(tau, candidate_range=candidate_range)
 
 
 def zero_model_dataset(targets, test_value=0.3):
@@ -120,7 +112,7 @@ def test_pi_bounds_selection_matches_observed_row_sum():
     ds = make_dataset(30, 4, seed=5)
     spec = RidgeModel(0.5)
     fitted = spec.fit(ds, 0.0)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    tau = spec.stability_bound(ds, ABS)
     assert tau.tau_test > 0
     scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
     upper = np.sort(scores + tau.tau[:-1])
@@ -176,8 +168,8 @@ def test_stab_interval_zero_query_bound_equals_oracle():
 def test_stab_interval_contains_grid_oracle_at_scale():
     ds = make_dataset(n=300, p=5, seed=13)
     spec = RidgeModel(0.5)
-    anchor = default_anchor(ds, spec)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    anchor = spec.anchor(ds)
+    tau = spec.stability_bound(ds, ABS)
     report = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     grid = stabcp.default_candidate_grid(ds, 200)
     oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
@@ -193,8 +185,10 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
     ds = TabularDataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.1, 2.9]),
                         np.array([10.0]))
     spec = RidgeModel(0.01)
-    anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    # the raw anchor a_q / (1 - b_q): the observed-rows fit at (n+1)/n the penalty
+    anchor = RidgeModel(0.01 * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets).predict(
+        ds.test_point)
+    tau = spec.stability_bound(ds, ABS)
     lo, hi = tau.candidate_range
     assert anchor > hi
     stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
@@ -208,11 +202,11 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
     assert stab.set.intervals == same.set.intervals
     inside = stab_cp_interval(ds, 0.5 * (lo + hi), spec, ABS, tau, 0.1)
     assert inside.details["tau_coverage_safe"] is True
-    # the default anchor is that raw anchor clipped into the range, so its set
+    # the model's anchor is that raw anchor clipped into the range, so its set
     # is coverage-safe and holds the exact set (at alpha 0.5, where neither is
     # the whole range)
-    assert default_anchor(ds, spec) == hi
-    clipped = stab_cp_interval(ds, default_anchor(ds, spec), spec, ABS, tau, 0.5)
+    assert spec.anchor(ds) == hi
+    clipped = stab_cp_interval(ds, spec.anchor(ds), spec, ABS, tau, 0.5)
     assert clipped.details["tau_coverage_safe"] is True
     assert clipped.set.shape == "interval"
     exact = grid_cp(ds, spec, ABS, 0.5, np.linspace(lo, hi, 801)).set
@@ -221,13 +215,36 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
         assert clipped.set.contains(end)
 
 
+def test_user_bound_range_sets_only_the_flag():
+    # a bound that holds on a range other than the target range: every set
+    # searches and records the target range, and only the flag reads the
+    # bound's range
+    ds = make_dataset(n=30, p=3, seed=4)
+    spec = RidgeModel(0.5)
+    lo, hi = ds.target_range()
+    held = (lo - 5.0, lo + 0.25 * (hi - lo))
+    tau = tau_user_supplied(np.full(ds.n + 1, 0.1), candidate_range=held)
+    for anchor, safe in ((held[0], True), (hi, False)):
+        for score in (ABS, CUSTOM_ABS):
+            report = stab_cp_interval(ds, anchor, spec, score, tau, 0.1)
+            assert report.set.shape == "interval"
+            assert report.set.candidate_range == (lo, hi)
+            assert report.details["tau_coverage_safe"] is safe
+    # a whole-range set is the target range, not the bound's
+    small = make_dataset(n=5, p=2, seed=4)
+    tau = tau_user_supplied(np.zeros(small.n + 1), candidate_range=(-100.0, 100.0))
+    whole = stab_cp_interval(small, 0.0, spec, ABS, tau, 0.1).set
+    assert whole.shape == "whole-range"
+    assert whole.intervals == [small.target_range()] and whole.candidate_range == small.target_range()
+
+
 def test_lad_bound_holds_for_an_anchor_far_outside_the_target_range():
     # the query term's loss difference is 2||x_q||/m-Lipschitz for any two
     # candidates, so the LAD bound has no range and a far anchor stays safe
     ds = make_dataset(n=40, p=5, seed=0)
     spec = LadRidgeModel(0.2, solver_tol=1e-11)
     lo, hi = ds.target_range()
-    tau = spec.stability_bound(ds, ABS, (lo, hi))
+    tau = spec.stability_bound(ds, ABS)
     assert tau.candidate_range is None
     far = stab_cp_interval(ds, hi + 3 * (hi - lo), spec, ABS, tau, 0.1)
     assert far.details["tau_coverage_safe"] is True
@@ -243,7 +260,7 @@ def test_uncertified_envelope_fit_is_not_coverage_safe():
     ds = make_dataset(n=40, p=4, seed=3)
     spec = LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5)
     z_range = ds.target_range()
-    tau = spec.stability_bound(ds, ABS, z_range)
+    tau = spec.stability_bound(ds, ABS)
     anchor = 0.5 * (z_range[0] + z_range[1])
     for report in (stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1),
                    stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)):
@@ -266,8 +283,8 @@ def test_stab_set_is_the_closure_of_upper_envelope_above_alpha():
     for n in (19, 20):
         ds = make_dataset(n=n, p=3, seed=n)
         spec = RidgeModel(0.5)
-        anchor = default_anchor(ds, spec)
-        for tau in (spec.stability_bound(ds, ABS, ds.target_range()),
+        anchor = spec.anchor(ds)
+        for tau in (spec.stability_bound(ds, ABS),
                     tau_user_supplied(np.zeros(n + 1))):
             bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
             for alpha in (0.1, 0.2):
@@ -289,17 +306,13 @@ def test_bisection_name_is_the_single_fit_set():
 def test_bisection_agrees_with_closed_form():
     ds = make_dataset(n=50, p=5, seed=21)
     spec = RidgeModel(0.5)
-    anchor = default_anchor(ds, spec)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    anchor = spec.anchor(ds)
+    tau = spec.stability_bound(ds, ABS)
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     (ilo, ihi), = interval.set.intervals
-    width = ihi - ilo
-    wide = with_range(tau, (ilo - width, ihi + width))
-    report = stab_cp_interval(ds, anchor, spec, ABS, wide, 0.1)
-    assert report.set.intervals == interval.set.intervals
-    assert report.fit_count == 1
+    assert interval.fit_count == 1
     # the bisection extraction of the same score lands just outside
-    report = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, wide, 0.1)
+    report = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)
     (blo, bhi), = report.set.intervals
     assert ilo - _EPS_R <= blo <= ilo
     assert ihi <= bhi <= ihi + _EPS_R
@@ -381,13 +394,19 @@ def outlier_dataset(values):
     return ds, base.target_range()
 
 
+def clean_range_bound(ds, spec, clean):
+    """Ridge's exact affine bound over the clean range instead of the target range."""
+    b = spec.fit(ds, 0.0).row_b
+    return tau_user_supplied(np.abs(b) * (clean[1] - clean[0]), candidate_range=clean)
+
+
 def test_bisection_finds_set_between_two_outliers():
     # the set is ~37 wide inside a 2000-wide range; a coarse probe of the
     # range used to miss it and return an empty set
     ds, clean = outlier_dataset([1000.0, -1000.0])
     spec = RidgeModel(0.5)
-    anchor = default_anchor(ds, spec)
-    tau = spec.stability_bound(ds, ABS, clean)
+    anchor = spec.anchor(ds)
+    tau = clean_range_bound(ds, spec, clean)
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     bisect = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)
     (ilo, ihi), = interval.set.intervals
@@ -400,11 +419,11 @@ def test_bisection_finds_set_between_two_outliers():
 def test_bisection_never_clamps_to_the_candidate_range():
     # one outlier: the set reaches below the smallest observed target, and
     # is returned whole, not clamped and not flagged as truncated; it records
-    # the bound's candidate range
+    # the target range, not the bound's
     ds, clean = outlier_dataset([1000.0])
     spec = RidgeModel(0.5)
-    anchor = default_anchor(ds, spec)
-    tau = spec.stability_bound(ds, ABS, clean)
+    anchor = spec.anchor(ds)
+    tau = clean_range_bound(ds, spec, clean)
     for score, slack in ((ABS, 0.0), (CUSTOM_ABS, _EPS_R)):
         report = stab_cp_interval(ds, anchor, spec, score, tau, 0.1)
         (lo, hi), = report.set.intervals
@@ -412,7 +431,7 @@ def test_bisection_never_clamps_to_the_candidate_range():
         assert hi == pytest.approx(10.1588, abs=1e-4 + slack)
         assert lo < ds.target_range()[0]
         assert not report.set.truncated
-        assert report.set.candidate_range == clean
+        assert report.set.candidate_range == ds.target_range() != clean
 
 
 @pytest.mark.parametrize("n", [9, 99])
@@ -421,21 +440,17 @@ def test_bisection_uses_closed_form_index_at_integer_level(n):
     alpha = 0.1
     ds = make_dataset(n=n, p=3, seed=0)
     spec = RidgeModel(0.5)
-    anchor = default_anchor(ds, spec)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    anchor = spec.anchor(ds)
+    tau = spec.stability_bound(ds, ABS)
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
     (ilo, ihi), = interval.set.intervals
-    width = ihi - ilo
-    wide = with_range(tau, (ilo - width, ihi + width))
-    bisect = stab_cp_interval(ds, anchor, spec, ABS, wide, alpha)
-    assert bisect.set.intervals == interval.set.intervals
-    custom = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, wide, alpha)
+    custom = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, alpha)
     (clo, chi), = custom.set.intervals
     assert ilo - _EPS_R <= clo <= ilo and ihi <= chi <= ihi + _EPS_R
     exact = grid_cp(ds, spec, ABS, alpha, stabcp.default_candidate_grid(ds, 200)).set
     assert exact.intervals
     for glo, ghi in exact.intervals:
-        assert bisect.set.contains(glo) and bisect.set.contains(ghi)
+        assert interval.set.contains(glo) and interval.set.contains(ghi)
 
 
 def test_split_and_oracle_custom_score_match_builtin():
@@ -463,14 +478,14 @@ def intersect(reports):
 
 def test_batch_single_anchor_is_plain_bounds(small_dataset):
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
+    tau = spec.stability_bound(small_dataset, ABS)
     report = stab_cp_interval(small_dataset, 0.0, spec, ABS, tau, 0.1)
     assert intersect([report]) == report.set.intervals[0]
 
 
 def test_batch_duplicate_anchor_idempotent(small_dataset):
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
+    tau = spec.stability_bound(small_dataset, ABS)
     one = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
     two = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
     assert intersect([one, two]) == intersect([one])
@@ -480,7 +495,7 @@ def test_batch_never_widens_the_gap():
     ds = make_dataset(n=40, p=8, seed=9)
     spec = RidgeModel(0.5)
     lo, hi = ds.target_range()
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    tau = spec.stability_bound(ds, ABS)
     reports = [stab_cp_interval(ds, z_hat, spec, ABS, tau, 0.1)
                for z_hat in (lo + 0.25 * (hi - lo), 0.0, lo + 0.75 * (hi - lo))]
     both_lo, both_hi = intersect(reports)
@@ -668,6 +683,42 @@ def test_root_empty_for_unreachable_alpha():
     assert report.fit_count == 20
 
 
+def test_root_misses_an_exact_set_narrower_than_the_probe_spacing():
+    # the exact set is the point 2, between two of the 20 probes of the
+    # target range [1, 3]: rootcp returns empty, the oracle finds the point
+    targets = np.array([1.0] + [2.0] * 98 + [3.0])
+    ds = TabularDataset(np.ones((100, 1)), targets, np.ones(1), test_target=2.0)
+    spec = PretrainedLinearModel([2.0])
+    report = root_cp(ds, spec, ABS, 0.1)
+    assert report.set.shape == "empty" and report.fit_count == _ROOT_PROBES
+    assert report.set.candidate_range == (1.0, 3.0)
+    assert oracle_cp(ds, 2.0, spec, ABS, 0.1).set.intervals == [(2.0, 2.0)]
+    assert pi_exact(ds, 2.0, spec, ABS) == 1.0
+
+
+def test_alpha_next_to_one_keeps_the_most_conforming_candidates():
+    # (1 - alpha)(m + 1) is within the level rule's tolerance of 0, yet
+    # count = 0 still meets count < (1 - alpha)(m + 1): the index is 1, not 0,
+    # which read the largest score (the widest set) for stabcp, oracle and
+    # split and kept no candidate for rootcp and gridcp
+    alpha = 1 - 1e-12
+    for m in (1, 50, 10**6):
+        assert stabcp.core._level_index(m, alpha) == 1
+    ds = make_dataset()
+    config = RunConfig(alpha=alpha)
+    spec = config.model_spec()
+    stab, oracle, split, root, grid = (run_method(method, ds, config).set for method in (
+        "stabcp", "oraclecp", "splitcp", "rootcp", "gridcp"))
+    (olo, ohi), = oracle.intervals
+    assert ohi - olo < 0.2
+    assert pi_exact(ds, 0.5 * (olo + ohi), spec, ABS) == 1.0
+    fine = grid_cp(ds, spec, ABS, alpha, np.linspace(olo, ohi, 401)).set
+    assert fine.intervals and grid.intervals and split.shape == "interval"
+    for end in np.ravel(fine.intervals + grid.intervals + root.intervals):
+        assert stab.contains(end)
+    assert stab.length() < 0.2 * (ds.target_range()[1] - ds.target_range()[0])
+
+
 def test_root_counts_every_refit(small_dataset):
     report = root_cp(small_dataset, RidgeModel(0.5), ABS, 0.1)
     lo, hi = small_dataset.target_range()
@@ -749,8 +800,8 @@ def test_lad_refit_chain_takes_one_eigendecomposition(eigh_calls):
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 60, 5, 1.0, seed=2))
     spec = LadRidgeModel(0.2)
     grid = stabcp.default_candidate_grid(ds, 30)
-    anchor = default_anchor(ds, spec)
-    tau = spec.stability_bound(ds, ABS, None)
+    anchor = spec.anchor(ds)
+    tau = spec.stability_bound(ds, ABS)
 
     def certificate(report):
         return [report.set, report.fit_count] + [
@@ -801,9 +852,10 @@ def test_root_returns_when_eps_r_is_below_the_float_spacing():
     n = 40
     X = np.column_stack([np.ones(n), rng.standard_normal(n)])
     ds = TabularDataset(X, 1e12 + X[:, 1] + rng.standard_normal(n), np.array([1.0, 0.3]))
-    z_range, eps_r = (1e12 - 20, 1e12 + 20), 1e-4
+    z_range, eps_r = ds.target_range(), 1e-4
+    assert 1 < z_range[1] - z_range[0] < 20
     spec = FitBudget(RidgeModel(0.0), 1000)
-    report = root_cp(ds, spec, ABS, 0.1, z_range=z_range)
+    report = root_cp(ds, spec, ABS, 0.1)
     assert report.fit_count == spec.fits
     (rlo, rhi), = report.set.intervals
     assert math.isfinite(rlo) and math.isfinite(rhi)
@@ -850,8 +902,8 @@ def test_exact_score_ties_keep_the_truth_in_every_count():
 
 def test_gap_profile_sandwich_everywhere(small_dataset):
     spec = RidgeModel(0.5)
-    anchor = default_anchor(small_dataset, spec)
-    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
+    anchor = spec.anchor(small_dataset)
+    tau = spec.stability_bound(small_dataset, ABS)
     grid = stabcp.default_candidate_grid(small_dataset, 60)
     rows = gap_profile(small_dataset, anchor, spec, ABS, tau, grid)
     assert len(rows) == 60
@@ -874,7 +926,7 @@ def test_gap_shrinks_with_sample_size():
     for n in (30, 300):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, 100, 1.0, 5))
         spec = LadRidgeModel(0.5)
-        tau = spec.stability_bound(ds, ABS, ds.target_range())
+        tau = spec.stability_bound(ds, ABS)
         bounds, _ = anchor_bounds(ds, 0.0, spec, ABS, tau)
         zs = np.linspace(*ds.target_range(), 100)
         values = [bounds.pi_bounds_at(z) for z in zs]
@@ -888,14 +940,14 @@ def test_stab_interval_equivariant_under_target_scaling():
     # count-based boundary tolerances, which must stay scale-free
     base = make_dataset(n=60, p=4, seed=23)
     spec = RidgeModel(0.5)
-    anchor = default_anchor(base, spec)
-    tau = spec.stability_bound(base, ABS, base.target_range())
+    anchor = spec.anchor(base)
+    tau = spec.stability_bound(base, ABS)
     (lo0, hi0), = stab_cp_interval(base, anchor, spec, ABS, tau, 0.1).set.intervals
     for scale in (1e-6, 1e6):
         ds = TabularDataset(base.features, scale * base.targets, base.test_point,
                             scale * base.test_target)
-        anchor_s = default_anchor(ds, spec)
-        tau_s = spec.stability_bound(ds, ABS, ds.target_range())
+        anchor_s = spec.anchor(ds)
+        tau_s = spec.stability_bound(ds, ABS)
         (lo, hi), = stab_cp_interval(ds, anchor_s, spec, ABS, tau_s, 0.1).set.intervals
         assert lo == pytest.approx(scale * lo0, rel=1e-9)
         assert hi == pytest.approx(scale * hi0, rel=1e-9)
@@ -906,8 +958,8 @@ def test_containment_chain_on_shared_grid():
     ds = make_dataset(n=60, p=5, seed=17)
     spec = RidgeModel(0.5)
     alpha = 0.1
-    anchor = default_anchor(ds, spec)
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    anchor = spec.anchor(ds)
+    tau = spec.stability_bound(ds, ABS)
     bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
     grid = stabcp.default_candidate_grid(ds, 120)
     threshold = math.floor((1 - alpha) * (ds.n + 1) + 1e-9)
@@ -927,8 +979,8 @@ def test_containment_chain_on_shared_grid():
 
 def test_upper_set_monotone_in_alpha(small_dataset):
     spec = RidgeModel(0.5)
-    anchor = default_anchor(small_dataset, spec)
-    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
+    anchor = spec.anchor(small_dataset)
+    tau = spec.stability_bound(small_dataset, ABS)
     previous = None
     for alpha in (0.05, 0.1, 0.2, 0.4):
         current = stab_cp_interval(small_dataset, anchor, spec, ABS, tau, alpha)
@@ -941,8 +993,8 @@ def test_upper_set_monotone_in_alpha(small_dataset):
 
 def test_upper_set_monotone_in_tau(small_dataset):
     spec = RidgeModel(0.5)
-    anchor = default_anchor(small_dataset, spec)
-    base = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
+    anchor = spec.anchor(small_dataset)
+    base = spec.stability_bound(small_dataset, ABS)
     bigger = tau_user_supplied(base.tau + 0.3)
     r1 = stab_cp_interval(small_dataset, anchor, spec, ABS, base, 0.1)
     r2 = stab_cp_interval(small_dataset, anchor, spec, ABS, bigger, 0.1)
@@ -955,8 +1007,8 @@ def test_upper_set_monotone_in_tau(small_dataset):
 
 def test_fit_count_invariants(small_dataset):
     spec = RidgeModel(0.5)
-    anchor = default_anchor(small_dataset, spec)
-    tau = spec.stability_bound(small_dataset, ABS, small_dataset.target_range())
+    anchor = spec.anchor(small_dataset)
+    tau = spec.stability_bound(small_dataset, ABS)
     assert stab_cp_interval(small_dataset, anchor, spec, ABS, tau, 0.1).fit_count == 1
     assert split_cp(small_dataset, 5, spec, ABS, 0.1).fit_count == 1
     assert oracle_cp(small_dataset, small_dataset.test_target, spec, ABS, 0.1).fit_count == 1

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import stabcp
 from stabcp import (
     InvalidInputError,
-    LadRidgeModel,
     NotFittedError,
     PredictionSet,
     PretrainedLinearModel,
@@ -273,15 +272,11 @@ def test_rank_subuniformity_monte_carlo():
 
 # ------------------------------------------------------ candidate ranges
 
-# every entry point that takes a candidate range, called on (dataset, range)
+# every entry point that takes a candidate range, called on (dataset, range);
+# every set method takes the dataset's own target range instead
 RANGE_ENTRY_POINTS = {
     "StabilityBounds": lambda ds, r: stabcp.StabilityBounds(
         np.ones(ds.n + 1), "user-supplied", candidate_range=r),
-    # ridge's linear-exact tau, built by its model
-    "tau_linear_exact": lambda ds, r: RidgeModel(0.5).stability_bound(ds, ABS, r),
-    # LAD-ridge's bound has no range, but a range it is given is still checked
-    "tau_regularized_lipschitz": lambda ds, r: LadRidgeModel(0.5).stability_bound(ds, ABS, r),
-    "root_cp": lambda ds, r: stabcp.root_cp(ds, RidgeModel(0.5), ABS, 0.1, z_range=r),
 }
 
 

@@ -11,7 +11,6 @@ from stabcp import (
     RidgeModel,
     ScoreFunction,
     TabularDataset,
-    default_anchor,
     gen_linear_gaussian,
     oracle_cp,
     ridge_coefficients,
@@ -87,7 +86,7 @@ def test_ridge_fits_at_two_penalties_on_one_dataset_solve_separately(small_datas
                            rtol=1e-12, atol=1e-12)
         # the anchor a_q / (1 - b_q) is the observed-rows fit at (n+1)/n the penalty
         observed = RidgeModel(lam * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets)
-        assert default_anchor(ds, RidgeModel(lam)) == pytest.approx(
+        assert RidgeModel(lam).anchor(ds) == pytest.approx(
             observed.predict(ds.test_point), abs=1e-12)
     assert not np.allclose(RidgeModel(0.1).fit(ds, 0.0).row_predictions,
                            RidgeModel(2.0).fit(ds, 0.0).row_predictions)
@@ -104,21 +103,20 @@ def test_ridge_singular_observed_rows_still_give_an_anchor():
         ds = TabularDataset(X, rng.standard_normal(4), rng.standard_normal(5), test_target=0.3)
         lo, hi = ds.target_range()
         if anchor_first:
-            assert lo <= default_anchor(ds, RidgeModel(0.0)) <= hi
+            assert lo <= RidgeModel(0.0).anchor(ds) <= hi
         assert oracle_cp(ds, 0.3, RidgeModel(0.0), ABS, 0.2).set.shape == "interval"
         assert np.all(np.isfinite(RidgeModel(0.0).fit(ds, 0.0).row_predictions))
-        assert lo <= default_anchor(ds, RidgeModel(0.0)) <= hi
+        assert lo <= RidgeModel(0.0).anchor(ds) <= hi
 
 
 def test_ridge_anchor_of_an_unpenalized_query_direction_is_the_range_midpoint():
     # lambda = 0 and zero observed features: the augmented fit reproduces any
-    # query candidate (a_q = 0, b_q = 1), so a_q / (1 - b_q) is nan; the
+    # query candidate (a_q = 0, b_q = 1), so a_q / (1 - b_q) is 0/0; the
     # anchor is the target range's midpoint and the set stays coverage-safe
     ds = TabularDataset(np.zeros((2, 1)), np.array([-1.0, 3.0]), np.array([1.0]),
                         test_target=0.5)
     spec = RidgeModel(0.0)
-    assert np.isnan(spec.anchor(ds))
-    assert default_anchor(ds, spec) == 1.0
+    assert spec.anchor(ds) == 1.0
     report = run_method("stabcp", ds, RunConfig(lambda_reg=0.0))
     assert report.details["anchor"] == 1.0
     assert report.details["tau_coverage_safe"] is True
@@ -131,13 +129,13 @@ def test_ridge_anchor_of_a_query_direction_free_up_to_rounding_is_the_midpoint(s
     # noise of either sign, so the anchor is the range's midpoint, not 0/0
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 20, 21, 1.0, seed))
     lo, hi = ds.target_range()
-    assert np.isnan(RidgeModel(0.0).anchor(ds))
-    assert default_anchor(ds, RidgeModel(0.0)) == 0.5 * (lo + hi)
-    # a tiny penalty leaves 1 - b_q far above rounding: the quotient is kept
+    assert RidgeModel(0.0).anchor(ds) == 0.5 * (lo + hi)
+    # a tiny penalty leaves 1 - b_q far above rounding: the quotient is kept,
+    # clipped into the target range
     spec = RidgeModel(1e-6)
     _, _, a, b = spec._affine(ds)
     assert 1.0 - b[-1] > 1e-6
-    assert spec.anchor(ds) == a[-1] / (1.0 - b[-1])
+    assert spec.anchor(ds) == min(max(a[-1] / (1.0 - b[-1]), lo), hi)
 
 
 def test_ridge_stabcp_set_makes_one_gram_and_one_solve(monkeypatch):
@@ -222,9 +220,8 @@ def test_lad_anchor_is_the_observed_median_and_fits_nothing(monkeypatch):
 
     monkeypatch.setattr(LadRidgeModel, "fit_rows", no_fit)
     monkeypatch.setattr(LadRidgeModel, "fit", no_fit)
-    raw = spec.anchor(ds)
-    assert type(raw) is float and raw == np.median(ds.targets)
-    assert default_anchor(ds, spec) == raw
+    anchor = spec.anchor(ds)
+    assert type(anchor) is float and anchor == np.median(ds.targets)
 
 
 def test_lad_stabcp_set_makes_one_fit_and_one_eigendecomposition(eigh_calls):

@@ -10,12 +10,15 @@ return a set even on all-tied targets, whose range has zero width.  The
 ridge fit that reuses the dataset's Gram matrix and augmented solve must
 match a refit from scratch on the augmented rows, its anchor (taken from
 that augmented solve) the clipped observed-rows fit at ``(n+1)/n`` the
-penalty, and the LAD-ridge duality
-gap must bound the suboptimality of the returned fit, warm-started or not,
-against random points and against a fit stopped at a 1e-12 gap.
+penalty, every model's anchor a finite point of the target range, and the
+LAD-ridge duality gap must bound the suboptimality of the returned fit,
+warm-started or not, against random points and against a fit stopped at a
+1e-12 gap.
 The data mix in outliers, tied targets, ``n`` close to ``p``, a constant
 column and a zero-norm query row.
 """
+
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -23,10 +26,10 @@ from hypothesis import strategies as st
 
 from stabcp import (
     LadRidgeModel,
+    NumericalError,
     RidgeModel,
     ScoreFunction,
     TabularDataset,
-    default_anchor,
     default_candidate_grid,
     grid_cp,
     oracle_cp,
@@ -81,9 +84,9 @@ def assert_outer_match(closed, bisected):
        alpha=st.sampled_from([0.05, 0.1, 0.2, 0.5]))
 def test_stabcp_bisection_matches_closed_form_and_contains_exact_set(ds, lam, alpha):
     spec = RidgeModel(lam)
-    anchor = default_anchor(ds, spec)  # always inside the target range
+    anchor = spec.anchor(ds)  # always inside the target range
     z_range = ds.target_range()
-    tau = spec.stability_bound(ds, ABS, ds.target_range())
+    tau = spec.stability_bound(ds, ABS)
     closed = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
     assert closed.details["tau_coverage_safe"] is True
     assert_outer_match(closed, stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, alpha))
@@ -117,8 +120,23 @@ def test_ridge_anchor_is_the_observed_fit_at_the_augmented_penalty(ds, lam):
     observed = RidgeModel(lam * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets)
     lo, hi = ds.target_range()
     expected = min(max(observed.predict(ds.test_point), lo), hi)
-    anchor = default_anchor(ds, RidgeModel(lam))
+    anchor = RidgeModel(lam).anchor(ds)
     assert abs(anchor - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@SETTINGS
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.0, 0.01, 0.5]))
+def test_every_model_anchor_is_finite_and_inside_the_target_range(ds, lam):
+    # the target range is where ridge's bound holds; LAD-ridge needs lam > 0
+    lo, hi = ds.target_range()
+    for spec in [RidgeModel(lam)] + ([LadRidgeModel(lam)] if lam > 0 else []):
+        try:
+            anchor = spec.anchor(ds)
+        except NumericalError:
+            # a zero column in every row leaves the unpenalized system singular
+            assert lam == 0.0
+            continue
+        assert math.isfinite(anchor) and lo <= anchor <= hi
 
 
 @SETTINGS

@@ -45,6 +45,19 @@ def test_free_standing_recipes_are_gone():
     assert "regularized-smooth" not in stabcp.stability.PROVENANCES
 
 
+def test_bound_tau_is_read_only(small_dataset):
+    # a bound is a snapshot: a write through its tau would change every later
+    # set built on it while it stays flagged as coverage-safe
+    values = np.zeros(small_dataset.n + 1)
+    for bounds in (RidgeModel(0.5).stability_bound(small_dataset, ABS),
+                   LadRidgeModel(0.5).stability_bound(small_dataset, ABS),
+                   stabcp.tau_user_supplied(values)):
+        with pytest.raises(ValueError):
+            bounds.tau[0] = 1.0
+    # the caller's array keeps its own flags
+    values[0] = 1.0
+
+
 # -------------------------------------------- regularized lipschitz bound
 
 def _lad_closed_form(ds, gamma, lam):
@@ -58,27 +71,25 @@ def test_regularized_lipschitz_arithmetic():
     # ||x_q|| = 1 and n + 1 = 4 at lambda = 0.5: the bound is gamma * ||x_i|| / 2
     ds = TabularDataset(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]),
                         np.array([1.0, -1.0, 0.5]), np.array([0.0, 1.0]))
-    bounds = LadRidgeModel(0.5).stability_bound(ds, ABS, ds.target_range())
+    bounds = LadRidgeModel(0.5).stability_bound(ds, ABS)
     assert np.allclose(bounds.tau, [0.5, 1.0, 2.5, 0.5])
-    bounds = LadRidgeModel(0.5).stability_bound(ds, _custom(3.0), ds.target_range())
+    bounds = LadRidgeModel(0.5).stability_bound(ds, _custom(3.0))
     assert np.allclose(bounds.tau, [1.5, 3.0, 7.5, 1.5])
     drawn = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 30, 5, 1.0, 4))
-    bounds = LadRidgeModel(0.2).stability_bound(drawn, _custom(2.0), drawn.target_range())
+    bounds = LadRidgeModel(0.2).stability_bound(drawn, _custom(2.0))
     assert np.allclose(bounds.tau, _lad_closed_form(drawn, 2.0, 0.2), rtol=1e-14, atol=0)
-    # the range is checked but changes nothing: without one the bound is the same
-    unranged = LadRidgeModel(0.2).stability_bound(drawn, _custom(2.0), None)
-    assert np.array_equal(unranged.tau, bounds.tau)
-    assert unranged.candidate_range is bounds.candidate_range is None
+    # the bound holds on the whole line: it carries no range
+    assert bounds.candidate_range is None
 
 
 def test_regularized_lipschitz_zero_row():
     # a zero feature row never moves, and a zero query row moves nothing
     X = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
     y = np.array([1.0, -1.0, 0.5])
-    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.ones(2)), ABS, None)
+    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.ones(2)), ABS)
     assert bounds.tau[1] == 0.0
     assert np.all(np.delete(bounds.tau, 1) > 0.0)
-    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.zeros(2)), ABS, None)
+    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.zeros(2)), ABS)
     assert np.all(bounds.tau == 0.0)
 
 
@@ -92,7 +103,7 @@ def test_lad_score_deviations_within_lipschitz_bound():
     lam = 0.5
     spec = LadRidgeModel(lam, solver_tol=1e-10)
     lo, hi = ds.target_range()
-    bounds = spec.stability_bound(ds, ABS, (lo, hi))
+    bounds = spec.stability_bound(ds, ABS)
     assert bounds.provenance == "regularized-lipschitz"
     zs = np.linspace(lo, hi, 30)
     preds = np.vstack([spec.fit(ds, z).row_predictions for z in zs])
@@ -107,24 +118,31 @@ def test_lad_score_deviations_within_lipschitz_bound():
 # ------------------------------------------------------------ linear exact
 
 def test_linear_exact_zero_slope_row(small_dataset):
-    bounds = RidgeModel(0.5).stability_bound(small_dataset, ABS, (0.0, 0.0))
-    assert np.allclose(bounds.tau, 0.0)
+    # constant targets leave a zero-width range, hence a zero bound
+    constant = TabularDataset(small_dataset.features, np.full(small_dataset.n, 1.5),
+                              small_dataset.test_point)
+    bounds = RidgeModel(0.5).stability_bound(constant, ABS)
+    assert bounds.candidate_range == (1.5, 1.5)
+    assert np.array_equal(bounds.tau, np.zeros(small_dataset.n + 1))
     # a zero feature row has zero candidate slope, hence a zero bound
     X = small_dataset.features.copy()
     X[0] = 0.0
     ds = TabularDataset(X, small_dataset.targets, small_dataset.test_point)
-    bounds = RidgeModel(0.5).stability_bound(ds, ABS, (-2.0, 2.0))
+    bounds = RidgeModel(0.5).stability_bound(ds, ABS)
     assert bounds.tau[0] == 0.0
     assert bounds.tau[-1] > 0.0
 
 
 def test_linear_exact_scales_with_range(small_dataset):
+    # doubling the targets doubles the range's width and leaves b alone
     spec = RidgeModel(0.5)
-    one = spec.stability_bound(small_dataset, ABS, (0.0, 1.0))
-    two = spec.stability_bound(small_dataset, ABS, (0.0, 2.0))
+    doubled = TabularDataset(small_dataset.features, 2 * small_dataset.targets,
+                             small_dataset.test_point)
+    one = spec.stability_bound(small_dataset, ABS)
+    two = spec.stability_bound(doubled, ABS)
+    assert np.array_equal(spec.fit(small_dataset, 0.0).row_b, spec.fit(doubled, 0.0).row_b)
     assert np.allclose(2 * one.tau, two.tau)
-    assert np.allclose(3 * one.tau, spec.stability_bound(small_dataset, _custom(3.0),
-                                                         (0.0, 1.0)).tau)
+    assert np.allclose(3 * one.tau, spec.stability_bound(small_dataset, _custom(3.0)).tau)
 
 
 def test_linear_exact_dominates_dense_grid_deviations(small_dataset):
@@ -133,7 +151,7 @@ def test_linear_exact_dominates_dense_grid_deviations(small_dataset):
     z_range = small_dataset.target_range()
     anchor = z_range[0]
     fitted = spec.fit(small_dataset, anchor)
-    bounds = spec.stability_bound(small_dataset, ABS, z_range)
+    bounds = spec.stability_bound(small_dataset, ABS)
     zs = np.linspace(z_range[0], z_range[1], 500)
     preds = np.vstack([spec.fit(small_dataset, z).row_predictions for z in zs])
     dev = np.abs(preds - fitted.row_predictions[None, :]).max(axis=0)
@@ -151,16 +169,10 @@ def test_linear_exact_builds_no_fit(small_dataset, monkeypatch):
     monkeypatch.setattr(RidgeModel, "fit", no_fit)
     spec = RidgeModel(0.5)
     lo, hi = small_dataset.target_range()
-    bounds = spec.stability_bound(small_dataset, _custom(2.0), (lo, hi))
+    bounds = spec.stability_bound(small_dataset, _custom(2.0))
     b = spec._affine(small_dataset)[-1]
     assert np.array_equal(bounds.tau, 2.0 * np.abs(b) * (hi - lo))
     assert bounds.provenance == "linear-exact" and bounds.candidate_range == (lo, hi)
-
-
-def test_linear_exact_needs_a_range(small_dataset):
-    # the bound is over a range; None is refused like every other malformed one
-    with pytest.raises(InvalidInputError, match=r"finite \(lo, hi\) pair"):
-        RidgeModel(0.5).stability_bound(small_dataset, ABS, None)
 
 
 # ------------------------------------------------------------ monotonicity
@@ -178,7 +190,7 @@ def test_bounds_monotone_in_constants(gamma, lam, scale, bump):
 
     def tau(gamma, lam, scale):
         ds = TabularDataset(X, y, scale * np.array([1.0, 1.5]))
-        return LadRidgeModel(lam).stability_bound(ds, _custom(gamma), None).tau
+        return LadRidgeModel(lam).stability_bound(ds, _custom(gamma)).tau
 
     base = tau(gamma, lam, scale)
     assert np.all(tau(gamma + bump, lam, scale) >= base)
@@ -205,9 +217,9 @@ def test_candidate_range_contains_next_draw():
 def test_tau_auto_dispatches_by_model(small_dataset):
     # each model builds its own bound: no recipe is chosen for it
     z_range = small_dataset.target_range()
-    lad_bounds = LadRidgeModel(0.5).stability_bound(small_dataset, ABS, z_range)
+    lad_bounds = LadRidgeModel(0.5).stability_bound(small_dataset, ABS)
     assert lad_bounds.provenance == "regularized-lipschitz"
     assert lad_bounds.candidate_range is None  # it holds on the whole line
-    ridge_bounds = RidgeModel(0.5).stability_bound(small_dataset, ABS, z_range)
+    ridge_bounds = RidgeModel(0.5).stability_bound(small_dataset, ABS)
     assert ridge_bounds.provenance == "linear-exact"
     assert ridge_bounds.candidate_range == z_range
