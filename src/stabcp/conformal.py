@@ -10,15 +10,19 @@ That envelope depends on the candidate only through the query score
 statistic T.  The split and oracle baselines have the same form, with the
 calibration scores or the scores at the true response in place of the
 inflated ones.  All three sets (``stab_cp_interval``, ``oracle_cp``,
-``split_cp``) therefore go through one threshold rule (``_score_threshold``)
-and one extraction routine (``sublevel_set``): a closed form for the absolute
-residual, outward bracketing plus bisection to ``_EPS_R`` for custom scores.
+``split_cp``) therefore go through one threshold rule (``_score_threshold``,
+which selects its order statistic and sorts nothing) and one extraction
+routine (``sublevel_set``): a closed form for the absolute residual, and for
+custom scores one endpoint search (``_outer_boundary``) that brackets each
+endpoint outward and shrinks the bracket to ``_EPS_R``, scoring arrays of
+candidates per call, so a typical custom-score set calls the score ten times.
 
 The module also holds the refit layer: the exact-set baselines ``pi_exact``,
 ``root_cp``, ``grid_cp`` (the one grid-evaluated exact set) and
 ``gap_profile``'s exact column, which refit the model at every candidate
 through one chain of warm-started refits (``_Refits``) and are what every
-single-fit set is checked against.
+single-fit set is checked against.  ``root_cp`` finds its endpoints with
+the same search, one refit per candidate.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,14 +89,17 @@ class MethodReport:
 class ConformityBounds:
     """Score envelopes around one anchor fit.
 
-    The envelopes of the observed rows do not depend on the probed candidate
-    and are kept sorted; only the query-point envelope depends on it, and it
-    is materialized on demand from the anchor prediction.
+    The envelopes of the observed rows do not depend on the probed candidate;
+    they are kept in row order, and sorted on first use by ``counts_at``
+    (``lower_sorted``, ``upper_sorted``), since a single-fit set reads only
+    one order statistic of the upper one.  Only the query-point envelope
+    depends on the candidate, and it is materialized on demand from the
+    anchor prediction.
     """
 
     anchor: float
-    lower_sorted: np.ndarray
-    upper_sorted: np.ndarray
+    _lower: np.ndarray
+    _upper: np.ndarray
     mu_test: float
     tau_test: float
     score: ScoreFunction
@@ -108,13 +116,21 @@ class ConformityBounds:
             raise InvalidInputError(f"tau has {tau_arr.size} entries, expected {n + 1}")
         return cls(
             anchor=float(anchor),
-            lower_sorted=np.sort(observed - tau_arr[:-1]),
-            upper_sorted=np.sort(observed + tau_arr[:-1]),
+            _lower=observed - tau_arr[:-1],
+            _upper=observed + tau_arr[:-1],
             mu_test=float(mu_test),
             tau_test=float(tau_arr[-1]),
             score=score,
             n=n,
         )
+
+    @cached_property
+    def lower_sorted(self) -> np.ndarray:
+        return np.sort(self._lower)
+
+    @cached_property
+    def upper_sorted(self) -> np.ndarray:
+        return np.sort(self._upper)
 
     def counts_at(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Observed-row counts (n_lo, n_up) of ``PiBounds``, vectorized in z."""
@@ -137,65 +153,75 @@ def anchor_bounds(dataset: TabularDataset, anchor: float, model_spec,
     return bounds, fitted
 
 
-_EPS_R = 1e-4       # bisection tolerance of every set endpoint
+_EPS_R = 1e-4       # width at which every set endpoint's bracket stops shrinking
 _MAX_DOUBLINGS = 64  # outward steps before a custom-score set counts as unbounded
-_ROOT_PROBES = 20    # grid points root_cp probes before bisecting its endpoints
+_ROOT_PROBES = 20    # grid points root_cp probes before bracketing its endpoints
+_PER_CALL = 64       # candidates sublevel_set scores per call of a custom score
+_BRACKET_BATCH = 8   # most outward steps scored in one call
+_DOUBLINGS = 2.0 ** np.arange(_MAX_DOUBLINGS)
 
 
-def _score_threshold(sorted_scores: np.ndarray, tau_test: float, alpha: float) -> float:
+def _score_threshold(scores: np.ndarray, tau_test: float, alpha: float) -> float:
     """Largest query score a single-fit set admits: ``T = U_(k) + tau_test``.
 
-    ``U`` are the m scores the query is ranked against, in ascending order:
+    ``U`` are the m scores the query is ranked against, in any order:
 
     - stabcp: the observed scores at the anchor, inflated by their bounds;
     - oracle: the observed scores of the fit at the true response, tau_test = 0;
     - split: the calibration scores, tau_test = 0.
 
-    ``k = _level_index(m, alpha)``; ``+inf`` (the whole range) when ``k > m``.
+    ``k = _level_index(m, alpha)``; ``U_(k)`` is selected, not sorted for
+    (``np.partition``), and ``T`` is ``+inf`` (the whole range) when ``k > m``.
     """
-    k = _level_index(sorted_scores.size, alpha)
-    if k > sorted_scores.size:
+    k = _level_index(scores.size, alpha)
+    if k > scores.size:
         return math.inf
-    return float(sorted_scores[k - 1]) + tau_test
+    return float(np.partition(scores, k - 1)[k - 1]) + tau_test
 
 
-def _bisect(is_inside, inside: float, outside: float) -> tuple[float, float]:
-    """Shrink the bracket ``(inside, outside)`` of a set boundary to ``_EPS_R``.
+def _outer_boundary(is_inside, inside: float, per_call: int, *, step: float = 0.0,
+                    outside: float | None = None) -> tuple[float, float] | None:
+    """The bracket ``(inside, outside)`` of a set boundary, shrunk to ``_EPS_R``.
 
-    ``is_inside`` holds at ``inside`` and fails at ``outside``; every step
-    keeps the half whose ends still disagree.  The loop also stops at
-    adjacent floats, so a bracket far from zero, whose float spacing exceeds
-    ``_EPS_R``, cannot stall it.
+    ``is_inside`` maps an array of candidates to their membership flags, and
+    holds at ``inside``.  Without an ``outside`` end the boundary is first
+    bracketed by stepping outward from ``inside`` by ``step``, doubling it:
+    the candidates ``inside + step * 2**j``, ``j < _MAX_DOUBLINGS``, are
+    scored up to ``min(per_call, _BRACKET_BATCH)`` per call until one fails,
+    and the bracket is that one and the step before it; None when none fails.
+    Each further call scores ``per_call`` evenly spaced candidates strictly
+    inside the bracket and keeps the sub-bracket at the first one outside
+    (one candidate per call is bisection).  The loop stops once the bracket
+    is at most ``_EPS_R`` wide, or when no candidate falls strictly inside
+    it: adjacent floats far from zero, whose spacing exceeds ``_EPS_R``.
     """
-    while abs(outside - inside) > _EPS_R:
-        mid = 0.5 * (inside + outside)
-        if mid in (inside, outside):
-            break
-        if is_inside(mid):
-            inside = mid
+    weight = np.arange(1, per_call + 1) / (per_call + 1)
+    start, doublings = inside, 0
+    while True:
+        if outside is None:
+            if doublings == _MAX_DOUBLINGS:
+                return None
+            candidates = start + step * _DOUBLINGS[doublings:doublings
+                                                   + min(per_call, _BRACKET_BATCH)]
+            doublings += candidates.size
         else:
-            outside = mid
-    return inside, outside
-
-
-def _outer_boundary(is_inside, start: float, side: int,
-                    candidate_range) -> tuple[float, float] | None:
-    """The bracket ``(inside, outside)`` of a set boundary beyond ``start``.
-
-    ``is_inside`` holds at ``start``.  Steps outward from it on ``side`` (-1
-    or +1), first by the width of ``candidate_range`` (at least ``_EPS_R``),
-    doubling the step until ``is_inside`` fails, then shrinks the last
-    bracket with ``_bisect``.  None when ``is_inside`` still holds after
-    ``_MAX_DOUBLINGS`` doublings.
-    """
-    step = side * max(float(candidate_range[1]) - float(candidate_range[0]), _EPS_R)
-    inside, outside = start, start + step
-    for _ in range(_MAX_DOUBLINGS):
-        if not is_inside(outside):
-            return _bisect(is_inside, inside, outside)
-        step *= 2.0
-        inside, outside = outside, start + step
-    return None
+            if abs(outside - inside) <= _EPS_R:
+                return inside, outside
+            # ordered from inside to outside and within the bracket, so only
+            # the first or last can sit on an end (adjacent floats)
+            candidates = inside + (outside - inside) * weight
+            if candidates[0] == inside or candidates[-1] == outside:
+                candidates = candidates[(candidates != inside) & (candidates != outside)]
+                if candidates.size == 0:
+                    return inside, outside
+        flags = np.asarray(is_inside(candidates))
+        first_out = int(flags.argmin())
+        if flags[first_out]:
+            inside = float(candidates[-1])
+        else:
+            outside = float(candidates[first_out])
+            if first_out:
+                inside = float(candidates[first_out - 1])
 
 
 def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float,
@@ -207,12 +233,15 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
     - The absolute residual gives ``[mu - T, mu + T]`` exactly.
     - A custom score must honor the contract of ``ScoreFunction.custom``
       (minimized at ``q = m``, nondecreasing in ``|q - m|`` on each side), so
-      the set is one interval around ``mu``.  Each endpoint is bracketed by
-      stepping outward from ``mu`` (``_outer_boundary``) until the score
-      exceeds T; bisection then shrinks the bracket to ``_EPS_R`` and its
-      outer end is returned, so the set always contains the exact sublevel
-      set.  A score still at most T after ``_MAX_DOUBLINGS`` doublings gives
-      the whole range, flagged as truncated.
+      the set is one interval around ``mu``.  Each endpoint is found by
+      ``_outer_boundary``, which scores whole arrays of candidates per call:
+      it brackets the endpoint by stepping outward from ``mu``, the first
+      step the width of ``candidate_range`` (at least ``_EPS_R``), doubled
+      up to ``_BRACKET_BATCH`` steps per call, then shrinks the bracket
+      ``_PER_CALL + 1``-fold per call to ``_EPS_R`` and returns its outer
+      end, so the set always contains the exact sublevel set.  A score still
+      at most T after ``_MAX_DOUBLINGS`` doublings gives the whole range,
+      flagged as truncated.
 
     The set is never clamped to ``candidate_range``, which is only recorded as
     metadata: clamping could drop a true response outside the observed range.
@@ -225,11 +254,16 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
     if score.kind == "absolute-residual":
         ends = (mu - threshold, mu + threshold)
     else:
-        brackets = [_outer_boundary(lambda z: score.evaluate(z, mu) <= threshold,
-                                    mu, side, candidate_range) for side in (-1, 1)]
-        if None in brackets:
+        def is_inside(candidates: np.ndarray) -> np.ndarray:
+            return score.evaluate(candidates, mu) <= threshold
+
+        width = max(float(candidate_range[1]) - float(candidate_range[0]), _EPS_R)
+        # an unbounded side makes the set the whole range: the other is not bracketed
+        lower = _outer_boundary(is_inside, mu, _PER_CALL, step=-width)
+        upper = None if lower is None else _outer_boundary(is_inside, mu, _PER_CALL, step=width)
+        if upper is None:
             return PredictionSet.whole_range(method, alpha, candidate_range)
-        ends = (brackets[0][1], brackets[1][1])
+        ends = (lower[1], upper[1])
     return PredictionSet.from_intervals([ends], method, alpha,
                                         candidate_range=candidate_range)
 
@@ -302,7 +336,7 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
     started = time.perf_counter()
     alpha = check_alpha(alpha)
     bounds, fitted = anchor_bounds(dataset, anchor, model_spec, score, tau)
-    threshold = _score_threshold(bounds.upper_sorted, bounds.tau_test, alpha)
+    threshold = _score_threshold(bounds._upper, bounds.tau_test, alpha)
     prediction_set = sublevel_set(score, bounds.mu_test, threshold, alpha,
                                   dataset.target_range(), "stabcp")
     anchor_in_range = (tau.candidate_range is None
@@ -319,13 +353,12 @@ stab_cp_bisection = stab_cp_interval  # the earlier name, still called by perfbe
 
 def _split_fit(dataset: TabularDataset, split_index: int, model_spec,
                score: ScoreFunction) -> tuple[float, np.ndarray, object]:
-    """Fit on rows ``1..m``; return the query prediction, the sorted calibration
-    scores and the fit."""
+    """Fit on rows ``1..m``; return the query prediction, the calibration
+    scores in row order and the fit."""
     m = _integral(split_index, "split_index", 1, dataset.n)
     trained = model_spec.fit_rows(dataset.features[:m], dataset.targets[:m])
     cal_predictions = trained.predict_rows(dataset.features[m:])
-    cal_scores = np.sort(np.asarray(
-        score.evaluate(dataset.targets[m:], cal_predictions), dtype=float))
+    cal_scores = np.asarray(score.evaluate(dataset.targets[m:], cal_predictions), dtype=float)
     return float(trained.predict(dataset.test_point)), cal_scores, trained
 
 
@@ -357,6 +390,7 @@ def split_pi(dataset: TabularDataset, split_index: int, model_spec,
     """Split conformity ``z -> 1 - count/(n_cal+1)`` (one fit, reusable), count
     the calibration scores strictly below the query's."""
     mu_test, cal_scores, _ = _split_fit(dataset, split_index, model_spec, score)
+    cal_scores = np.sort(cal_scores)
 
     def pi(z):
         test_score = score.evaluate(np.asarray(z, dtype=float), mu_test)
@@ -381,7 +415,7 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
     true_target = _real(true_target, "true_target")
     fitted = model_spec.fit(dataset, true_target)
     scores = conformity_scores(dataset, true_target, fitted, score)
-    threshold = _score_threshold(np.sort(scores[:-1]), 0.0, alpha)
+    threshold = _score_threshold(scores[:-1], 0.0, alpha)
     prediction_set = sublevel_set(score, fitted.row_predictions[-1], threshold, alpha,
                                   dataset.target_range(), "oraclecp")
     return _report(prediction_set, dataset, 1, started, anchor=true_target,
@@ -443,17 +477,20 @@ def pi_exact(dataset: TabularDataset, candidate: float, model_spec, score: Score
 
 def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction,
             alpha: float) -> MethodReport:
-    """Endpoints of the exact conformal set by bisection, one refit per probe.
+    """Endpoints of the exact conformal set by bisection, one refit per candidate.
 
     Assumes the exact set is one interval.  When ``_level_index`` exceeds n
     it returns the whole target range with no refit.  Otherwise it probes the
     distinct values among ``_ROOT_PROBES`` evenly spaced candidates of the
     target range (one on a zero-width range; empty when none is kept) and
     brackets each endpoint between the outermost kept probe and its unkept
-    neighbour or, past a kept end probe, outward by ``sublevel_set``'s steps
-    (``_outer_boundary``; never clamped).  The lower endpoint is bracketed
-    first; when either side is unbounded the whole range is returned at once.
-    Each bracket is bisected to ``_EPS_R`` and its midpoint returned.
+    neighbour or, past a kept end probe, outward by ``sublevel_set``'s
+    doubling steps (never clamped).  The lower endpoint is bracketed first;
+    when either side is unbounded the whole range is returned at once.  Both
+    go through ``sublevel_set``'s search, ``_outer_boundary``, with one
+    candidate per call, so each step is one refit: the outward steps are
+    taken one at a time and each bracket is bisected to ``_EPS_R`` (or to
+    adjacent floats), and its midpoint is returned.
     ``fit_count`` counts every refit.  Each refit is warm-started from the one
     before it, whose candidates lie ever closer together; the details carry
     the refits' summed ``iterations``, largest ``duality_gap`` and joint
@@ -479,13 +516,13 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction,
         prediction_set = PredictionSet.empty_set("rootcp", alpha, (z_min, z_max))
         return _report(prediction_set, dataset, refits.count, started, **refits.details())
 
-    def inside(z: float) -> bool:
-        return refits.inside(z, alpha)
+    def inside(candidates: np.ndarray) -> list[bool]:
+        return [refits.inside(z, alpha) for z in candidates.tolist()]
 
     def bracket(probe: int, side: int):
-        if 0 <= probe + side < probes.size:
-            return _bisect(inside, probes[probe], probes[probe + side])
-        return _outer_boundary(inside, float(probes[probe]), side, (z_min, z_max))
+        unkept = float(probes[probe + side]) if 0 <= probe + side < probes.size else None
+        return _outer_boundary(inside, float(probes[probe]), 1, outside=unkept,
+                               step=side * max(z_max - z_min, _EPS_R))
 
     # an unbounded side makes the set the whole range: the other is not bracketed
     lower = bracket(kept[0], -1)

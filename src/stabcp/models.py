@@ -155,7 +155,9 @@ class RidgeModel(LinearModel):
             x = dataset.test_point
             solved = _solve_normal_equations(gram + np.outer(x, x), np.column_stack([xty, x]),
                                              dataset.n + 1, self.lambda_reg)
-            rows = np.vstack([dataset.features @ solved, x @ solved])
+            rows = np.empty((dataset.n + 1, 2))
+            np.matmul(dataset.features, solved, out=rows[:-1])
+            np.matmul(x, solved, out=rows[-1])
             memo[key] = tuple(_read_only(v) for v in (*solved.T, *rows.T))
         return memo[key]
 

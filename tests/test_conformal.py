@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from stabcp import (
     stab_cp_interval,
     tau_user_supplied,
 )
-from stabcp.conformal import _EPS_R, _MAX_DOUBLINGS, _ROOT_PROBES
+from stabcp.conformal import _EPS_R, _MAX_DOUBLINGS, _ROOT_PROBES, _score_threshold
+from stabcp.core import _conformity, _level_index
 from stabcp.harness import RunConfig, run_method
 
 ABS = ScoreFunction.absolute_residual()
@@ -337,10 +340,19 @@ def test_bisection_constant_above_alpha_whole_range(small_dataset):
         assert report.set.shape == "whole-range"
         assert report.set.truncated
         assert report.set.candidate_range == (lo, hi)
-    # a custom score that never exceeds the threshold is unbounded: whole range
-    flat = ScoreFunction.custom(lambda q, m: np.minimum(np.abs(q - m), 1.0), 1.0)
+    # a custom score that never exceeds the threshold is unbounded: whole
+    # range, found from the lower side's outward steps alone, eight per call
+    calls = []
+
+    def flat_fn(q, m):
+        calls.append(np.size(q))
+        return np.minimum(np.abs(q - m), 1.0)
+
+    flat = ScoreFunction.custom(flat_fn, 1.0)
     report = stab_cp_interval(small_dataset, 0.0, spec, flat, tau, 0.1)
     assert report.set.shape == "whole-range" and report.set.truncated
+    # the observed scores, the prediction itself, then the outward steps
+    assert calls == [small_dataset.n + 1, 1] + [8] * (_MAX_DOUBLINGS // 8)
 
 
 def test_bisection_empty_when_nothing_selected():
@@ -464,6 +476,97 @@ def test_split_and_oracle_custom_score_match_builtin():
         (clo, chi), = custom.set.intervals
         assert lo - _EPS_R <= clo <= lo
         assert hi <= chi <= hi + _EPS_R
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_custom_score_sets_take_few_score_calls(seed):
+    # per endpoint one call for the outward steps and three or four that
+    # shrink the bracket 65-fold each, plus the reference scores and the
+    # check at the prediction; scoring one candidate per call took 38
+    calls = []
+
+    def huber(q, m):
+        calls.append(np.size(q))
+        r = np.abs(np.asarray(q, dtype=float) - np.asarray(m, dtype=float))
+        return np.where(r <= 1.0, 0.5 * r * r, r - 0.5)
+
+    score = ScoreFunction.custom(huber, 1.0)
+    ds = make_dataset(n=300, p=20, seed=seed)
+    spec = RidgeModel(0.5)
+    tau = spec.stability_bound(ds, score)
+    anchor = spec.anchor(ds)
+    for run in (lambda: stab_cp_interval(ds, anchor, spec, score, tau, 0.1),
+                lambda: oracle_cp(ds, ds.test_target, spec, score, 0.1),
+                lambda: split_cp(ds, 150, spec, score, 0.1)):
+        calls.clear()
+        assert run().set.shape == "interval"
+        assert len(calls) <= 12
+
+
+def test_outward_steps_never_score_far_past_the_first_batch():
+    # exp overflows past 709, and the target range is under 5 wide: scoring
+    # all _MAX_DOUBLINGS outward steps at once would reach width * 2**63 and
+    # warn; a batch of eight steps stops at width * 2**7
+    def linex(q, m):
+        d = np.asarray(q, dtype=float) - np.asarray(m, dtype=float)
+        return np.exp(d) - d - 1.0
+
+    score = ScoreFunction.custom(linex, gamma=5.0)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((41, 2))
+    y = 0.5 * X[:, 0] + 0.2 * rng.standard_normal(41)
+    ds = TabularDataset(X[:-1], y[:-1], X[-1], test_target=float(y[-1]))
+    lo, hi = ds.target_range()
+    assert hi - lo < 5
+    spec = RidgeModel(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        oracle = oracle_cp(ds, ds.test_target, spec, score, 0.1)
+        split = split_cp(ds, 20, spec, score, 0.1)
+    assert oracle.set.shape == split.set.shape == "interval"
+    # each end just outside the split set, the interval's inside within _EPS_R
+    pi = split_pi(ds, 20, spec, score)
+    (slo, shi), = split.set.intervals
+    assert pi(slo) <= 0.1 and pi(shi) <= 0.1
+    assert pi(slo + _EPS_R) > 0.1 and pi(shi - _EPS_R) > 0.1
+
+
+def test_thresholds_select_the_order_statistic_the_sort_gave():
+    # bit for bit, on ties, subnormals and scores 1e600 apart; the caller's
+    # scores are left as they were
+    rng = np.random.default_rng(3)
+    cases = [np.full(7, 2.5), np.array([0.0]), np.array([1.0, 1.0, 0.0, 1.0]),
+             np.round(rng.exponential(size=301), 1), np.repeat([3.0, 1.0, 2.0], 50),
+             np.array([5e-324, 0.0, 1e300, 1e-300, 1e300, 5e-324]),
+             np.sort(rng.exponential(size=1000))[::-1].copy()]
+    for scores in cases:
+        given = scores.copy()
+        for alpha in (1e-3, 0.05, 0.1, 0.5, 0.9, 1 - 1e-12):
+            for tau_test in (0.0, 0.37, 1e-300):
+                k = _level_index(scores.size, alpha)
+                expected = math.inf if k > scores.size else float(np.sort(scores)[k - 1]) + tau_test
+                got = _score_threshold(scores, tau_test, alpha)
+                assert struct.pack("<d", got) == struct.pack("<d", expected)
+        assert np.array_equal(scores, given)
+
+
+def test_envelope_counts_are_unchanged_by_sorting_on_first_use():
+    rng = np.random.default_rng(7)
+    n = 40
+    observed = np.round(rng.exponential(size=n), 1)
+    tau = tau_user_supplied(np.append(np.round(rng.uniform(0, 0.5, n), 1), 0.2))
+    bounds = ConformityBounds.from_scores(0.0, observed, 0.3, tau, ABS)
+    assert "lower_sorted" not in vars(bounds) and "upper_sorted" not in vars(bounds)
+    lower, upper = np.sort(observed - tau.tau[:-1]), np.sort(observed + tau.tau[:-1])
+    zs = np.append(np.linspace(-4.0, 4.0, 161), 0.3 + np.concatenate([observed, -observed]))
+    n_lo, n_up = bounds.counts_at(zs)
+    query = np.abs(zs - 0.3)
+    assert np.array_equal(n_lo, np.searchsorted(lower, query + 0.2, side="left"))
+    assert np.array_equal(n_up, np.searchsorted(upper, query - 0.2, side="left"))
+    for z, lo_count, up_count in zip(zs, n_lo, n_up):
+        pb = bounds.pi_bounds_at(z)
+        assert (pb.n_lo, pb.n_up) == (lo_count, up_count)
+        assert (pb.lo, pb.up) == (_conformity(lo_count, n), _conformity(up_count, n))
 
 
 # ----------------------------------------------------------------- batch

@@ -15,10 +15,13 @@ LAD-ridge duality gap must bound the suboptimality of the returned fit,
 warm-started or not, against random points and against a fit stopped at a
 1e-12 gap.
 The data mix in outliers, tied targets, ``n`` close to ``p``, a constant
-column and a zero-norm query row.
+column and a zero-norm query row.  A custom score with a closed-form set
+must have each endpoint just outside the exact one, also where the float
+spacing exceeds the bisection tolerance.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -38,7 +41,7 @@ from stabcp import (
     split_cp,
     stab_cp_interval,
 )
-from stabcp.conformal import _EPS_R
+from stabcp.conformal import _EPS_R, sublevel_set
 
 ABS = ScoreFunction.absolute_residual()
 CUSTOM_ABS = ScoreFunction.custom(lambda q, m: np.abs(q - m), 1.0)
@@ -200,3 +203,38 @@ def test_lad_warm_start_keeps_the_certificate(ds, lam, first, second, max_iter):
     # to 1e6 (objectives near 4e4 differed by one unit in the last place)
     slack = 1e-12 + 64 * np.spacing(cold.objective)
     assert abs(warm.objective - cold.objective) <= warm.duality_gap + cold.duality_gap + slack
+
+
+def kinked(q, m):
+    """Slope 2 above the prediction and 1 below, so ``{S <= T} = [m - T, m + T/2]``."""
+    d = np.asarray(q, dtype=float) - np.asarray(m, dtype=float)
+    return np.where(d > 0, 2.0 * d, -d)
+
+
+@SETTINGS
+@given(mu=st.one_of(st.floats(-1e3, 1e3), st.floats(1e12 - 1e3, 1e12 + 1e3),
+                    st.floats(-1e12 - 1e3, -1e12 + 1e3)),
+       threshold=st.one_of(st.just(0.0), st.floats(1e-7, 1e3)),
+       width=st.one_of(st.just(0.0), st.floats(1e-7, 1e4)))
+def test_custom_score_ends_lie_just_outside_the_closed_form(mu, threshold, width):
+    # near 1e12 floats are 1.2e-4 apart, more than _EPS_R: there an end must
+    # be the first float past the exact end
+    calls = []
+
+    def counted(q, m):
+        calls.append(np.size(q))
+        assert len(calls) <= 200, "the endpoint search does not end"
+        return kinked(q, m)
+
+    score = ScoreFunction.custom(counted, 2.0)
+    prediction = sublevel_set(score, mu, threshold, 0.1, (mu, mu + width), "stabcp")
+    (lo, hi), = prediction.intervals
+    # the score is exact up to the rounding of one subtraction, at most
+    # half a unit in the last place of the threshold
+    rounding = Fraction(float(np.spacing(threshold)))
+    for end, exact, side in ((lo, Fraction(mu) - Fraction(threshold), -1),
+                             (hi, Fraction(mu) + Fraction(threshold) / 2, 1)):
+        beyond = side * (Fraction(end) - exact)
+        assert beyond >= 0
+        inner = side * (Fraction(float(np.nextafter(end, mu))) - exact)
+        assert beyond <= _EPS_R + rounding or inner <= rounding
