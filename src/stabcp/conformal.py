@@ -20,13 +20,15 @@ candidates per call, so a typical custom-score set calls the score ten times.
 The module also holds the refit layer: the exact-set baselines ``pi_exact``,
 ``root_cp``, ``grid_cp`` (the one grid-evaluated exact set) and
 ``gap_profile``'s exact column, which refit the model at every candidate
-through one chain of warm-started refits (``_Refits``) and are what every
-single-fit set is checked against.  ``root_cp`` finds its endpoints with
+through one chain of warm-started refits (``_Refits``, each refit started
+from the one at the nearest candidate) and are what every single-fit set is
+checked against.  ``root_cp`` finds its endpoints with
 the same search, one refit per candidate.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -423,17 +425,20 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
 
 
 class _Refits:
-    """The refits of one exact-set call, each warm-started from the one before.
+    """The refits of one exact-set call, each warm-started from the refit at
+    the nearest candidate refitted so far.
 
     The one refit path of the exact sets (``pi_exact``, ``root_cp``,
     ``grid_cp``, ``gap_profile``).  Every refit is ``fit_rows`` on the
     augmented rows, built once here and read-only: it never goes through
     ``fit``, which may reuse per-dataset work, so the refits stay an
-    independent check of the single-fit sets.  Each refit is passed to the
-    next as ``start``, which sets where an iterative solver begins and, since
-    the design is the same read-only array, lends the work that depends on the
-    design alone (LAD-ridge takes one eigendecomposition per call); every
-    refit still meets the solver's tolerance.  Nothing outlives the call.
+    independent check of the single-fit sets.  The refits are kept sorted by
+    candidate, and each new one is passed the refit at the nearest candidate
+    (found by ``bisect``; the lower one on a tie) as ``start``, which sets
+    where an iterative solver begins and, since the design is the same
+    read-only array, lends the work that depends on the design alone
+    (LAD-ridge takes one eigendecomposition per call); every refit still
+    meets the solver's tolerance.  The refits die with the call.
     ``certificate`` totals the refits' solver certificates
     (``_joint_certificate``).
     """
@@ -441,7 +446,7 @@ class _Refits:
     def __init__(self, dataset: TabularDataset, model_spec, score: ScoreFunction):
         self.dataset, self.model_spec, self.score = dataset, model_spec, score
         self.X = _read_only(dataset.augmented_design())
-        self.last = None
+        self.candidates, self.refits = [], []  # sorted by candidate
         self.count = 0
         self.certificate = _certificate(None)
 
@@ -449,10 +454,18 @@ class _Refits:
         """How many observed scores are strictly below the query's under a
         refit at ``candidate``; kept when below ``_level_index``."""
         y = self.dataset.augmented_targets(candidate)
-        self.last = self.model_spec.fit_rows(self.X, y, start=self.last)
+        candidate = float(y[-1])
+        # the nearest refitted candidate is a neighbour of the insertion point
+        i = bisect.bisect(self.candidates, candidate)
+        near = min((j for j in (i - 1, i) if 0 <= j < len(self.candidates)),
+                   key=lambda j: abs(self.candidates[j] - candidate), default=None)
+        refit = self.model_spec.fit_rows(self.X, y,
+                                         start=None if near is None else self.refits[near])
+        self.candidates.insert(i, candidate)
+        self.refits.insert(i, refit)
         self.count += 1
-        self.certificate = _joint_certificate(self.certificate, _certificate(self.last))
-        scores = _checked_scores(self.score, y, self.last.predict_rows(self.X))
+        self.certificate = _joint_certificate(self.certificate, _certificate(refit))
+        scores = _checked_scores(self.score, y, refit.predict_rows(self.X))
         return int(np.count_nonzero(scores[:-1] < scores[-1]))
 
     def inside(self, candidate: float, alpha: float) -> bool:
@@ -492,10 +505,13 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction,
     taken one at a time and each bracket is bisected to ``_EPS_R`` (or to
     adjacent floats), and its midpoint is returned.
     ``fit_count`` counts every refit.  Each refit is warm-started from the one
-    before it, whose candidates lie ever closer together; the details carry
-    the refits' summed ``iterations``, largest ``duality_gap`` and joint
-    ``converged`` (None for closed-form fits), and ``tau_coverage_safe=False``
-    when some refit did not converge (``_Refits.details``).
+    at the nearest candidate refitted so far: a probe from the probe before
+    it, an outward step from the step before it, a bisection step from the
+    nearer end of its bracket, and these lie ever closer together.  The
+    details carry the refits' summed ``iterations``, largest ``duality_gap``
+    and joint ``converged`` (None for closed-form fits), and
+    ``tau_coverage_safe=False`` when some refit did not converge
+    (``_Refits.details``).
 
     An exact set narrower than the probe spacing that falls between two
     probes is returned empty: on 100 rows of ones with targets 1.0, then
@@ -544,7 +560,8 @@ def grid_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     Keeps the grid points whose conformity exceeds ``alpha`` (``_kept_set``).
     This is the verification oracle for the single-fit constructions; it
     costs ``len(grid)`` refits, each warm-started from the one at the
-    previous grid point, and reports their certificate as ``root_cp`` does.
+    previous grid point (on an ascending grid the nearest one refitted so
+    far), and reports their certificate as ``root_cp`` does.
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
@@ -559,8 +576,9 @@ def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
     """Diagnostic sweep: ``(z, pi_lo, pi_up, pi_exact)`` per grid point.
 
     The envelope values reuse the single anchor fit; the exact conformity
-    refits at every grid point (each refit warm-started from the previous
-    one), so this is for plots and verification only.
+    refits at every grid point (each refit warm-started from the one at the
+    previous grid point, the nearest refitted so far), so this is for plots
+    and verification only.
     """
     grid = _check_grid(grid)
     bounds, _ = anchor_bounds(dataset, anchor, model_spec, score, tau)

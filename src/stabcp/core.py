@@ -290,11 +290,15 @@ def conformity_scores(dataset: TabularDataset, candidate: float, model, score: S
 
 
 def _checked_scores(score: ScoreFunction, q: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    """Scores ``S(q_i, preds_i)``, rejected unless finite and nonnegative."""
+    """Scores ``S(q_i, preds_i)``, rejected unless finite and nonnegative.
+
+    Their minimum and maximum check both (a NaN fails either comparison); the
+    message is worked out only for scores that fail.
+    """
     scores = np.asarray(score.evaluate(q, preds), dtype=float)
-    if not np.all(np.isfinite(scores)):
-        raise InvalidInputError("score function produced non-finite values")
-    if np.any(scores < 0):
+    if not (scores.min() >= 0 and scores.max() < math.inf):
+        if not np.all(np.isfinite(scores)):
+            raise InvalidInputError("score function produced non-finite values")
         raise InvalidInputError("score function produced negative values")
     return scores
 

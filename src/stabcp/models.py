@@ -11,10 +11,11 @@ Every model follows one protocol:
   or from an earlier ``fit_rows`` result on the same rows passed as
   ``start``; never from the dataset memo.  It returns a model whose
   ``coefficients`` serve ``predict``/``predict_rows``; the refit baselines
-  use it, so they stay an independent check of ``fit``, and pass each
-  refit to the next as ``start`` (only the iterative model uses it: the
-  start sets where its solver begins and, when it was fitted on the very
-  same read-only ``X``, lends the work that depends on ``X`` alone);
+  use it, so they stay an independent check of ``fit``, and pass each refit
+  the refit at the nearest candidate refitted so far as ``start`` (only the
+  iterative model uses it: the start sets where its solver begins, shifted
+  to the new targets, and, when it was fitted on the very same read-only
+  ``X``, lends the work that depends on ``X`` alone);
 - ``anchor(dataset)`` returns the single-fit anchor, a finite float inside
   every range on which the model's own bound holds; no model spends a fit on
   it.  Ridge's is the self-consistent query prediction ``a_q / (1 - b_q)`` of
@@ -221,12 +222,17 @@ class LadRidgeModel(LinearModel):
     ``converged``/``duality_gap``, not raised.
 
     ``fit_rows(X, y, start=fit)`` warm-starts from an earlier ``fit_rows``
-    result on as many rows (the refit baselines pass each refit to the next,
-    which differs only in the query target): ADMM begins from that fit's final
-    residual split ``v``, scaled dual ``u`` and penalty rho, and its
-    ``coefficients`` are the first incumbent.  The stopping rule, certificate
-    and penalty-change cap are those of a cold fit, so a warm fit meets the
-    same ``solver_tol``.
+    result on as many rows (the refit baselines pass each refit the refit at
+    the nearest candidate, which differs only in the query target).  The warm
+    state follows the targets: a fit keeps its final split's fitted part
+    ``y - v``, not ``v``, with its scaled dual ``u`` and penalty rho, so ADMM
+    begins with ``v`` the residuals of the *new* targets against that fitted
+    part, and the start's ``coefficients`` are the first incumbent.  Where the query residual keeps
+    its sign the solution does not move (the KKT conditions of the L1 loss),
+    and the warm fit's iterates are the start's own, so its first check
+    certifies it.  The state is computed afresh and aliases no array of the
+    caller.  The stopping rule, certificate and penalty-change cap are those
+    of a cold fit, so a warm fit meets the same ``solver_tol``.
 
     A fit on a read-only ``X`` keeps its design work: the finite check of
     ``X``, the eigendecomposition, ``Z = X Q`` and ``Z^T``.  A later
@@ -289,11 +295,14 @@ class LadRidgeModel(LinearModel):
             state = getattr(start, "_admm_state", None)
             if state is None:
                 raise InvalidInputError("start must be an earlier LadRidgeModel.fit_rows result")
-            v, u, rho = state
-            if v.shape != (m,) or start.coefficients.shape != (p,):
+            f, u, rho = state
+            if f.shape != (m,) or start.coefficients.shape != (p,):
                 raise InvalidInputError(
-                    f"start was fitted on {v.shape[0]} rows and {start.coefficients.shape[0]} "
+                    f"start was fitted on {f.shape[0]} rows and {start.coefficients.shape[0]} "
                     f"columns, expected {m} and {p}")
+            # the split's fitted part carries over; its residual part is the
+            # new targets' residuals
+            v = y - f
             best_beta = start.coefficients.copy()
         best_obj = self._objective(X, y, best_beta)
         accepted = [best_obj]
@@ -377,7 +386,9 @@ class LadRidgeModel(LinearModel):
         model.converged = best_gap <= self.solver_tol
         model.iterations = iterations
         model.accepted_objectives = accepted
-        model._admm_state = (r - c, -c, rho)  # where a warm start from this fit begins
+        # where a warm start from this fit begins: the split's fitted part
+        # y - v, so a start on other targets shifts v by their difference
+        model._admm_state = (y - (r - c), -c, rho)
         # only a read-only design can be lent: a writable one may change
         model._design = None if X.flags.writeable else design
         return model

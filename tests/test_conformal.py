@@ -478,6 +478,18 @@ def test_split_and_oracle_custom_score_match_builtin():
         assert hi <= chi <= hi + _EPS_R
 
 
+@pytest.mark.parametrize("bad, message", [(math.nan, "non-finite"), (math.inf, "non-finite"),
+                                          (-math.inf, "non-finite"), (-1.0, "negative")])
+def test_scores_that_are_not_finite_and_nonnegative_are_rejected(small_dataset, bad, message):
+    # only the query's score is bad: the candidate is the one target above 50
+    score = ScoreFunction.custom(lambda q, m: np.where(q > 50.0, bad, np.abs(q - m)), 1.0)
+    fitted = RidgeModel(0.5).fit(small_dataset, 100.0)
+    with pytest.raises(InvalidInputError, match=f"score function produced {message} values"):
+        conformity_scores(small_dataset, 100.0, fitted, score)
+    with pytest.raises(InvalidInputError, match=f"score function produced {message} values"):
+        pi_exact(small_dataset, 100.0, RidgeModel(0.5), score)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_custom_score_sets_take_few_score_calls(seed):
     # per endpoint one call for the outward steps and three or four that
@@ -833,7 +845,7 @@ def test_root_counts_every_refit(small_dataset):
 class FitBudget:
     """Model spec that counts every refit and fails loudly past a limit.
 
-    The refit baselines refit through ``fit_rows`` alone, passing the previous
+    The refit baselines refit through ``fit_rows`` alone, passing an earlier
     refit as ``start``, which is forwarded; ``fit``, which may reuse
     per-dataset work, raises, so a baseline that reaches it fails.
     """
@@ -885,9 +897,74 @@ def test_root_warm_starts_give_the_cold_set_in_fewer_iterations():
     assert warm.details["iterations"] < cold.details["iterations"]
 
 
+class StartSpy:
+    """Model spec that records, per refit, its candidate and the candidate of
+    the refit it was passed as ``start`` (None for a cold refit)."""
+
+    def __init__(self, spec):
+        self.spec, self.made, self.calls = spec, [], []
+
+    def fit_rows(self, X, y, start=None):
+        origin = None if start is None else next(z for fit, z in self.made if fit is start)
+        refit = self.spec.fit_rows(X, y, start=start)
+        self.made.append((refit, float(y[-1])))
+        self.calls.append((float(y[-1]), origin))
+        return refit
+
+    def fit(self, dataset, candidate):
+        return self.spec.fit(dataset, candidate)
+
+    def starts_are_nearest(self) -> bool:
+        """Each refit started from the refit at the nearest earlier candidate."""
+        return all(
+            origin is None if k == 0
+            else abs(origin - z) == min(abs(e - z) for e, _ in self.calls[:k])
+            for k, (z, origin) in enumerate(self.calls))
+
+
+def test_each_refit_starts_from_the_nearest_earlier_refit(small_dataset):
+    spec = RidgeModel(0.5)
+    grid = stabcp.default_candidate_grid(small_dataset, 30)
+    tau = spec.stability_bound(small_dataset, ABS)
+    runs = {
+        "root": lambda model: root_cp(small_dataset, model, ABS, 0.1),
+        "grid": lambda model: grid_cp(small_dataset, model, ABS, 0.1, grid),
+        "pi": lambda model: pi_exact(small_dataset, float(grid[7]), model, ABS),
+        "profile": lambda model: gap_profile(small_dataset, spec.anchor(small_dataset), model,
+                                             ABS, tau, grid),
+    }
+    for name, run in runs.items():
+        spy = StartSpy(spec)
+        run(spy)
+        assert spy.starts_are_nearest(), name
+        assert spy.calls[0][1] is None and all(o is not None for _, o in spy.calls[1:])
+        if name == "root":
+            # after the ascending probes, the lower bracket starts back at the
+            # first kept probe, not at the last refit
+            previous = [z for z, _ in spy.calls[:-1]]
+            assert [origin for _, origin in spy.calls[1:]] != previous
+
+
+def test_lad_root_refits_follow_their_targets_at_bench_size():
+    # warm refits give the cold refits' set and refit count in under 25
+    # iterations per refit (a chain that starts each refit from the one
+    # before, holding the old targets' residuals, takes 30 to 60)
+    spec = LadRidgeModel(0.2)
+    for seed in range(5):
+        ds = make_dataset(n=300, p=20, seed=seed)
+        warm = root_cp(ds, spec, ABS, 0.1)
+        cold = root_cp(ds, ColdRefits(spec), ABS, 0.1)
+        assert warm.set.shape == cold.set.shape == "interval"
+        assert warm.fit_count == cold.fit_count
+        assert np.allclose(warm.set.intervals, cold.set.intervals, rtol=0.0, atol=_EPS_R)
+        assert warm.details["converged"] is True
+        assert warm.details["duality_gap"] <= spec.solver_tol
+        assert warm.details["iterations"] < 25 * warm.fit_count
+
+
 class FreshDesign:
     """Model spec that hands every refit a fresh writable copy of the design,
-    so no refit can borrow the design work of the one before."""
+    so no refit can borrow the design work of its start."""
 
     def __init__(self, spec):
         self.spec = spec

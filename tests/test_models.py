@@ -304,6 +304,48 @@ def test_lad_warm_start_from_a_converged_fit_stops_at_the_first_check():
     assert warm.objective <= cold.objective
 
 
+def far_query_targets(seed=0):
+    """A (300, 20) draw's augmented rows with the query target far above its
+    fit, and the same targets with the query moved 3 further up."""
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, seed))
+    X = ds.augmented_design()
+    y = ds.augmented_targets(ds.target_range()[1] + 5.0)
+    moved = y.copy()
+    moved[-1] += 3.0
+    return X, y, moved
+
+
+def test_lad_warm_start_follows_a_query_target_that_keeps_its_side():
+    # the query residual keeps its sign, so by the KKT conditions the solution
+    # does not move; the warm state holds the split's fitted part, so the
+    # refit starts at the new targets' residuals and its first check certifies
+    X, y, moved = far_query_targets()
+    spec = LadRidgeModel(0.2)
+    cold = spec.fit_rows(X, y)
+    assert cold.converged and y[-1] - cold.predict(X[-1]) > 1.0
+    warm = spec.fit_rows(X, moved, start=cold)
+    assert warm.converged and warm.iterations == 10
+    again = spec.fit_rows(X, moved)
+    assert again.converged and again.iterations > 10
+    assert np.allclose(warm.coefficients, again.coefficients, rtol=0.0, atol=1e-4)
+    assert warm.objective <= again.objective + spec.solver_tol
+
+
+def test_lad_warm_state_aliases_no_caller_array():
+    # the caller moves the query target of the very array a fit was given; a
+    # warm refit from that fit runs as one from a fit on an untouched copy
+    X, y, moved = far_query_targets()
+    spec = LadRidgeModel(0.2)
+    kept = spec.fit_rows(X, y.copy())
+    reused = spec.fit_rows(X, y)
+    y[:] = moved
+    from_kept = spec.fit_rows(X, moved.copy(), start=kept)
+    from_reused = spec.fit_rows(X, y, start=reused)
+    assert from_kept.iterations == from_reused.iterations == 10
+    assert np.array_equal(from_kept.coefficients, from_reused.coefficients)
+    assert from_kept.duality_gap == from_reused.duality_gap
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_lad_converges_with_a_singular_gram_matrix(seed):
     # p = 60 features on 9 rows: X^T X has rank at most 9
