@@ -196,28 +196,37 @@ def _outer_boundary(is_inside, inside: float, per_call: int, *, step: float = 0.
     (one candidate per call is bisection).  The loop stops once the bracket
     is at most ``_EPS_R`` wide, or when no candidate falls strictly inside
     it: adjacent floats far from zero, whose spacing exceeds ``_EPS_R``.
+
+    At one candidate per call ``is_inside`` is given a one-element list of a
+    Python float instead of an array.  The formulas are the same, so the ends
+    are the ones an array gives, without numpy's cost per call.
     """
+    scalar = per_call == 1
     weight = np.arange(1, per_call + 1) / (per_call + 1)
+    batch = min(per_call, _BRACKET_BATCH)
     start, doublings = inside, 0
     while True:
         if outside is None:
             if doublings == _MAX_DOUBLINGS:
                 return None
-            candidates = start + step * _DOUBLINGS[doublings:doublings
-                                                   + min(per_call, _BRACKET_BATCH)]
-            doublings += candidates.size
+            candidates = ([start + step * 2.0 ** doublings] if scalar
+                          else start + step * _DOUBLINGS[doublings:doublings + batch])
+            doublings += len(candidates)
         else:
             if abs(outside - inside) <= _EPS_R:
                 return inside, outside
             # ordered from inside to outside and within the bracket, so only
             # the first or last can sit on an end (adjacent floats)
-            candidates = inside + (outside - inside) * weight
+            candidates = ([inside + (outside - inside) * 0.5] if scalar
+                          else inside + (outside - inside) * weight)
             if candidates[0] == inside or candidates[-1] == outside:
+                if scalar:
+                    return inside, outside
                 candidates = candidates[(candidates != inside) & (candidates != outside)]
                 if candidates.size == 0:
                     return inside, outside
-        flags = np.asarray(is_inside(candidates))
-        first_out = int(flags.argmin())
+        flags = is_inside(candidates)
+        first_out = 0 if scalar else int(flags.argmin())
         if flags[first_out]:
             inside = float(candidates[-1])
         else:
@@ -532,8 +541,8 @@ def root_cp(dataset: TabularDataset, model_spec, score: ScoreFunction,
         prediction_set = PredictionSet.empty_set("rootcp", alpha, (z_min, z_max))
         return _report(prediction_set, dataset, refits.count, started, **refits.details())
 
-    def inside(candidates: np.ndarray) -> list[bool]:
-        return [refits.inside(z, alpha) for z in candidates.tolist()]
+    def inside(candidates: list[float]) -> list[bool]:
+        return [refits.inside(z, alpha) for z in candidates]
 
     def bracket(probe: int, side: int):
         unkept = float(probes[probe + side]) if 0 <= probe + side < probes.size else None

@@ -187,8 +187,11 @@ class TabularDataset:
         return np.append(self.targets, _real(candidate, "candidate"))
 
     def target_range(self) -> tuple[float, float]:
-        """Smallest and largest observed response, the default candidate range."""
-        return float(self.targets.min()), float(self.targets.max())
+        """Smallest and largest observed response, the default candidate range
+        (computed once per dataset)."""
+        if "target_range" not in self._memo:
+            self._memo["target_range"] = (float(self.targets.min()), float(self.targets.max()))
+        return self._memo["target_range"]
 
     def permuted(self, order) -> "TabularDataset":
         """Dataset with the observed rows reordered; the query point is untouched."""

@@ -58,10 +58,14 @@ from .stability import StabilityBounds
 _FREE_QUERY_TOL = math.sqrt(np.finfo(float).eps)
 
 
-def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, m: int,
+def _solve_normal_equations(system: np.ndarray, rhs: np.ndarray, m: int,
                             lambda_reg: float) -> np.ndarray:
-    """Solve ``(gram + m * lambda_reg * I) beta = rhs`` for a fit on ``m`` rows."""
-    system = gram + m * lambda_reg * np.eye(gram.shape[0])
+    """Solve ``(system + m * lambda_reg * I) beta = rhs`` for a fit on ``m`` rows.
+
+    The penalty is added to ``system``'s diagonal in place, so the caller
+    passes a fresh matrix, never a memoized Gram matrix.
+    """
+    system.flat[::system.shape[0] + 1] += m * lambda_reg
     try:
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
@@ -85,11 +89,12 @@ def ridge_coefficients(X, y, lambda_reg: float) -> np.ndarray:
 
 
 def _observed_gram(dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray]:
-    """``(X^T X, X^T y)`` of the observed rows, formed once per dataset."""
+    """``(X^T X, X^T y)`` of the observed rows, formed once per dataset;
+    read-only, since every solve on the dataset shares them."""
     memo = dataset._memo
     if "gram" not in memo:
         X = dataset.features
-        memo["gram"] = (X.T @ X, X.T @ dataset.targets)
+        memo["gram"] = (_read_only(X.T @ X), _read_only(X.T @ dataset.targets))
     return memo["gram"]
 
 
@@ -154,8 +159,11 @@ class RidgeModel(LinearModel):
         if key not in memo:
             gram, xty = _observed_gram(dataset)
             x = dataset.test_point
-            solved = _solve_normal_equations(gram + np.outer(x, x), np.column_stack([xty, x]),
-                                             dataset.n + 1, self.lambda_reg)
+            system = np.multiply.outer(x, x)
+            system += gram
+            rhs = np.empty((x.shape[0], 2))
+            rhs[:, 0], rhs[:, 1] = xty, x
+            solved = _solve_normal_equations(system, rhs, dataset.n + 1, self.lambda_reg)
             rows = np.empty((dataset.n + 1, 2))
             np.matmul(dataset.features, solved, out=rows[:-1])
             np.matmul(x, solved, out=rows[-1])
@@ -200,9 +208,10 @@ class RidgeModel(LinearModel):
         is the worst case, and ``b`` comes from the dataset's one augmented
         solve."""
         lo, hi = dataset.target_range()
-        b = self._affine(dataset)[-1]
-        return StabilityBounds(score.gamma * np.abs(b) * (hi - lo), "linear-exact",
-                               candidate_range=(lo, hi))
+        tau = np.abs(self._affine(dataset)[-1])
+        tau *= score.gamma
+        tau *= hi - lo
+        return StabilityBounds(tau, "linear-exact", candidate_range=(lo, hi))
 
 
 class LadRidgeModel(LinearModel):
@@ -213,11 +222,14 @@ class LadRidgeModel(LinearModel):
     residual split, with a residual-balanced penalty rho).  One
     eigendecomposition of ``X^T X`` per fit diagonalizes the beta step for
     every rho, so a penalty change rescales a length-p vector and no
-    iteration solves a linear system.  Clipping the scaled dual variable
-    into the feasible box gives a duality gap at every check, so the returned
-    iterate carries an explicit suboptimality certificate; the incumbent is
-    the best primal point seen, whose recorded objectives decrease
-    monotonically by construction.
+    iteration solves a linear system.  An iteration is eleven in-place numpy
+    calls on preallocated buffers, with its scalar operands as 0-d arrays;
+    the gap check comes after every tenth and after the last, and the
+    iterations between checks run with no test.  Clipping the scaled dual
+    variable into the feasible box gives a duality gap at every check, so the
+    returned iterate carries an explicit suboptimality certificate; the
+    incumbent is the best primal point seen, whose recorded objectives
+    decrease monotonically by construction.
     Hitting ``max_iter`` without reaching ``solver_tol`` is reported through
     ``converged``/``duality_gap``, not raised.
 
@@ -250,14 +262,6 @@ class LadRidgeModel(LinearModel):
         self.solver_tol = _real(solver_tol, "solver_tol", 0, open_lo=True)
         self.max_iter = _integral(max_iter, "max_iter", 1)
         self.coefficients = None
-
-    def _objective(self, X, y, beta) -> float:
-        m = y.shape[0]
-        return float(np.abs(y - X @ beta).sum() / m + self.lambda_reg * beta @ beta)
-
-    def _dual_objective(self, X, y, theta) -> float:
-        v = X.T @ theta
-        return float(-theta @ y - (v @ v) / (4.0 * self.lambda_reg))
 
     @staticmethod
     def _diagonalized(X) -> tuple:
@@ -304,7 +308,14 @@ class LadRidgeModel(LinearModel):
             # new targets' residuals
             v = y - f
             best_beta = start.coefficients.copy()
-        best_obj = self._objective(X, y, best_beta)
+        lam, tol, max_iter = self.lambda_reg, self.solver_tol, self.max_iter
+        Xt = X.T
+
+        def objective(beta) -> float:
+            # the primal objective; ndarray.dot skips the dispatch of np.dot and @
+            return float(np.abs(y - X.dot(beta)).sum() / m + (lam * beta).dot(beta))
+
+        best_obj = objective(best_beta)
         accepted = [best_obj]
         best_gap = math.inf
         iterations = 0
@@ -315,9 +326,15 @@ class LadRidgeModel(LinearModel):
         # w = Z^T d / (eigvals + 2*lambda/rho) with Z = X Q, and the fitted
         # rows are Z w.  A penalty change rescales one length-p vector, so no
         # iteration solves a linear system.  The penalty is residual-balanced.
-        denominator = eigvals + 2.0 * self.lambda_reg / rho
-        threshold = 1.0 / (m * rho)
-        relax = 1.7
+        # The scalar operands are 0-d arrays, refreshed when rho changes:
+        # numpy takes them without the conversion a Python float costs on
+        # every call.
+        denominator = eigvals + 2.0 * lam / rho
+        threshold = np.array(1.0 / (m * rho))
+        neg_threshold = -threshold
+        relax = np.array(1.7)
+        dual_box = np.array(1.0 / m)
+        neg_dual_box = -dual_box
         check_every = 10
         penalty_changes = 0
 
@@ -329,61 +346,78 @@ class LadRidgeModel(LinearModel):
         # update fuse into one clip.  Both live in buffers updated in place.
         c = -u
         r = v + c
-        e, d, fitted = np.empty(m), np.empty(m), np.empty(m)
+        e, d, fitted, theta = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
         w = np.empty(p)
 
-        for k in range(1, self.max_iter + 1):
-            check = k % check_every == 0 or k == self.max_iter
-            if check:
-                v_old = r - c
-            np.add(y, c, out=e)
-            e -= r
-            np.add(e, c, out=d)
-            np.dot(Zt, d, out=w)
-            w /= denominator
-            np.dot(Z, w, out=fitted)
-            e -= fitted
-            e *= relax
-            r += e
-            np.minimum(r, threshold, out=c)
-            np.maximum(c, -threshold, out=c)
-            iterations = k
-            if check:
-                beta = Q @ w
-                obj = self._objective(X, y, beta)
-                if obj < best_obj:
-                    best_obj = obj
-                    best_beta = beta
-                    accepted.append(obj)
-                theta = np.clip(-rho * c, -1.0 / m, 1.0 / m)
-                gap = max(best_obj - self._dual_objective(X, y, theta), 0.0)
-                best_gap = min(best_gap, gap)
-                if best_gap <= self.solver_tol:
-                    break
+        # ``steps`` iterations with no test between them; the ufuncs are
+        # bound once, as defaults, not looked up on numpy at every call
+        def advance(steps: int, add=np.add, minimum=np.minimum, maximum=np.maximum) -> None:
+            nonlocal e, r, w
+            for _ in range(steps):
+                add(y, c, out=e)
+                e -= r
+                add(e, c, out=d)
+                Zt.dot(d, out=w)
+                w /= denominator
+                Z.dot(w, out=fitted)
+                e -= fitted
+                e *= relax
+                r += e
+                minimum(r, threshold, out=c)
+                maximum(c, neg_threshold, out=c)
+
+        # a gap check ends every block of check_every iterations and the
+        # last, shorter block at max_iter; v_old is the split before the
+        # block's last step
+        while iterations < max_iter:
+            block = min(check_every, max_iter - iterations)
+            advance(block - 1)
+            v_old = r - c
+            advance(1)
+            iterations += block
+            beta = Q.dot(w)
+            obj = objective(beta)
+            if obj < best_obj:
+                best_obj = obj
+                best_beta = beta
+                accepted.append(obj)
+            # the scaled dual -rho c clipped into the dual box [-1/m, 1/m]
+            np.multiply(c, -rho, out=theta)
+            np.minimum(theta, dual_box, out=theta)
+            np.maximum(theta, neg_dual_box, out=theta)
+            xt_theta = Xt.dot(theta)
+            dual_obj = -theta.dot(y) - xt_theta.dot(xt_theta) / (4.0 * lam)
+            best_gap = min(best_gap, max(best_obj - float(dual_obj), 0.0))
+            if best_gap <= tol:
+                break
+            if penalty_changes < 40:
                 v = r - c
-                primal_res = float(np.linalg.norm(fitted + v - y))
-                dual_res = rho * float(np.linalg.norm(X.T @ (v - v_old)))
-                if penalty_changes < 40:
-                    # rescaling u keeps v: c -> c/2 with r -> r - c/2, or
-                    # c -> 2c with r -> r + c
-                    if primal_res > 10.0 * dual_res:
-                        rho *= 2.0
-                        c *= 0.5
-                        r -= c
-                    elif dual_res > 10.0 * primal_res:
-                        rho /= 2.0
-                        r += c
-                        c *= 2.0
-                    else:
-                        continue
-                    penalty_changes += 1
-                    denominator = eigvals + 2.0 * self.lambda_reg / rho
-                    threshold = 1.0 / (m * rho)
+                primal = fitted + v - y
+                dual = Xt.dot(v - v_old)
+                # np.linalg.norm of a 1-d float vector, by its own formula
+                primal_res = math.sqrt(primal.dot(primal))
+                dual_res = rho * math.sqrt(dual.dot(dual))
+                # rescaling u keeps v: c -> c/2 with r -> r - c/2, or
+                # c -> 2c with r -> r + c
+                if primal_res > 10.0 * dual_res:
+                    rho *= 2.0
+                    c *= 0.5
+                    r -= c
+                elif dual_res > 10.0 * primal_res:
+                    rho /= 2.0
+                    r += c
+                    c *= 2.0
+                else:
+                    continue
+                penalty_changes += 1
+                denominator = eigvals + 2.0 * lam / rho
+                threshold = np.array(1.0 / (m * rho))
+                neg_threshold = -threshold
 
         model.coefficients = best_beta
         model.objective = best_obj
         model.duality_gap = best_gap
-        model.converged = best_gap <= self.solver_tol
+        model.converged = best_gap <= tol
         model.iterations = iterations
         model.accepted_objectives = accepted
         # where a warm start from this fit begins: the split's fitted part

@@ -92,6 +92,18 @@ def test_ridge_fits_at_two_penalties_on_one_dataset_solve_separately(small_datas
                            RidgeModel(2.0).fit(ds, 0.0).row_predictions)
 
 
+def test_ridge_solves_leave_the_memoized_gram_matrix_as_formed(small_dataset):
+    # each solve adds its penalty to the diagonal of its own system in place:
+    # the dataset's Gram matrix, shared by every penalty, must not take it
+    ds = small_dataset
+    for lam in (0.1, 2.0):
+        RidgeModel(lam).fit(ds, 0.0)
+        RidgeModel(lam).stability_bound(ds, ABS)
+    gram, xty = models._observed_gram(ds)
+    assert np.array_equal(gram, ds.features.T @ ds.features)
+    assert np.array_equal(xty, ds.features.T @ ds.targets)
+
+
 def test_ridge_singular_observed_rows_still_give_an_anchor():
     # lambda = 0, four observed rows, five features and a zero first column:
     # the observed-row system is singular, the augmented one is not, and the

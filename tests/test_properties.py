@@ -13,7 +13,8 @@ that augmented solve) the clipped observed-rows fit at ``(n+1)/n`` the
 penalty, every model's anchor a finite point of the target range, and the
 LAD-ridge duality gap must bound the suboptimality of the returned fit,
 warm-started or not, against random points and against a fit stopped at a
-1e-12 gap.
+1e-12 gap, and every LAD-ridge fit, cold or warm, must report the objective
+of its own coefficients without a ``RuntimeWarning``.
 The data mix in outliers, tied targets, ``n`` close to ``p``, a constant
 column and a zero-norm query row.  A custom score with a closed-form set
 must have each endpoint just outside the exact one, also where the float
@@ -21,6 +22,7 @@ spacing exceeds the bisection tolerance.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +44,7 @@ from stabcp import (
     stab_cp_interval,
 )
 from stabcp.conformal import _EPS_R, sublevel_set
+from stabcp.core import _read_only
 
 ABS = ScoreFunction.absolute_residual()
 CUSTOM_ABS = ScoreFunction.custom(lambda q, m: np.abs(q - m), 1.0)
@@ -203,6 +206,32 @@ def test_lad_warm_start_keeps_the_certificate(ds, lam, first, second, max_iter):
     # to 1e6 (objectives near 4e4 differed by one unit in the last place)
     slack = 1e-12 + 64 * np.spacing(cold.objective)
     assert abs(warm.objective - cold.objective) <= warm.duality_gap + cold.duality_gap + slack
+
+
+@SETTINGS
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.01, 0.5]),
+       first=st.floats(-1e3, 1e3), shift=st.floats(-10.0, 10.0),
+       max_iter=st.sampled_from([10, 2000]))
+def test_lad_fit_reports_its_own_objective_and_a_sound_certificate(ds, lam, first, shift,
+                                                                   max_iter):
+    # a cold fit and a warm fit from it at a neighbouring query target, on one
+    # read-only design as in a refit chain; ten iterations leave gaps open
+    spec = LadRidgeModel(lam, max_iter=max_iter)
+    X = _read_only(ds.augmented_design())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cold = spec.fit_rows(X, ds.augmented_targets(first))
+        warm = spec.fit_rows(X, ds.augmented_targets(first + shift), start=cold)
+        for fit, z in ((cold, first), (warm, first + shift)):
+            y = ds.augmented_targets(z)
+            beta = fit.coefficients
+            primal = np.abs(y - X @ beta).sum() / y.size + lam * beta @ beta
+            assert np.isclose(fit.objective, primal, rtol=1e-12, atol=0.0)
+            # objectives near 2.5e5 (a row of 1e6) round at a unit in the last
+            # place, above 1e-12
+            tight = LadRidgeModel(lam, solver_tol=1e-12).fit_rows(X, y)
+            slack = 1e-12 + 64 * np.spacing(tight.objective)
+            assert fit.objective - tight.objective <= fit.duality_gap + slack
 
 
 def kinked(q, m):
