@@ -29,6 +29,8 @@ _REAL_TYPES = (float, int, numbers.Real)
 
 PREDICTION_SHAPES = ("interval", "union-of-intervals", "whole-range", "empty")
 
+_MISSING = object()  # a key absent from a dataset's memo
+
 
 def _level_index(m: int, alpha: float) -> int:
     """The one level rule, ``k = ceil((1 - alpha)(m + 1))`` (Lei et al., JASA 2018).
@@ -103,6 +105,11 @@ def _check_range(candidate_range, name: str) -> tuple[float, float]:
     except (TypeError, ValueError) as exc:  # not a pair, or an entry _real refuses
         raise InvalidInputError(f"{name} must be a finite (lo, hi) pair, "
                                 f"got {candidate_range!r}") from exc
+
+
+def _value_range(values: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest entry, as floats."""
+    return float(values.min()), float(values.max())
 
 
 def check_alpha(alpha: float) -> float:
@@ -189,9 +196,14 @@ class TabularDataset:
     def target_range(self) -> tuple[float, float]:
         """Smallest and largest observed response, the default candidate range
         (computed once per dataset)."""
-        if "target_range" not in self._memo:
-            self._memo["target_range"] = (float(self.targets.min()), float(self.targets.max()))
-        return self._memo["target_range"]
+        return self._memoized("target_range", _value_range, self.targets)
+
+    def _memoized(self, key, compute, *args):
+        """The memo's entry at ``key``, made by ``compute(*args)`` on first use."""
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute(*args)
+        return value
 
     def permuted(self, order) -> "TabularDataset":
         """Dataset with the observed rows reordered; the query point is untouched."""

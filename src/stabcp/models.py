@@ -6,7 +6,10 @@ Every model follows one protocol:
   model whose ``row_predictions`` hold the predictions at those rows, query
   row last; it may reuse work that depends only on the dataset, which is a
   snapshot (ridge keeps one Gram matrix and one augmented solve per dataset
-  and penalty, so every further ``fit`` on it costs O(n));
+  and penalty, so every further ``fit`` on it costs O(n); LAD-ridge keeps one
+  eigendecomposition per dataset and each fit per settings and candidate, so
+  a second ``fit`` at a candidate runs no solver and one at a new candidate
+  only the solver);
 - ``fit_rows(X, y, start=None)`` fits on the given rows only, from scratch,
   or from an earlier ``fit_rows`` result on the same rows passed as
   ``start``; never from the dataset memo.  It returns a model whose
@@ -91,11 +94,19 @@ def ridge_coefficients(X, y, lambda_reg: float) -> np.ndarray:
 def _observed_gram(dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray]:
     """``(X^T X, X^T y)`` of the observed rows, formed once per dataset;
     read-only, since every solve on the dataset shares them."""
-    memo = dataset._memo
-    if "gram" not in memo:
-        X = dataset.features
-        memo["gram"] = (_read_only(X.T @ X), _read_only(X.T @ dataset.targets))
-    return memo["gram"]
+    X = dataset.features
+    return dataset._memoized(
+        "gram", lambda: (_read_only(X.T @ X), _read_only(X.T @ dataset.targets)))
+
+
+def _gram_eigh(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigvals, Q)`` with ``X^T X = Q diag(eigvals) Q^T``, eigenvalues
+    clamped at 0."""
+    try:
+        eigvals, Q = np.linalg.eigh(X.T @ X)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Gram matrix eigendecomposition failed: {exc}") from exc
+    return np.maximum(eigvals, 0.0), Q
 
 
 class LinearModel:
@@ -154,21 +165,20 @@ class RidgeModel(LinearModel):
 
         The arrays are read-only: every fit on the dataset shares them.
         """
-        key = ("ridge-affine", self.lambda_reg)
-        memo = dataset._memo
-        if key not in memo:
-            gram, xty = _observed_gram(dataset)
-            x = dataset.test_point
-            system = np.multiply.outer(x, x)
-            system += gram
-            rhs = np.empty((x.shape[0], 2))
-            rhs[:, 0], rhs[:, 1] = xty, x
-            solved = _solve_normal_equations(system, rhs, dataset.n + 1, self.lambda_reg)
-            rows = np.empty((dataset.n + 1, 2))
-            np.matmul(dataset.features, solved, out=rows[:-1])
-            np.matmul(x, solved, out=rows[-1])
-            memo[key] = tuple(_read_only(v) for v in (*solved.T, *rows.T))
-        return memo[key]
+        return dataset._memoized(("ridge-affine", self.lambda_reg), self._solve_affine, dataset)
+
+    def _solve_affine(self, dataset: TabularDataset) -> tuple[np.ndarray, ...]:
+        gram, xty = _observed_gram(dataset)
+        x = dataset.test_point
+        system = np.multiply.outer(x, x)
+        system += gram
+        rhs = np.empty((x.shape[0], 2))
+        rhs[:, 0], rhs[:, 1] = xty, x
+        solved = _solve_normal_equations(system, rhs, dataset.n + 1, self.lambda_reg)
+        rows = np.empty((dataset.n + 1, 2))
+        np.matmul(dataset.features, solved, out=rows[:-1])
+        np.matmul(x, solved, out=rows[-1])
+        return tuple(_read_only(v) for v in (*solved.T, *rows.T))
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "RidgeModel":
         """Fit on the augmented data as ``a + b * candidate`` from the dataset's solve."""
@@ -220,9 +230,9 @@ class LadRidgeModel(LinearModel):
     Objective on ``m`` rows: ``||y - X beta||_1 / m + lambda_reg * ||beta||^2``.
     The solver is deterministic full-batch operator splitting (ADMM on the
     residual split, with a residual-balanced penalty rho).  One
-    eigendecomposition of ``X^T X`` per fit diagonalizes the beta step for
-    every rho, so a penalty change rescales a length-p vector and no
-    iteration solves a linear system.  An iteration is eleven in-place numpy
+    eigendecomposition of ``X^T X`` diagonalizes the beta step for every
+    rho, so a penalty change rescales a length-p vector and no iteration
+    solves a linear system.  An iteration is eleven in-place numpy
     calls on preallocated buffers, with its scalar operands as 0-d arrays;
     the gap check comes after every tenth and after the last, and the
     iterations between checks run with no test.  Clipping the scaled dual
@@ -233,18 +243,29 @@ class LadRidgeModel(LinearModel):
     Hitting ``max_iter`` without reaching ``solver_tol`` is reported through
     ``converged``/``duality_gap``, not raised.
 
-    ``fit_rows(X, y, start=fit)`` warm-starts from an earlier ``fit_rows``
-    result on as many rows (the refit baselines pass each refit the refit at
-    the nearest candidate, which differs only in the query target).  The warm
-    state follows the targets: a fit keeps its final split's fitted part
-    ``y - v``, not ``v``, with its scaled dual ``u`` and penalty rho, so ADMM
-    begins with ``v`` the residuals of the *new* targets against that fitted
-    part, and the start's ``coefficients`` are the first incumbent.  Where the query residual keeps
-    its sign the solution does not move (the KKT conditions of the L1 loss),
-    and the warm fit's iterates are the start's own, so its first check
-    certifies it.  The state is computed afresh and aliases no array of the
-    caller.  The stopping rule, certificate and penalty-change cap are those
-    of a cold fit, so a warm fit meets the same ``solver_tol``.
+    ``fit(dataset, candidate)`` keeps in the dataset's memo the
+    eigendecomposition of the augmented rows' Gram matrix (O(p^2)) and each
+    fit it returns, per ``(lambda_reg, solver_tol, max_iter, candidate)``
+    (O(n) each; no n-by-p array is kept).  Every set at one anchor, whatever
+    its level or score, so shares one ADMM run, and a fit at a new candidate
+    on the dataset skips the Gram matrix and its eigendecomposition.  It is
+    the same cold fit, iterate for iterate, as ``fit_rows`` on the augmented
+    rows, and its ``coefficients`` and ``row_predictions`` are read-only,
+    since every later ``fit`` at that candidate returns the same model.
+
+    ``fit_rows(X, y, start=fit)`` warm-starts from an earlier ``fit`` or
+    ``fit_rows`` result on as many rows (the refit baselines pass each refit
+    the refit at the nearest candidate, which differs only in the query
+    target).  The warm state follows the targets: a fit keeps its final
+    split's fitted part ``y - v``, not ``v``, with its scaled dual ``u`` and
+    penalty rho, so ADMM begins with ``v`` the residuals of the *new* targets
+    against that fitted part, and the start's ``coefficients`` are the first
+    incumbent.  Where the query residual keeps its sign the solution does not
+    move (the KKT conditions of the L1 loss), and the warm fit's iterates are
+    the start's own, so its first check certifies it.  The state is computed
+    afresh and aliases no array of the caller.  The stopping rule,
+    certificate and penalty-change cap are those of a cold fit, so a warm fit
+    meets the same ``solver_tol``.
 
     A fit on a read-only ``X`` keeps its design work: the finite check of
     ``X``, the eigendecomposition, ``Z = X Q`` and ``Z^T``.  A later
@@ -264,25 +285,30 @@ class LadRidgeModel(LinearModel):
         self.coefficients = None
 
     @staticmethod
-    def _diagonalized(X) -> tuple:
-        """``(X, eigvals, Q, Z, Z^T)`` with ``X^T X = Q diag(eigvals) Q^T``
-        (eigenvalues clamped at 0), ``Z = X Q`` and ``Z^T`` contiguous: the
-        work of a fit that depends on the design alone."""
+    def _diagonalized(X, eig=None) -> tuple:
+        """``(X, eigvals, Q, Z, Z^T)`` with ``(eigvals, Q)`` the given ``eig``
+        of ``X^T X``, else ``_gram_eigh(X)``, ``Z = X Q`` and ``Z^T``
+        contiguous: the work of a fit that depends on the design alone."""
         X = _as_finite_array(X, "X", 2)
         if X.shape[0] == 0:
             raise InvalidInputError("cannot fit on zero rows")
-        try:
-            eigvals, Q = np.linalg.eigh(X.T @ X)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Gram matrix eigendecomposition failed: {exc}") from exc
+        eigvals, Q = _gram_eigh(X) if eig is None else eig
         Z = X @ Q
-        return X, np.maximum(eigvals, 0.0), Q, Z, np.ascontiguousarray(Z.T)
+        return X, eigvals, Q, Z, np.ascontiguousarray(Z.T)
 
     def fit_rows(self, X, y, start=None) -> "LadRidgeModel":
         # a start fitted on this very read-only array lends its design work
         design = getattr(start, "_design", None)
         if design is None or design[0] is not X or X.flags.writeable:
             design = self._diagonalized(X)
+        model = self._admm(design, y, start)
+        # only a read-only design can be lent: a writable one may change
+        model._design = None if design[0].flags.writeable else design
+        return model
+
+    def _admm(self, design: tuple, y, start) -> "LadRidgeModel":
+        """The fit on ``design``'s rows (``_diagonalized``) and targets ``y``,
+        cold or from ``start``: the one solver of ``fit`` and ``fit_rows``."""
         X, eigvals, Q, Z, Zt = design
         y = _as_finite_array(y, "y", 1)
         if X.shape[0] != y.shape[0]:
@@ -423,8 +449,6 @@ class LadRidgeModel(LinearModel):
         # where a warm start from this fit begins: the split's fitted part
         # y - v, so a start on other targets shifts v by their difference
         model._admm_state = (y - (r - c), -c, rho)
-        # only a read-only design can be lent: a writable one may change
-        model._design = None if X.flags.writeable else design
         return model
 
     def anchor(self, dataset: TabularDataset) -> float:
@@ -437,10 +461,22 @@ class LadRidgeModel(LinearModel):
         return float(np.median(dataset.targets))
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "LadRidgeModel":
+        """The cold fit on the augmented rows, made once per dataset, settings
+        and candidate from the dataset's one eigendecomposition."""
+        candidate = _real(candidate, "candidate")
+        key = ("lad-fit", self.lambda_reg, self.solver_tol, self.max_iter, candidate)
+        return dataset._memoized(key, self._fit_augmented, dataset, candidate)
+
+    def _fit_augmented(self, dataset: TabularDataset, candidate: float) -> "LadRidgeModel":
+        """``fit``'s memo entry: the cold fit, its arrays read-only."""
         X = dataset.augmented_design()
-        y = dataset.augmented_targets(candidate)
-        model = self.fit_rows(X, y)
-        model.row_predictions = X @ model.coefficients
+        eig = dataset._memoized(
+            "lad-eigh", lambda: tuple(_read_only(v) for v in _gram_eigh(X)))
+        model = self._admm(self._diagonalized(X, eig), dataset.augmented_targets(candidate), None)
+        model.coefficients = _read_only(model.coefficients)
+        model.row_predictions = _read_only(X @ model.coefficients)
+        fitted, dual, rho = model._admm_state
+        model._admm_state = (_read_only(fitted), _read_only(dual), rho)
         return model
 
     def stability_bound(self, dataset: TabularDataset, score) -> StabilityBounds:

@@ -561,6 +561,28 @@ def test_benchmark_times_each_method_on_an_empty_memo(monkeypatch):
     assert report["methods"]["oraclecp"]["failures"] == 0
 
 
+def test_benchmark_gives_each_lad_method_its_own_eigendecomposition(eigh_calls, monkeypatch):
+    # on the same dataset object the oracle would take the eigendecomposition
+    # that stabcp's anchor fit left in the memo, and time less than its cost
+    import stabcp.harness as harness
+    per_method = []
+
+    def counted(method, *args, **kwargs):
+        before = len(eigh_calls)
+        report = run_method(method, *args, **kwargs)
+        per_method.append((method, len(eigh_calls) - before))
+        return report
+
+    run_method = harness.run_method
+    monkeypatch.setattr(harness, "run_method", counted)
+    config = RunConfig(model="ladridge", lambda_reg=0.2, alpha=0.1)
+    source = synthetic_source(GeneratorSpec("linear-gaussian", 40, 4, 1.0, 0))
+    methods = ["stabcp", "oraclecp", "splitcp"]
+    report, _ = run_benchmark(source, methods, 2, seed=3, config=config)
+    assert per_method == [(method, 1) for method in methods] * 2
+    assert all(report["methods"][method]["failures"] == 0 for method in methods)
+
+
 def test_benchmark_records_method_failures(capsys):
     # the oracle cannot run when the source strips the true target
     config = RunConfig(model="ridge", alpha=0.1)

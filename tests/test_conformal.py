@@ -1,6 +1,7 @@
 import math
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -989,14 +990,17 @@ def test_lad_refit_chain_takes_one_eigendecomposition(eigh_calls):
 
     runs = {}
     for name, model in (("shared", spec), ("fresh", FreshDesign(spec))):
+        # each pass on its own snapshot of ds: the memo of a dataset keeps
+        # gap_profile's anchor fit and its eigendecomposition
+        snapshot = replace(ds)
         del eigh_calls[:]
-        root = root_cp(ds, model, ABS, 0.1)
+        root = root_cp(snapshot, model, ABS, 0.1)
         root_eighs = len(eigh_calls)
-        grid_report = grid_cp(ds, model, ABS, 0.1, grid)
+        grid_report = grid_cp(snapshot, model, ABS, 0.1, grid)
         grid_eighs = len(eigh_calls) - root_eighs
         # gap_profile also fits once at the anchor, outside its refit chain
         before = len(eigh_calls)
-        rows = gap_profile(ds, anchor, model, ABS, tau, grid)
+        rows = gap_profile(snapshot, anchor, model, ABS, tau, grid)
         column_eighs = len(eigh_calls) - before - 1
         runs[name] = (certificate(root), certificate(grid_report), rows)
         if name == "shared":

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from stabcp import (
     RidgeModel,
     ScoreFunction,
     TabularDataset,
+    anchor_bounds,
     gen_linear_gaussian,
     oracle_cp,
     ridge_coefficients,
+    stab_cp_interval,
 )
 from stabcp import models
 from stabcp.core import _read_only
@@ -243,6 +247,67 @@ def test_lad_stabcp_set_makes_one_fit_and_one_eigendecomposition(eigh_calls):
     report = run_method("stabcp", ds, RunConfig(model="ladridge", lambda_reg=0.2))
     assert report.set.shape == "interval" and report.details["converged"] is True
     assert report.fit_count == 1 and len(eigh_calls) == 1
+
+
+def huber(q, m):
+    r = np.abs(np.asarray(q, dtype=float) - np.asarray(m, dtype=float))
+    return np.where(r <= 1.0, 0.5 * r * r, r - 0.5)
+
+
+def test_lad_fits_once_per_dataset_and_anchor(eigh_calls, monkeypatch):
+    # the anchor fit depends on neither alpha nor the score, so every set at
+    # one anchor shares it; a fit at another candidate shares the dataset's
+    # eigendecomposition
+    admm_runs, admm = [], LadRidgeModel._admm
+
+    def counted(self, *args):
+        admm_runs.append(1)
+        return admm(self, *args)
+
+    monkeypatch.setattr(LadRidgeModel, "_admm", counted)
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
+    spec = LadRidgeModel(0.2)
+    anchor = spec.anchor(ds)
+    score = ScoreFunction.custom(huber, 1.0)
+
+    def summary(report):
+        return [repr(report.set), report.fit_count, report.covered] + [
+            report.details[k] for k in ("iterations", "duality_gap", "converged")]
+
+    builders = [lambda d, alpha=alpha: stab_cp_interval(
+                    d, anchor, spec, ABS, spec.stability_bound(d, ABS), alpha)
+                for alpha in (0.05, 0.1, 0.2)]
+    builders.append(lambda d: stab_cp_interval(d, anchor, spec, score,
+                                               spec.stability_bound(d, score), 0.1))
+    reports = [build(ds) for build in builders]
+    assert (len(eigh_calls), len(admm_runs)) == (1, 1)
+    builders.append(lambda d: oracle_cp(d, d.test_target, spec, ABS, 0.1))
+    reports.append(builders[-1](ds))
+    assert (len(eigh_calls), len(admm_runs)) == (1, 2)
+    for build, report in zip(builders, reports):
+        assert summary(build(replace(ds))) == summary(report)
+
+    # the memoized fit cannot be written through, so no caller changes a later set
+    _, fitted = anchor_bounds(ds, anchor, spec, ABS, spec.stability_bound(ds, ABS))
+    for name in ("coefficients", "row_predictions"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(fitted, name)[0] += 1.0
+    assert summary(builders[1](ds)) == summary(reports[1])
+
+    # it still warm-starts a refit, as a cold fit on the same rows does, and
+    # the refit leaves it as it was
+    kept = [fitted.coefficients.copy(), fitted.row_predictions.copy(),
+            *(np.copy(v) for v in fitted._admm_state)]
+    X = ds.augmented_design()
+    y, moved = ds.augmented_targets(anchor), ds.augmented_targets(anchor + 0.5)
+    warm = spec.fit_rows(X, moved, start=fitted)
+    again = spec.fit_rows(X, moved, start=spec.fit_rows(X, y))
+    assert warm.converged and np.array_equal(warm.coefficients, again.coefficients)
+    assert warm.iterations == again.iterations
+    assert spec.fit(ds, anchor) is fitted
+    for before, after in zip(kept, [fitted.coefficients, fitted.row_predictions,
+                                    *fitted._admm_state]):
+        assert np.array_equal(before, after)
 
 
 def test_lad_permutation_symmetry_within_tolerance():

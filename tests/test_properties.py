@@ -10,11 +10,12 @@ return a set even on all-tied targets, whose range has zero width.  The
 ridge fit that reuses the dataset's Gram matrix and augmented solve must
 match a refit from scratch on the augmented rows, its anchor (taken from
 that augmented solve) the clipped observed-rows fit at ``(n+1)/n`` the
-penalty, every model's anchor a finite point of the target range, and the
-LAD-ridge duality gap must bound the suboptimality of the returned fit,
-warm-started or not, against random points and against a fit stopped at a
-1e-12 gap, and every LAD-ridge fit, cold or warm, must report the objective
-of its own coefficients without a ``RuntimeWarning``.
+penalty, the LAD-ridge fit that reuses the dataset's eigendecomposition a
+cold fit bit for bit, every model's anchor a finite point of the target
+range, and the LAD-ridge duality gap must bound the suboptimality of the
+returned fit, warm-started or not, against random points and against a fit
+stopped at a 1e-12 gap, and every LAD-ridge fit, cold or warm, must report
+the objective of its own coefficients without a ``RuntimeWarning``.
 The data mix in outliers, tied targets, ``n`` close to ``p``, a constant
 column and a zero-norm query row.  A custom score with a closed-form set
 must have each endpoint just outside the exact one, also where the float
@@ -23,6 +24,7 @@ spacing exceeds the bisection tolerance.
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +118,24 @@ def test_memoized_ridge_fit_matches_refit_from_scratch(ds, lam, candidates):
         refit = spec.fit_rows(X, ds.augmented_targets(z)).predict_rows(X)
         memoized = spec.fit(ds, z).row_predictions
         assert np.max(np.abs(memoized - refit)) <= 1e-9 * max(1.0, np.max(np.abs(refit)))
+
+
+@SETTINGS
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.01, 0.5]),
+       candidates=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+       max_iter=st.sampled_from([10, 2000]))
+def test_memoized_lad_fit_matches_refit_from_scratch(ds, lam, candidates, max_iter):
+    # a fit first at the anchor warms the memo: the fits after it take the
+    # dataset's eigendecomposition, and must be the cold fits bit for bit
+    spec = LadRidgeModel(lam, max_iter=max_iter)
+    spec.fit(ds, spec.anchor(ds))
+    X = ds.augmented_design()
+    for z in candidates:
+        memoized = spec.fit(ds, z)
+        for cold in (spec.fit(replace(ds), z), spec.fit_rows(X, ds.augmented_targets(z))):
+            assert np.array_equal(memoized.coefficients, cold.coefficients)
+            assert (memoized.objective, memoized.duality_gap, memoized.iterations) == \
+                (cold.objective, cold.duality_gap, cold.iterations)
 
 
 @SETTINGS
