@@ -42,7 +42,6 @@ from .models import (
     LadRidgeModel,
     PretrainedLinearModel,
     RidgeModel,
-    ridge_coefficients,
 )
 from .stability import (
     StabilityBounds,

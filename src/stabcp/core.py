@@ -128,11 +128,17 @@ class TabularDataset:
     """Observed regression pairs plus the feature vector of the query point.
 
     A dataset is a snapshot: it stores read-only views of its arrays (not
-    copies), and models may keep work that depends only on the dataset, such
-    as a Gram matrix, in a private per-dataset memo that lives as long as the
-    dataset.  Writing through a dataset's arrays raises; writing into the
-    arrays it was built from afterwards is not supported, since that memo
-    would then be stale.
+    copies), and models may keep work that depends only on the dataset in a
+    private per-dataset memo that lives as long as the dataset.  Beside the
+    target range, that memo may hold:
+
+    - for ``RidgeModel``, one augmented solve per penalty (O(n + p));
+    - for ``LadRidgeModel``, one diagonalized augmented design (three
+      (n+1)-by-p arrays) and each fit per settings and candidate (O(n)).
+
+    Writing through a dataset's arrays raises; writing into the arrays it was
+    built from afterwards is not supported, since that memo would then be
+    stale.
 
     Parameters
     ----------

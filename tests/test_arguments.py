@@ -22,7 +22,6 @@ from stabcp import (
     gen_linear_gaussian,
     oracle_cp,
     rank,
-    ridge_coefficients,
     split_cp,
     tau_user_supplied,
 )
@@ -57,8 +56,6 @@ REAL_SITES = {
     "lipschitz-lambda_sc": (lambda v: LadRidgeModel(v).stability_bound(DS, ABS), 0.0),
     "linear_exact-gamma": (lambda v: RidgeModel(0.5).stability_bound(
         DS, ScoreFunction.custom(np.subtract, v)), -1.0),
-    "ridge_coefficients-lambda_reg": (lambda v: ridge_coefficients(DS.features, DS.targets, v),
-                                      -1.0),
     "RidgeModel-lambda_reg": (RidgeModel, -1.0),
     "RidgeModel.fit-candidate": (lambda v: RidgeModel(0.5).fit(DS, v), None),
     "LadRidgeModel-lambda_reg": (LadRidgeModel, 0.0),

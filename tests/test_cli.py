@@ -544,7 +544,7 @@ def test_benchmark_has_no_jobs_option(capsys):
 
 def test_benchmark_times_each_method_on_an_empty_memo(monkeypatch):
     # the oracle runs last; on the same dataset object it would reuse the ridge
-    # Gram matrix and solve that stabcp left, and every normalized time with it
+    # augmented solve that stabcp left, and every normalized time with it
     import stabcp.harness as harness
     memo_sizes = []
 

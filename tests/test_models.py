@@ -16,7 +16,6 @@ from stabcp import (
     anchor_bounds,
     gen_linear_gaussian,
     oracle_cp,
-    ridge_coefficients,
     stab_cp_interval,
 )
 from stabcp import models
@@ -34,7 +33,7 @@ def fig2_like_dataset(n, p=100, seed=0):
 # ----------------------------------------------------------------- ridge
 
 def test_ridge_unregularized_mean_of_responses():
-    beta = ridge_coefficients(np.ones((2, 1)), np.array([2.0, 4.0]), 0.0)
+    beta = RidgeModel(0.0).fit_rows(np.ones((2, 1)), np.array([2.0, 4.0])).coefficients
     assert beta[0] == pytest.approx(3.0)
 
 
@@ -50,7 +49,7 @@ def test_ridge_norm_shrinks_with_regularization(small_dataset):
 def test_ridge_singular_without_regularization():
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(NumericalError):
-        ridge_coefficients(X, np.array([1.0, 2.0, 3.0]), 0.0)
+        RidgeModel(0.0).fit_rows(X, np.array([1.0, 2.0, 3.0]))
 
 
 def test_ridge_candidate_slope_matches_two_refits():
@@ -94,18 +93,6 @@ def test_ridge_fits_at_two_penalties_on_one_dataset_solve_separately(small_datas
             observed.predict(ds.test_point), abs=1e-12)
     assert not np.allclose(RidgeModel(0.1).fit(ds, 0.0).row_predictions,
                            RidgeModel(2.0).fit(ds, 0.0).row_predictions)
-
-
-def test_ridge_solves_leave_the_memoized_gram_matrix_as_formed(small_dataset):
-    # each solve adds its penalty to the diagonal of its own system in place:
-    # the dataset's Gram matrix, shared by every penalty, must not take it
-    ds = small_dataset
-    for lam in (0.1, 2.0):
-        RidgeModel(lam).fit(ds, 0.0)
-        RidgeModel(lam).stability_bound(ds, ABS)
-    gram, xty = models._observed_gram(ds)
-    assert np.array_equal(gram, ds.features.T @ ds.features)
-    assert np.array_equal(xty, ds.features.T @ ds.targets)
 
 
 def test_ridge_singular_observed_rows_still_give_an_anchor():
@@ -156,26 +143,20 @@ def test_ridge_anchor_of_a_query_direction_free_up_to_rounding_is_the_midpoint(s
 
 def test_ridge_stabcp_set_makes_one_gram_and_one_solve(monkeypatch):
     # the anchor comes from the augmented solve that the bound and the
-    # envelope fit share: one Gram matrix, one linear solve per set
-    solves, grams = [], []
+    # envelope fit share: one linear solve per set, which forms its own Gram
+    # matrix
+    solves = []
     solve = models._solve_normal_equations
-    observed_gram = models._observed_gram
 
     def counted_solve(*args):
         solves.append(1)
         return solve(*args)
 
-    def counted_gram(dataset):
-        if "gram" not in dataset._memo:
-            grams.append(1)
-        return observed_gram(dataset)
-
     monkeypatch.setattr(models, "_solve_normal_equations", counted_solve)
-    monkeypatch.setattr(models, "_observed_gram", counted_gram)
     ds = fig2_like_dataset(n=50, p=10, seed=3)
     report = run_method("stabcp", ds, RunConfig(model="ridge"))
     assert report.set.shape == "interval"
-    assert (len(grams), len(solves)) == (1, 1)
+    assert len(solves) == 1
 
 
 def test_ridge_permutation_symmetry(small_dataset):
@@ -209,12 +190,6 @@ def test_lad_matches_hundredfold_longer_reference_run():
     short = LadRidgeModel(0.5, solver_tol=1e-8, max_iter=2000).fit(ds, 0.0)
     reference = LadRidgeModel(0.5, solver_tol=1e-16, max_iter=200_000).fit(ds, 0.0)
     assert short.objective == pytest.approx(reference.objective, abs=1e-6)
-
-
-def test_lad_incumbent_objectives_monotone(small_dataset):
-    fitted = LadRidgeModel(0.5).fit(small_dataset, 0.0)
-    trace = fitted.accepted_objectives
-    assert all(a >= b for a, b in zip(trace, trace[1:]))
 
 
 def test_lad_certificate_and_convergence_flag(small_dataset):
@@ -446,6 +421,48 @@ def test_lad_rejects_bad_settings():
         LadRidgeModel(0.5, solver_tol=0.0)
     with pytest.raises(InvalidInputError):
         LadRidgeModel(0.5, max_iter=0)
+
+
+# ---------------------------------------------------------- dataset memo
+
+def _held_arrays(value):
+    """Every array a memo entry holds, inside tuples and memoized fits too."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _held_arrays(item)
+    elif isinstance(value, LadRidgeModel):
+        yield from _held_arrays((value.coefficients, value.row_predictions, value._admm_state))
+
+
+@pytest.mark.parametrize("spec", [RidgeModel(0.5), LadRidgeModel(0.2)], ids=["ridge", "ladridge"])
+def test_each_model_keeps_its_shared_work_once(spec, eigh_calls, monkeypatch):
+    # anchor, bound, stabcp at two levels and the oracle on one dataset: the
+    # memo holds each model's shared work once, in the form its fits use, and
+    # nothing in it can be written through
+    designs, augmented_design = [], TabularDataset.augmented_design
+
+    def counted(dataset):
+        designs.append(1)
+        return augmented_design(dataset)
+
+    monkeypatch.setattr(TabularDataset, "augmented_design", counted)
+    ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
+    anchor = spec.anchor(ds)
+    bound = spec.stability_bound(ds, ABS)
+    for alpha in (0.1, 0.2):
+        stab_cp_interval(ds, anchor, spec, ABS, bound, alpha)
+    oracle_cp(ds, ds.test_target, spec, ABS, 0.1)
+    keys = set(ds._memo)
+    if isinstance(spec, RidgeModel):
+        assert keys == {"target_range", ("ridge-affine", 0.5)}
+    else:
+        fits = {key for key in keys if isinstance(key, tuple) and key[0] == "lad-fit"}
+        assert len(fits) == 2 and keys - fits == {"target_range", "lad-design"}
+        assert (len(eigh_calls), len(designs)) == (1, 1)
+    held = [array for value in ds._memo.values() for array in _held_arrays(value)]
+    assert held and not any(array.flags.writeable for array in held)
 
 
 # ------------------------------------------------------------- predict

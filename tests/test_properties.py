@@ -7,11 +7,11 @@ bisection tolerance with the bisected endpoints never inside, and the stabcp
 set must contain the grid-evaluated exact conformal set and, within the
 bisection tolerance, rootcp's endpoints inside the bound's range; rootcp must
 return a set even on all-tied targets, whose range has zero width.  The
-ridge fit that reuses the dataset's Gram matrix and augmented solve must
-match a refit from scratch on the augmented rows, its anchor (taken from
-that augmented solve) the clipped observed-rows fit at ``(n+1)/n`` the
-penalty, the LAD-ridge fit that reuses the dataset's eigendecomposition a
-cold fit bit for bit, every model's anchor a finite point of the target
+ridge fit that reuses the dataset's augmented solve must match a refit
+from scratch on the augmented rows, its anchor (taken from that augmented
+solve) the clipped observed-rows fit at ``(n+1)/n`` the penalty, the
+LAD-ridge fit that reuses the dataset's diagonalized design a cold fit bit
+for bit, every model's anchor a finite point of the target
 range, and the LAD-ridge duality gap must bound the suboptimality of the
 returned fit, warm-started or not, against random points and against a fit
 stopped at a 1e-12 gap, and every LAD-ridge fit, cold or warm, must report
@@ -40,7 +40,6 @@ from stabcp import (
     default_candidate_grid,
     grid_cp,
     oracle_cp,
-    ridge_coefficients,
     root_cp,
     split_cp,
     stab_cp_interval,
@@ -126,7 +125,7 @@ def test_memoized_ridge_fit_matches_refit_from_scratch(ds, lam, candidates):
        max_iter=st.sampled_from([10, 2000]))
 def test_memoized_lad_fit_matches_refit_from_scratch(ds, lam, candidates, max_iter):
     # a fit first at the anchor warms the memo: the fits after it take the
-    # dataset's eigendecomposition, and must be the cold fits bit for bit
+    # dataset's diagonalized design, and must be the cold fits bit for bit
     spec = LadRidgeModel(lam, max_iter=max_iter)
     spec.fit(ds, spec.anchor(ds))
     X = ds.augmented_design()
@@ -192,7 +191,7 @@ def test_lad_certificate_bounds_suboptimality(ds, lam, candidate, max_iter, seed
 
     rng = np.random.default_rng(seed)
     scale = max(1.0, float(np.max(np.abs(fit.coefficients))))
-    others = [np.zeros(X.shape[1]), ridge_coefficients(X, y, lam)]
+    others = [np.zeros(X.shape[1]), RidgeModel(lam).fit_rows(X, y).coefficients]
     others += [fit.coefficients + s * scale * rng.standard_normal(X.shape[1])
                for s in (1e-6, 1e-3, 1.0)]
     for beta in others:
