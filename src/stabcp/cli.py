@@ -13,6 +13,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from .conformal import gap_profile, split_pi
 from .core import ScoreFunction, default_candidate_grid
@@ -243,25 +244,19 @@ def cmd_curve(data_path, target_column, sidecar, out, **kw):
     tau, _ = build_tau(config, dataset, score)
     grid = default_candidate_grid(dataset, config.grid_size)
     rows = gap_profile(dataset, anchor, spec, score, tau, grid)
-    pi_split_fn = split_pi(dataset, config.split_index(dataset.n), spec, score)
+    z, lo, up, exact = zip(*rows)
+    columns = {"pi_lo": lo, "pi_up": up, "pi_exact": exact,
+               "pi_split": split_pi(dataset, config.split_index(dataset.n), spec, score)(grid)}
 
     import csv as _csv
-    crossings = {"pi_lo": [], "pi_up": [], "pi_exact": [], "pi_split": []}
-    previous = None
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh)
-        writer.writerow(["z", "pi_lo", "pi_up", "pi_exact", "pi_split"])
-        for z, lo, up, exact in rows:
-            ps = float(pi_split_fn(z))
-            writer.writerow([repr(z), repr(lo), repr(up), repr(exact), repr(ps)])
-            current = {"pi_lo": lo, "pi_up": up, "pi_exact": exact, "pi_split": ps}
-            if previous is not None:
-                for name, value in current.items():
-                    was = previous[name] > config.alpha
-                    now = value > config.alpha
-                    if was != now:
-                        crossings[name].append(z)
-            previous = current
+        writer.writerow(["z", *columns])
+        writer.writerows([repr(float(value)) for value in row]
+                         for row in zip(z, *columns.values()))
+    # a crossing is the first grid point on the other side of alpha
+    crossings = {name: [z[i] for i in np.flatnonzero(np.diff(np.greater(column, config.alpha))) + 1]
+                 for name, column in columns.items()}
     click.echo(json.dumps({
         "schema": "stabcp/curve/1",
         "alpha": config.alpha,

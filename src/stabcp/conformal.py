@@ -7,15 +7,17 @@ exact conformal set, costs a single fit, and keeps the coverage guarantee.
 
 That envelope depends on the candidate only through the query score
 ``S(z, mu)``, so the single-fit set is ``{z : S(z, mu) <= T}`` for one order
-statistic T.  The split and oracle baselines have the same form, with the
-calibration scores or the scores at the true response in place of the
-inflated ones.  All three sets (``stab_cp_interval``, ``oracle_cp``,
-``split_cp``) therefore go through one threshold rule (``_score_threshold``,
-which selects its order statistic and sorts nothing) and one extraction
-routine (``sublevel_set``): a closed form for the absolute residual, and for
-custom scores one endpoint search (``_outer_boundary``) that brackets each
-endpoint outward and shrinks the bracket to ``_EPS_R``, scoring arrays of
-candidates per call, so a typical custom-score set calls the score ten times.
+statistic T.  The oracle and split baselines have the same form, with the
+scores at the true response or the calibration scores in place of the
+inflated ones.  So one envelope, ``ConformityBounds``, is behind all three
+sets and their curves: ``anchor_bounds`` builds stabcp's and, with
+``tau=None``, the oracle's, and ``_split_fit`` split's.  Its one extraction
+step, ``prediction_set``, is one threshold rule (``_score_threshold``, which
+selects its order statistic and sorts nothing) and one extraction routine
+(``sublevel_set``): a closed form for the absolute residual, and for custom
+scores one endpoint search (``_outer_boundary``) that brackets each endpoint
+outward and shrinks the bracket to ``_EPS_R``, scoring arrays of candidates
+per call, so a typical custom-score set calls the score ten times.
 
 The module also holds the refit layer: the exact-set baselines ``pi_exact``,
 ``root_cp``, ``grid_cp`` (the one grid-evaluated exact set) and
@@ -89,17 +91,20 @@ class MethodReport:
 
 @dataclass
 class ConformityBounds:
-    """Score envelopes around one anchor fit.
+    """Score envelopes around one fit: the one object behind every single-fit
+    set and curve.
 
-    The envelopes of the observed rows do not depend on the probed candidate;
-    they are kept in row order, and sorted on first use by ``counts_at``
-    (``lower_sorted``, ``upper_sorted``), since a single-fit set reads only
-    one order statistic of the upper one.  Only the query-point envelope
-    depends on the candidate, and it is materialized on demand from the
-    anchor prediction.
+    ``_lower`` and ``_upper`` are the n reference scores the query score is
+    ranked against, widened by their stability bounds, and ``tau_test`` is
+    the query's bound.  ``anchor_bounds`` builds stabcp's (the observed
+    scores at the anchor -/+ tau) and, with ``tau=None``, the oracle's (the
+    observed scores at the true response); ``_split_fit`` builds split's (the
+    calibration scores).  Those two widen by zero: ``_lower`` is ``_upper``
+    and ``tau_test`` is 0.  The envelopes are kept in row order and sorted on
+    first use by ``counts_at`` (once when they are one array), since a set
+    reads only one order statistic of the upper one.
     """
 
-    anchor: float
     _lower: np.ndarray
     _upper: np.ndarray
     mu_test: float
@@ -107,35 +112,16 @@ class ConformityBounds:
     score: ScoreFunction
     n: int
 
-    @classmethod
-    def from_scores(cls, anchor: float, observed, mu_test: float,
-                    tau: StabilityBounds, score: ScoreFunction) -> "ConformityBounds":
-        """Envelopes ``observed -/+ tau`` of the observed-row scores of one anchor fit."""
-        observed = _as_finite_array(np.ravel(np.asarray(observed, dtype=float)), "observed", 1)
-        tau_arr = tau.tau
-        n = observed.size
-        if tau_arr.size != n + 1:
-            raise InvalidInputError(f"tau has {tau_arr.size} entries, expected {n + 1}")
-        return cls(
-            anchor=float(anchor),
-            _lower=observed - tau_arr[:-1],
-            _upper=observed + tau_arr[:-1],
-            mu_test=float(mu_test),
-            tau_test=float(tau_arr[-1]),
-            score=score,
-            n=n,
-        )
-
     @cached_property
     def lower_sorted(self) -> np.ndarray:
-        return np.sort(self._lower)
+        return self.upper_sorted if self._lower is self._upper else np.sort(self._lower)
 
     @cached_property
     def upper_sorted(self) -> np.ndarray:
         return np.sort(self._upper)
 
     def counts_at(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Observed-row counts (n_lo, n_up) of ``PiBounds``, vectorized in z."""
+        """Reference-row counts (n_lo, n_up) of ``PiBounds``, vectorized in z."""
         s = self.score.evaluate(np.asarray(z, dtype=float), self.mu_test)
         return (np.searchsorted(self.lower_sorted, s + self.tau_test, side="left"),
                 np.searchsorted(self.upper_sorted, s - self.tau_test, side="left"))
@@ -144,15 +130,28 @@ class ConformityBounds:
         n_lo, n_up = (int(count) for count in self.counts_at(float(z)))
         return PiBounds(_conformity(n_lo, self.n), _conformity(n_up, self.n), n_lo, n_up)
 
+    def prediction_set(self, alpha: float, candidate_range, method: str) -> PredictionSet:
+        """The set of every single-fit method: ``{z : S(z, mu_test) <= T}``,
+        ``T`` the ``_score_threshold`` of the upper envelope, extracted by
+        ``sublevel_set``; the closure of ``{pi_up > alpha}``."""
+        threshold = _score_threshold(self._upper, self.tau_test, alpha)
+        return sublevel_set(self.score, self.mu_test, threshold, alpha, candidate_range, method)
 
-def anchor_bounds(dataset: TabularDataset, anchor: float, model_spec,
-                  score: ScoreFunction, tau: StabilityBounds) -> tuple[ConformityBounds, object]:
-    """Fit once at the anchor and build the score envelopes (one fit total)."""
-    fitted = model_spec.fit(dataset, anchor)
-    scores = conformity_scores(dataset, anchor, fitted, score)
-    bounds = ConformityBounds.from_scores(anchor, scores[:-1], fitted.row_predictions[-1],
-                                          tau, score)
-    return bounds, fitted
+
+def anchor_bounds(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction,
+                  tau: StabilityBounds | None) -> tuple[ConformityBounds, object]:
+    """Fit once at ``candidate`` and build the envelopes of its observed scores
+    (one fit total): stabcp's, the scores -/+ ``tau`` (one entry per
+    augmented row), or with ``tau=None`` the oracle's, zero bounds."""
+    if tau is not None and tau.tau.size != dataset.n + 1:
+        raise InvalidInputError(f"tau has {tau.tau.size} entries, expected {dataset.n + 1}")
+    fitted = model_spec.fit(dataset, candidate)
+    observed = conformity_scores(dataset, candidate, fitted, score)[:-1]
+    mu_test = float(fitted.row_predictions[-1])
+    if tau is None:
+        return ConformityBounds(observed, observed, mu_test, 0.0, score, dataset.n), fitted
+    return ConformityBounds(observed - tau.tau[:-1], observed + tau.tau[:-1], mu_test,
+                            tau.tau_test, score, dataset.n), fitted
 
 
 _EPS_R = 1e-4       # width at which every set endpoint's bracket stops shrinking
@@ -347,9 +346,7 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
     started = time.perf_counter()
     alpha = check_alpha(alpha)
     bounds, fitted = anchor_bounds(dataset, anchor, model_spec, score, tau)
-    threshold = _score_threshold(bounds._upper, bounds.tau_test, alpha)
-    prediction_set = sublevel_set(score, bounds.mu_test, threshold, alpha,
-                                  dataset.target_range(), "stabcp")
+    prediction_set = bounds.prediction_set(alpha, dataset.target_range(), "stabcp")
     anchor_in_range = (tau.candidate_range is None
                        or tau.candidate_range[0] <= anchor <= tau.candidate_range[1])
     certified = getattr(fitted, "converged", True)
@@ -363,14 +360,15 @@ stab_cp_bisection = stab_cp_interval  # the earlier name, still called by perfbe
 
 
 def _split_fit(dataset: TabularDataset, split_index: int, model_spec,
-               score: ScoreFunction) -> tuple[float, np.ndarray, object]:
-    """Fit on rows ``1..m``; return the query prediction, the calibration
-    scores in row order and the fit."""
+               score: ScoreFunction) -> tuple[ConformityBounds, object]:
+    """Fit on rows ``1..m``; return split's envelope (the other rows'
+    calibration scores, checked as every score is) and the fit."""
     m = _integral(split_index, "split_index", 1, dataset.n)
     trained = model_spec.fit_rows(dataset.features[:m], dataset.targets[:m])
-    cal_predictions = trained.predict_rows(dataset.features[m:])
-    cal_scores = np.asarray(score.evaluate(dataset.targets[m:], cal_predictions), dtype=float)
-    return float(trained.predict(dataset.test_point)), cal_scores, trained
+    cal_scores = _checked_scores(score, dataset.targets[m:],
+                                 trained.predict_rows(dataset.features[m:]))
+    return ConformityBounds(cal_scores, cal_scores, float(trained.predict(dataset.test_point)),
+                            0.0, score, cal_scores.size), trained
 
 
 def split_cp(dataset: TabularDataset, split_index: int, model_spec,
@@ -386,29 +384,21 @@ def split_cp(dataset: TabularDataset, split_index: int, model_spec,
     """
     started = time.perf_counter()
     alpha = check_alpha(alpha)
-    mu_test, cal_scores, trained = _split_fit(dataset, split_index, model_spec, score)
-    threshold = _score_threshold(cal_scores, 0.0, alpha)
-    prediction_set = sublevel_set(score, mu_test, threshold, alpha,
-                                  dataset.target_range(), "splitcp")
+    bounds, trained = _split_fit(dataset, split_index, model_spec, score)
+    prediction_set = bounds.prediction_set(alpha, dataset.target_range(), "splitcp")
     return _report(prediction_set, dataset, 1, started,
-                   split_index=dataset.n - cal_scores.size,  # as _split_fit took it
-                   calibration_size=cal_scores.size,
+                   split_index=dataset.n - bounds.n,  # as _split_fit took it
+                   calibration_size=bounds.n,
                    **_certificate(trained))
 
 
 def split_pi(dataset: TabularDataset, split_index: int, model_spec,
              score: ScoreFunction):
     """Split conformity ``z -> 1 - count/(n_cal+1)`` (one fit, reusable), count
-    the calibration scores strictly below the query's."""
-    mu_test, cal_scores, _ = _split_fit(dataset, split_index, model_spec, score)
-    cal_scores = np.sort(cal_scores)
-
-    def pi(z):
-        test_score = score.evaluate(np.asarray(z, dtype=float), mu_test)
-        return _conformity(np.searchsorted(cal_scores, test_score, side="left"),
-                           cal_scores.size)
-
-    return pi
+    the calibration scores strictly below the query's: ``counts_at`` on
+    split's envelope, vectorized in z."""
+    bounds, _ = _split_fit(dataset, split_index, model_spec, score)
+    return lambda z: _conformity(bounds.counts_at(z)[1], bounds.n)
 
 
 def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
@@ -424,11 +414,8 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
     started = time.perf_counter()
     alpha = check_alpha(alpha)
     true_target = _real(true_target, "true_target")
-    fitted = model_spec.fit(dataset, true_target)
-    scores = conformity_scores(dataset, true_target, fitted, score)
-    threshold = _score_threshold(scores[:-1], 0.0, alpha)
-    prediction_set = sublevel_set(score, fitted.row_predictions[-1], threshold, alpha,
-                                  dataset.target_range(), "oraclecp")
+    bounds, fitted = anchor_bounds(dataset, true_target, model_spec, score, None)
+    prediction_set = bounds.prediction_set(alpha, dataset.target_range(), "oraclecp")
     return _report(prediction_set, dataset, 1, started, anchor=true_target,
                    **_certificate(fitted))
 

@@ -389,12 +389,10 @@ class PredictionSet:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
     def contains(self, value: float) -> bool:
+        value = _real(value, "value")
         # a whole-range set is everything; its stored interval is only the
         # clamped display of the active candidate range
-        if self.shape == "whole-range":
-            return True
-        value = _real(value, "value")
-        return any(lo <= value <= hi for lo, hi in self.intervals)
+        return self.shape == "whole-range" or any(lo <= value <= hi for lo, hi in self.intervals)
 
 
 def default_candidate_grid(dataset: TabularDataset, num: int = 200) -> np.ndarray:

@@ -15,6 +15,7 @@ from stabcp import (
     GeneratorSpec,
     InvalidInputError,
     LadRidgeModel,
+    PredictionSet,
     RidgeModel,
     ScoreFunction,
     TabularDataset,
@@ -65,6 +66,9 @@ REAL_SITES = {
                                                             DS.test_point, v), None),
     "augmented_targets-candidate": (DS.augmented_targets, None),
     "oracle_cp-true_target": (lambda v: oracle_cp(DS, v, RidgeModel(0.5), ABS, 0.1), None),
+    # a whole-range set contains every real, and still refuses what is not one
+    "PredictionSet.contains-value": (PredictionSet.whole_range("stabcp", 0.1, (0.0, 1.0)).contains,
+                                     None),
     "RunConfig-lambda_reg": (lambda v: RunConfig(lambda_reg=v), -1.0),
     "RunConfig-solver_tol": (lambda v: RunConfig(solver_tol=v), 0.0),
     "RunConfig-alpha": (lambda v: RunConfig(alpha=v), 0.0),

@@ -9,6 +9,7 @@ import pytest
 
 from stabcp import conformal
 from stabcp.cli import main
+from stabcp.data import load_csv
 from stabcp.errors import InvalidInputError
 from stabcp.harness import (
     MODEL_NAMES,
@@ -624,11 +625,20 @@ def test_curve_rows_are_sandwiched(generated, tmp_path, capsys):
     assert summary["schema"] == "stabcp/curve/1"
     rows = list(csv.DictReader(open(out, encoding="utf-8")))
     assert len(rows) == 60
+    config = RunConfig()
+    dataset = load_csv(str(generated))
+    pi_split = conformal.split_pi(dataset, config.split_index(dataset.n), config.model_spec(),
+                                  ScoreFunction.absolute_residual())
     for row in rows:
         lo, up, exact = (float(row["pi_lo"]), float(row["pi_up"]),
                          float(row["pi_exact"]))
         assert lo - 1e-12 <= exact <= up + 1e-12
-        assert 0.0 <= float(row["pi_split"]) <= 1.0
+        assert float(row["pi_split"]) == pi_split(float(row["z"]))
+    # a crossing is the first row on the other side of alpha than the row before
+    alpha = summary["alpha"]
+    for name, crossings in summary["alpha_crossings"].items():
+        assert crossings == [float(row["z"]) for before, row in zip(rows, rows[1:])
+                             if (float(before[name]) > alpha) != (float(row[name]) > alpha)]
     # the upper curve must cross the alpha line somewhere on this data
     assert len(summary["alpha_crossings"]["pi_up"]) >= 1
 

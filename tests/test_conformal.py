@@ -8,7 +8,6 @@ import pytest
 
 import stabcp
 from stabcp import (
-    ConformityBounds,
     GeneratorSpec,
     InvalidInputError,
     LadRidgeModel,
@@ -58,10 +57,10 @@ def zero_model_dataset(targets, test_value=0.3):
 
 # ------------------------------------------------------------- pi_bounds
 
-def envelope_at(z, anchor, fitted, observed_scores, tau):
-    """Envelope values at z of the anchor fit's observed scores."""
-    bounds = ConformityBounds.from_scores(anchor, observed_scores, fitted.row_predictions[-1], tau, ABS)
-    return bounds.pi_bounds_at(z)
+def zero_model_bounds(ds, tau):
+    """Envelopes around the zero model's fit, whose observed scores are ``|y_i|``."""
+    bounds, _ = anchor_bounds(ds, 0.0, PretrainedLinearModel(np.zeros(1)), ABS, tau)
+    return bounds
 
 
 def test_pi_bounds_matches_hand_evaluation():
@@ -70,39 +69,33 @@ def test_pi_bounds_matches_hand_evaluation():
     # lower count: 1{0.9<=2.1} + 1{1.9<=2.1} = 2 -> lo = 1 - 2/3 = 1/3
     # upper count: 1{1.1<=1.9} + 1{2.1<=1.9} = 1 -> up = 1 - 1/3 = 2/3
     ds = zero_model_dataset([1.0, -2.0])
-    fitted = PretrainedLinearModel(np.zeros(1)).fit(ds, 0.0)
-    tau = tau_user_supplied([0.1, 0.1, 0.1])
-    for observed in (np.array([1.0, 2.0]), [1.0, 2.0]):
-        pb = envelope_at(2.0, 0.0, fitted, observed, tau)
-        assert pb.lo == pytest.approx(1 / 3)
-        assert pb.up == pytest.approx(2 / 3)
-        assert pb.gap == pytest.approx(1 / 3)
-        assert (pb.n_lo, pb.n_up) == (2, 1)
-    with pytest.raises(InvalidInputError):
-        envelope_at(1.5, 0.0, fitted, np.array([1.0, np.nan]), tau)
+    pb = zero_model_bounds(ds, tau_user_supplied([0.1, 0.1, 0.1])).pi_bounds_at(2.0)
+    assert pb.lo == pytest.approx(1 / 3)
+    assert pb.up == pytest.approx(2 / 3)
+    assert pb.gap == pytest.approx(1 / 3)
+    assert (pb.n_lo, pb.n_up) == (2, 1)
     # a bound per observed row plus the query row, no fewer
     with pytest.raises(InvalidInputError, match="tau has 2 entries, expected 3"):
-        envelope_at(2.0, 0.0, fitted, [1.0, 2.0], tau_user_supplied([0.1, 0.1]))
+        zero_model_bounds(ds, tau_user_supplied([0.1, 0.1]))
 
 
 def test_pi_bounds_zero_tau_collapses_to_anchor_conformity():
     ds = zero_model_dataset([1.0, -2.0, 0.7, 2.4])
-    fitted = PretrainedLinearModel(np.zeros(1)).fit(ds, 0.0)
-    scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
-    tau = tau_user_supplied(np.zeros(ds.n + 1))
+    bounds = zero_model_bounds(ds, tau_user_supplied(np.zeros(ds.n + 1)))
+    # the oracle's envelope (tau=None) is the observed scores, one array
+    oracle = zero_model_bounds(ds, None)
+    assert oracle._lower is oracle._upper and oracle.tau_test == 0.0
     for z in (-1.3, 0.2, 3.0):
-        pb = envelope_at(z, 0.0, fitted, scores, tau)
+        pb = bounds.pi_bounds_at(z)
         exact = pi_exact(ds, z, PretrainedLinearModel(np.zeros(1)), ABS)
         assert pb.lo == pytest.approx(exact)
         assert pb.up == pytest.approx(exact)
+        assert oracle.pi_bounds_at(z) == pb
 
 
 def test_pi_bounds_saturate_with_huge_tau():
     ds = zero_model_dataset([1.0, -2.0, 0.7])
-    fitted = PretrainedLinearModel(np.zeros(1)).fit(ds, 0.0)
-    scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
-    tau = tau_user_supplied(np.full(ds.n + 1, 1e12))
-    pb = envelope_at(0.5, 0.0, fitted, scores, tau)
+    pb = zero_model_bounds(ds, tau_user_supplied(np.full(ds.n + 1, 1e12))).pi_bounds_at(0.5)
     # every observed score may lie below the query's, none must: the lowest
     # and the highest conformity
     assert (pb.n_lo, pb.n_up) == (ds.n, 0)
@@ -115,14 +108,14 @@ def test_pi_bounds_selection_matches_observed_row_sum():
     # agree whenever the query-point bound is positive.
     ds = make_dataset(30, 4, seed=5)
     spec = RidgeModel(0.5)
-    fitted = spec.fit(ds, 0.0)
     tau = spec.stability_bound(ds, ABS)
     assert tau.tau_test > 0
+    bounds, fitted = anchor_bounds(ds, 0.0, spec, ABS, tau)
     scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
     upper = np.sort(scores + tau.tau[:-1])
     v = (1 - 0.1) * (ds.n + 1)
     for z in np.linspace(*ds.target_range(), 40):
-        pb = envelope_at(z, 0.0, fitted, scores, tau)
+        pb = bounds.pi_bounds_at(z)
         test_low = ABS.evaluate(z, fitted.row_predictions[-1]) - tau.tau_test
         observed_sum = int(np.count_nonzero(upper <= test_low))
         assert pb.n_up == observed_sum  # query-row indicator contributes 0
@@ -489,6 +482,12 @@ def test_scores_that_are_not_finite_and_nonnegative_are_rejected(small_dataset, 
         conformity_scores(small_dataset, 100.0, fitted, score)
     with pytest.raises(InvalidInputError, match=f"score function produced {message} values"):
         pi_exact(small_dataset, 100.0, RidgeModel(0.5), score)
+    # and a calibration row's score: the last observed target is the one above 50
+    ds = replace(small_dataset, targets=np.append(small_dataset.targets[:-1], 100.0))
+    with pytest.raises(InvalidInputError, match=f"score function produced {message} values"):
+        split_cp(ds, 5, RidgeModel(0.5), score, 0.1)
+    with pytest.raises(InvalidInputError, match=f"score function produced {message} values"):
+        split_pi(ds, 5, RidgeModel(0.5), score)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -568,7 +567,10 @@ def test_envelope_counts_are_unchanged_by_sorting_on_first_use():
     n = 40
     observed = np.round(rng.exponential(size=n), 1)
     tau = tau_user_supplied(np.append(np.round(rng.uniform(0, 0.5, n), 1), 0.2))
-    bounds = ConformityBounds.from_scores(0.0, observed, 0.3, tau, ABS)
+    # the observed rows predict 0 and the query row 0.3: observed scores
+    # |y_i| = y_i and query score |z - 0.3|
+    ds = TabularDataset(np.zeros((n, 1)), observed, np.array([0.3]))
+    bounds, _ = anchor_bounds(ds, 0.0, PretrainedLinearModel(np.ones(1)), ABS, tau)
     assert "lower_sorted" not in vars(bounds) and "upper_sorted" not in vars(bounds)
     lower, upper = np.sort(observed - tau.tau[:-1]), np.sort(observed + tau.tau[:-1])
     zs = np.append(np.linspace(-4.0, 4.0, 161), 0.3 + np.concatenate([observed, -observed]))
