@@ -36,9 +36,10 @@ anchor = model.anchor(dataset)
 print(f"anchor (self-consistent query prediction a_q / (1 - b_q)): {anchor:+.3f}")
 
 # Exact per-row stability bounds: ridge predictions are affine in the
-# candidate, so the worst-case score movement over the observed target range
-# is known in closed form.  Each model builds its own bound.
-tau = model.stability_bound(dataset, score)
+# candidate, so the worst-case prediction movement over the observed target
+# range is known in closed form.  Each model builds its own bound, in target
+# units; the set scales it by the score's constant (1 for |y - mu|).
+tau = model.stability_bound(dataset)
 print(f"stability bounds: max tau_i = {tau.tau.max():.4f}, "
       f"query-point tau = {tau.tau_test:.4f}\n")
 

@@ -23,7 +23,7 @@ alpha = 0.1
 dataset = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 80, 6, 1.0, seed=11))
 model = RidgeModel(0.5)
 anchor = model.anchor(dataset)
-tau = model.stability_bound(dataset, score)
+tau = model.stability_bound(dataset)
 
 grid = default_candidate_grid(dataset, 61)
 rows = gap_profile(dataset, anchor, model, score, tau, grid)

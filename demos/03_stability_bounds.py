@@ -3,8 +3,11 @@
 Builds each model's own bound through its ``stability_bound`` (ridge: the
 exact affine bound over the observed target range; the L1 model: the
 Lipschitz-loss bound, which holds on the whole line) and checks both against
-the measured worst-case score deviations: each is a sound guarantee, and
-they differ only in how much slack they leave.
+the measured worst-case prediction deviations, like with like: a bound says
+how far each prediction moves, in target units, and reads no score.  Each is
+a sound guarantee, and they differ only in how much slack they leave.  A set
+then scales the bound by its score's constant ``gamma`` (1 for the absolute
+residual) in one place, ``anchor_bounds``.
 """
 
 import numpy as np
@@ -13,11 +16,9 @@ from stabcp import (
     GeneratorSpec,
     LadRidgeModel,
     RidgeModel,
-    ScoreFunction,
     gen_linear_gaussian,
 )
 
-score = ScoreFunction.absolute_residual()
 dataset = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 60, 5, 1.0, seed=23))
 lam = 0.5
 z_range = dataset.target_range()
@@ -37,11 +38,11 @@ print(f"dataset: n={dataset.n}, p={dataset.p}, candidate range "
       f"[{z_range[0]:+.2f}, {z_range[1]:+.2f}]\n")
 
 # ridge: its own exact affine bound over the target range
-exact = ridge.stability_bound(dataset, score)
+exact = ridge.stability_bound(dataset)
 ridge_dev = measured_deviation(ridge)
 
 # L1 model: its own Lipschitz-loss bound, with the replace-one constant
-lipschitz = lad.stability_bound(dataset, score)
+lipschitz = lad.stability_bound(dataset)
 lad_dev = measured_deviation(lad)
 
 print(f"{'bound':<22} {'max tau':>9} {'max measured':>13} {'slack':>7}")

@@ -24,7 +24,6 @@ from .harness import (
     MODEL_NAMES,
     ROW_FIELDS,
     RunConfig,
-    build_tau,
     permutation_source,
     run_benchmark,
     run_method,
@@ -241,7 +240,7 @@ def cmd_curve(data_path, target_column, sidecar, out, **kw):
     score = ScoreFunction.absolute_residual()
     spec = config.model_spec()
     anchor = spec.anchor(dataset)
-    tau, _ = build_tau(config, dataset, score)
+    tau = spec.stability_bound(dataset)
     grid = default_candidate_grid(dataset, config.grid_size)
     rows = gap_profile(dataset, anchor, spec, score, tau, grid)
     z, lo, up, exact = zip(*rows)

@@ -95,9 +95,9 @@ class ConformityBounds:
     set and curve.
 
     ``_lower`` and ``_upper`` are the n reference scores the query score is
-    ranked against, widened by their stability bounds, and ``tau_test`` is
-    the query's bound.  ``anchor_bounds`` builds stabcp's (the observed
-    scores at the anchor -/+ tau) and, with ``tau=None``, the oracle's (the
+    ranked against, widened by their bounds, and ``tau_test`` is the query's
+    bound.  ``anchor_bounds`` builds stabcp's (the observed scores at the
+    anchor -/+ ``gamma * tau``) and, with ``tau=None``, the oracle's (the
     observed scores at the true response); ``_split_fit`` builds split's (the
     calibration scores).  Those two widen by zero: ``_lower`` is ``_upper``
     and ``tau_test`` is 0.  The envelopes are kept in row order and sorted on
@@ -121,13 +121,14 @@ class ConformityBounds:
         return np.sort(self._upper)
 
     def counts_at(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Reference-row counts (n_lo, n_up) of ``PiBounds``, vectorized in z."""
-        s = self.score.evaluate(np.asarray(z, dtype=float), self.mu_test)
+        """Counts (n_lo, n_up) of ``PiBounds`` at a real z or a 1-d array of them."""
+        z = _real(z, "z") if np.ndim(z) == 0 else _as_finite_array(z, "z", 1)
+        s = self.score.evaluate(z, self.mu_test)
         return (np.searchsorted(self.lower_sorted, s + self.tau_test, side="left"),
                 np.searchsorted(self.upper_sorted, s - self.tau_test, side="left"))
 
     def pi_bounds_at(self, z: float) -> PiBounds:
-        n_lo, n_up = (int(count) for count in self.counts_at(float(z)))
+        n_lo, n_up = (int(count) for count in self.counts_at(_real(z, "z")))
         return PiBounds(_conformity(n_lo, self.n), _conformity(n_up, self.n), n_lo, n_up)
 
     def prediction_set(self, alpha: float, candidate_range, method: str) -> PredictionSet:
@@ -141,8 +142,10 @@ class ConformityBounds:
 def anchor_bounds(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction,
                   tau: StabilityBounds | None) -> tuple[ConformityBounds, object]:
     """Fit once at ``candidate`` and build the envelopes of its observed scores
-    (one fit total): stabcp's, the scores -/+ ``tau`` (one entry per
-    augmented row), or with ``tau=None`` the oracle's, zero bounds."""
+    (one fit total): stabcp's, the scores -/+ ``gamma * tau`` (one entry per
+    augmented row), or with ``tau=None`` the oracle's, zero bounds.  The one
+    place a bound meets a score: ``tau`` bounds how far predictions move, and
+    ``gamma`` times it how far scores move, the query's (``tau_test``) too."""
     if tau is not None and tau.tau.size != dataset.n + 1:
         raise InvalidInputError(f"tau has {tau.tau.size} entries, expected {dataset.n + 1}")
     fitted = model_spec.fit(dataset, candidate)
@@ -150,8 +153,9 @@ def anchor_bounds(dataset: TabularDataset, candidate: float, model_spec, score: 
     mu_test = float(fitted.row_predictions[-1])
     if tau is None:
         return ConformityBounds(observed, observed, mu_test, 0.0, score, dataset.n), fitted
-    return ConformityBounds(observed - tau.tau[:-1], observed + tau.tau[:-1], mu_test,
-                            tau.tau_test, score, dataset.n), fitted
+    moved = score.gamma * tau.tau
+    return ConformityBounds(observed - moved[:-1], observed + moved[:-1], mu_test,
+                            float(moved[-1]), score, dataset.n), fitted
 
 
 _EPS_R = 1e-4       # width at which every set endpoint's bracket stops shrinking
@@ -321,9 +325,9 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
                      score: ScoreFunction, tau: StabilityBounds, alpha: float) -> MethodReport:
     """Single-fit stable conformal set, any score, any ``tau_test >= 0``.
 
-    Fits once at the anchor, inflates the observed scores by their stability
-    bounds, and returns ``{z : S(z, mu) <= T}`` with ``T`` from
-    ``_score_threshold``, the closure of ``{pi_up > alpha}``.  For the
+    Fits once at the anchor, inflates the observed scores by ``gamma`` times
+    their stability bounds, and returns ``{z : S(z, mu) <= T}`` with ``T``
+    from ``_score_threshold``, the closure of ``{pi_up > alpha}``.  For the
     absolute residual this is the interval centered at the anchor prediction
     with half-width ``Q + tau_test``, Q the ceil((1-alpha)(n+1))-th order
     statistic of the inflated scores; when that index exceeds n the whole
@@ -333,9 +337,9 @@ def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
     observed target range, as in every set method; it is recorded and sets
     the first bracketing step, and the set is never clamped to it.
 
-    Each model builds its own bound (``stability_bound``).  It bounds the
-    score deviation between a candidate and the anchor, assuming both lie in
-    ``tau.candidate_range`` and the anchor fit is exact; ridge's bound holds
+    Each model builds its own bound (``stability_bound``) on how far each
+    prediction moves between a candidate and the anchor, assuming both lie
+    in ``tau.candidate_range`` and the anchor fit is exact; ridge's holds
     over the target range, LAD-ridge's carries no range and holds on the
     whole line.  So an anchor outside the bound's range (never a model's own
     ``anchor``), or an envelope fit whose solver stopped before its

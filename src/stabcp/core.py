@@ -211,31 +211,18 @@ class TabularDataset:
             value = self._memo[key] = compute(*args)
         return value
 
-    def permuted(self, order) -> "TabularDataset":
-        """Dataset with the observed rows reordered; the query point is untouched."""
-        order = np.asarray(order)  # compared before any cast, so 1.5 is not taken as 1
-        if sorted(order.tolist()) != list(range(self.n)):
-            raise InvalidInputError("order must be a permutation of the observed rows")
-        order = order.astype(int)
-        return TabularDataset(
-            self.features[order],
-            self.targets[order],
-            self.test_point,
-            self.test_target,
-            dict(self.meta),
-        )
-
 
 @dataclass(frozen=True)
 class ScoreFunction:
     """Nonconformity score ``S(q, m)`` with a declared regularity constant.
 
     ``gamma`` bounds the variation in the second (prediction) argument:
-    ``|S(q, m1) - S(q, m2)| <= gamma * |m1 - m2|`` for all ``q``.  ``kind``
-    is ``"absolute-residual"`` or ``"custom"``, and a custom score carries a
-    callable ``fn``; all three are checked at construction.  The absolute
-    residual's own constant is 1, so its gamma must be at least 1: a smaller
-    one would shrink every stability bound below the truth.
+    ``|S(q, m1) - S(q, m2)| <= gamma * |m1 - m2|`` for all ``q``, so
+    ``anchor_bounds``, its one reader, scales the models' prediction bounds
+    by it.  ``kind`` is ``"absolute-residual"`` or ``"custom"``, and a custom
+    score carries a callable ``fn``; all three are checked at construction.
+    The absolute residual's own constant is 1, so its gamma must be at least
+    1: a smaller one would shrink every stability bound below the truth.
     """
 
     kind: str

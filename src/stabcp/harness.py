@@ -92,10 +92,11 @@ class RunConfig:
 def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
     """The configured model's own stability bound, as ``(tau, 0)``.
 
-    The second value is a placeholder that no caller reads; the 2-tuple stays
-    because perfbench unpacks it.
+    ``score`` is unread (``anchor_bounds`` applies its ``gamma``), and the
+    second value is a placeholder: perfbench passes the one and unpacks the
+    other.
     """
-    return config.model_spec().stability_bound(dataset, score), 0
+    return config.model_spec().stability_bound(dataset), 0
 
 
 def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, None]:

@@ -25,13 +25,13 @@ Every model follows one protocol:
   its augmented solve, clipped into the target range; LAD-ridge's is the
   median of the observed responses, since its bound holds on the whole line
   and any anchor gives a sound set;
-- ``stability_bound(dataset, score)`` builds the model's one per-row
-  :class:`~stabcp.stability.StabilityBounds`; no other code builds it.
-  Ridge's is the exact affine bound over ``dataset.target_range()``, the one
+- ``stability_bound(dataset)`` builds the model's one per-row
+  :class:`~stabcp.stability.StabilityBounds` on how far its predictions move,
+  in target units; no other code builds it, and it reads no score.  Ridge's
+  is the exact affine bound over ``dataset.target_range()``, the one
   candidate range of every set; LAD-ridge's is the Lipschitz-loss bound,
-  which carries no range and holds on the whole line.
-  ``PretrainedLinearModel`` has none: a caller passes its zero bound
-  (``tau_user_supplied``) explicitly.
+  which carries no range and holds on the whole line; a pretrained model's
+  is zero on the whole line, since its predictions never move.
 
 All fitters treat the rows exchangeably: the objective is a sum over rows, so
 permuting the observed pairs leaves the fit unchanged (up to solver tolerance
@@ -186,14 +186,13 @@ class RidgeModel(LinearModel):
             return 0.5 * (lo + hi)
         return min(max(float(a[-1]) / free, lo), hi)
 
-    def stability_bound(self, dataset: TabularDataset, score) -> StabilityBounds:
-        """The exact affine bound ``gamma * |b_i| * W`` over the target range,
-        of width ``W``: the predictions are affine in the candidate, so this
-        is the worst case, and ``b`` comes from the dataset's one augmented
+    def stability_bound(self, dataset: TabularDataset) -> StabilityBounds:
+        """The exact affine bound ``|b_i| * W`` over the target range, of
+        width ``W``: the predictions are affine in the candidate, so this is
+        the worst case, and ``b`` comes from the dataset's one augmented
         solve."""
         lo, hi = dataset.target_range()
         tau = np.abs(self._affine(dataset)[-1])
-        tau *= score.gamma
         tau *= hi - lo
         return StabilityBounds(tau, "linear-exact", candidate_range=(lo, hi))
 
@@ -432,7 +431,10 @@ class LadRidgeModel(LinearModel):
         set, and a fit spent on a better guess only costs time.  The median
         is the L1 location of the responses, the LAD fit of a constant.
         """
-        return float(np.median(dataset.targets))
+        # by partition: np.median imports numpy.ma on its first call
+        half = dataset.n // 2
+        lower, upper = np.partition(dataset.targets, (half - 1, half))[half - 1:half + 1]
+        return float(upper if dataset.n % 2 else (lower + upper) / 2)
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "LadRidgeModel":
         """The cold fit on the augmented rows, made once per dataset, settings
@@ -453,7 +455,7 @@ class LadRidgeModel(LinearModel):
         model._admm_state = (_read_only(fitted), _read_only(dual), rho)
         return model
 
-    def stability_bound(self, dataset: TabularDataset, score) -> StabilityBounds:
+    def stability_bound(self, dataset: TabularDataset) -> StabilityBounds:
         """The Lipschitz-loss bound for candidate changes, on the whole line.
 
         Only the query row's term of the scaled L1 loss moves with the
@@ -463,13 +465,13 @@ class LadRidgeModel(LinearModel):
         candidates: it has no range.  (The naive whole-loss constant
         ``1/sqrt(m)`` is NOT sound here: the query row's leverage can exceed
         it, and measured deviations do cross that smaller bound.)  Row i's
-        bound is ``2 * gamma * rho * ||x_i|| / (2 * lambda_reg)`` with
+        bound is ``2 * rho * ||x_i|| / (2 * lambda_reg)`` with
         ``rho = ||x_query|| / (n + 1)``.
         """
         rho = float(np.linalg.norm(dataset.test_point)) / (dataset.n + 1)
         norms = np.append(np.linalg.norm(dataset.features, axis=1),
                           np.linalg.norm(dataset.test_point[None, :], axis=1))
-        tau = 2.0 * score.gamma * rho * norms / (2.0 * self.lambda_reg)
+        tau = 2.0 * rho * norms / (2.0 * self.lambda_reg)
         return StabilityBounds(tau, "regularized-lipschitz")
 
 
@@ -490,6 +492,10 @@ class PretrainedLinearModel(LinearModel):
     def anchor(self, dataset: TabularDataset) -> float:
         """Its own query prediction; nothing is fitted."""
         return self.predict(dataset.test_point)
+
+    def stability_bound(self, dataset: TabularDataset) -> StabilityBounds:
+        """The exact zero bound, on the whole line: no prediction moves."""
+        return StabilityBounds(np.zeros(dataset.n + 1), "linear-exact")
 
     def fit(self, dataset: TabularDataset, candidate: float) -> "PretrainedLinearModel":
         model = PretrainedLinearModel(self.coefficients)

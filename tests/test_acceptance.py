@@ -30,7 +30,6 @@ from stabcp import (
     root_cp,
     split_cp,
     stab_cp_interval,
-    tau_user_supplied,
 )
 from stabcp.harness import RunConfig, run_benchmark, run_method, synthetic_source
 
@@ -68,7 +67,7 @@ def test_criterion_02_sandwich_exact_rank_arithmetic():
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 100, 10, 1.0, 7))
     spec = RidgeModel(0.5)
     anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
     grid = default_candidate_grid(ds, 200)
     worst = 0
@@ -91,7 +90,7 @@ def test_criterion_03_grid_set_contained_in_single_fit_set():
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, seed))
         spec = RidgeModel(0.5)
         anchor = spec.anchor(ds)
-        tau = spec.stability_bound(ds, ABS)
+        tau = spec.stability_bound(ds)
         stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
         grid = default_candidate_grid(ds, 100)
         oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
@@ -113,7 +112,7 @@ def test_criterion_04_interval_and_bisection_agree():
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, seed))
         spec = RidgeModel(0.5)
         anchor = spec.anchor(ds)
-        tau = spec.stability_bound(ds, ABS)
+        tau = spec.stability_bound(ds)
         interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
         (ilo, ihi), = interval.set.intervals
         bisect = stab_cp_interval(ds, anchor, spec, custom_abs, tau, 0.1)
@@ -132,7 +131,7 @@ def test_criterion_05_zero_stability_collapse():
     y = X @ coef + rng.standard_normal(40)
     ds = TabularDataset(X[:-1], y[:-1], X[-1], test_target=float(y[-1]))
     frozen = PretrainedLinearModel(coef)
-    zero_tau = tau_user_supplied(np.zeros(ds.n + 1))
+    zero_tau = frozen.stability_bound(ds)  # its own bound: exactly zero
 
     # envelope collapse: with tau = 0 and tie-free scores both envelopes
     # equal the conformity computed from the anchor fit
@@ -160,7 +159,7 @@ def test_criterion_06_gap_shrinks_with_sample_size():
         for seed in seeds:
             ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, 100, 1.0, seed))
             spec = LadRidgeModel(0.5)
-            tau = spec.stability_bound(ds, ABS)
+            tau = spec.stability_bound(ds)
             bounds, _ = anchor_bounds(ds, 0.0, spec, ABS, tau)
             grid = default_candidate_grid(ds, 200)
             gaps = [bounds.pi_bounds_at(z).gap for z in grid]
@@ -182,7 +181,7 @@ def test_criterion_07_stability_bounds_sound_everywhere():
         worst = 0.0
         for z in np.linspace(lo, hi, grid_points):
             preds = spec.fit(ds, z).row_predictions
-            dev = ABS.gamma * np.abs(preds - anchored)
+            dev = np.abs(preds - anchored)
             excess = float(np.max(dev - tau.tau))
             worst = max(worst, excess)
         if worst > 1e-8:
@@ -192,13 +191,13 @@ def test_criterion_07_stability_bounds_sound_everywhere():
     # Lipschitz-loss bound with the L1 model
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 40, 30, 1.0, 11))
     spec = LadRidgeModel(0.5, solver_tol=1e-10)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     check("regularized-lipschitz/ladridge", ds, spec, tau)
 
     # exact affine bound, ridge's own
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, 13))
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     check("linear-exact/ridge", ds, spec, tau)
 
     ok = not violations

@@ -19,11 +19,13 @@ from stabcp import (
     RidgeModel,
     ScoreFunction,
     TabularDataset,
+    anchor_bounds,
     default_candidate_grid,
     gen_linear_gaussian,
     oracle_cp,
     rank,
     split_cp,
+    split_pi,
     tau_user_supplied,
 )
 from stabcp.core import check_alpha
@@ -50,13 +52,9 @@ REAL_SITES = {
     # the absolute residual's own constant is 1: a smaller gamma is refused
     "ScoreFunction-gamma": (lambda v: ScoreFunction("absolute-residual", v), 0.5),
     "ScoreFunction.custom-gamma": (lambda v: ScoreFunction.custom(np.subtract, v), -1.0),
-    # each model's stability bound is built from the score's gamma, and LAD's
-    # divides by its penalty: neither can be built from a refused value
-    "lipschitz-gamma": (lambda v: LadRidgeModel(0.5).stability_bound(
-        DS, ScoreFunction.custom(np.subtract, v)), -1.0),
-    "lipschitz-lambda_sc": (lambda v: LadRidgeModel(v).stability_bound(DS, ABS), 0.0),
-    "linear_exact-gamma": (lambda v: RidgeModel(0.5).stability_bound(
-        DS, ScoreFunction.custom(np.subtract, v)), -1.0),
+    # LAD's stability bound divides by its penalty: it cannot be built from a
+    # refused value
+    "lipschitz-lambda_sc": (lambda v: LadRidgeModel(v).stability_bound(DS), 0.0),
     "RidgeModel-lambda_reg": (RidgeModel, -1.0),
     "RidgeModel.fit-candidate": (lambda v: RidgeModel(0.5).fit(DS, v), None),
     "LadRidgeModel-lambda_reg": (LadRidgeModel, 0.0),
@@ -66,6 +64,11 @@ REAL_SITES = {
                                                             DS.test_point, v), None),
     "augmented_targets-candidate": (DS.augmented_targets, None),
     "oracle_cp-true_target": (lambda v: oracle_cp(DS, v, RidgeModel(0.5), ABS, 0.1), None),
+    # a curve's candidate: the envelope's and split's conformity, as pi_exact's
+    "ConformityBounds.pi_bounds_at-z": (
+        anchor_bounds(DS, 0.0, RidgeModel(0.5), ABS, RidgeModel(0.5).stability_bound(DS))[0]
+        .pi_bounds_at, None),
+    "split_pi-z": (split_pi(DS, 5, RidgeModel(0.5), ABS), None),
     # a whole-range set contains every real, and still refuses what is not one
     "PredictionSet.contains-value": (PredictionSet.whole_range("stabcp", 0.1, (0.0, 1.0)).contains,
                                      None),

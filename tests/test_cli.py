@@ -339,13 +339,13 @@ def test_every_configurable_bound_is_derived_and_holds(pair):
     score = ScoreFunction.absolute_residual()
     tau, _ = build_tau(config, ds, score)
     assert tau.provenance == OWN_BOUNDS[model]  # never "user-supplied"
-    own = config.model_spec().stability_bound(ds, score)
+    own = config.model_spec().stability_bound(ds)
     assert tau.provenance == own.provenance and np.array_equal(tau.tau, own.tau)
     # the bound covers the deviation between any two candidates of its range
     spec = config.model_spec()
     preds = np.array([spec.fit(ds, z).row_predictions
                       for z in np.linspace(*ds.target_range(), 50)])
-    spread = score.gamma * (preds.max(axis=0) - preds.min(axis=0))
+    spread = preds.max(axis=0) - preds.min(axis=0)
     assert np.all(spread <= tau.tau + 1e-8), float(np.max(spread - tau.tau))
 
 

@@ -108,7 +108,7 @@ def test_pi_bounds_selection_matches_observed_row_sum():
     # agree whenever the query-point bound is positive.
     ds = make_dataset(30, 4, seed=5)
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     assert tau.tau_test > 0
     bounds, fitted = anchor_bounds(ds, 0.0, spec, ABS, tau)
     scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
@@ -166,7 +166,7 @@ def test_stab_interval_contains_grid_oracle_at_scale():
     ds = make_dataset(n=300, p=5, seed=13)
     spec = RidgeModel(0.5)
     anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     report = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     grid = stabcp.default_candidate_grid(ds, 200)
     oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
@@ -185,7 +185,7 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
     # the raw anchor a_q / (1 - b_q): the observed-rows fit at (n+1)/n the penalty
     anchor = RidgeModel(0.01 * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets).predict(
         ds.test_point)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     lo, hi = tau.candidate_range
     assert anchor > hi
     stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
@@ -241,7 +241,7 @@ def test_lad_bound_holds_for_an_anchor_far_outside_the_target_range():
     ds = make_dataset(n=40, p=5, seed=0)
     spec = LadRidgeModel(0.2, solver_tol=1e-11)
     lo, hi = ds.target_range()
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     assert tau.candidate_range is None
     far = stab_cp_interval(ds, hi + 3 * (hi - lo), spec, ABS, tau, 0.1)
     assert far.details["tau_coverage_safe"] is True
@@ -257,7 +257,7 @@ def test_uncertified_envelope_fit_is_not_coverage_safe():
     ds = make_dataset(n=40, p=4, seed=3)
     spec = LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5)
     z_range = ds.target_range()
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     anchor = 0.5 * (z_range[0] + z_range[1])
     for report in (stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1),
                    stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)):
@@ -281,7 +281,7 @@ def test_stab_set_is_the_closure_of_upper_envelope_above_alpha():
         ds = make_dataset(n=n, p=3, seed=n)
         spec = RidgeModel(0.5)
         anchor = spec.anchor(ds)
-        for tau in (spec.stability_bound(ds, ABS),
+        for tau in (spec.stability_bound(ds),
                     tau_user_supplied(np.zeros(n + 1))):
             bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
             for alpha in (0.1, 0.2):
@@ -304,7 +304,7 @@ def test_bisection_agrees_with_closed_form():
     ds = make_dataset(n=50, p=5, seed=21)
     spec = RidgeModel(0.5)
     anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
     (ilo, ihi), = interval.set.intervals
     assert interval.fit_count == 1
@@ -447,7 +447,7 @@ def test_bisection_uses_closed_form_index_at_integer_level(n):
     ds = make_dataset(n=n, p=3, seed=0)
     spec = RidgeModel(0.5)
     anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     interval = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
     (ilo, ihi), = interval.set.intervals
     custom = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, alpha)
@@ -505,7 +505,7 @@ def test_custom_score_sets_take_few_score_calls(seed):
     score = ScoreFunction.custom(huber, 1.0)
     ds = make_dataset(n=300, p=20, seed=seed)
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(ds, score)
+    tau = spec.stability_bound(ds)
     anchor = spec.anchor(ds)
     for run in (lambda: stab_cp_interval(ds, anchor, spec, score, tau, 0.1),
                 lambda: oracle_cp(ds, ds.test_target, spec, score, 0.1),
@@ -596,14 +596,14 @@ def intersect(reports):
 
 def test_batch_single_anchor_is_plain_bounds(small_dataset):
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(small_dataset, ABS)
+    tau = spec.stability_bound(small_dataset)
     report = stab_cp_interval(small_dataset, 0.0, spec, ABS, tau, 0.1)
     assert intersect([report]) == report.set.intervals[0]
 
 
 def test_batch_duplicate_anchor_idempotent(small_dataset):
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(small_dataset, ABS)
+    tau = spec.stability_bound(small_dataset)
     one = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
     two = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
     assert intersect([one, two]) == intersect([one])
@@ -613,7 +613,7 @@ def test_batch_never_widens_the_gap():
     ds = make_dataset(n=40, p=8, seed=9)
     spec = RidgeModel(0.5)
     lo, hi = ds.target_range()
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     reports = [stab_cp_interval(ds, z_hat, spec, ABS, tau, 0.1)
                for z_hat in (lo + 0.25 * (hi - lo), 0.0, lo + 0.75 * (hi - lo))]
     both_lo, both_hi = intersect(reports)
@@ -928,7 +928,7 @@ class StartSpy:
 def test_each_refit_starts_from_the_nearest_earlier_refit(small_dataset):
     spec = RidgeModel(0.5)
     grid = stabcp.default_candidate_grid(small_dataset, 30)
-    tau = spec.stability_bound(small_dataset, ABS)
+    tau = spec.stability_bound(small_dataset)
     runs = {
         "root": lambda model: root_cp(small_dataset, model, ABS, 0.1),
         "grid": lambda model: grid_cp(small_dataset, model, ABS, 0.1, grid),
@@ -984,7 +984,7 @@ def test_lad_refit_chain_takes_one_eigendecomposition(eigh_calls):
     spec = LadRidgeModel(0.2)
     grid = stabcp.default_candidate_grid(ds, 30)
     anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
 
     def certificate(report):
         return [report.set, report.fit_count] + [
@@ -1089,7 +1089,7 @@ def test_exact_score_ties_keep_the_truth_in_every_count():
 def test_gap_profile_sandwich_everywhere(small_dataset):
     spec = RidgeModel(0.5)
     anchor = spec.anchor(small_dataset)
-    tau = spec.stability_bound(small_dataset, ABS)
+    tau = spec.stability_bound(small_dataset)
     grid = stabcp.default_candidate_grid(small_dataset, 60)
     rows = gap_profile(small_dataset, anchor, spec, ABS, tau, grid)
     assert len(rows) == 60
@@ -1112,7 +1112,7 @@ def test_gap_shrinks_with_sample_size():
     for n in (30, 300):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, 100, 1.0, 5))
         spec = LadRidgeModel(0.5)
-        tau = spec.stability_bound(ds, ABS)
+        tau = spec.stability_bound(ds)
         bounds, _ = anchor_bounds(ds, 0.0, spec, ABS, tau)
         zs = np.linspace(*ds.target_range(), 100)
         values = [bounds.pi_bounds_at(z) for z in zs]
@@ -1127,13 +1127,13 @@ def test_stab_interval_equivariant_under_target_scaling():
     base = make_dataset(n=60, p=4, seed=23)
     spec = RidgeModel(0.5)
     anchor = spec.anchor(base)
-    tau = spec.stability_bound(base, ABS)
+    tau = spec.stability_bound(base)
     (lo0, hi0), = stab_cp_interval(base, anchor, spec, ABS, tau, 0.1).set.intervals
     for scale in (1e-6, 1e6):
         ds = TabularDataset(base.features, scale * base.targets, base.test_point,
                             scale * base.test_target)
         anchor_s = spec.anchor(ds)
-        tau_s = spec.stability_bound(ds, ABS)
+        tau_s = spec.stability_bound(ds)
         (lo, hi), = stab_cp_interval(ds, anchor_s, spec, ABS, tau_s, 0.1).set.intervals
         assert lo == pytest.approx(scale * lo0, rel=1e-9)
         assert hi == pytest.approx(scale * hi0, rel=1e-9)
@@ -1145,7 +1145,7 @@ def test_containment_chain_on_shared_grid():
     spec = RidgeModel(0.5)
     alpha = 0.1
     anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
     grid = stabcp.default_candidate_grid(ds, 120)
     threshold = math.floor((1 - alpha) * (ds.n + 1) + 1e-9)
@@ -1166,7 +1166,7 @@ def test_containment_chain_on_shared_grid():
 def test_upper_set_monotone_in_alpha(small_dataset):
     spec = RidgeModel(0.5)
     anchor = spec.anchor(small_dataset)
-    tau = spec.stability_bound(small_dataset, ABS)
+    tau = spec.stability_bound(small_dataset)
     previous = None
     for alpha in (0.05, 0.1, 0.2, 0.4):
         current = stab_cp_interval(small_dataset, anchor, spec, ABS, tau, alpha)
@@ -1180,7 +1180,7 @@ def test_upper_set_monotone_in_alpha(small_dataset):
 def test_upper_set_monotone_in_tau(small_dataset):
     spec = RidgeModel(0.5)
     anchor = spec.anchor(small_dataset)
-    base = spec.stability_bound(small_dataset, ABS)
+    base = spec.stability_bound(small_dataset)
     bigger = tau_user_supplied(base.tau + 0.3)
     r1 = stab_cp_interval(small_dataset, anchor, spec, ABS, base, 0.1)
     r2 = stab_cp_interval(small_dataset, anchor, spec, ABS, bigger, 0.1)
@@ -1194,7 +1194,7 @@ def test_upper_set_monotone_in_tau(small_dataset):
 def test_fit_count_invariants(small_dataset):
     spec = RidgeModel(0.5)
     anchor = spec.anchor(small_dataset)
-    tau = spec.stability_bound(small_dataset, ABS)
+    tau = spec.stability_bound(small_dataset)
     assert stab_cp_interval(small_dataset, anchor, spec, ABS, tau, 0.1).fit_count == 1
     assert split_cp(small_dataset, 5, spec, ABS, 0.1).fit_count == 1
     assert oracle_cp(small_dataset, small_dataset.test_target, spec, ABS, 0.1).fit_count == 1

@@ -189,13 +189,13 @@ def test_target_scaling_pipeline_matches_direct_intervals():
     lam, alpha = 0.5, 0.1
     spec = RidgeModel(lam)
 
-    direct_tau = spec.stability_bound(ds, ABS)
+    direct_tau = spec.stability_bound(ds)
     direct = stab_cp_interval(ds, 0.0, spec, ABS, direct_tau, alpha)
 
     scale = float(ds.targets.std())
     scaled = TabularDataset(ds.features, ds.targets / scale, ds.test_point,
                             ds.test_target / scale)
-    scaled_tau = spec.stability_bound(scaled, ABS)
+    scaled_tau = spec.stability_bound(scaled)
     scaled_report = stab_cp_interval(scaled, 0.0, spec, ABS, scaled_tau, alpha)
 
     mapped = [scale * end for end in scaled_report.set.intervals[0]]

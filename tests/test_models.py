@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -162,7 +166,9 @@ def test_ridge_stabcp_set_makes_one_gram_and_one_solve(monkeypatch):
 def test_ridge_permutation_symmetry(small_dataset):
     order = np.random.default_rng(0).permutation(small_dataset.n)
     f1 = RidgeModel(0.5).fit(small_dataset, 0.7)
-    f2 = RidgeModel(0.5).fit(small_dataset.permuted(order), 0.7)
+    shuffled = TabularDataset(small_dataset.features[order], small_dataset.targets[order],
+                              small_dataset.test_point, small_dataset.test_target)
+    f2 = RidgeModel(0.5).fit(shuffled, 0.7)
     assert f1.row_predictions[-1] == pytest.approx(f2.row_predictions[-1], abs=1e-10)
 
 
@@ -213,6 +219,31 @@ def test_lad_anchor_is_the_observed_median_and_fits_nothing(monkeypatch):
     monkeypatch.setattr(LadRidgeModel, "fit", no_fit)
     anchor = spec.anchor(ds)
     assert type(anchor) is float and anchor == np.median(ds.targets)
+    # odd and even counts, the middle pair's mean rounded as np.median rounds it
+    for n in (2, 3, 301):
+        ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, 3, 1.0, n))
+        anchor = spec.anchor(ds)
+        assert type(anchor) is float and anchor == np.median(ds.targets)
+
+
+def test_no_set_imports_numpy_ma():
+    # numpy.ma, which np.median and np.unique import on first use, costs a
+    # fresh process about 18 ms and 1.8 MB: no set of any method needs it
+    code = textwrap.dedent("""
+        import sys
+        from stabcp import GeneratorSpec, gen_linear_gaussian
+        from stabcp.harness import METHOD_NAMES, MODEL_NAMES, RunConfig, run_method
+        ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 30, 3, 1.0, seed=0))
+        for model in MODEL_NAMES:
+            for method in METHOD_NAMES:
+                run_method(method, ds, RunConfig(model=model, lambda_reg=0.2, grid_size=10))
+        assert "numpy.ma" not in sys.modules, "a set imported numpy.ma"
+    """)
+    src = os.path.dirname(os.path.dirname(models.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_lad_stabcp_set_makes_one_fit_and_one_eigendecomposition(eigh_calls):
@@ -250,10 +281,10 @@ def test_lad_fits_once_per_dataset_and_anchor(eigh_calls, monkeypatch):
             report.details[k] for k in ("iterations", "duality_gap", "converged")]
 
     builders = [lambda d, alpha=alpha: stab_cp_interval(
-                    d, anchor, spec, ABS, spec.stability_bound(d, ABS), alpha)
+                    d, anchor, spec, ABS, spec.stability_bound(d), alpha)
                 for alpha in (0.05, 0.1, 0.2)]
     builders.append(lambda d: stab_cp_interval(d, anchor, spec, score,
-                                               spec.stability_bound(d, score), 0.1))
+                                               spec.stability_bound(d), 0.1))
     reports = [build(ds) for build in builders]
     assert (len(eigh_calls), len(admm_runs)) == (1, 1)
     builders.append(lambda d: oracle_cp(d, d.test_target, spec, ABS, 0.1))
@@ -263,7 +294,7 @@ def test_lad_fits_once_per_dataset_and_anchor(eigh_calls, monkeypatch):
         assert summary(build(replace(ds))) == summary(report)
 
     # the memoized fit cannot be written through, so no caller changes a later set
-    _, fitted = anchor_bounds(ds, anchor, spec, ABS, spec.stability_bound(ds, ABS))
+    _, fitted = anchor_bounds(ds, anchor, spec, ABS, spec.stability_bound(ds))
     for name in ("coefficients", "row_predictions"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(fitted, name)[0] += 1.0
@@ -289,7 +320,9 @@ def test_lad_permutation_symmetry_within_tolerance():
     ds = fig2_like_dataset(n=30, p=20, seed=4)
     order = np.random.default_rng(1).permutation(ds.n)
     f1 = LadRidgeModel(0.5, solver_tol=1e-10).fit(ds, 0.3)
-    f2 = LadRidgeModel(0.5, solver_tol=1e-10).fit(ds.permuted(order), 0.3)
+    shuffled = TabularDataset(ds.features[order], ds.targets[order], ds.test_point,
+                              ds.test_target)
+    f2 = LadRidgeModel(0.5, solver_tol=1e-10).fit(shuffled, 0.3)
     assert f1.row_predictions[-1] == pytest.approx(f2.row_predictions[-1], abs=1e-4)
 
 
@@ -450,7 +483,7 @@ def test_each_model_keeps_its_shared_work_once(spec, eigh_calls, monkeypatch):
     monkeypatch.setattr(TabularDataset, "augmented_design", counted)
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
     anchor = spec.anchor(ds)
-    bound = spec.stability_bound(ds, ABS)
+    bound = spec.stability_bound(ds)
     for alpha in (0.1, 0.2):
         stab_cp_interval(ds, anchor, spec, ABS, bound, alpha)
     oracle_cp(ds, ds.test_target, spec, ABS, 0.1)

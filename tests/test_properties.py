@@ -6,13 +6,16 @@ closed form.  For stabcp, oracle and split the two must agree to within the
 bisection tolerance with the bisected endpoints never inside, and the stabcp
 set must contain the grid-evaluated exact conformal set and, within the
 bisection tolerance, rootcp's endpoints inside the bound's range; rootcp must
-return a set even on all-tied targets, whose range has zero width.  The
+return a set even on all-tied targets, whose range has zero width.  Every
+model must keep the model protocol (one contract test, parametrized over
+the models): its anchor finite and inside its bound's range, no prediction
+moving between two candidates further than its stability bound allows, and
+its fit on the dataset the fit on the augmented rows from scratch.  The
 ridge fit that reuses the dataset's augmented solve must match a refit
 from scratch on the augmented rows, its anchor (taken from that augmented
 solve) the clipped observed-rows fit at ``(n+1)/n`` the penalty, the
 LAD-ridge fit that reuses the dataset's diagonalized design a cold fit bit
-for bit, every model's anchor a finite point of the target
-range, and the LAD-ridge duality gap must bound the suboptimality of the
+for bit, and the LAD-ridge duality gap must bound the suboptimality of the
 returned fit, warm-started or not, against random points and against a fit
 stopped at a 1e-12 gap, and every LAD-ridge fit, cold or warm, must report
 the objective of its own coefficients without a ``RuntimeWarning``.
@@ -22,18 +25,21 @@ must have each endpoint just outside the exact one, also where the float
 spacing exceeds the bisection tolerance.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from stabcp import (
     LadRidgeModel,
     NumericalError,
+    PretrainedLinearModel,
     RidgeModel,
     ScoreFunction,
     TabularDataset,
@@ -93,7 +99,7 @@ def test_stabcp_bisection_matches_closed_form_and_contains_exact_set(ds, lam, al
     spec = RidgeModel(lam)
     anchor = spec.anchor(ds)  # always inside the target range
     z_range = ds.target_range()
-    tau = spec.stability_bound(ds, ABS)
+    tau = spec.stability_bound(ds)
     closed = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
     assert closed.details["tau_coverage_safe"] is True
     assert_outer_match(closed, stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, alpha))
@@ -149,19 +155,81 @@ def test_ridge_anchor_is_the_observed_fit_at_the_augmented_penalty(ds, lam):
     assert abs(anchor - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
+def _radius(fit) -> float:
+    """How far a fit's coefficients may lie from the exact minimizer: with
+    duality gap g, 2 lambda-strong convexity puts them within sqrt(g/lambda);
+    closed-form fits carry no gap and are exact.  The gap is a difference of
+    two sums near the objective, so it is known to the objective's rounding,
+    taken as in the certificate tests below (a gap computed as 0 at a query
+    target of -1e3 left a deviation of 1e-8 unexplained)."""
+    gap = getattr(fit, "duality_gap", None)
+    if gap is None:
+        return 0.0
+    return math.sqrt((gap + 64 * np.spacing(fit.objective)) / fit.lambda_reg)
+
+
+@pytest.mark.parametrize("model", ["ridge", "ladridge", "pretrained"])
 @SETTINGS
-@given(ds=adversarial_datasets(), lam=st.sampled_from([0.0, 0.01, 0.5]))
-def test_every_model_anchor_is_finite_and_inside_the_target_range(ds, lam):
-    # the target range is where ridge's bound holds; LAD-ridge needs lam > 0
+@given(ds=adversarial_datasets(), lam=st.sampled_from([0.0, 0.01, 0.5]),
+       max_iter=st.sampled_from([10, 2000]), seed=st.integers(0, 2**32 - 1),
+       spots=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       candidates=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_every_model_keeps_the_model_protocol(model, ds, lam, max_iter, seed, spots,
+                                              candidates):
+    # LAD-ridge needs lam > 0; ten iterations leave its gaps open
+    assume(model != "ladridge" or lam > 0)
+    spec = {"ridge": lambda: RidgeModel(lam),
+            "ladridge": lambda: LadRidgeModel(lam, max_iter=max_iter),
+            "pretrained": lambda: PretrainedLinearModel(
+                np.random.default_rng(seed).standard_normal(ds.p))}[model]()
     lo, hi = ds.target_range()
-    for spec in [RidgeModel(lam)] + ([LadRidgeModel(lam)] if lam > 0 else []):
-        try:
-            anchor = spec.anchor(ds)
-        except NumericalError:
-            # a zero column in every row leaves the unpenalized system singular
-            assert lam == 0.0
+
+    # anchor: finite, and inside the range where the bound holds
+    try:
+        anchor = spec.anchor(ds)
+    except NumericalError:
+        # a zero column in every row leaves the unpenalized system singular
+        assert model == "ridge" and lam == 0.0
+        return
+    bound = spec.stability_bound(ds)
+    assert bound.tau.shape == (ds.n + 1,)
+    assert math.isfinite(anchor)
+    if bound.candidate_range is not None:
+        assert bound.candidate_range[0] <= anchor <= bound.candidate_range[1]
+    if model != "pretrained":
+        assert lo <= anchor <= hi
+
+    # bound: no prediction moves further than tau between two candidates of
+    # its range (the target range widened by 1e3 for a whole-line bound),
+    # beyond each fit's certified distance from its exact minimizer and the
+    # rounding of the predictions
+    reach = bound.candidate_range or (lo - 1e3, hi + 1e3)
+    zs = [anchor] + [reach[0] + spot * (reach[1] - reach[0]) for spot in spots]
+    fits = [spec.fit(ds, z) for z in zs]  # the first warms LAD-ridge's memo
+    norms = np.linalg.norm(ds.augmented_design(), axis=1)
+    for one, other in itertools.combinations(fits, 2):
+        mu, mu0 = one.row_predictions, other.row_predictions
+        rounding = 1e-9 * max(1.0, np.max(np.abs(mu)), np.max(np.abs(mu0)))
+        assert np.all(np.abs(mu - mu0)
+                      <= bound.tau + norms * (_radius(one) + _radius(other)) + rounding)
+
+    # fit: the fit on the dataset is the fit on the augmented rows from
+    # scratch, ridge's up to the rounding of its other solve, the others bit
+    # for bit and also the fit on a fresh memo
+    X = ds.augmented_design()
+    for z in candidates:
+        memoized = spec.fit(ds, z)
+        scratch = spec.fit_rows(X, ds.augmented_targets(z))
+        if model == "ridge":
+            refit = scratch.predict_rows(X)
+            assert np.max(np.abs(memoized.row_predictions - refit)) \
+                <= 1e-9 * max(1.0, np.max(np.abs(refit)))
             continue
-        assert math.isfinite(anchor) and lo <= anchor <= hi
+        for cold in (scratch, spec.fit(replace(ds), z)):
+            assert np.array_equal(memoized.coefficients, cold.coefficients)
+            assert np.array_equal(memoized.row_predictions, cold.predict_rows(X))
+            assert all(getattr(memoized, key, None) == getattr(cold, key, None)
+                       for key in ("objective", "duality_gap", "iterations"))
 
 
 @SETTINGS

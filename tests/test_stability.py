@@ -14,14 +14,24 @@ from stabcp import (
     ScoreFunction,
     StabilityBounds,
     TabularDataset,
+    anchor_bounds,
     gen_linear_gaussian,
 )
-
-ABS = ScoreFunction.absolute_residual()
 
 
 def _custom(gamma):
     return ScoreFunction.custom(lambda q, m: np.abs(q - m), gamma=gamma)
+
+
+def _assert_envelope_scaled(ds, spec, gamma):
+    """The envelope widens each observed score by ``gamma`` times the
+    model's bound, and its query bound is ``gamma * tau[-1]``: the one place
+    a score's constant meets a bound."""
+    tau = spec.stability_bound(ds)
+    bounds, _ = anchor_bounds(ds, spec.anchor(ds), spec, _custom(gamma), tau)
+    assert np.allclose(bounds._upper - bounds._lower, 2 * gamma * tau.tau[:-1],
+                       rtol=1e-12, atol=1e-12)
+    assert bounds.tau_test == gamma * tau.tau_test
 
 
 # ------------------------------------------------------------ validation
@@ -49,8 +59,8 @@ def test_bound_tau_is_read_only(small_dataset):
     # a bound is a snapshot: a write through its tau would change every later
     # set built on it while it stays flagged as coverage-safe
     values = np.zeros(small_dataset.n + 1)
-    for bounds in (RidgeModel(0.5).stability_bound(small_dataset, ABS),
-                   LadRidgeModel(0.5).stability_bound(small_dataset, ABS),
+    for bounds in (RidgeModel(0.5).stability_bound(small_dataset),
+                   LadRidgeModel(0.5).stability_bound(small_dataset),
                    stabcp.tau_user_supplied(values)):
         with pytest.raises(ValueError):
             bounds.tau[0] = 1.0
@@ -60,24 +70,24 @@ def test_bound_tau_is_read_only(small_dataset):
 
 # -------------------------------------------- regularized lipschitz bound
 
-def _lad_closed_form(ds, gamma, lam):
-    """``gamma * ||x_q|| * ||x_i|| / ((n + 1) * lambda)`` per augmented row."""
+def _lad_closed_form(ds, lam):
+    """``||x_q|| * ||x_i|| / ((n + 1) * lambda)`` per augmented row."""
     rows = np.vstack([ds.features, ds.test_point[None, :]])
-    return gamma * np.linalg.norm(ds.test_point) * np.linalg.norm(rows, axis=1) / (
-        (ds.n + 1) * lam)
+    return np.linalg.norm(ds.test_point) * np.linalg.norm(rows, axis=1) / ((ds.n + 1) * lam)
 
 
 def test_regularized_lipschitz_arithmetic():
-    # ||x_q|| = 1 and n + 1 = 4 at lambda = 0.5: the bound is gamma * ||x_i|| / 2
+    # ||x_q|| = 1 and n + 1 = 4 at lambda = 0.5: the bound is ||x_i|| / 2
     ds = TabularDataset(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]),
                         np.array([1.0, -1.0, 0.5]), np.array([0.0, 1.0]))
-    bounds = LadRidgeModel(0.5).stability_bound(ds, ABS)
+    bounds = LadRidgeModel(0.5).stability_bound(ds)
     assert np.allclose(bounds.tau, [0.5, 1.0, 2.5, 0.5])
-    bounds = LadRidgeModel(0.5).stability_bound(ds, _custom(3.0))
-    assert np.allclose(bounds.tau, [1.5, 3.0, 7.5, 1.5])
+    # a score's constant scales the envelope, not the bound
+    _assert_envelope_scaled(ds, LadRidgeModel(0.5), 3.0)
     drawn = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 30, 5, 1.0, 4))
-    bounds = LadRidgeModel(0.2).stability_bound(drawn, _custom(2.0))
-    assert np.allclose(bounds.tau, _lad_closed_form(drawn, 2.0, 0.2), rtol=1e-14, atol=0)
+    bounds = LadRidgeModel(0.2).stability_bound(drawn)
+    assert np.allclose(bounds.tau, _lad_closed_form(drawn, 0.2), rtol=1e-14, atol=0)
+    _assert_envelope_scaled(drawn, LadRidgeModel(0.2), 2.0)
     # the bound holds on the whole line: it carries no range
     assert bounds.candidate_range is None
 
@@ -86,10 +96,10 @@ def test_regularized_lipschitz_zero_row():
     # a zero feature row never moves, and a zero query row moves nothing
     X = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
     y = np.array([1.0, -1.0, 0.5])
-    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.ones(2)), ABS)
+    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.ones(2)))
     assert bounds.tau[1] == 0.0
     assert np.all(np.delete(bounds.tau, 1) > 0.0)
-    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.zeros(2)), ABS)
+    bounds = LadRidgeModel(0.5).stability_bound(TabularDataset(X, y, np.zeros(2)))
     assert np.all(bounds.tau == 0.0)
 
 
@@ -103,12 +113,12 @@ def test_lad_score_deviations_within_lipschitz_bound():
     lam = 0.5
     spec = LadRidgeModel(lam, solver_tol=1e-10)
     lo, hi = ds.target_range()
-    bounds = spec.stability_bound(ds, ABS)
+    bounds = spec.stability_bound(ds)
     assert bounds.provenance == "regularized-lipschitz"
     zs = np.linspace(lo, hi, 30)
     preds = np.vstack([spec.fit(ds, z).row_predictions for z in zs])
     deviations = preds.max(axis=0) - preds.min(axis=0)
-    assert np.all(ABS.gamma * deviations <= bounds.tau + 1e-8)
+    assert np.all(deviations <= bounds.tau + 1e-8)
     # score deviations against q = y_i can only be smaller
     scores = np.abs(ds.augmented_targets(zs[0])[None, :-1] - preds[:, :-1])
     row_dev = scores.max(axis=0) - scores.min(axis=0)
@@ -121,14 +131,14 @@ def test_linear_exact_zero_slope_row(small_dataset):
     # constant targets leave a zero-width range, hence a zero bound
     constant = TabularDataset(small_dataset.features, np.full(small_dataset.n, 1.5),
                               small_dataset.test_point)
-    bounds = RidgeModel(0.5).stability_bound(constant, ABS)
+    bounds = RidgeModel(0.5).stability_bound(constant)
     assert bounds.candidate_range == (1.5, 1.5)
     assert np.array_equal(bounds.tau, np.zeros(small_dataset.n + 1))
     # a zero feature row has zero candidate slope, hence a zero bound
     X = small_dataset.features.copy()
     X[0] = 0.0
     ds = TabularDataset(X, small_dataset.targets, small_dataset.test_point)
-    bounds = RidgeModel(0.5).stability_bound(ds, ABS)
+    bounds = RidgeModel(0.5).stability_bound(ds)
     assert bounds.tau[0] == 0.0
     assert bounds.tau[-1] > 0.0
 
@@ -138,11 +148,11 @@ def test_linear_exact_scales_with_range(small_dataset):
     spec = RidgeModel(0.5)
     doubled = TabularDataset(small_dataset.features, 2 * small_dataset.targets,
                              small_dataset.test_point)
-    one = spec.stability_bound(small_dataset, ABS)
-    two = spec.stability_bound(doubled, ABS)
+    one = spec.stability_bound(small_dataset)
+    two = spec.stability_bound(doubled)
     assert np.array_equal(spec.fit(small_dataset, 0.0).row_b, spec.fit(doubled, 0.0).row_b)
     assert np.allclose(2 * one.tau, two.tau)
-    assert np.allclose(3 * one.tau, spec.stability_bound(small_dataset, _custom(3.0)).tau)
+    _assert_envelope_scaled(small_dataset, spec, 3.0)
 
 
 def test_linear_exact_dominates_dense_grid_deviations(small_dataset):
@@ -151,7 +161,7 @@ def test_linear_exact_dominates_dense_grid_deviations(small_dataset):
     z_range = small_dataset.target_range()
     anchor = z_range[0]
     fitted = spec.fit(small_dataset, anchor)
-    bounds = spec.stability_bound(small_dataset, ABS)
+    bounds = spec.stability_bound(small_dataset)
     zs = np.linspace(z_range[0], z_range[1], 500)
     preds = np.vstack([spec.fit(small_dataset, z).row_predictions for z in zs])
     dev = np.abs(preds - fitted.row_predictions[None, :]).max(axis=0)
@@ -169,10 +179,12 @@ def test_linear_exact_builds_no_fit(small_dataset, monkeypatch):
     monkeypatch.setattr(RidgeModel, "fit", no_fit)
     spec = RidgeModel(0.5)
     lo, hi = small_dataset.target_range()
-    bounds = spec.stability_bound(small_dataset, _custom(2.0))
+    bounds = spec.stability_bound(small_dataset)
     b = spec._affine(small_dataset)[-1]
-    assert np.array_equal(bounds.tau, 2.0 * np.abs(b) * (hi - lo))
+    assert np.array_equal(bounds.tau, np.abs(b) * (hi - lo))
     assert bounds.provenance == "linear-exact" and bounds.candidate_range == (lo, hi)
+    monkeypatch.undo()
+    _assert_envelope_scaled(small_dataset, spec, 2.0)
 
 
 # ------------------------------------------------------------ monotonicity
@@ -188,14 +200,22 @@ def test_bounds_monotone_in_constants(gamma, lam, scale, bump):
     X = np.array([[1.0, 0.0], [0.5, -2.0], [0.0, 0.0]])
     y = np.array([1.0, -1.0, 0.5])
 
-    def tau(gamma, lam, scale):
-        ds = TabularDataset(X, y, scale * np.array([1.0, 1.5]))
-        return LadRidgeModel(lam).stability_bound(ds, _custom(gamma)).tau
+    def dataset(scale):
+        return TabularDataset(X, y, scale * np.array([1.0, 1.5]))
 
-    base = tau(gamma, lam, scale)
-    assert np.all(tau(gamma + bump, lam, scale) >= base)
-    assert np.all(tau(gamma, lam + bump, scale) <= base)
-    assert np.all(tau(gamma, lam, scale + bump) >= base)
+    def tau(lam, scale):
+        return LadRidgeModel(lam).stability_bound(dataset(scale)).tau
+
+    base = tau(lam, scale)
+    assert np.all(tau(lam + bump, scale) <= base)
+    assert np.all(tau(lam, scale + bump) >= base)
+    # the score's constant widens the envelope around the one anchor fit
+    ds, spec = dataset(scale), LadRidgeModel(lam)
+    bound = spec.stability_bound(ds)
+    narrow, _ = anchor_bounds(ds, 0.0, spec, _custom(gamma), bound)
+    wide, _ = anchor_bounds(ds, 0.0, spec, _custom(gamma + bump), bound)
+    assert np.all(wide._lower <= narrow._lower) and np.all(wide._upper >= narrow._upper)
+    assert wide.tau_test >= narrow.tau_test
 
 
 # --------------------------------------------------------- range coverage
@@ -217,9 +237,9 @@ def test_candidate_range_contains_next_draw():
 def test_tau_auto_dispatches_by_model(small_dataset):
     # each model builds its own bound: no recipe is chosen for it
     z_range = small_dataset.target_range()
-    lad_bounds = LadRidgeModel(0.5).stability_bound(small_dataset, ABS)
+    lad_bounds = LadRidgeModel(0.5).stability_bound(small_dataset)
     assert lad_bounds.provenance == "regularized-lipschitz"
     assert lad_bounds.candidate_range is None  # it holds on the whole line
-    ridge_bounds = RidgeModel(0.5).stability_bound(small_dataset, ABS)
+    ridge_bounds = RidgeModel(0.5).stability_bound(small_dataset)
     assert ridge_bounds.provenance == "linear-exact"
     assert ridge_bounds.candidate_range == z_range
