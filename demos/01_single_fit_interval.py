@@ -31,20 +31,22 @@ print(f"coverage target: {1 - alpha:.0%}\n")
 model = RidgeModel(lambda_reg=0.5)
 
 # The anchor is just a guess for the unknown response; any value inside the
-# range where the bound holds is valid.  Each model picks its own.
+# range where the bound holds is valid.  Each model picks its own, and the
+# single-fit set reads it from the model: it is printed here only to show it.
 anchor = model.anchor(dataset)
 print(f"anchor (self-consistent query prediction a_q / (1 - b_q)): {anchor:+.3f}")
 
 # Exact per-row stability bounds: ridge predictions are affine in the
 # candidate, so the worst-case prediction movement over the observed target
 # range is known in closed form.  Each model builds its own bound, in target
-# units; the set scales it by the score's constant (1 for |y - mu|).
+# units, which the set reads from the model and scales by the score's
+# constant (1 for |y - mu|).
 tau = model.stability_bound(dataset)
 print(f"stability bounds: max tau_i = {tau.tau.max():.4f}, "
       f"query-point tau = {tau.tau_test:.4f}\n")
 
 reports = {
-    "stabcp  (1 fit)": stab_cp_interval(dataset, anchor, model, score, tau, alpha),
+    "stabcp  (1 fit)": stab_cp_interval(dataset, model, score, alpha),
     "splitcp (1 fit)": split_cp(dataset, dataset.n // 2, model, score, alpha),
     "oraclecp (peeks)": oracle_cp(dataset, dataset.test_target, model, score, alpha),
     "rootcp  (refits)": root_cp(dataset, model, score, alpha),

@@ -22,11 +22,10 @@ alpha = 0.1
 
 dataset = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 80, 6, 1.0, seed=11))
 model = RidgeModel(0.5)
-anchor = model.anchor(dataset)
-tau = model.stability_bound(dataset)
+anchor = model.anchor(dataset)  # where gap_profile makes its one envelope fit
 
 grid = default_candidate_grid(dataset, 61)
-rows = gap_profile(dataset, anchor, model, score, tau, grid)
+rows = gap_profile(dataset, model, score, grid)
 pi_split = split_pi(dataset, dataset.n // 2, model, score)
 
 print(f"n={dataset.n}, anchor={anchor:+.3f}, alpha={alpha}")

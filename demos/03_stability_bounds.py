@@ -6,8 +6,8 @@ Lipschitz-loss bound, which holds on the whole line) and checks both against
 the measured worst-case prediction deviations, like with like: a bound says
 how far each prediction moves, in target units, and reads no score.  Each is
 a sound guarantee, and they differ only in how much slack they leave.  A set
-then scales the bound by its score's constant ``gamma`` (1 for the absolute
-residual) in one place, ``anchor_bounds``.
+reads the bound from its model and scales it by its score's constant
+``gamma`` (1 for the absolute residual) in one place, ``anchor_bounds``.
 """
 
 import numpy as np

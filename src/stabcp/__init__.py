@@ -43,9 +43,6 @@ from .models import (
     PretrainedLinearModel,
     RidgeModel,
 )
-from .stability import (
-    StabilityBounds,
-    tau_user_supplied,
-)
+from .stability import StabilityBounds
 
 __version__ = "0.1.0"

@@ -239,10 +239,8 @@ def cmd_curve(data_path, target_column, sidecar, out, **kw):
     dataset = _load_dataset(data_path, target_column, sidecar)
     score = ScoreFunction.absolute_residual()
     spec = config.model_spec()
-    anchor = spec.anchor(dataset)
-    tau = spec.stability_bound(dataset)
     grid = default_candidate_grid(dataset, config.grid_size)
-    rows = gap_profile(dataset, anchor, spec, score, tau, grid)
+    rows = gap_profile(dataset, spec, score, grid)
     z, lo, up, exact = zip(*rows)
     columns = {"pi_lo": lo, "pi_up": up, "pi_exact": exact,
                "pi_split": split_pi(dataset, config.split_index(dataset.n), spec, score)(grid)}
@@ -259,7 +257,7 @@ def cmd_curve(data_path, target_column, sidecar, out, **kw):
     click.echo(json.dumps({
         "schema": "stabcp/curve/1",
         "alpha": config.alpha,
-        "anchor": anchor,
+        "anchor": spec.anchor(dataset),  # the one gap_profile fitted at
         "grid_points": len(rows),
         "alpha_crossings": crossings,
         "out": out,

@@ -8,24 +8,26 @@ exact conformal set, costs a single fit, and keeps the coverage guarantee.
 That envelope depends on the candidate only through the query score
 ``S(z, mu)``, so the single-fit set is ``{z : S(z, mu) <= T}`` for one order
 statistic T.  The oracle and split baselines have the same form, with the
-scores at the true response or the calibration scores in place of the
-inflated ones.  So one envelope, ``ConformityBounds``, is behind all three
-sets and their curves: ``anchor_bounds`` builds stabcp's and, with
-``tau=None``, the oracle's, and ``_split_fit`` split's.  Its one extraction
-step, ``prediction_set``, is one threshold rule (``_score_threshold``, which
-selects its order statistic and sorts nothing) and one extraction routine
-(``sublevel_set``): a closed form for the absolute residual, and for custom
-scores one endpoint search (``_outer_boundary``) that brackets each endpoint
-outward and shrinks the bracket to ``_EPS_R``, scoring arrays of candidates
-per call, so a typical custom-score set calls the score ten times.
+scores at the true response or the calibration scores in place of the inflated
+ones.  So one envelope, ``ConformityBounds``, is behind all three sets and
+their curves: ``_fitted_bounds`` builds stabcp's, at the model's own anchor
+and bound (no set function takes either; ``stab_cp_bisection``, perfbench's
+only, takes both as perfbench builds them), and the oracle's, and
+``_split_fit`` split's.  Its one extraction step, ``prediction_set``, is one
+threshold rule (``_score_threshold``, which selects its order statistic and
+sorts nothing) and one extraction routine (``sublevel_set``): a closed form
+for the absolute residual, and for custom scores one endpoint search
+(``_outer_boundary``) that brackets each endpoint outward and shrinks the
+bracket to ``_EPS_R``, scoring arrays of candidates per call, so a typical
+custom-score set calls the score ten times.
 
 The module also holds the refit layer: the exact-set baselines ``pi_exact``,
 ``root_cp``, ``grid_cp`` (the one grid-evaluated exact set) and
 ``gap_profile``'s exact column, which refit the model at every candidate
 through one chain of warm-started refits (``_Refits``, each refit started
 from the one at the nearest candidate) and are what every single-fit set is
-checked against.  ``root_cp`` finds its endpoints with
-the same search, one refit per candidate.
+checked against.  ``root_cp`` finds its endpoints with the same search, one
+refit per candidate.
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ class ConformityBounds:
 
     ``_lower`` and ``_upper`` are the n reference scores the query score is
     ranked against, widened by their bounds, and ``tau_test`` is the query's
-    bound.  ``anchor_bounds`` builds stabcp's (the observed scores at the
-    anchor -/+ ``gamma * tau``) and, with ``tau=None``, the oracle's (the
-    observed scores at the true response); ``_split_fit`` builds split's (the
-    calibration scores).  Those two widen by zero: ``_lower`` is ``_upper``
+    bound.  ``_fitted_bounds`` builds stabcp's (the observed scores at the
+    model's anchor -/+ ``gamma * tau``) and the oracle's (the observed scores
+    at the true response); ``_split_fit`` builds split's (the calibration
+    scores).  Those two widen by zero: ``_lower`` is ``_upper``
     and ``tau_test`` is 0.  The envelopes are kept in row order and sorted on
     first use by ``counts_at`` (once when they are one array), since a set
     reads only one order statistic of the upper one.
@@ -139,11 +141,11 @@ class ConformityBounds:
         return sublevel_set(self.score, self.mu_test, threshold, alpha, candidate_range, method)
 
 
-def anchor_bounds(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction,
-                  tau: StabilityBounds | None) -> tuple[ConformityBounds, object]:
+def _fitted_bounds(dataset: TabularDataset, candidate: float, model_spec, score: ScoreFunction,
+                   tau: StabilityBounds | None = None) -> tuple[ConformityBounds, object]:
     """Fit once at ``candidate`` and build the envelopes of its observed scores
     (one fit total): stabcp's, the scores -/+ ``gamma * tau`` (one entry per
-    augmented row), or with ``tau=None`` the oracle's, zero bounds.  The one
+    augmented row), or with no ``tau`` the oracle's, zero bounds.  The one
     place a bound meets a score: ``tau`` bounds how far predictions move, and
     ``gamma`` times it how far scores move, the query's (``tau_test``) too."""
     if tau is not None and tau.tau.size != dataset.n + 1:
@@ -156,6 +158,15 @@ def anchor_bounds(dataset: TabularDataset, candidate: float, model_spec, score: 
     moved = score.gamma * tau.tau
     return ConformityBounds(observed - moved[:-1], observed + moved[:-1], mu_test,
                             float(moved[-1]), score, dataset.n), fitted
+
+
+def anchor_bounds(dataset: TabularDataset, model_spec,
+                  score: ScoreFunction) -> tuple[ConformityBounds, object]:
+    """Stabcp's envelope and its one fit: the observed scores of the fit at
+    the model's ``anchor``, -/+ ``gamma`` times the model's
+    ``stability_bound``."""
+    return _fitted_bounds(dataset, model_spec.anchor(dataset), model_spec, score,
+                          model_spec.stability_bound(dataset))
 
 
 _EPS_R = 1e-4       # width at which every set endpoint's bracket stops shrinking
@@ -284,7 +295,7 @@ def sublevel_set(score: ScoreFunction, mu: float, threshold: float, alpha: float
 
 def _check_grid(grid) -> np.ndarray:
     """A candidate grid as a finite, nonempty, ascending 1-d array."""
-    grid = _as_finite_array(np.ravel(np.asarray(grid, dtype=float)), "grid", 1)
+    grid = _as_finite_array(np.ravel(grid), "grid", 1)
     if grid.size == 0:
         raise InvalidInputError("grid must be nonempty")
     if np.any(np.diff(grid) < 0):
@@ -321,46 +332,51 @@ def _report(prediction_set: PredictionSet, dataset: TabularDataset, fit_count: i
     )
 
 
-def stab_cp_interval(dataset: TabularDataset, anchor: float, model_spec,
-                     score: ScoreFunction, tau: StabilityBounds, alpha: float) -> MethodReport:
+def stab_cp_interval(dataset: TabularDataset, model_spec, score: ScoreFunction,
+                     alpha: float) -> MethodReport:
     """Single-fit stable conformal set, any score, any ``tau_test >= 0``.
 
-    Fits once at the anchor, inflates the observed scores by ``gamma`` times
-    their stability bounds, and returns ``{z : S(z, mu) <= T}`` with ``T``
-    from ``_score_threshold``, the closure of ``{pi_up > alpha}``.  For the
-    absolute residual this is the interval centered at the anchor prediction
-    with half-width ``Q + tau_test``, Q the ceil((1-alpha)(n+1))-th order
-    statistic of the inflated scores; when that index exceeds n the whole
-    candidate range is returned.  Custom scores, which must be minimized at
-    ``q = m`` (see ``ScoreFunction.custom``), are extracted by
-    ``sublevel_set`` to within ``_EPS_R``.  The candidate range is the
-    observed target range, as in every set method; it is recorded and sets
-    the first bracketing step, and the set is never clamped to it.
+    Fits once at the model's ``anchor``, inflates the observed scores by
+    ``gamma`` times the model's ``stability_bound``, and returns
+    ``{z : S(z, mu) <= T}`` with ``T`` from ``_score_threshold``, the closure
+    of ``{pi_up > alpha}``.  For the absolute residual this is the interval
+    centered at the anchor prediction with half-width ``Q + tau_test``, Q the
+    ceil((1-alpha)(n+1))-th order statistic of the inflated scores; when that
+    index exceeds n the whole candidate range is returned.  Custom scores,
+    which must be minimized at ``q = m`` (see ``ScoreFunction.custom``), are
+    extracted by ``sublevel_set`` to within ``_EPS_R``.  The candidate range
+    is the observed target range, as in every set method; it is recorded and
+    sets the first bracketing step, and the set is never clamped to it.
 
-    Each model builds its own bound (``stability_bound``) on how far each
-    prediction moves between a candidate and the anchor, assuming both lie
-    in ``tau.candidate_range`` and the anchor fit is exact; ridge's holds
-    over the target range, LAD-ridge's carries no range and holds on the
-    whole line.  So an anchor outside the bound's range (never a model's own
-    ``anchor``), or an envelope fit whose solver stopped before its
-    certificate reached the tolerance (``converged=False``), reports
-    ``tau_coverage_safe=False``; the set is unchanged.  Closed-form fits
-    carry no ``converged`` flag and are exact.
+    The model's bound holds over a range that holds its anchor, so a set is
+    coverage-safe when its one fit is exact: an envelope fit whose solver
+    stopped before its certificate reached the tolerance (``converged=False``)
+    reports ``tau_coverage_safe=False``, with the set unchanged.  Closed-form
+    fits carry no ``converged`` flag and are exact.
     """
     started = time.perf_counter()
+    anchor, tau = model_spec.anchor(dataset), model_spec.stability_bound(dataset)
+    return _stab_cp(dataset, anchor, model_spec, score, tau, alpha, started)
+
+
+def stab_cp_bisection(dataset: TabularDataset, anchor: float, model_spec,
+                      score: ScoreFunction, tau: StabilityBounds, alpha: float) -> MethodReport:
+    """``stab_cp_interval`` at the model's own anchor and bound, built by the
+    caller.  perfbench only, which times the two apart; deleted with the
+    benchmark change that stops calling it (ROADMAP item 6)."""
+    return _stab_cp(dataset, anchor, model_spec, score, tau, alpha, time.perf_counter())
+
+
+def _stab_cp(dataset: TabularDataset, anchor: float, model_spec, score: ScoreFunction,
+             tau: StabilityBounds, alpha: float, started: float) -> MethodReport:
+    """The set and report of ``stab_cp_interval`` at ``anchor`` and ``tau``."""
     alpha = check_alpha(alpha)
-    bounds, fitted = anchor_bounds(dataset, anchor, model_spec, score, tau)
+    bounds, fitted = _fitted_bounds(dataset, anchor, model_spec, score, tau)
     prediction_set = bounds.prediction_set(alpha, dataset.target_range(), "stabcp")
-    anchor_in_range = (tau.candidate_range is None
-                       or tau.candidate_range[0] <= anchor <= tau.candidate_range[1])
-    certified = getattr(fitted, "converged", True)
     return _report(prediction_set, dataset, 1, started,
                    anchor=float(anchor), tau_provenance=tau.provenance,
-                   tau_coverage_safe=anchor_in_range and certified,
+                   tau_coverage_safe=getattr(fitted, "converged", True),
                    **_certificate(fitted))
-
-
-stab_cp_bisection = stab_cp_interval  # the earlier name, still called by perfbench
 
 
 def _split_fit(dataset: TabularDataset, split_index: int, model_spec,
@@ -418,7 +434,7 @@ def oracle_cp(dataset: TabularDataset, true_target: float, model_spec,
     started = time.perf_counter()
     alpha = check_alpha(alpha)
     true_target = _real(true_target, "true_target")
-    bounds, fitted = anchor_bounds(dataset, true_target, model_spec, score, None)
+    bounds, fitted = _fitted_bounds(dataset, true_target, model_spec, score)
     prediction_set = bounds.prediction_set(alpha, dataset.target_range(), "oraclecp")
     return _report(prediction_set, dataset, 1, started, anchor=true_target,
                    **_certificate(fitted))
@@ -571,17 +587,16 @@ def grid_cp(dataset: TabularDataset, model_spec, score: ScoreFunction, alpha: fl
     return _report(prediction_set, dataset, refits.count, started, **refits.details())
 
 
-def gap_profile(dataset: TabularDataset, anchor: float, model_spec,
-                score: ScoreFunction, tau: StabilityBounds, grid) -> list:
+def gap_profile(dataset: TabularDataset, model_spec, score: ScoreFunction, grid) -> list:
     """Diagnostic sweep: ``(z, pi_lo, pi_up, pi_exact)`` per grid point.
 
-    The envelope values reuse the single anchor fit; the exact conformity
-    refits at every grid point (each refit warm-started from the one at the
-    previous grid point, the nearest refitted so far), so this is for plots
-    and verification only.
+    The envelope values reuse stabcp's one fit (``anchor_bounds``); the exact
+    conformity refits at every grid point (each refit warm-started from the
+    one at the previous grid point, the nearest refitted so far), so this is
+    for plots and verification only.
     """
     grid = _check_grid(grid)
-    bounds, _ = anchor_bounds(dataset, anchor, model_spec, score, tau)
+    bounds, _ = anchor_bounds(dataset, model_spec, score)
     refits = _Refits(dataset, model_spec, score)
     rows = []
     for z in grid:

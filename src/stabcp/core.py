@@ -53,7 +53,12 @@ def _conformity(count, m: int):
 
 
 def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    """``values`` as an ``ndim``-dimensional float array of finite entries;
+    strings are refused, numeric ones too, as ``_real`` refuses them."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "SU":
+        raise InvalidInputError(f"{name} must hold numbers, not strings")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != ndim:
         raise InvalidInputError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
@@ -217,10 +222,11 @@ class ScoreFunction:
     """Nonconformity score ``S(q, m)`` with a declared regularity constant.
 
     ``gamma`` bounds the variation in the second (prediction) argument:
-    ``|S(q, m1) - S(q, m2)| <= gamma * |m1 - m2|`` for all ``q``, so
-    ``anchor_bounds``, its one reader, scales the models' prediction bounds
-    by it.  ``kind`` is ``"absolute-residual"`` or ``"custom"``, and a custom
-    score carries a callable ``fn``; all three are checked at construction.
+    ``|S(q, m1) - S(q, m2)| <= gamma * |m1 - m2|`` for all ``q``, so the
+    single-fit envelope of :mod:`stabcp.conformal`, its one reader, scales
+    the models' prediction bounds by it.  ``kind`` is ``"absolute-residual"``
+    or ``"custom"``, and a custom score carries a callable ``fn``; all three
+    are checked at construction.
     The absolute residual's own constant is 1, so its gamma must be at least
     1: a smaller one would shrink every stability bound below the truth.
     """
@@ -273,7 +279,7 @@ def rank(values, index: int) -> int:
     Counts how many entries are <= the chosen one.  The entry counts itself,
     so the result lies in ``1..len(values)`` and ties push the rank up.
     """
-    arr = _as_finite_array(np.ravel(np.asarray(values, dtype=float)), "values", 1)
+    arr = _as_finite_array(np.ravel(values), "values", 1)
     m = arr.size
     if m == 0:
         raise InvalidInputError("values must be nonempty")

@@ -44,9 +44,8 @@ ROW_FIELDS = ("rep", "method", "covered", "length", "fit_count", "wall_time", "l
 class RunConfig:
     """Method settings shared across benchmark repetitions; the CLI's defaults.
 
-    The anchor is no setting: every single-fit set is anchored at the
-    model's own ``anchor``, inside the range its bound holds on.  Nor is the
-    bound: each model builds its own in ``stability_bound``, and every set
+    The anchor is no setting, nor is the bound: every single-fit set reads
+    both from its model (``anchor``, ``stability_bound``), and every set
     searches and records the observed target range.
     """
 
@@ -92,9 +91,9 @@ class RunConfig:
 def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
     """The configured model's own stability bound, as ``(tau, 0)``.
 
-    ``score`` is unread (``anchor_bounds`` applies its ``gamma``), and the
-    second value is a placeholder: perfbench passes the one and unpacks the
-    other.
+    perfbench only, which passes it to ``stab_cp_bisection``; deleted with
+    the benchmark change that stops calling it (ROADMAP item 6).  ``score``
+    is unread and the second value a placeholder.
     """
     return config.model_spec().stability_bound(dataset), 0
 
@@ -102,8 +101,7 @@ def build_tau(config: RunConfig, dataset: TabularDataset, score: ScoreFunction):
 def resolve_anchor(config: RunConfig, dataset: TabularDataset) -> tuple[float, None]:
     """The configured model's own ``anchor``, as ``(anchor, None)``.
 
-    No model fits to choose its anchor, so the second value is a placeholder
-    that no caller reads; the 2-tuple stays because perfbench unpacks it.
+    perfbench only, as ``build_tau`` is; the second value is a placeholder.
     """
     return config.model_spec().anchor(dataset), None
 
@@ -118,9 +116,7 @@ def run_method(method: str, dataset: TabularDataset, config: RunConfig,
     started = time.perf_counter()
 
     if method == "stabcp":
-        anchor = spec.anchor(dataset)
-        tau, _ = build_tau(config, dataset, score)
-        report = stab_cp_interval(dataset, anchor, spec, score, tau, config.alpha)
+        report = stab_cp_interval(dataset, spec, score, config.alpha)
     elif method == "splitcp":
         report = split_cp(dataset, config.split_index(dataset.n), spec, score, config.alpha)
     elif method == "oraclecp":

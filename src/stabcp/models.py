@@ -20,18 +20,20 @@ Every model follows one protocol:
   to the new targets, and, when it was fitted on the very same read-only
   ``X``, lends the work that depends on ``X`` alone);
 - ``anchor(dataset)`` returns the single-fit anchor, a finite float inside
-  every range on which the model's own bound holds; no model spends a fit on
-  it.  Ridge's is the self-consistent query prediction ``a_q / (1 - b_q)`` of
-  its augmented solve, clipped into the target range; LAD-ridge's is the
-  median of the observed responses, since its bound holds on the whole line
-  and any anchor gives a sound set;
+  the range on which the model's own bound holds; no model spends a fit on
+  it, and the single-fit sets read it, no caller passes one.  Ridge's is the
+  self-consistent query prediction ``a_q / (1 - b_q)`` of its augmented
+  solve, clipped into the target range; LAD-ridge's is the median of the
+  observed responses, since its bound holds on the whole line and any anchor
+  gives a sound set;
 - ``stability_bound(dataset)`` builds the model's one per-row
   :class:`~stabcp.stability.StabilityBounds` on how far its predictions move,
-  in target units; no other code builds it, and it reads no score.  Ridge's
-  is the exact affine bound over ``dataset.target_range()``, the one
-  candidate range of every set; LAD-ridge's is the Lipschitz-loss bound,
-  which carries no range and holds on the whole line; a pretrained model's
-  is zero on the whole line, since its predictions never move.
+  in target units; no other code builds it, no set function takes one, and
+  it reads no score.  Ridge's is the exact affine bound over
+  ``dataset.target_range()``, the one candidate range of every set;
+  LAD-ridge's is the Lipschitz-loss bound, which holds on the whole line; a
+  pretrained model's is zero on the whole line, since its predictions never
+  move.
 
 All fitters treat the rows exchangeably: the objective is a sum over rows, so
 permuting the observed pairs leaves the fit unchanged (up to solver tolerance
@@ -194,7 +196,7 @@ class RidgeModel(LinearModel):
         lo, hi = dataset.target_range()
         tau = np.abs(self._affine(dataset)[-1])
         tau *= hi - lo
-        return StabilityBounds(tau, "linear-exact", candidate_range=(lo, hi))
+        return StabilityBounds(tau, "linear-exact")
 
 
 class LadRidgeModel(LinearModel):
@@ -427,9 +429,10 @@ class LadRidgeModel(LinearModel):
     def anchor(self, dataset: TabularDataset) -> float:
         """The median of the observed responses; no fit.
 
-        The Lipschitz-loss bound has no range, so every anchor gives a sound
-        set, and a fit spent on a better guess only costs time.  The median
-        is the L1 location of the responses, the LAD fit of a constant.
+        The Lipschitz-loss bound holds on the whole line, so every anchor
+        gives a sound set, and a fit spent on a better guess only costs time.
+        The median is the L1 location of the responses, the LAD fit of a
+        constant.
         """
         # by partition: np.median imports numpy.ma on its first call
         half = dataset.n // 2
@@ -462,7 +465,7 @@ class LadRidgeModel(LinearModel):
         candidate, and that term is ``||x_query|| / m``-Lipschitz in the
         coefficients at every candidate; the penalty is
         ``2*lambda_reg``-strongly convex.  So the bound holds for any two
-        candidates: it has no range.  (The naive whole-loss constant
+        candidates, on the whole line.  (The naive whole-loss constant
         ``1/sqrt(m)`` is NOT sound here: the query row's leverage can exceed
         it, and measured deviations do cross that smaller bound.)  Row i's
         bound is ``2 * rho * ||x_i|| / (2 * lambda_reg)`` with

@@ -33,6 +33,8 @@ from stabcp import (
 )
 from stabcp.harness import RunConfig, run_benchmark, run_method, synthetic_source
 
+from pinned import Pinned
+
 ABS = ScoreFunction.absolute_residual()
 
 
@@ -66,9 +68,7 @@ def test_criterion_02_sandwich_exact_rank_arithmetic():
     started = time.perf_counter()
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 100, 10, 1.0, 7))
     spec = RidgeModel(0.5)
-    anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds)
-    bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
+    bounds, _ = anchor_bounds(ds, spec, ABS)
     grid = default_candidate_grid(ds, 200)
     worst = 0
     for z in grid:
@@ -89,9 +89,7 @@ def test_criterion_03_grid_set_contained_in_single_fit_set():
     for seed in range(instances):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, seed))
         spec = RidgeModel(0.5)
-        anchor = spec.anchor(ds)
-        tau = spec.stability_bound(ds)
-        stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
+        stab = stab_cp_interval(ds, spec, ABS, 0.1)
         grid = default_candidate_grid(ds, 100)
         oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
         for z in grid:
@@ -111,11 +109,9 @@ def test_criterion_04_interval_and_bisection_agree():
     for seed in range(100, 100 + instances):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 50, 5, 1.0, seed))
         spec = RidgeModel(0.5)
-        anchor = spec.anchor(ds)
-        tau = spec.stability_bound(ds)
-        interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
+        interval = stab_cp_interval(ds, spec, ABS, 0.1)
         (ilo, ihi), = interval.set.intervals
-        bisect = stab_cp_interval(ds, anchor, spec, custom_abs, tau, 0.1)
+        bisect = stab_cp_interval(ds, spec, custom_abs, 0.1)
         (blo, bhi), = bisect.set.intervals
         worst = max(worst, abs(blo - ilo), abs(bhi - ihi))
         outer &= blo <= ilo and ihi <= bhi
@@ -130,12 +126,11 @@ def test_criterion_05_zero_stability_collapse():
     coef = rng.standard_normal(3)
     y = X @ coef + rng.standard_normal(40)
     ds = TabularDataset(X[:-1], y[:-1], X[-1], test_target=float(y[-1]))
-    frozen = PretrainedLinearModel(coef)
-    zero_tau = frozen.stability_bound(ds)  # its own bound: exactly zero
+    frozen = PretrainedLinearModel(coef)  # its own bound is exactly zero
 
     # envelope collapse: with tau = 0 and tie-free scores both envelopes
     # equal the conformity computed from the anchor fit
-    bounds, fitted = anchor_bounds(ds, 0.0, frozen, ABS, zero_tau)
+    bounds, fitted = anchor_bounds(ds, frozen, ABS)
     collapse_ok = True
     for z in np.linspace(*ds.target_range(), 50):
         pb = bounds.pi_bounds_at(z)
@@ -145,7 +140,7 @@ def test_criterion_05_zero_stability_collapse():
     # definitional equality: the oracle set is the zero-stability limit of
     # the single-fit construction anchored at the true target
     oracle = oracle_cp(ds, ds.test_target, frozen, ABS, 0.1)
-    limit_form = stab_cp_interval(ds, ds.test_target, frozen, ABS, zero_tau, 0.1)
+    limit_form = stab_cp_interval(ds, Pinned(frozen, ds.test_target), ABS, 0.1)
     oracle_ok = oracle.set.intervals == limit_form.set.intervals
     ok = collapse_ok and oracle_ok
     _line(5, ok, f"envelope collapse {collapse_ok}, oracle == zero-tau stab set "
@@ -158,9 +153,7 @@ def test_criterion_06_gap_shrinks_with_sample_size():
     for n in (30, 300):
         for seed in seeds:
             ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, 100, 1.0, seed))
-            spec = LadRidgeModel(0.5)
-            tau = spec.stability_bound(ds)
-            bounds, _ = anchor_bounds(ds, 0.0, spec, ABS, tau)
+            bounds, _ = anchor_bounds(ds, Pinned(LadRidgeModel(0.5), 0.0), ABS)
             grid = default_candidate_grid(ds, 200)
             gaps = [bounds.pi_bounds_at(z).gap for z in grid]
             mean_gaps[n].append(float(np.mean(gaps)))

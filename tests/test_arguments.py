@@ -3,7 +3,7 @@
 A real argument must be a finite ``numbers.Real`` inside its bounds; an
 integral one must also equal its ``int``, so 3.0 is taken as 3 and 2.5 is
 refused.  Every violation, a numeric string included, is an
-``InvalidInputError``.
+``InvalidInputError``, in an array argument's entries too.
 """
 
 import math
@@ -22,11 +22,11 @@ from stabcp import (
     anchor_bounds,
     default_candidate_grid,
     gen_linear_gaussian,
+    grid_cp,
     oracle_cp,
     rank,
     split_cp,
     split_pi,
-    tau_user_supplied,
 )
 from stabcp.core import check_alpha
 from stabcp.data import dataset_from_rows
@@ -34,7 +34,6 @@ from stabcp.harness import RunConfig, run_benchmark, synthetic_source
 
 DS = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 10, 2, 1.0, seed=0))
 ABS = ScoreFunction.absolute_residual()
-NORMS = np.ones(DS.n + 1)
 SOURCE = synthetic_source(GeneratorSpec("linear-gaussian", 6, 2, 1.0, seed=0))
 
 
@@ -47,8 +46,9 @@ def _benchmark(repetitions=1, seed=0):
 # None where every finite real is allowed
 REAL_SITES = {
     "check_alpha": (check_alpha, 1.0),
-    "candidate_range-lo": (lambda v: tau_user_supplied(NORMS, candidate_range=(v, 1.0)), 2.0),
-    "candidate_range-hi": (lambda v: tau_user_supplied(NORMS, candidate_range=(0.0, v)), -1.0),
+    # the one range argument: a whole-range set's
+    "candidate_range-lo": (lambda v: PredictionSet.whole_range("m", 0.1, (v, 1.0)), 2.0),
+    "candidate_range-hi": (lambda v: PredictionSet.whole_range("m", 0.1, (0.0, v)), -1.0),
     # the absolute residual's own constant is 1: a smaller gamma is refused
     "ScoreFunction-gamma": (lambda v: ScoreFunction("absolute-residual", v), 0.5),
     "ScoreFunction.custom-gamma": (lambda v: ScoreFunction.custom(np.subtract, v), -1.0),
@@ -66,8 +66,7 @@ REAL_SITES = {
     "oracle_cp-true_target": (lambda v: oracle_cp(DS, v, RidgeModel(0.5), ABS, 0.1), None),
     # a curve's candidate: the envelope's and split's conformity, as pi_exact's
     "ConformityBounds.pi_bounds_at-z": (
-        anchor_bounds(DS, 0.0, RidgeModel(0.5), ABS, RidgeModel(0.5).stability_bound(DS))[0]
-        .pi_bounds_at, None),
+        anchor_bounds(DS, RidgeModel(0.5), ABS)[0].pi_bounds_at, None),
     "split_pi-z": (split_pi(DS, 5, RidgeModel(0.5), ABS), None),
     # a whole-range set contains every real, and still refuses what is not one
     "PredictionSet.contains-value": (PredictionSet.whole_range("stabcp", 0.1, (0.0, 1.0)).contains,
@@ -76,6 +75,16 @@ REAL_SITES = {
     "RunConfig-solver_tol": (lambda v: RunConfig(solver_tol=v), 0.0),
     "RunConfig-alpha": (lambda v: RunConfig(alpha=v), 0.0),
     "RunConfig-split_fraction": (lambda v: RunConfig(split_fraction=v), 1.0),
+    # array arguments, every entry set to the value: a string entry is
+    # refused as a string scalar is
+    "TabularDataset-features": (lambda v: TabularDataset(np.full(DS.features.shape, v),
+                                                         DS.targets, DS.test_point), None),
+    "TabularDataset-targets": (lambda v: TabularDataset(DS.features, np.full(DS.n, v),
+                                                        DS.test_point), None),
+    "TabularDataset-test_point": (lambda v: TabularDataset(DS.features, DS.targets,
+                                                           np.full(DS.p, v)), None),
+    "grid_cp-grid": (lambda v: grid_cp(DS, RidgeModel(0.5), ABS, 0.1, [v, v]), None),
+    "split_pi-z-list": (lambda v: split_pi(DS, 5, RidgeModel(0.5), ABS)([v, v]), None),
 }
 
 # the same for integral arguments; each call returns what the argument set,
@@ -116,3 +125,4 @@ def test_every_numeric_argument_follows_one_rule(site, case):
              "out-of-bound": bound, "2.5": 2.5}[case]
     with pytest.raises(InvalidInputError):
         call(value)
+

@@ -236,9 +236,9 @@ def test_stabcp_lad_certificate_is_the_envelope_fits():
     report = run_method("stabcp", ds, config)
     anchor, placeholder = resolve_anchor(config, ds)
     assert (anchor, placeholder) == (float(np.median(ds.targets)), None)
-    tau, _ = build_tau(config, ds, ScoreFunction.absolute_residual())
-    envelope = stab_cp_interval(ds, anchor, config.model_spec(),
-                                ScoreFunction.absolute_residual(), tau, config.alpha)
+    envelope = stab_cp_interval(ds, config.model_spec(), ScoreFunction.absolute_residual(),
+                                config.alpha)
+    assert report.details["anchor"] == envelope.details["anchor"] == anchor
     assert report.set == envelope.set
     assert report.details["iterations"] == envelope.details["iterations"]
     assert report.details["duality_gap"] == envelope.details["duality_gap"]
@@ -338,7 +338,7 @@ def test_every_configurable_bound_is_derived_and_holds(pair):
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 25, 4, 1.0, seed=5))
     score = ScoreFunction.absolute_residual()
     tau, _ = build_tau(config, ds, score)
-    assert tau.provenance == OWN_BOUNDS[model]  # never "user-supplied"
+    assert tau.provenance == OWN_BOUNDS[model]
     own = config.model_spec().stability_bound(ds)
     assert tau.provenance == own.provenance and np.array_equal(tau.tau, own.tau)
     # the bound covers the deviation between any two candidates of its range

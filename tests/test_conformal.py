@@ -1,3 +1,4 @@
+import inspect
 import math
 import struct
 import warnings
@@ -14,7 +15,6 @@ from stabcp import (
     PretrainedLinearModel,
     RidgeModel,
     ScoreFunction,
-    StabilityBounds,
     TabularDataset,
     anchor_bounds,
     conformity_scores,
@@ -27,11 +27,13 @@ from stabcp import (
     split_cp,
     split_pi,
     stab_cp_interval,
-    tau_user_supplied,
 )
-from stabcp.conformal import _EPS_R, _MAX_DOUBLINGS, _ROOT_PROBES, _score_threshold
+from stabcp.conformal import (_EPS_R, _MAX_DOUBLINGS, _ROOT_PROBES, _fitted_bounds,
+                              _score_threshold)
 from stabcp.core import _conformity, _level_index
 from stabcp.harness import RunConfig, run_method
+
+from pinned import Pinned
 
 ABS = ScoreFunction.absolute_residual()
 # the absolute residual as a custom score: same sets, extracted by bisection
@@ -58,9 +60,12 @@ def zero_model_dataset(targets, test_value=0.3):
 # ------------------------------------------------------------- pi_bounds
 
 def zero_model_bounds(ds, tau):
-    """Envelopes around the zero model's fit, whose observed scores are ``|y_i|``."""
-    bounds, _ = anchor_bounds(ds, 0.0, PretrainedLinearModel(np.zeros(1)), ABS, tau)
-    return bounds
+    """Envelopes around the zero model's fit, whose observed scores are
+    ``|y_i|``, widened by ``tau``; with no ``tau`` the oracle's."""
+    model = PretrainedLinearModel(np.zeros(1))
+    if tau is None:
+        return _fitted_bounds(ds, 0.0, model, ABS)[0]
+    return anchor_bounds(ds, Pinned(model, tau=tau), ABS)[0]
 
 
 def test_pi_bounds_matches_hand_evaluation():
@@ -69,20 +74,20 @@ def test_pi_bounds_matches_hand_evaluation():
     # lower count: 1{0.9<=2.1} + 1{1.9<=2.1} = 2 -> lo = 1 - 2/3 = 1/3
     # upper count: 1{1.1<=1.9} + 1{2.1<=1.9} = 1 -> up = 1 - 1/3 = 2/3
     ds = zero_model_dataset([1.0, -2.0])
-    pb = zero_model_bounds(ds, tau_user_supplied([0.1, 0.1, 0.1])).pi_bounds_at(2.0)
+    pb = zero_model_bounds(ds, [0.1, 0.1, 0.1]).pi_bounds_at(2.0)
     assert pb.lo == pytest.approx(1 / 3)
     assert pb.up == pytest.approx(2 / 3)
     assert pb.gap == pytest.approx(1 / 3)
     assert (pb.n_lo, pb.n_up) == (2, 1)
     # a bound per observed row plus the query row, no fewer
     with pytest.raises(InvalidInputError, match="tau has 2 entries, expected 3"):
-        zero_model_bounds(ds, tau_user_supplied([0.1, 0.1]))
+        zero_model_bounds(ds, [0.1, 0.1])
 
 
 def test_pi_bounds_zero_tau_collapses_to_anchor_conformity():
     ds = zero_model_dataset([1.0, -2.0, 0.7, 2.4])
-    bounds = zero_model_bounds(ds, tau_user_supplied(np.zeros(ds.n + 1)))
-    # the oracle's envelope (tau=None) is the observed scores, one array
+    bounds = zero_model_bounds(ds, np.zeros(ds.n + 1))
+    # the oracle's envelope (no bound) is the observed scores, one array
     oracle = zero_model_bounds(ds, None)
     assert oracle._lower is oracle._upper and oracle.tau_test == 0.0
     for z in (-1.3, 0.2, 3.0):
@@ -95,7 +100,7 @@ def test_pi_bounds_zero_tau_collapses_to_anchor_conformity():
 
 def test_pi_bounds_saturate_with_huge_tau():
     ds = zero_model_dataset([1.0, -2.0, 0.7])
-    pb = zero_model_bounds(ds, tau_user_supplied(np.full(ds.n + 1, 1e12))).pi_bounds_at(0.5)
+    pb = zero_model_bounds(ds, np.full(ds.n + 1, 1e12)).pi_bounds_at(0.5)
     # every observed score may lie below the query's, none must: the lowest
     # and the highest conformity
     assert (pb.n_lo, pb.n_up) == (ds.n, 0)
@@ -110,8 +115,8 @@ def test_pi_bounds_selection_matches_observed_row_sum():
     spec = RidgeModel(0.5)
     tau = spec.stability_bound(ds)
     assert tau.tau_test > 0
-    bounds, fitted = anchor_bounds(ds, 0.0, spec, ABS, tau)
-    scores = conformity_scores(ds, 0.0, fitted, ABS)[:-1]
+    bounds, fitted = anchor_bounds(ds, spec, ABS)
+    scores = conformity_scores(ds, spec.anchor(ds), fitted, ABS)[:-1]
     upper = np.sort(scores + tau.tau[:-1])
     v = (1 - 0.1) * (ds.n + 1)
     for z in np.linspace(*ds.target_range(), 40):
@@ -130,34 +135,31 @@ def test_stab_interval_formula_substitution():
     # half-width = 1.0 + 0.5.
     targets = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0]
     ds = zero_model_dataset(targets)
-    spec = PretrainedLinearModel(np.zeros(1))
-    tau = tau_user_supplied([0.0] * 9 + [0.5])
-    report = stab_cp_interval(ds, 0.0, spec, ABS, tau, alpha=0.1)
+    spec = Pinned(PretrainedLinearModel(np.zeros(1)), tau=[0.0] * 9 + [0.5])
+    report = stab_cp_interval(ds, spec, ABS, alpha=0.1)
     assert report.set.intervals == [(-1.5, 1.5)]
     assert report.fit_count == 1
 
 
 def test_stab_interval_quantile_overflow_whole_range():
     ds = zero_model_dataset([1.0, -1.0])
-    spec = PretrainedLinearModel(np.zeros(1))
-    tau = tau_user_supplied([0.0, 0.0, 0.5])
-    report = stab_cp_interval(ds, 0.0, spec, ABS, tau, alpha=0.05)
+    spec = Pinned(PretrainedLinearModel(np.zeros(1)), tau=[0.0, 0.0, 0.5])
+    report = stab_cp_interval(ds, spec, ABS, alpha=0.05)
     assert report.set.shape == "whole-range"
     assert report.set.candidate_range == ds.target_range()
 
 
 def test_stab_interval_zero_query_bound_equals_oracle():
-    # a zero query-point bound is allowed: anchored at the truth with a
-    # frozen model and all bounds zero, the single-fit set is the oracle set
+    # a zero query-point bound is allowed: a frozen model's own bound is
+    # zero, so its single-fit set, anchored at the truth, is the oracle set
     rng = np.random.default_rng(3)
     X = rng.standard_normal((30, 2))
     coef = np.array([1.0, -0.5])
     y = X @ coef + rng.standard_normal(30)
     ds = TabularDataset(X[:-1], y[:-1], X[-1], test_target=float(y[-1]))
     frozen = PretrainedLinearModel(coef)
-    zero = tau_user_supplied(np.zeros(ds.n + 1))
     for alpha in (0.1, 0.25):
-        stab = stab_cp_interval(ds, ds.test_target, frozen, ABS, zero, alpha)
+        stab = stab_cp_interval(ds, Pinned(frozen, ds.test_target), ABS, alpha)
         oracle = oracle_cp(ds, ds.test_target, frozen, ABS, alpha)
         assert stab.set.intervals == oracle.set.intervals
 
@@ -165,9 +167,7 @@ def test_stab_interval_zero_query_bound_equals_oracle():
 def test_stab_interval_contains_grid_oracle_at_scale():
     ds = make_dataset(n=300, p=5, seed=13)
     spec = RidgeModel(0.5)
-    anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds)
-    report = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
+    report = stab_cp_interval(ds, spec, ABS, 0.1)
     grid = stabcp.default_candidate_grid(ds, 200)
     oracle = grid_cp(ds, spec, ABS, 0.1, grid).set
     (glo, ghi), = oracle.intervals
@@ -176,7 +176,7 @@ def test_stab_interval_contains_grid_oracle_at_scale():
     assert report.set.length() <= 1.15 * oracle.length()
 
 
-def test_anchor_outside_bound_range_is_not_coverage_safe():
+def test_ridge_anchor_outside_the_target_range_is_clipped_into_it():
     # the query row extrapolates far beyond the observed rows, so ridge's raw
     # anchor lies above the target range that ridge's bound holds over
     ds = TabularDataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.1, 2.9]),
@@ -185,25 +185,14 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
     # the raw anchor a_q / (1 - b_q): the observed-rows fit at (n+1)/n the penalty
     anchor = RidgeModel(0.01 * (ds.n + 1) / ds.n).fit_rows(ds.features, ds.targets).predict(
         ds.test_point)
-    tau = spec.stability_bound(ds)
-    lo, hi = tau.candidate_range
+    lo, hi = ds.target_range()
     assert anchor > hi
-    stab = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
-    bisect = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)
-    assert stab.details["tau_coverage_safe"] is False
-    assert bisect.details["tau_coverage_safe"] is False
-    # the flag leaves the set alone: an unflagged copy of the bound gives the same set
-    unranged = tau_user_supplied(tau.tau)
-    same = stab_cp_interval(ds, anchor, spec, ABS, unranged, 0.1)
-    assert same.details["tau_coverage_safe"] is True
-    assert stab.set.intervals == same.set.intervals
-    inside = stab_cp_interval(ds, 0.5 * (lo + hi), spec, ABS, tau, 0.1)
-    assert inside.details["tau_coverage_safe"] is True
     # the model's anchor is that raw anchor clipped into the range, so its set
     # is coverage-safe and holds the exact set (at alpha 0.5, where neither is
     # the whole range)
     assert spec.anchor(ds) == hi
-    clipped = stab_cp_interval(ds, spec.anchor(ds), spec, ABS, tau, 0.5)
+    clipped = stab_cp_interval(ds, spec, ABS, 0.5)
+    assert clipped.details["anchor"] == hi
     assert clipped.details["tau_coverage_safe"] is True
     assert clipped.set.shape == "interval"
     exact = grid_cp(ds, spec, ABS, 0.5, np.linspace(lo, hi, 801)).set
@@ -212,38 +201,35 @@ def test_anchor_outside_bound_range_is_not_coverage_safe():
         assert clipped.set.contains(end)
 
 
-def test_user_bound_range_sets_only_the_flag():
-    # a bound that holds on a range other than the target range: every set
-    # searches and records the target range, and only the flag reads the
-    # bound's range
+def test_every_stabcp_set_records_the_target_range():
+    # a pinned bound, at an anchor below the target range and one at its
+    # top: every set searches and records the target range, and the flag
+    # reads only the fit's certificate
     ds = make_dataset(n=30, p=3, seed=4)
-    spec = RidgeModel(0.5)
     lo, hi = ds.target_range()
-    held = (lo - 5.0, lo + 0.25 * (hi - lo))
-    tau = tau_user_supplied(np.full(ds.n + 1, 0.1), candidate_range=held)
-    for anchor, safe in ((held[0], True), (hi, False)):
+    for anchor in (lo - 5.0, hi):
+        spec = Pinned(RidgeModel(0.5), anchor, np.full(ds.n + 1, 0.1))
         for score in (ABS, CUSTOM_ABS):
-            report = stab_cp_interval(ds, anchor, spec, score, tau, 0.1)
+            report = stab_cp_interval(ds, spec, score, 0.1)
             assert report.set.shape == "interval"
             assert report.set.candidate_range == (lo, hi)
-            assert report.details["tau_coverage_safe"] is safe
-    # a whole-range set is the target range, not the bound's
+            assert report.details["tau_coverage_safe"] is True
+    # a whole-range set is the target range
     small = make_dataset(n=5, p=2, seed=4)
-    tau = tau_user_supplied(np.zeros(small.n + 1), candidate_range=(-100.0, 100.0))
-    whole = stab_cp_interval(small, 0.0, spec, ABS, tau, 0.1).set
+    spec = Pinned(RidgeModel(0.5), 0.0, np.zeros(small.n + 1))
+    whole = stab_cp_interval(small, spec, ABS, 0.1).set
     assert whole.shape == "whole-range"
     assert whole.intervals == [small.target_range()] and whole.candidate_range == small.target_range()
 
 
 def test_lad_bound_holds_for_an_anchor_far_outside_the_target_range():
     # the query term's loss difference is 2||x_q||/m-Lipschitz for any two
-    # candidates, so the LAD bound has no range and a far anchor stays safe
+    # candidates, so the LAD bound holds on the whole line and a far anchor
+    # stays safe
     ds = make_dataset(n=40, p=5, seed=0)
     spec = LadRidgeModel(0.2, solver_tol=1e-11)
     lo, hi = ds.target_range()
-    tau = spec.stability_bound(ds)
-    assert tau.candidate_range is None
-    far = stab_cp_interval(ds, hi + 3 * (hi - lo), spec, ABS, tau, 0.1)
+    far = stab_cp_interval(ds, Pinned(spec, hi + 3 * (hi - lo)), ABS, 0.1)
     assert far.details["tau_coverage_safe"] is True
     assert far.set.candidate_range == (lo, hi)
     (flo, fhi), = far.set.intervals
@@ -256,19 +242,16 @@ def test_uncertified_envelope_fit_is_not_coverage_safe():
     # the bound assumes the exact minimizer, so the set is flagged, not changed
     ds = make_dataset(n=40, p=4, seed=3)
     spec = LadRidgeModel(0.5, solver_tol=1e-12, max_iter=5)
-    z_range = ds.target_range()
-    tau = spec.stability_bound(ds)
-    anchor = 0.5 * (z_range[0] + z_range[1])
-    for report in (stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1),
-                   stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)):
+    for report in (stab_cp_interval(ds, spec, ABS, 0.1),
+                   stab_cp_interval(ds, spec, CUSTOM_ABS, 0.1)):
         assert report.details["tau_coverage_safe"] is False
         assert report.details["converged"] is False
         assert report.details["duality_gap"] > 1e-12
         assert report.details["iterations"] == 5
-    certified = stab_cp_interval(ds, anchor, LadRidgeModel(0.5), ABS, tau, 0.1)
+    certified = stab_cp_interval(ds, LadRidgeModel(0.5), ABS, 0.1)
     assert certified.details["converged"] is True
     assert certified.details["tau_coverage_safe"] is True
-    closed_form = stab_cp_interval(ds, anchor, RidgeModel(0.5), ABS, tau, 0.1)
+    closed_form = stab_cp_interval(ds, RidgeModel(0.5), ABS, 0.1)
     assert closed_form.details["converged"] is None
     assert closed_form.details["tau_coverage_safe"] is True
 
@@ -279,13 +262,10 @@ def test_stab_set_is_the_closure_of_upper_envelope_above_alpha():
     # (1 - alpha)(n + 1), with a positive and with a zero query-point bound
     for n in (19, 20):
         ds = make_dataset(n=n, p=3, seed=n)
-        spec = RidgeModel(0.5)
-        anchor = spec.anchor(ds)
-        for tau in (spec.stability_bound(ds),
-                    tau_user_supplied(np.zeros(n + 1))):
-            bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
+        for spec in (RidgeModel(0.5), Pinned(RidgeModel(0.5), tau=np.zeros(n + 1))):
+            bounds, _ = anchor_bounds(ds, spec, ABS)
             for alpha in (0.1, 0.2):
-                (lo, hi), = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha).set.intervals
+                (lo, hi), = stab_cp_interval(ds, spec, ABS, alpha).set.intervals
                 for z in [lo + 1e-6, *np.linspace(lo, hi, 40)[1:-1], hi - 1e-6]:
                     assert bounds.pi_bounds_at(z).up > alpha
                 for z in (lo - 1e-6, hi + 1e-6):
@@ -295,21 +275,44 @@ def test_stab_set_is_the_closure_of_upper_envelope_above_alpha():
 # ------------------------------------------------------------- bisection
 
 def test_bisection_name_is_the_single_fit_set():
-    # one single-fit set function; the earlier name stays as a module alias
-    assert stabcp.conformal.stab_cp_bisection is stab_cp_interval
+    # one single-fit set; the earlier name stays in the module, given the
+    # model's own anchor and bound by its caller, and gives the same report
+    ds = make_dataset(n=30, p=3, seed=2)
+    for spec in (RidgeModel(0.5), LadRidgeModel(0.5)):
+        for score in (ABS, CUSTOM_ABS):
+            own = stab_cp_interval(ds, spec, score, 0.1)
+            given = stabcp.conformal.stab_cp_bisection(
+                ds, spec.anchor(ds), spec, score, spec.stability_bound(ds), 0.1)
+            assert repr(given.set) == repr(own.set)
+            assert given.details == own.details and given.fit_count == own.fit_count == 1
     assert not hasattr(stabcp, "stab_cp_bisection")
+
+
+def test_no_set_function_takes_an_anchor_or_a_bound():
+    # every anchor and bound comes from the model; only the earlier name,
+    # which perfbench calls with the model's own, still takes them
+    module = stabcp.conformal
+    takers = []
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", member) for attr, member in vars(obj).items()
+                        if not attr.startswith("_") and inspect.isfunction(member)]
+        takers += [label for label, member in members if callable(member)
+                   and {"anchor", "tau"} & set(inspect.signature(member).parameters)]
+    assert takers == ["stab_cp_bisection"]
 
 
 def test_bisection_agrees_with_closed_form():
     ds = make_dataset(n=50, p=5, seed=21)
     spec = RidgeModel(0.5)
-    anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds)
-    interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
+    interval = stab_cp_interval(ds, spec, ABS, 0.1)
     (ilo, ihi), = interval.set.intervals
     assert interval.fit_count == 1
     # the bisection extraction of the same score lands just outside
-    report = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)
+    report = stab_cp_interval(ds, spec, CUSTOM_ABS, 0.1)
     (blo, bhi), = report.set.intervals
     assert ilo - _EPS_R <= blo <= ilo
     assert ihi <= bhi <= ihi + _EPS_R
@@ -318,11 +321,10 @@ def test_bisection_agrees_with_closed_form():
 
 def test_bisection_constant_above_alpha_whole_range(small_dataset):
     # huge bounds: the set is a (finite) interval swallowing the whole range
-    spec = RidgeModel(0.5)
+    spec = Pinned(RidgeModel(0.5), 0.0, np.full(small_dataset.n + 1, 1e9))
     lo, hi = small_dataset.target_range()
-    tau = tau_user_supplied(np.full(small_dataset.n + 1, 1e9))
     for score in (ABS, CUSTOM_ABS):
-        report = stab_cp_interval(small_dataset, 0.0, spec, score, tau, 0.1)
+        report = stab_cp_interval(small_dataset, spec, score, 0.1)
         assert report.set.shape == "interval"
         (blo, bhi), = report.set.intervals
         assert blo < lo - 1e8 and bhi > hi + 1e8
@@ -330,7 +332,7 @@ def test_bisection_constant_above_alpha_whole_range(small_dataset):
     # alpha < 1/(n+1): the order-statistic index exceeds n, whole range
     alpha = 0.5 / (small_dataset.n + 1)
     for score in (ABS, CUSTOM_ABS):
-        report = stab_cp_interval(small_dataset, 0.0, spec, score, tau, alpha)
+        report = stab_cp_interval(small_dataset, spec, score, alpha)
         assert report.set.shape == "whole-range"
         assert report.set.truncated
         assert report.set.candidate_range == (lo, hi)
@@ -343,21 +345,21 @@ def test_bisection_constant_above_alpha_whole_range(small_dataset):
         return np.minimum(np.abs(q - m), 1.0)
 
     flat = ScoreFunction.custom(flat_fn, 1.0)
-    report = stab_cp_interval(small_dataset, 0.0, spec, flat, tau, 0.1)
+    report = stab_cp_interval(small_dataset, spec, flat, 0.1)
     assert report.set.shape == "whole-range" and report.set.truncated
     # the observed scores, the prediction itself, then the outward steps
     assert calls == [small_dataset.n + 1, 1] + [8] * (_MAX_DOUBLINGS // 8)
 
 
 def test_bisection_empty_when_nothing_selected():
-    # all tau zero and alpha so high that T is the smallest observed score,
-    # 0.5; the score |q - m| + |m| puts even the query prediction itself
-    # (m = 10, score 10) above T, so no candidate is selected
+    # the frozen model's bound is zero and alpha so high that T is the
+    # smallest observed score, 0.5; the score |q - m| + |m| puts even the
+    # query prediction itself (m = 10, score 10) above T, so no candidate is
+    # selected
     ds = TabularDataset(np.zeros((3, 1)), np.array([1.0, -1.0, 0.5]), np.ones(1))
     spec = PretrainedLinearModel(np.array([10.0]))
     offset = ScoreFunction.custom(lambda q, m: np.abs(q - m) + np.abs(m), 2.0)
-    tau = tau_user_supplied(np.zeros(4), candidate_range=(0.9, 1.0))
-    report = stab_cp_interval(ds, 0.0, spec, offset, tau, alpha=0.9)
+    report = stab_cp_interval(ds, spec, offset, alpha=0.9)
     assert report.set.shape == "empty"
 
 
@@ -369,15 +371,13 @@ def test_bisection_general_score_matches_dense_scan():
 
     score = ScoreFunction.custom(linex, gamma=5.0)
     ds = make_dataset(n=25, p=3, seed=4)
-    spec = RidgeModel(0.8)
-    anchor = 0.0
+    spec = Pinned(RidgeModel(0.8), 0.0, np.full(ds.n + 1, 0.05))
     alpha = 0.1
     lo, hi = ds.target_range()
     span = hi - lo
     z_min, z_max = lo - span, hi + span
-    tau = tau_user_supplied(np.full(ds.n + 1, 0.05), candidate_range=(z_min, z_max))
-    report = stab_cp_interval(ds, anchor, spec, score, tau, alpha)
-    bounds, _ = anchor_bounds(ds, anchor, spec, score, tau)
+    report = stab_cp_interval(ds, spec, score, alpha)
+    bounds, _ = anchor_bounds(ds, spec, score)
     threshold = math.floor((1 - alpha) * (ds.n + 1) + 1e-9)
     zs = np.linspace(z_min, z_max, 100_000)
     _, n_up = bounds.counts_at(zs)
@@ -400,21 +400,20 @@ def outlier_dataset(values):
     return ds, base.target_range()
 
 
-def clean_range_bound(ds, spec, clean):
-    """Ridge's exact affine bound over the clean range instead of the target range."""
+def clean_range_model(ds, spec, clean):
+    """Ridge with its exact affine bound over the clean range instead of the
+    target range."""
     b = spec.fit(ds, 0.0).row_b
-    return tau_user_supplied(np.abs(b) * (clean[1] - clean[0]), candidate_range=clean)
+    return Pinned(spec, tau=np.abs(b) * (clean[1] - clean[0]))
 
 
 def test_bisection_finds_set_between_two_outliers():
     # the set is ~37 wide inside a 2000-wide range; a coarse probe of the
     # range used to miss it and return an empty set
     ds, clean = outlier_dataset([1000.0, -1000.0])
-    spec = RidgeModel(0.5)
-    anchor = spec.anchor(ds)
-    tau = clean_range_bound(ds, spec, clean)
-    interval = stab_cp_interval(ds, anchor, spec, ABS, tau, 0.1)
-    bisect = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, 0.1)
+    spec = clean_range_model(ds, RidgeModel(0.5), clean)
+    interval = stab_cp_interval(ds, spec, ABS, 0.1)
+    bisect = stab_cp_interval(ds, spec, CUSTOM_ABS, 0.1)
     (ilo, ihi), = interval.set.intervals
     (blo, bhi), = bisect.set.intervals
     assert ilo - _EPS_R <= blo <= ilo and ihi <= bhi <= ihi + _EPS_R
@@ -427,11 +426,9 @@ def test_bisection_never_clamps_to_the_candidate_range():
     # is returned whole, not clamped and not flagged as truncated; it records
     # the target range, not the bound's
     ds, clean = outlier_dataset([1000.0])
-    spec = RidgeModel(0.5)
-    anchor = spec.anchor(ds)
-    tau = clean_range_bound(ds, spec, clean)
+    spec = clean_range_model(ds, RidgeModel(0.5), clean)
     for score, slack in ((ABS, 0.0), (CUSTOM_ABS, _EPS_R)):
-        report = stab_cp_interval(ds, anchor, spec, score, tau, 0.1)
+        report = stab_cp_interval(ds, spec, score, 0.1)
         (lo, hi), = report.set.intervals
         assert lo == pytest.approx(-19.4058, abs=1e-4 + slack)
         assert hi == pytest.approx(10.1588, abs=1e-4 + slack)
@@ -446,11 +443,9 @@ def test_bisection_uses_closed_form_index_at_integer_level(n):
     alpha = 0.1
     ds = make_dataset(n=n, p=3, seed=0)
     spec = RidgeModel(0.5)
-    anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds)
-    interval = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
+    interval = stab_cp_interval(ds, spec, ABS, alpha)
     (ilo, ihi), = interval.set.intervals
-    custom = stab_cp_interval(ds, anchor, spec, CUSTOM_ABS, tau, alpha)
+    custom = stab_cp_interval(ds, spec, CUSTOM_ABS, alpha)
     (clo, chi), = custom.set.intervals
     assert ilo - _EPS_R <= clo <= ilo and ihi <= chi <= ihi + _EPS_R
     exact = grid_cp(ds, spec, ABS, alpha, stabcp.default_candidate_grid(ds, 200)).set
@@ -505,9 +500,7 @@ def test_custom_score_sets_take_few_score_calls(seed):
     score = ScoreFunction.custom(huber, 1.0)
     ds = make_dataset(n=300, p=20, seed=seed)
     spec = RidgeModel(0.5)
-    tau = spec.stability_bound(ds)
-    anchor = spec.anchor(ds)
-    for run in (lambda: stab_cp_interval(ds, anchor, spec, score, tau, 0.1),
+    for run in (lambda: stab_cp_interval(ds, spec, score, 0.1),
                 lambda: oracle_cp(ds, ds.test_target, spec, score, 0.1),
                 lambda: split_cp(ds, 150, spec, score, 0.1)):
         calls.clear()
@@ -566,13 +559,13 @@ def test_envelope_counts_are_unchanged_by_sorting_on_first_use():
     rng = np.random.default_rng(7)
     n = 40
     observed = np.round(rng.exponential(size=n), 1)
-    tau = tau_user_supplied(np.append(np.round(rng.uniform(0, 0.5, n), 1), 0.2))
+    tau = np.append(np.round(rng.uniform(0, 0.5, n), 1), 0.2)
     # the observed rows predict 0 and the query row 0.3: observed scores
     # |y_i| = y_i and query score |z - 0.3|
     ds = TabularDataset(np.zeros((n, 1)), observed, np.array([0.3]))
-    bounds, _ = anchor_bounds(ds, 0.0, PretrainedLinearModel(np.ones(1)), ABS, tau)
+    bounds, _ = anchor_bounds(ds, Pinned(PretrainedLinearModel(np.ones(1)), tau=tau), ABS)
     assert "lower_sorted" not in vars(bounds) and "upper_sorted" not in vars(bounds)
-    lower, upper = np.sort(observed - tau.tau[:-1]), np.sort(observed + tau.tau[:-1])
+    lower, upper = np.sort(observed - tau[:-1]), np.sort(observed + tau[:-1])
     zs = np.append(np.linspace(-4.0, 4.0, 161), 0.3 + np.concatenate([observed, -observed]))
     n_lo, n_up = bounds.counts_at(zs)
     query = np.abs(zs - 0.3)
@@ -595,17 +588,14 @@ def intersect(reports):
 
 
 def test_batch_single_anchor_is_plain_bounds(small_dataset):
-    spec = RidgeModel(0.5)
-    tau = spec.stability_bound(small_dataset)
-    report = stab_cp_interval(small_dataset, 0.0, spec, ABS, tau, 0.1)
+    report = stab_cp_interval(small_dataset, Pinned(RidgeModel(0.5), 0.0), ABS, 0.1)
     assert intersect([report]) == report.set.intervals[0]
 
 
 def test_batch_duplicate_anchor_idempotent(small_dataset):
-    spec = RidgeModel(0.5)
-    tau = spec.stability_bound(small_dataset)
-    one = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
-    two = stab_cp_interval(small_dataset, 0.4, spec, ABS, tau, 0.1)
+    spec = Pinned(RidgeModel(0.5), 0.4)
+    one = stab_cp_interval(small_dataset, spec, ABS, 0.1)
+    two = stab_cp_interval(small_dataset, spec, ABS, 0.1)
     assert intersect([one, two]) == intersect([one])
 
 
@@ -613,8 +603,7 @@ def test_batch_never_widens_the_gap():
     ds = make_dataset(n=40, p=8, seed=9)
     spec = RidgeModel(0.5)
     lo, hi = ds.target_range()
-    tau = spec.stability_bound(ds)
-    reports = [stab_cp_interval(ds, z_hat, spec, ABS, tau, 0.1)
+    reports = [stab_cp_interval(ds, Pinned(spec, z_hat), ABS, 0.1)
                for z_hat in (lo + 0.25 * (hi - lo), 0.0, lo + 0.75 * (hi - lo))]
     both_lo, both_hi = intersect(reports)
     for report in reports:
@@ -730,9 +719,8 @@ def test_split_rejects_bad_index(small_dataset):
 def test_oracle_equals_zero_tau_limit_form(small_dataset):
     spec = RidgeModel(0.5)
     report = oracle_cp(small_dataset, small_dataset.test_target, spec, ABS, 0.1)
-    zero = tau_user_supplied(np.zeros(small_dataset.n + 1))
-    expected = stab_cp_interval(small_dataset, small_dataset.test_target, spec, ABS,
-                                zero, 0.1)
+    zero = Pinned(spec, small_dataset.test_target, np.zeros(small_dataset.n + 1))
+    expected = stab_cp_interval(small_dataset, zero, ABS, 0.1)
     assert report.set.intervals == expected.set.intervals
     assert report.fit_count == 1
 
@@ -751,8 +739,7 @@ def test_oracle_contained_in_stab_interval_with_any_tau(small_dataset):
     oracle = oracle_cp(small_dataset, y_true, spec, ABS, 0.1)
     for scale in (0.1, 1.0, 3.0):
         tau_vec = np.full(small_dataset.n + 1, 0.2 * scale)
-        report = stab_cp_interval(small_dataset, y_true, spec, ABS,
-                                  tau_user_supplied(tau_vec), 0.1)
+        report = stab_cp_interval(small_dataset, Pinned(spec, y_true, tau_vec), ABS, 0.1)
         (olo, ohi), = oracle.set.intervals
         assert report.set.contains(olo) and report.set.contains(ohi)
 
@@ -914,8 +901,8 @@ class StartSpy:
         self.calls.append((float(y[-1]), origin))
         return refit
 
-    def fit(self, dataset, candidate):
-        return self.spec.fit(dataset, candidate)
+    def __getattr__(self, name):  # fit, anchor and stability_bound
+        return getattr(self.spec, name)
 
     def starts_are_nearest(self) -> bool:
         """Each refit started from the refit at the nearest earlier candidate."""
@@ -928,13 +915,11 @@ class StartSpy:
 def test_each_refit_starts_from_the_nearest_earlier_refit(small_dataset):
     spec = RidgeModel(0.5)
     grid = stabcp.default_candidate_grid(small_dataset, 30)
-    tau = spec.stability_bound(small_dataset)
     runs = {
         "root": lambda model: root_cp(small_dataset, model, ABS, 0.1),
         "grid": lambda model: grid_cp(small_dataset, model, ABS, 0.1, grid),
         "pi": lambda model: pi_exact(small_dataset, float(grid[7]), model, ABS),
-        "profile": lambda model: gap_profile(small_dataset, spec.anchor(small_dataset), model,
-                                             ABS, tau, grid),
+        "profile": lambda model: gap_profile(small_dataset, model, ABS, grid),
     }
     for name, run in runs.items():
         spy = StartSpy(spec)
@@ -975,16 +960,14 @@ class FreshDesign:
     def fit_rows(self, X, y, start=None):
         return self.spec.fit_rows(X.copy(), y, start=start)
 
-    def fit(self, dataset, candidate):
-        return self.spec.fit(dataset, candidate)
+    def __getattr__(self, name):  # fit, anchor and stability_bound
+        return getattr(self.spec, name)
 
 
 def test_lad_refit_chain_takes_one_eigendecomposition(eigh_calls):
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 60, 5, 1.0, seed=2))
     spec = LadRidgeModel(0.2)
     grid = stabcp.default_candidate_grid(ds, 30)
-    anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds)
 
     def certificate(report):
         return [report.set, report.fit_count] + [
@@ -1002,7 +985,7 @@ def test_lad_refit_chain_takes_one_eigendecomposition(eigh_calls):
         grid_eighs = len(eigh_calls) - root_eighs
         # gap_profile also fits once at the anchor, outside its refit chain
         before = len(eigh_calls)
-        rows = gap_profile(snapshot, anchor, model, ABS, tau, grid)
+        rows = gap_profile(snapshot, model, ABS, grid)
         column_eighs = len(eigh_calls) - before - 1
         runs[name] = (certificate(root), certificate(grid_report), rows)
         if name == "shared":
@@ -1079,8 +1062,7 @@ def test_exact_score_ties_keep_the_truth_in_every_count():
     assert oracle.intervals == [(2.0, 2.0)]
     grid = np.linspace(1.0, 3.0, 21)
     assert grid_cp(ds, spec, ABS, 0.1, grid).set.intervals == oracle.intervals
-    zero_tau = tau_user_supplied(np.zeros(ds.n + 1))
-    assert gap_profile(ds, 2.0, spec, ABS, zero_tau, [2.0]) == [(2.0, 1.0, 1.0, 1.0)]
+    assert gap_profile(ds, spec, ABS, [2.0]) == [(2.0, 1.0, 1.0, 1.0)]
     assert split_pi(ds, 10, spec, ABS)(2.0) == 1.0
 
 
@@ -1088,10 +1070,8 @@ def test_exact_score_ties_keep_the_truth_in_every_count():
 
 def test_gap_profile_sandwich_everywhere(small_dataset):
     spec = RidgeModel(0.5)
-    anchor = spec.anchor(small_dataset)
-    tau = spec.stability_bound(small_dataset)
     grid = stabcp.default_candidate_grid(small_dataset, 60)
-    rows = gap_profile(small_dataset, anchor, spec, ABS, tau, grid)
+    rows = gap_profile(small_dataset, spec, ABS, grid)
     assert len(rows) == 60
     for z, lo, up, exact in rows:
         assert lo - 1e-12 <= exact <= up + 1e-12
@@ -1100,8 +1080,7 @@ def test_gap_profile_sandwich_everywhere(small_dataset):
 def test_gap_profile_zero_tau_zero_gap():
     ds = zero_model_dataset([1.0, -2.0, 0.7, 1.9])
     spec = PretrainedLinearModel(np.zeros(1))
-    tau = tau_user_supplied(np.zeros(ds.n + 1))
-    rows = gap_profile(ds, 0.0, spec, ABS, tau, np.linspace(-3, 3, 41))
+    rows = gap_profile(ds, spec, ABS, np.linspace(-3, 3, 41))
     for z, lo, up, exact in rows:
         assert up - lo == pytest.approx(0.0, abs=1e-12)
         assert lo == pytest.approx(exact)
@@ -1111,9 +1090,7 @@ def test_gap_shrinks_with_sample_size():
     gaps = {}
     for n in (30, 300):
         ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", n, 100, 1.0, 5))
-        spec = LadRidgeModel(0.5)
-        tau = spec.stability_bound(ds)
-        bounds, _ = anchor_bounds(ds, 0.0, spec, ABS, tau)
+        bounds, _ = anchor_bounds(ds, Pinned(LadRidgeModel(0.5), 0.0), ABS)
         zs = np.linspace(*ds.target_range(), 100)
         values = [bounds.pi_bounds_at(z) for z in zs]
         gaps[n] = float(np.mean([pb.gap for pb in values]))
@@ -1126,15 +1103,11 @@ def test_stab_interval_equivariant_under_target_scaling():
     # count-based boundary tolerances, which must stay scale-free
     base = make_dataset(n=60, p=4, seed=23)
     spec = RidgeModel(0.5)
-    anchor = spec.anchor(base)
-    tau = spec.stability_bound(base)
-    (lo0, hi0), = stab_cp_interval(base, anchor, spec, ABS, tau, 0.1).set.intervals
+    (lo0, hi0), = stab_cp_interval(base, spec, ABS, 0.1).set.intervals
     for scale in (1e-6, 1e6):
         ds = TabularDataset(base.features, scale * base.targets, base.test_point,
                             scale * base.test_target)
-        anchor_s = spec.anchor(ds)
-        tau_s = spec.stability_bound(ds)
-        (lo, hi), = stab_cp_interval(ds, anchor_s, spec, ABS, tau_s, 0.1).set.intervals
+        (lo, hi), = stab_cp_interval(ds, spec, ABS, 0.1).set.intervals
         assert lo == pytest.approx(scale * lo0, rel=1e-9)
         assert hi == pytest.approx(scale * hi0, rel=1e-9)
 
@@ -1144,13 +1117,11 @@ def test_containment_chain_on_shared_grid():
     ds = make_dataset(n=60, p=5, seed=17)
     spec = RidgeModel(0.5)
     alpha = 0.1
-    anchor = spec.anchor(ds)
-    tau = spec.stability_bound(ds)
-    bounds, _ = anchor_bounds(ds, anchor, spec, ABS, tau)
+    bounds, _ = anchor_bounds(ds, spec, ABS)
     grid = stabcp.default_candidate_grid(ds, 120)
     threshold = math.floor((1 - alpha) * (ds.n + 1) + 1e-9)
     oracle = grid_cp(ds, spec, ABS, alpha, grid).set
-    stab = stab_cp_interval(ds, anchor, spec, ABS, tau, alpha)
+    stab = stab_cp_interval(ds, spec, ABS, alpha)
     for z in grid:
         pb = bounds.pi_bounds_at(z)
         in_lower = pb.n_lo <= threshold
@@ -1165,11 +1136,9 @@ def test_containment_chain_on_shared_grid():
 
 def test_upper_set_monotone_in_alpha(small_dataset):
     spec = RidgeModel(0.5)
-    anchor = spec.anchor(small_dataset)
-    tau = spec.stability_bound(small_dataset)
     previous = None
     for alpha in (0.05, 0.1, 0.2, 0.4):
-        current = stab_cp_interval(small_dataset, anchor, spec, ABS, tau, alpha)
+        current = stab_cp_interval(small_dataset, spec, ABS, alpha)
         if previous is not None:
             # shrinking alpha can only grow the set (whole-range swallows all)
             for lo, hi in current.set.intervals:
@@ -1179,11 +1148,9 @@ def test_upper_set_monotone_in_alpha(small_dataset):
 
 def test_upper_set_monotone_in_tau(small_dataset):
     spec = RidgeModel(0.5)
-    anchor = spec.anchor(small_dataset)
-    base = spec.stability_bound(small_dataset)
-    bigger = tau_user_supplied(base.tau + 0.3)
-    r1 = stab_cp_interval(small_dataset, anchor, spec, ABS, base, 0.1)
-    r2 = stab_cp_interval(small_dataset, anchor, spec, ABS, bigger, 0.1)
+    bigger = Pinned(spec, tau=spec.stability_bound(small_dataset).tau + 0.3)
+    r1 = stab_cp_interval(small_dataset, spec, ABS, 0.1)
+    r2 = stab_cp_interval(small_dataset, bigger, ABS, 0.1)
     (lo1, hi1), = r1.set.intervals
     (lo2, hi2), = r2.set.intervals
     assert lo2 <= lo1 and hi1 <= hi2
@@ -1193,9 +1160,7 @@ def test_upper_set_monotone_in_tau(small_dataset):
 
 def test_fit_count_invariants(small_dataset):
     spec = RidgeModel(0.5)
-    anchor = spec.anchor(small_dataset)
-    tau = spec.stability_bound(small_dataset)
-    assert stab_cp_interval(small_dataset, anchor, spec, ABS, tau, 0.1).fit_count == 1
+    assert stab_cp_interval(small_dataset, spec, ABS, 0.1).fit_count == 1
     assert split_cp(small_dataset, 5, spec, ABS, 0.1).fit_count == 1
     assert oracle_cp(small_dataset, small_dataset.test_target, spec, ABS, 0.1).fit_count == 1
     grid = stabcp.default_candidate_grid(small_dataset, 37)

@@ -267,8 +267,7 @@ def test_rank_subuniformity_monte_carlo():
 # every entry point that takes a candidate range, called on (dataset, range);
 # every set method takes the dataset's own target range instead
 RANGE_ENTRY_POINTS = {
-    "StabilityBounds": lambda ds, r: stabcp.StabilityBounds(
-        np.ones(ds.n + 1), "user-supplied", candidate_range=r),
+    "whole_range": lambda ds, r: PredictionSet.whole_range("m", 0.1, r),
 }
 
 

@@ -273,18 +273,15 @@ def test_lad_fits_once_per_dataset_and_anchor(eigh_calls, monkeypatch):
     monkeypatch.setattr(LadRidgeModel, "_admm", counted)
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
     spec = LadRidgeModel(0.2)
-    anchor = spec.anchor(ds)
     score = ScoreFunction.custom(huber, 1.0)
 
     def summary(report):
         return [repr(report.set), report.fit_count, report.covered] + [
             report.details[k] for k in ("iterations", "duality_gap", "converged")]
 
-    builders = [lambda d, alpha=alpha: stab_cp_interval(
-                    d, anchor, spec, ABS, spec.stability_bound(d), alpha)
+    builders = [lambda d, alpha=alpha: stab_cp_interval(d, spec, ABS, alpha)
                 for alpha in (0.05, 0.1, 0.2)]
-    builders.append(lambda d: stab_cp_interval(d, anchor, spec, score,
-                                               spec.stability_bound(d), 0.1))
+    builders.append(lambda d: stab_cp_interval(d, spec, score, 0.1))
     reports = [build(ds) for build in builders]
     assert (len(eigh_calls), len(admm_runs)) == (1, 1)
     builders.append(lambda d: oracle_cp(d, d.test_target, spec, ABS, 0.1))
@@ -294,7 +291,8 @@ def test_lad_fits_once_per_dataset_and_anchor(eigh_calls, monkeypatch):
         assert summary(build(replace(ds))) == summary(report)
 
     # the memoized fit cannot be written through, so no caller changes a later set
-    _, fitted = anchor_bounds(ds, anchor, spec, ABS, spec.stability_bound(ds))
+    _, fitted = anchor_bounds(ds, spec, ABS)
+    anchor = spec.anchor(ds)
     for name in ("coefficients", "row_predictions"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(fitted, name)[0] += 1.0
@@ -471,9 +469,9 @@ def _held_arrays(value):
 
 @pytest.mark.parametrize("spec", [RidgeModel(0.5), LadRidgeModel(0.2)], ids=["ridge", "ladridge"])
 def test_each_model_keeps_its_shared_work_once(spec, eigh_calls, monkeypatch):
-    # anchor, bound, stabcp at two levels and the oracle on one dataset: the
-    # memo holds each model's shared work once, in the form its fits use, and
-    # nothing in it can be written through
+    # stabcp at two levels, each reading the model's anchor and bound, and the
+    # oracle on one dataset: the memo holds each model's shared work once, in
+    # the form its fits use, and nothing in it can be written through
     designs, augmented_design = [], TabularDataset.augmented_design
 
     def counted(dataset):
@@ -482,10 +480,8 @@ def test_each_model_keeps_its_shared_work_once(spec, eigh_calls, monkeypatch):
 
     monkeypatch.setattr(TabularDataset, "augmented_design", counted)
     ds = gen_linear_gaussian(GeneratorSpec("linear-gaussian", 300, 20, 1.0, 5))
-    anchor = spec.anchor(ds)
-    bound = spec.stability_bound(ds)
     for alpha in (0.1, 0.2):
-        stab_cp_interval(ds, anchor, spec, ABS, bound, alpha)
+        stab_cp_interval(ds, spec, ABS, alpha)
     oracle_cp(ds, ds.test_target, spec, ABS, 0.1)
     keys = set(ds._memo)
     if isinstance(spec, RidgeModel):

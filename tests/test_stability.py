@@ -28,7 +28,7 @@ def _assert_envelope_scaled(ds, spec, gamma):
     model's bound, and its query bound is ``gamma * tau[-1]``: the one place
     a score's constant meets a bound."""
     tau = spec.stability_bound(ds)
-    bounds, _ = anchor_bounds(ds, spec.anchor(ds), spec, _custom(gamma), tau)
+    bounds, _ = anchor_bounds(ds, spec, _custom(gamma))
     assert np.allclose(bounds._upper - bounds._lower, 2 * gamma * tau.tau[:-1],
                        rtol=1e-12, atol=1e-12)
     assert bounds.tau_test == gamma * tau.tau_test
@@ -38,21 +38,22 @@ def _assert_envelope_scaled(ds, spec, gamma):
 
 def test_bounds_reject_negative_and_nan():
     with pytest.raises(InvalidInputError):
-        StabilityBounds(np.array([0.1, -0.2]), "user-supplied")
+        StabilityBounds(np.array([0.1, -0.2]), "linear-exact")
     with pytest.raises(InvalidInputError):
-        StabilityBounds(np.array([0.1, np.nan]), "user-supplied")
+        StabilityBounds(np.array([0.1, np.nan]), "linear-exact")
     with pytest.raises(InvalidInputError):
         StabilityBounds(np.array([0.1, 0.2]), "nonsense")
 
 
 def test_free_standing_recipes_are_gone():
-    # each model builds its one bound; tau_user_supplied is the only other way
+    # each model builds its one bound, and no set function takes another
     removed = ("tau_linear_exact", "tau_regularized_lipschitz", "tau_regularized_smooth",
-               "bound_loss_C", "scaled_squared_loss", "augmented_row_norms")
+               "bound_loss_C", "scaled_squared_loss", "augmented_row_norms",
+               "tau_user_supplied")
     for name in removed:
         assert name not in dir(stabcp)
         assert name not in dir(stabcp.stability)
-    assert "regularized-smooth" not in stabcp.stability.PROVENANCES
+    assert stabcp.stability.PROVENANCES == ("regularized-lipschitz", "linear-exact")
 
 
 def test_bound_tau_is_read_only(small_dataset):
@@ -61,7 +62,7 @@ def test_bound_tau_is_read_only(small_dataset):
     values = np.zeros(small_dataset.n + 1)
     for bounds in (RidgeModel(0.5).stability_bound(small_dataset),
                    LadRidgeModel(0.5).stability_bound(small_dataset),
-                   stabcp.tau_user_supplied(values)):
+                   StabilityBounds(values, "linear-exact")):
         with pytest.raises(ValueError):
             bounds.tau[0] = 1.0
     # the caller's array keeps its own flags
@@ -88,8 +89,6 @@ def test_regularized_lipschitz_arithmetic():
     bounds = LadRidgeModel(0.2).stability_bound(drawn)
     assert np.allclose(bounds.tau, _lad_closed_form(drawn, 0.2), rtol=1e-14, atol=0)
     _assert_envelope_scaled(drawn, LadRidgeModel(0.2), 2.0)
-    # the bound holds on the whole line: it carries no range
-    assert bounds.candidate_range is None
 
 
 def test_regularized_lipschitz_zero_row():
@@ -132,7 +131,6 @@ def test_linear_exact_zero_slope_row(small_dataset):
     constant = TabularDataset(small_dataset.features, np.full(small_dataset.n, 1.5),
                               small_dataset.test_point)
     bounds = RidgeModel(0.5).stability_bound(constant)
-    assert bounds.candidate_range == (1.5, 1.5)
     assert np.array_equal(bounds.tau, np.zeros(small_dataset.n + 1))
     # a zero feature row has zero candidate slope, hence a zero bound
     X = small_dataset.features.copy()
@@ -182,7 +180,7 @@ def test_linear_exact_builds_no_fit(small_dataset, monkeypatch):
     bounds = spec.stability_bound(small_dataset)
     b = spec._affine(small_dataset)[-1]
     assert np.array_equal(bounds.tau, np.abs(b) * (hi - lo))
-    assert bounds.provenance == "linear-exact" and bounds.candidate_range == (lo, hi)
+    assert bounds.provenance == "linear-exact"
     monkeypatch.undo()
     _assert_envelope_scaled(small_dataset, spec, 2.0)
 
@@ -211,9 +209,8 @@ def test_bounds_monotone_in_constants(gamma, lam, scale, bump):
     assert np.all(tau(lam, scale + bump) >= base)
     # the score's constant widens the envelope around the one anchor fit
     ds, spec = dataset(scale), LadRidgeModel(lam)
-    bound = spec.stability_bound(ds)
-    narrow, _ = anchor_bounds(ds, 0.0, spec, _custom(gamma), bound)
-    wide, _ = anchor_bounds(ds, 0.0, spec, _custom(gamma + bump), bound)
+    narrow, _ = anchor_bounds(ds, spec, _custom(gamma))
+    wide, _ = anchor_bounds(ds, spec, _custom(gamma + bump))
     assert np.all(wide._lower <= narrow._lower) and np.all(wide._upper >= narrow._upper)
     assert wide.tau_test >= narrow.tau_test
 
@@ -236,10 +233,7 @@ def test_candidate_range_contains_next_draw():
 
 def test_tau_auto_dispatches_by_model(small_dataset):
     # each model builds its own bound: no recipe is chosen for it
-    z_range = small_dataset.target_range()
     lad_bounds = LadRidgeModel(0.5).stability_bound(small_dataset)
     assert lad_bounds.provenance == "regularized-lipschitz"
-    assert lad_bounds.candidate_range is None  # it holds on the whole line
     ridge_bounds = RidgeModel(0.5).stability_bound(small_dataset)
     assert ridge_bounds.provenance == "linear-exact"
-    assert ridge_bounds.candidate_range == z_range
